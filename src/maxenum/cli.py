@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import engine, pspace
 from .oracle import OracleCapError, brute_force_maximal
-from .problems import (ALL_VARIANTS, DIRECTED_VARIANTS, K_VARIANTS,
-                       POINT_VARIANTS, PSPACE_VARIANTS, make_instance)
+from .problems import (ALL_VARIANTS, K_VARIANTS, POINT_VARIANTS,
+                       PSPACE_VARIANTS, make_instance)
 from .problems.geometry import PointFormatError, load_points
 from .graphs import GraphFormatError, load_graph
 
@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-check", action="store_true",
                    help="cross-check the output against the brute-force "
                         "subset sweep (small instances only)")
-    p.add_argument("--seed-order", choices=("id", "given"), default="id",
-                   help="candidate iteration order; ids follow input order, "
-                        "so both choices coincide for this loader")
     return p
 
 
@@ -69,14 +66,6 @@ def main(argv=None) -> int:
             problem = make_instance(args.problem, points=points)
         else:
             g = load_graph(text)
-            if args.problem in DIRECTED_VARIANTS and not g.directed:
-                print(f"maxenum: {args.problem} needs a directed input graph",
-                      file=err)
-                return 1
-            if args.problem not in DIRECTED_VARIANTS and g.directed:
-                print(f"maxenum: {args.problem} needs an undirected input "
-                      f"graph", file=err)
-                return 1
             if args.problem in K_VARIANTS:
                 if args.k is None:
                     print("maxenum: --k is required for this problem",

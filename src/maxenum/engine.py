@@ -12,7 +12,7 @@ gap between consecutive outputs bounded by a constant number of
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
@@ -35,12 +35,46 @@ class Counters:
     max_comp_gap: int = 0        # most comp calls between consecutive emissions
     roots_found: int = 0         # parent-forest traversal only
     child_checks_passed: int = 0  # parent-forest traversal only
-    _last_mark: Optional[int] = field(default=None, repr=False)
 
-    def note_emission(self, comp_now: int) -> None:
-        if self._last_mark is not None:
-            self.max_comp_gap = max(self.max_comp_gap, comp_now - self._last_mark)
-        self._last_mark = comp_now
+
+class Emitter:
+    """Output bookkeeping shared by both engines.
+
+    Calling the emitter passes one solution to the sink, counts it and
+    records the completion calls since the previous output; ``done`` turns
+    true once ``limit`` solutions are out (at once for a limit <= 0).  A
+    failing sink aborts the run with PartialOutputError.
+    """
+
+    def __init__(self, problem, emit: Optional[Callable], limit: Optional[int]):
+        self.problem = problem
+        self.emit = emit
+        self.limit = limit
+        self.counters = Counters()
+        self.comp_base = problem.comp_calls
+        self.last_mark: Optional[int] = None  # comp calls at the last output
+        self.done = limit is not None and limit <= 0
+
+    def __call__(self, sol) -> None:
+        counters = self.counters
+        now = self.problem.comp_calls
+        if self.last_mark is not None:
+            counters.max_comp_gap = max(counters.max_comp_gap, now - self.last_mark)
+        self.last_mark = now
+        if self.emit is not None:
+            try:
+                self.emit(sol)
+            except Exception as exc:
+                raise PartialOutputError(counters.solutions_emitted, exc) from exc
+        counters.solutions_emitted += 1
+        if self.limit is not None and counters.solutions_emitted >= self.limit:
+            self.done = True
+
+    def finish(self, dict_operations: int) -> Counters:
+        """The run's counters, with its completion calls filled in."""
+        self.counters.comp_calls = self.problem.comp_calls - self.comp_base
+        self.counters.dict_operations = dict_operations
+        return self.counters
 
 
 class _Node:
@@ -113,33 +147,19 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     the run with PartialOutputError.  ``limit`` stops the run after that
     many emissions (the emitted prefix is deterministic).
     """
-    counters = Counters()
-    if limit is not None and limit <= 0:
-        return counters
-    comp_base = problem.comp_calls
+    emitter = Emitter(problem, emit, limit)
+    if emitter.done:
+        return emitter.counters
+    counters = emitter.counters
     seen = SolutionDict()
-
-    done = False
-
-    def do_emit(sol):
-        nonlocal done
-        counters.note_emission(problem.comp_calls - comp_base)
-        if emit is not None:
-            try:
-                emit(sol)
-            except Exception as exc:
-                raise PartialOutputError(counters.solutions_emitted, exc) from exc
-        counters.solutions_emitted += 1
-        if limit is not None and counters.solutions_emitted >= limit:
-            done = True
 
     first = problem.first_solution()
     seen.insert(first)
     # frame: [solution, depth, candidate iterator or None]
     stack: list[list] = [[first, 0, None]]
-    do_emit(first)  # depth 0 is even: pre-order
+    emitter(first)  # depth 0 is even: pre-order
 
-    while stack and not done:
+    while stack and not emitter.done:
         frame = stack[-1]
         sol, depth, it = frame
         if it is None:
@@ -152,14 +172,12 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
                 child_depth = depth + 1
                 stack.append([cand, child_depth, None])
                 if child_depth % 2 == 0:
-                    do_emit(cand)
+                    emitter(cand)
                 advanced = True
                 break
-        if not advanced and not done:
+        if not advanced and not emitter.done:
             stack.pop()
             if depth % 2 == 1:
-                do_emit(sol)
+                emitter(sol)
 
-    counters.comp_calls = problem.comp_calls - comp_base
-    counters.dict_operations = seen.operations
-    return counters
+    return emitter.finish(seen.operations)

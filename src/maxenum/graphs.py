@@ -74,27 +74,14 @@ class Graph:
         self.out_adj = tuple(tuple(sorted(a)) for a in out)
         self.in_adj = tuple(tuple(sorted(a)) for a in inc)
         self.und_adj = tuple(tuple(sorted(a)) for a in und)
-        if not directed:
-            self.adj = self.und_adj
-        else:
-            self.adj = self.out_adj
         # bitmask mirrors of the adjacency, used by the hot predicates
         self.und_mask = tuple(mask_of(a) for a in self.und_adj)
         self.out_mask = tuple(mask_of(a) for a in self.out_adj)
         self.in_mask = tuple(mask_of(a) for a in self.in_adj)
         self.edge_mask_at = tuple(mask_of(e) for e in edge_at)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.und_adj[v]
-
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.und_adj[v]]
-
-    def edge_id(self, u: int, v: int) -> Optional[int]:
-        for i, (a, b) in enumerate(self.edges):
-            if (a, b) == (u, v) or (not self.directed and (b, a) == (u, v)):
-                return i
-        return None
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -224,53 +211,31 @@ def connected_component(g: Graph, s: Iterable[int], v: int) -> set[int]:
     sset = set(s)
     if v not in sset:
         raise ContractViolation(f"vertex {v} not in the candidate set")
-    comp = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for w in g.und_adj[u]:
-            if w in sset and w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    return comp
+    return set(bits(mask_cc(g.und_mask, mask_of(sset), v)))
 
 
 def components(g: Graph, s: Iterable[int]) -> list[set[int]]:
     """Connected components of G[s], ordered by smallest contained vertex."""
-    left = set(s)
-    out = []
-    while left:
-        v = min(left)
-        comp = connected_component(g, left, v)
-        out.append(comp)
-        left -= comp
-    return out
-
-
-def bfs_distances(g: Graph, s: Iterable[int], root: int) -> dict[int, int]:
-    sset = set(s)
-    if root not in sset:
-        raise ContractViolation(f"root {root} not in the candidate set")
-    dist = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.und_adj[u]:
-                if w in sset and w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    return [set(bits(c)) for c in mask_components(g.und_mask, mask_of(s))]
 
 
 def bfs_canonical_order(g: Graph, s: Iterable[int], root: int) -> list[int]:
     """Order G[s] by (distance from root, vertex id); G[s] must be connected."""
     sset = set(s)
-    dist = bfs_distances(g, sset, root)
+    if root not in sset:
+        raise ContractViolation(f"root {root} not in the candidate set")
+    dist = mask_dists(g.und_mask, mask_of(sset), root)
     if len(dist) != len(sset):
         raise ContractViolation("candidate set does not induce a connected subgraph")
     return sorted(sset, key=lambda u: (dist[u], u))
+
+
+def component_bfs_order(g: Graph, s: Iterable[int]) -> list[int]:
+    """Components of G[s] by smallest vertex, each in BFS order from it."""
+    order: list[int] = []
+    for comp in components(g, s):
+        order.extend(bfs_canonical_order(g, comp, min(comp)))
+    return order
 
 
 def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
@@ -323,6 +288,35 @@ def perfect_elimination_order(g: Graph, s: Iterable[int]) -> Optional[list[int]]
     sset = set(s)
     adj = {u: {w for w in g.und_adj[u] if w in sset} for u in sset}
     return peo_of_adjacency(adj)
+
+
+def edge_adjacency(g: Graph, emask: int) -> dict[int, set[int]]:
+    """Undirected adjacency of the vertices spanned by an edge set."""
+    adj: dict[int, set[int]] = {}
+    for e in bits(emask):
+        u, v = g.edges[e]
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def spanned_subgraph(g: Graph, emask: int) -> tuple[Graph, list[int]]:
+    """An edge set as a graph on g's vertex ids, and the vertices it spans."""
+    sub = Graph(g.n, [g.edges[e] for e in bits(emask)], directed=g.directed)
+    return sub, [u for u in range(g.n) if sub.und_adj[u]]
+
+
+def edges_by_vertex_order(g: Graph, elist: Iterable[int], vorder) -> list[int]:
+    """Edge ids sorted by the later, then the earlier, position of their
+    endpoints in the vertex order."""
+    pos = {u: i for i, u in enumerate(vorder)}
+
+    def key(e):
+        u, v = g.edges[e]
+        pu, pv = pos[u], pos[v]
+        return (max(pu, pv), min(pu, pv))
+
+    return sorted(elist, key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ ALL_VARIANTS = sorted(GRAPH_VARIANTS | K_VARIANTS | POINT_VARIANTS)
 PSPACE_VARIANTS = ("bipartite-induced", "bipartite-induced-connected",
                    "trees", "forests")
 
-DIRECTED_VARIANTS = ("dag-induced-connected", "dag-edge-connected")
-
 
 def make_instance(variant: str, *, graph: Graph = None,
                   points: PointSetInstance = None, k: int = None) -> Problem:

@@ -1,8 +1,11 @@
 """Problem contract shared by every maximal-subgraph plugin.
 
-A plugin owns three things: a membership predicate over ground-element
-bitmasks, a completion routine extending any solution to a maximal one,
-and a neighboring function producing maximal solutions from a given one.
+A plugin states only what is specific to its family: a membership
+predicate over ground-element bitmasks (``_solution_mask``), a candidate
+rule (``_neighbor_masks``, or ``_candidates`` for the pspace families)
+and a canonical order.  Completion, the adjacency closure of connected
+families and the input checks of graph families live here once, driven
+by the class flags ``ground_kind``, ``directed`` and ``connected``.
 Solutions cross the API as sorted tuples of element ids; all hot paths
 run on bitmasks with per-instance memoization of the predicate.
 """
@@ -11,7 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..graphs import bits, mask_of
+from ..graphs import (Graph, bits, component_bfs_order, mask_cc,
+                      mask_components, mask_dists, mask_of)
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -21,6 +25,7 @@ def tuple_of(mask: int) -> tuple[int, ...]:
 class Problem:
     variant: str = ""
     ground_kind: str = "v"  # "v": vertex ids, "e": edge ids
+    connected = False  # solutions must be connected; completion grows by adjacency
 
     def __init__(self, ground_size: int):
         self.ground_size = ground_size
@@ -56,7 +61,9 @@ class Problem:
 
     # -- completion ----------------------------------------------------
     def _comp_mask(self, mask: int) -> int:
-        raise NotImplementedError
+        if self.connected:
+            return self._comp_connected(mask)
+        return self._comp_hereditary(mask)
 
     def comp_mask(self, mask: int) -> int:
         if not self.sol(mask):
@@ -79,8 +86,20 @@ class Problem:
         return mask
 
     def _adjacent_mask(self, mask: int) -> int:
-        """Candidate elements adjacent to the current set (connected comp)."""
-        raise NotImplementedError
+        """Candidate elements adjacent to the current set (connected comp):
+        the graph neighbors of the vertices in it."""
+        adj = self.g.und_mask
+        m = 0
+        for u in bits(mask):
+            m |= adj[u]
+        return m
+
+    def _restrict(self, cand: int, v: int) -> int:
+        """A vertex candidate cut down to v's component when solutions must
+        be connected."""
+        if self.connected:
+            return mask_cc(self.g.und_mask, cand, v)
+        return cand
 
     def _comp_connected(self, mask: int) -> int:
         if mask == 0:
@@ -141,23 +160,60 @@ class Problem:
         return k
 
 
-class PspaceProblem(Problem):
+class GraphProblem(Problem):
+    """A family of vertex sets (``ground_kind`` "v") or edge sets ("e") of
+    one graph, directed exactly when ``directed`` is set."""
+
+    directed = False
+
+    def __init__(self, g: Graph):
+        if g.directed != self.directed:
+            kind = "a directed" if self.directed else "an undirected"
+            raise ValueError(f"{self.variant} expects {kind} graph")
+        super().__init__(g.n if self.ground_kind == "v" else g.m)
+        self.g = g
+
+
+class PspaceProblem(GraphProblem):
     """Contract addition for the dictionary-free parent-forest traversal.
 
     The four families supported here are vertex problems on an undirected
     graph where every single vertex is a solution, ordered by BFS either
     from a root (connected-hereditary) or per component leader
-    (hereditary).
+    (hereditary).  Their candidate rule is ``_candidates``, which serves
+    both engines: completed by ``comp_mask`` for ``neighbors`` and by the
+    lexicographic completion for ``neighbors_at``.
     """
 
     order_hereditary = False  # per-component leader keys when True
 
-    def __init__(self, ground_size: int, adj_masks):
-        super().__init__(ground_size)
-        self._order_adj = adj_masks
+    def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
+        """Uncompleted candidate masks for each incoming vertex outside the
+        solution, in a fixed order."""
+        raise NotImplementedError
 
-    def singleton(self, e: int) -> bool:
-        return True
+    def _neighbor_masks(self, smask: int):
+        incoming = (v for v in range(self.g.n) if not (smask >> v) & 1)
+        for cand in self._candidates(smask, incoming):
+            yield self.comp_mask(cand)
+
+    def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
+        """Canonical-reconstruction candidates for extender w (lex completion).
+
+        The result holds no duplicates: the parent-forest traversal accepts
+        a child only when it is regenerated by the first matching candidate,
+        and a repeated candidate would defeat that identity check.
+        """
+        from ..pspace import comp_lex
+
+        stuple = tuple(sorted(solution))
+        if w in stuple:
+            return [stuple]
+        cands = self._candidates(mask_of(stuple), (w,))
+        return list(dict.fromkeys(comp_lex(self, tuple_of(c)) for c in cands))
+
+    def canonical_order(self, solution) -> list[int]:
+        return component_bfs_order(self.g, solution)
 
     def addable(self, xmask: int) -> list[int]:
         out = []
@@ -175,9 +231,7 @@ class PspaceProblem(Problem):
         0 for v's own component and leader id + 1 otherwise, so the root
         component always sorts first.
         """
-        from ..graphs import mask_components, mask_dists
-
-        adj = self._order_adj
+        adj = self.g.und_mask
         keys: dict[int, tuple] = {}
         if not (xmask >> v) & 1:
             raise ValueError(f"order root {v} is not in the set")
@@ -225,10 +279,3 @@ class PspaceProblem(Problem):
                 d = 1 + min(home[3][u] for u in bits(adj[e] & home[0]))
                 keys[e] = (slot, d, e)
         return keys
-
-    def order_key(self, xmask: int, v: int, e: int) -> tuple:
-        return self.order_keys(xmask, v, [e])[e]
-
-    def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
-        """Canonical-reconstruction candidates for extender w (lex completion)."""
-        raise NotImplementedError

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..graphs import (Graph, bfs_canonical_order, bits, components, mask_cc,
-                      mask_components, mask_of)
-from .base import Problem, PspaceProblem, tuple_of
+from ..graphs import (DisjointSets, Graph, bits, component_bfs_order,
+                      edges_by_vertex_order, mask_components, mask_of,
+                      spanned_subgraph)
+from .base import GraphProblem, PspaceProblem, tuple_of
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
@@ -53,68 +54,24 @@ def bipartition(g: Graph, elems: Iterable[int]) -> Optional[tuple[tuple, tuple]]
 
 
 class _BipartiteInducedBase(PspaceProblem):
-    ground_kind = "v"
-    connected = False
-
-    def __init__(self, g: Graph):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
-        super().__init__(g.n, g.und_mask)
-        self.g = g
-
     def _solution_mask(self, mask: int) -> bool:
         if self.connected and len(mask_components(self.g.und_mask, mask)) > 1:
             return False
         return _two_color_masks(self.g.und_mask, mask) is not None
 
-    def _adjacent_mask(self, mask: int) -> int:
-        m = 0
-        for u in bits(mask):
-            m |= self.g.und_mask[u]
-        return m
-
-    def _comp_mask(self, mask: int) -> int:
-        if self.connected:
-            return self._comp_connected(mask)
-        return self._comp_hereditary(mask)
-
     def _candidate(self, smask: int, sides, v: int, i: int) -> int:
         nb = self.g.und_mask[v] & smask
         cand = (smask & ~(nb & sides[i])) | (1 << v)
-        if self.connected:
-            cand = mask_cc(self.g.und_mask, cand, v)
-        return cand
+        return self._restrict(cand, v)
 
-    def _neighbor_masks(self, smask: int):
+    def _candidates(self, smask: int, incoming):
         sides = _two_color_masks(self.g.und_mask, smask)
-        for v in range(self.g.n):
-            if (smask >> v) & 1:
-                continue
+        for v in incoming:
             for i in (0, 1):
-                yield self.comp_mask(self._candidate(smask, sides, v, i))
+                yield self._candidate(smask, sides, v, i)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
-
-    def neighbors_at(self, solution, w: int):
-        from ..pspace import comp_lex
-
-        stuple = tuple(sorted(solution))
-        if w in stuple:
-            return [stuple]
-        smask = mask_of(stuple)
-        sides = _two_color_masks(self.g.und_mask, smask)
-        out = []
-        for i in (0, 1):
-            cand = self._candidate(smask, sides, w, i)
-            out.append(comp_lex(self, tuple_of(cand)))
-        return list(dict.fromkeys(out))
-
-    def canonical_order(self, solution) -> list[int]:
-        order: list[int] = []
-        for comp in components(self.g, solution):
-            order.extend(bfs_canonical_order(self.g, comp, min(comp)))
-        return order
 
 
 class BipartiteInduced(_BipartiteInducedBase):
@@ -129,30 +86,19 @@ class BipartiteInducedConnected(_BipartiteInducedBase):
     order_hereditary = False
 
 
-class BipartiteEdge(Problem):
+class BipartiteEdge(GraphProblem):
     """Maximal edge sets inducing a bipartite subgraph (exp engine only)."""
 
     variant = "bipartite-edge"
     ground_kind = "e"
 
-    def __init__(self, g: Graph):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
-        super().__init__(g.m)
-        self.g = g
-
     def _solution_mask(self, emask: int) -> bool:
-        from ..graphs import DisjointSets
-
         ds = DisjointSets(self.g.n)
         for e in bits(emask):
             u, v = self.g.edges[e]
             if not ds.union(u, v, rel=1):
                 return False
         return True
-
-    def _comp_mask(self, emask: int) -> int:
-        return self._comp_hereditary(emask)
 
     def _neighbor_masks(self, emask: int):
         for e in range(self.g.m):
@@ -166,40 +112,9 @@ class BipartiteEdge(Problem):
     def comp_budget(self) -> int:
         return 2 * self.ground_size
 
-    def _vertex_positions(self, emask: int) -> dict[int, int]:
-        """BFS positions of the vertices spanned by the edge set, components
-        ordered by smallest vertex."""
-        touched: dict[int, set[int]] = {}
-        for e in bits(emask):
-            u, v = self.g.edges[e]
-            touched.setdefault(u, set()).add(v)
-            touched.setdefault(v, set()).add(u)
-        pos: dict[int, int] = {}
-        left = set(touched)
-        while left:
-            root = min(left)
-            dist = {root: 0}
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in touched[u]:
-                        if w not in dist:
-                            dist[w] = dist[u] + 1
-                            nxt.append(w)
-                frontier = nxt
-            for u in sorted(dist, key=lambda x: (dist[x], x)):
-                pos[u] = len(pos)
-            left -= set(dist)
-        return pos
-
     def canonical_order(self, solution) -> list[int]:
+        # spanned vertices in BFS order per component, by smallest vertex
         elist = sorted(solution)
-        pos = self._vertex_positions(mask_of(elist))
-
-        def key(e):
-            u, v = self.g.edges[e]
-            pu, pv = pos[u], pos[v]
-            return (max(pu, pv), min(pu, pv))
-
-        return sorted(elist, key=key)
+        sub, spanned = spanned_subgraph(self.g, mask_of(elist))
+        return edges_by_vertex_order(self.g, elist,
+                                     component_bfs_order(sub, spanned))

@@ -8,9 +8,10 @@ solution with a vertex's edges deleted.
 
 from __future__ import annotations
 
-from ..graphs import (Graph, bits, mask_cc, mask_components, mask_of,
-                      peo_of_adjacency, perfect_elimination_order)
-from .base import Problem, tuple_of
+from ..graphs import (bits, edge_adjacency, edges_by_vertex_order,
+                      mask_components, mask_of, peo_of_adjacency,
+                      perfect_elimination_order)
+from .base import GraphProblem, tuple_of
 
 
 def _maximal_cliques_chordal(adj: dict[int, set[int]]) -> list[tuple[int, ...]]:
@@ -31,32 +32,12 @@ def _maximal_cliques_chordal(adj: dict[int, set[int]]) -> list[tuple[int, ...]]:
     return [tuple(sorted(c)) for c in kept]
 
 
-class _ChordalInducedBase(Problem):
-    ground_kind = "v"
-    connected = False
-
-    def __init__(self, g: Graph):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
-        super().__init__(g.n)
-        self.g = g
-
+class _ChordalInducedBase(GraphProblem):
     def _solution_mask(self, mask: int) -> bool:
         if self.connected and len(mask_components(self.g.und_mask, mask)) > 1:
             return False
         adj = {u: set(bits(self.g.und_mask[u] & mask)) for u in bits(mask)}
         return peo_of_adjacency(adj) is not None
-
-    def _adjacent_mask(self, mask: int) -> int:
-        m = 0
-        for u in bits(mask):
-            m |= self.g.und_mask[u]
-        return m
-
-    def _comp_mask(self, mask: int) -> int:
-        if self.connected:
-            return self._comp_connected(mask)
-        return self._comp_hereditary(mask)
 
     def cliques_at(self, solution, v: int) -> list[tuple[int, ...]]:
         """Maximal cliques of G[solution + {v}] containing v.
@@ -82,9 +63,7 @@ class _ChordalInducedBase(Problem):
             for q in self.cliques_at(stuple, v):
                 qmask = mask_of(q)
                 cand = (smask & ~(nb & ~qmask)) | (1 << v)
-                if self.connected:
-                    cand = mask_cc(self.g.und_mask, cand, v)
-                yield self.comp_mask(cand)
+                yield self.comp_mask(self._restrict(cand, v))
 
     def comp_budget(self) -> int:
         n = self.ground_size
@@ -107,28 +86,14 @@ class ChordalInducedConnected(_ChordalInducedBase):
     connected = True
 
 
-class ChordalEdge(Problem):
+class ChordalEdge(GraphProblem):
     """Maximal edge sets inducing a chordal subgraph (exp engine only)."""
 
     variant = "chordal-edge"
     ground_kind = "e"
 
-    def __init__(self, g: Graph):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
-        super().__init__(g.m)
-        self.g = g
-
-    def _edge_adjacency(self, emask: int) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {}
-        for e in bits(emask):
-            u, v = self.g.edges[e]
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return adj
-
     def _solution_mask(self, emask: int) -> bool:
-        return peo_of_adjacency(self._edge_adjacency(emask)) is not None
+        return peo_of_adjacency(edge_adjacency(self.g, emask)) is not None
 
     def _comp_mask(self, emask: int) -> int:
         # edge-induced chordal subgraphs are not hereditary-completable in a
@@ -146,7 +111,7 @@ class ChordalEdge(Problem):
                 return emask
 
     def _cliques_containing(self, emask: int, w: int) -> list[tuple[int, ...]]:
-        adj = self._edge_adjacency(emask)
+        adj = edge_adjacency(self.g, emask)
         if w not in adj:
             return [(w,)]
         return [c for c in _maximal_cliques_chordal(adj) if w in c]
@@ -175,15 +140,7 @@ class ChordalEdge(Problem):
 
     def canonical_order(self, solution) -> list[int]:
         elist = sorted(solution)
-        adj = self._edge_adjacency(mask_of(elist))
-        peo = peo_of_adjacency(adj)
+        peo = peo_of_adjacency(edge_adjacency(self.g, mask_of(elist)))
         if peo is None:
             raise ValueError("not a chordal edge set")
-        pos = {u: i for i, u in enumerate(reversed(peo))}
-
-        def key(e):
-            u, v = self.g.edges[e]
-            pu, pv = pos[u], pos[v]
-            return (max(pu, pv), min(pu, pv))
-
-        return sorted(elist, key=key)
+        return edges_by_vertex_order(self.g, elist, reversed(peo))

@@ -8,8 +8,9 @@ appropriate side of its neighborhood.
 
 from __future__ import annotations
 
-from ..graphs import Graph, bits, mask_cc, mask_components, mask_of
-from .base import Problem
+from ..graphs import (Graph, bits, edges_by_vertex_order, mask_components,
+                      mask_of, spanned_subgraph)
+from .base import GraphProblem
 
 
 def _acyclic_mask(out_mask, mask: int) -> bool:
@@ -25,19 +26,17 @@ def _acyclic_mask(out_mask, mask: int) -> bool:
     return True
 
 
-def _lexmin_layer_order(vertices, out_nbrs, in_nbrs, und_nbrs) -> list[int]:
-    """Lexicographically smallest order with connected prefixes in which
-    every vertex has an empty backward out- or in-neighborhood."""
+def _layer_order(g: Graph, vertices) -> list[int]:
+    """Lexicographically smallest order of G[vertices] with connected
+    prefixes in which every vertex has an empty backward out- or
+    in-neighborhood."""
     verts = sorted(vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    full = (1 << len(verts)) - 1
+    full = mask_of(verts)
 
     def feasible(placed: int, v: int) -> bool:
-        if placed and not any((placed >> index[u]) & 1 for u in und_nbrs[v]):
+        if placed and not g.und_mask[v] & placed:
             return False
-        outb = any((placed >> index[u]) & 1 for u in out_nbrs[v])
-        inb = any((placed >> index[u]) & 1 for u in in_nbrs[v])
-        return not (outb and inb)
+        return not (g.out_mask[v] & placed and g.in_mask[v] & placed)
 
     memo: dict[int, bool] = {}
 
@@ -47,8 +46,8 @@ def _lexmin_layer_order(vertices, out_nbrs, in_nbrs, und_nbrs) -> list[int]:
         hit = memo.get(placed)
         if hit is not None:
             return hit
-        ok = any(feasible(placed, v) and completable(placed | (1 << index[v]))
-                 for v in verts if not (placed >> index[v]) & 1)
+        ok = any(feasible(placed, v) and completable(placed | (1 << v))
+                 for v in verts if not (placed >> v) & 1)
         memo[placed] = ok
         return ok
 
@@ -56,11 +55,11 @@ def _lexmin_layer_order(vertices, out_nbrs, in_nbrs, und_nbrs) -> list[int]:
     placed = 0
     while placed != full:
         for v in verts:
-            if (placed >> index[v]) & 1:
+            if (placed >> v) & 1:
                 continue
-            if feasible(placed, v) and completable(placed | (1 << index[v])):
+            if feasible(placed, v) and completable(placed | (1 << v)):
                 order.append(v)
-                placed |= 1 << index[v]
+                placed |= 1 << v
                 break
         else:
             raise ValueError("no valid vertex order exists")
@@ -143,29 +142,15 @@ def order_is_layered(out_nbrs, in_nbrs, und_nbrs, order) -> bool:
     return True
 
 
-class DagInducedConnected(Problem):
+class DagInducedConnected(GraphProblem):
     variant = "dag-induced-connected"
-    ground_kind = "v"
-
-    def __init__(self, g: Graph):
-        if not g.directed:
-            raise ValueError(f"{self.variant} expects a directed graph")
-        super().__init__(g.n)
-        self.g = g
+    directed = True
+    connected = True
 
     def _solution_mask(self, mask: int) -> bool:
         if len(mask_components(self.g.und_mask, mask)) > 1:
             return False
         return _acyclic_mask(self.g.out_mask, mask)
-
-    def _adjacent_mask(self, mask: int) -> int:
-        m = 0
-        for u in bits(mask):
-            m |= self.g.und_mask[u]
-        return m
-
-    def _comp_mask(self, mask: int) -> int:
-        return self._comp_connected(mask)
 
     def _neighbor_masks(self, smask: int):
         for v in range(self.g.n):
@@ -173,31 +158,20 @@ class DagInducedConnected(Problem):
                 continue
             for drop in (self.g.out_mask[v], self.g.in_mask[v]):
                 cand = (smask & ~drop) | (1 << v)
-                cand = mask_cc(self.g.und_mask, cand, v)
-                yield self.comp_mask(cand)
+                yield self.comp_mask(self._restrict(cand, v))
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
 
     def canonical_order(self, solution) -> list[int]:
-        sset = set(solution)
-        return _lexmin_layer_order(
-            sset,
-            {v: [u for u in self.g.out_adj[v] if u in sset] for v in sset},
-            {v: [u for u in self.g.in_adj[v] if u in sset] for v in sset},
-            {v: [u for u in self.g.und_adj[v] if u in sset] for v in sset},
-        )
+        return _layer_order(self.g, solution)
 
 
-class DagEdgeConnected(Problem):
+class DagEdgeConnected(GraphProblem):
     variant = "dag-edge-connected"
     ground_kind = "e"
-
-    def __init__(self, g: Graph):
-        if not g.directed:
-            raise ValueError(f"{self.variant} expects a directed graph")
-        super().__init__(g.m)
-        self.g = g
+    directed = True
+    connected = True
 
     def _arc_adjacency(self, emask: int):
         out: dict[int, set[int]] = {}
@@ -236,14 +210,12 @@ class DagEdgeConnected(Problem):
         return True
 
     def _adjacent_mask(self, emask: int) -> int:
+        # arcs sharing an endpoint with the set
         m = 0
         for e in bits(emask):
             u, v = self.g.edges[e]
             m |= self.g.edge_mask_at[u] | self.g.edge_mask_at[v]
         return m
-
-    def _comp_mask(self, emask: int) -> int:
-        return self._comp_connected(emask)
 
     def _edge_cc(self, emask: int, v: int) -> int:
         """Edges of the component of vertex v in the spanned subgraph."""
@@ -289,17 +261,7 @@ class DagEdgeConnected(Problem):
         return 2 * self.ground_size
 
     def canonical_order(self, solution) -> list[int]:
+        # the induced variant's vertex order on the spanned subgraph
         elist = sorted(solution)
-        out, inc = self._arc_adjacency(mask_of(elist))
-        verts = set(out)
-        und = {v: sorted(out[v] | inc[v]) for v in verts}
-        vorder = _lexmin_layer_order(verts, {v: sorted(out[v]) for v in verts},
-                                     {v: sorted(inc[v]) for v in verts}, und)
-        pos = {v: i for i, v in enumerate(vorder)}
-
-        def key(e):
-            u, v = self.g.edges[e]
-            pu, pv = pos[u], pos[v]
-            return (max(pu, pv), min(pu, pv))
-
-        return sorted(elist, key=key)
+        sub, spanned = spanned_subgraph(self.g, mask_of(elist))
+        return edges_by_vertex_order(self.g, elist, _layer_order(sub, spanned))

@@ -10,8 +10,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from ..graphs import Graph, bits, components, mask_of
-from .base import Problem, tuple_of
+from ..graphs import (Graph, bits, components, degeneracy_order, edge_adjacency,
+                      edges_by_vertex_order, mask_of, spanned_subgraph)
+from .base import GraphProblem, tuple_of
 
 
 def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
@@ -28,24 +29,27 @@ def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
     return True
 
 
-class KDegenerateInduced(Problem):
+def _degeneracy_layout(g: Graph, s) -> list[int]:
+    """Components of G[s] by smallest vertex, each in reversed smallest-degree
+    removal order."""
+    order: list[int] = []
+    for comp in components(g, s):
+        removal, _ = degeneracy_order(g, comp)
+        order.extend(reversed(removal))
+    return order
+
+
+class KDegenerateInduced(GraphProblem):
     variant = "kdeg-induced"
-    ground_kind = "v"
 
     def __init__(self, g: Graph, k: int):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
+        super().__init__(g)
         if k < 0:
             raise ValueError("k must be non-negative")
-        super().__init__(g.n)
-        self.g = g
         self.k = k
 
     def _solution_mask(self, mask: int) -> bool:
         return _peel_ok_vertices(self.g.und_mask, mask, self.k)
-
-    def _comp_mask(self, mask: int) -> int:
-        return self._comp_hereditary(mask)
 
     def _neighbor_masks(self, smask: int):
         for v in range(self.g.n):
@@ -62,50 +66,23 @@ class KDegenerateInduced(Problem):
         return n * sum(comb(n, i) for i in range(self.k + 1))
 
     def canonical_order(self, solution) -> list[int]:
-        from ..graphs import degeneracy_order
-
-        order: list[int] = []
-        for comp in components(self.g, solution):
-            removal, _ = degeneracy_order(self.g, comp)
-            order.extend(reversed(removal))
-        return order
+        return _degeneracy_layout(self.g, solution)
 
 
-class KDegenerateEdge(Problem):
+class KDegenerateEdge(GraphProblem):
     variant = "kdeg-edge"
     ground_kind = "e"
 
     def __init__(self, g: Graph, k: int):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
+        super().__init__(g)
         if k < 1:
             raise ValueError("the edge variant needs k >= 1")
-        super().__init__(g.m)
-        self.g = g
         self.k = k
 
-    def _edge_adjacency(self, emask: int) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {}
-        for e in bits(emask):
-            u, v = self.g.edges[e]
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return adj
-
     def _solution_mask(self, emask: int) -> bool:
-        adj = self._edge_adjacency(emask)
-        left = set(adj)
-        while left:
-            removed = [u for u in left
-                       if sum(1 for w in adj[u] if w in left) <= self.k]
-            if not removed:
-                return False
-            for u in removed:
-                left.discard(u)
-        return True
-
-    def _comp_mask(self, emask: int) -> int:
-        return self._comp_hereditary(emask)
+        # the induced peel, run on the spanned subgraph
+        adj = {u: mask_of(nb) for u, nb in edge_adjacency(self.g, emask).items()}
+        return _peel_ok_vertices(adj, mask_of(adj), self.k)
 
     def _neighbor_masks(self, emask: int):
         for e in range(self.g.m):
@@ -124,35 +101,7 @@ class KDegenerateEdge(Problem):
         return 2 * m * sum(comb(m, i) for i in range(self.k))
 
     def canonical_order(self, solution) -> list[int]:
+        # the induced variant's vertex order on the spanned subgraph
         elist = sorted(solution)
-        adj = self._edge_adjacency(mask_of(elist))
-        pos: dict[int, int] = {}
-        left = set(adj)
-        while left:
-            # component of the smallest spanned vertex, peeled by min degree
-            root = min(left)
-            comp = {root}
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in left and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            peel = []
-            remaining = set(comp)
-            while remaining:
-                u = min(remaining,
-                        key=lambda x: (sum(1 for w in adj[x] if w in remaining), x))
-                peel.append(u)
-                remaining.discard(u)
-            for u in reversed(peel):
-                pos[u] = len(pos)
-            left -= comp
-
-        def key(e):
-            u, v = self.g.edges[e]
-            pu, pv = pos[u], pos[v]
-            return (max(pu, pv), min(pu, pv))
-
-        return sorted(elist, key=key)
+        sub, spanned = spanned_subgraph(self.g, mask_of(elist))
+        return edges_by_vertex_order(self.g, elist, _degeneracy_layout(sub, spanned))

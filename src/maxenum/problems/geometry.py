@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from ..graphs import Graph, bits, mask_cc, mask_components, mask_of
+from ..graphs import Graph, bits, mask_components, mask_of
 from .base import Problem
 
 COORD_LIMIT = 10 ** 6
@@ -162,9 +162,6 @@ class Hulls(Problem):
     def _solution_mask(self, mask: int) -> bool:
         return not self.obstacles_inside(mask)
 
-    def _comp_mask(self, mask: int) -> int:
-        return self._comp_hereditary(mask)
-
     def shadows(self, solution, v: int) -> list[tuple[int, ...]]:
         """Obstacle-free split pieces of the solution as seen when adding v.
 
@@ -197,16 +194,14 @@ class Hulls(Problem):
         uniq = list(dict.fromkeys(out))
         return [tuple(bits(m)) for m in uniq]
 
-    def _candidate(self, part_mask: int, v: int) -> int:
-        return part_mask | (1 << v)
-
     def _neighbor_masks(self, smask: int):
         stuple = tuple(bits(smask))
         for v in range(self.ground_size):
             if (smask >> v) & 1:
                 continue
             for piece in self.shadows(stuple, v):
-                yield self.comp_mask(self._candidate(mask_of(piece), v))
+                cand = mask_of(piece) | (1 << v)
+                yield self.comp_mask(self._restrict(cand, v))
 
     def comp_budget(self) -> int:
         return self.ground_size * (len(self.inst.obstacles) + 1)
@@ -221,6 +216,7 @@ class Hulls(Problem):
 
 class HullsConnected(Hulls):
     variant = "hulls-connected"
+    connected = True
 
     def __init__(self, inst: PointSetInstance):
         if inst.graph is None:
@@ -232,18 +228,6 @@ class HullsConnected(Hulls):
         if len(mask_components(self.g.und_mask, mask)) > 1:
             return False
         return not self.obstacles_inside(mask)
-
-    def _adjacent_mask(self, mask: int) -> int:
-        m = 0
-        for u in bits(mask):
-            m |= self.g.und_mask[u]
-        return m
-
-    def _comp_mask(self, mask: int) -> int:
-        return self._comp_connected(mask)
-
-    def _candidate(self, part_mask: int, v: int) -> int:
-        return mask_cc(self.g.und_mask, part_mask | (1 << v), v)
 
     def prefix_overlap(self, elems, target) -> int:
         # closeness is the largest connected piece of the intersection

@@ -13,19 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ..graphs import Graph, bits, mask_cc, mask_components, mask_of
-from .base import Problem, tuple_of
+from ..graphs import Graph, bits, mask_components, mask_of
+from .base import GraphProblem, tuple_of
 
 
-class _ProperIntervalBase(Problem):
-    ground_kind = "v"
-    connected = False
-
+class _ProperIntervalBase(GraphProblem):
     def __init__(self, g: Graph):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
-        super().__init__(g.n)
-        self.g = g
+        super().__init__(g)
         self._layout_cache: dict[int, Optional[tuple[int, ...]]] = {}
 
     # -- recognition -----------------------------------------------------
@@ -280,7 +274,7 @@ class _ProperIntervalBase(Problem):
                     for sv in self._insert_positions(starts):
                         cand = self._repair_connected(cmask, order, starts,
                                                       v, sv)
-                        cand = mask_cc(und, cand, v)
+                        cand = self._restrict(cand, v)
                         if cand not in seen:
                             seen.add(cand)
                             yield self.comp_mask(cand)
@@ -334,17 +328,6 @@ class _ProperIntervalBase(Problem):
                 raise ValueError("not a proper interval vertex set")
             order.extend(lay)
         return order
-
-    def _comp_mask(self, mask: int) -> int:
-        if self.connected:
-            return self._comp_connected(mask)
-        return self._comp_hereditary(mask)
-
-    def _adjacent_mask(self, mask: int) -> int:
-        m = 0
-        for u in bits(mask):
-            m |= self.g.und_mask[u]
-        return m
 
 
 class ProperIntervalInduced(_ProperIntervalBase):

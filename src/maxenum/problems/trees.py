@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from ..graphs import (Graph, bfs_canonical_order, bits, components, mask_cc,
-                      mask_components, mask_of)
-from .base import PspaceProblem, tuple_of
+from ..graphs import bits, mask_components
+from .base import PspaceProblem
 
 
 def _edge_count(adj_masks, mask: int) -> int:
@@ -15,77 +14,30 @@ def _edge_count(adj_masks, mask: int) -> int:
 
 
 class _AcyclicBase(PspaceProblem):
-    ground_kind = "v"
-    connected = False
-
-    def __init__(self, g: Graph):
-        if g.directed:
-            raise ValueError(f"{self.variant} expects an undirected graph")
-        super().__init__(g.n, g.und_mask)
-        self.g = g
-
     def _solution_mask(self, mask: int) -> bool:
         comps = mask_components(self.g.und_mask, mask)
         if self.connected and len(comps) > 1:
             return False
         return _edge_count(self.g.und_mask, mask) == mask.bit_count() - len(comps)
 
-    def _adjacent_mask(self, mask: int) -> int:
-        m = 0
-        for u in bits(mask):
-            m |= self.g.und_mask[u]
-        return m
-
-    def _comp_mask(self, mask: int) -> int:
-        if self.connected:
-            return self._comp_connected(mask)
-        return self._comp_hereditary(mask)
-
     def _candidate(self, smask: int, v: int, w: int) -> int:
         # keep exactly one neighbor w of the incoming vertex v
         nb = self.g.und_mask[v] & smask
         cand = (smask & ~nb) | (1 << w) | (1 << v)
-        if self.connected:
-            cand = mask_cc(self.g.und_mask, cand, v)
-        return cand
+        return self._restrict(cand, v)
 
-    def _neighbor_masks(self, smask: int):
-        for v in range(self.g.n):
-            if (smask >> v) & 1:
-                continue
+    def _candidates(self, smask: int, incoming):
+        for v in incoming:
             attach = self.g.und_mask[v] & smask
             if not attach and self.connected:
                 # restart in the component of v; nothing of the current
                 # solution can coexist with it in a connected candidate
-                yield self.comp_mask(1 << v)
-                continue
+                yield 1 << v
             for w in bits(attach):
-                yield self.comp_mask(self._candidate(smask, v, w))
+                yield self._candidate(smask, v, w)
 
     def comp_budget(self) -> int:
         return 2 * self.g.m + self.g.n
-
-    def neighbors_at(self, solution, w: int):
-        from ..pspace import comp_lex
-
-        stuple = tuple(sorted(solution))
-        if w in stuple:
-            return [stuple]
-        smask = mask_of(stuple)
-        out = []
-        attach = self.g.und_mask[w] & smask
-        if not attach and self.connected:
-            out.append(comp_lex(self, (w,)))
-        for keep in bits(attach):
-            cand = self._candidate(smask, w, keep)
-            out.append(comp_lex(self, tuple_of(cand)))
-        return list(dict.fromkeys(out))
-
-    def canonical_order(self, solution) -> list[int]:
-        order: list[int] = []
-        for comp in components(self.g, solution):
-            order.extend(bfs_canonical_order(self.g, comp, min(comp)))
-        return order
 
 
 class Trees(_AcyclicBase):

@@ -6,24 +6,28 @@ solution order whose lexicographic completion differs from S), a parent
 (the completion of the core) and a pivot element right after the core.
 Children of a node are regenerated on demand and deduplicated by a
 four-way identity check instead of a visited-solution dictionary, so the
-traversal holds only the DFS stack.
+traversal itself holds only the DFS stack.  The problem instance's
+predicate memo (``Problem._sol_cache``) still grows with the solutions
+visited: it is not yet bounded, so the run as a whole is not yet
+polynomial-space.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .engine import Counters, PartialOutputError
+from .engine import Counters, Emitter
 from .graphs import ContractViolation, mask_of
 from .problems.base import PspaceProblem, tuple_of
 
 
 def seed_of(problem: PspaceProblem, elems: Iterable[int]) -> int:
-    """Smallest element of the solution that is itself a singleton solution."""
-    for e in sorted(elems):
-        if problem.singleton(e):
-            return e
-    raise ContractViolation("solution has no singleton element")
+    """Smallest element of the solution; in the pspace families every
+    single vertex is a solution, so it roots the solution order."""
+    elems = tuple(elems)
+    if not elems:
+        raise ContractViolation("an empty set has no seed")
+    return min(elems)
 
 
 def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
@@ -104,7 +108,7 @@ def restr(problem: PspaceProblem, solution,
         parent = comp_lex(problem, cp[0])
         w = cp[1]
         s = seed_of(problem, stuple)
-        cands = list(dict.fromkeys(problem.neighbors_at(parent, w)))
+        cands = problem.neighbors_at(parent, w)
     for r in cands:
         # the order on r is rooted at s, so r must hold both s and w
         if w not in r or s not in r:
@@ -123,19 +127,17 @@ def children(problem: PspaceProblem, parent, w: int,
         return
     if counters is not None:
         counters.neighbors_calls += 1
-    # duplicate candidates would defeat the first-match identity check
-    cands = list(dict.fromkeys(problem.neighbors_at(ptuple, w)))
+    cands = problem.neighbors_at(ptuple, w)
     # core data is recomputed per candidate; cache it per distinct child
     core_cache: dict[tuple, Optional[tuple]] = {}
     for r in cands:
         if w not in r:
             continue
-        rset = set(r)
-        for s in sorted(e for e in rset if problem.singleton(e) and e != w):
+        for s in sorted(e for e in r if e != w):
             prefix = _prefix_upto(problem, r, s, w)
-            # the seed of the completion is at most the smallest singleton
+            # the seed of the completion is at most the smallest element
             # of the prefix, so any smaller one rules this s out already
-            if any(problem.singleton(x) and x < s for x in prefix):
+            if any(x < s for x in prefix):
                 continue
             child = comp_lex(problem, prefix)
             if seed_of(problem, child) != s:
@@ -164,26 +166,12 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
                      limit: Optional[int] = None) -> Counters:
     """Emit every maximal solution once without a visited-solution dictionary.
 
-    Memory is bounded by the DFS stack of (solution, cursor) frames; no
-    trie or hash set of solutions is ever allocated.
+    The traversal holds the DFS stack of (solution, cursor) frames and no
+    trie or hash set of solutions; the problem's predicate memo
+    (``Problem._sol_cache``) still grows with the solutions visited.
     """
-    counters = Counters()
-    if limit is not None and limit <= 0:
-        return counters
-    comp_base = problem.comp_calls
-    done = False
-
-    def do_emit(sol):
-        nonlocal done
-        counters.note_emission(problem.comp_calls - comp_base)
-        if emit is not None:
-            try:
-                emit(sol)
-            except Exception as exc:
-                raise PartialOutputError(counters.solutions_emitted, exc) from exc
-        counters.solutions_emitted += 1
-        if limit is not None and counters.solutions_emitted >= limit:
-            done = True
+    emitter = Emitter(problem, emit, limit)
+    counters = emitter.counters
 
     def child_stream(x):
         xset = set(x)
@@ -192,34 +180,29 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
                 yield from children(problem, x, w, counters)
 
     def visit(root):
-        nonlocal done
         # frame: [solution, depth, child iterator]; output is pre-order at
         # odd depth and post-order at even depth
         stack = [[root, 0, child_stream(root)]]
-        while stack and not done:
+        while stack and not emitter.done:
             sol, depth, it = stack[-1]
             child = next(it, None)
             if child is not None:
                 cd = depth + 1
                 stack.append([child, cd, child_stream(child)])
                 if cd % 2 == 1:
-                    do_emit(child)
+                    emitter(child)
             else:
                 stack.pop()
                 if depth % 2 == 0:
-                    do_emit(sol)
+                    emitter(sol)
 
     for u in range(problem.ground_size):
-        if done:
+        if emitter.done:
             break
-        if not problem.singleton(u):
-            continue
         root = comp_lex(problem, [u])
         if seed_of(problem, root) != u:
             continue  # this root is discovered from its own seed only
         counters.roots_found += 1
         visit(root)
 
-    counters.comp_calls = problem.comp_calls - comp_base
-    counters.dict_operations = 0
-    return counters
+    return emitter.finish(0)

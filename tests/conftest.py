@@ -1,5 +1,6 @@
-"""Shared fixtures: named small graphs, seeded random instances, and the
-acceptance corpus (100 runs per problem variant, reused across criteria)."""
+"""Shared fixtures: named small graphs, seeded random instances, the
+acceptance corpus (100 runs per problem variant, reused across criteria)
+and the dictionary-free engine's runs on the same instances."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from maxenum import Graph, PointSetInstance, brute_force_maximal, enumerate_exp
-from maxenum.problems import ALL_VARIANTS, make_instance
+from maxenum import (Graph, PointSetInstance, brute_force_maximal,
+                     enumerate_exp, enumerate_pspace)
+from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS, make_instance
 
 
 # -- named instances ---------------------------------------------------------
@@ -122,3 +124,30 @@ def corpus():
             runs.append(run)
         out[variant] = runs
     return out
+
+
+@pytest.fixture(scope="session")
+def pspace_runs(corpus):
+    import maxenum.engine as engine_mod
+
+    constructed = []
+    original = engine_mod.SolutionDict.__init__
+
+    def spy(self):
+        constructed.append(1)
+        original(self)
+
+    out = {}
+    engine_mod.SolutionDict.__init__ = spy
+    try:
+        for variant in PSPACE_VARIANTS:
+            runs = []
+            for ref in corpus[variant]:
+                inst = build_instance(variant, ref.index)
+                sols = []
+                counters = enumerate_pspace(inst, emit=sols.append)
+                runs.append((inst, sols, counters))
+            out[variant] = runs
+    finally:
+        engine_mod.SolutionDict.__init__ = original
+    return out, constructed

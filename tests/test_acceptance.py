@@ -11,14 +11,11 @@ which is what the alternating-output discipline guarantees).
 
 import random
 
-import pytest
-
-from maxenum import enumerate_exp, enumerate_pspace, make_instance
+from maxenum import enumerate_exp, make_instance
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
 from maxenum.pspace import comp_lex, core_of, seed_of
 
-from conftest import (CORPUS_SIZE, build_instance, complete, cycle,
-                      directed_triangle, triangle)
+from conftest import CORPUS_SIZE, complete, cycle, directed_triangle, triangle
 
 
 def report(criterion, ok, detail=""):
@@ -98,33 +95,6 @@ def test_criterion_4_visit_discipline(corpus):
 
 
 # -- 5: cross-engine equality and space discipline ----------------------------------------
-
-@pytest.fixture(scope="session")
-def pspace_runs(corpus):
-    import maxenum.engine as engine_mod
-
-    constructed = []
-    original = engine_mod.SolutionDict.__init__
-
-    def spy(self):
-        constructed.append(1)
-        original(self)
-
-    out = {}
-    engine_mod.SolutionDict.__init__ = spy
-    try:
-        for variant in PSPACE_VARIANTS:
-            runs = []
-            for ref in corpus[variant]:
-                inst = build_instance(variant, ref.index)
-                sols = []
-                counters = enumerate_pspace(inst, emit=sols.append)
-                runs.append((inst, sols, counters))
-            out[variant] = runs
-    finally:
-        engine_mod.SolutionDict.__init__ = original
-    return out, constructed
-
 
 def test_criterion_5_cross_engine_equality(corpus, pspace_runs):
     runs, constructed = pspace_runs

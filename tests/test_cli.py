@@ -112,16 +112,6 @@ def test_oracle_check(triangle_file, capsys):
     assert code == 0 and "oracle=ok" in err
 
 
-def test_seed_order_flag_accepted(triangle_file, capsys):
-    code, out1, _ = run_cli(["--problem", "bipartite-induced",
-                             "--input", triangle_file,
-                             "--seed-order", "given"], capsys)
-    code2, out2, _ = run_cli(["--problem", "bipartite-induced",
-                              "--input", triangle_file,
-                              "--seed-order", "id"], capsys)
-    assert code == code2 == 0 and out1 == out2
-
-
 def test_points_file_and_edge_prefix(tmp_path, capsys):
     p = tmp_path / "pts.txt"
     p.write_text("3 1\n0 0\n6 0\n0 6\n2 2\n")
