@@ -54,6 +54,10 @@ def main(argv=None) -> int:
               f"{', '.join(PSPACE_VARIANTS)}", file=err)
         return 2
 
+    if args.oracle_check and args.limit is not None:
+        print("maxenum: --oracle-check needs a full run (no --limit)", file=err)
+        return 1
+
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -111,10 +115,6 @@ def main(argv=None) -> int:
             print(f"child_checks={counters.child_checks_passed}", file=err)
 
     if args.oracle_check:
-        if args.limit is not None:
-            print("maxenum: --oracle-check needs a full run (no --limit)",
-                  file=err)
-            return 1
         try:
             expected = brute_force_maximal(problem)
         except OracleCapError as exc:

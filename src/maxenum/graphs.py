@@ -259,57 +259,35 @@ def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def peo_of_adjacency(adj: dict[int, set[int]]) -> Optional[list[int]]:
-    """Perfect elimination order by repeated smallest-id simplicial removal.
-
-    Works on an explicit adjacency dict so edge-induced subgraphs can reuse
-    it.  Returns None when the graph is not chordal.
-    """
-    adj = {u: set(nb) for u, nb in adj.items()}
-    order = []
-    while adj:
-        pick = None
-        for u in sorted(adj):
-            nb = adj[u]
-            if all(nb - {w} <= adj[w] for w in nb):
-                pick = u
-                break
-        if pick is None:
-            return None
-        for w in adj[pick]:
-            adj[w].discard(pick)
-        del adj[pick]
-        order.append(pick)
-    return order
-
-
 def perfect_elimination_order(g: Graph, s: Iterable[int]) -> Optional[list[int]]:
     """PEO of G[s] if chordal (doubles as the chordality test), else None."""
-    sset = set(s)
-    adj = {u: {w for w in g.und_adj[u] if w in sset} for u in sset}
-    return peo_of_adjacency(adj)
+    return peo_mask(g.und_mask, mask_of(s))
 
 
-def edge_adjacency(g: Graph, emask: int) -> dict[int, set[int]]:
-    """Undirected adjacency of the vertices spanned by an edge set."""
-    adj: dict[int, set[int]] = {}
+def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
+    """Undirected and out-neighbor masks of the subgraph an edge set spans,
+    on g's vertex ids, and the mask of the vertices it spans."""
+    und = [0] * g.n
+    out = [0] * g.n
+    span = 0
     for e in bits(emask):
         u, v = g.edges[e]
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
+        und[u] |= 1 << v
+        und[v] |= 1 << u
+        out[u] |= 1 << v
+        span |= (1 << u) | (1 << v)
+    return und, out, span
 
 
-def spanned_subgraph(g: Graph, emask: int) -> tuple[Graph, list[int]]:
-    """An edge set as a graph on g's vertex ids, and the vertices it spans."""
-    sub = Graph(g.n, [g.edges[e] for e in bits(emask)], directed=g.directed)
-    return sub, [u for u in range(g.n) if sub.und_adj[u]]
-
-
-def edges_by_vertex_order(g: Graph, elist: Iterable[int], vorder) -> list[int]:
-    """Edge ids sorted by the later, then the earlier, position of their
-    endpoints in the vertex order."""
-    pos = {u: i for i, u in enumerate(vorder)}
+def edge_canonical_order(g: Graph, solution: Iterable[int], vertex_order) -> list[int]:
+    """Edge ids of a solution sorted by the later, then the earlier, position
+    of their endpoints in ``vertex_order(sub, spanned)``: the vertex twin's
+    order of the subgraph ``sub`` the edges span, on the vertices
+    ``spanned``."""
+    elist = sorted(solution)
+    sub = Graph(g.n, [g.edges[e] for e in elist], directed=g.directed)
+    spanned = [u for u in range(g.n) if sub.und_mask[u]]
+    pos = {u: i for i, u in enumerate(vertex_order(sub, spanned))}
 
     def key(e):
         u, v = g.edges[e]
@@ -320,7 +298,7 @@ def edges_by_vertex_order(g: Graph, elist: Iterable[int], vorder) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask BFS helpers used by the hot paths of the problem plugins.
+# Bitmask helpers used by the hot paths of the problem plugins.
 
 def mask_cc(adj_masks, mask: int, v: int) -> int:
     """Component mask of v inside the vertex set given as a bitmask."""
@@ -362,3 +340,37 @@ def mask_dists(adj_masks, mask: int, src: int) -> dict[int, int]:
         for u in bits(frontier):
             dist[u] = d
     return dist
+
+
+def peo_mask(adj_masks, mask: int) -> Optional[list[int]]:
+    """Perfect elimination order of the masked vertex set by repeated
+    smallest-id simplicial removal, or None when it is not chordal."""
+    order = []
+    left = mask
+    while left:
+        for u in bits(left):
+            nb = adj_masks[u] & left
+            if not any(nb & ~adj_masks[w] & ~(1 << w) for w in bits(nb)):
+                break
+        else:
+            return None
+        left &= ~(1 << u)
+        order.append(u)
+    return order
+
+
+def chordal_cliques(adj_masks, mask: int) -> list[int]:
+    """Maximal cliques of a chordal masked vertex set, as masks, in the
+    elimination-order position of their first vertex."""
+    peo = peo_mask(adj_masks, mask)
+    if peo is None:
+        raise ValueError("adjacency is not chordal")
+    cliques = []
+    later = mask
+    for u in peo:
+        later &= ~(1 << u)
+        cliques.append((1 << u) | (adj_masks[u] & later))
+    # each clique holds its first vertex and only later ones, so it can sit
+    # inside an earlier clique only, and no two are equal
+    return [c for i, c in enumerate(cliques)
+            if all(c & ~d for d in cliques[:i])]

@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..graphs import (DisjointSets, Graph, bits, component_bfs_order,
-                      edges_by_vertex_order, mask_components, mask_of,
-                      spanned_subgraph)
+                      edge_canonical_order, mask_components, mask_of)
 from .base import GraphProblem, PspaceProblem, tuple_of
 
 
@@ -113,8 +112,4 @@ class BipartiteEdge(GraphProblem):
         return 2 * self.ground_size
 
     def canonical_order(self, solution) -> list[int]:
-        # spanned vertices in BFS order per component, by smallest vertex
-        elist = sorted(solution)
-        sub, spanned = spanned_subgraph(self.g, mask_of(elist))
-        return edges_by_vertex_order(self.g, elist,
-                                     component_bfs_order(sub, spanned))
+        return edge_canonical_order(self.g, solution, component_bfs_order)

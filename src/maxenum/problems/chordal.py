@@ -8,36 +8,26 @@ solution with a vertex's edges deleted.
 
 from __future__ import annotations
 
-from ..graphs import (bits, edge_adjacency, edges_by_vertex_order,
-                      mask_components, mask_of, peo_of_adjacency,
-                      perfect_elimination_order)
+from ..graphs import (Graph, bits, chordal_cliques, edge_canonical_order,
+                      mask_components, mask_of, peo_mask,
+                      perfect_elimination_order, spanned_masks)
 from .base import GraphProblem, tuple_of
 
 
-def _maximal_cliques_chordal(adj: dict[int, set[int]]) -> list[tuple[int, ...]]:
-    """Maximal cliques of a chordal adjacency, in elimination-order position."""
-    peo = peo_of_adjacency(adj)
+def _reversed_peo(g: Graph, s) -> list[int]:
+    """Reversed perfect elimination order of G[s], the chordal canonical
+    order; raises ValueError when G[s] is not chordal."""
+    peo = perfect_elimination_order(g, s)
     if peo is None:
-        raise ValueError("adjacency is not chordal")
-    later: set[int] = set(adj)
-    cliques: list[frozenset] = []
-    for u in peo:
-        later.discard(u)
-        cliques.append(frozenset({u} | (adj[u] & later)))
-    kept: list[frozenset] = []
-    for i, c in enumerate(cliques):
-        if any(c < d for d in cliques) or any(c == d for d in cliques[:i]):
-            continue
-        kept.append(c)
-    return [tuple(sorted(c)) for c in kept]
+        raise ValueError("not a chordal vertex set")
+    return peo[::-1]
 
 
 class _ChordalInducedBase(GraphProblem):
     def _solution_mask(self, mask: int) -> bool:
         if self.connected and len(mask_components(self.g.und_mask, mask)) > 1:
             return False
-        adj = {u: set(bits(self.g.und_mask[u] & mask)) for u in bits(mask)}
-        return peo_of_adjacency(adj) is not None
+        return peo_mask(self.g.und_mask, mask) is not None
 
     def cliques_at(self, solution, v: int) -> list[tuple[int, ...]]:
         """Maximal cliques of G[solution + {v}] containing v.
@@ -49,20 +39,17 @@ class _ChordalInducedBase(GraphProblem):
         if (smask >> v) & 1:
             raise ValueError(f"vertex {v} already in the solution")
         core = self.g.und_mask[v] & smask
-        if not core:
-            return [(v,)]
-        adj = {u: set(bits(self.g.und_mask[u] & core)) for u in bits(core)}
-        return [tuple(sorted(c + (v,))) for c in _maximal_cliques_chordal(adj)]
+        return [tuple_of(q | (1 << v))
+                for q in chordal_cliques(self.g.und_mask, core) or [0]]
 
     def _neighbor_masks(self, smask: int):
-        stuple = tuple_of(smask)
+        und = self.g.und_mask
         for v in range(self.g.n):
             if (smask >> v) & 1:
                 continue
-            nb = self.g.und_mask[v] & smask
-            for q in self.cliques_at(stuple, v):
-                qmask = mask_of(q)
-                cand = (smask & ~(nb & ~qmask)) | (1 << v)
+            nb = und[v] & smask
+            for q in chordal_cliques(und, nb) or [0]:
+                cand = (smask & ~(nb & ~q)) | (1 << v)
                 yield self.comp_mask(self._restrict(cand, v))
 
     def comp_budget(self) -> int:
@@ -70,10 +57,7 @@ class _ChordalInducedBase(GraphProblem):
         return n * (n + 1)
 
     def canonical_order(self, solution) -> list[int]:
-        peo = perfect_elimination_order(self.g, solution)
-        if peo is None:
-            raise ValueError("not a chordal vertex set")
-        return list(reversed(peo))
+        return _reversed_peo(self.g, solution)
 
 
 class ChordalInduced(_ChordalInducedBase):
@@ -93,7 +77,8 @@ class ChordalEdge(GraphProblem):
     ground_kind = "e"
 
     def _solution_mask(self, emask: int) -> bool:
-        return peo_of_adjacency(edge_adjacency(self.g, emask)) is not None
+        und, _, span = spanned_masks(self.g, emask)
+        return peo_mask(und, span) is not None
 
     def _comp_mask(self, emask: int) -> int:
         # edge-induced chordal subgraphs are not hereditary-completable in a
@@ -110,27 +95,23 @@ class ChordalEdge(GraphProblem):
             if not added:
                 return emask
 
-    def _cliques_containing(self, emask: int, w: int) -> list[tuple[int, ...]]:
-        adj = edge_adjacency(self.g, emask)
-        if w not in adj:
-            return [(w,)]
-        return [c for c in _maximal_cliques_chordal(adj) if w in c]
-
     def _neighbor_masks(self, emask: int):
+        und, _, span = spanned_masks(self.g, emask)
+        cliques = chordal_cliques(und, span)
         for e in range(self.g.m):
             if (emask >> e) & 1:
                 continue
             a, b = self.g.edges[e]
             for w, other in ((a, b), (b, a)):
                 # keep the other endpoint's edges into a clique around w,
-                # making the other endpoint simplicial after adding e
-                for q in self._cliques_containing(emask, w):
-                    qmask = mask_of(q)
+                # making the other endpoint simplicial after adding e; a
+                # vertex the solution does not span is its own clique
+                for q in [c for c in cliques if (c >> w) & 1] or [1 << w]:
                     keep = 0
                     for e2 in bits(self.g.edge_mask_at[other] & emask):
                         x, y = self.g.edges[e2]
                         mate = y if x == other else x
-                        if (qmask >> mate) & 1:
+                        if (q >> mate) & 1:
                             keep |= 1 << e2
                     cand = (emask & ~self.g.edge_mask_at[other]) | keep | (1 << e)
                     yield self.comp_mask(cand)
@@ -139,8 +120,4 @@ class ChordalEdge(GraphProblem):
         return 2 * self.ground_size * (self.g.n + 1)
 
     def canonical_order(self, solution) -> list[int]:
-        elist = sorted(solution)
-        peo = peo_of_adjacency(edge_adjacency(self.g, mask_of(elist)))
-        if peo is None:
-            raise ValueError("not a chordal edge set")
-        return edges_by_vertex_order(self.g, elist, reversed(peo))
+        return edge_canonical_order(self.g, solution, _reversed_peo)

@@ -8,17 +8,21 @@ appropriate side of its neighborhood.
 
 from __future__ import annotations
 
-from ..graphs import (Graph, bits, edges_by_vertex_order, mask_components,
-                      mask_of, spanned_subgraph)
+from ..graphs import (Graph, bits, edge_canonical_order, mask_cc, mask_of,
+                      spanned_masks)
 from .base import GraphProblem
 
 
-def _acyclic_mask(out_mask, mask: int) -> bool:
+def _connected_acyclic(und, out, mask: int) -> bool:
+    """True iff the masked vertex set is connected in the underlying
+    undirected sense and acyclic, given undirected and out-neighbor masks."""
+    if mask and mask_cc(und, mask, (mask & -mask).bit_length() - 1) != mask:
+        return False
     left = mask
     while left:
         removed = 0
         for u in bits(left):
-            if not (out_mask[u] & left):
+            if not (out[u] & left):
                 removed |= 1 << u
         if not removed:
             return False  # every remaining vertex has an out-arc: cycle
@@ -148,9 +152,7 @@ class DagInducedConnected(GraphProblem):
     connected = True
 
     def _solution_mask(self, mask: int) -> bool:
-        if len(mask_components(self.g.und_mask, mask)) > 1:
-            return False
-        return _acyclic_mask(self.g.out_mask, mask)
+        return _connected_acyclic(self.g.und_mask, self.g.out_mask, mask)
 
     def _neighbor_masks(self, smask: int):
         for v in range(self.g.n):
@@ -173,41 +175,8 @@ class DagEdgeConnected(GraphProblem):
     directed = True
     connected = True
 
-    def _arc_adjacency(self, emask: int):
-        out: dict[int, set[int]] = {}
-        inc: dict[int, set[int]] = {}
-        for e in bits(emask):
-            u, v = self.g.edges[e]
-            out.setdefault(u, set()).add(v)
-            inc.setdefault(v, set()).add(u)
-            out.setdefault(v, set())
-            inc.setdefault(u, set())
-        return out, inc
-
     def _solution_mask(self, emask: int) -> bool:
-        if emask == 0:
-            return True
-        out, inc = self._arc_adjacency(emask)
-        verts = set(out)
-        # connectivity of the spanned vertices through masked arcs
-        root = next(iter(verts))
-        seen = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in out[u] | inc[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != verts:
-            return False
-        left = set(verts)
-        while left:
-            sinks = [v for v in left if not (out[v] & left)]
-            if not sinks:
-                return False
-            left -= set(sinks)
-        return True
+        return _connected_acyclic(*spanned_masks(self.g, emask))
 
     def _adjacent_mask(self, emask: int) -> int:
         # arcs sharing an endpoint with the set
@@ -219,39 +188,25 @@ class DagEdgeConnected(GraphProblem):
 
     def _edge_cc(self, emask: int, v: int) -> int:
         """Edges of the component of vertex v in the spanned subgraph."""
-        verts = 1 << v
-        while True:
-            grow = 0
-            for e in bits(emask):
-                u, w = self.g.edges[e]
-                if (verts >> u) & 1 or (verts >> w) & 1:
-                    grow |= (1 << u) | (1 << w)
-            if grow & ~verts:
-                verts |= grow
-            else:
-                break
+        und, _, span = spanned_masks(self.g, emask)
         keep = 0
-        for e in bits(emask):
-            u, w = self.g.edges[e]
-            if (verts >> u) & 1:
-                keep |= 1 << e
-        return keep
+        for u in bits(mask_cc(und, span, v)):
+            keep |= self.g.edge_mask_at[u]
+        return keep & emask
 
     def _neighbor_masks(self, emask: int):
+        edges = self.g.edges
+        at = self.g.edge_mask_at
         for e in range(self.g.m):
             if (emask >> e) & 1:
                 continue
-            tail, head = self.g.edges[e]
+            tail, head = edges[e]
             # drop the tail's in-arcs (tail becomes a source) or the
             # head's out-arcs (head becomes a sink)
-            tail_in = 0
-            head_out = 0
-            for e2 in bits(emask):
-                u, v = self.g.edges[e2]
-                if v == tail:
-                    tail_in |= 1 << e2
-                if u == head:
-                    head_out |= 1 << e2
+            tail_in = sum(1 << x for x in bits(emask & at[tail])
+                          if edges[x][1] == tail)
+            head_out = sum(1 << x for x in bits(emask & at[head])
+                           if edges[x][0] == head)
             for drop, anchor in ((tail_in, tail), (head_out, head)):
                 cand = (emask & ~drop) | (1 << e)
                 cand = self._edge_cc(cand, anchor)
@@ -261,7 +216,4 @@ class DagEdgeConnected(GraphProblem):
         return 2 * self.ground_size
 
     def canonical_order(self, solution) -> list[int]:
-        # the induced variant's vertex order on the spanned subgraph
-        elist = sorted(solution)
-        sub, spanned = spanned_subgraph(self.g, mask_of(elist))
-        return edges_by_vertex_order(self.g, elist, _layer_order(sub, spanned))
+        return edge_canonical_order(self.g, solution, _layer_order)

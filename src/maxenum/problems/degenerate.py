@@ -10,8 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from ..graphs import (Graph, bits, components, degeneracy_order, edge_adjacency,
-                      edges_by_vertex_order, mask_of, spanned_subgraph)
+from ..graphs import (Graph, bits, components, degeneracy_order,
+                      edge_canonical_order, mask_of, spanned_masks)
 from .base import GraphProblem, tuple_of
 
 
@@ -81,8 +81,8 @@ class KDegenerateEdge(GraphProblem):
 
     def _solution_mask(self, emask: int) -> bool:
         # the induced peel, run on the spanned subgraph
-        adj = {u: mask_of(nb) for u, nb in edge_adjacency(self.g, emask).items()}
-        return _peel_ok_vertices(adj, mask_of(adj), self.k)
+        und, _, span = spanned_masks(self.g, emask)
+        return _peel_ok_vertices(und, span, self.k)
 
     def _neighbor_masks(self, emask: int):
         for e in range(self.g.m):
@@ -101,7 +101,4 @@ class KDegenerateEdge(GraphProblem):
         return 2 * m * sum(comb(m, i) for i in range(self.k))
 
     def canonical_order(self, solution) -> list[int]:
-        # the induced variant's vertex order on the spanned subgraph
-        elist = sorted(solution)
-        sub, spanned = spanned_subgraph(self.g, mask_of(elist))
-        return edges_by_vertex_order(self.g, elist, _degeneracy_layout(sub, spanned))
+        return edge_canonical_order(self.g, solution, _degeneracy_layout)

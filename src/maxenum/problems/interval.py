@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ..graphs import Graph, bits, mask_components, mask_of
+from ..graphs import Graph, bits, chordal_cliques, mask_components, mask_of
 from .base import GraphProblem, tuple_of
 
 
@@ -194,15 +194,11 @@ class _ProperIntervalBase(GraphProblem):
         the surviving prefix, so deleting all of them first both releases
         the tie and keeps the prefix intact.
         """
-        from .chordal import _maximal_cliques_chordal
-
         und = self.g.und_mask
         hosts = [smask]
         core = und[v] & smask
-        if core:
-            adj = {u: set(bits(und[u] & core)) for u in bits(core)}
-            for q in _maximal_cliques_chordal(adj):
-                hosts.append(smask & ~(core & ~mask_of(q)))
+        for q in chordal_cliques(und, core):
+            hosts.append(smask & ~(core & ~q))
         for z in bits(smask):
             hosts.append(smask & ~(1 << z))
         for a in bits(core):

@@ -41,7 +41,9 @@ def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
         ext = problem.addable(xmask)
         if not ext:
             return tuple_of(xmask)
-        v = seed_of(problem, tuple_of(xmask))
+        if not xmask:
+            raise ContractViolation("an empty set has no seed")
+        v = (xmask & -xmask).bit_length() - 1  # the seed: smallest element
         keys = problem.order_keys(xmask, v, ext)
         best = min(ext, key=keys.__getitem__)
         xmask |= 1 << best

@@ -112,6 +112,13 @@ def test_oracle_check(triangle_file, capsys):
     assert code == 0 and "oracle=ok" in err
 
 
+def test_oracle_check_with_limit_exits_before_run(k4_file, capsys):
+    code, out, err = run_cli(["--problem", "trees", "--input", k4_file,
+                              "--limit", "2", "--oracle-check"], capsys)
+    assert code == 1 and out == ""
+    assert "--oracle-check needs a full run (no --limit)" in err
+
+
 def test_points_file_and_edge_prefix(tmp_path, capsys):
     p = tmp_path / "pts.txt"
     p.write_text("3 1\n0 0\n6 0\n0 6\n2 2\n")

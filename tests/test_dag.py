@@ -128,3 +128,42 @@ def test_oracle_equality_random():
             sols = []
             enumerate_exp(inst, emit=sols.append)
             assert sorted(sols) == brute_force_maximal(inst)
+
+
+# -- dag-edge-connected predicate and candidates on named instances ----------------
+
+def two_cycle_digraph():
+    # the directed triangle 0->1->2->0 and the directed triangle 1->2->3->1
+    return Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)], directed=True)
+
+
+def test_edge_variant_empty_arc_set_is_solution():
+    inst = make_instance("dag-edge-connected", graph=directed_path())
+    assert inst.is_solution(())
+
+
+def test_edge_variant_disjoint_arcs_not_solution():
+    g = Graph(4, [(0, 1), (2, 3)], directed=True)
+    inst = make_instance("dag-edge-connected", graph=g)
+    assert inst.is_solution((0,)) and inst.is_solution((1,))
+    assert not inst.is_solution((0, 1))
+
+
+def test_edge_variant_cycles_not_solution():
+    t = make_instance("dag-edge-connected", graph=directed_triangle())
+    assert not t.is_solution((0, 1, 2))
+    pair = make_instance("dag-edge-connected",
+                         graph=Graph(2, [(0, 1), (1, 0)], directed=True))
+    assert pair.is_solution((0,)) and pair.is_solution((1,))
+    assert not pair.is_solution((0, 1))
+
+
+def test_edge_variant_directed_two_path_is_solution():
+    inst = make_instance("dag-edge-connected", graph=directed_path())
+    assert inst.is_solution((0, 1))
+
+
+def test_edge_variant_neighbors_two_cycle_digraph():
+    inst = make_instance("dag-edge-connected", graph=two_cycle_digraph())
+    assert inst.neighbors((0, 1, 3)) == [(0, 2, 3, 4), (1, 2, 3), (0, 1, 4)]
+    assert inst.neighbors((0, 2, 3, 4)) == [(1, 2, 3), (0, 1, 4)]

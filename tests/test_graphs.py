@@ -5,7 +5,7 @@ import pytest
 from maxenum.graphs import (ContractViolation, DisjointSets, Graph,
                             GraphFormatError, bfs_canonical_order, components,
                             connected_component, degeneracy_order, load_graph,
-                            perfect_elimination_order)
+                            perfect_elimination_order, spanned_masks)
 
 from conftest import complete, cycle, path, star, triangle
 
@@ -186,6 +186,18 @@ def test_peo_matches_brute_chordality():
         assert (got is not None) == _chordal_brute(g, s)
         if got is not None:
             assert sorted(got) == sorted(s)
+
+
+# -- spanned subgraph of an edge set -------------------------------------------
+
+def test_spanned_masks_digraph():
+    # arcs 0:0->1 1:1->2 2:2->0 3:3->1; arcs 0 and 3 span vertices 0, 1, 3
+    g = Graph(4, [(0, 1), (1, 2), (2, 0), (3, 1)], directed=True)
+    und, out, span = spanned_masks(g, 0b1001)
+    assert und == [0b0010, 0b1001, 0, 0b0010]
+    assert out == [0b0010, 0, 0, 0b0010]
+    assert span == 0b1011
+    assert spanned_masks(g, 0) == ([0] * 4, [0] * 4, 0)
 
 
 # -- disjoint sets --------------------------------------------------------------

@@ -45,6 +45,14 @@ def test_comp_lex_p3_forest():
     assert comp_lex(inst, (2,)) == (0, 1, 2)
 
 
+def test_comp_lex_empty_set():
+    # the seed of the empty set is undefined on a non-empty graph; an empty
+    # graph has only the empty solution
+    with pytest.raises(ContractViolation, match="an empty set has no seed"):
+        comp_lex(c5_bip(), ())
+    assert comp_lex(make_instance("forests", graph=Graph(0, [])), ()) == ()
+
+
 def test_comp_lex_requires_solution():
     inst = c5_bip()
     with pytest.raises(ContractViolation):
