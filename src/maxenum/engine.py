@@ -2,11 +2,10 @@
 
 The engine knows nothing about graphs: a problem exposes a ground set, a
 ``first_solution`` starter, and a ``neighbors`` function returning maximal
-solutions.  The traversal is an iterative DFS (explicit stack, so deep
-solution graphs cannot overflow recursion) that emits each solution exactly
-once, in pre-order at even depth and post-order at odd depth to keep the
-gap between consecutive outputs bounded by a constant number of
-``neighbors`` calls.
+solutions.  The traversal is ``walk``, the DFS both engines share, over the
+tree of first discoveries: a neighbor is a child of the solution whose
+``neighbors`` call first reached it, and a trie of visited solutions
+decides which call that is.
 """
 
 from __future__ import annotations
@@ -136,6 +135,30 @@ class SolutionDict:
         return node.terminal
 
 
+def walk(root, kids: Callable, emitter: Emitter, depth: int) -> None:
+    """Emit the tree below ``root``, root included, by an iterative DFS.
+
+    ``kids(node)`` is an iterator over a node's children, consumed one child
+    per step.  A node is output in pre-order at even depth and in post-order
+    at odd depth, the root sitting at ``depth``, so consecutive outputs are
+    a bounded number of steps apart.  The walk stops once the emitter is done.
+    """
+    if depth % 2 == 0:
+        emitter(root)
+    stack = [(root, depth, kids(root))]
+    while stack and not emitter.done:
+        node, d, it = stack[-1]
+        child = next(it, None)
+        if child is not None:
+            stack.append((child, d + 1, kids(child)))
+            if d % 2 == 1:
+                emitter(child)
+        else:
+            stack.pop()
+            if d % 2 == 1:
+                emitter(node)
+
+
 def enumerate_exp(problem, emit: Optional[Callable] = None,
                   limit: Optional[int] = None) -> Counters:
     """Traverse the solution graph of ``problem``, emitting every maximal
@@ -153,31 +176,13 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     counters = emitter.counters
     seen = SolutionDict()
 
+    def kids(sol):
+        counters.neighbors_calls += 1
+        for cand in problem.neighbors(sol):
+            if seen.insert(cand):
+                yield cand
+
     first = problem.first_solution()
     seen.insert(first)
-    # frame: [solution, depth, candidate iterator or None]
-    stack: list[list] = [[first, 0, None]]
-    emitter(first)  # depth 0 is even: pre-order
-
-    while stack and not emitter.done:
-        frame = stack[-1]
-        sol, depth, it = frame
-        if it is None:
-            counters.neighbors_calls += 1
-            it = iter(problem.neighbors(sol))
-            frame[2] = it
-        advanced = False
-        for cand in it:
-            if seen.insert(cand):
-                child_depth = depth + 1
-                stack.append([cand, child_depth, None])
-                if child_depth % 2 == 0:
-                    emitter(cand)
-                advanced = True
-                break
-        if not advanced and not emitter.done:
-            stack.pop()
-            if depth % 2 == 1:
-                emitter(sol)
-
+    walk(first, kids, emitter, 0)
     return emitter.finish(seen.operations)

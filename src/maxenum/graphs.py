@@ -126,26 +126,33 @@ def load_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"line {header_line}: header declares {m} edges, found {len(rows)}")
 
+    return Graph(n, parse_edge_lines(rows, n, directed), directed=directed)
+
+
+def parse_edge_lines(rows, n: int, directed: bool,
+                     error: type = GraphFormatError) -> list[tuple[int, int]]:
+    """Edges of the (line number, "u v") rows on vertices 0..n-1, checked
+    and deduplicated as ``load_graph`` describes; errors raise ``error``."""
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, line in rows:
         fields = line.split()
         if len(fields) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise error(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}") from None
+            raise error(f"line {lineno}: expected 'u v', got {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex id out of range in {line!r}")
+            raise error(f"line {lineno}: vertex id out of range in {line!r}")
         if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+            raise error(f"line {lineno}: self-loop at vertex {u}")
         key = (u, v) if directed else (min(u, v), max(u, v))
         if key in seen:
             continue
         seen.add(key)
         edges.append((u, v))
-    return Graph(n, edges, directed=directed)
+    return edges
 
 
 class DisjointSets:

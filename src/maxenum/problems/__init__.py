@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..graphs import Graph
-from .base import Problem
+from .base import Problem, PspaceProblem
 from .bipartite import BipartiteEdge, BipartiteInduced, BipartiteInducedConnected
 from .chordal import ChordalEdge, ChordalInduced, ChordalInducedConnected
 from .dag import DagEdgeConnected, DagInducedConnected
@@ -41,8 +41,8 @@ ALL_VARIANTS = sorted(GRAPH_VARIANTS | K_VARIANTS | POINT_VARIANTS)
 
 # variants whose canonical orders are prefix-closed BFS orders, hence
 # eligible for the dictionary-free parent-forest engine
-PSPACE_VARIANTS = ("bipartite-induced", "bipartite-induced-connected",
-                   "trees", "forests")
+PSPACE_VARIANTS = tuple(name for name, cls in GRAPH_VARIANTS.items()
+                        if issubclass(cls, PspaceProblem))
 
 
 def make_instance(variant: str, *, graph: Graph = None,

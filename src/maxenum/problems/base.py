@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..graphs import (Graph, bits, component_bfs_order, mask_cc,
-                      mask_components, mask_dists, mask_of)
+from ..graphs import Graph, bits, mask_cc, mask_dists, mask_of
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -178,14 +177,12 @@ class PspaceProblem(GraphProblem):
     """Contract addition for the dictionary-free parent-forest traversal.
 
     The four families supported here are vertex problems on an undirected
-    graph where every single vertex is a solution, ordered by BFS either
-    from a root (connected-hereditary) or per component leader
-    (hereditary).  Their candidate rule is ``_candidates``, which serves
+    graph where every single vertex is a solution, ordered by BFS per
+    component leader (``order_keys``); their canonical order is this
+    solution order.  Their candidate rule is ``_candidates``, which serves
     both engines: completed by ``comp_mask`` for ``neighbors`` and by the
     lexicographic completion for ``neighbors_at``.
     """
-
-    order_hereditary = False  # per-component leader keys when True
 
     def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
         """Uncompleted candidate masks for each incoming vertex outside the
@@ -213,7 +210,13 @@ class PspaceProblem(GraphProblem):
         return list(dict.fromkeys(comp_lex(self, tuple_of(c)) for c in cands))
 
     def canonical_order(self, solution) -> list[int]:
-        return component_bfs_order(self.g, solution)
+        """The solution order: the elements sorted by their order keys
+        rooted at the smallest one."""
+        sol = sorted(solution)
+        if not sol:
+            return sol
+        keys = self.order_keys(mask_of(sol), sol[0], sol)
+        return sorted(sol, key=keys.__getitem__)
 
     def addable(self, xmask: int) -> list[int]:
         out = []
@@ -224,58 +227,42 @@ class PspaceProblem(GraphProblem):
         return out
 
     def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
-        """Sort keys for elements of X and X+ under the BFS order rooted at v.
+        """Sort keys for elements of X and X+ under the order rooted at v.
 
-        Extensions are keyed by the values they take in G[X + {e}].  Keys are
-        (component-leader slot, distance from leader, id); the leader slot is
-        0 for v's own component and leader id + 1 otherwise, so the root
-        component always sorts first.
+        The components of G[X] take slot 0 for v's own and leader + 1 for any
+        other, whose leader is its smallest vertex, so the root component
+        always sorts first.  An element of X is keyed (slot, BFS distance
+        from the leader, id).  An extension e joins the touched component of
+        smallest slot when that slot is at most e, keyed (slot, 1 + least
+        distance of its neighbors there, e); otherwise it leads a component
+        of its own, keyed (e + 1, 0, e).
         """
-        adj = self.g.und_mask
-        keys: dict[int, tuple] = {}
         if not (xmask >> v) & 1:
             raise ValueError(f"order root {v} is not in the set")
-        if not self.order_hereditary:
-            dist = mask_dists(adj, xmask, v)
-            for e in elems:
-                if (xmask >> e) & 1:
-                    keys[e] = (0, dist[e], e)
-                else:
-                    nb = [dist[u] for u in bits(adj[e] & xmask) if u in dist]
-                    if not nb:
-                        raise ValueError(f"element {e} not attached to the set")
-                    keys[e] = (0, 1 + min(nb), e)
-            return keys
-
-        comps = mask_components(adj, xmask)
-        info: dict[int, tuple[int, int]] = {}
-        comp_data = []
-        for comp in comps:
-            if (comp >> v) & 1:
-                leader, slot = v, 0
-            else:
-                leader = (comp & -comp).bit_length() - 1
-                slot = leader + 1
-            dl = mask_dists(adj, comp, leader)
-            comp_data.append((comp, leader, slot, dl))
-            for u in bits(comp):
-                info[u] = (slot, dl[u])
+        adj = self.g.und_mask
+        comps = []  # (component mask, slot, distances), by ascending slot
+        left, leader, slot = xmask, v, 0
+        while left:
+            dist = mask_dists(adj, left, leader)
+            comp = left if len(dist) == left.bit_count() else mask_of(dist)
+            comps.append((comp, slot, dist))
+            left &= ~comp
+            leader = (left & -left).bit_length() - 1
+            slot = leader + 1
+        keys: dict[int, tuple] = {}
         for e in elems:
-            if (xmask >> e) & 1:
-                slot, d = info[e]
-                keys[e] = (slot, d, e)
-                continue
-            touched = [cd for cd in comp_data if adj[e] & cd[0]]
-            members = [e] + [u for cd in touched for u in (cd[1],)]
-            if any((cd[0] >> v) & 1 for cd in touched):
-                leader, slot = v, 0
+            # an element of X touches no component before its own
+            for comp, slot, dist in comps:
+                if (comp >> e) & 1:
+                    keys[e] = (slot, dist[e], e)
+                    break
+                nb = adj[e] & comp
+                if nb:
+                    if slot <= e:
+                        keys[e] = (slot, 1 + min(dist[u] for u in bits(nb)), e)
+                    else:
+                        keys[e] = (e + 1, 0, e)
+                    break
             else:
-                leader = min(members)
-                slot = leader + 1
-            if leader == e:
-                keys[e] = (slot, 0, e)
-            else:
-                home = next(cd for cd in touched if (cd[0] >> leader) & 1)
-                d = 1 + min(home[3][u] for u in bits(adj[e] & home[0]))
-                keys[e] = (slot, d, e)
+                keys[e] = (e + 1, 0, e)
         return keys

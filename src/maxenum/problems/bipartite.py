@@ -76,13 +76,11 @@ class _BipartiteInducedBase(PspaceProblem):
 class BipartiteInduced(_BipartiteInducedBase):
     variant = "bipartite-induced"
     connected = False
-    order_hereditary = True
 
 
 class BipartiteInducedConnected(_BipartiteInducedBase):
     variant = "bipartite-induced-connected"
     connected = True
-    order_hereditary = False
 
 
 class BipartiteEdge(GraphProblem):

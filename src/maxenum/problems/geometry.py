@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from ..graphs import Graph, bits, mask_components, mask_of
+from ..graphs import Graph, bits, mask_components, mask_of, parse_edge_lines
 from .base import Problem
 
 COORD_LIMIT = 10 ** 6
@@ -76,7 +76,8 @@ class PointSetInstance:
 
 def load_points(text: str) -> PointSetInstance:
     """Parse "j h [connected]", then j interest and h obstacle lines "x y",
-    then edge lines "u v" when the connected marker is present."""
+    then edge lines "u v" when the connected marker is present; as in
+    ``load_graph``, duplicate edge lines are dropped."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -115,22 +116,7 @@ def load_points(text: str) -> PointSetInstance:
     obstacles = [parse_point(*row) for row in body[j:j + h]]
     graph = None
     if connected:
-        edges = []
-        for lineno, line in body[j + h:]:
-            fields = line.split()
-            if len(fields) != 2:
-                raise PointFormatError(
-                    f"line {lineno}: expected edge 'u v', got {line!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise PointFormatError(
-                    f"line {lineno}: expected edge 'u v', got {line!r}") from None
-            if not (0 <= u < j and 0 <= v < j):
-                raise PointFormatError(
-                    f"line {lineno}: vertex id out of range in {line!r}")
-            edges.append((u, v))
-        graph = Graph(j, edges)
+        graph = Graph(j, parse_edge_lines(body[j + h:], j, False, PointFormatError))
     elif len(body) > j + h:
         lineno = body[j + h][0]
         raise PointFormatError(f"line {lineno}: unexpected trailing line")

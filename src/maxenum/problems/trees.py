@@ -43,10 +43,8 @@ class _AcyclicBase(PspaceProblem):
 class Trees(_AcyclicBase):
     variant = "trees"
     connected = True
-    order_hereditary = False
 
 
 class Forests(_AcyclicBase):
     variant = "forests"
     connected = False
-    order_hereditary = True

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .engine import Counters, Emitter
+from .engine import Counters, Emitter, walk
 from .graphs import ContractViolation, mask_of
 from .problems.base import PspaceProblem, tuple_of
 
@@ -49,13 +49,6 @@ def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
         xmask |= 1 << best
 
 
-def solution_order(problem: PspaceProblem, solution: Iterable[int]) -> list[int]:
-    sol = list(solution)
-    v = seed_of(problem, sol)
-    keys = problem.order_keys(mask_of(sol), v, sol)
-    return sorted(sol, key=keys.__getitem__)
-
-
 def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]:
     """(core prefix, pivot element) of a maximal solution, or None for roots.
 
@@ -63,7 +56,7 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
     is not the solution itself; the pivot is the element right after it.
     """
     stuple = tuple(sorted(solution))
-    order = solution_order(problem, stuple)
+    order = problem.canonical_order(stuple)
     for i in range(len(order) - 1, 0, -1):
         if comp_lex(problem, order[:i]) != stuple:
             return order[:i], order[i]
@@ -168,9 +161,9 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
                      limit: Optional[int] = None) -> Counters:
     """Emit every maximal solution once without a visited-solution dictionary.
 
-    The traversal holds the DFS stack of (solution, cursor) frames and no
-    trie or hash set of solutions; the problem's predicate memo
-    (``Problem._sol_cache``) still grows with the solutions visited.
+    Each root of the parent forest is walked at depth 1, holding the DFS
+    stack and no trie or hash set of solutions; the problem's predicate
+    memo (``Problem._sol_cache``) still grows with the solutions visited.
     """
     emitter = Emitter(problem, emit, limit)
     counters = emitter.counters
@@ -181,30 +174,14 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
             if w not in xset:
                 yield from children(problem, x, w, counters)
 
-    def visit(root):
-        # frame: [solution, depth, child iterator]; output is pre-order at
-        # odd depth and post-order at even depth
-        stack = [[root, 0, child_stream(root)]]
-        while stack and not emitter.done:
-            sol, depth, it = stack[-1]
-            child = next(it, None)
-            if child is not None:
-                cd = depth + 1
-                stack.append([child, cd, child_stream(child)])
-                if cd % 2 == 1:
-                    emitter(child)
-            else:
-                stack.pop()
-                if depth % 2 == 0:
-                    emitter(sol)
-
-    for u in range(problem.ground_size):
+    # an empty ground set has one solution, the empty set, as its only root
+    for seed in [(u,) for u in range(problem.ground_size)] or [()]:
         if emitter.done:
             break
-        root = comp_lex(problem, [u])
-        if seed_of(problem, root) != u:
-            continue  # this root is discovered from its own seed only
+        root = comp_lex(problem, seed)
+        if root[:1] != seed:
+            continue  # a root is discovered from its own seed, root[0], only
         counters.roots_found += 1
-        visit(root)
+        walk(root, child_stream, emitter, 1)
 
     return emitter.finish(0)

@@ -112,6 +112,15 @@ def test_oracle_check(triangle_file, capsys):
     assert code == 0 and "oracle=ok" in err
 
 
+def test_pspace_oracle_check_empty_graph(tmp_path, capsys):
+    p = tmp_path / "empty.txt"
+    p.write_text("0 0\n")
+    code, out, err = run_cli(["--problem", "trees", "--mode", "pspace",
+                              "--input", str(p), "--oracle-check"], capsys)
+    assert code == 0 and "oracle=ok" in err
+    assert out.splitlines() == ["v"]
+
+
 def test_oracle_check_with_limit_exits_before_run(k4_file, capsys):
     code, out, err = run_cli(["--problem", "trees", "--input", k4_file,
                               "--limit", "2", "--oracle-check"], capsys)

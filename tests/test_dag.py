@@ -3,7 +3,6 @@ import random
 import pytest
 
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
-from maxenum.problems.dag import block_order, order_is_layered
 
 from conftest import directed_triangle, random_graph, triangle
 
@@ -56,6 +55,82 @@ def test_edge_variant_directed_triangle():
     assert sorted(sols) == [(0, 1), (0, 2), (1, 2)]
     nb = inst.neighbors((0, 1))
     assert (0, 2) in nb and (1, 2) in nb
+
+
+def block_order(out_nbrs, in_nbrs, vertices) -> list[int]:
+    """Constructive order: alternately append the vertices reached by the
+    part built so far (in topological order) and the vertices reaching it
+    (in reverse topological order): an existence witness for the layered
+    order."""
+    remaining = set(vertices)
+    if not remaining:
+        return []
+    sources = [v for v in sorted(remaining)
+               if not any(u in remaining for u in in_nbrs[v])]
+    if not sources:
+        raise ValueError("not acyclic")
+    start = sources[0]
+
+    def reach(seeds, nbrs, pool):
+        out = set()
+        stack = [s for s in seeds]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w in pool and w not in out:
+                    out.add(w)
+                    stack.append(w)
+        return out
+
+    def topo(block, forward: bool) -> list[int]:
+        # forward: predecessors first; backward: successors first
+        left = set(block)
+        order = []
+        key_nbrs = in_nbrs if forward else out_nbrs
+        while left:
+            ready = sorted(v for v in left
+                           if not any(u in left for u in key_nbrs[v]))
+            if not ready:
+                raise ValueError("not acyclic")
+            order.append(ready[0])
+            left.discard(ready[0])
+        return order
+
+    covered = reach([start], out_nbrs, remaining) | {start}
+    order = topo(covered, forward=True)
+    remaining -= covered
+    forward = False
+    stall = 0
+    while remaining:
+        if forward:
+            block = reach(order, out_nbrs, remaining)
+        else:
+            block = {v for v in remaining
+                     if reach([v], out_nbrs, remaining | set(order)) & set(order)}
+        if block:
+            order.extend(topo(block, forward=forward))
+            remaining -= block
+            stall = 0
+        else:
+            stall += 1
+            if stall > 1:
+                raise ValueError("underlying graph is disconnected")
+        forward = not forward
+    return order
+
+
+def order_is_layered(out_nbrs, in_nbrs, und_nbrs, order) -> bool:
+    """Check the two order conditions: connected prefixes, one-sided backs."""
+    placed: set[int] = set()
+    for i, v in enumerate(order):
+        if i > 0 and not any(u in placed for u in und_nbrs[v]):
+            return False
+        outb = any(u in placed for u in out_nbrs[v])
+        inb = any(u in placed for u in in_nbrs[v])
+        if outb and inb:
+            return False
+        placed.add(v)
+    return True
 
 
 def _restricted(g, sset):

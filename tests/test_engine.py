@@ -92,7 +92,7 @@ def test_limit_is_prefix_of_full_run():
     inst = build_instance("bipartite-induced", 1)
     full = []
     enumerate_exp(inst, emit=full.append)
-    for limit in (1, 2, len(full)):
+    for limit in (0, 1, 2, len(full)):
         part = []
         counters = enumerate_exp(build_instance("bipartite-induced", 1),
                                  emit=part.append, limit=limit)

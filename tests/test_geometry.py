@@ -154,6 +154,11 @@ def test_load_points_connected():
     assert inst.graph is not None and inst.graph.m == 2
 
 
+def test_load_points_drops_duplicate_edges():
+    inst = load_points("3 0 connected\n0 0\n6 0\n0 6\n0 1\n1 0\n1 2\n")
+    assert inst.graph.edges == ((0, 1), (1, 2))
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("", "missing header"),
     ("2 9000\n0 0\n1 1\n", "expected 9002 point lines"),
@@ -162,6 +167,7 @@ def test_load_points_connected():
     ("1 1\n5 5\n5 5\n", "duplicate point"),
     ("1 0\n5000000 0\n", "out of range"),
     ("2 0\n0 0\n1 1\ntrailing junk\n", "line 4"),
+    ("2 0 connected\n0 0\n6 0\n1 1\n", "line 4: self-loop at vertex 1"),
 ])
 def test_load_points_errors(text, fragment):
     with pytest.raises((PointFormatError, ValueError), match=fragment):

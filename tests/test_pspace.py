@@ -4,8 +4,9 @@ import pytest
 
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.graphs import ContractViolation
+from maxenum.problems import PSPACE_VARIANTS
 from maxenum.pspace import (children, comp_lex, core_of, is_root, parent_of,
-                            pi_of, restr, seed_of, solution_order)
+                            pi_of, restr, seed_of)
 
 from conftest import complete, cycle, path, random_graph
 
@@ -63,17 +64,49 @@ def test_comp_lex_requires_solution():
 
 def test_solution_order_c4():
     inst = make_instance("bipartite-induced-connected", graph=cycle(4))
-    assert solution_order(inst, (0, 1, 2, 3)) == [0, 1, 3, 2]
+    assert inst.canonical_order((0, 1, 2, 3)) == [0, 1, 3, 2]
 
 
 def test_solution_order_singleton():
     inst = make_instance("forests", graph=Graph(6, [(0, 5)]))
-    assert solution_order(inst, (5,)) == [5]
+    assert inst.canonical_order((5,)) == [5]
 
 
 def test_solution_order_two_isolated():
     inst = make_instance("forests", graph=Graph(2, []))
-    assert solution_order(inst, (0, 1)) == [0, 1]
+    assert inst.canonical_order((0, 1)) == [0, 1]
+
+
+def test_order_keys_component_leaders():
+    # G[X] has three components: {4, 6} holds the root 4 (slot 0), {1, 2}
+    # has leader 1 (slot 2) and {8, 9} leader 8 (slot 9)
+    g = Graph(12, [(1, 2), (4, 6), (8, 9), (6, 7), (2, 3), (0, 2),
+                   (10, 1), (10, 9), (11, 4), (11, 8)])
+    inst = make_instance("forests", graph=g)
+    xmask = sum(1 << u for u in (1, 2, 4, 6, 8, 9))
+    assert inst.order_keys(xmask, 4, (1, 2, 4, 6, 8, 9)) == {
+        1: (2, 0, 1), 2: (2, 1, 2), 4: (0, 0, 4), 6: (0, 1, 6),
+        8: (9, 0, 8), 9: (9, 1, 9)}
+    assert inst.order_keys(xmask, 4, (7, 11, 3, 0, 5, 10)) == {
+        7: (0, 2, 7),    # touches the root component
+        11: (0, 1, 11),  # touches the root component and {8, 9}
+        3: (2, 2, 3),    # touches only {1, 2}, whose leader is smaller
+        0: (1, 0, 0),    # smaller than the leader of {1, 2}: leads itself
+        5: (6, 0, 5),    # touches nothing
+        10: (2, 1, 10),  # merges {1, 2} and {8, 9}
+    }
+
+
+def test_order_keys_connected():
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (3, 5)])
+    inst = make_instance("trees", graph=g)
+    xmask = sum(1 << u for u in (0, 1, 2, 4))
+    assert inst.order_keys(xmask, 0, (0, 1, 2, 4, 3, 5)) == {
+        0: (0, 0, 0), 1: (0, 1, 1), 2: (0, 2, 2), 4: (0, 1, 4),
+        3: (0, 3, 3), 5: (0, 2, 5)}
+    assert inst.order_keys(xmask, 2, (0, 1, 2, 4, 3, 5)) == {
+        0: (0, 2, 0), 1: (0, 1, 1), 2: (0, 0, 2), 4: (0, 3, 4),
+        3: (0, 1, 3), 5: (0, 4, 5)}
 
 
 # -- core / parent / pi ----------------------------------------------------------------
@@ -198,9 +231,22 @@ def test_pspace_limit_prefix():
     g = complete(4)
     full = []
     enumerate_pspace(make_instance("trees", graph=g), emit=full.append)
-    part = []
-    enumerate_pspace(make_instance("trees", graph=g), emit=part.append, limit=3)
-    assert part == full[:3]
+    for limit in (0, 3):
+        part = []
+        enumerate_pspace(make_instance("trees", graph=g), emit=part.append,
+                         limit=limit)
+        assert part == full[:limit]
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_pspace_empty_graph(variant):
+    # the empty set is the only solution of an empty ground set, and the
+    # only root
+    got = []
+    counters = enumerate_pspace(make_instance(variant, graph=Graph(0, [])),
+                                emit=got.append)
+    assert got == [()]
+    assert counters.roots_found == 1
 
 
 # -- prefix-closed order properties ------------------------------------------------------------
@@ -212,7 +258,7 @@ def _random_solutions(variant, g, rng, want):
     out = []
     for s in sols:
         out.append(s)
-        order = solution_order(inst, s)
+        order = inst.canonical_order(s)
         if len(order) > 1:
             cut = rng.randint(1, len(order) - 1)
             out.append(tuple(sorted(order[:cut])))
