@@ -54,6 +54,10 @@ def main(argv=None) -> int:
               f"{', '.join(PSPACE_VARIANTS)}", file=err)
         return 2
 
+    if args.limit is not None and args.limit < 0:
+        print("maxenum: --limit must be at least 0", file=err)
+        return 1
+
     if args.oracle_check and args.limit is not None:
         print("maxenum: --oracle-check needs a full run (no --limit)", file=err)
         return 1

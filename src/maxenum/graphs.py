@@ -43,6 +43,8 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], directed: bool = False):
+        if n < 0:
+            raise ValueError(f"negative vertex count n={n}")
         self.n = n
         self.directed = directed
         seen: set[tuple[int, int]] = set()

@@ -3,9 +3,11 @@
 A plugin states only what is specific to its family: a membership
 predicate over ground-element bitmasks (``_solution_mask``), a candidate
 rule (``_neighbor_masks``, or ``_candidates`` for the pspace families)
-and a canonical order.  Completion, the adjacency closure of connected
-families and the input checks of graph families live here once, driven
-by the class flags ``ground_kind``, ``directed`` and ``connected``.
+and a canonical order.  The input checks of graph families and the one
+extension rule live here once, driven by the class flags ``ground_kind``,
+``directed`` and ``connected``: ``_reach`` names the elements that can
+extend a set (for a connected family, those adjacent to it), and
+completion, ``addable`` and maximality all scan only those.
 Solutions cross the API as sorted tuples of element ids; all hot paths
 run on bitmasks with per-instance memoization of the predicate.
 """
@@ -50,19 +52,37 @@ class Problem:
         # single-element extensions suffice: every family here is strongly
         # accessible, so a larger solution implies an addable element
         mask = mask_of(elems)
-        if not self.sol(mask):
-            return False
-        for e in range(self.ground_size):
-            b = 1 << e
-            if not (mask & b) and self.sol(mask | b):
-                return False
-        return True
+        return self.sol(mask) and not self.addable(mask)
 
-    # -- completion ----------------------------------------------------
+    # -- extension and completion --------------------------------------
+    def _reach(self, mask: int) -> int:
+        """The elements outside ``mask`` that can extend it: for a connected
+        family with a non-empty set only the adjacent ones, since any other
+        disconnects it; otherwise every other ground element."""
+        if self.connected and mask:
+            return self._adjacent_mask(mask) & ~mask
+        return ((1 << self.ground_size) - 1) & ~mask
+
+    def addable(self, mask: int) -> list[int]:
+        """The elements whose single addition keeps ``mask`` a solution, ascending."""
+        return [e for e in bits(self._reach(mask)) if self.sol(mask | 1 << e)]
+
     def _comp_mask(self, mask: int) -> int:
-        if self.connected:
-            return self._comp_connected(mask)
-        return self._comp_hereditary(mask)
+        # a rejected element stays rejected: every family using this loop is
+        # hereditary, or hereditary once connected, so it fails for every
+        # larger set too
+        rejected = 0
+        while True:
+            for e in bits(self._reach(mask) & ~rejected):
+                b = 1 << e
+                if self.sol(mask | b):
+                    mask |= b
+                    if self.connected:
+                        break  # rescan: the reach grew, smaller ids may be in it
+                else:
+                    rejected |= b
+            else:
+                return mask
 
     def comp_mask(self, mask: int) -> int:
         if not self.sol(mask):
@@ -76,17 +96,9 @@ class Problem:
     def first_solution(self) -> tuple[int, ...]:
         return tuple_of(self.comp_mask(0))
 
-    def _comp_hereditary(self, mask: int) -> int:
-        # ascending single pass; a failed element can never become addable
-        for e in range(self.ground_size):
-            b = 1 << e
-            if not (mask & b) and self.sol(mask | b):
-                mask |= b
-        return mask
-
     def _adjacent_mask(self, mask: int) -> int:
-        """Candidate elements adjacent to the current set (connected comp):
-        the graph neighbors of the vertices in it."""
+        """The elements adjacent to a set of a connected family: the graph
+        neighbors of its vertices."""
         adj = self.g.und_mask
         m = 0
         for u in bits(mask):
@@ -99,28 +111,6 @@ class Problem:
         if self.connected:
             return mask_cc(self.g.und_mask, cand, v)
         return cand
-
-    def _comp_connected(self, mask: int) -> int:
-        if mask == 0:
-            for e in range(self.ground_size):
-                if self.sol(1 << e):
-                    mask = 1 << e
-                    break
-            else:
-                return 0
-        rejected = 0
-        while True:
-            cands = self._adjacent_mask(mask) & ~mask & ~rejected
-            added = False
-            for e in bits(cands):
-                b = 1 << e
-                if self.sol(mask | b):
-                    mask |= b
-                    added = True
-                    break  # rescan: smaller ids may have become adjacent
-                rejected |= b
-            if not added:
-                return mask
 
     # -- neighboring ----------------------------------------------------
     def _neighbor_masks(self, smask: int) -> Iterable[int]:
@@ -217,14 +207,6 @@ class PspaceProblem(GraphProblem):
             return sol
         keys = self.order_keys(mask_of(sol), sol[0], sol)
         return sorted(sol, key=keys.__getitem__)
-
-    def addable(self, xmask: int) -> list[int]:
-        out = []
-        for e in range(self.ground_size):
-            b = 1 << e
-            if not (xmask & b) and self.sol(xmask | b):
-                out.append(e)
-        return out
 
     def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
         """Sort keys for elements of X and X+ under the order rooted at v.

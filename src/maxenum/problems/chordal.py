@@ -81,18 +81,17 @@ class ChordalEdge(GraphProblem):
         return peo_mask(und, span) is not None
 
     def _comp_mask(self, emask: int) -> int:
-        # edge-induced chordal subgraphs are not hereditary-completable in a
-        # single pass: an edge rejected now can become addible after another
-        # edge supplies its chord, so rescan until a full pass adds nothing
+        # the one family where a rejection is not final: an edge rejected
+        # now can become addable after another edge supplies its chord, so
+        # rescan from the smallest id after each addition, until a full pass
+        # adds nothing
         while True:
-            added = False
-            for e in range(self.g.m):
+            for e in bits(self._reach(emask)):
                 b = 1 << e
-                if not (emask & b) and self.sol(emask | b):
+                if self.sol(emask | b):
                     emask |= b
-                    added = True
                     break
-            if not added:
+            else:
                 return emask
 
     def _neighbor_masks(self, emask: int):

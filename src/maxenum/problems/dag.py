@@ -110,8 +110,9 @@ class DagEdgeConnected(GraphProblem):
             m |= self.g.edge_mask_at[u] | self.g.edge_mask_at[v]
         return m
 
-    def _edge_cc(self, emask: int, v: int) -> int:
-        """Edges of the component of vertex v in the spanned subgraph."""
+    def _restrict(self, emask: int, v: int) -> int:
+        """An arc candidate cut down to the arcs of vertex v's component in
+        the subgraph it spans."""
         und, _, span = spanned_masks(self.g, emask)
         keep = 0
         for u in bits(mask_cc(und, span, v)):
@@ -133,8 +134,7 @@ class DagEdgeConnected(GraphProblem):
                            if edges[x][0] == head)
             for drop, anchor in ((tail_in, tail), (head_out, head)):
                 cand = (emask & ~drop) | (1 << e)
-                cand = self._edge_cc(cand, anchor)
-                yield self.comp_mask(cand)
+                yield self.comp_mask(self._restrict(cand, anchor))
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size

@@ -97,6 +97,8 @@ def load_points(text: str) -> PointSetInstance:
         j, h = int(parts[0]), int(parts[1])
     except ValueError:
         raise PointFormatError(f"line {hline}: bad header {header!r}") from None
+    if j < 0 or h < 0:
+        raise PointFormatError(f"line {hline}: negative count in header")
 
     body = rows[1:]
     if len(body) < j + h:

@@ -105,6 +105,14 @@ def test_limit_is_prefix(k4_file, capsys):
     assert part.splitlines() == full.splitlines()[:3]
 
 
+def test_negative_limit_exits_1_before_reading_input(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run_cli(["--problem", "trees", "--input", missing,
+                              "--limit", "-1", "--count-only"], capsys)
+    assert code == 1 and out == ""
+    assert "--limit must be at least 0" in err
+
+
 def test_oracle_check(triangle_file, capsys):
     code, _, err = run_cli(["--problem", "bipartite-induced",
                             "--input", triangle_file, "--oracle-check"],

@@ -168,6 +168,8 @@ def test_load_points_drops_duplicate_edges():
     ("1 0\n5000000 0\n", "out of range"),
     ("2 0\n0 0\n1 1\ntrailing junk\n", "line 4"),
     ("2 0 connected\n0 0\n6 0\n1 1\n", "line 4: self-loop at vertex 1"),
+    ("3 -1\n0 0\n1 1\n", "line 1: negative count in header"),
+    ("-1 2\n5 5\n", "line 1: negative count in header"),
 ])
 def test_load_points_errors(text, fragment):
     with pytest.raises((PointFormatError, ValueError), match=fragment):

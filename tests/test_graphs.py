@@ -45,10 +45,16 @@ def test_load_comments_and_duplicates():
     ("3 2\n0 1", "declares 2 edges"),
     ("", "missing header"),
     ("x y\n", "bad header"),
+    ("-1 0\n", "negative count"),
 ])
 def test_load_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         load_graph(text)
+
+
+def test_graph_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="n=-2"):
+        Graph(-2, [])
 
 
 # -- connected components -----------------------------------------------------

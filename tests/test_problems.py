@@ -1,13 +1,17 @@
-"""Checks shared by the graph problems: each variant accepts only the graph
+"""Checks shared by the problems: each graph variant accepts only the graph
 direction its family is defined on, and says which variant refused the
-input; each edge variant keeps its canonical orders."""
+input; each edge variant keeps its canonical orders; every variant's
+extension rule finds exactly the addable elements."""
 
+import random
 import re
 
 import pytest
 
 from maxenum import Graph, enumerate_exp, make_instance
-from maxenum.problems import GRAPH_VARIANTS, K_VARIANTS
+from maxenum.graphs import mask_of
+from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
+from maxenum.problems.base import tuple_of
 
 
 @pytest.mark.parametrize("variant", sorted(GRAPH_VARIANTS | K_VARIANTS))
@@ -80,3 +84,31 @@ def test_edge_canonical_orders(variant, graph, k, orders):
     sols = []
     enumerate_exp(inst, emit=sols.append)
     assert {s: inst.canonical_order(s) for s in sols} == orders
+
+
+# -- the extension rule ----------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_addable_matches_single_element_scan(variant, corpus):
+    # the empty set, every solution and one random sub-solution of each,
+    # checked against a scan of every element outside the set
+    rng = random.Random(f"addable:{variant}")
+    for run in corpus[variant][:20]:
+        inst = run.instance
+        masks = [0]
+        for s in run.solutions:
+            smask = mask_of(s)
+            sub = mask_of(e for e in s if rng.random() < 0.5)
+            masks += [smask, sub] if inst.sol(sub) else [smask]
+        for mask in masks:
+            scan = [e for e in range(inst.ground_size)
+                    if not (mask >> e) & 1 and inst.sol(mask | 1 << e)]
+            assert inst.addable(mask) == scan, (run.index, tuple_of(mask))
+            assert inst.is_maximal_solution(tuple_of(mask)) == (not scan)
+
+
+def test_connected_completion_rescans_after_each_addition():
+    # from {3} the reach is {1, 2}; only after 2 joins does 0 become adjacent,
+    # so a single pass over the first reach would stop at (1, 2, 3)
+    inst = make_instance("trees", graph=Graph(4, [(3, 2), (2, 0), (3, 1)]))
+    assert inst.comp((3,)) == (0, 1, 2, 3)
