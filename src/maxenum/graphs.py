@@ -239,14 +239,6 @@ def bfs_canonical_order(g: Graph, s: Iterable[int], root: int) -> list[int]:
     return sorted(sset, key=lambda u: (dist[u], u))
 
 
-def component_bfs_order(g: Graph, s: Iterable[int]) -> list[int]:
-    """Components of G[s] by smallest vertex, each in BFS order from it."""
-    order: list[int] = []
-    for comp in components(g, s):
-        order.extend(bfs_canonical_order(g, comp, min(comp)))
-    return order
-
-
 def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
     """Smallest-degree removal order of G[s] (ties to smallest id).
 

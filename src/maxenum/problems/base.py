@@ -2,12 +2,12 @@
 
 A plugin states only what is specific to its family: a membership
 predicate over ground-element bitmasks (``_solution_mask``), a candidate
-rule (``_neighbor_masks``, or ``_candidates`` for the pspace families)
-and a canonical order.  The input checks of graph families and the one
-extension rule live here once, driven by the class flags ``ground_kind``,
-``directed`` and ``connected``: ``_reach`` names the elements that can
-extend a set (for a connected family, those adjacent to it), and
-completion, ``addable`` and maximality all scan only those.
+rule (``_candidates``) and a canonical order.  The input checks of graph
+families, the one neighbor loop and the one extension rule live here
+once, driven by the class flags ``ground_kind``, ``directed`` and
+``connected``: ``neighbors`` completes every candidate, and ``_reach``
+names the elements that can extend a set (for a connected family, those
+adjacent to it), which completion, ``addable`` and maximality all scan.
 Solutions cross the API as sorted tuples of element ids; all hot paths
 run on bitmasks with per-instance memoization of the predicate.
 """
@@ -45,13 +45,24 @@ class Problem:
             cache[mask] = hit
         return hit
 
+    def _mask(self, elems: Iterable[int]) -> int:
+        """The bitmask of element ids given from outside, each checked to
+        lie in the ground set."""
+        mask = 0
+        for e in elems:
+            if not 0 <= e < self.ground_size:
+                raise ValueError(
+                    f"element id {e} out of range for ground size {self.ground_size}")
+            mask |= 1 << e
+        return mask
+
     def is_solution(self, elems: Iterable[int]) -> bool:
-        return self.sol(mask_of(elems))
+        return self.sol(self._mask(elems))
 
     def is_maximal_solution(self, elems: Iterable[int]) -> bool:
         # single-element extensions suffice: every family here is strongly
         # accessible, so a larger solution implies an addable element
-        mask = mask_of(elems)
+        mask = self._mask(elems)
         return self.sol(mask) and not self.addable(mask)
 
     # -- extension and completion --------------------------------------
@@ -91,7 +102,7 @@ class Problem:
         return self._comp_mask(mask)
 
     def comp(self, elems: Iterable[int]) -> tuple[int, ...]:
-        return tuple_of(self.comp_mask(mask_of(elems)))
+        return tuple_of(self.comp_mask(self._mask(elems)))
 
     def first_solution(self) -> tuple[int, ...]:
         return tuple_of(self.comp_mask(0))
@@ -113,18 +124,22 @@ class Problem:
         return cand
 
     # -- neighboring ----------------------------------------------------
-    def _neighbor_masks(self, smask: int) -> Iterable[int]:
+    def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
+        """Uncompleted candidate masks for each incoming element outside the
+        solution, in a fixed order."""
         raise NotImplementedError
 
     def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
-        """Maximal solutions adjacent to ``solution`` in the solution graph.
-
-        Deterministic order; duplicates collapsed to first occurrence.
+        """Maximal solutions adjacent to ``solution`` in the solution graph:
+        the completions of the candidates for every element outside it, in
+        ascending element order, each kept at its first occurrence.
         """
-        smask = mask_of(solution)
+        smask = self._mask(solution)
+        full = (1 << self.ground_size) - 1
         out: list[tuple[int, ...]] = []
         seen: set[int] = set()
-        for m in self._neighbor_masks(smask):
+        for cand in self._candidates(smask, bits(full & ~smask)):
+            m = self.comp_mask(cand)
             if m not in seen:
                 seen.add(m)
                 out.append(tuple_of(m))
@@ -169,20 +184,10 @@ class PspaceProblem(GraphProblem):
     The four families supported here are vertex problems on an undirected
     graph where every single vertex is a solution, ordered by BFS per
     component leader (``order_keys``); their canonical order is this
-    solution order.  Their candidate rule is ``_candidates``, which serves
-    both engines: completed by ``comp_mask`` for ``neighbors`` and by the
+    solution order.  Their candidate rule ``_candidates`` serves both
+    engines: completed by ``comp_mask`` for ``neighbors`` and by the
     lexicographic completion for ``neighbors_at``.
     """
-
-    def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
-        """Uncompleted candidate masks for each incoming vertex outside the
-        solution, in a fixed order."""
-        raise NotImplementedError
-
-    def _neighbor_masks(self, smask: int):
-        incoming = (v for v in range(self.g.n) if not (smask >> v) & 1)
-        for cand in self._candidates(smask, incoming):
-            yield self.comp_mask(cand)
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
         """Canonical-reconstruction candidates for extender w (lex completion).

@@ -9,38 +9,39 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..graphs import (DisjointSets, Graph, bits, component_bfs_order,
-                      edge_canonical_order, mask_components, mask_of)
+from ..graphs import (DisjointSets, Graph, bits, edge_canonical_order,
+                      mask_components, mask_of)
 from .base import GraphProblem, PspaceProblem, tuple_of
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
     """(B0, B1) side masks of the induced subgraph, or None on an odd cycle."""
     b0 = b1 = 0
-    for comp in mask_components(adj_masks, mask):
-        root = comp & -comp
-        even = root
-        frontier = root
+    left = mask
+    while left:
+        # one BFS per component, from its smallest vertex, which goes to B0
+        root = left & -left
+        even = seen = frontier = root
         level = 0
-        seen = root
         while frontier:
             grow = 0
             for u in bits(frontier):
                 grow |= adj_masks[u]
-            frontier = grow & comp & ~seen
+            frontier = grow & left & ~seen
             seen |= frontier
             level += 1
             if level % 2 == 0:
                 even |= frontier
-        odd = comp & ~even
+        odd = seen & ~even
         for u in bits(even):
             if adj_masks[u] & even:
                 return None
         for u in bits(odd):
             if adj_masks[u] & odd:
                 return None
-        b0 |= even  # root is the smallest vertex of the component
+        b0 |= even
         b1 |= odd
+        left &= ~seen
     return b0, b1
 
 
@@ -97,17 +98,15 @@ class BipartiteEdge(GraphProblem):
                 return False
         return True
 
-    def _neighbor_masks(self, emask: int):
-        for e in range(self.g.m):
-            if (emask >> e) & 1:
-                continue
-            a, b = self.g.edges[e]
-            for w in (a, b):
-                cand = (emask & ~self.g.edge_mask_at[w]) | (1 << e)
-                yield self.comp_mask(cand)
+    def _candidates(self, emask: int, incoming):
+        for e in incoming:
+            for w in self.g.edges[e]:
+                yield (emask & ~self.g.edge_mask_at[w]) | (1 << e)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
 
     def canonical_order(self, solution) -> list[int]:
-        return edge_canonical_order(self.g, solution, component_bfs_order)
+        return edge_canonical_order(
+            self.g, solution,
+            lambda sub, spanned: BipartiteInduced(sub).canonical_order(spanned))

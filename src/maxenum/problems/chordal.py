@@ -42,15 +42,12 @@ class _ChordalInducedBase(GraphProblem):
         return [tuple_of(q | (1 << v))
                 for q in chordal_cliques(self.g.und_mask, core) or [0]]
 
-    def _neighbor_masks(self, smask: int):
+    def _candidates(self, smask: int, incoming):
         und = self.g.und_mask
-        for v in range(self.g.n):
-            if (smask >> v) & 1:
-                continue
+        for v in incoming:
             nb = und[v] & smask
             for q in chordal_cliques(und, nb) or [0]:
-                cand = (smask & ~(nb & ~q)) | (1 << v)
-                yield self.comp_mask(self._restrict(cand, v))
+                yield self._restrict((smask & ~(nb & ~q)) | (1 << v), v)
 
     def comp_budget(self) -> int:
         n = self.ground_size
@@ -94,12 +91,10 @@ class ChordalEdge(GraphProblem):
             else:
                 return emask
 
-    def _neighbor_masks(self, emask: int):
+    def _candidates(self, emask: int, incoming):
         und, _, span = spanned_masks(self.g, emask)
         cliques = chordal_cliques(und, span)
-        for e in range(self.g.m):
-            if (emask >> e) & 1:
-                continue
+        for e in incoming:
             a, b = self.g.edges[e]
             for w, other in ((a, b), (b, a)):
                 # keep the other endpoint's edges into a clique around w,
@@ -112,8 +107,7 @@ class ChordalEdge(GraphProblem):
                         mate = y if x == other else x
                         if (q >> mate) & 1:
                             keep |= 1 << e2
-                    cand = (emask & ~self.g.edge_mask_at[other]) | keep | (1 << e)
-                    yield self.comp_mask(cand)
+                    yield (emask & ~self.g.edge_mask_at[other]) | keep | (1 << e)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size * (self.g.n + 1)

@@ -33,7 +33,12 @@ def _connected_acyclic(und, out, mask: int) -> bool:
 def _layer_order(g: Graph, vertices) -> list[int]:
     """Lexicographically smallest order of G[vertices] with connected
     prefixes in which every vertex has an empty backward out- or
-    in-neighborhood."""
+    in-neighborhood.
+
+    The feasibility memo is keyed by placed subsets, so time and space are
+    bounded only by 2^|vertices|.  It is used only by the ``canonical_order``
+    of both dag families, which neither engine calls.
+    """
     verts = sorted(vertices)
     full = mask_of(verts)
 
@@ -78,13 +83,10 @@ class DagInducedConnected(GraphProblem):
     def _solution_mask(self, mask: int) -> bool:
         return _connected_acyclic(self.g.und_mask, self.g.out_mask, mask)
 
-    def _neighbor_masks(self, smask: int):
-        for v in range(self.g.n):
-            if (smask >> v) & 1:
-                continue
+    def _candidates(self, smask: int, incoming):
+        for v in incoming:
             for drop in (self.g.out_mask[v], self.g.in_mask[v]):
-                cand = (smask & ~drop) | (1 << v)
-                yield self.comp_mask(self._restrict(cand, v))
+                yield self._restrict((smask & ~drop) | (1 << v), v)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
@@ -119,12 +121,10 @@ class DagEdgeConnected(GraphProblem):
             keep |= self.g.edge_mask_at[u]
         return keep & emask
 
-    def _neighbor_masks(self, emask: int):
+    def _candidates(self, emask: int, incoming):
         edges = self.g.edges
         at = self.g.edge_mask_at
-        for e in range(self.g.m):
-            if (emask >> e) & 1:
-                continue
+        for e in incoming:
             tail, head = edges[e]
             # drop the tail's in-arcs (tail becomes a source) or the
             # head's out-arcs (head becomes a sink)
@@ -133,8 +133,7 @@ class DagEdgeConnected(GraphProblem):
             head_out = sum(1 << x for x in bits(emask & at[head])
                            if edges[x][0] == head)
             for drop, anchor in ((tail_in, tail), (head_out, head)):
-                cand = (emask & ~drop) | (1 << e)
-                yield self.comp_mask(self._restrict(cand, anchor))
+                yield self._restrict((emask & ~drop) | (1 << e), anchor)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size

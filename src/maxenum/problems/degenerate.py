@@ -51,15 +51,13 @@ class KDegenerateInduced(GraphProblem):
     def _solution_mask(self, mask: int) -> bool:
         return _peel_ok_vertices(self.g.und_mask, mask, self.k)
 
-    def _neighbor_masks(self, smask: int):
-        for v in range(self.g.n):
-            if (smask >> v) & 1:
-                continue
+    def _candidates(self, smask: int, incoming):
+        for v in incoming:
             nb = tuple_of(self.g.und_mask[v] & smask)
             base = (smask & ~mask_of(nb)) | (1 << v)
             for size in range(min(self.k, len(nb)) + 1):
                 for kept in combinations(nb, size):
-                    yield self.comp_mask(base | mask_of(kept))
+                    yield base | mask_of(kept)
 
     def comp_budget(self) -> int:
         n = self.ground_size
@@ -84,17 +82,14 @@ class KDegenerateEdge(GraphProblem):
         und, _, span = spanned_masks(self.g, emask)
         return _peel_ok_vertices(und, span, self.k)
 
-    def _neighbor_masks(self, emask: int):
-        for e in range(self.g.m):
-            if (emask >> e) & 1:
-                continue
-            a, b = self.g.edges[e]
-            for w in (a, b):
+    def _candidates(self, emask: int, incoming):
+        for e in incoming:
+            for w in self.g.edges[e]:
                 inc = tuple_of(self.g.edge_mask_at[w] & emask)
                 base = (emask & ~self.g.edge_mask_at[w]) | (1 << e)
                 for size in range(min(self.k - 1, len(inc)) + 1):
                     for kept in combinations(inc, size):
-                        yield self.comp_mask(base | mask_of(kept))
+                        yield base | mask_of(kept)
 
     def comp_budget(self) -> int:
         m = self.ground_size

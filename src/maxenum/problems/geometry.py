@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from ..graphs import Graph, bits, mask_components, mask_of, parse_edge_lines
-from .base import Problem
+from .base import Problem, tuple_of
 
 COORD_LIMIT = 10 ** 6
 
@@ -150,14 +150,14 @@ class Hulls(Problem):
     def _solution_mask(self, mask: int) -> bool:
         return not self.obstacles_inside(mask)
 
-    def shadows(self, solution, v: int) -> list[tuple[int, ...]]:
-        """Obstacle-free split pieces of the solution as seen when adding v.
+    def _shadow_masks(self, smask: int, v: int) -> list[int]:
+        """Obstacle-free split pieces of the masked solution as seen when
+        adding v.
 
         The smallest-index obstacle inside the current hull splits the piece
         by the line through v and the obstacle; points on the line are
         discarded; both sides recurse until obstacle-free.
         """
-        smask = mask_of(solution)
         vb = 1 << v
         pv = self.inst.interest[v]
         out: list[int] = []
@@ -179,17 +179,16 @@ class Hulls(Problem):
             rec(below)
 
         rec(smask)
-        uniq = list(dict.fromkeys(out))
-        return [tuple(bits(m)) for m in uniq]
+        return list(dict.fromkeys(out))
 
-    def _neighbor_masks(self, smask: int):
-        stuple = tuple(bits(smask))
-        for v in range(self.ground_size):
-            if (smask >> v) & 1:
-                continue
-            for piece in self.shadows(stuple, v):
-                cand = mask_of(piece) | (1 << v)
-                yield self.comp_mask(self._restrict(cand, v))
+    def shadows(self, solution, v: int) -> list[tuple[int, ...]]:
+        """The shadow pieces of a solution for v, as sorted tuples."""
+        return [tuple_of(m) for m in self._shadow_masks(mask_of(solution), v)]
+
+    def _candidates(self, smask: int, incoming):
+        for v in incoming:
+            for piece in self._shadow_masks(smask, v):
+                yield self._restrict(piece | (1 << v), v)
 
     def comp_budget(self) -> int:
         return self.ground_size * (len(self.inst.obstacles) + 1)

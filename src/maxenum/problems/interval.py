@@ -3,14 +3,13 @@
 A vertex set is a solution when every component admits a unit-interval
 arrangement: an ordering in which each vertex's earlier neighbors form a
 clique occupying a suffix of the order.  Candidate generation inserts the
-incoming vertex into an exact rational realization of that arrangement at
+incoming vertex into an exact integer realization of that arrangement at
 the finitely many combinatorially distinct positions, then repairs the
 arrangement by deleting the vertices that contradict it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from ..graphs import Graph, bits, chordal_cliques, mask_components, mask_of
@@ -100,48 +99,45 @@ class _ProperIntervalBase(GraphProblem):
         return [lay] if rev == lay else [lay, rev]
 
     # -- realization and insertion ----------------------------------------
-    def _realize(self, order) -> list[Fraction]:
-        """Exact unit-interval start positions for a component arrangement.
+    def _realize(self, order) -> list[int]:
+        """Exact integer start positions for a component arrangement, for
+        intervals of length ``1 << len(order)``.
 
         Starts strictly increase and overlap holds exactly for graph edges
-        (|difference| < 1); midpoint choices leave slack around every
-        non-forced boundary.
+        (|difference| < the length); midpoint choices leave slack around
+        every non-forced boundary.  The t-th start is a multiple of
+        2^(len(order) - t), so every start and every boundary is even.
         """
         und = self.g.und_mask
-        starts: list[Fraction] = []
+        unit = 1 << len(order)
+        starts: list[int] = []
         placed = 0
         for t, x in enumerate(order):
             if t == 0:
-                starts.append(Fraction(0))
+                starts.append(0)
                 placed |= 1 << x
                 continue
             cnt = (und[x] & placed).bit_count()
             a = t - cnt
             base = starts[t - 1]
             if a > 0:
-                base = max(base, starts[a - 1] + 1)
-            hi = starts[a] + 1
-            starts.append((base + hi) / 2)
+                base = max(base, starts[a - 1] + unit)
+            hi = starts[a] + unit
+            # exact: base and hi are multiples of 2^(len(order) - t + 1)
+            starts.append((base + hi) // 2)
             placed |= 1 << x
         return starts
 
-    @staticmethod
-    def _epsilon(starts) -> Fraction:
-        crit = set()
-        for s in starts:
-            crit.update((s - 1, s, s + 1))
-        gaps = [b - a for a, b in zip(sorted(crit), sorted(crit)[1:]) if b > a]
-        return min(gaps, default=Fraction(1)) / 2
-
-    def _insert_positions(self, starts) -> list[Fraction]:
-        """Candidate start positions of a new unit interval: for every
-        existing interval, just before/after its start is reached by the
-        new right end, exactly aligned, and just before/after its end is
-        passed by the new left end."""
-        eps = self._epsilon(starts)
+    def _insert_positions(self, starts) -> list[int]:
+        """Candidate start positions of a new interval: for every existing
+        interval, just before/after its start is reached by the new right
+        end, exactly aligned, and just before/after its end is passed by the
+        new left end.  Starts and boundaries are even, so an offset of 1
+        lands strictly between two of them."""
+        unit = 1 << len(starts)
         out = []
         for s in starts:
-            out.extend((s - 1 - eps, s - 1 + eps, s, s + 1 - eps, s + 1 + eps))
+            out.extend((s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1))
         return out
 
     # -- repairs -----------------------------------------------------------
@@ -149,10 +145,11 @@ class _ProperIntervalBase(GraphProblem):
         """Drop the vertices contradicting v's inserted interval: everything
         after v, neighbors that miss it, and overlapping non-neighbors."""
         nmask = self.g.und_mask[v]
+        unit = 1 << len(order)
         removed = 0
         for w, sw in zip(order, starts):
             after = sw > sv
-            overlap = abs(sv - sw) < 1
+            overlap = abs(sv - sw) < unit
             is_nb = (nmask >> w) & 1
             if after or (is_nb and not overlap) or (overlap and not is_nb):
                 removed |= 1 << w
@@ -166,10 +163,11 @@ class _ProperIntervalBase(GraphProblem):
         nmask = self.g.und_mask[v]
         pmask = self.g.und_mask[t_prev]
         stp = starts[order.index(t_prev)]
+        unit = 1 << len(order)
         removed = 0
         for w, sw in zip(order, starts):
             b = 1 << w
-            overlap = abs(sv - sw) < 1
+            overlap = abs(sv - sw) < unit
             is_nb = (nmask >> w) & 1
             if stp < sw < sv:
                 removed |= b
@@ -250,15 +248,15 @@ class _ProperIntervalBase(GraphProblem):
         out.append(split(rev))
         return list(dict.fromkeys(out))
 
-    def _neighbor_masks(self, smask: int):
+    def _candidates(self, smask: int, incoming):
         und = self.g.und_mask
-        for v in range(self.g.n):
-            if (smask >> v) & 1:
-                continue
+        for v in incoming:
+            # distinct candidates only, for this v: a repeat would cost a
+            # completion call
             seen: set[int] = set()
             if self.connected:
                 if not smask:
-                    yield self.comp_mask(1 << v)
+                    yield 1 << v
                     continue
                 arrangements = []
                 for host in self._hosts(smask, v):
@@ -273,13 +271,13 @@ class _ProperIntervalBase(GraphProblem):
                         cand = self._restrict(cand, v)
                         if cand not in seen:
                             seen.add(cand)
-                            yield self.comp_mask(cand)
+                            yield cand
                 continue
             # the incoming vertex may start a new component: drop all its
             # neighbors and keep the rest of the solution untouched
             cand = (smask & ~und[v]) | (1 << v)
             seen.add(cand)
-            yield self.comp_mask(cand)
+            yield cand
             tried: set[tuple] = set()
             for host in self._hosts(smask, v):
                 comps = mask_components(und, host)
@@ -293,15 +291,16 @@ class _ProperIntervalBase(GraphProblem):
                         tried.add(key)
                         starts = self._realize(order)
                         stp = starts[order.index(t_prev)]
+                        unit = 1 << len(order)
                         for sv in self._insert_positions(starts):
-                            if sv <= stp or sv - stp >= 1:
+                            if sv <= stp or sv - stp >= unit:
                                 continue  # pinned interval precedes and overlaps v
                             part = self._repair_induced(ci, order, starts, v,
                                                         sv, t_prev)
                             cand = keep | part
                             if cand not in seen:
                                 seen.add(cand)
-                                yield self.comp_mask(cand)
+                                yield cand
 
     def comp_budget(self) -> int:
         # hosts per extender: the solution, the clique prunings, the single

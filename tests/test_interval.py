@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,8 +103,82 @@ def test_realization_is_exact():
         for s in sols[:3]:
             lay = inst.layouts(s)[0]
             starts = inst._realize(lay)
+            unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):
-                assert (abs(su - sw) < 1) == (w in g.und_adj[u])
+                assert (abs(su - sw) < unit) == (w in g.und_adj[u])
+
+
+# -- the rational realization, kept as the witness of the integer one ------
+
+def _fraction_realize(self, order) -> list[Fraction]:
+    """Exact unit-interval start positions for a component arrangement.
+
+    Starts strictly increase and overlap holds exactly for graph edges
+    (|difference| < 1); midpoint choices leave slack around every
+    non-forced boundary.
+    """
+    und = self.g.und_mask
+    starts: list[Fraction] = []
+    placed = 0
+    for t, x in enumerate(order):
+        if t == 0:
+            starts.append(Fraction(0))
+            placed |= 1 << x
+            continue
+        cnt = (und[x] & placed).bit_count()
+        a = t - cnt
+        base = starts[t - 1]
+        if a > 0:
+            base = max(base, starts[a - 1] + 1)
+        hi = starts[a] + 1
+        starts.append((base + hi) / 2)
+        placed |= 1 << x
+    return starts
+
+
+def _fraction_epsilon(starts) -> Fraction:
+    crit = set()
+    for s in starts:
+        crit.update((s - 1, s, s + 1))
+    gaps = [b - a for a, b in zip(sorted(crit), sorted(crit)[1:]) if b > a]
+    return min(gaps, default=Fraction(1)) / 2
+
+
+def _random_arrangement(rng, n):
+    """A connected unit-interval graph on shuffled ids and its order by
+    start: starts 1..9 tenths apart, overlapping when under 10 apart."""
+    pos = [0]
+    for _ in range(n - 1):
+        pos.append(pos[-1] + rng.randint(1, 9))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[i], ids[j]) for i, j in itertools.combinations(range(n), 2)
+             if pos[j] - pos[i] < 10]
+    return Graph(n, edges), ids
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_integer_realization_matches_fractions():
+    rng = random.Random(2024)
+    for trial in range(300):
+        g, order = _random_arrangement(rng, 1 + trial % 9)
+        inst = make_instance("pinterval-induced-connected", graph=g)
+        unit = 1 << len(order)
+        starts = inst._realize(order)
+        exact = _fraction_realize(inst, order)
+        assert starts == [s * unit for s in exact]
+        eps = _fraction_epsilon(exact)
+        fracs = [q for f in exact
+                 for q in (f - 1 - eps, f - 1 + eps, f, f + 1 - eps, f + 1 + eps)]
+        ints = inst._insert_positions(starts)
+        assert len(ints) == len(fracs)
+        for p, q in zip(ints, fracs):
+            for s, f in zip(starts, exact):
+                for c, d in ((s - unit, f - 1), (s, f), (s + unit, f + 1)):
+                    assert _sign(p - c) == _sign(q - d)
 
 
 # regression: these instances once lost a solution because the host

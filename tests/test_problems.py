@@ -1,7 +1,8 @@
 """Checks shared by the problems: each graph variant accepts only the graph
 direction its family is defined on, and says which variant refused the
-input; each edge variant keeps its canonical orders; every variant's
-extension rule finds exactly the addable elements."""
+input; every variant rejects element ids outside its ground set; each edge
+variant keeps its canonical orders; every variant's extension rule finds
+exactly the addable elements."""
 
 import random
 import re
@@ -13,6 +14,8 @@ from maxenum.graphs import mask_of
 from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
 from maxenum.problems.base import tuple_of
 
+from conftest import build_instance, path
+
 
 @pytest.mark.parametrize("variant", sorted(GRAPH_VARIANTS | K_VARIANTS))
 def test_graph_variant_rejects_wrong_direction(variant):
@@ -22,6 +25,24 @@ def test_graph_variant_rejects_wrong_direction(variant):
     k = 1 if variant in K_VARIANTS else None
     with pytest.raises(ValueError, match=re.escape(f"{variant} expects {kind} graph")):
         make_instance(variant, graph=g, k=k)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_out_of_range_element_ids_rejected(variant):
+    inst = build_instance(variant, 0)
+    n = inst.ground_size
+    for bad in (n, n + 5, -1):
+        for call in (inst.is_solution, inst.is_maximal_solution, inst.comp,
+                     inst.neighbors):
+            with pytest.raises(ValueError, match=rf"element id {bad} out of range "
+                                                 rf"for ground size {n}$"):
+                call((bad,))
+
+
+def test_neighbors_of_a_missing_vertex_rejected():
+    # 7 is no vertex of a 3-vertex path, yet neighbors once answered [(0, 1, 2)]
+    with pytest.raises(ValueError, match="element id 7 out of range"):
+        make_instance("trees", graph=path(3)).neighbors((7,))
 
 
 # -- edge canonical orders ------------------------------------------------------
