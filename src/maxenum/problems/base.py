@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..graphs import Graph, bits, mask_cc, mask_dists, mask_of
+from ..graphs import ContractViolation, Graph, bits, mask_cc, mask_dists, mask_of
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -186,7 +186,7 @@ class PspaceProblem(GraphProblem):
     component leader (``order_keys``); their canonical order is this
     solution order.  Their candidate rule ``_candidates`` serves both
     engines: completed by ``comp_mask`` for ``neighbors`` and by the
-    lexicographic completion for ``neighbors_at``.
+    lexicographic completion ``comp_lex_mask`` for ``neighbors_at``.
     """
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
@@ -196,13 +196,71 @@ class PspaceProblem(GraphProblem):
         a child only when it is regenerated by the first matching candidate,
         and a repeated candidate would defeat that identity check.
         """
-        from ..pspace import comp_lex
+        smask = self._mask(solution)
+        if smask & self._mask((w,)):
+            return [tuple_of(smask)]
+        cands = self._candidates(smask, (w,))
+        return list(dict.fromkeys(tuple_of(self.comp_lex_mask(c)) for c in cands))
 
-        stuple = tuple(sorted(solution))
-        if w in stuple:
-            return [stuple]
-        cands = self._candidates(mask_of(stuple), (w,))
-        return list(dict.fromkeys(comp_lex(self, tuple_of(c)) for c in cands))
+    def comp_lex_mask(self, xmask: int) -> int:
+        """Lexicographic completion of a solution mask: repeatedly add the
+        addable element of least order key, under the order rooted at the
+        current seed (the smallest element).
+
+        One call keeps its state across rounds.  An element rejected once
+        stays rejected, since all four families are hereditary, or
+        hereditary once connected.  The components of G[X] are kept with
+        their BFS distances: when the added vertex touches one component
+        and leaves its leader as it is, distances are relaxed outward from
+        that vertex; a merge, a new leader or a new seed rebuilds them.
+        """
+        if not self.sol(xmask):
+            raise ContractViolation("lexicographic completion needs a solution")
+        self.comp_calls += 1
+        rejected = 0
+        comps = None  # the components of G[X] rooted at its seed, once needed
+        while True:
+            ext = []
+            for e in bits(self._reach(xmask) & ~rejected):
+                if self.sol(xmask | 1 << e):
+                    ext.append(e)
+                else:
+                    rejected |= 1 << e
+            if not ext:
+                return xmask
+            if not xmask:
+                raise ContractViolation("an empty set has no seed")
+            if len(ext) == 1:
+                best = ext[0]  # the order is not needed to choose
+            else:
+                if comps is None:
+                    comps = self._components(xmask, (xmask & -xmask).bit_length() - 1)
+                best = min(self._key(comps, e) for e in ext)[2]  # keys end with e
+            if comps is not None:
+                comps = self._grow_components(comps, xmask, best)
+            xmask |= 1 << best
+
+    def _grow_components(self, comps: list[list], xmask: int, v: int):
+        """The components of G[X + v], updated in place when v touches a
+        single component and leaves its leader as it is; None when they
+        must be rebuilt: for a new seed, a merge or a new leader."""
+        adj = self.g.und_mask
+        touched = [c for c in comps if adj[v] & c[0]]
+        if 1 << v < xmask & -xmask or len(touched) != 1 or touched[0][1] > v:
+            return None
+        comp = touched[0]
+        dist = comp[2]
+        dist[v] = 1 + min(dist[u] for u in bits(adj[v] & comp[0]))
+        comp[0] |= 1 << v
+        # v can only shorten paths: relax distances outward from it
+        grown = [v]
+        for x in grown:
+            dx = dist[x] + 1
+            for u in bits(adj[x] & comp[0]):
+                if dist[u] > dx:
+                    dist[u] = dx
+                    grown.append(u)
+        return comps
 
     def canonical_order(self, solution) -> list[int]:
         """The solution order: the elements sorted by their order keys
@@ -226,30 +284,35 @@ class PspaceProblem(GraphProblem):
         """
         if not (xmask >> v) & 1:
             raise ValueError(f"order root {v} is not in the set")
+        comps = self._components(xmask, v)
+        return {e: self._key(comps, e) for e in elems}
+
+    def _components(self, xmask: int, v: int) -> list[list]:
+        """The components of G[X] as [mask, slot, BFS distances from the
+        leader], by ascending slot, under the order rooted at v."""
         adj = self.g.und_mask
-        comps = []  # (component mask, slot, distances), by ascending slot
+        comps = []
         left, leader, slot = xmask, v, 0
         while left:
             dist = mask_dists(adj, left, leader)
             comp = left if len(dist) == left.bit_count() else mask_of(dist)
-            comps.append((comp, slot, dist))
+            comps.append([comp, slot, dist])
             left &= ~comp
             leader = (left & -left).bit_length() - 1
             slot = leader + 1
-        keys: dict[int, tuple] = {}
-        for e in elems:
-            # an element of X touches no component before its own
-            for comp, slot, dist in comps:
-                if (comp >> e) & 1:
-                    keys[e] = (slot, dist[e], e)
-                    break
-                nb = adj[e] & comp
-                if nb:
-                    if slot <= e:
-                        keys[e] = (slot, 1 + min(dist[u] for u in bits(nb)), e)
-                    else:
-                        keys[e] = (e + 1, 0, e)
-                    break
-            else:
-                keys[e] = (e + 1, 0, e)
-        return keys
+        return comps
+
+    def _key(self, comps: list[list], e: int) -> tuple:
+        """The order key of e, a member or an extension of X, given the
+        components of G[X] (see ``order_keys``)."""
+        nb_e = self.g.und_mask[e]
+        # an element of X touches no component before its own
+        for comp, slot, dist in comps:
+            if (comp >> e) & 1:
+                return (slot, dist[e], e)
+            nb = nb_e & comp
+            if nb:
+                if slot <= e:
+                    return (slot, 1 + min(dist[u] for u in bits(nb)), e)
+                break
+        return (e + 1, 0, e)

@@ -10,6 +10,14 @@ traversal itself holds only the DFS stack.  The problem instance's
 predicate memo (``Problem._sol_cache``) still grows with the solutions
 visited: it is not yet bounded, so the run as a whole is not yet
 polynomial-space.
+
+Two things keep the regeneration cheap.  The lexicographic completion
+(``PspaceProblem.comp_lex_mask``) keeps its state across rounds: rejected
+elements and the components of G[X] with their BFS distances.  The
+parent check (``has_parent``) scans the prefixes of a candidate child's
+order only down to the pivot under test, and the completion at the pivot
+is the parent, so it is compared and not computed again; ``core_of``,
+``parent_of`` and ``restr`` run the same scan down to the first element.
 """
 
 from __future__ import annotations
@@ -32,21 +40,34 @@ def seed_of(problem: PspaceProblem, elems: Iterable[int]) -> int:
 
 def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
     """Lexicographic completion: repeatedly add the order-minimal addable
-    element, under the order rooted at the current seed."""
-    xmask = mask_of(elems)
-    if not problem.sol(xmask):
-        raise ContractViolation("lexicographic completion needs a solution")
-    problem.comp_calls += 1
-    while True:
-        ext = problem.addable(xmask)
-        if not ext:
-            return tuple_of(xmask)
-        if not xmask:
-            raise ContractViolation("an empty set has no seed")
-        v = (xmask & -xmask).bit_length() - 1  # the seed: smallest element
-        keys = problem.order_keys(xmask, v, ext)
-        best = min(ext, key=keys.__getitem__)
-        xmask |= 1 << best
+    element, under the order rooted at the current seed.  Element ids are
+    checked against the ground set; the traversal itself completes masks
+    with ``PspaceProblem.comp_lex_mask``."""
+    return tuple_of(problem.comp_lex_mask(problem._mask(elems)))
+
+
+def _core_scan(problem: PspaceProblem, order: list[int], smask: int,
+               stop: int) -> Optional[tuple[int, int]]:
+    """The largest j with stop <= j < len(order) whose prefix order[:j]
+    completes to a set other than ``smask``, with that completion; None
+    when every such prefix completes to ``smask``."""
+    prefixes = [0]
+    for e in order:
+        prefixes.append(prefixes[-1] | 1 << e)
+    for j in range(len(order) - 1, stop - 1, -1):
+        other = problem.comp_lex_mask(prefixes[j])
+        if other != smask:
+            return j, other
+    return None
+
+
+def _core(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int, int]]:
+    """(solution order, core length, parent mask) of a maximal solution, or
+    None for roots."""
+    stuple = tuple(sorted(solution))
+    order = problem.canonical_order(stuple)
+    hit = _core_scan(problem, order, mask_of(stuple), 1)
+    return None if hit is None else (order, *hit)
 
 
 def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]:
@@ -55,12 +76,11 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
     The core is the longest prefix of the solution order whose completion
     is not the solution itself; the pivot is the element right after it.
     """
-    stuple = tuple(sorted(solution))
-    order = problem.canonical_order(stuple)
-    for i in range(len(order) - 1, 0, -1):
-        if comp_lex(problem, order[:i]) != stuple:
-            return order[:i], order[i]
-    return None  # completion of the seed alone already yields the solution
+    core = _core(problem, solution)
+    if core is None:
+        return None  # completion of the seed alone already yields the solution
+    order, j, _ = core
+    return order[:j], order[j]
 
 
 def is_root(problem: PspaceProblem, solution) -> bool:
@@ -69,10 +89,8 @@ def is_root(problem: PspaceProblem, solution) -> bool:
 
 
 def parent_of(problem: PspaceProblem, solution) -> Optional[tuple[int, ...]]:
-    cp = core_of(problem, solution)
-    if cp is None:
-        return None
-    return comp_lex(problem, cp[0])
+    core = _core(problem, solution)
+    return None if core is None else tuple_of(core[2])
 
 
 def pi_of(problem: PspaceProblem, solution) -> Optional[int]:
@@ -80,10 +98,27 @@ def pi_of(problem: PspaceProblem, solution) -> Optional[int]:
     return None if cp is None else cp[1]
 
 
-def _prefix_upto(problem: PspaceProblem, rtuple, s: int, w: int) -> list[int]:
+def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
+    """Whether ``child`` has the parent ``pmask`` and the pivot w, an
+    element of the child.
+
+    With i the position of w in the child's solution order, this is exactly
+    ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
+    but the core scan stops at i: every longer prefix must complete to the
+    child, and the completion of order[:i] is compared with the parent.
+    """
+    order = problem.canonical_order(child)
+    i = order.index(w)
+    if i == 0:
+        return False
+    return _core_scan(problem, order, mask_of(child), i) == (i, pmask)
+
+
+def _prefix_upto(problem: PspaceProblem, rtuple, s: int, w: int) -> int:
+    """The mask of the elements of r up to w in r's order rooted at s."""
     keys = problem.order_keys(mask_of(rtuple), s, rtuple)
     kw = keys[w]
-    return [x for x in rtuple if keys[x] <= kw]
+    return mask_of(x for x in rtuple if keys[x] <= kw)
 
 
 def restr(problem: PspaceProblem, solution,
@@ -97,18 +132,19 @@ def restr(problem: PspaceProblem, solution,
     if context is not None:
         parent, w, s, cands = context
     else:
-        cp = core_of(problem, stuple)
-        if cp is None:
+        core = _core(problem, stuple)
+        if core is None:
             raise ContractViolation("roots have no generating candidate")
-        parent = comp_lex(problem, cp[0])
-        w = cp[1]
+        order, j, pmask = core
+        parent, w = tuple_of(pmask), order[j]
         s = seed_of(problem, stuple)
         cands = problem.neighbors_at(parent, w)
+    smask = mask_of(stuple)
     for r in cands:
         # the order on r is rooted at s, so r must hold both s and w
         if w not in r or s not in r:
             continue
-        if comp_lex(problem, _prefix_upto(problem, r, s, w)) == stuple:
+        if problem.comp_lex_mask(_prefix_upto(problem, r, s, w)) == smask:
             return r
     raise ContractViolation("no candidate regenerates the solution")
 
@@ -123,32 +159,23 @@ def children(problem: PspaceProblem, parent, w: int,
     if counters is not None:
         counters.neighbors_calls += 1
     cands = problem.neighbors_at(ptuple, w)
-    # core data is recomputed per candidate; cache it per distinct child
-    core_cache: dict[tuple, Optional[tuple]] = {}
+    pmask = mask_of(ptuple)
     for r in cands:
         if w not in r:
             continue
-        for s in sorted(e for e in r if e != w):
+        for s in r:
+            if s == w:
+                continue
             prefix = _prefix_upto(problem, r, s, w)
             # the seed of the completion is at most the smallest element
             # of the prefix, so any smaller one rules this s out already
-            if any(x < s for x in prefix):
+            if prefix & ((1 << s) - 1):
                 continue
-            child = comp_lex(problem, prefix)
-            if seed_of(problem, child) != s:
-                continue
-            info = core_cache.get(child)
-            if info is None and child not in core_cache:
-                cp = core_of(problem, child)
-                if cp is None:
-                    info = None
-                else:
-                    info = (comp_lex(problem, cp[0]), cp[1])
-                core_cache[child] = info
-            if info is None:
-                continue  # child is a root; only the root loop emits it
-            cparent, cpi = info
-            if cparent != ptuple or cpi != w:
+            cmask = problem.comp_lex_mask(prefix)
+            if cmask & -cmask != 1 << s:
+                continue  # the child's seed is not s
+            child = tuple_of(cmask)
+            if not has_parent(problem, child, pmask, w):
                 continue
             if restr(problem, child, (ptuple, w, s, cands)) != r:
                 continue
@@ -178,7 +205,7 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     for seed in [(u,) for u in range(problem.ground_size)] or [()]:
         if emitter.done:
             break
-        root = comp_lex(problem, seed)
+        root = tuple_of(problem.comp_lex_mask(mask_of(seed)))
         if root[:1] != seed:
             continue  # a root is discovered from its own seed, root[0], only
         counters.roots_found += 1

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+import maxenum.pspace as pspace_mod
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
-from maxenum.graphs import ContractViolation
+from maxenum.graphs import ContractViolation, mask_of
 from maxenum.problems import PSPACE_VARIANTS
+from maxenum.problems.base import tuple_of
 from maxenum.pspace import (children, comp_lex, core_of, is_root, parent_of,
                             pi_of, restr, seed_of)
 
-from conftest import complete, cycle, path, random_graph
+from conftest import build_instance, complete, cycle, path, random_graph
 
 
 def c5_bip():
@@ -58,6 +60,69 @@ def test_comp_lex_requires_solution():
     inst = c5_bip()
     with pytest.raises(ContractViolation):
         comp_lex(inst, (0, 1, 2, 3, 4))  # odd cycle
+
+
+def test_element_ids_checked():
+    inst = make_instance("trees", graph=path(3))
+    with pytest.raises(ValueError, match="element id 9 out of range"):
+        inst.neighbors_at((9,), 1)
+    with pytest.raises(ValueError, match="element id 7 out of range"):
+        inst.neighbors_at((0,), 7)
+    with pytest.raises(ValueError, match="element id 5 out of range"):
+        comp_lex(inst, (5,))
+
+
+def comp_lex_witness(problem, elems):
+    """The lexicographic completion that starts each round from nothing:
+    one ``addable`` and one ``order_keys`` per added element."""
+    xmask = mask_of(elems)
+    if not problem.sol(xmask):
+        raise ContractViolation("lexicographic completion needs a solution")
+    problem.comp_calls += 1
+    while True:
+        ext = problem.addable(xmask)
+        if not ext:
+            return tuple_of(xmask)
+        if not xmask:
+            raise ContractViolation("an empty set has no seed")
+        v = (xmask & -xmask).bit_length() - 1  # the seed: smallest element
+        keys = problem.order_keys(xmask, v, ext)
+        best = min(ext, key=keys.__getitem__)
+        xmask |= 1 << best
+
+
+def test_comp_lex_relaxes_distances():
+    # from {5, 7, 9} the completion reaches the path 1-4-5-9-7 rooted at 1;
+    # adding 2, a neighbor of 1 and 7, shortens the distance of 7 from 4 to
+    # 2, which puts 0 (a neighbor of 7) ahead of 10 (a neighbor of 5)
+    g = Graph(12, [(0, 7), (0, 10), (0, 11), (1, 2), (1, 4), (1, 8), (1, 11),
+                   (2, 3), (2, 7), (2, 8), (2, 11), (3, 6), (3, 7), (3, 10),
+                   (4, 5), (5, 9), (5, 10), (7, 9), (7, 10), (8, 9), (8, 10),
+                   (8, 11), (10, 11)])
+    inst = make_instance("bipartite-induced-connected", graph=g)
+    assert comp_lex(inst, (5, 7, 9)) == (0, 1, 2, 4, 5, 7, 9)
+    assert comp_lex_witness(inst, (5, 7, 9)) == (0, 1, 2, 4, 5, 7, 9)
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_comp_lex_matches_witness(variant):
+    # random solutions, not only prefixes of solution orders, so that the
+    # completion also meets new seeds, merges and new leaders
+    rng = random.Random(f"lexwitness:{variant}")
+    checked = 0
+    for trial in range(200):
+        n = rng.randint(1, 14)
+        inst = make_instance(variant, graph=random_graph(
+            rng, n, rng.choice([0.15, 0.3, 0.5, 0.7])))
+        for _ in range(4):
+            grown = []
+            for v in rng.sample(range(n), n):
+                if inst.is_solution(grown + [v]):
+                    grown.append(v)
+            x = grown[:rng.randint(1, len(grown))]
+            assert comp_lex(inst, x) == comp_lex_witness(inst, x), (n, inst.g.edges, x)
+            checked += 1
+    assert checked == 800
 
 
 # -- solution order -------------------------------------------------------------------
@@ -144,6 +209,29 @@ def test_defining_identity_everywhere():
 
 
 # -- children / restr --------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_bounded_parent_check_matches_core(variant, monkeypatch):
+    # every (child, parent, pivot) that ``children`` tests during corpus runs
+    # gets the verdict of the full core scan; a wrong verdict fails at once,
+    # before it can send the traversal round a cycle
+    verdicts = []
+    original = pspace_mod.has_parent
+
+    def checked(problem, child, pmask, w):
+        verdict = original(problem, child, pmask, w)
+        cp = core_of(problem, child)
+        expected = (cp is not None and cp[1] == w
+                    and comp_lex(problem, cp[0]) == tuple_of(pmask))
+        assert verdict == expected, (variant, child, tuple_of(pmask), w)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(pspace_mod, "has_parent", checked)
+    for i in range(40):
+        enumerate_pspace(build_instance(variant, i))
+    assert sum(verdicts) >= 40 and not all(verdicts)
+
 
 def test_children_of_unique_solution_empty():
     # complete bipartite graph: the whole vertex set is the only solution
