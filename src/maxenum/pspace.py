@@ -49,13 +49,12 @@ def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
 def _core_scan(problem: PspaceProblem, order: list[int], smask: int,
                stop: int) -> Optional[tuple[int, int]]:
     """The largest j with stop <= j < len(order) whose prefix order[:j]
-    completes to a set other than ``smask``, with that completion; None
-    when every such prefix completes to ``smask``."""
-    prefixes = [0]
-    for e in order:
-        prefixes.append(prefixes[-1] | 1 << e)
+    completes to a set other than ``smask``, the mask of ``order``, with
+    that completion; None when every such prefix completes to ``smask``."""
+    prefix = smask
     for j in range(len(order) - 1, stop - 1, -1):
-        other = problem.comp_lex_mask(prefixes[j])
+        prefix &= ~(1 << order[j])
+        other = problem.comp_lex_mask(prefix)
         if other != smask:
             return j, other
     return None
@@ -205,7 +204,7 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     for seed in [(u,) for u in range(problem.ground_size)] or [()]:
         if emitter.done:
             break
-        root = tuple_of(problem.comp_lex_mask(mask_of(seed)))
+        root = comp_lex(problem, seed)
         if root[:1] != seed:
             continue  # a root is discovered from its own seed, root[0], only
         counters.roots_found += 1
