@@ -58,6 +58,12 @@ def main(argv=None) -> int:
         print("maxenum: --limit must be at least 0", file=err)
         return 1
 
+    if args.problem not in K_VARIANTS and (args.k is not None
+                                           or args.allow_large_k):
+        print(f"maxenum: --k and --allow-large-k apply only to: "
+              f"{', '.join(K_VARIANTS)}", file=err)
+        return 1
+
     if args.oracle_check and args.limit is not None:
         print("maxenum: --oracle-check needs a full run (no --limit)", file=err)
         return 1

@@ -123,17 +123,6 @@ class SolutionDict:
         node.terminal = True
         return True
 
-    def contains(self, seq) -> bool:
-        self._check_sorted(seq)
-        self.operations += 1
-        node = self.root
-        for e in seq:
-            i = bisect_left(node.keys, e)
-            if i == len(node.keys) or node.keys[i] != e:
-                return False
-            node = node.kids[i]
-        return node.terminal
-
 
 def walk(root, kids: Callable, emitter: Emitter, depth: int) -> None:
     """Emit the tree below ``root``, root included, by an iterative DFS.

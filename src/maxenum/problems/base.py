@@ -192,9 +192,9 @@ class PspaceProblem(GraphProblem):
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
         """Canonical-reconstruction candidates for extender w (lex completion).
 
-        The result holds no duplicates: the parent-forest traversal accepts
-        a child only when it is regenerated by the first matching candidate,
-        and a repeated candidate would defeat that identity check.
+        The result holds no duplicates.  That only saves work: the
+        parent-forest traversal judges each regenerated child once, however
+        many candidates regenerate it.
         """
         smask = self._mask(solution)
         if smask & self._mask((w,)):

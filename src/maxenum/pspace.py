@@ -4,21 +4,22 @@ For commutable set systems whose canonical orders are prefix-closed, every
 maximal solution S has a well-defined core (the longest prefix of its
 solution order whose lexicographic completion differs from S), a parent
 (the completion of the core) and a pivot element right after the core.
-Children of a node are regenerated on demand and deduplicated by a
-four-way identity check instead of a visited-solution dictionary, so the
-traversal itself holds only the DFS stack.  The problem instance's
-predicate memo (``Problem._sol_cache``) still grows with the solutions
-visited: it is not yet bounded, so the run as a whole is not yet
-polynomial-space.
+Children of a node are regenerated on demand, one pivot w at a time, and
+each regenerated child is judged once by the parent check instead of
+being looked up in a visited-solution dictionary.  An open DFS level holds
+its candidate list ``neighbors_at(parent, w)`` and the set of the child
+masks it has judged, at most one per (candidate, seed) pair, so at most
+n times the number of candidates.  The problem instance's predicate memo
+(``Problem._sol_cache``) still grows with the solutions visited: it is
+not yet bounded, so the run as a whole is not yet polynomial-space.
 
 Two things keep the regeneration cheap.  The lexicographic completion
 (``PspaceProblem.comp_lex_mask``) keeps its state across rounds: rejected
 elements and the components of G[X] with their BFS distances.  The
 parent check (``has_parent``) scans the prefixes of a candidate child's
 order only down to the pivot under test, and the completion at the pivot
-is the parent, so it is compared and not computed again; ``core_of``,
-``parent_of`` and ``restr`` run the same scan down to the first element.
-"""
+is the parent, so it is compared and not computed again; ``core_of`` and
+``parent_of`` run the same scan down to the first element."""
 
 from __future__ import annotations
 
@@ -113,37 +114,30 @@ def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
     return _core_scan(problem, order, mask_of(child), i) == (i, pmask)
 
 
-def _prefix_upto(problem: PspaceProblem, rtuple, s: int, w: int) -> int:
-    """The mask of the elements of r up to w in r's order rooted at s."""
-    keys = problem.order_keys(mask_of(rtuple), s, rtuple)
+def _regenerate(problem: PspaceProblem, r, s: int, w: int) -> int:
+    """The completion of the elements of candidate r up to w in r's order
+    rooted at s, or 0 when that prefix holds an element below s: the seed
+    of the completion is at most the smallest element of the prefix, so the
+    completion could not be rooted at s."""
+    keys = problem.order_keys(mask_of(r), s, r)
     kw = keys[w]
-    return mask_of(x for x in rtuple if keys[x] <= kw)
+    prefix = mask_of(x for x in r if keys[x] <= kw)
+    if prefix & ((1 << s) - 1):
+        return 0
+    return problem.comp_lex_mask(prefix)
 
 
-def restr(problem: PspaceProblem, solution,
-          context: Optional[tuple] = None) -> tuple[int, ...]:
-    """First candidate of neighbors_at(parent, pivot) regenerating the solution.
-
-    ``context`` can supply (parent, pivot, seed, candidate list) when the
-    caller already has them.
-    """
-    stuple = tuple(sorted(solution))
-    if context is not None:
-        parent, w, s, cands = context
-    else:
-        core = _core(problem, stuple)
-        if core is None:
-            raise ContractViolation("roots have no generating candidate")
-        order, j, pmask = core
-        parent, w = tuple_of(pmask), order[j]
-        s = seed_of(problem, stuple)
-        cands = problem.neighbors_at(parent, w)
-    smask = mask_of(stuple)
-    for r in cands:
+def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
+    """First candidate of neighbors_at(parent, pivot) regenerating the
+    solution, the paper's rule for which candidate a child belongs to."""
+    core = _core(problem, solution)
+    if core is None:
+        raise ContractViolation("roots have no generating candidate")
+    order, j, pmask = core
+    w, s, smask = order[j], order[0], mask_of(order)
+    for r in problem.neighbors_at(tuple_of(pmask), w):
         # the order on r is rooted at s, so r must hold both s and w
-        if w not in r or s not in r:
-            continue
-        if problem.comp_lex_mask(_prefix_upto(problem, r, s, w)) == smask:
+        if w in r and s in r and _regenerate(problem, r, s, w) == smask:
             return r
     raise ContractViolation("no candidate regenerates the solution")
 
@@ -151,32 +145,32 @@ def restr(problem: PspaceProblem, solution,
 def children(problem: PspaceProblem, parent, w: int,
              counters: Optional[Counters] = None):
     """Yield exactly the maximal solutions whose parent is ``parent`` and
-    whose pivot is ``w``, each once."""
+    whose pivot is ``w``, each once.
+
+    Each regenerated child is judged once, where its first (candidate,
+    seed) pair regenerates it: whether it has this parent and pivot depends
+    only on the child, and its seed fixes the seed of every pair that
+    regenerates it, so a later pair would only repeat the verdict.
+    """
     ptuple = tuple(sorted(parent))
     if w in ptuple:
         return
     if counters is not None:
         counters.neighbors_calls += 1
-    cands = problem.neighbors_at(ptuple, w)
     pmask = mask_of(ptuple)
-    for r in cands:
+    judged = set()
+    for r in problem.neighbors_at(ptuple, w):
         if w not in r:
             continue
         for s in r:
             if s == w:
                 continue
-            prefix = _prefix_upto(problem, r, s, w)
-            # the seed of the completion is at most the smallest element
-            # of the prefix, so any smaller one rules this s out already
-            if prefix & ((1 << s) - 1):
-                continue
-            cmask = problem.comp_lex_mask(prefix)
-            if cmask & -cmask != 1 << s:
-                continue  # the child's seed is not s
+            cmask = _regenerate(problem, r, s, w)
+            if cmask & -cmask != 1 << s or cmask in judged:
+                continue  # the child's seed is not s, or it was judged
+            judged.add(cmask)
             child = tuple_of(cmask)
             if not has_parent(problem, child, pmask, w):
-                continue
-            if restr(problem, child, (ptuple, w, s, cands)) != r:
                 continue
             if counters is not None:
                 counters.child_checks_passed += 1
@@ -187,9 +181,11 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
                      limit: Optional[int] = None) -> Counters:
     """Emit every maximal solution once without a visited-solution dictionary.
 
-    Each root of the parent forest is walked at depth 1, holding the DFS
-    stack and no trie or hash set of solutions; the problem's predicate
-    memo (``Problem._sol_cache``) still grows with the solutions visited.
+    Each root of the parent forest is walked at depth 1 with no trie or
+    hash set of visited solutions: each open DFS level holds only its
+    candidate list and the child masks it has judged (see ``children``).
+    The problem's predicate memo (``Problem._sol_cache``) still grows with
+    the solutions visited.
     """
     emitter = Emitter(problem, emit, limit)
     counters = emitter.counters

@@ -85,6 +85,14 @@ def test_k_required_and_guarded(k4_file, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("extra", [["--k", "7"], ["--allow-large-k"]])
+def test_k_options_rejected_outside_kdeg(k4_file, capsys, extra):
+    code, out, err = run_cli(["--problem", "trees", "--input", k4_file]
+                             + extra, capsys)
+    assert code == 1 and out == ""
+    assert "apply only to: kdeg-induced, kdeg-edge" in err
+
+
 def test_directed_mismatch_exits_1(tmp_path, capsys):
     p = tmp_path / "d.txt"
     p.write_text("3 2 directed\n0 1\n1 2\n")

@@ -12,7 +12,7 @@ from maxenum.graphs import Graph
 def test_dict_insert_new():
     d = SolutionDict()
     assert d.insert((1, 2)) is True
-    assert d.contains((1, 2))
+    assert d.insert((1, 2)) is False  # now a member
 
 
 def test_dict_insert_idempotent():
@@ -24,7 +24,7 @@ def test_dict_insert_idempotent():
 def test_dict_prefix_not_member():
     d = SolutionDict()
     d.insert((1, 2))
-    assert not d.contains((1,))
+    assert d.insert((1,)) is True  # the prefix was not a member
 
 
 def test_dict_rejects_unsorted():

@@ -7,8 +7,8 @@ from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.graphs import ContractViolation, mask_of
 from maxenum.problems import PSPACE_VARIANTS
 from maxenum.problems.base import tuple_of
-from maxenum.pspace import (children, comp_lex, core_of, is_root, parent_of,
-                            pi_of, restr, seed_of)
+from maxenum.pspace import (children, comp_lex, core_of, has_parent, is_root,
+                            parent_of, pi_of, restr, seed_of)
 
 from conftest import build_instance, complete, cycle, path, random_graph
 
@@ -256,6 +256,68 @@ def test_children_cover_non_roots_once():
     roots = [s for s in sols if is_root(inst, s)]
     assert sorted(produced) == sorted(set(sols) - set(roots))
     assert len(produced) == len(set(produced))  # each child exactly once
+
+
+def children_witness(problem, parent, w):
+    """The child rule that checks each regenerated child with ``restr``:
+    the child is yielded from a (candidate, seed) pair only when the first
+    candidate regenerating it, scanned again, is that candidate."""
+    def prefix_upto(rtuple, s):
+        keys = problem.order_keys(mask_of(rtuple), s, rtuple)
+        kw = keys[w]
+        return mask_of(x for x in rtuple if keys[x] <= kw)
+
+    def restr_in(child, s, cands):
+        smask = mask_of(child)
+        for r in cands:
+            if w not in r or s not in r:
+                continue
+            if problem.comp_lex_mask(prefix_upto(r, s)) == smask:
+                return r
+        raise ContractViolation("no candidate regenerates the solution")
+
+    ptuple = tuple(sorted(parent))
+    if w in ptuple:
+        return
+    cands = problem.neighbors_at(ptuple, w)
+    pmask = mask_of(ptuple)
+    for r in cands:
+        if w not in r:
+            continue
+        for s in r:
+            if s == w:
+                continue
+            prefix = prefix_upto(r, s)
+            if prefix & ((1 << s) - 1):
+                continue
+            cmask = problem.comp_lex_mask(prefix)
+            if cmask & -cmask != 1 << s:
+                continue
+            child = tuple_of(cmask)
+            if not has_parent(problem, child, pmask, w):
+                continue
+            if restr_in(child, s, cands) != r:
+                continue
+            yield child
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_children_match_restr_witness(variant, corpus):
+    # judging each regenerated child once yields the same children in the
+    # same order as checking each of them with ``restr``
+    pairs = produced = 0
+    for run in corpus[variant][:40]:
+        inst = build_instance(variant, run.index)
+        for parent in run.solutions:
+            for w in range(inst.ground_size):
+                if w in parent:
+                    continue
+                got = list(children(inst, parent, w))
+                assert got == list(children_witness(inst, parent, w)), (
+                    variant, run.index, parent, w)
+                pairs += 1
+                produced += len(got)
+    assert pairs >= 700 and produced >= 150, (pairs, produced)
 
 
 @pytest.mark.parametrize("variant,graph_factory", [

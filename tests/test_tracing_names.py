@@ -1,0 +1,30 @@
+"""The benchmark's tracer rebinds package names by string; each of them
+must exist, or a ``--trace 1`` run of ``perfbench/run.py`` stops with an
+error.  The tracer module is loaded here without installing it."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import maxenum.engine
+import maxenum.graphs
+import maxenum.pspace
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rebound_names_exist(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    for name in (*tracing.PSPACE_FUNCTIONS, "children"):
+        assert callable(getattr(maxenum.pspace, name, None)), name
+    for name in tracing.GRAPH_HELPERS:
+        assert callable(getattr(maxenum.graphs, name, None)), name
+    assert isinstance(getattr(maxenum.engine, "SolutionDict", None), type)
