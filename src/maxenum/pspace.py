@@ -19,7 +19,8 @@ elements and the components of G[X] with their BFS distances.  The
 parent check (``has_parent``) scans the prefixes of a candidate child's
 order only down to the pivot under test, and the completion at the pivot
 is the parent, so it is compared and not computed again; ``core_of`` and
-``parent_of`` run the same scan down to the first element."""
+``parent_of`` run the same scan down to the first element.
+"""
 
 from __future__ import annotations
 
