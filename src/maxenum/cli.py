@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import engine, pspace
-from .oracle import OracleCapError, brute_force_maximal
+from .oracle import brute_force_maximal, check_cap
 from .problems import (ALL_VARIANTS, K_VARIANTS, POINT_VARIANTS,
                        PSPACE_VARIANTS, make_instance)
 from .problems.geometry import PointFormatError, load_points
@@ -92,6 +92,8 @@ def main(argv=None) -> int:
                 problem = make_instance(args.problem, graph=g, k=args.k)
             else:
                 problem = make_instance(args.problem, graph=g)
+        if args.oracle_check:
+            check_cap(problem)  # before the run, which may print much
     except (GraphFormatError, PointFormatError, ValueError) as exc:
         print(f"maxenum: {exc}", file=err)
         return 1
@@ -125,11 +127,7 @@ def main(argv=None) -> int:
             print(f"child_checks={counters.child_checks_passed}", file=err)
 
     if args.oracle_check:
-        try:
-            expected = brute_force_maximal(problem)
-        except OracleCapError as exc:
-            print(f"maxenum: {exc}", file=err)
-            return 1
+        expected = brute_force_maximal(problem)
         if sorted(collected) != expected:
             print(f"maxenum: oracle mismatch: engine found {len(collected)} "
                   f"solutions, sweep found {len(expected)}", file=err)

@@ -15,12 +15,18 @@ class OracleCapError(ValueError):
     pass
 
 
+def check_cap(problem, cap: int = 16) -> None:
+    """Raise OracleCapError when the sweep over the instance's 2^n subsets
+    is beyond the cap on n."""
+    if problem.ground_size > cap:
+        raise OracleCapError(f"ground set of size {problem.ground_size} "
+                             f"exceeds the brute-force cap of {cap}")
+
+
 def brute_force_maximal(problem, cap: int = 16) -> list[tuple[int, ...]]:
     """All inclusion-maximal solutions of the instance, sorted."""
+    check_cap(problem, cap)
     g = problem.ground_size
-    if g > cap:
-        raise OracleCapError(
-            f"ground set of size {g} exceeds the brute-force cap of {cap}")
     order = sorted(range(1 << g), key=lambda m: (-m.bit_count(), m))
     maximal: list[int] = []
     for mask in order:

@@ -8,8 +8,12 @@ once, driven by the class flags ``ground_kind``, ``directed`` and
 ``connected``: ``neighbors`` completes every candidate, and ``_reach``
 names the elements that can extend a set (for a connected family, those
 adjacent to it), which completion, ``addable`` and maximality all scan.
-Solutions cross the API as sorted tuples of element ids; all hot paths
-run on bitmasks with per-instance memoization of the predicate.
+A completion computes the reach once and grows it with each added
+element (``_grow_reach``), and it asks whether an element extends the
+current solution through ``_extension_test``: a family-specific test
+where a plugin gives one, else the predicate.  Solutions cross the API
+as sorted tuples of element ids; all hot paths run on bitmasks with
+per-instance memoization of the predicate.
 """
 
 from __future__ import annotations
@@ -74,26 +78,53 @@ class Problem:
             return self._adjacent_mask(mask) & ~mask
         return ((1 << self.ground_size) - 1) & ~mask
 
+    def _grow_reach(self, reach: int, mask: int, b: int) -> int:
+        """``_reach(mask | b)`` from ``reach == _reach(mask)``, for one
+        element b outside ``mask``: every ``_adjacent_mask`` is a union over
+        the elements, so the reach only gains the neighbors of b."""
+        if self.connected:
+            # the reach of the empty set is everything, not its neighbors
+            reach = reach | self._adjacent_mask(b) if mask else self._adjacent_mask(b)
+        return reach & ~(mask | b)
+
+    def _extension_test(self):
+        """A test ``ok(x, e)`` equal to ``sol(x | 1 << e)`` for a solution x
+        and an element e of ``_reach(x)``, cheaper than the predicate, or
+        None when the family has none and completion asks ``sol``."""
+        return None
+
     def addable(self, mask: int) -> list[int]:
-        """The elements whose single addition keeps ``mask`` a solution, ascending."""
-        return [e for e in bits(self._reach(mask)) if self.sol(mask | 1 << e)]
+        """The elements whose single addition keeps ``mask`` a solution,
+        ascending.  They are found by the extension test when ``mask`` is a
+        solution and the family has one, else by the predicate."""
+        ok = self._extension_test()
+        if ok is None or not self.sol(mask):
+            return [e for e in bits(self._reach(mask)) if self.sol(mask | 1 << e)]
+        return [e for e in bits(self._reach(mask)) if ok(mask, e)]
 
     def _comp_mask(self, mask: int) -> int:
+        """Grow the solution ``mask`` to a maximal one: test the least
+        untested element of its reach, through ``_extension_test`` or else
+        ``sol``, until none is left.  The reach grows with each addition,
+        so a connected family may next test a smaller id; otherwise this is
+        one ascending pass."""
         # a rejected element stays rejected: every family using this loop is
         # hereditary, or hereditary once connected, so it fails for every
         # larger set too
+        ok = self._extension_test()
+        sol = self.sol
+        reach = left = self._reach(mask)
         rejected = 0
-        while True:
-            for e in bits(self._reach(mask) & ~rejected):
-                b = 1 << e
-                if self.sol(mask | b):
-                    mask |= b
-                    if self.connected:
-                        break  # rescan: the reach grew, smaller ids may be in it
-                else:
-                    rejected |= b
+        while left:
+            b = left & -left
+            if sol(mask | b) if ok is None else ok(mask, b.bit_length() - 1):
+                reach = self._grow_reach(reach, mask, b)
+                mask |= b
+                left = reach & ~rejected
             else:
-                return mask
+                rejected |= b
+                left ^= b
+        return mask
 
     def comp_mask(self, mask: int) -> int:
         if not self.sol(mask):
@@ -207,22 +238,28 @@ class PspaceProblem(GraphProblem):
         addable element of least order key, under the order rooted at the
         current seed (the smallest element).
 
-        One call keeps its state across rounds.  An element rejected once
-        stays rejected, since all four families are hereditary, or
-        hereditary once connected.  The components of G[X] are kept with
-        their BFS distances: when the added vertex touches one component
-        and leaves its leader as it is, distances are relaxed outward from
-        that vertex; a merge, a new leader or a new seed rebuilds them.
+        One call keeps its state across rounds.  The reach is computed once
+        and grown with each added element (``_grow_reach``), and an element
+        is tested by ``_extension_test`` where the family has one, else by
+        ``sol``.  An element rejected once stays rejected, since all four
+        families are hereditary, or hereditary once connected.  The
+        components of G[X] are kept with their BFS distances: when the
+        added vertex touches one component and leaves its leader as it is,
+        distances are relaxed outward from that vertex; a merge, a new
+        leader or a new seed rebuilds them.
         """
         if not self.sol(xmask):
             raise ContractViolation("lexicographic completion needs a solution")
         self.comp_calls += 1
+        ok = self._extension_test()
+        sol = self.sol
+        reach = self._reach(xmask)
         rejected = 0
         comps = None  # the components of G[X] rooted at its seed, once needed
         while True:
             ext = []
-            for e in bits(self._reach(xmask) & ~rejected):
-                if self.sol(xmask | 1 << e):
+            for e in bits(reach & ~rejected):
+                if sol(xmask | 1 << e) if ok is None else ok(xmask, e):
                     ext.append(e)
                 else:
                     rejected |= 1 << e
@@ -238,6 +275,7 @@ class PspaceProblem(GraphProblem):
                 best = min(self._key(comps, e) for e in ext)[2]  # keys end with e
             if comps is not None:
                 comps = self._grow_components(comps, xmask, best)
+            reach = self._grow_reach(reach, xmask, 1 << best)
             xmask |= 1 << best
 
     def _grow_components(self, comps: list[list], xmask: int, v: int):

@@ -64,8 +64,10 @@ def _core_scan(problem: PspaceProblem, order: list[int], smask: int,
 
 def _core(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int, int]]:
     """(solution order, core length, parent mask) of a maximal solution, or
-    None for roots."""
+    None for roots.  Any other set has no core: ContractViolation."""
     stuple = tuple(sorted(solution))
+    if not problem.is_maximal_solution(stuple):
+        raise ContractViolation(f"{stuple} is not a maximal solution")
     order = problem.canonical_order(stuple)
     hit = _core_scan(problem, order, mask_of(stuple), 1)
     return None if hit is None else (order, *hit)
@@ -76,6 +78,7 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
 
     The core is the longest prefix of the solution order whose completion
     is not the solution itself; the pivot is the element right after it.
+    A set that is not a maximal solution raises ContractViolation.
     """
     core = _core(problem, solution)
     if core is None:

@@ -144,6 +144,17 @@ def test_oracle_check_with_limit_exits_before_run(k4_file, capsys):
     assert "--oracle-check needs a full run (no --limit)" in err
 
 
+def test_oracle_cap_exits_before_run(tmp_path, capsys):
+    # 18 isolated vertices: the run would print one solution, but the
+    # sweep over 2^18 subsets is beyond the cap, so nothing runs
+    p = tmp_path / "isolated.txt"
+    p.write_text("18 0\n")
+    code, out, err = run_cli(["--problem", "forests", "--input", str(p),
+                              "--oracle-check"], capsys)
+    assert code == 1 and out == ""
+    assert "ground set of size 18 exceeds the brute-force cap of 16" in err
+
+
 def test_points_file_and_edge_prefix(tmp_path, capsys):
     p = tmp_path / "pts.txt"
     p.write_text("3 1\n0 0\n6 0\n0 6\n2 2\n")

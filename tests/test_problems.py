@@ -2,7 +2,8 @@
 direction its family is defined on, and says which variant refused the
 input; every variant rejects element ids outside its ground set; each edge
 variant keeps its canonical orders; every variant's extension rule finds
-exactly the addable elements."""
+exactly the addable elements and completes as a loop over the predicate
+does, and a family's extension test agrees with the predicate."""
 
 import random
 import re
@@ -10,11 +11,12 @@ import re
 import pytest
 
 from maxenum import Graph, enumerate_exp, make_instance
-from maxenum.graphs import mask_of
+from maxenum.graphs import bits, mask_of
 from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
-from maxenum.problems.base import tuple_of
+from maxenum.problems.base import Problem, tuple_of
 
-from conftest import build_instance, path
+from conftest import build_instance, path, random_graph
+from test_pspace import comp_lex_witness
 
 
 @pytest.mark.parametrize("variant", sorted(GRAPH_VARIANTS | K_VARIANTS))
@@ -112,10 +114,13 @@ def test_edge_canonical_orders(variant, graph, k, orders):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_addable_matches_single_element_scan(variant, corpus):
     # the empty set, every solution and one random sub-solution of each,
-    # checked against a scan of every element outside the set
+    # checked against a scan of every element outside the set; the shared
+    # completion loop, whose reach grows with each addition, is checked
+    # against one that recomputes it (chordal-edge completes by its own)
     rng = random.Random(f"addable:{variant}")
     for run in corpus[variant][:20]:
         inst = run.instance
+        shared_loop = type(inst)._comp_mask is Problem._comp_mask
         masks = [0]
         for s in run.solutions:
             smask = mask_of(s)
@@ -126,6 +131,9 @@ def test_addable_matches_single_element_scan(variant, corpus):
                     if not (mask >> e) & 1 and inst.sol(mask | 1 << e)]
             assert inst.addable(mask) == scan, (run.index, tuple_of(mask))
             assert inst.is_maximal_solution(tuple_of(mask)) == (not scan)
+            if shared_loop:
+                assert inst._comp_mask(mask) == comp_witness(inst, mask), \
+                    (run.index, tuple_of(mask))
 
 
 def test_connected_completion_rescans_after_each_addition():
@@ -133,3 +141,72 @@ def test_connected_completion_rescans_after_each_addition():
     # so a single pass over the first reach would stop at (1, 2, 3)
     inst = make_instance("trees", graph=Graph(4, [(3, 2), (2, 0), (3, 1)]))
     assert inst.comp((3,)) == (0, 1, 2, 3)
+
+
+def comp_witness(inst, mask):
+    """The completion that recomputes the reach after every addition and
+    asks the predicate about each element of it."""
+    rejected = 0
+    while True:
+        for e in bits(inst._reach(mask) & ~rejected):
+            b = 1 << e
+            if inst.sol(mask | b):
+                mask |= b
+                if inst.connected:
+                    break  # rescan: the reach grew, smaller ids may be in it
+            else:
+                rejected |= b
+        else:
+            return mask
+
+
+EXTENSION_TESTED = [v for v in GRAPH_VARIANTS
+                    if build_instance(v, 0)._extension_test() is not None]
+
+
+def random_growths(inst, rng, walks):
+    """Solutions grown from the empty set one random addable element at a
+    time, every step kept, each walk stopping at a random length."""
+    out = []
+    for _ in range(walks):
+        x = 0
+        out.append(x)
+        for _ in range(rng.randint(1, inst.ground_size)):
+            ext = [e for e in bits(inst._reach(x)) if inst.sol(x | 1 << e)]
+            if not ext:
+                break
+            x |= 1 << rng.choice(ext)
+            out.append(x)
+    return out
+
+
+def test_extension_tests_exist():
+    assert EXTENSION_TESTED == ["bipartite-induced-connected", "trees"]
+
+
+@pytest.mark.parametrize("variant", EXTENSION_TESTED)
+def test_extension_test_matches_predicate(variant):
+    # the growth order meets each solution one vertex after the last, the
+    # shuffled order jumps and shrinks, so a test that keeps state from the
+    # last solution it saw must rebuild it
+    rng = random.Random(f"extension:{variant}")
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 18)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5]))
+        inst = make_instance(variant, graph=g)
+        ok = inst._extension_test()
+        grown = random_growths(inst, rng, 4)
+        shuffled = rng.sample(grown, len(grown))
+        for x in grown + shuffled:
+            for e in bits(inst._reach(x)):
+                assert ok(x, e) == inst.sol(x | 1 << e), (g.edges, tuple_of(x), e)
+                checked += 1
+        for x in shuffled:
+            scan = [e for e in bits(inst._reach(x)) if inst.sol(x | 1 << e)]
+            assert inst.addable(x) == scan
+            assert inst._comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
+            if x:
+                assert (tuple_of(inst.comp_lex_mask(x))
+                        == comp_lex_witness(inst, tuple_of(x))), (g.edges, tuple_of(x))
+    assert checked > 25000

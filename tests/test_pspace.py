@@ -4,7 +4,7 @@ import pytest
 
 import maxenum.pspace as pspace_mod
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
-from maxenum.graphs import ContractViolation, mask_of
+from maxenum.graphs import ContractViolation, bits, mask_of
 from maxenum.problems import PSPACE_VARIANTS
 from maxenum.problems.base import tuple_of
 from maxenum.pspace import (children, comp_lex, core_of, has_parent, is_root,
@@ -74,13 +74,15 @@ def test_element_ids_checked():
 
 def comp_lex_witness(problem, elems):
     """The lexicographic completion that starts each round from nothing:
-    one ``addable`` and one ``order_keys`` per added element."""
+    one predicate scan of the reach and one ``order_keys`` per added
+    element.  It asks ``sol`` itself, not ``addable``, which reads the
+    family's extension test that the completion under test reads too."""
     xmask = mask_of(elems)
     if not problem.sol(xmask):
         raise ContractViolation("lexicographic completion needs a solution")
     problem.comp_calls += 1
     while True:
-        ext = problem.addable(xmask)
+        ext = [e for e in bits(problem._reach(xmask)) if problem.sol(xmask | 1 << e)]
         if not ext:
             return tuple_of(xmask)
         if not xmask:
@@ -189,6 +191,17 @@ def test_root_has_no_core():
     assert is_root(inst, (0, 1, 2, 4))
     assert core_of(inst, (0, 1, 2, 4)) is None
     assert parent_of(inst, (0, 1, 2, 4)) is None
+
+
+def test_core_needs_a_maximal_solution():
+    # on the path 0-1-2 the only maximal tree is the path itself, a root;
+    # (0, 2) is no tree, and (0, 1) and () are trees that can still grow
+    inst = make_instance("trees", graph=path(3))
+    assert core_of(inst, (0, 1, 2)) is None
+    for bad in ((0, 2), (0, 1), ()):
+        for primitive in (core_of, parent_of, pi_of, restr):
+            with pytest.raises(ContractViolation, match="not a maximal solution"):
+                primitive(inst, bad)
 
 
 def test_defining_identity_everywhere():
