@@ -11,9 +11,10 @@ adjacent to it), which completion, ``addable`` and maximality all scan.
 A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
-where a plugin gives one, else the predicate.  Solutions cross the API
-as sorted tuples of element ids; all hot paths run on bitmasks with
-per-instance memoization of the predicate.
+where a plugin gives one, else the predicate.  ``addable`` and maximality
+always ask the predicate, so they check that test rather than share it.
+Solutions cross the API as sorted tuples of element ids; all hot paths
+run on bitmasks with per-instance memoization of the predicate.
 """
 
 from __future__ import annotations
@@ -87,20 +88,16 @@ class Problem:
             reach = reach | self._adjacent_mask(b) if mask else self._adjacent_mask(b)
         return reach & ~(mask | b)
 
-    def _extension_test(self):
-        """A test ``ok(x, e)`` equal to ``sol(x | 1 << e)`` for a solution x
-        and an element e of ``_reach(x)``, cheaper than the predicate, or
-        None when the family has none and completion asks ``sol``."""
-        return None
+    # a family may define ``_extension_test(x, e)``, equal to
+    # ``sol(x | 1 << e)`` for a solution x and an element e of ``_reach(x)``
+    # but cheaper; where it is None, completion asks ``sol``
+    _extension_test = None
 
     def addable(self, mask: int) -> list[int]:
         """The elements whose single addition keeps ``mask`` a solution,
-        ascending.  They are found by the extension test when ``mask`` is a
-        solution and the family has one, else by the predicate."""
-        ok = self._extension_test()
-        if ok is None or not self.sol(mask):
-            return [e for e in bits(self._reach(mask)) if self.sol(mask | 1 << e)]
-        return [e for e in bits(self._reach(mask)) if ok(mask, e)]
+        ascending.  It asks the predicate, never ``_extension_test``, so
+        maximality checks stay independent of the test completion uses."""
+        return [e for e in bits(self._reach(mask)) if self.sol(mask | 1 << e)]
 
     def _comp_mask(self, mask: int) -> int:
         """Grow the solution ``mask`` to a maximal one: test the least
@@ -111,7 +108,7 @@ class Problem:
         # a rejected element stays rejected: every family using this loop is
         # hereditary, or hereditary once connected, so it fails for every
         # larger set too
-        ok = self._extension_test()
+        ok = self._extension_test
         sol = self.sol
         reach = left = self._reach(mask)
         rejected = 0
@@ -251,7 +248,7 @@ class PspaceProblem(GraphProblem):
         if not self.sol(xmask):
             raise ContractViolation("lexicographic completion needs a solution")
         self.comp_calls += 1
-        ok = self._extension_test()
+        ok = self._extension_test
         sol = self.sol
         reach = self._reach(xmask)
         rejected = 0

@@ -83,31 +83,6 @@ class BipartiteInducedConnected(_BipartiteInducedBase):
     variant = "bipartite-induced-connected"
     connected = True
 
-    def _extension_test(self):
-        # a vertex adjacent to a connected bipartite set keeps it bipartite
-        # exactly when its neighbors there lie on one side.  The sides of
-        # the last set seen are kept: a set one adjacent vertex larger puts
-        # that vertex opposite its neighbors, any other set is recolored.
-        adj = self.g.und_mask
-        last = b0 = b1 = 0
-
-        def ok(x: int, e: int) -> bool:
-            nonlocal last, b0, b1
-            if x != last:
-                v = x ^ last
-                grown = last and not v & last and not v & (v - 1)
-                nb = adj[v.bit_length() - 1] if grown else 0
-                if nb & b0:
-                    b1 |= v
-                elif nb & b1:
-                    b0 |= v
-                else:
-                    b0, b1 = _two_color_masks(adj, x)
-                last = x
-            nb = adj[e]
-            return not (nb & b0 and nb & b1)
-        return ok
-
 
 class BipartiteEdge(GraphProblem):
     """Maximal edge sets inducing a bipartite subgraph (exp engine only)."""

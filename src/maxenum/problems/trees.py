@@ -44,14 +44,10 @@ class Trees(_AcyclicBase):
     variant = "trees"
     connected = True
 
-    def _extension_test(self):
+    def _extension_test(self, x: int, e: int) -> bool:
         # a vertex adjacent to a tree keeps it one exactly when it sees a
         # single vertex of it; two would close a cycle
-        adj = self.g.und_mask
-
-        def ok(x: int, e: int) -> bool:
-            return not x or (adj[e] & x).bit_count() == 1
-        return ok
+        return not x or (self.g.und_mask[e] & x).bit_count() == 1
 
 
 class Forests(_AcyclicBase):

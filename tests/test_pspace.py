@@ -75,8 +75,8 @@ def test_element_ids_checked():
 def comp_lex_witness(problem, elems):
     """The lexicographic completion that starts each round from nothing:
     one predicate scan of the reach and one ``order_keys`` per added
-    element.  It asks ``sol`` itself, not ``addable``, which reads the
-    family's extension test that the completion under test reads too."""
+    element.  It scans the reach with ``sol`` itself, so it reads neither
+    the family's extension test nor any other code the completion uses."""
     xmask = mask_of(elems)
     if not problem.sol(xmask):
         raise ContractViolation("lexicographic completion needs a solution")
