@@ -82,9 +82,6 @@ class Graph:
         self.in_mask = tuple(mask_of(a) for a in self.in_adj)
         self.edge_mask_at = tuple(mask_of(e) for e in edge_at)
 
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self.und_adj[v]]
-
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
@@ -158,17 +155,17 @@ def parse_edge_lines(rows, n: int, directed: bool,
 
 
 class DisjointSets:
-    """Union-find with rank, path halving and a parity bit per element.
+    """Union-find with rank, path compression and a parity bit per element.
 
     The parity bit records the side of an element relative to its root,
-    which is what the bipartite completion routines need for two-coloring.
+    which the ``bipartite-edge`` predicate reads to two-color the
+    subgraph spanned by an edge set.
     """
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
         self.par = [0] * n  # parity relative to parent
-        self.count = n
 
     def find(self, x: int) -> int:
         p = 0
@@ -208,7 +205,6 @@ class DisjointSets:
         self.par[rb] = pa ^ pb ^ rel
         if self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
-        self.count -= 1
         return True
 
 

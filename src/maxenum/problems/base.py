@@ -235,15 +235,14 @@ class PspaceProblem(GraphProblem):
         addable element of least order key, under the order rooted at the
         current seed (the smallest element).
 
-        One call keeps its state across rounds.  The reach is computed once
-        and grown with each added element (``_grow_reach``), and an element
-        is tested by ``_extension_test`` where the family has one, else by
-        ``sol``.  An element rejected once stays rejected, since all four
-        families are hereditary, or hereditary once connected.  The
-        components of G[X] are kept with their BFS distances: when the
-        added vertex touches one component and leaves its leader as it is,
-        distances are relaxed outward from that vertex; a merge, a new
-        leader or a new seed rebuilds them.
+        One call carries only its reach and its rejected elements across
+        rounds.  The reach is computed once and grown with each added
+        element (``_grow_reach``), and an element is tested by
+        ``_extension_test`` where the family has one, else by ``sol``.  An
+        element rejected once stays rejected, since all four families are
+        hereditary, or hereditary once connected.  Order keys are built,
+        from the components of the current G[X], only in a round with two
+        or more addable elements: a single one is added without them.
         """
         if not self.sol(xmask):
             raise ContractViolation("lexicographic completion needs a solution")
@@ -252,7 +251,6 @@ class PspaceProblem(GraphProblem):
         sol = self.sol
         reach = self._reach(xmask)
         rejected = 0
-        comps = None  # the components of G[X] rooted at its seed, once needed
         while True:
             ext = []
             for e in bits(reach & ~rejected):
@@ -267,35 +265,10 @@ class PspaceProblem(GraphProblem):
             if len(ext) == 1:
                 best = ext[0]  # the order is not needed to choose
             else:
-                if comps is None:
-                    comps = self._components(xmask, (xmask & -xmask).bit_length() - 1)
+                comps = self._components(xmask, (xmask & -xmask).bit_length() - 1)
                 best = min(self._key(comps, e) for e in ext)[2]  # keys end with e
-            if comps is not None:
-                comps = self._grow_components(comps, xmask, best)
             reach = self._grow_reach(reach, xmask, 1 << best)
             xmask |= 1 << best
-
-    def _grow_components(self, comps: list[list], xmask: int, v: int):
-        """The components of G[X + v], updated in place when v touches a
-        single component and leaves its leader as it is; None when they
-        must be rebuilt: for a new seed, a merge or a new leader."""
-        adj = self.g.und_mask
-        touched = [c for c in comps if adj[v] & c[0]]
-        if 1 << v < xmask & -xmask or len(touched) != 1 or touched[0][1] > v:
-            return None
-        comp = touched[0]
-        dist = comp[2]
-        dist[v] = 1 + min(dist[u] for u in bits(adj[v] & comp[0]))
-        comp[0] |= 1 << v
-        # v can only shorten paths: relax distances outward from it
-        grown = [v]
-        for x in grown:
-            dx = dist[x] + 1
-            for u in bits(adj[x] & comp[0]):
-                if dist[u] > dx:
-                    dist[u] = dx
-                    grown.append(u)
-        return comps
 
     def canonical_order(self, solution) -> list[int]:
         """The solution order: the elements sorted by their order keys
@@ -322,22 +295,22 @@ class PspaceProblem(GraphProblem):
         comps = self._components(xmask, v)
         return {e: self._key(comps, e) for e in elems}
 
-    def _components(self, xmask: int, v: int) -> list[list]:
-        """The components of G[X] as [mask, slot, BFS distances from the
-        leader], by ascending slot, under the order rooted at v."""
+    def _components(self, xmask: int, v: int) -> list[tuple]:
+        """The components of G[X] as (mask, slot, BFS distances from the
+        leader), by ascending slot, under the order rooted at v."""
         adj = self.g.und_mask
         comps = []
         left, leader, slot = xmask, v, 0
         while left:
             dist = mask_dists(adj, left, leader)
             comp = left if len(dist) == left.bit_count() else mask_of(dist)
-            comps.append([comp, slot, dist])
+            comps.append((comp, slot, dist))
             left &= ~comp
             leader = (left & -left).bit_length() - 1
             slot = leader + 1
         return comps
 
-    def _key(self, comps: list[list], e: int) -> tuple:
+    def _key(self, comps: list[tuple], e: int) -> tuple:
         """The order key of e, a member or an extension of X, given the
         components of G[X] (see ``order_keys``)."""
         nb_e = self.g.und_mask[e]

@@ -14,12 +14,13 @@ n times the number of candidates.  The problem instance's predicate memo
 not yet bounded, so the run as a whole is not yet polynomial-space.
 
 Two things keep the regeneration cheap.  The lexicographic completion
-(``PspaceProblem.comp_lex_mask``) keeps its state across rounds: rejected
-elements and the components of G[X] with their BFS distances.  The
-parent check (``has_parent``) scans the prefixes of a candidate child's
-order only down to the pivot under test, and the completion at the pivot
-is the parent, so it is compared and not computed again; ``core_of`` and
-``parent_of`` run the same scan down to the first element.
+(``PspaceProblem.comp_lex_mask``) carries only its reach and its rejected
+elements across rounds, and builds order keys only in a round that must
+choose between two or more addable elements.  The parent check
+(``has_parent``) scans the prefixes of a candidate child's order only down
+to the pivot under test, and the completion at the pivot is the parent,
+so it is compared and not computed again; ``core_of`` and ``parent_of``
+run the same scan down to the first element.
 """
 
 from __future__ import annotations
@@ -88,8 +89,13 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
 
 
 def is_root(problem: PspaceProblem, solution) -> bool:
+    """Whether a maximal solution is a root: its seed alone completes to it
+    (on an empty ground set, the empty solution is the root).  Any other set
+    raises ContractViolation, as in ``core_of``."""
     stuple = tuple(sorted(solution))
-    return comp_lex(problem, [seed_of(problem, stuple)]) == stuple
+    if not problem.is_maximal_solution(stuple):
+        raise ContractViolation(f"{stuple} is not a maximal solution")
+    return comp_lex(problem, stuple[:1]) == stuple
 
 
 def parent_of(problem: PspaceProblem, solution) -> Optional[tuple[int, ...]]:

@@ -176,6 +176,56 @@ def test_order_keys_connected():
         3: (0, 1, 3), 5: (0, 4, 5)}
 
 
+def order_keys_witness(g, x, v):
+    """The order keys of every vertex under the order rooted at v, by the
+    rule in the ``order_keys`` docstring, from sets and a plain BFS over
+    ``g.und_adj``: the components of G[X] take slot 0 for v's own and
+    leader + 1 for any other, and an outside vertex joins the touched
+    component of least slot when that slot is at most its id."""
+    x = set(x)
+    slot, dist = {}, {}
+    for leader in [v] + sorted(x):
+        if leader in dist:
+            continue
+        dist[leader] = 0
+        queue = [leader]
+        for u in queue:
+            slot[u] = 0 if leader == v else leader + 1
+            for w in g.und_adj[u]:
+                if w in x and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+    keys = {}
+    for e in range(g.n):
+        touched = [u for u in g.und_adj[e] if u in x]
+        least = min((slot[u] for u in touched), default=e + 1)
+        if e in x:
+            keys[e] = (slot[e], dist[e], e)
+        elif least <= e:
+            keys[e] = (least, 1 + min(dist[u] for u in touched if slot[u] == least), e)
+        else:
+            keys[e] = (e + 1, 0, e)
+    return keys
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_order_keys_match_witness(variant):
+    # X is any vertex subset, often of several components, and every vertex
+    # is keyed, member or not
+    rng = random.Random(f"keywitness:{variant}")
+    several = 0
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+        inst = make_instance(variant, graph=g)
+        x = [u for u in range(n) if rng.random() < rng.choice([0.3, 0.6, 0.9])] or [0]
+        v = rng.choice(x)
+        want = order_keys_witness(g, x, v)
+        assert inst.order_keys(mask_of(x), v, range(n)) == want, (n, g.edges, x, v)
+        several += len({want[u][0] for u in x}) > 1  # slots of G[X]'s components
+    assert several >= 100
+
+
 # -- core / parent / pi ----------------------------------------------------------------
 
 def test_core_pi_parent_on_c5():
@@ -199,7 +249,7 @@ def test_core_needs_a_maximal_solution():
     inst = make_instance("trees", graph=path(3))
     assert core_of(inst, (0, 1, 2)) is None
     for bad in ((0, 2), (0, 1), ()):
-        for primitive in (core_of, parent_of, pi_of, restr):
+        for primitive in (is_root, core_of, parent_of, pi_of, restr):
             with pytest.raises(ContractViolation, match="not a maximal solution"):
                 primitive(inst, bad)
 
@@ -406,10 +456,11 @@ def test_pspace_empty_graph(variant):
     # the empty set is the only solution of an empty ground set, and the
     # only root
     got = []
-    counters = enumerate_pspace(make_instance(variant, graph=Graph(0, [])),
-                                emit=got.append)
+    inst = make_instance(variant, graph=Graph(0, []))
+    counters = enumerate_pspace(inst, emit=got.append)
     assert got == [()]
     assert counters.roots_found == 1
+    assert is_root(inst, ())
 
 
 # -- prefix-closed order properties ------------------------------------------------------------
