@@ -13,14 +13,16 @@ n times the number of candidates.  The problem instance's predicate memo
 (``Problem._sol_cache``) still grows with the solutions visited: it is
 not yet bounded, so the run as a whole is not yet polynomial-space.
 
-Two things keep the regeneration cheap.  The lexicographic completion
+Three things keep the regeneration cheap.  The lexicographic completion
 (``PspaceProblem.comp_lex_mask``) carries only its reach and its rejected
 elements across rounds, and builds order keys only in a round that must
-choose between two or more addable elements.  The parent check
-(``has_parent``) scans the prefixes of a candidate child's order only down
-to the pivot under test, and the completion at the pivot is the parent,
-so it is compared and not computed again; ``core_of`` and ``parent_of``
-run the same scan down to the first element.
+choose between two or more addable elements.  ``_regenerate`` walks the
+BFS layers of the seed's component of a candidate only up to the pivot,
+and drops the seed as soon as a layer holds a smaller element.  The parent
+check (``has_parent``) judges the pivot first: the prefix before it must
+lie inside the parent and complete to it, and only then are the longer
+prefixes scanned; ``core_of`` and ``parent_of`` run the same scan down to
+the first element.
 """
 
 from __future__ import annotations
@@ -28,17 +30,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .engine import Counters, Emitter, walk
-from .graphs import ContractViolation, mask_of
+from .graphs import ContractViolation, bits, mask_of
 from .problems.base import PspaceProblem, tuple_of
-
-
-def seed_of(problem: PspaceProblem, elems: Iterable[int]) -> int:
-    """Smallest element of the solution; in the pspace families every
-    single vertex is a solution, so it roots the solution order."""
-    elems = tuple(elems)
-    if not elems:
-        raise ContractViolation("an empty set has no seed")
-    return min(elems)
 
 
 def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
@@ -103,38 +96,55 @@ def parent_of(problem: PspaceProblem, solution) -> Optional[tuple[int, ...]]:
     return None if core is None else tuple_of(core[2])
 
 
-def pi_of(problem: PspaceProblem, solution) -> Optional[int]:
-    cp = core_of(problem, solution)
-    return None if cp is None else cp[1]
-
-
 def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
     """Whether ``child`` has the parent ``pmask`` and the pivot w, an
     element of the child.
 
     With i the position of w in the child's solution order, this is exactly
     ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
-    but the core scan stops at i: every longer prefix must complete to the
-    child, and the completion of order[:i] is compared with the parent.
+    judged pivot first: order[:i] must lie inside the parent, its completion,
+    before it is completed and compared with the parent, and only then must
+    every longer prefix complete to the child.
     """
     order = problem.canonical_order(child)
     i = order.index(w)
-    if i == 0:
+    cmask, core = mask_of(child), mask_of(order[:i])
+    if i == 0 or core & ~pmask or pmask == cmask:
         return False
-    return _core_scan(problem, order, mask_of(child), i) == (i, pmask)
+    if problem.comp_lex_mask(core) != pmask:
+        return False
+    return _core_scan(problem, order, cmask, i + 1) is None
 
 
 def _regenerate(problem: PspaceProblem, r, s: int, w: int) -> int:
     """The completion of the elements of candidate r up to w in r's order
     rooted at s, or 0 when that prefix holds an element below s: the seed
     of the completion is at most the smallest element of the prefix, so the
-    completion could not be rooted at s."""
-    keys = problem.order_keys(mask_of(r), s, r)
+    completion could not be rooted at s.
+
+    s's component of G[r] sorts first, keyed (0, BFS distance from s, id),
+    so when w lies in it the prefix is every BFS layer before w's plus the
+    members of w's layer up to w; the walk stops at the first layer that
+    holds an element below s.  Only a w outside that component needs the
+    order keys of every component.
+    """
+    adj, rmask, below = problem.g.und_mask, mask_of(r), (1 << s) - 1
+    seen = layer = 1 << s
+    while layer:
+        if (layer >> w) & 1:
+            prefix = seen & ~layer | layer & ((2 << w) - 1)
+            return 0 if prefix & below else problem.comp_lex_mask(prefix)
+        if layer & below:
+            return 0
+        grow = 0
+        for u in bits(layer):
+            grow |= adj[u]
+        layer = grow & rmask & ~seen
+        seen |= layer
+    keys = problem.order_keys(rmask, s, r)
     kw = keys[w]
     prefix = mask_of(x for x in r if keys[x] <= kw)
-    if prefix & ((1 << s) - 1):
-        return 0
-    return problem.comp_lex_mask(prefix)
+    return 0 if prefix & below else problem.comp_lex_mask(prefix)
 
 
 def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import random
 
 from maxenum import enumerate_exp, make_instance
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
-from maxenum.pspace import comp_lex, core_of, seed_of
+from maxenum.pspace import comp_lex, core_of
 
 from conftest import CORPUS_SIZE, complete, cycle, directed_triangle, triangle
 
@@ -181,7 +181,7 @@ def test_criterion_8_prefix_closed_orders(corpus):
             inst, sol = pool[i]
             i += 1
             # a maximal solution, or a random prefix of its solution order
-            v = seed_of(inst, sol)
+            v = min(sol)  # the seed
             keys = inst.order_keys(sum(1 << e for e in sol), v, sol)
             full_order = sorted(sol, key=keys.__getitem__)
             cut = rng.randint(1, len(full_order))

@@ -6,9 +6,9 @@ import maxenum.pspace as pspace_mod
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.graphs import ContractViolation, bits, mask_of
 from maxenum.problems import PSPACE_VARIANTS
-from maxenum.problems.base import tuple_of
+from maxenum.problems.base import PspaceProblem, tuple_of
 from maxenum.pspace import (children, comp_lex, core_of, has_parent, is_root,
-                            parent_of, pi_of, restr, seed_of)
+                            parent_of, restr)
 
 from conftest import build_instance, complete, cycle, path, random_graph
 
@@ -17,16 +17,24 @@ def c5_bip():
     return make_instance("bipartite-induced-connected", graph=cycle(5))
 
 
+def pi_of(problem, solution):
+    """The pivot of a maximal solution, or None for roots."""
+    cp = core_of(problem, solution)
+    return None if cp is None else cp[1]
+
+
 # -- seed -------------------------------------------------------------------------
+# the seed of a solution is its smallest element, which roots its order
 
 def test_seed_smallest_id():
     inst = make_instance("forests", graph=Graph(10, [(3, 5)]))
-    assert seed_of(inst, (3, 5, 9)) == 3
+    assert inst.canonical_order((9, 5, 3)) == [3, 5, 9]
 
 
 def test_seed_singleton():
     inst = make_instance("trees", graph=Graph(1, []))
-    assert seed_of(inst, (0,)) == 0
+    assert inst.canonical_order((0,)) == [0]
+    assert comp_lex(inst, (0,)) == (0,)
 
 
 # -- lexicographic completion --------------------------------------------------------
@@ -296,6 +304,31 @@ def test_bounded_parent_check_matches_core(variant, monkeypatch):
     assert sum(verdicts) >= 40 and not all(verdicts)
 
 
+def test_parent_check_rejects_core_outside_parent():
+    # on C5 the child (1, 2, 3, 4) has the order [1, 2, 3, 4], the pivot 4
+    # and the parent (0, 1, 2, 3); its core [1, 2, 3] is not inside
+    # (0, 1, 2, 4), so that parent is rejected without a completion
+    inst = c5_bip()
+    child = (1, 2, 3, 4)
+    assert inst.canonical_order(child) == [1, 2, 3, 4]
+    before = inst.comp_calls
+    assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 4)
+    assert inst.comp_calls == before
+    assert has_parent(inst, child, mask_of((0, 1, 2, 3)), 4)
+    assert inst.comp_calls > before
+
+
+def test_parent_check_past_the_pivot():
+    # (1, 2, 3, 4) has the core [1, 2, 3], and [1] completes to (0, 1, 2, 4),
+    # which holds it: only the longer prefixes show that 2 is not the pivot.
+    # The root (0, 1, 2, 4), order [0, 1, 4, 2], is the completion of [0] and
+    # holds it, but a solution is not its own parent
+    inst = c5_bip()
+    assert not has_parent(inst, (1, 2, 3, 4), mask_of((0, 1, 2, 4)), 2)
+    assert inst.canonical_order((0, 1, 2, 4)) == [0, 1, 4, 2]
+    assert not has_parent(inst, (0, 1, 2, 4), mask_of((0, 1, 2, 4)), 1)
+
+
 def test_children_of_unique_solution_empty():
     # complete bipartite graph: the whole vertex set is the only solution
     g = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
@@ -381,6 +414,55 @@ def test_children_match_restr_witness(variant, corpus):
                 pairs += 1
                 produced += len(got)
     assert pairs >= 700 and produced >= 150, (pairs, produced)
+
+
+def regenerate_witness(problem, r, s, w):
+    """``_regenerate`` from the order keys of every component of G[r]: the
+    elements of r keyed up to w, completed unless one of them is below s."""
+    keys = problem.order_keys(mask_of(r), s, r)
+    kw = keys[w]
+    prefix = mask_of(x for x in r if keys[x] <= kw)
+    if prefix & ((1 << s) - 1):
+        return 0
+    return problem.comp_lex_mask(prefix)
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_regenerate_matches_witness(variant, monkeypatch):
+    # every (candidate, seed, pivot) that ``children`` regenerates from, on
+    # corpus instances and on sparse random graphs, where the candidates of
+    # the families that need not be connected often have several components
+    # and the pivot may lie outside the seed's component
+    keyed = []
+    order_keys = PspaceProblem.order_keys
+
+    def counted(self, *args):
+        keyed.append(1)
+        return order_keys(self, *args)
+
+    original = pspace_mod._regenerate
+    calls = fallbacks = 0
+
+    def checked(problem, r, s, w):
+        nonlocal calls, fallbacks
+        before = len(keyed)
+        got = original(problem, r, s, w)
+        fallbacks += len(keyed) > before  # only the fallback builds keys
+        calls += 1
+        assert got == regenerate_witness(problem, r, s, w), (
+            variant, problem.g.edges, r, s, w)
+        return got
+
+    monkeypatch.setattr(PspaceProblem, "order_keys", counted)
+    monkeypatch.setattr(pspace_mod, "_regenerate", checked)
+    rng = random.Random(f"regenerate:{variant}")
+    instances = [build_instance(variant, i) for i in range(40)]
+    instances += [make_instance(variant, graph=random_graph(
+        rng, rng.randint(4, 10), rng.choice([0.15, 0.25, 0.4]))) for _ in range(40)]
+    for inst in instances:
+        enumerate_pspace(inst)
+    assert calls >= 1000, calls
+    assert fallbacks >= 1 or inst.connected, fallbacks
 
 
 @pytest.mark.parametrize("variant,graph_factory", [
@@ -492,7 +574,7 @@ def test_prefix_closed_order_properties(variant):
         for x in xs:
             if not x:
                 continue
-            v = seed_of(inst, x)
+            v = min(x)  # the seed
             xmask = sum(1 << e for e in x)
             keys = inst.order_keys(xmask, v, x)
             order = sorted(x, key=keys.__getitem__)
