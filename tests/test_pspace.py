@@ -304,7 +304,7 @@ def test_bounded_parent_check_matches_core(variant, monkeypatch):
     assert sum(verdicts) >= 40 and not all(verdicts)
 
 
-def test_parent_check_rejects_core_outside_parent():
+def test_parent_check_pivot_first():
     # on C5 the child (1, 2, 3, 4) has the order [1, 2, 3, 4], the pivot 4
     # and the parent (0, 1, 2, 3); its core [1, 2, 3] is not inside
     # (0, 1, 2, 4), so that parent is rejected without a completion
@@ -315,16 +315,11 @@ def test_parent_check_rejects_core_outside_parent():
     assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 4)
     assert inst.comp_calls == before
     assert has_parent(inst, child, mask_of((0, 1, 2, 3)), 4)
-    assert inst.comp_calls > before
-
-
-def test_parent_check_past_the_pivot():
-    # (1, 2, 3, 4) has the core [1, 2, 3], and [1] completes to (0, 1, 2, 4),
-    # which holds it: only the longer prefixes show that 2 is not the pivot.
-    # The root (0, 1, 2, 4), order [0, 1, 4, 2], is the completion of [0] and
-    # holds it, but a solution is not its own parent
-    inst = c5_bip()
-    assert not has_parent(inst, (1, 2, 3, 4), mask_of((0, 1, 2, 4)), 2)
+    # [1] completes to (0, 1, 2, 4), which holds it: only the longer
+    # prefixes show that 2 is not the pivot
+    assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 2)
+    # the root (0, 1, 2, 4), order [0, 1, 4, 2], is the completion of [0]
+    # and holds it, but a solution is not its own parent
     assert inst.canonical_order((0, 1, 2, 4)) == [0, 1, 4, 2]
     assert not has_parent(inst, (0, 1, 2, 4), mask_of((0, 1, 2, 4)), 1)
 
@@ -433,21 +428,19 @@ def test_regenerate_matches_witness(variant, monkeypatch):
     # corpus instances and on sparse random graphs, where the candidates of
     # the families that need not be connected often have several components
     # and the pivot may lie outside the seed's component
-    keyed = []
-    order_keys = PspaceProblem.order_keys
+    order_keys, original = PspaceProblem.order_keys, pspace_mod._regenerate
+    keyed = calls = fallbacks = 0
 
     def counted(self, *args):
-        keyed.append(1)
+        nonlocal keyed
+        keyed += 1
         return order_keys(self, *args)
-
-    original = pspace_mod._regenerate
-    calls = fallbacks = 0
 
     def checked(problem, r, s, w):
         nonlocal calls, fallbacks
-        before = len(keyed)
+        before = keyed
         got = original(problem, r, s, w)
-        fallbacks += len(keyed) > before  # only the fallback builds keys
+        fallbacks += keyed > before  # only the fallback builds keys
         calls += 1
         assert got == regenerate_witness(problem, r, s, w), (
             variant, problem.g.edges, r, s, w)
@@ -462,7 +455,7 @@ def test_regenerate_matches_witness(variant, monkeypatch):
     for inst in instances:
         enumerate_pspace(inst)
     assert calls >= 1000, calls
-    assert fallbacks >= 1 or inst.connected, fallbacks
+    assert fallbacks or instances[0].connected, fallbacks
 
 
 @pytest.mark.parametrize("variant,graph_factory", [
