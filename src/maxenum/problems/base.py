@@ -230,26 +230,31 @@ class PspaceProblem(GraphProblem):
         cands = self._candidates(smask, (w,))
         return list(dict.fromkeys(tuple_of(self.comp_lex_mask(c)) for c in cands))
 
+    _lex_memo = None  # the completions of an enumerate_pspace run in progress
+
     def comp_lex_mask(self, xmask: int) -> int:
         """Lexicographic completion of a solution mask: repeatedly add the
         addable element of least order key, under the order rooted at the
-        current seed (the smallest element).
+        current seed (the smallest element).  Inside an ``enumerate_pspace``
+        run, a completion the run has done comes from its memo, uncounted.
 
-        One call carries only its reach and its rejected elements across
-        rounds.  The reach is computed once and grown with each added
-        element (``_grow_reach``), and an element is tested by
-        ``_extension_test`` where the family has one, else by ``sol``.  An
-        element rejected once stays rejected, since all four families are
-        hereditary, or hereditary once connected.  Order keys are built,
-        from the components of the current G[X], only in a round with two
-        or more addable elements: a single one is added without them.
+        A computed one carries only its reach and its rejected elements
+        across rounds: the reach is computed once and grown with each added
+        element (``_grow_reach``), an element is tested by
+        ``_extension_test`` where the family has one, else by ``sol``, and
+        one rejected stays rejected, since all four families are
+        hereditary, or hereditary once connected.  Order keys are built from
+        the components of the current G[X] only in a round with two or more
+        addable elements.
         """
+        memo = self._lex_memo
+        if memo is not None and xmask in memo:
+            return memo[xmask]
         if not self.sol(xmask):
             raise ContractViolation("lexicographic completion needs a solution")
         self.comp_calls += 1
-        ok = self._extension_test
-        sol = self.sol
-        reach = self._reach(xmask)
+        ok, sol = self._extension_test, self.sol
+        start, reach = xmask, self._reach(xmask)
         rejected = 0
         while True:
             ext = []
@@ -259,6 +264,8 @@ class PspaceProblem(GraphProblem):
                 else:
                     rejected |= 1 << e
             if not ext:
+                if memo is not None:
+                    memo[start] = xmask
                 return xmask
             if not xmask:
                 raise ContractViolation("an empty set has no seed")

@@ -13,16 +13,18 @@ n times the number of candidates.  The problem instance's predicate memo
 (``Problem._sol_cache``) still grows with the solutions visited: it is
 not yet bounded, so the run as a whole is not yet polynomial-space.
 
-Three things keep the regeneration cheap.  The lexicographic completion
-(``PspaceProblem.comp_lex_mask``) carries only its reach and its rejected
-elements across rounds, and builds order keys only in a round that must
-choose between two or more addable elements.  ``_regenerate`` walks the
-BFS layers of the seed's component of a candidate only up to the pivot,
-and drops the seed as soon as a layer holds a smaller element.  The parent
-check (``has_parent``) judges the pivot first: the prefix before it must
-lie inside the parent and complete to it, and only then are the longer
-prefixes scanned; ``core_of`` and ``parent_of`` run the same scan down to
-the first element.
+Four things keep the regeneration cheap.  Different parents regenerate the
+same candidates and prefixes, so a run keeps the completions it has done
+in a memo, cleared at ``LEX_MEMO_CAP`` entries.  The lexicographic
+completion (``PspaceProblem.comp_lex_mask``) carries only its reach and
+its rejected elements across rounds, and builds order keys only in a round
+that must choose between two or more addable elements.  ``_regenerate``
+walks the BFS layers of the seed's component of a candidate only up to the
+pivot, and drops the seed as soon as a layer holds a smaller element.  The
+parent check (``has_parent``) judges the pivot first: the prefix before it
+must lie inside the parent and complete to it, and only then are the
+longer prefixes scanned; ``core_of`` and ``parent_of`` run the same scan
+down to the first element.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ from typing import Iterable, Optional
 from .engine import Counters, Emitter, walk
 from .graphs import ContractViolation, bits, mask_of
 from .problems.base import PspaceProblem, tuple_of
+
+LEX_MEMO_CAP = 1024  # the most completions a run keeps
+
+
+class _LexMemo(dict):
+    """A run's completions, mask -> completed mask, cleared when full."""
+    def __setitem__(self, xmask: int, done: int) -> None:
+        if len(self) >= LEX_MEMO_CAP:
+            self.clear()
+        super().__setitem__(xmask, done)
 
 
 def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
@@ -204,8 +216,8 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     Each root of the parent forest is walked at depth 1 with no trie or
     hash set of visited solutions: each open DFS level holds only its
     candidate list and the child masks it has judged (see ``children``).
-    The problem's predicate memo (``Problem._sol_cache``) still grows with
-    the solutions visited.
+    ``comp_lex_mask`` reads and fills the run's completion memo, which goes
+    when the run ends, however it ends; a memo open before it is restored.
     """
     emitter = Emitter(problem, emit, limit)
     counters = emitter.counters
@@ -216,14 +228,17 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
             if w not in xset:
                 yield from children(problem, x, w, counters)
 
-    # an empty ground set has one solution, the empty set, as its only root
-    for seed in [(u,) for u in range(problem.ground_size)] or [()]:
-        if emitter.done:
-            break
-        root = comp_lex(problem, seed)
-        if root[:1] != seed:
-            continue  # a root is discovered from its own seed, root[0], only
-        counters.roots_found += 1
-        walk(root, child_stream, emitter, 1)
-
+    outer, problem._lex_memo = problem._lex_memo, _LexMemo()
+    try:
+        # an empty ground set has one solution, the empty set, as its only root
+        for seed in [(u,) for u in range(problem.ground_size)] or [()]:
+            if emitter.done:
+                break
+            root = comp_lex(problem, seed)
+            if root[:1] != seed:
+                continue  # a root is discovered from its own seed, root[0], only
+            counters.roots_found += 1
+            walk(root, child_stream, emitter, 1)
+    finally:
+        problem._lex_memo = outer
     return emitter.finish(0)

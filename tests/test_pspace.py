@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 import maxenum.pspace as pspace_mod
-from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
+from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
+                     make_instance)
 from maxenum.graphs import ContractViolation, bits, mask_of
 from maxenum.problems import PSPACE_VARIANTS
 from maxenum.problems.base import PspaceProblem, tuple_of
@@ -536,6 +538,125 @@ def test_pspace_empty_graph(variant):
     assert got == [()]
     assert counters.roots_found == 1
     assert is_root(inst, ())
+
+
+# -- completion memo ---------------------------------------------------------------------------
+
+def run_pspace(inst, **kwargs):
+    sols = []
+    counters = enumerate_pspace(inst, emit=sols.append, **kwargs)
+    return sols, counters
+
+
+def without_comp_counts(counters):
+    return dataclasses.replace(counters, comp_calls=0, max_comp_gap=0)
+
+
+class ForgetfulMemo(pspace_mod._LexMemo):
+    """A completion memo that misses on every lookup."""
+
+    def __contains__(self, xmask):
+        return False
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_memo_is_transparent(variant, monkeypatch):
+    # the memo changes which completions are computed, never their results:
+    # a run that misses on every lookup emits the same solutions in the same
+    # order with the same counters, apart from the completion counts
+    memo_class, computed = pspace_mod._LexMemo, {}
+    for memo in (memo_class, ForgetfulMemo):
+        monkeypatch.setattr(pspace_mod, "_LexMemo", memo)
+        computed[memo] = 0
+        runs = []
+        for i in range(40):
+            sols, counters = run_pspace(build_instance(variant, i))
+            computed[memo] += counters.comp_calls
+            runs.append((sols, without_comp_counts(counters)))
+        if memo is ForgetfulMemo:
+            assert runs == remembered
+        remembered = runs
+    assert computed[memo_class] < computed[ForgetfulMemo], computed
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_memo_overflow_clears(variant, monkeypatch):
+    # a cap of 3 clears the memo over and over, and the output is that of
+    # the real cap
+    sizes = []
+    setitem = pspace_mod._LexMemo.__setitem__
+
+    def recorded(self, xmask, done):
+        setitem(self, xmask, done)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(pspace_mod._LexMemo, "__setitem__", recorded)
+    full = [run_pspace(build_instance(variant, i)) for i in range(40)]
+    assert max(sizes) > 3
+    sizes.clear()
+    monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 3)
+    for i, (sols, counters) in enumerate(full):
+        capped_sols, capped = run_pspace(build_instance(variant, i))
+        assert capped_sols == sols, (variant, i)
+        assert without_comp_counts(capped) == without_comp_counts(counters)
+        assert capped.comp_calls >= counters.comp_calls
+    assert max(sizes) == 3 and sizes.count(1) > 40
+
+
+def test_memo_closed_after_every_run():
+    inst = build_instance("forests", 9)
+    assert inst._lex_memo is None
+    sols, _ = run_pspace(inst)
+    assert len(sols) > 3 and inst._lex_memo is None
+    assert run_pspace(inst, limit=2)[0] == sols[:2]
+    assert inst._lex_memo is None
+
+    def failing(sol):
+        raise OSError("sink closed")
+
+    with pytest.raises(PartialOutputError):
+        enumerate_pspace(inst, emit=failing)
+    assert inst._lex_memo is None
+
+
+def test_memo_nested_run_restores_outer():
+    inst = build_instance("trees", 1)
+    seen = []
+
+    def nested(sol):
+        outer = inst._lex_memo
+        seen.append(run_pspace(inst)[0])
+        assert inst._lex_memo is outer and outer is not None
+
+    sols, _ = run_pspace(inst)
+    enumerate_pspace(inst, emit=nested, limit=2)
+    assert seen == [sols, sols] and inst._lex_memo is None
+
+
+def test_memo_runs_repeat_counters():
+    # a run starts from an empty memo, so a second run on the instance
+    # computes the same completions as the first
+    inst = build_instance("bipartite-induced", 8)
+    first, second = run_pspace(inst), run_pspace(inst)
+    assert first == second and first[1].comp_calls > 0
+
+
+def test_memo_never_holds_a_non_solution():
+    inst = c5_bip()
+    odd = (0, 1, 2, 3, 4)
+
+    def probe(sol):
+        with pytest.raises(ContractViolation):
+            comp_lex(inst, odd)
+        assert mask_of(odd) not in inst._lex_memo
+
+    enumerate_pspace(inst, emit=probe)
+    with pytest.raises(ContractViolation):
+        comp_lex(inst, odd)
+    # outside a run, every completion is computed and counted
+    before = inst.comp_calls
+    assert comp_lex(inst, (0,)) == comp_lex(inst, (0,)) == (0, 1, 2, 4)
+    assert inst.comp_calls == before + 2
 
 
 # -- prefix-closed order properties ------------------------------------------------------------
