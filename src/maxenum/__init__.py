@@ -7,8 +7,7 @@ traversal for the families whose canonical orders are prefix-closed.
 
 from .engine import Counters, PartialOutputError, SolutionDict, enumerate_exp
 from .graphs import (ContractViolation, DisjointSets, Graph, GraphFormatError,
-                     bfs_canonical_order, connected_component, degeneracy_order,
-                     load_graph, perfect_elimination_order)
+                     degeneracy_order, load_graph, perfect_elimination_order)
 from .oracle import OracleCapError, brute_force_maximal
 from .problems import (ALL_VARIANTS, PSPACE_VARIANTS, make_instance)
 from .problems.geometry import PointSetInstance, load_points
@@ -18,9 +17,9 @@ __all__ = [
     "ALL_VARIANTS", "ContractViolation", "Counters", "DisjointSets", "Graph",
     "GraphFormatError", "OracleCapError", "PSPACE_VARIANTS",
     "PartialOutputError", "PointSetInstance", "SolutionDict",
-    "bfs_canonical_order", "brute_force_maximal", "connected_component",
-    "degeneracy_order", "enumerate_exp", "enumerate_pspace", "load_graph",
-    "load_points", "make_instance", "perfect_elimination_order",
+    "brute_force_maximal", "degeneracy_order", "enumerate_exp",
+    "enumerate_pspace", "load_graph", "load_points", "make_instance",
+    "perfect_elimination_order",
 ]
 
 __version__ = "0.1.0"

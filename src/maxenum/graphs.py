@@ -208,31 +208,9 @@ class DisjointSets:
         return True
 
 
-def connected_component(g: Graph, s: Iterable[int], v: int) -> set[int]:
-    """Vertices of s reachable from v inside the induced subgraph G[s].
-
-    Directed graphs are treated as undirected for reachability.
-    """
-    sset = set(s)
-    if v not in sset:
-        raise ContractViolation(f"vertex {v} not in the candidate set")
-    return set(bits(mask_cc(g.und_mask, mask_of(sset), v)))
-
-
 def components(g: Graph, s: Iterable[int]) -> list[set[int]]:
     """Connected components of G[s], ordered by smallest contained vertex."""
     return [set(bits(c)) for c in mask_components(g.und_mask, mask_of(s))]
-
-
-def bfs_canonical_order(g: Graph, s: Iterable[int], root: int) -> list[int]:
-    """Order G[s] by (distance from root, vertex id); G[s] must be connected."""
-    sset = set(s)
-    if root not in sset:
-        raise ContractViolation(f"root {root} not in the candidate set")
-    dist = mask_dists(g.und_mask, mask_of(sset), root)
-    if len(dist) != len(sset):
-        raise ContractViolation("candidate set does not induce a connected subgraph")
-    return sorted(sset, key=lambda u: (dist[u], u))
 
 
 def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:

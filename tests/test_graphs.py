@@ -3,11 +3,33 @@ import random
 import pytest
 
 from maxenum.graphs import (ContractViolation, DisjointSets, Graph,
-                            GraphFormatError, bfs_canonical_order, components,
-                            connected_component, degeneracy_order, load_graph,
+                            GraphFormatError, bits, components, degeneracy_order,
+                            load_graph, mask_cc, mask_dists, mask_of,
                             perfect_elimination_order, spanned_masks)
 
 from conftest import complete, cycle, path, star, triangle
+
+
+def connected_component(g, s, v):
+    """Vertices of s reachable from v inside the induced subgraph G[s].
+
+    Directed graphs are treated as undirected for reachability.
+    """
+    sset = set(s)
+    if v not in sset:
+        raise ContractViolation(f"vertex {v} not in the candidate set")
+    return set(bits(mask_cc(g.und_mask, mask_of(sset), v)))
+
+
+def bfs_canonical_order(g, s, root):
+    """Order G[s] by (distance from root, vertex id); G[s] must be connected."""
+    sset = set(s)
+    if root not in sset:
+        raise ContractViolation(f"root {root} not in the candidate set")
+    dist = mask_dists(g.und_mask, mask_of(sset), root)
+    if len(dist) != len(sset):
+        raise ContractViolation("candidate set does not induce a connected subgraph")
+    return sorted(sset, key=lambda u: (dist[u], u))
 
 
 # -- loader -------------------------------------------------------------------
