@@ -9,6 +9,7 @@ from pathlib import Path
 import maxenum.engine
 import maxenum.graphs
 import maxenum.pspace
+from maxenum.problems.base import Problem, PspaceProblem
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,3 +29,15 @@ def test_rebound_names_exist(monkeypatch):
     for name in tracing.GRAPH_HELPERS:
         assert callable(getattr(maxenum.graphs, name, None)), name
     assert isinstance(getattr(maxenum.engine, "SolutionDict", None), type)
+
+
+def test_traced_problem_methods_exist(monkeypatch):
+    # a problem method the tracer cannot find is skipped without an error,
+    # so its span would read zero calls; the pspace problems have all of
+    # them, and every problem the exp-only ones
+    tracing = load_tracing(monkeypatch)
+    pspace_only = {"order_keys", "neighbors_at"}
+    for name in tracing.PROBLEM_METHODS:
+        assert callable(getattr(PspaceProblem, name, None)), name
+        if name not in pspace_only:
+            assert callable(getattr(Problem, name, None)), name
