@@ -29,7 +29,7 @@ class Counters:
 
     solutions_emitted: int = 0
     neighbors_calls: int = 0
-    comp_calls: int = 0          # completions computed; a pspace memo hit is not one
+    comp_calls: int = 0          # completions computed, not memo hits
     dict_operations: int = 0
     max_comp_gap: int = 0        # most comp calls between consecutive emissions
     roots_found: int = 0         # parent-forest traversal only

@@ -548,8 +548,18 @@ def run_pspace(inst, **kwargs):
     return sols, counters
 
 
-def without_comp_counts(counters):
-    return dataclasses.replace(counters, comp_calls=0, max_comp_gap=0)
+def corpus_runs(variant):
+    """(solutions, counters) of pspace runs on corpus instances 0-39."""
+    return [run_pspace(build_instance(variant, i)) for i in range(40)]
+
+
+def without_comp_counts(runs):
+    return [(sols, dataclasses.replace(c, comp_calls=0, max_comp_gap=0))
+            for sols, c in runs]
+
+
+def comp_calls(runs):
+    return sum(c.comp_calls for _, c in runs)
 
 
 class ForgetfulMemo(pspace_mod._LexMemo):
@@ -564,19 +574,11 @@ def test_memo_is_transparent(variant, monkeypatch):
     # the memo changes which completions are computed, never their results:
     # a run that misses on every lookup emits the same solutions in the same
     # order with the same counters, apart from the completion counts
-    memo_class, computed = pspace_mod._LexMemo, {}
-    for memo in (memo_class, ForgetfulMemo):
-        monkeypatch.setattr(pspace_mod, "_LexMemo", memo)
-        computed[memo] = 0
-        runs = []
-        for i in range(40):
-            sols, counters = run_pspace(build_instance(variant, i))
-            computed[memo] += counters.comp_calls
-            runs.append((sols, without_comp_counts(counters)))
-        if memo is ForgetfulMemo:
-            assert runs == remembered
-        remembered = runs
-    assert computed[memo_class] < computed[ForgetfulMemo], computed
+    remembered = corpus_runs(variant)
+    monkeypatch.setattr(pspace_mod, "_LexMemo", ForgetfulMemo)
+    forgotten = corpus_runs(variant)
+    assert without_comp_counts(remembered) == without_comp_counts(forgotten)
+    assert comp_calls(remembered) < comp_calls(forgotten)
 
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
@@ -591,16 +593,14 @@ def test_memo_overflow_clears(variant, monkeypatch):
         sizes.append(len(self))
 
     monkeypatch.setattr(pspace_mod._LexMemo, "__setitem__", recorded)
-    full = [run_pspace(build_instance(variant, i)) for i in range(40)]
+    full = corpus_runs(variant)
     assert max(sizes) > 3
     sizes.clear()
     monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 3)
-    for i, (sols, counters) in enumerate(full):
-        capped_sols, capped = run_pspace(build_instance(variant, i))
-        assert capped_sols == sols, (variant, i)
-        assert without_comp_counts(capped) == without_comp_counts(counters)
-        assert capped.comp_calls >= counters.comp_calls
-    assert max(sizes) == 3 and sizes.count(1) > 40
+    capped = corpus_runs(variant)
+    assert max(sizes) == 3 and sizes.count(1) > 40  # cleared, not only fresh
+    assert without_comp_counts(capped) == without_comp_counts(full)
+    assert comp_calls(capped) > comp_calls(full)
 
 
 def test_memo_closed_after_every_run():

@@ -29,15 +29,10 @@ def test_rebound_names_exist(monkeypatch):
     for name in tracing.GRAPH_HELPERS:
         assert callable(getattr(maxenum.graphs, name, None)), name
     assert isinstance(getattr(maxenum.engine, "SolutionDict", None), type)
-
-
-def test_traced_problem_methods_exist(monkeypatch):
-    # a problem method the tracer cannot find is skipped without an error,
-    # so its span would read zero calls; the pspace problems have all of
-    # them, and every problem the exp-only ones
-    tracing = load_tracing(monkeypatch)
-    pspace_only = {"order_keys", "neighbors_at"}
+    # the tracer skips a problem method it cannot find, without an error:
+    # the pspace problems have every one of them, and all problems have
+    # those the exp engine calls
     for name in tracing.PROBLEM_METHODS:
         assert callable(getattr(PspaceProblem, name, None)), name
-        if name not in pspace_only:
+        if name not in ("order_keys", "neighbors_at"):
             assert callable(getattr(Problem, name, None)), name
