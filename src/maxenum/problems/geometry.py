@@ -3,14 +3,13 @@
 Solutions are subsets of the interest points whose closed convex hull
 contains no obstacle (boundary counts as containment); the connected
 variant additionally carries a graph on the interest points and demands
-connectivity.  All predicates are exact integer arithmetic: containment
-is tested through segments and non-degenerate triangles of the candidate
-set, never through floating point.
+connectivity.  All predicates are exact integer arithmetic, never
+floating point: each candidate set's hull is built once by Andrew's
+monotone chain, and every obstacle is tested against its edges.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
 from ..graphs import Graph, bits, mask_components, mask_of, parse_edge_lines
@@ -36,22 +35,39 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def point_in_hull(p: Point, pts: list[Point]) -> bool:
-    """Closed-hull containment: p lies on a segment or inside a triangle
-    spanned by pts (Caratheodory suffices in the plane)."""
-    for a in pts:
-        if a == p:
-            return True
-    for a, b in combinations(pts, 2):
-        if on_segment(p, a, b):
-            return True
-    for a, b, c in combinations(pts, 3):
-        if orient(a, b, c) == 0:
-            continue
-        o1, o2, o3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
-        if (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0):
-            return True
-    return False
+def convex_hull(pts) -> list[Point]:
+    """The closed convex hull of pts by Andrew's monotone chain: its
+    corners counter-clockwise from the least point, collinear and repeated
+    points dropped.  Fewer than three points or an all-collinear set give
+    the distinct points, or a segment's two ends, in ascending order."""
+    pts = sorted(set(pts))
+    if len(pts) < 3:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) > 1 and orient(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) > 1 and orient(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def in_hull(p: Point, hull: list[Point]) -> bool:
+    """Closed containment of p in a hull from ``convex_hull``: the boundary
+    counts as inside, and an empty hull holds nothing."""
+    if len(hull) < 3:
+        # a point is the segment from itself to itself
+        return bool(hull) and on_segment(p, hull[0], hull[-1])
+    a = hull[-1]
+    for b in hull:
+        if orient(a, b, p) < 0:
+            return False
+        a = b
+    return True
 
 
 class PointSetInstance:
@@ -141,9 +157,9 @@ class Hulls(Problem):
         """Indices of obstacles inside the closed hull of the masked points."""
         hit = self._inside_cache.get(mask)
         if hit is None:
-            pts = [self.inst.interest[i] for i in bits(mask)]
+            hull = convex_hull([self.inst.interest[i] for i in bits(mask)])
             hit = tuple(i for i, p in enumerate(self.inst.obstacles)
-                        if point_in_hull(p, pts))
+                        if in_hull(p, hull))
             self._inside_cache[mask] = hit
         return hit
 

@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from maxenum import (Graph, PointSetInstance, brute_force_maximal,
                      enumerate_exp, make_instance)
-from maxenum.problems.geometry import (PointFormatError, load_points,
-                                       on_segment, orient, point_in_hull)
+from maxenum.problems.geometry import (PointFormatError, convex_hull, in_hull,
+                                       load_points, on_segment, orient)
 
 
 def tri_with_centroid():
@@ -26,6 +28,24 @@ def test_on_segment():
     assert not on_segment((1, 1), (0, 0), (2, 0))
 
 
+def point_in_hull(p, pts):
+    """Closed-hull containment: p lies on a segment or inside a triangle
+    spanned by pts (Caratheodory suffices in the plane)."""
+    for a in pts:
+        if a == p:
+            return True
+    for a, b in combinations(pts, 2):
+        if on_segment(p, a, b):
+            return True
+    for a, b, c in combinations(pts, 3):
+        if orient(a, b, c) == 0:
+            continue
+        o1, o2, o3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
+        if (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0):
+            return True
+    return False
+
+
 def test_point_in_hull_boundary_counts():
     pts = [(0, 0), (4, 0), (0, 4)]
     assert point_in_hull((1, 1), pts)
@@ -35,6 +55,62 @@ def test_point_in_hull_boundary_counts():
     # degenerate: collinear point set
     assert point_in_hull((1, 0), [(0, 0), (2, 0)])
     assert not point_in_hull((3, 0), [(0, 0), (2, 0)])
+
+
+def test_convex_hull_shapes():
+    # counter-clockwise from the least point, collinear and repeated points
+    # dropped; a segment keeps its two ends
+    square = [(2, 2), (0, 0), (1, 0), (2, 0), (0, 2), (1, 1), (0, 0)]
+    assert convex_hull(square) == [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert convex_hull([(3, 3), (1, 1), (2, 2), (1, 1)]) == [(1, 1), (3, 3)]
+    assert convex_hull([(4, 5), (4, 5)]) == [(4, 5)]
+    assert convex_hull([]) == []
+    assert not in_hull((0, 0), [])
+    assert in_hull((4, 5), [(4, 5)]) and not in_hull((4, 6), [(4, 5)])
+
+
+def _lattice_segment(a, b):
+    """Every integer point of the closed segment from a to b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    g = gcd(dx, dy) or 1
+    return [(a[0] + i * dx // g, a[1] + i * dy // g) for i in range(g + 1)]
+
+
+def _query_sets(rng):
+    """Point sets of every degenerate kind, then general ones."""
+    yield []
+    for _ in range(40):
+        yield [(rng.randint(0, 6), rng.randint(0, 6))]
+    for _ in range(200):
+        # collinear, possibly with repeats, along a random lattice direction
+        a = (rng.randint(0, 6), rng.randint(0, 6))
+        d = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)])
+        yield [(a[0] + t * d[0], a[1] + t * d[1])
+               for t in (rng.randint(-3, 3) for _ in range(rng.randint(2, 5)))]
+    for _ in range(1400):
+        pts = [(rng.randint(0, 6), rng.randint(0, 6))
+               for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.3:
+            pts += rng.sample(pts, rng.randint(1, 2))  # duplicates
+        yield pts
+
+
+def test_hull_containment_matches_triangle_witness():
+    # the monotone-chain hull against the triangle test on small grids: the
+    # queries hold every integer point on a segment between two points of
+    # the set, hence every hull edge and corner, and a square around it
+    rng = random.Random(131)
+    queries = 0
+    for pts in _query_sets(rng):
+        hull = convex_hull(pts)
+        probe = [(rng.randint(-2, 8), rng.randint(-2, 8)) for _ in range(40)]
+        for a, b in combinations(pts, 2):
+            probe += _lattice_segment(a, b)
+        probe += pts
+        for q in probe:
+            assert in_hull(q, hull) == point_in_hull(q, pts), (pts, q)
+        queries += len(probe)
+    assert queries >= 100_000
 
 
 # -- membership -------------------------------------------------------------------
@@ -138,6 +214,54 @@ def test_intersection_grows_along_some_neighbor():
                 base = inst.prefix_overlap(s, t)
                 assert any(inst.prefix_overlap(c, t) > base
                            for c in inst.neighbors(s))
+
+
+# -- degenerate inputs against the oracle ---------------------------------------------
+
+def _exp_matches_oracle(interest, obstacles):
+    """The sorted exp solutions of hulls, and of hulls-connected on a path
+    and on a complete graph over the points, each checked against the
+    brute-force oracle."""
+    j = len(interest)
+    out = []
+    for g in (None, Graph(j, [(i, i + 1) for i in range(j - 1)]),
+              Graph(j, list(combinations(range(j), 2)))):
+        variant = "hulls" if g is None else "hulls-connected"
+        inst = make_instance(variant,
+                             points=PointSetInstance(interest, obstacles, g))
+        sols = []
+        enumerate_exp(inst, emit=sols.append)
+        assert sorted(sols) == brute_force_maximal(inst), (variant, g)
+        out.append(sorted(sols))
+    return out
+
+
+def test_collinear_points_oracle():
+    # all on y = x: (1, 1) lies between points 0 and 1, (8, 8) past the end
+    interest = [(0, 0), (2, 2), (4, 4), (6, 6)]
+    for sols in _exp_matches_oracle(interest, [(1, 1), (8, 8)]):
+        assert sols == [(0,), (1, 2, 3)]
+
+
+def test_obstacle_on_edges_oracle():
+    # (2, 0) is on the edge 0-1; (2, 2) on the edges 1-2 and 0-3 and on a
+    # side of both triangles that hold either diagonal
+    interest = [(0, 0), (4, 0), (0, 4), (4, 4)]
+    plain, on_path, on_clique = _exp_matches_oracle(interest, [(2, 0), (2, 2)])
+    assert plain == on_clique == [(0, 2), (1, 3), (2, 3)]
+    assert on_path == [(0,), (1,), (2, 3)]
+
+
+def test_obstacle_at_a_corner_is_rejected():
+    # an obstacle at an interest point would sit at the corner of every hull
+    # holding that point; the input refuses it as a duplicate point
+    with pytest.raises(ValueError, match="duplicate point"):
+        PointSetInstance([(0, 0), (4, 0), (0, 4)], [(4, 0)])
+
+
+def test_zero_and_one_interest_points_oracle():
+    assert _exp_matches_oracle([], [(1, 1)]) == [[()]] * 3
+    assert _exp_matches_oracle([(0, 0)], [(1, 1)]) == [[(0,)]] * 3
 
 
 # -- loader -----------------------------------------------------------------------------
