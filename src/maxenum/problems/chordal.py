@@ -3,13 +3,15 @@
 Candidates keep one maximal clique around the incoming element and drop
 the rest of its neighborhood, which preserves chordality: the incoming
 element becomes simplicial and the remainder is a subgraph of the old
-solution with a vertex's edges deleted.
+solution with a vertex's edges deleted.  Completion of the induced
+variants asks a test local to the added vertex (``_extension_test``)
+instead of re-running the elimination of the whole set.
 """
 
 from __future__ import annotations
 
 from ..graphs import (Graph, bits, chordal_cliques, edge_canonical_order,
-                      mask_components, mask_of, peo_mask,
+                      mask_components, mask_is_clique, mask_of, peo_mask,
                       perfect_elimination_order, spanned_masks)
 from .base import GraphProblem, tuple_of
 
@@ -28,6 +30,32 @@ class _ChordalInducedBase(GraphProblem):
         if self.connected and len(mask_components(self.g.und_mask, mask)) > 1:
             return False
         return peo_mask(self.g.und_mask, mask) is not None
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # a chordless cycle through e leaves it by two non-adjacent
+        # neighbors and returns through vertices it does not see, all in one
+        # component C of G[x - N(e)]; so x + e is chordal exactly when the
+        # neighbors of each such C in N(e) form a clique (Berry, Heggernes
+        # & Villanger 2006).  An element of the connected variant's reach
+        # keeps x connected.
+        und = self.g.und_mask
+        nb = und[e] & x
+        if mask_is_clique(und, nb):
+            return True  # e is simplicial
+        far = x & ~nb
+        while far:
+            # flood one component C of far, collecting the neighbors of C
+            todo, comp, seen = far & -far, 0, 0
+            while todo:
+                ub = todo & -todo
+                comp |= ub
+                adj = und[ub.bit_length() - 1]
+                seen |= adj
+                todo = (todo | adj & far) & ~comp
+            if not mask_is_clique(und, seen & nb):
+                return False
+            far &= ~comp
+        return True
 
     def cliques_at(self, solution, v: int) -> list[tuple[int, ...]]:
         """Maximal cliques of G[solution + {v}] containing v.

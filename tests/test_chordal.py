@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from maxenum import brute_force_maximal, enumerate_exp, make_instance
-from maxenum.graphs import Graph
+from maxenum.graphs import Graph, bits, mask_components
 
 from conftest import complete, cycle, random_graph, triangle
 
@@ -126,3 +128,49 @@ def test_edge_variant_oracle():
         sols = []
         enumerate_exp(inst, emit=sols.append)
         assert sorted(sols) == brute_force_maximal(inst)
+
+
+# -- the extension test ---------------------------------------------------------
+
+def gem():
+    # the path 0-1-2-3 and a vertex 4 seeing all of it
+    return Graph(5, [(0, 1), (1, 2), (2, 3)] + [(i, 4) for i in range(4)])
+
+
+def three_sun():
+    # the triangle 0-1-2, each side capped by a vertex of degree two
+    return Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4),
+                     (0, 5), (2, 5)])
+
+
+def triangles_on_a_path():
+    # the triangles 0-1-2 and 4-5-6 joined by the path 2-3-4
+    return Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                     (4, 6)])
+
+
+def two_squares():
+    # the 4-cycles 0-1-2-3 and 0-4-5-6, sharing vertex 0
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6),
+                     (0, 6)])
+
+
+@pytest.mark.parametrize("variant", ["chordal-induced", "chordal-induced-connected"])
+def test_extension_test_exhaustive(variant):
+    # every solution x and every e of its reach.  Where the vertices of x
+    # outside N(e) fall into two or more components, the test must judge
+    # each; such splits occur here with both answers, the two squares
+    # giving ones where only one component closes a hole
+    split = set()
+    for g in (cycle(4), cycle(5), gem(), three_sun(), triangles_on_a_path(),
+              two_squares()):
+        inst = make_instance(variant, graph=g)
+        for x in range(1 << g.n):
+            if not inst.sol(x):
+                continue
+            for e in bits(inst._reach(x)):
+                ok = inst.sol(x | 1 << e)
+                assert inst._extension_test(x, e) == ok, (g.edges, x, e)
+                if len(mask_components(g.und_mask, x & ~g.und_mask[e])) > 1:
+                    split.add(ok)
+    assert split == {True, False}

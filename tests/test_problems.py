@@ -14,7 +14,7 @@ import pytest
 from maxenum import Graph, enumerate_exp, make_instance
 from maxenum.graphs import bits, mask_of
 from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
-from maxenum.problems.base import Problem, tuple_of
+from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
 from conftest import build_instance, path, random_graph
 from test_pspace import comp_lex_witness
@@ -182,7 +182,8 @@ def random_growths(inst, rng, walks):
 
 
 def test_extension_tests_exist():
-    assert EXTENSION_TESTED == ["trees"]
+    assert EXTENSION_TESTED == ["chordal-induced", "chordal-induced-connected",
+                                "trees"]
 
 
 @pytest.mark.parametrize("variant", EXTENSION_TESTED)
@@ -199,7 +200,7 @@ def test_extension_test_matches_predicate(variant):
                 assert ok(x, e) == inst.sol(x | 1 << e), (g.edges, tuple_of(x), e)
                 checked += 1
             assert inst._comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
-            if x:
+            if x and isinstance(inst, PspaceProblem):
                 assert (tuple_of(inst.comp_lex_mask(x))
                         == comp_lex_witness(inst, tuple_of(x))), (g.edges, tuple_of(x))
     assert checked > 12000
