@@ -154,60 +154,6 @@ def parse_edge_lines(rows, n: int, directed: bool,
     return edges
 
 
-class DisjointSets:
-    """Union-find with rank, path compression and a parity bit per element.
-
-    The parity bit records the side of an element relative to its root,
-    which the ``bipartite-edge`` predicate reads to two-color the
-    subgraph spanned by an edge set.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.par = [0] * n  # parity relative to parent
-
-    def find(self, x: int) -> int:
-        p = 0
-        root = x
-        while self.parent[root] != root:
-            p ^= self.par[root]
-            root = self.parent[root]
-        # path compression, keeping parities consistent
-        while self.parent[x] != root:
-            nxt = self.parent[x]
-            nxtp = self.par[x]
-            self.parent[x] = root
-            self.par[x] = p
-            p ^= nxtp
-            x = nxt
-        return root
-
-    def parity(self, x: int) -> int:
-        self.find(x)
-        return self.par[x] if self.parent[x] != x else 0
-
-    def union(self, a: int, b: int, rel: int = 0) -> bool:
-        """Merge the sets of a and b with parity(a) ^ parity(b) == rel.
-
-        Returns False when a and b are already joined with the opposite
-        parity (a two-coloring conflict); True otherwise.
-        """
-        ra, rb = self.find(a), self.find(b)
-        pa = self.par[a] if self.parent[a] != a else 0
-        pb = self.par[b] if self.parent[b] != b else 0
-        if ra == rb:
-            return (pa ^ pb) == rel
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-            pa, pb = pb, pa
-        self.parent[rb] = ra
-        self.par[rb] = pa ^ pb ^ rel
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def components(g: Graph, s: Iterable[int]) -> list[set[int]]:
     """Connected components of G[s], ordered by smallest contained vertex."""
     return [set(bits(c)) for c in mask_components(g.und_mask, mask_of(s))]
@@ -260,6 +206,9 @@ def edge_canonical_order(g: Graph, solution: Iterable[int], vertex_order) -> lis
     order of the subgraph ``sub`` the edges span, on the vertices
     ``spanned``."""
     elist = sorted(solution)
+    for e in elist:
+        if not 0 <= e < g.m:
+            raise ValueError(f"element id {e} out of range for ground size {g.m}")
     sub = Graph(g.n, [g.edges[e] for e in elist], directed=g.directed)
     spanned = [u for u in range(g.n) if sub.und_mask[u]]
     pos = {u: i for i, u in enumerate(vertex_order(sub, spanned))}
@@ -315,6 +264,27 @@ def mask_dists(adj_masks, mask: int, src: int) -> dict[int, int]:
         for u in bits(frontier):
             dist[u] = d
     return dist
+
+
+def mask_layers(adj_masks, mask: int, v: int):
+    """(slot, depth, layer, nbrs) for each BFS layer of the masked set: v's
+    component first, walked from v, at slot 0, then every other one from its
+    leader, its smallest vertex, by ascending leader, at slot leader + 1.
+    ``nbrs`` is the union of the layer's adjacency rows, not cut to the
+    mask.  v must lie in a non-empty mask."""
+    left, slot, leader = mask, 0, v
+    while left:
+        layer, depth = 1 << leader, 0
+        while layer:
+            left ^= layer
+            nbrs = 0
+            for u in bits(layer):
+                nbrs |= adj_masks[u]
+            yield slot, depth, layer, nbrs
+            layer = nbrs & left
+            depth += 1
+        leader = (left & -left).bit_length() - 1
+        slot = leader + 1
 
 
 def mask_is_clique(adj_masks, mask: int) -> bool:

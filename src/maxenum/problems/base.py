@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..graphs import ContractViolation, Graph, bits, mask_cc, mask_dists, mask_of
+from ..graphs import ContractViolation, Graph, bits, mask_cc, mask_layers, mask_of
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -210,9 +210,9 @@ class PspaceProblem(GraphProblem):
     """Contract addition for the dictionary-free parent-forest traversal.
 
     The four families supported here are vertex problems on an undirected
-    graph where every single vertex is a solution, ordered by BFS per
-    component leader (``order_keys``); their canonical order is this
-    solution order.  Their candidate rule ``_candidates`` serves both
+    graph where every single vertex is a solution, ordered by the BFS
+    layers of ``mask_layers`` rooted at the seed; their canonical order is
+    this solution order.  Their candidate rule ``_candidates`` serves both
     engines: completed by ``comp_mask`` for ``neighbors`` and by the
     lexicographic completion ``comp_lex_mask`` for ``neighbors_at``.
     """
@@ -243,9 +243,9 @@ class PspaceProblem(GraphProblem):
         element (``_grow_reach``), an element is tested by
         ``_extension_test`` where the family has one, else by ``sol``, and
         one rejected stays rejected, since all four families are
-        hereditary, or hereditary once connected.  Order keys are built from
-        the components of the current G[X] only in a round with two or more
-        addable elements.
+        hereditary, or hereditary once connected.  Only a round with two or
+        more addable elements reads the order: it adds the one of least
+        ``order_keys``, rooted at the seed.
         """
         memo = self._lex_memo
         if memo is not None and xmask in memo:
@@ -272,62 +272,42 @@ class PspaceProblem(GraphProblem):
             if len(ext) == 1:
                 best = ext[0]  # the order is not needed to choose
             else:
-                comps = self._components(xmask, (xmask & -xmask).bit_length() - 1)
-                best = min(self._key(comps, e) for e in ext)[2]  # keys end with e
+                seed = (xmask & -xmask).bit_length() - 1
+                best = min(self.order_keys(xmask, seed, ext).values())[2]  # keys end with e
             reach = self._grow_reach(reach, xmask, 1 << best)
             xmask |= 1 << best
 
     def canonical_order(self, solution) -> list[int]:
-        """The solution order: the elements sorted by their order keys
-        rooted at the smallest one."""
-        sol = sorted(solution)
-        if not sol:
-            return sol
-        keys = self.order_keys(mask_of(sol), sol[0], sol)
-        return sorted(sol, key=keys.__getitem__)
+        """The solution order: the layers of ``mask_layers`` from the seed."""
+        xmask = self._mask(solution)
+        seed = (xmask & -xmask).bit_length() - 1
+        return [e for _, _, layer, _ in mask_layers(self.g.und_mask, xmask, seed)
+                for e in bits(layer)]
 
     def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
         """Sort keys for elements of X and X+ under the order rooted at v.
 
-        The components of G[X] take slot 0 for v's own and leader + 1 for any
-        other, whose leader is its smallest vertex, so the root component
-        always sorts first.  An element of X is keyed (slot, BFS distance
-        from the leader, id).  An extension e joins the touched component of
-        smallest slot when that slot is at most e, keyed (slot, 1 + least
-        distance of its neighbors there, e); otherwise it leads a component
-        of its own, keyed (e + 1, 0, e).
+        One pass over ``mask_layers`` reads them off.  The components of
+        G[X] take slot 0 for v's own and leader + 1 for any other, whose
+        leader is its smallest vertex, so the root component sorts first.
+        An element of X is keyed (slot, BFS depth from the leader, id).  An
+        extension e is keyed at the first layer whose neighbors hold it:
+        (slot, depth + 1, e) when that slot is at most e; otherwise, as when
+        it touches no layer, it leads a component of its own, (e + 1, 0, e).
         """
         if not (xmask >> v) & 1:
             raise ValueError(f"order root {v} is not in the set")
-        comps = self._components(xmask, v)
-        return {e: self._key(comps, e) for e in elems}
-
-    def _components(self, xmask: int, v: int) -> list[tuple]:
-        """The components of G[X] as (mask, slot, BFS distances from the
-        leader), by ascending slot, under the order rooted at v."""
-        adj = self.g.und_mask
-        comps = []
-        left, leader, slot = xmask, v, 0
-        while left:
-            dist = mask_dists(adj, left, leader)
-            comp = left if len(dist) == left.bit_count() else mask_of(dist)
-            comps.append((comp, slot, dist))
-            left &= ~comp
-            leader = (left & -left).bit_length() - 1
-            slot = leader + 1
-        return comps
-
-    def _key(self, comps: list[tuple], e: int) -> tuple:
-        """The order key of e, a member or an extension of X, given the
-        components of G[X] (see ``order_keys``)."""
-        nb_e = self.g.und_mask[e]
-        # an element of X touches no component before its own
-        for comp, slot, dist in comps:
-            if (comp >> e) & 1:
-                return (slot, dist[e], e)
-            nb = nb_e & comp
-            if nb:
-                if slot <= e:
-                    return (slot, 1 + min(dist[u] for u in bits(nb)), e)
+        keys = {}
+        todo = mask_of(elems)
+        for slot, depth, layer, nbrs in mask_layers(self.g.und_mask, xmask, v):
+            own, touched = layer & todo, nbrs & todo & ~xmask
+            for e in bits(own):
+                keys[e] = (slot, depth, e)
+            for e in bits(touched):
+                keys[e] = (slot, depth + 1, e) if slot <= e else (e + 1, 0, e)
+            todo ^= own | touched
+            if not todo:
                 break
-        return (e + 1, 0, e)
+        for e in bits(todo):
+            keys[e] = (e + 1, 0, e)
+        return keys

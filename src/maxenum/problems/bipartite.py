@@ -9,40 +9,22 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..graphs import (DisjointSets, Graph, bits, edge_canonical_order,
-                      mask_components, mask_of)
+from ..graphs import (Graph, edge_canonical_order, mask_components, mask_layers,
+                      mask_of, spanned_masks)
 from .base import GraphProblem, PspaceProblem, tuple_of
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
-    """(B0, B1) side masks of the induced subgraph, or None on an odd cycle."""
-    b0 = b1 = 0
-    left = mask
-    while left:
-        # one BFS per component, from its smallest vertex, which goes to B0
-        root = left & -left
-        even = seen = frontier = root
-        level = 0
-        while frontier:
-            grow = 0
-            for u in bits(frontier):
-                grow |= adj_masks[u]
-            frontier = grow & left & ~seen
-            seen |= frontier
-            level += 1
-            if level % 2 == 0:
-                even |= frontier
-        odd = seen & ~even
-        for u in bits(even):
-            if adj_masks[u] & even:
-                return None
-        for u in bits(odd):
-            if adj_masks[u] & odd:
-                return None
-        b0 |= even
-        b1 |= odd
-        left &= ~seen
-    return b0, b1
+    """(B0, B1) side masks of the induced subgraph, the even and the odd
+    layers of ``mask_layers`` from its smallest vertex, or None when an edge
+    joins two vertices of one layer, which closes an odd cycle."""
+    sides = [0, 0]
+    for _, depth, layer, nbrs in mask_layers(adj_masks, mask,
+                                             (mask & -mask).bit_length() - 1):
+        if nbrs & layer:
+            return None
+        sides[depth & 1] |= layer
+    return sides[0], sides[1]
 
 
 def bipartition(g: Graph, elems: Iterable[int]) -> Optional[tuple[tuple, tuple]]:
@@ -91,12 +73,8 @@ class BipartiteEdge(GraphProblem):
     ground_kind = "e"
 
     def _solution_mask(self, emask: int) -> bool:
-        ds = DisjointSets(self.g.n)
-        for e in bits(emask):
-            u, v = self.g.edges[e]
-            if not ds.union(u, v, rel=1):
-                return False
-        return True
+        und, _, span = spanned_masks(self.g, emask)
+        return _two_color_masks(und, span) is not None
 
     def _candidates(self, emask: int, incoming):
         for e in incoming:

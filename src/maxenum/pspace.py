@@ -19,7 +19,7 @@ in a memo, cleared at ``LEX_MEMO_CAP`` entries.  The lexicographic
 completion (``PspaceProblem.comp_lex_mask``) carries only its reach and
 its rejected elements across rounds, and builds order keys only in a round
 that must choose between two or more addable elements.  ``_regenerate``
-walks the BFS layers of the seed's component of a candidate only up to the
+walks the order's BFS layers (``graphs.mask_layers``) only up to the
 pivot, and drops the seed as soon as a layer holds a smaller element.  The
 parent check (``has_parent``) judges the pivot first: the prefix before it
 must lie inside the parent and complete to it, and only then are the
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .engine import Counters, Emitter, walk
-from .graphs import ContractViolation, bits, mask_of
+from .graphs import ContractViolation, mask_layers, mask_of
 from .problems.base import PspaceProblem, tuple_of
 
 LEX_MEMO_CAP = 1024  # the most completions a run keeps
@@ -134,28 +134,18 @@ def _regenerate(problem: PspaceProblem, r, s: int, w: int) -> int:
     of the completion is at most the smallest element of the prefix, so the
     completion could not be rooted at s.
 
-    s's component of G[r] sorts first, keyed (0, BFS distance from s, id),
-    so when w lies in it the prefix is every BFS layer before w's plus the
+    The prefix is every layer of ``mask_layers(r, s)`` before w's plus the
     members of w's layer up to w; the walk stops at the first layer that
-    holds an element below s.  Only a w outside that component needs the
-    order keys of every component.
+    holds an element below s, wherever w lies.
     """
-    adj, rmask, below = problem.g.und_mask, mask_of(r), (1 << s) - 1
-    seen = layer = 1 << s
-    while layer:
+    prefix, below = 0, (1 << s) - 1
+    for _, _, layer, _ in mask_layers(problem.g.und_mask, mask_of(r), s):
         if (layer >> w) & 1:
-            prefix = seen & ~layer | layer & ((2 << w) - 1)
-            return 0 if prefix & below else problem.comp_lex_mask(prefix)
+            prefix |= layer & ((2 << w) - 1)
+            break
         if layer & below:
             return 0
-        grow = 0
-        for u in bits(layer):
-            grow |= adj[u]
-        layer = grow & rmask & ~seen
-        seen |= layer
-    keys = problem.order_keys(rmask, s, r)
-    kw = keys[w]
-    prefix = mask_of(x for x in r if keys[x] <= kw)
+        prefix |= layer
     return 0 if prefix & below else problem.comp_lex_mask(prefix)
 
 

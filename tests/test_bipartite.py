@@ -64,6 +64,22 @@ def test_is_solution_matches_two_coloring():
         assert inst.is_solution(cand) == _two_colorable(g, cand)
 
 
+def test_edge_predicate_matches_two_coloring():
+    # every edge subset of K4, C5 and seeded random graphs, against the DFS
+    # two-colouring of the subgraph the subset spans
+    rng = random.Random(37)
+    graphs = [complete(4), cycle(5)]
+    graphs += [random_graph(rng, rng.randint(2, 7), 0.6, max_m=10) for _ in range(12)]
+    checked = 0
+    for g in graphs:
+        inst = make_instance("bipartite-edge", graph=g)
+        for emask in range(1 << g.m):
+            sub = Graph(g.n, [g.edges[e] for e in range(g.m) if (emask >> e) & 1])
+            assert inst.sol(emask) == _two_colorable(sub, set(range(g.n))), (g.edges, emask)
+            checked += 1
+    assert checked >= 2000, checked
+
+
 def test_connected_variant_needs_connectivity():
     inst = make_instance("bipartite-induced-connected", graph=cycle(4))
     assert not inst.is_solution({0, 2})

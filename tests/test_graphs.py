@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from maxenum.graphs import (ContractViolation, DisjointSets, Graph,
-                            GraphFormatError, bits, components, degeneracy_order,
-                            load_graph, mask_cc, mask_dists, mask_of,
+from maxenum import make_instance
+from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits,
+                            components, degeneracy_order, load_graph, mask_cc,
+                            mask_dists, mask_layers, mask_of,
                             perfect_elimination_order, spanned_masks)
+from maxenum.problems.bipartite import _two_color_masks
 
-from conftest import complete, cycle, path, star, triangle
+from conftest import complete, cycle, path, random_graph, star, triangle
 
 
 def connected_component(g, s, v):
@@ -228,19 +230,60 @@ def test_spanned_masks_digraph():
     assert spanned_masks(g, 0) == ([0] * 4, [0] * 4, 0)
 
 
-# -- disjoint sets --------------------------------------------------------------
+# -- BFS layers ----------------------------------------------------------------
 
-def test_disjoint_sets_parity():
-    ds = DisjointSets(4)
-    assert ds.union(0, 1, rel=1)
-    assert ds.union(1, 2, rel=1)
-    assert ds.parity(0) ^ ds.parity(2) == 0  # same side through two hops
-    assert not ds.union(0, 2, rel=1)  # odd cycle
+def layers_witness(g, x, v):
+    """(slot, depth, sorted layer) of each BFS layer of G[x], from sets and a
+    plain BFS over ``g.und_adj``: v's component first at slot 0, then every
+    other one from its smallest vertex at slot leader + 1."""
+    x, seen, out = set(x), set(), []
+    for leader in [v] + sorted(x):
+        if leader in seen:
+            continue
+        slot = 0 if leader == v else leader + 1
+        layer, depth = {leader}, 0
+        seen.add(leader)
+        while layer:
+            out.append((slot, depth, sorted(layer)))
+            layer = {w for u in layer for w in g.und_adj[u] if w in x and w not in seen}
+            seen |= layer
+            depth += 1
+    return out
 
 
-def test_disjoint_sets_counts():
-    ds = DisjointSets(5)
-    ds.union(0, 1)
-    ds.union(2, 3)
-    ds.union(1, 2)
-    assert ds.find(3) == ds.find(0)
+def test_mask_layers_match_set_bfs():
+    rng = random.Random(31)
+    cases = {"v not smallest": 0, "isolated vertex": 0, "three components": 0}
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.3, 0.6]))
+        x = [u for u in range(n) if rng.random() < rng.choice([0.4, 0.8])] or [0]
+        v = rng.choice(x)
+        got = list(mask_layers(g.und_mask, mask_of(x), v))
+        want = layers_witness(g, x, v)
+        assert [(slot, depth, list(bits(layer))) for slot, depth, layer, _ in got] == want
+        for _, _, layer, nbrs in got:
+            assert nbrs == mask_of(w for u in bits(layer) for w in g.und_adj[u])
+        # the flattened layers are the solution order of the pspace families
+        keys = make_instance("forests", graph=g).order_keys(mask_of(x), v, x)
+        assert [u for _, _, layer, _ in got for u in bits(layer)] == sorted(
+            x, key=keys.__getitem__)
+        cases["v not smallest"] += v != min(x)
+        cases["isolated vertex"] += any(not set(g.und_adj[u]) & set(x) for u in x)
+        cases["three components"] += len({slot for slot, _, _ in want}) >= 3
+    assert min(cases.values()) >= 30, cases
+
+
+def test_mask_layers_empty_mask():
+    assert list(mask_layers(path(3).und_mask, 0, -1)) == []
+
+
+def test_two_color_masks_by_layers():
+    # the path 0-1-2 and the edge 3-4: even layers of each walk from its
+    # smallest vertex go to B0
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert _two_color_masks(g.und_mask, mask_of((0, 1, 2, 3, 4))) == (
+        mask_of((0, 2, 3)), mask_of((1, 4)))
+    # the first component is bipartite, the second, a triangle, is not
+    assert _two_color_masks(g.und_mask, mask_of(range(6))) is None
+    assert _two_color_masks(g.und_mask, 0) == (0, 0)

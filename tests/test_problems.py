@@ -13,7 +13,7 @@ import pytest
 
 from maxenum import Graph, enumerate_exp, make_instance
 from maxenum.graphs import bits, mask_of
-from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
+from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, PSPACE_VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
 from conftest import build_instance, path, random_graph
@@ -34,9 +34,12 @@ def test_graph_variant_rejects_wrong_direction(variant):
 def test_out_of_range_element_ids_rejected(variant):
     inst = build_instance(variant, 0)
     n = inst.ground_size
+    calls = [inst.is_solution, inst.is_maximal_solution, inst.comp, inst.neighbors]
+    if variant in PSPACE_VARIANTS or inst.ground_kind == "e":
+        # the other vertex families do not check the ids of an order yet
+        calls.append(inst.canonical_order)
     for bad in (n, n + 5, -1):
-        for call in (inst.is_solution, inst.is_maximal_solution, inst.comp,
-                     inst.neighbors):
+        for call in calls:
             with pytest.raises(ValueError, match=rf"element id {bad} out of range "
                                                  rf"for ground size {n}$"):
                 call((bad,))
