@@ -274,10 +274,6 @@ def test_mask_layers_match_set_bfs():
     assert min(cases.values()) >= 30, cases
 
 
-def test_mask_layers_empty_mask():
-    assert list(mask_layers(path(3).und_mask, 0, -1)) == []
-
-
 def test_two_color_masks_by_layers():
     # the path 0-1-2 and the edge 3-4: even layers of each walk from its
     # smallest vertex go to B0
