@@ -154,30 +154,10 @@ def parse_edge_lines(rows, n: int, directed: bool,
     return edges
 
 
-def components(g: Graph, s: Iterable[int]) -> list[set[int]]:
-    """Connected components of G[s], ordered by smallest contained vertex."""
-    return [set(bits(c)) for c in mask_components(g.und_mask, mask_of(s))]
-
-
 def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
-    """Smallest-degree removal order of G[s] (ties to smallest id).
-
-    Returns the order and the maximum degree seen at removal time, which
-    is the degeneracy of G[s].
-    """
-    left = set(s)
-    deg = {u: sum(1 for w in g.und_adj[u] if w in left) for u in left}
-    order = []
-    degeneracy = 0
-    while left:
-        u = min(left, key=lambda x: (deg[x], x))
-        degeneracy = max(degeneracy, deg[u])
-        order.append(u)
-        left.remove(u)
-        for w in g.und_adj[u]:
-            if w in left:
-                deg[w] -= 1
-    return order, degeneracy
+    """Smallest-degree removal order of G[s] (ties to smallest id) and its
+    degeneracy; see ``degeneracy_mask``."""
+    return degeneracy_mask(g.und_mask, mask_of(s))
 
 
 def perfect_elimination_order(g: Graph, s: Iterable[int]) -> Optional[list[int]]:
@@ -198,27 +178,6 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
         out[u] |= 1 << v
         span |= (1 << u) | (1 << v)
     return und, out, span
-
-
-def edge_canonical_order(g: Graph, solution: Iterable[int], vertex_order) -> list[int]:
-    """Edge ids of a solution sorted by the later, then the earlier, position
-    of their endpoints in ``vertex_order(sub, spanned)``: the vertex twin's
-    order of the subgraph ``sub`` the edges span, on the vertices
-    ``spanned``."""
-    elist = sorted(solution)
-    for e in elist:
-        if not 0 <= e < g.m:
-            raise ValueError(f"element id {e} out of range for ground size {g.m}")
-    sub = Graph(g.n, [g.edges[e] for e in elist], directed=g.directed)
-    spanned = [u for u in range(g.n) if sub.und_mask[u]]
-    pos = {u: i for i, u in enumerate(vertex_order(sub, spanned))}
-
-    def key(e):
-        u, v = g.edges[e]
-        pu, pv = pos[u], pos[v]
-        return (max(pu, pv), min(pu, pv))
-
-    return sorted(elist, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +244,22 @@ def mask_layers(adj_masks, mask: int, v: int):
             depth += 1
         leader = (left & -left).bit_length() - 1
         slot = leader + 1
+
+
+def degeneracy_mask(adj_masks, mask: int) -> tuple[list[int], int]:
+    """Smallest-degree removal order of the masked vertex set (ties to
+    smallest id), and the maximum degree seen at removal time, which is its
+    degeneracy."""
+    order = []
+    degeneracy = 0
+    left = mask
+    while left:
+        # min keeps the first of equal degrees, and bits ascend
+        u = min(bits(left), key=lambda x: (adj_masks[x] & left).bit_count())
+        degeneracy = max(degeneracy, (adj_masks[u] & left).bit_count())
+        order.append(u)
+        left ^= 1 << u
+    return order, degeneracy
 
 
 def mask_is_clique(adj_masks, mask: int) -> bool:

@@ -2,12 +2,17 @@
 
 A plugin states only what is specific to its family: a membership
 predicate over ground-element bitmasks (``_solution_mask``), a candidate
-rule (``_candidates``) and a canonical order.  The input checks of graph
-families, the one neighbor loop and the one extension rule live here
-once, driven by the class flags ``ground_kind``, ``directed`` and
-``connected``: ``neighbors`` completes every candidate, and ``_reach``
-names the elements that can extend a set (for a connected family, those
-adjacent to it), which completion, ``addable`` and maximality all scan.
+rule (``_candidates``) and a vertex order of adjacency masks
+(``vertex_order``).  Driven by the class flags ``ground_kind``,
+``directed`` and ``connected``, the rest lives here once: the input
+checks of graph families; the neighbor loop; the connectivity rule, by
+which ``sol`` rejects a set of a connected family that is not one
+component (``_component``, grown through ``_adjacent_mask``, which also
+cuts candidates in ``_restrict``); the extension rule ``_reach``, the
+elements that can extend a set (for a connected family, those adjacent
+to it), which completion, ``addable`` and maximality all scan; and
+``canonical_order``, the vertex order of a vertex set or of the subgraph
+an edge set spans, by which the edges are then sorted.
 A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
@@ -21,11 +26,18 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..graphs import ContractViolation, Graph, bits, mask_cc, mask_layers, mask_of
+from ..graphs import ContractViolation, Graph, bits, mask_layers, mask_of, spanned_masks
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
+
+
+def bfs_order(und, out, mask: int) -> list[int]:
+    """The parent-forest solution order of the masked vertex set: the
+    layers of ``mask_layers`` from its smallest vertex, each ascending."""
+    seed = (mask & -mask).bit_length() - 1
+    return [e for _, _, layer, _ in mask_layers(und, mask, seed) for e in bits(layer)]
 
 
 class Problem:
@@ -46,7 +58,9 @@ class Problem:
         cache = self._sol_cache
         hit = cache.get(mask)
         if hit is None:
-            hit = self._solution_mask(mask)
+            # a set of a connected family is one component, or no solution
+            hit = ((not self.connected or self._component(mask, mask & -mask) == mask)
+                   and self._solution_mask(mask))
             cache[mask] = hit
         return hit
 
@@ -144,12 +158,19 @@ class Problem:
             m |= adj[u]
         return m
 
-    def _restrict(self, cand: int, v: int) -> int:
-        """A vertex candidate cut down to v's component when solutions must
-        be connected."""
-        if self.connected:
-            return mask_cc(self.g.und_mask, cand, v)
-        return cand
+    def _component(self, mask: int, b: int) -> int:
+        """The elements of ``mask`` joined through ``_adjacent_mask`` to the
+        element bit b of it (0 gives 0)."""
+        comp = frontier = b
+        while frontier:
+            frontier = self._adjacent_mask(frontier) & mask & ~comp
+            comp |= frontier
+        return comp
+
+    def _restrict(self, cand: int, x: int) -> int:
+        """A candidate cut down to the component of its element x when
+        solutions must be connected."""
+        return self._component(cand, 1 << x) if self.connected else cand
 
     # -- neighboring ----------------------------------------------------
     def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
@@ -205,17 +226,38 @@ class GraphProblem(Problem):
         super().__init__(g.n if self.ground_kind == "v" else g.m)
         self.g = g
 
+    @staticmethod
+    def vertex_order(und, out, mask: int) -> list[int]:
+        """The family's canonical order of a masked vertex set, given the
+        undirected and out-neighbor masks of the graph it lies in."""
+        raise NotImplementedError
+
+    def canonical_order(self, solution) -> list[int]:
+        """The family's vertex order of a vertex solution.  An edge solution
+        is sorted by the later, then the earlier, position of each edge's
+        endpoints in that order of the subgraph the edges span."""
+        mask = self._mask(solution)
+        g = self.g
+        if self.ground_kind == "v":
+            return self.vertex_order(g.und_mask, g.out_mask, mask)
+        und, out, span = spanned_masks(g, mask)
+        pos = {u: i for i, u in enumerate(self.vertex_order(und, out, span))}
+        return sorted(bits(mask), key=lambda e: sorted((pos[u] for u in g.edges[e]),
+                                                       reverse=True))
+
 
 class PspaceProblem(GraphProblem):
     """Contract addition for the dictionary-free parent-forest traversal.
 
     The four families supported here are vertex problems on an undirected
     graph where every single vertex is a solution, ordered by the BFS
-    layers of ``mask_layers`` rooted at the seed; their canonical order is
-    this solution order.  Their candidate rule ``_candidates`` serves both
+    layers of ``mask_layers`` rooted at the seed (``bfs_order``, their
+    canonical order).  Their candidate rule ``_candidates`` serves both
     engines: completed by ``comp_mask`` for ``neighbors`` and by the
     lexicographic completion ``comp_lex_mask`` for ``neighbors_at``.
     """
+
+    vertex_order = staticmethod(bfs_order)
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
         """Canonical-reconstruction candidates for extender w (lex completion).
@@ -276,13 +318,6 @@ class PspaceProblem(GraphProblem):
                 best = min(self.order_keys(xmask, seed, ext).values())[2]  # keys end with e
             reach = self._grow_reach(reach, xmask, 1 << best)
             xmask |= 1 << best
-
-    def canonical_order(self, solution) -> list[int]:
-        """The solution order: the layers of ``mask_layers`` from the seed."""
-        xmask = self._mask(solution)
-        seed = (xmask & -xmask).bit_length() - 1
-        return [e for _, _, layer, _ in mask_layers(self.g.und_mask, xmask, seed)
-                for e in bits(layer)]
 
     def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
         """Sort keys for elements of X and X+ under the order rooted at v.

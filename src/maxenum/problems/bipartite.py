@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..graphs import (Graph, edge_canonical_order, mask_components, mask_layers,
-                      mask_of, spanned_masks)
-from .base import GraphProblem, PspaceProblem, tuple_of
+from ..graphs import Graph, mask_layers, mask_of, spanned_masks
+from .base import GraphProblem, PspaceProblem, bfs_order, tuple_of
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
@@ -37,8 +36,6 @@ def bipartition(g: Graph, elems: Iterable[int]) -> Optional[tuple[tuple, tuple]]
 
 class _BipartiteInducedBase(PspaceProblem):
     def _solution_mask(self, mask: int) -> bool:
-        if self.connected and len(mask_components(self.g.und_mask, mask)) > 1:
-            return False
         return _two_color_masks(self.g.und_mask, mask) is not None
 
     def _candidate(self, smask: int, sides, v: int, i: int) -> int:
@@ -71,6 +68,7 @@ class BipartiteEdge(GraphProblem):
 
     variant = "bipartite-edge"
     ground_kind = "e"
+    vertex_order = staticmethod(bfs_order)
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)
@@ -83,8 +81,3 @@ class BipartiteEdge(GraphProblem):
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
-
-    def canonical_order(self, solution) -> list[int]:
-        return edge_canonical_order(
-            self.g, solution,
-            lambda sub, spanned: BipartiteInduced(sub).canonical_order(spanned))

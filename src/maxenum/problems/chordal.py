@@ -10,25 +10,24 @@ instead of re-running the elimination of the whole set.
 
 from __future__ import annotations
 
-from ..graphs import (Graph, bits, chordal_cliques, edge_canonical_order,
-                      mask_components, mask_is_clique, mask_of, peo_mask,
-                      perfect_elimination_order, spanned_masks)
+from ..graphs import (bits, chordal_cliques, mask_is_clique, mask_of, peo_mask,
+                      spanned_masks)
 from .base import GraphProblem, tuple_of
 
 
-def _reversed_peo(g: Graph, s) -> list[int]:
-    """Reversed perfect elimination order of G[s], the chordal canonical
-    order; raises ValueError when G[s] is not chordal."""
-    peo = perfect_elimination_order(g, s)
+def _reversed_peo(und, out, mask: int) -> list[int]:
+    """Reversed perfect elimination order of the masked vertex set, the
+    chordal canonical order; raises ValueError when it is not chordal."""
+    peo = peo_mask(und, mask)
     if peo is None:
         raise ValueError("not a chordal vertex set")
     return peo[::-1]
 
 
 class _ChordalInducedBase(GraphProblem):
+    vertex_order = staticmethod(_reversed_peo)
+
     def _solution_mask(self, mask: int) -> bool:
-        if self.connected and len(mask_components(self.g.und_mask, mask)) > 1:
-            return False
         return peo_mask(self.g.und_mask, mask) is not None
 
     def _extension_test(self, x: int, e: int) -> bool:
@@ -81,9 +80,6 @@ class _ChordalInducedBase(GraphProblem):
         n = self.ground_size
         return n * (n + 1)
 
-    def canonical_order(self, solution) -> list[int]:
-        return _reversed_peo(self.g, solution)
-
 
 class ChordalInduced(_ChordalInducedBase):
     variant = "chordal-induced"
@@ -100,6 +96,7 @@ class ChordalEdge(GraphProblem):
 
     variant = "chordal-edge"
     ground_kind = "e"
+    vertex_order = staticmethod(_reversed_peo)
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)
@@ -139,6 +136,3 @@ class ChordalEdge(GraphProblem):
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size * (self.g.n + 1)
-
-    def canonical_order(self, solution) -> list[int]:
-        return edge_canonical_order(self.g, solution, _reversed_peo)

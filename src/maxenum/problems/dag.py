@@ -8,16 +8,13 @@ appropriate side of its neighborhood.
 
 from __future__ import annotations
 
-from ..graphs import (Graph, bits, edge_canonical_order, mask_cc, mask_of,
-                      spanned_masks)
+from ..graphs import bits, spanned_masks
 from .base import GraphProblem
 
 
-def _connected_acyclic(und, out, mask: int) -> bool:
-    """True iff the masked vertex set is connected in the underlying
-    undirected sense and acyclic, given undirected and out-neighbor masks."""
-    if mask and mask_cc(und, mask, (mask & -mask).bit_length() - 1) != mask:
-        return False
+def _acyclic(out, mask: int) -> bool:
+    """True iff the masked vertex set induces no directed cycle, given the
+    out-neighbor masks."""
     left = mask
     while left:
         removed = 0
@@ -30,27 +27,30 @@ def _connected_acyclic(und, out, mask: int) -> bool:
     return True
 
 
-def _layer_order(g: Graph, vertices) -> list[int]:
-    """Lexicographically smallest order of G[vertices] with connected
-    prefixes in which every vertex has an empty backward out- or
-    in-neighborhood.
+def _layer_order(und, out, mask: int) -> list[int]:
+    """Lexicographically smallest order of the masked vertex set with
+    connected prefixes in which every vertex has an empty backward out- or
+    in-neighborhood, given undirected and out-neighbor masks.
 
     The feasibility memo is keyed by placed subsets, so time and space are
-    bounded only by 2^|vertices|.  It is used only by the ``canonical_order``
+    bounded only by 2^|mask|.  It is used only by the ``canonical_order``
     of both dag families, which neither engine calls.
     """
-    verts = sorted(vertices)
-    full = mask_of(verts)
+    verts = list(bits(mask))
+    inc = [0] * len(out)  # in-neighbor masks, inside the set
+    for u in verts:
+        for v in bits(out[u] & mask):
+            inc[v] |= 1 << u
 
     def feasible(placed: int, v: int) -> bool:
-        if placed and not g.und_mask[v] & placed:
+        if placed and not und[v] & placed:
             return False
-        return not (g.out_mask[v] & placed and g.in_mask[v] & placed)
+        return not (out[v] & placed and inc[v] & placed)
 
     memo: dict[int, bool] = {}
 
     def completable(placed: int) -> bool:
-        if placed == full:
+        if placed == mask:
             return True
         hit = memo.get(placed)
         if hit is not None:
@@ -62,7 +62,7 @@ def _layer_order(g: Graph, vertices) -> list[int]:
 
     order: list[int] = []
     placed = 0
-    while placed != full:
+    while placed != mask:
         for v in verts:
             if (placed >> v) & 1:
                 continue
@@ -79,9 +79,10 @@ class DagInducedConnected(GraphProblem):
     variant = "dag-induced-connected"
     directed = True
     connected = True
+    vertex_order = staticmethod(_layer_order)
 
     def _solution_mask(self, mask: int) -> bool:
-        return _connected_acyclic(self.g.und_mask, self.g.out_mask, mask)
+        return _acyclic(self.g.out_mask, mask)
 
     def _candidates(self, smask: int, incoming):
         for v in incoming:
@@ -91,18 +92,17 @@ class DagInducedConnected(GraphProblem):
     def comp_budget(self) -> int:
         return 2 * self.ground_size
 
-    def canonical_order(self, solution) -> list[int]:
-        return _layer_order(self.g, solution)
-
 
 class DagEdgeConnected(GraphProblem):
     variant = "dag-edge-connected"
     ground_kind = "e"
     directed = True
     connected = True
+    vertex_order = staticmethod(_layer_order)
 
     def _solution_mask(self, emask: int) -> bool:
-        return _connected_acyclic(*spanned_masks(self.g, emask))
+        _, out, span = spanned_masks(self.g, emask)
+        return _acyclic(out, span)
 
     def _adjacent_mask(self, emask: int) -> int:
         # arcs sharing an endpoint with the set
@@ -111,15 +111,6 @@ class DagEdgeConnected(GraphProblem):
             u, v = self.g.edges[e]
             m |= self.g.edge_mask_at[u] | self.g.edge_mask_at[v]
         return m
-
-    def _restrict(self, emask: int, v: int) -> int:
-        """An arc candidate cut down to the arcs of vertex v's component in
-        the subgraph it spans."""
-        und, _, span = spanned_masks(self.g, emask)
-        keep = 0
-        for u in bits(mask_cc(und, span, v)):
-            keep |= self.g.edge_mask_at[u]
-        return keep & emask
 
     def _candidates(self, emask: int, incoming):
         edges = self.g.edges
@@ -132,11 +123,8 @@ class DagEdgeConnected(GraphProblem):
                           if edges[x][1] == tail)
             head_out = sum(1 << x for x in bits(emask & at[head])
                            if edges[x][0] == head)
-            for drop, anchor in ((tail_in, tail), (head_out, head)):
-                yield self._restrict((emask & ~drop) | (1 << e), anchor)
+            for drop in (tail_in, head_out):
+                yield self._restrict((emask & ~drop) | (1 << e), e)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
-
-    def canonical_order(self, solution) -> list[int]:
-        return edge_canonical_order(self.g, solution, _layer_order)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from ..graphs import (Graph, bits, components, degeneracy_order,
-                      edge_canonical_order, mask_of, spanned_masks)
+from ..graphs import (Graph, bits, degeneracy_mask, mask_components, mask_of,
+                      spanned_masks)
 from .base import GraphProblem, tuple_of
 
 
@@ -29,18 +29,18 @@ def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
     return True
 
 
-def _degeneracy_layout(g: Graph, s) -> list[int]:
-    """Components of G[s] by smallest vertex, each in reversed smallest-degree
-    removal order."""
+def _degeneracy_layout(und, out, mask: int) -> list[int]:
+    """Components of the masked vertex set by smallest vertex, each in
+    reversed smallest-degree removal order."""
     order: list[int] = []
-    for comp in components(g, s):
-        removal, _ = degeneracy_order(g, comp)
-        order.extend(reversed(removal))
+    for comp in mask_components(und, mask):
+        order.extend(reversed(degeneracy_mask(und, comp)[0]))
     return order
 
 
 class KDegenerateInduced(GraphProblem):
     variant = "kdeg-induced"
+    vertex_order = staticmethod(_degeneracy_layout)
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g)
@@ -63,13 +63,11 @@ class KDegenerateInduced(GraphProblem):
         n = self.ground_size
         return n * sum(comb(n, i) for i in range(self.k + 1))
 
-    def canonical_order(self, solution) -> list[int]:
-        return _degeneracy_layout(self.g, solution)
-
 
 class KDegenerateEdge(GraphProblem):
     variant = "kdeg-edge"
     ground_kind = "e"
+    vertex_order = staticmethod(_degeneracy_layout)
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g)
@@ -94,6 +92,3 @@ class KDegenerateEdge(GraphProblem):
     def comp_budget(self) -> int:
         m = self.ground_size
         return 2 * m * sum(comb(m, i) for i in range(self.k))
-
-    def canonical_order(self, solution) -> list[int]:
-        return edge_canonical_order(self.g, solution, _degeneracy_layout)

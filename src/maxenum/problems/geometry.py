@@ -227,11 +227,6 @@ class HullsConnected(Hulls):
         super().__init__(inst)
         self.g = inst.graph
 
-    def _solution_mask(self, mask: int) -> bool:
-        if len(mask_components(self.g.und_mask, mask)) > 1:
-            return False
-        return not self.obstacles_inside(mask)
-
     def prefix_overlap(self, elems, target) -> int:
         # closeness is the largest connected piece of the intersection
         inter = mask_of(set(elems) & set(target))

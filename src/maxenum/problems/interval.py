@@ -73,9 +73,8 @@ class _ProperIntervalBase(GraphProblem):
         return result
 
     def _solution_mask(self, mask: int) -> bool:
-        comps = mask_components(self.g.und_mask, mask)
-        if self.connected and len(comps) > 1:
-            return False
+        # the base has already made a connected variant's set one component
+        comps = [mask] if self.connected else mask_components(self.g.und_mask, mask)
         return all(self.component_layout(c) is not None for c in comps)
 
     def layouts(self, solution) -> list[tuple[int, ...]]:
@@ -85,17 +84,13 @@ class _ProperIntervalBase(GraphProblem):
         reverse); a single vertex has one.  Disconnected solutions get the
         concatenation of per-component canonical layouts.
         """
-        smask = mask_of(solution)
+        smask = self._mask(solution)
         if not self.sol(smask):
             raise ValueError("not a solution of this variant")
-        comps = mask_components(self.g.und_mask, smask)
-        if len(comps) > 1:
-            order: list[int] = []
-            for c in sorted(comps, key=lambda c: c & -c):
-                order.extend(self.component_layout(c))
-            return [tuple(order)]
-        lay = self.component_layout(smask)
-        rev = tuple(reversed(lay))
+        lay = tuple(self.vertex_order(self.g.und_mask, self.g.out_mask, smask))
+        if len(mask_components(self.g.und_mask, smask)) > 1:
+            return [lay]
+        rev = lay[::-1]
         return [lay] if rev == lay else [lay, rev]
 
     # -- realization and insertion ----------------------------------------
@@ -313,11 +308,11 @@ class _ProperIntervalBase(GraphProblem):
             return 20 * n * n * hosts + n
         return 40 * self.g.m * n * hosts + n
 
-    def canonical_order(self, solution) -> list[int]:
-        smask = mask_of(solution)
+    def vertex_order(self, und, out, mask: int) -> list[int]:
+        """The cached layouts of the components, by smallest vertex; the
+        family has no edge twin, so ``und`` is always the graph's own."""
         order: list[int] = []
-        for c in sorted(mask_components(self.g.und_mask, smask),
-                        key=lambda c: c & -c):
+        for c in mask_components(und, mask):
             lay = self.component_layout(c)
             if lay is None:
                 raise ValueError("not a proper interval vertex set")

@@ -15,10 +15,11 @@ def _edge_count(adj_masks, mask: int) -> int:
 
 class _AcyclicBase(PspaceProblem):
     def _solution_mask(self, mask: int) -> bool:
-        comps = mask_components(self.g.und_mask, mask)
-        if self.connected and len(comps) > 1:
-            return False
-        return _edge_count(self.g.und_mask, mask) == mask.bit_count() - len(comps)
+        # a forest has one edge fewer than vertices in each component; the
+        # base has already made a tree's set one component, or empty
+        comps = (mask != 0 if self.connected
+                 else len(mask_components(self.g.und_mask, mask)))
+        return _edge_count(self.g.und_mask, mask) == mask.bit_count() - comps
 
     def _candidate(self, smask: int, v: int, w: int) -> int:
         # keep exactly one neighbor w of the incoming vertex v

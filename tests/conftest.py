@@ -40,6 +40,25 @@ def directed_triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
 
 
+def components(g, s):
+    """Connected components of G[s] (arcs taken as undirected), each a set,
+    ordered by smallest vertex: a plain BFS over ``und_adj``, independent of
+    the bitmask helpers the package uses."""
+    left = set(s)
+    out = []
+    while left:
+        comp = {min(left)}
+        todo = list(comp)
+        while todo:
+            for w in g.und_adj[todo.pop()]:
+                if w in left and w not in comp:
+                    comp.add(w)
+                    todo.append(w)
+        out.append(comp)
+        left -= comp
+    return out
+
+
 # -- random instance corpus --------------------------------------------------
 
 EDGE_VARIANTS = ("bipartite-edge", "kdeg-edge", "chordal-edge",

@@ -3,7 +3,7 @@ import random
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
 from maxenum.problems.bipartite import bipartition
 
-from conftest import complete, cycle, random_graph, triangle
+from conftest import complete, components, cycle, random_graph, triangle
 
 
 def walkthrough_graph():
@@ -150,7 +150,6 @@ def test_k4_edge_variant_counts():
 
 def test_edge_solutions_span_and_connect():
     rng = random.Random(23)
-    from maxenum.graphs import components
     for _ in range(10):
         g = random_graph(rng, rng.randint(4, 6), 0.7)
         if g.m == 0 or len(components(g, range(g.n))) != 1:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
+from maxenum.graphs import bits, mask_cc, mask_of, spanned_masks
+from maxenum.problems.base import Problem
 
-from conftest import directed_triangle, random_graph, triangle
+from conftest import build_instance, components, directed_triangle, random_graph, triangle
 
 
 def directed_path():
@@ -170,7 +172,6 @@ def test_block_order_witness():
 
 def test_solutions_connected_underlying():
     rng = random.Random(107)
-    from maxenum.graphs import components
     for variant in ("dag-induced-connected", "dag-edge-connected"):
         g = random_graph(rng, 6, 0.5, directed=True, max_m=12)
         inst = make_instance(variant, graph=g)
@@ -242,3 +243,36 @@ def test_edge_variant_neighbors_two_cycle_digraph():
     inst = make_instance("dag-edge-connected", graph=two_cycle_digraph())
     assert inst.neighbors((0, 1, 3)) == [(0, 2, 3, 4), (1, 2, 3), (0, 1, 4)]
     assert inst.neighbors((0, 2, 3, 4)) == [(1, 2, 3), (0, 1, 4)]
+
+
+# -- the arc cut -------------------------------------------------------------------
+
+def arc_cut(g, emask: int, v: int) -> int:
+    """Reference cut of an arc candidate: the arcs of vertex v's component in
+    the subgraph the candidate spans."""
+    und, _, span = spanned_masks(g, emask)
+    keep = 0
+    for u in bits(mask_cc(und, span, v)):
+        keep |= g.edge_mask_at[u]
+    return keep & emask
+
+
+def test_arc_cut_at_incoming_arc_matches_endpoint_cut(corpus):
+    # the base cuts an arc candidate at its incoming arc e, through arcs that
+    # share an endpoint; the reference cuts it at either endpoint of e
+    cuts = 0
+    for run in corpus["dag-edge-connected"]:
+        inst = build_instance("dag-edge-connected", run.index)
+        g = inst.g
+        uncut = []
+        inst._restrict = lambda cand, e: uncut.append((cand, e)) or cand
+        full = (1 << g.m) - 1
+        for s in run.solutions:
+            smask = mask_of(s)
+            list(inst._candidates(smask, bits(full & ~smask)))
+        for cand, e in uncut:
+            got = Problem._restrict(inst, cand, e)
+            for anchor in g.edges[e]:
+                assert got == arc_cut(g, cand, anchor), (run.index, cand, e)
+        cuts += len(uncut)
+    assert cuts > 1000

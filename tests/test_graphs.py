@@ -4,12 +4,12 @@ import pytest
 
 from maxenum import make_instance
 from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits,
-                            components, degeneracy_order, load_graph, mask_cc,
+                            degeneracy_order, load_graph, mask_cc,
                             mask_dists, mask_layers, mask_of,
                             perfect_elimination_order, spanned_masks)
 from maxenum.problems.bipartite import _two_color_masks
 
-from conftest import complete, cycle, path, random_graph, star, triangle
+from conftest import complete, components, cycle, path, random_graph, star, triangle
 
 
 def connected_component(g, s, v):

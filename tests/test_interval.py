@@ -6,7 +6,7 @@ import pytest
 
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
 
-from conftest import cycle, path, random_graph, star
+from conftest import components, cycle, path, random_graph, star
 
 
 def _brute_unit_order(g, cand):
@@ -15,7 +15,6 @@ def _brute_unit_order(g, cand):
     cand = sorted(cand)
     if not cand:
         return True
-    from maxenum.graphs import components
     for comp in components(g, cand):
         comp = sorted(comp)
         ok = False
@@ -68,7 +67,6 @@ def test_layouts_examples():
 
 def test_layout_prefixes_are_connected_solutions():
     rng = random.Random(73)
-    from maxenum.graphs import components
     for _ in range(15):
         g = random_graph(rng, 7, 0.5)
         inst = make_instance("pinterval-induced-connected", graph=g)

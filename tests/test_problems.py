@@ -1,10 +1,11 @@
 """Checks shared by the problems: each graph variant accepts only the graph
 direction its family is defined on, and says which variant refused the
 input; every variant rejects element ids outside its ground set; each edge
-variant keeps its canonical orders; every variant's extension rule finds
-exactly the addable elements and completes as a loop over the predicate
-does, and a family's extension test agrees with the predicate, which
-maximality asks instead of that test."""
+variant keeps its canonical orders; a connected family's solutions are
+exactly its plain twin's solutions that form one component; every
+variant's extension rule finds exactly the addable elements and completes
+as a loop over the predicate does, and a family's extension test agrees
+with the predicate, which maximality asks instead of that test."""
 
 import random
 import re
@@ -13,10 +14,10 @@ import pytest
 
 from maxenum import Graph, enumerate_exp, make_instance
 from maxenum.graphs import bits, mask_of
-from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, PSPACE_VARIANTS
+from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
-from conftest import build_instance, path, random_graph
+from conftest import build_instance, components, path, random_graph
 from test_pspace import comp_lex_witness
 
 
@@ -35,9 +36,8 @@ def test_out_of_range_element_ids_rejected(variant):
     inst = build_instance(variant, 0)
     n = inst.ground_size
     calls = [inst.is_solution, inst.is_maximal_solution, inst.comp, inst.neighbors]
-    if variant in PSPACE_VARIANTS or inst.ground_kind == "e":
-        # the other vertex families do not check the ids of an order yet
-        calls.append(inst.canonical_order)
+    if not variant.startswith("hulls"):
+        calls.append(inst.canonical_order)  # hull solutions carry no order
     for bad in (n, n + 5, -1):
         for call in calls:
             with pytest.raises(ValueError, match=rf"element id {bad} out of range "
@@ -111,6 +111,56 @@ def test_edge_canonical_orders(variant, graph, k, orders):
     sols = []
     enumerate_exp(inst, emit=sols.append)
     assert {s: inst.canonical_order(s) for s in sols} == orders
+
+
+# -- the connectivity rule -------------------------------------------------------
+# The base rejects a set of a connected family unless it is one component;
+# no predicate checks it again.  Each mask is checked against a plain BFS.
+
+CONNECTED_TWINS = [("trees", "forests"),
+                   ("bipartite-induced-connected", "bipartite-induced"),
+                   ("chordal-induced-connected", "chordal-induced"),
+                   ("pinterval-induced-connected", "pinterval-induced"),
+                   ("hulls-connected", "hulls")]
+
+
+def random_masks(rng, n, count):
+    # dense and sparse sets alike
+    return [rng.getrandbits(n) & (rng.getrandbits(n) if i % 2 else -1)
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("variant,twin", CONNECTED_TWINS,
+                         ids=[case[0] for case in CONNECTED_TWINS])
+def test_connected_solutions_are_twin_solutions_in_one_component(variant, twin):
+    rng = random.Random(f"connected:{variant}")
+    split = 0
+    for i in range(20):
+        inst = build_instance(variant, i)
+        if twin == "hulls":
+            plain = make_instance(twin, points=inst.inst)
+        else:
+            plain = make_instance(twin, graph=inst.g)
+        for mask in random_masks(rng, inst.ground_size, 40):
+            one = len(components(inst.g, bits(mask))) <= 1
+            assert inst.sol(mask) == (plain.sol(mask) and one), (i, tuple_of(mask))
+            split += plain.sol(mask) and not one
+    assert split  # the rule decided some masks
+
+
+@pytest.mark.parametrize("variant", ["dag-induced-connected", "dag-edge-connected"])
+def test_dag_set_of_two_components_rejected(variant):
+    rng = random.Random(f"connected:{variant}")
+    split = 0
+    for i in range(20):
+        inst = build_instance(variant, i)
+        for mask in random_masks(rng, inst.ground_size, 40):
+            verts = ({u for e in bits(mask) for u in inst.g.edges[e]}
+                     if inst.ground_kind == "e" else bits(mask))
+            if len(components(inst.g, verts)) > 1:
+                assert not inst.sol(mask), (i, tuple_of(mask))
+                split += 1
+    assert split
 
 
 # -- the extension rule ----------------------------------------------------------
