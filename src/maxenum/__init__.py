@@ -1,8 +1,9 @@
 """maxenum: maximal-subgraph enumeration by solution-graph traversal.
 
 Two engines over a common problem contract: an exponential-space traversal
-guarded by a trie of visited solutions, and a polynomial-space parent-forest
-traversal for the families whose canonical orders are prefix-closed.
+guarded by a set of visited solution masks, and a polynomial-space
+parent-forest traversal for the families whose canonical orders are
+prefix-closed.
 """
 
 from .engine import Counters, PartialOutputError, SolutionDict, enumerate_exp

@@ -25,8 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="List all maximal solutions of a subgraph family.")
     p.add_argument("--problem", required=True, choices=ALL_VARIANTS)
     p.add_argument("--mode", choices=("exp", "pspace"), default="exp",
-                   help="exp: trie-guarded traversal; pspace: parent-forest "
-                        "traversal without a visited-solution dictionary")
+                   help="exp: traversal guarded by a set of visited solution "
+                        "masks; pspace: parent-forest traversal without a "
+                        "visited-solution dictionary")
     p.add_argument("--input", required=True, help="instance file path")
     p.add_argument("--k", type=int, default=None,
                    help="degeneracy bound for the kdeg-* problems")

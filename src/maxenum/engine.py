@@ -4,13 +4,12 @@ The engine knows nothing about graphs: a problem exposes a ground set, a
 ``first_solution`` starter, and a ``neighbors`` function returning maximal
 solutions.  The traversal is ``walk``, the DFS both engines share, over the
 tree of first discoveries: a neighbor is a child of the solution whose
-``neighbors`` call first reached it, and a trie of visited solutions
+``neighbors`` call first reached it, and a set of visited solution masks
 decides which call that is.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +29,7 @@ class Counters:
     solutions_emitted: int = 0
     neighbors_calls: int = 0
     comp_calls: int = 0          # completions computed, not memo hits
-    dict_operations: int = 0
+    dict_operations: int = 0     # visited-set inserts, exp traversal only
     max_comp_gap: int = 0        # most comp calls between consecutive emissions
     roots_found: int = 0         # parent-forest traversal only
     child_checks_passed: int = 0  # parent-forest traversal only
@@ -69,58 +68,45 @@ class Emitter:
         if self.limit is not None and counters.solutions_emitted >= self.limit:
             self.done = True
 
-    def finish(self, dict_operations: int) -> Counters:
+    def finish(self) -> Counters:
         """The run's counters, with its completion calls filled in."""
         self.counters.comp_calls = self.problem.comp_calls - self.comp_base
-        self.counters.dict_operations = dict_operations
         return self.counters
 
 
-class _Node:
-    __slots__ = ("keys", "kids", "terminal")
-
-    def __init__(self):
-        self.keys: list[int] = []
-        self.kids: list[_Node] = []
-        self.terminal = False
-
-
 class SolutionDict:
-    """Trie over sorted element-id sequences with binary-searched children.
+    """The visited solutions of an exp run, kept as a set of bitmasks.
 
-    One root-to-leaf path per stored solution, so the node count is at most
-    1 + sum of the stored solution sizes.
+    ``insert`` stores a solution given as its strictly ascending,
+    non-negative element ids and returns True iff it was not stored before;
+    ``len`` counts the stored solutions.  ``node_count`` is the same count
+    under the name that the benchmark tracer (``perfbench/tracing.py``),
+    which subclasses this class, reads in ``perfbench/worker.py``.
     """
 
     def __init__(self):
-        self.root = _Node()
-        self.node_count = 1
-        self.operations = 0
+        self._masks: set[int] = set()
 
-    @staticmethod
-    def _check_sorted(seq) -> None:
-        for a, b in zip(seq, seq[1:]):
-            if a >= b:
-                raise ValueError("solution keys must be strictly ascending")
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    @property
+    def node_count(self) -> int:
+        return len(self._masks)
 
     def insert(self, seq) -> bool:
-        """Insert a sorted id sequence; True iff it was not present before."""
-        self._check_sorted(seq)
-        self.operations += 1
-        node = self.root
+        """Insert an ascending id sequence; True iff it was not present before."""
+        mask, last = 0, -1
         for e in seq:
-            i = bisect_left(node.keys, e)
-            if i < len(node.keys) and node.keys[i] == e:
-                node = node.kids[i]
-            else:
-                child = _Node()
-                node.keys.insert(i, e)
-                node.kids.insert(i, child)
-                self.node_count += 1
-                node = child
-        if node.terminal:
+            if e <= last:
+                raise ValueError("solution keys must be strictly ascending "
+                                 "and non-negative")
+            mask |= 1 << e
+            last = e
+        masks = self._masks
+        if mask in masks:
             return False
-        node.terminal = True
+        masks.add(mask)
         return True
 
 
@@ -154,7 +140,9 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     solution exactly once.
 
     ``neighbors`` is invoked exactly once per distinct solution; duplicate
-    and already-seen candidates are filtered through the trie dictionary.
+    and already-seen candidates are filtered through the set of visited
+    solution masks; ``dict_operations`` counts its inserts, the first
+    solution's included.
     ``emit`` receives each solution as a sorted tuple; a failing sink aborts
     the run with PartialOutputError.  ``limit`` stops the run after that
     many emissions (the emitted prefix is deterministic).
@@ -168,10 +156,12 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     def kids(sol):
         counters.neighbors_calls += 1
         for cand in problem.neighbors(sol):
+            counters.dict_operations += 1
             if seen.insert(cand):
                 yield cand
 
     first = problem.first_solution()
+    counters.dict_operations += 1
     seen.insert(first)
     walk(first, kids, emitter, 0)
-    return emitter.finish(seen.operations)
+    return emitter.finish()

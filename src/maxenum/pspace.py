@@ -203,8 +203,8 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
                      limit: Optional[int] = None) -> Counters:
     """Emit every maximal solution once without a visited-solution dictionary.
 
-    Each root of the parent forest is walked at depth 1 with no trie or
-    hash set of visited solutions: each open DFS level holds only its
+    Each root of the parent forest is walked at depth 1 with no set of
+    visited solution masks: each open DFS level holds only its
     candidate list and the child masks it has judged (see ``children``).
     ``comp_lex_mask`` reads and fills the run's completion memo, which goes
     when the run ends, however it ends; a memo open before it is restored.
@@ -231,4 +231,4 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
             walk(root, child_stream, emitter, 1)
     finally:
         problem._lex_memo = outer
-    return emitter.finish(0)
+    return emitter.finish()

@@ -7,7 +7,7 @@ from conftest import build_instance, cycle, triangle
 from maxenum.graphs import Graph
 
 
-# -- trie dictionary ------------------------------------------------------------
+# -- visited-solution dictionary ------------------------------------------------
 
 def test_dict_insert_new():
     d = SolutionDict()
@@ -35,13 +35,30 @@ def test_dict_rejects_unsorted():
         d.insert((1, 1))
 
 
-def test_dict_node_count_bound():
+def test_dict_rejects_negative():
     d = SolutionDict()
-    sols = [(0, 2, 4), (0, 2, 5), (1,), (0, 2, 4, 6)]
-    for s in sols:
-        d.insert(s)
-    assert d.node_count <= 1 + sum(len(s) for s in sols)
-    assert d.operations == len(sols)
+    for key in ((-1,), (-2, 3), (0, -1)):
+        with pytest.raises(ValueError):
+            d.insert(key)
+    assert len(d) == 0
+
+
+def test_dict_empty_key_distinct_from_zero():
+    d = SolutionDict()
+    assert d.insert(()) is True
+    assert d.insert((0,)) is True
+    assert d.insert(()) is False
+    assert len(d) == 2
+
+
+def test_dict_insert_true_iff_new_and_len_counts_distinct():
+    d = SolutionDict()
+    keys = [(0, 2, 4), (0, 2, 5), (1,), (0, 2, 4), (0, 2, 4, 6), (1,), (0, 2)]
+    stored = set()
+    for key in keys:
+        assert d.insert(key) is (key not in stored)
+        stored.add(key)
+        assert len(d) == d.node_count == len(stored)
 
 
 # -- traversal --------------------------------------------------------------------
@@ -101,7 +118,14 @@ def test_limit_is_prefix_of_full_run():
 
 
 def test_counters_track_dictionary():
-    inst = make_instance("bipartite-induced", graph=triangle())
-    counters = enumerate_exp(inst)
-    assert counters.dict_operations >= counters.solutions_emitted
-    assert counters.solutions_emitted == 3
+    # one insert for the first solution and one per neighbor of each solution
+    makers = [lambda: make_instance("bipartite-induced", graph=triangle())]
+    makers += [lambda v=v, i=i: build_instance(v, i)
+               for v, i in (("bipartite-induced", 4), ("trees", 5), ("kdeg-induced", 2))]
+    for make in makers:
+        got = []
+        counters = enumerate_exp(make(), emit=got.append)
+        probe = make()
+        assert counters.dict_operations == 1 + sum(len(probe.neighbors(s)) for s in got)
+        assert counters.solutions_emitted == len(got)
+    assert enumerate_exp(makers[0]()).solutions_emitted == 3

@@ -36,3 +36,18 @@ def test_rebound_names_exist(monkeypatch):
         assert callable(getattr(PspaceProblem, name, None)), name
         if name not in ("order_keys", "neighbors_at"):
             assert callable(getattr(Problem, name, None)), name
+
+
+def test_traced_dictionary_counts_inserts_and_stored_keys(monkeypatch):
+    # the traced pass of an exp workload reads these through the tracer's
+    # subclass: calls and new keys per insert, and node_count per dictionary
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    traced = tracer._trie_class(maxenum.engine.SolutionDict)
+    d = traced()
+    assert d.insert((0, 2)) is True
+    assert d.insert((0, 2)) is False
+    assert tracer.calls["engine.trie"] == 2
+    assert tracer.items["engine.trie"] == 1
+    assert d.node_count == 1
+    assert tracer.tries == [d]
