@@ -26,7 +26,8 @@ def mask_of(elems: Iterable[int]) -> int:
 
 
 def bits(mask: int):
-    """Yield set bit positions of mask in ascending order."""
+    """Yield set bit positions of mask in ascending order: for cold paths,
+    the API and tests, while hot kernels scan inline (see below)."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -182,6 +183,11 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 
 # ---------------------------------------------------------------------------
 # Bitmask helpers used by the hot paths of the problem plugins.
+# Code that runs on every predicate evaluation, completion step or BFS layer
+# scans set bits inline (``while m: low = m & -m``), not through ``bits``:
+# a generator made for each small frontier, layer or set cost the chordal
+# predicates 10-15%, and the exp engine about a sixth of its time on the
+# hereditary families.  ``bits`` serves cold paths, the API and tests.
 
 def mask_cc(adj_masks, mask: int, v: int) -> int:
     """Component mask of v inside the vertex set given as a bitmask."""
@@ -189,8 +195,10 @@ def mask_cc(adj_masks, mask: int, v: int) -> int:
     frontier = comp
     while frontier:
         grow = 0
-        for u in bits(frontier):
-            grow |= adj_masks[u]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj_masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = grow & mask & ~comp
         comp |= frontier
     return comp
@@ -237,8 +245,11 @@ def mask_layers(adj_masks, mask: int, v: int):
         while layer:
             left ^= layer
             nbrs = 0
-            for u in bits(layer):
-                nbrs |= adj_masks[u]
+            scan = layer
+            while scan:
+                low = scan & -scan
+                nbrs |= adj_masks[low.bit_length() - 1]
+                scan ^= low
             yield slot, depth, layer, nbrs
             layer = nbrs & left
             depth += 1
@@ -279,8 +290,6 @@ def peo_mask(adj_masks, mask: int) -> Optional[list[int]]:
     order = []
     left = mask
     while left:
-        # the bits of left scanned inline: this loop is the chordal
-        # predicates' hot path, and the generator cost them 10-15%
         scan = left
         while scan:
             ub = scan & -scan

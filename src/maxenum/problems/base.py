@@ -30,14 +30,26 @@ from ..graphs import ContractViolation, Graph, bits, mask_layers, mask_of, spann
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
-    return tuple(bits(mask))
+    """The set bits of mask, ascending, as a tuple built at its exact length."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def bfs_order(und, out, mask: int) -> list[int]:
     """The parent-forest solution order of the masked vertex set: the
     layers of ``mask_layers`` from its smallest vertex, each ascending."""
     seed = (mask & -mask).bit_length() - 1
-    return [e for _, _, layer, _ in mask_layers(und, mask, seed) for e in bits(layer)]
+    order = []
+    for _, _, layer, _ in mask_layers(und, mask, seed):
+        while layer:
+            low = layer & -layer
+            order.append(low.bit_length() - 1)
+            layer ^= low
+    return order
 
 
 class Problem:
@@ -154,8 +166,10 @@ class Problem:
         neighbors of its vertices."""
         adj = self.g.und_mask
         m = 0
-        for u in bits(mask):
-            m |= adj[u]
+        while mask:
+            low = mask & -mask
+            m |= adj[low.bit_length() - 1]
+            mask ^= low
         return m
 
     def _component(self, mask: int, b: int) -> int:
@@ -300,11 +314,15 @@ class PspaceProblem(GraphProblem):
         rejected = 0
         while True:
             ext = []
-            for e in bits(reach & ~rejected):
-                if sol(xmask | 1 << e) if ok is None else ok(xmask, e):
+            scan = reach & ~rejected
+            while scan:
+                b = scan & -scan
+                scan ^= b
+                e = b.bit_length() - 1
+                if sol(xmask | b) if ok is None else ok(xmask, e):
                     ext.append(e)
                 else:
-                    rejected |= 1 << e
+                    rejected |= b
             if not ext:
                 if memo is not None:
                     memo[start] = xmask

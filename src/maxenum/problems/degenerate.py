@@ -10,8 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from ..graphs import (Graph, bits, degeneracy_mask, mask_components, mask_of,
-                      spanned_masks)
+from ..graphs import Graph, degeneracy_mask, mask_components, mask_of, spanned_masks
 from .base import GraphProblem, tuple_of
 
 
@@ -20,9 +19,12 @@ def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
     left = mask
     while left:
         removed = 0
-        for u in bits(left):
-            if (adj[u] & left).bit_count() <= k:
-                removed |= 1 << u
+        scan = left
+        while scan:
+            low = scan & -scan
+            if (adj[low.bit_length() - 1] & left).bit_count() <= k:
+                removed |= low
+            scan ^= low
         if not removed:
             return False
         left &= ~removed

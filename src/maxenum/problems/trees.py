@@ -8,8 +8,11 @@ from .base import PspaceProblem
 
 def _edge_count(adj_masks, mask: int) -> int:
     total = 0
-    for u in bits(mask):
-        total += (adj_masks[u] & mask).bit_count()
+    rest = mask
+    while rest:
+        low = rest & -rest
+        total += (adj_masks[low.bit_length() - 1] & mask).bit_count()
+        rest ^= low
     return total // 2
 
 

@@ -7,7 +7,10 @@ from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits,
                             degeneracy_order, load_graph, mask_cc,
                             mask_dists, mask_layers, mask_of,
                             perfect_elimination_order, spanned_masks)
+from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
+from maxenum.problems.degenerate import _peel_ok_vertices
+from maxenum.problems.trees import _edge_count
 
 from conftest import complete, components, cycle, path, random_graph, star, triangle
 
@@ -283,3 +286,51 @@ def test_two_color_masks_by_layers():
     # the first component is bipartite, the second, a triangle, is not
     assert _two_color_masks(g.und_mask, mask_of(range(6))) is None
     assert _two_color_masks(g.und_mask, 0) == (0, 0)
+
+
+# -- the inline bit scans of the hot kernels ---------------------------------------
+
+def set_bfs_order(g, s):
+    """Each component of G[s] by ascending smallest vertex, walked from it
+    in BFS layers, each ascending: a set-based reference for ``bfs_order``."""
+    left, order = set(s), []
+    while left:
+        layer = {min(left)}
+        while layer:
+            order += sorted(layer)
+            left -= layer
+            layer = {w for u in layer for w in g.und_adj[u] if w in left}
+    return order
+
+
+def naive_peel(g, s, k):
+    """Whether deleting vertices of degree <= k in G[s], one at a time,
+    empties s."""
+    left = set(s)
+    while left:
+        low = [u for u in left if len(set(g.und_adj[u]) & left) <= k]
+        if not low:
+            return False
+        left.remove(low[0])
+    return True
+
+
+def test_inline_bit_scans_match_set_references():
+    rng = random.Random(17)
+    for _ in range(120):
+        n = rng.randint(1, 20)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8]))
+        inst = make_instance("trees", graph=g)
+        full = (1 << n) - 1
+        masks = [0, 1, 1 << (n - 1), full] + [
+            rng.getrandbits(n) & (rng.getrandbits(n) if i % 2 else full) for i in range(6)]
+        for mask in masks:
+            s = [u for u in range(n) if mask >> u & 1]
+            assert tuple_of(mask) == tuple(bits(mask)) == tuple(s)
+            assert inst._adjacent_mask(mask) == mask_of(
+                w for u in s for w in g.und_adj[u])
+            assert _edge_count(g.und_mask, mask) == sum(
+                u in s and v in s for u, v in g.edges)
+            for k in range(3):
+                assert _peel_ok_vertices(g.und_mask, mask, k) == naive_peel(g, s, k)
+            assert bfs_order(g.und_mask, g.out_mask, mask) == set_bfs_order(g, s)

@@ -12,9 +12,9 @@ import re
 
 import pytest
 
-from maxenum import Graph, enumerate_exp, make_instance
+from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.graphs import bits, mask_of
-from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS
+from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, PSPACE_VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
 from conftest import build_instance, components, path, random_graph
@@ -161,6 +161,35 @@ def test_dag_set_of_two_components_rejected(variant):
                 assert not inst.sol(mask), (i, tuple_of(mask))
                 split += 1
     assert split
+
+
+CONNECTED_VERTEX_VARIANTS = ("trees", "bipartite-induced-connected",
+                             "chordal-induced-connected",
+                             "pinterval-induced-connected", "dag-induced-connected")
+
+
+@pytest.mark.parametrize("variant", CONNECTED_VERTEX_VARIANTS)
+def test_engines_ask_sol_only_about_one_component(variant):
+    # the precondition for skipping the connectivity walk of ``sol`` on
+    # engine paths: candidates are cut by ``_restrict`` and completions grow
+    # within ``_reach``, so every set an engine asks about is one component,
+    # or empty at the start of the first completion
+    engines = [enumerate_exp] + [enumerate_pspace] * (variant in PSPACE_VARIANTS)
+    asked = []
+    for engine in engines:
+        for i in range(6):
+            inst = build_instance(variant, i)
+            sol = inst.sol
+
+            def checked(mask):
+                assert mask == 0 or len(components(inst.g, bits(mask))) == 1, (
+                    engine.__name__, i, tuple_of(mask))
+                asked.append(mask)
+                return sol(mask)
+
+            inst.sol = checked
+            engine(inst)
+    assert len(asked) >= 20
 
 
 # -- the extension rule ----------------------------------------------------------
