@@ -5,7 +5,10 @@ The engine knows nothing about graphs: a problem exposes a ground set, a
 solutions.  The traversal is ``walk``, the DFS both engines share, over the
 tree of first discoveries: a neighbor is a child of the solution whose
 ``neighbors`` call first reached it, and a set of visited solution masks
-decides which call that is.
+decides which call that is.  An exp run also keeps, on the problem, the
+completions it has done and one tuple per completed mask, so no completion
+is computed twice; like the visited set, they grow with the solutions
+reached and go when the run ends.
 """
 
 from __future__ import annotations
@@ -146,6 +149,14 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     ``emit`` receives each solution as a sorted tuple; a failing sink aborts
     the run with PartialOutputError.  ``limit`` stops the run after that
     many emissions (the emitted prefix is deterministic).
+
+    The run opens two memos on the problem: ``_comp_memo``, candidate mask
+    -> completed mask, read and filled by ``comp_mask``, and
+    ``_tuple_memo``, completed mask -> its tuple, from which ``neighbors``
+    reuses one tuple per solution reached.  Both are unbounded, as the
+    visited set is, and go when the run ends, however it ends; memos open
+    before it are restored.  ``comp_calls`` counts completions computed,
+    not memo hits.
     """
     emitter = Emitter(problem, emit, limit)
     if emitter.done:
@@ -160,8 +171,13 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
             if seen.insert(cand):
                 yield cand
 
-    first = problem.first_solution()
-    counters.dict_operations += 1
-    seen.insert(first)
-    walk(first, kids, emitter, 0)
+    outer = problem._comp_memo, problem._tuple_memo
+    problem._comp_memo, problem._tuple_memo = {}, {}
+    try:
+        first = problem.first_solution()
+        counters.dict_operations += 1
+        seen.insert(first)
+        walk(first, kids, emitter, 0)
+    finally:
+        problem._comp_memo, problem._tuple_memo = outer
     return emitter.finish()

@@ -19,7 +19,13 @@ current solution through ``_extension_test``: a family-specific test
 where a plugin gives one, else the predicate.  ``addable`` and maximality
 always ask the predicate, so they check that test rather than share it.
 Solutions cross the API as sorted tuples of element ids; all hot paths
-run on bitmasks with per-instance memoization of the predicate.
+run on bitmasks with per-instance memoization of the predicate.  While an
+engine runs, it also memoizes completions on the instance: ``comp_mask``
+reads and fills ``_comp_memo`` inside an ``enumerate_exp`` run, where
+``neighbors`` reuses one tuple per completed mask from ``_tuple_memo``, and
+``comp_lex_mask`` reads and fills ``_lex_memo`` inside an
+``enumerate_pspace`` run.  A completion taken from a memo is not counted
+in ``comp_calls``.
 """
 
 from __future__ import annotations
@@ -149,11 +155,27 @@ class Problem:
                 left ^= b
         return mask
 
+    _comp_memo = None  # the completions of an enumerate_exp run in progress
+    _tuple_memo = None  # the tuples of its completed masks
+
     def comp_mask(self, mask: int) -> int:
+        """The completion of a solution mask, counted in ``comp_calls``.
+        Inside an ``enumerate_exp`` run, a completion the run has done comes
+        from its memo, uncounted, and a computed one is stored there; a
+        non-solution raises ValueError and is never stored.  Outside a run,
+        every call is computed and counted."""
+        memo = self._comp_memo
+        if memo is not None:
+            done = memo.get(mask)
+            if done is not None:
+                return done
         if not self.sol(mask):
             raise ValueError("completion requires a solution as input")
         self.comp_calls += 1
-        return self._comp_mask(mask)
+        done = self._comp_mask(mask)
+        if memo is not None:
+            memo[mask] = done
+        return done
 
     def comp(self, elems: Iterable[int]) -> tuple[int, ...]:
         return tuple_of(self.comp_mask(self._mask(elems)))
@@ -195,22 +217,29 @@ class Problem:
     def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
         """Maximal solutions adjacent to ``solution`` in the solution graph:
         the completions of the candidates for every element outside it, in
-        ascending element order, each kept at its first occurrence.
+        ascending element order, each kept at its first occurrence.  Inside
+        an ``enumerate_exp`` run, each completed mask keeps one tuple.
         """
         smask = self._mask(solution)
         full = (1 << self.ground_size) - 1
-        out: list[tuple[int, ...]] = []
-        seen: set[int] = set()
+        tuples = self._tuple_memo
+        if tuples is None:
+            tuples = {}  # outside a run, the tuples of this call only
+        found: dict[int, tuple[int, ...]] = {}
         for cand in self._candidates(smask, bits(full & ~smask)):
             m = self.comp_mask(cand)
-            if m not in seen:
-                seen.add(m)
-                out.append(tuple_of(m))
-        return out
+            if m not in found:
+                t = tuples.get(m)
+                if t is None:
+                    t = tuples[m] = tuple_of(m)
+                found[m] = t
+        return list(found.values())
 
     # -- instrumentation / test surface ---------------------------------
     def comp_budget(self) -> int:
-        """Upper bound on comp calls in a single neighbors() invocation."""
+        """Upper bound on the completions a single neighbors() invocation
+        requests; inside an exp run, those its memo answers are not counted
+        in ``comp_calls``, so the counted ones stay within it too."""
         raise NotImplementedError
 
     def canonical_order(self, solution: Iterable[int]) -> list[int]:

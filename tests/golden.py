@@ -9,8 +9,9 @@ and the largest ``max_comp_gap``.  ``tests/test_golden.py`` compares the
 fixtures' runs against ``tests/golden.json``; a change that alters output
 order or any counter fails there.
 
-Regenerate the file with ``python tests/golden.py`` (with ``src`` on the
-import path, as pytest sets it up).
+Regenerate the file with ``python tests/golden.py``; it prints ``diff`` of
+the old record against the new one before it overwrites the file, so a moved
+order digest or counter shows up at regeneration time.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def main() -> int:
 
     record = build_record({v: run(enumerate_exp, v) for v in ALL_VARIANTS},
                           {v: run(enumerate_pspace, v) for v in PSPACE_VARIANTS})
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    changes = diff(old, record)
+    print("\n".join(changes) if changes else "no entry changed")
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record)} entries to {GOLDEN}")
     return 0

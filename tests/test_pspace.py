@@ -7,8 +7,8 @@ import maxenum.pspace as pspace_mod
 from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
                      make_instance)
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
-from maxenum.problems import PSPACE_VARIANTS
-from maxenum.problems.base import tuple_of
+from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
+from maxenum.problems.base import Problem, tuple_of
 from maxenum.pspace import (children, comp_lex, core_of, has_parent, is_root,
                             parent_of, restr)
 
@@ -539,17 +539,34 @@ def test_pspace_empty_graph(variant):
     assert is_root(inst, ())
 
 
-# -- completion memo ---------------------------------------------------------------------------
+# -- completion memos ---------------------------------------------------------------------------
+# each engine keeps the completions of a run on the problem instance: pspace in
+# ``_lex_memo``, exp in ``_comp_memo`` with the tuples of the completed masks in
+# ``_tuple_memo``
 
-def run_pspace(inst, **kwargs):
+ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
+
+
+def run_engine(engine, inst, **kwargs):
     sols = []
-    counters = enumerate_pspace(inst, emit=sols.append, **kwargs)
+    counters = ENGINES[engine](inst, emit=sols.append, **kwargs)
     return sols, counters
+
+
+def open_memos(engine, inst):
+    """The run-scoped memos of the engine on inst, each None when closed."""
+    if engine == "pspace":
+        return (inst._lex_memo,)
+    return inst._comp_memo, inst._tuple_memo
+
+
+def closed(engine, inst):
+    return all(memo is None for memo in open_memos(engine, inst))
 
 
 def corpus_runs(variant):
     """(solutions, counters) of pspace runs on corpus instances 0-39."""
-    return [run_pspace(build_instance(variant, i)) for i in range(40)]
+    return [run_engine("pspace", build_instance(variant, i)) for i in range(40)]
 
 
 def without_comp_counts(runs):
@@ -580,6 +597,50 @@ def test_memo_is_transparent(variant, monkeypatch):
     assert comp_calls(remembered) < comp_calls(forgotten)
 
 
+class ForgetfulDict(dict):
+    """An exp completion memo that misses on every lookup."""
+
+    def get(self, mask, default=None):
+        return default
+
+
+def forgetful_comp_memo(monkeypatch):
+    """Make every exp run open a ForgetfulDict as its completion memo."""
+    def opened(inst, memo):
+        inst.__dict__["forgetful"] = None if memo is None else ForgetfulDict()
+
+    monkeypatch.setattr(Problem, "_comp_memo",
+                        property(lambda inst: inst.__dict__.get("forgetful"), opened))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_exp_memo_is_transparent(variant, corpus, monkeypatch):
+    # as for pspace above; the corpus fixture holds the runs with the memo
+    remembered = [(r.solutions, r.counters) for r in corpus[variant][:20]]
+    forgetful_comp_memo(monkeypatch)
+    forgotten = [run_engine("exp", build_instance(variant, i)) for i in range(20)]
+    assert without_comp_counts(remembered) == without_comp_counts(forgotten)
+    assert comp_calls(remembered) < comp_calls(forgotten)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_exp_neighbors_same_inside_a_run(variant):
+    # inside a run, neighbors reuses one tuple per completed mask, and its
+    # lists equal those it returns outside a run
+    for i in range(3):
+        inst = build_instance(variant, i)
+        inside = {}
+
+        def probe(sol):
+            inside[sol] = inst.neighbors(sol)
+            again = inst.neighbors(sol)
+            assert all(a is b for a, b in zip(again, inside[sol], strict=True))
+
+        enumerate_exp(inst, emit=probe)
+        assert closed("exp", inst) and len(inside) > 0
+        assert all(inst.neighbors(sol) == nbrs for sol, nbrs in inside.items())
+
+
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_overflow_clears(variant, monkeypatch):
     # a cap of 3 clears the memo over and over, and the output is that of
@@ -602,59 +663,66 @@ def test_memo_overflow_clears(variant, monkeypatch):
     assert comp_calls(capped) > comp_calls(full)
 
 
-def test_memo_closed_after_every_run():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_memo_closed_after_every_run(engine):
     inst = build_instance("forests", 9)
-    assert inst._lex_memo is None
-    sols, _ = run_pspace(inst)
-    assert len(sols) > 3 and inst._lex_memo is None
-    assert run_pspace(inst, limit=2)[0] == sols[:2]
-    assert inst._lex_memo is None
+    assert closed(engine, inst)
+    sols, _ = run_engine(engine, inst)
+    assert len(sols) > 3 and closed(engine, inst)
+    assert run_engine(engine, inst, limit=2)[0] == sols[:2]
+    assert closed(engine, inst)
 
     def failing(sol):
         raise OSError("sink closed")
 
     with pytest.raises(PartialOutputError):
-        enumerate_pspace(inst, emit=failing)
-    assert inst._lex_memo is None
+        ENGINES[engine](inst, emit=failing)
+    assert closed(engine, inst)
 
 
-def test_memo_nested_run_restores_outer():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_memo_nested_run_restores_outer(engine):
     inst = build_instance("trees", 1)
     seen = []
 
     def nested(sol):
-        outer = inst._lex_memo
-        seen.append(run_pspace(inst)[0])
-        assert inst._lex_memo is outer and outer is not None
+        outer = open_memos(engine, inst)
+        seen.append(run_engine(engine, inst)[0])
+        restored = open_memos(engine, inst)
+        assert all(a is b and b is not None for a, b in zip(restored, outer))
 
-    sols, _ = run_pspace(inst)
-    enumerate_pspace(inst, emit=nested, limit=2)
-    assert seen == [sols, sols] and inst._lex_memo is None
+    sols, _ = run_engine(engine, inst)
+    ENGINES[engine](inst, emit=nested, limit=2)
+    assert seen == [sols, sols] and closed(engine, inst)
 
 
-def test_memo_runs_repeat_counters():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_memo_runs_repeat_counters(engine):
     # a run starts from an empty memo, so a second run on the instance
     # computes the same completions as the first
     inst = build_instance("bipartite-induced", 8)
-    first, second = run_pspace(inst), run_pspace(inst)
+    first, second = run_engine(engine, inst), run_engine(engine, inst)
     assert first == second and first[1].comp_calls > 0
 
 
-def test_memo_never_holds_a_non_solution():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_memo_never_holds_a_non_solution(engine):
     inst = c5_bip()
     odd = (0, 1, 2, 3, 4)
+    completion = comp_lex if engine == "pspace" else Problem.comp
 
     def probe(sol):
-        with pytest.raises(ContractViolation):
-            comp_lex(inst, odd)
-        assert mask_of(odd) not in inst._lex_memo
+        with pytest.raises(ValueError):  # a ContractViolation under pspace
+            completion(inst, odd)
+        assert mask_of(odd) not in open_memos(engine, inst)[0]
 
-    enumerate_pspace(inst, emit=probe)
-    with pytest.raises(ContractViolation):
-        comp_lex(inst, odd)
+    ENGINES[engine](inst, emit=probe)
+    with pytest.raises(ValueError):
+        completion(inst, odd)
     # outside a run, every completion is computed and counted
     before = inst.comp_calls
-    assert comp_lex(inst, (0,)) == comp_lex(inst, (0,)) == (0, 1, 2, 4)
+    first = completion(inst, (0,))
+    assert completion(inst, (0,)) == first and len(first) == 4
     assert inst.comp_calls == before + 2
 
 
