@@ -172,12 +172,14 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
     und = [0] * g.n
     out = [0] * g.n
     span = 0
-    for e in bits(emask):
-        u, v = g.edges[e]
+    while emask:
+        low = emask & -emask
+        u, v = g.edges[low.bit_length() - 1]
         und[u] |= 1 << v
         und[v] |= 1 << u
         out[u] |= 1 << v
         span |= (1 << u) | (1 << v)
+        emask ^= low
     return und, out, span
 
 

@@ -383,13 +383,22 @@ class PspaceProblem(GraphProblem):
         todo = mask_of(elems)
         for slot, depth, layer, nbrs in mask_layers(self.g.und_mask, xmask, v):
             own, touched = layer & todo, nbrs & todo & ~xmask
-            for e in bits(own):
-                keys[e] = (slot, depth, e)
-            for e in bits(touched):
-                keys[e] = (slot, depth + 1, e) if slot <= e else (e + 1, 0, e)
             todo ^= own | touched
+            while own:
+                low = own & -own
+                e = low.bit_length() - 1
+                keys[e] = (slot, depth, e)
+                own ^= low
+            while touched:
+                low = touched & -touched
+                e = low.bit_length() - 1
+                keys[e] = (slot, depth + 1, e) if slot <= e else (e + 1, 0, e)
+                touched ^= low
             if not todo:
                 break
-        for e in bits(todo):
+        while todo:
+            low = todo & -todo
+            e = low.bit_length() - 1
             keys[e] = (e + 1, 0, e)
+            todo ^= low
         return keys

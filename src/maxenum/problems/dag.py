@@ -17,10 +17,12 @@ def _acyclic(out, mask: int) -> bool:
     out-neighbor masks."""
     left = mask
     while left:
-        removed = 0
-        for u in bits(left):
-            if not (out[u] & left):
-                removed |= 1 << u
+        removed, scan = 0, left
+        while scan:
+            low = scan & -scan
+            if not (out[low.bit_length() - 1] & left):
+                removed |= low
+            scan ^= low
         if not removed:
             return False  # every remaining vertex has an out-arc: cycle
         left &= ~removed
@@ -106,10 +108,13 @@ class DagEdgeConnected(GraphProblem):
 
     def _adjacent_mask(self, emask: int) -> int:
         # arcs sharing an endpoint with the set
+        edges, at = self.g.edges, self.g.edge_mask_at
         m = 0
-        for e in bits(emask):
-            u, v = self.g.edges[e]
-            m |= self.g.edge_mask_at[u] | self.g.edge_mask_at[v]
+        while emask:
+            low = emask & -emask
+            u, v = edges[low.bit_length() - 1]
+            m |= at[u] | at[v]
+            emask ^= low
         return m
 
     def _candidates(self, emask: int, incoming):

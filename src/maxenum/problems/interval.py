@@ -205,16 +205,17 @@ class _ProperIntervalBase(GraphProblem):
 
     def _twin_classes(self, cmask: int) -> dict[int, int]:
         """Map each vertex of the component to its true-twin class mask."""
+        # true twins are the vertices of one closed neighborhood in the component
         und = self.g.und_mask
-        out = {}
-        for u in bits(cmask):
-            closed = (und[u] & cmask) | (1 << u)
-            cls = 0
-            for w in bits(cmask):
-                if ((und[w] & cmask) | (1 << w)) == closed:
-                    cls |= 1 << w
-            out[u] = cls
-        return out
+        closed, classes = {}, {}
+        left = cmask
+        while left:
+            low = left & -left
+            u = low.bit_length() - 1
+            c = closed[u] = (und[u] & cmask) | low
+            classes[c] = classes.get(c, 0) | low
+            left ^= low
+        return {u: classes[c] for u, c in closed.items()}
 
     def _reps(self, cmask: int, v: int):
         """Arrangements of a host component worth trying for extender v:

@@ -9,6 +9,7 @@ from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits,
                             perfect_elimination_order, spanned_masks)
 from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
+from maxenum.problems.dag import _acyclic
 from maxenum.problems.degenerate import _peel_ok_vertices
 from maxenum.problems.trees import _edge_count
 
@@ -334,3 +335,38 @@ def test_inline_bit_scans_match_set_references():
             for k in range(3):
                 assert _peel_ok_vertices(g.und_mask, mask, k) == naive_peel(g, s, k)
             assert bfs_order(g.und_mask, g.out_mask, mask) == set_bfs_order(g, s)
+
+
+def naive_acyclic(g, s):
+    """Whether G[s] has no directed cycle: sinks can be deleted until s is empty."""
+    left = set(s)
+    while left:
+        sinks = {u for u in left if not set(g.out_adj[u]) & left}
+        if not sinks:
+            return False
+        left -= sinks
+    return True
+
+
+def test_inline_bit_scans_of_edge_and_twin_kernels_match_set_references():
+    rng = random.Random(18)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.8]), directed=True)
+        dag_edges = make_instance("dag-edge-connected", graph=g)
+        twins = make_instance("pinterval-induced", graph=random_graph(rng, n, 0.6))
+        for _ in range(4):
+            mask, emask = rng.getrandbits(n), rng.getrandbits(g.m)
+            s, arcs = [u for u in range(n) if mask >> u & 1], [g.edges[e] for e in bits(emask)]
+            assert _acyclic(g.out_mask, mask) == naive_acyclic(g, s)
+            ends = {x for arc in arcs for x in arc}
+            assert spanned_masks(g, emask) == (
+                [mask_of(w for a, b in arcs for v, w in ((a, b), (b, a)) if v == u)
+                 for u in range(n)],
+                [mask_of(b for a, b in arcs if a == u) for u in range(n)],
+                mask_of(ends))
+            assert dag_edges._adjacent_mask(emask) == mask_of(
+                e for e, arc in enumerate(g.edges) if ends & set(arc))
+            closed = {u: {u, *twins.g.und_adj[u]} & set(s) for u in s}
+            assert twins._twin_classes(mask) == {
+                u: mask_of(w for w in s if closed[w] == closed[u]) for u in s}
