@@ -705,24 +705,29 @@ def test_memo_runs_repeat_counters(engine):
     assert first == second and first[1].comp_calls > 0
 
 
+# per engine: its completion, the error it raises on a non-solution and the
+# completion of (0,) on c5_bip
+C5_COMPLETIONS = {"exp": (Problem.comp, ValueError, (0, 1, 2, 3)),
+                  "pspace": (comp_lex, ContractViolation, (0, 1, 2, 4))}
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_memo_never_holds_a_non_solution(engine):
     inst = c5_bip()
     odd = (0, 1, 2, 3, 4)
-    completion = comp_lex if engine == "pspace" else Problem.comp
+    completion, error, of_zero = C5_COMPLETIONS[engine]
 
     def probe(sol):
-        with pytest.raises(ValueError):  # a ContractViolation under pspace
+        with pytest.raises(error):
             completion(inst, odd)
         assert mask_of(odd) not in open_memos(engine, inst)[0]
 
     ENGINES[engine](inst, emit=probe)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         completion(inst, odd)
     # outside a run, every completion is computed and counted
     before = inst.comp_calls
-    first = completion(inst, (0,))
-    assert completion(inst, (0,)) == first and len(first) == 4
+    assert completion(inst, (0,)) == completion(inst, (0,)) == of_zero
     assert inst.comp_calls == before + 2
 
 
