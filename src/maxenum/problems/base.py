@@ -5,12 +5,15 @@ predicate over ground-element bitmasks (``_solution_mask``), a candidate
 rule (``_candidates``) and a vertex order of adjacency masks
 (``vertex_order``).  Driven by the class flags ``ground_kind``,
 ``directed`` and ``connected``, the rest lives here once: the input
-checks of graph families; the neighbor loop; the connectivity rule, by
-which ``sol`` rejects a set of a connected family that is not one
-component (``_component``, grown through ``_adjacent_mask``, which also
-cuts candidates in ``_restrict``); the extension rule ``_reach``, the
-elements that can extend a set (for a connected family, those adjacent
-to it), which completion, ``addable`` and maximality all scan; and
+checks of graph families; the neighbor loops, which cut each candidate of
+a connected family to the component of the one element it adds to the
+solution and complete each distinct candidate of a ``neighbors`` call
+once; the connectivity rule, by which ``sol`` rejects a set of a
+connected family that is not one component (``_component``, grown
+through ``_adjacent_mask``, the same walk that cuts candidates); the
+extension rule ``_reach``, the elements that can extend a set (for a
+connected family, those adjacent to it), which completion, ``addable``
+and maximality all scan; and
 ``canonical_order``, the vertex order of a vertex set or of the subgraph
 an edge set spans, by which the edges are then sorted.
 A completion computes the reach once and grows it with each added
@@ -203,22 +206,21 @@ class Problem:
             comp |= frontier
         return comp
 
-    def _restrict(self, cand: int, x: int) -> int:
-        """A candidate cut down to the component of its element x when
-        solutions must be connected."""
-        return self._component(cand, 1 << x) if self.connected else cand
-
     # -- neighboring ----------------------------------------------------
     def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
         """Uncompleted candidate masks for each incoming element outside the
-        solution, in a fixed order."""
+        solution, in a fixed order.  Each candidate holds exactly one element
+        outside the solution, its incoming element; the neighbor loops cut
+        it to that element's component for a connected family, so a rule
+        yields uncut candidates and may repeat one."""
         raise NotImplementedError
 
     def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
         """Maximal solutions adjacent to ``solution`` in the solution graph:
         the completions of the candidates for every element outside it, in
-        ascending element order, each kept at its first occurrence.  Inside
-        an ``enumerate_exp`` run, each completed mask keeps one tuple.
+        ascending element order, each kept at its first occurrence.  Each
+        distinct candidate, cut for a connected family, is completed once.
+        Inside an ``enumerate_exp`` run, each completed mask keeps one tuple.
         """
         smask = self._mask(solution)
         full = (1 << self.ground_size) - 1
@@ -226,7 +228,13 @@ class Problem:
         if tuples is None:
             tuples = {}  # outside a run, the tuples of this call only
         found: dict[int, tuple[int, ...]] = {}
-        for cand in self._candidates(smask, bits(full & ~smask)):
+        asked = set()
+        for cand in self._candidates(smask, tuple_of(full & ~smask)):
+            if self.connected:
+                cand = self._component(cand, cand & ~smask)
+            if cand in asked:
+                continue
+            asked.add(cand)
             m = self.comp_mask(cand)
             if m not in found:
                 t = tuples.get(m)
@@ -305,14 +313,17 @@ class PspaceProblem(GraphProblem):
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
         """Canonical-reconstruction candidates for extender w (lex completion).
 
-        The result holds no duplicates.  That only saves work: the
-        parent-forest traversal judges each regenerated child once, however
-        many candidates regenerate it.
+        A connected family's candidates are cut to the component of w.  The
+        result holds no duplicates.  That only saves work: the parent-forest
+        traversal judges each regenerated child once, however many
+        candidates regenerate it.
         """
         smask = self._mask(solution)
         if smask & self._mask((w,)):
             return [tuple_of(smask)]
         cands = self._candidates(smask, (w,))
+        if self.connected:
+            cands = (self._component(c, 1 << w) for c in cands)
         return list(dict.fromkeys(tuple_of(self.comp_lex_mask(c)) for c in cands))
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress

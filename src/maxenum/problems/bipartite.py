@@ -38,16 +38,14 @@ class _BipartiteInducedBase(PspaceProblem):
     def _solution_mask(self, mask: int) -> bool:
         return _two_color_masks(self.g.und_mask, mask) is not None
 
-    def _candidate(self, smask: int, sides, v: int, i: int) -> int:
-        nb = self.g.und_mask[v] & smask
-        cand = (smask & ~(nb & sides[i])) | (1 << v)
-        return self._restrict(cand, v)
-
     def _candidates(self, smask: int, incoming):
-        sides = _two_color_masks(self.g.und_mask, smask)
+        und = self.g.und_mask
+        sides = _two_color_masks(und, smask)
         for v in incoming:
-            for i in (0, 1):
-                yield self._candidate(smask, sides, v, i)
+            nb = und[v] & smask
+            for side in sides:
+                # v joins the other side: drop its neighbors on this one
+                yield (smask & ~(nb & side)) | (1 << v)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size

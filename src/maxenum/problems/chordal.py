@@ -74,7 +74,7 @@ class _ChordalInducedBase(GraphProblem):
         for v in incoming:
             nb = und[v] & smask
             for q in chordal_cliques(und, nb) or [0]:
-                yield self._restrict((smask & ~(nb & ~q)) | (1 << v), v)
+                yield (smask & ~(nb & ~q)) | (1 << v)
 
     def comp_budget(self) -> int:
         n = self.ground_size

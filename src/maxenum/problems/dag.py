@@ -89,7 +89,7 @@ class DagInducedConnected(GraphProblem):
     def _candidates(self, smask: int, incoming):
         for v in incoming:
             for drop in (self.g.out_mask[v], self.g.in_mask[v]):
-                yield self._restrict((smask & ~drop) | (1 << v), v)
+                yield (smask & ~drop) | (1 << v)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size
@@ -129,7 +129,7 @@ class DagEdgeConnected(GraphProblem):
             head_out = sum(1 << x for x in bits(emask & at[head])
                            if edges[x][0] == head)
             for drop in (tail_in, head_out):
-                yield self._restrict((emask & ~drop) | (1 << e), e)
+                yield (emask & ~drop) | (1 << e)
 
     def comp_budget(self) -> int:
         return 2 * self.ground_size

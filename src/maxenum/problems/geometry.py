@@ -204,7 +204,7 @@ class Hulls(Problem):
     def _candidates(self, smask: int, incoming):
         for v in incoming:
             for piece in self._shadow_masks(smask, v):
-                yield self._restrict(piece | (1 << v), v)
+                yield piece | (1 << v)
 
     def comp_budget(self) -> int:
         return self.ground_size * (len(self.inst.obstacles) + 1)

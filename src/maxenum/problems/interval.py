@@ -247,9 +247,6 @@ class _ProperIntervalBase(GraphProblem):
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask
         for v in incoming:
-            # distinct candidates only, for this v: a repeat would cost a
-            # completion call
-            seen: set[int] = set()
             if self.connected:
                 if not smask:
                     yield 1 << v
@@ -262,18 +259,12 @@ class _ProperIntervalBase(GraphProblem):
                     cmask = mask_of(order)
                     starts = self._realize(order)
                     for sv in self._insert_positions(starts):
-                        cand = self._repair_connected(cmask, order, starts,
-                                                      v, sv)
-                        cand = self._restrict(cand, v)
-                        if cand not in seen:
-                            seen.add(cand)
-                            yield cand
+                        yield self._repair_connected(cmask, order, starts,
+                                                     v, sv)
                 continue
             # the incoming vertex may start a new component: drop all its
             # neighbors and keep the rest of the solution untouched
-            cand = (smask & ~und[v]) | (1 << v)
-            seen.add(cand)
-            yield cand
+            yield (smask & ~und[v]) | (1 << v)
             tried: set[tuple] = set()
             for host in self._hosts(smask, v):
                 comps = mask_components(und, host)
@@ -291,12 +282,8 @@ class _ProperIntervalBase(GraphProblem):
                         for sv in self._insert_positions(starts):
                             if sv <= stp or sv - stp >= unit:
                                 continue  # pinned interval precedes and overlaps v
-                            part = self._repair_induced(ci, order, starts, v,
-                                                        sv, t_prev)
-                            cand = keep | part
-                            if cand not in seen:
-                                seen.add(cand)
-                                yield cand
+                            yield keep | self._repair_induced(ci, order, starts, v,
+                                                              sv, t_prev)
 
     def comp_budget(self) -> int:
         # hosts per extender: the solution, the clique prunings, the single

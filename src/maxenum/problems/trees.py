@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..graphs import bits, mask_components
+from ..graphs import mask_components
 from .base import PspaceProblem
 
 
@@ -24,21 +24,19 @@ class _AcyclicBase(PspaceProblem):
                  else len(mask_components(self.g.und_mask, mask)))
         return _edge_count(self.g.und_mask, mask) == mask.bit_count() - comps
 
-    def _candidate(self, smask: int, v: int, w: int) -> int:
-        # keep exactly one neighbor w of the incoming vertex v
-        nb = self.g.und_mask[v] & smask
-        cand = (smask & ~nb) | (1 << w) | (1 << v)
-        return self._restrict(cand, v)
-
     def _candidates(self, smask: int, incoming):
+        und = self.g.und_mask
         for v in incoming:
-            attach = self.g.und_mask[v] & smask
-            if not attach and self.connected:
-                # restart in the component of v; nothing of the current
-                # solution can coexist with it in a connected candidate
-                yield 1 << v
-            for w in bits(attach):
-                yield self._candidate(smask, v, w)
+            attach = und[v] & smask
+            if not attach:
+                # v joins no vertex of the solution; the base cuts a tree's
+                # candidate to v alone, and a maximal forest never gets here
+                yield smask | (1 << v)
+            rest = (smask & ~attach) | (1 << v)
+            while attach:
+                low = attach & -attach
+                yield rest | low  # keep exactly one neighbor of v
+                attach ^= low
 
     def comp_budget(self) -> int:
         return 2 * self.g.m + self.g.n

@@ -158,8 +158,8 @@ def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
     order, j, pmask = core
     w, s, smask = order[j], order[0], mask_of(order)
     for r in problem.neighbors_at(tuple_of(pmask), w):
-        # the order on r is rooted at s, so r must hold both s and w
-        if w in r and s in r and _regenerate(problem, r, s, w) == smask:
+        # the order on r is rooted at s, so r must hold s (it holds w)
+        if s in r and _regenerate(problem, r, s, w) == smask:
             return r
     raise ContractViolation("no candidate regenerates the solution")
 
@@ -182,8 +182,6 @@ def children(problem: PspaceProblem, parent, w: int,
     pmask = mask_of(ptuple)
     judged = set()
     for r in problem.neighbors_at(ptuple, w):
-        if w not in r:
-            continue
         for s in r:
             if s == w:
                 continue

@@ -114,15 +114,11 @@ def test_walkthrough_canonical_orders_and_overlap():
 
 
 def test_walkthrough_two_sided_removal():
-    from maxenum.problems.bipartite import _two_color_masks
-
     inst = make_instance("bipartite-induced-connected", graph=walkthrough_graph())
     assert bipartition(inst.g, S_WALK) == ((0, 4, 7), (1, 2, 3, 6))
     smask = sum(1 << v for v in S_WALK)
-    sides = _two_color_masks(inst.g.und_mask, smask)
     cands = []
-    for i in (0, 1):
-        got = inst._candidate(smask, sides, 8, i)
+    for got in inst._candidates(smask, (8,)):
         cands.append(tuple(b for b in range(9) if (got >> b) & 1))
     assert cands == [(0, 1, 2, 3, 6, 8), (0, 1, 4, 7, 8)]
     # completion gains exactly vertex 5 on the side-0 candidate; the side-1
