@@ -3,6 +3,9 @@ direction its family is defined on, and says which variant refused the
 input; every variant rejects element ids outside its ground set; each edge
 variant keeps its canonical orders; a connected family's solutions are
 exactly its plain twin's solutions that form one component; every
+candidate adds exactly its incoming element to the solution, where a
+connected family's candidates are cut as a plain BFS cuts them, and one
+neighbors call completes each candidate once; every
 variant's extension rule finds exactly the addable elements and completes
 as a loop over the predicate does, and a family's extension test agrees
 with the predicate, which maximality asks instead of that test."""
@@ -163,17 +166,17 @@ def test_dag_set_of_two_components_rejected(variant):
     assert split
 
 
-CONNECTED_VERTEX_VARIANTS = ("trees", "bipartite-induced-connected",
-                             "chordal-induced-connected",
-                             "pinterval-induced-connected", "dag-induced-connected")
+CONNECTED_VARIANTS = ("trees", "bipartite-induced-connected",
+                      "chordal-induced-connected", "pinterval-induced-connected",
+                      "dag-induced-connected", "dag-edge-connected", "hulls-connected")
 
 
-@pytest.mark.parametrize("variant", CONNECTED_VERTEX_VARIANTS)
+@pytest.mark.parametrize("variant", CONNECTED_VARIANTS)
 def test_engines_ask_sol_only_about_one_component(variant):
     # the precondition for skipping the connectivity walk of ``sol`` on
-    # engine paths: candidates are cut by ``_restrict`` and completions grow
-    # within ``_reach``, so every set an engine asks about is one component,
-    # or empty at the start of the first completion
+    # engine paths: the base's neighbor loops cut every candidate and
+    # completions grow within ``_reach``, so every set an engine asks about
+    # is one component, or empty at the start of the first completion
     engines = [enumerate_exp] + [enumerate_pspace] * (variant in PSPACE_VARIANTS)
     asked = []
     for engine in engines:
@@ -182,7 +185,7 @@ def test_engines_ask_sol_only_about_one_component(variant):
             sol = inst.sol
 
             def checked(mask):
-                assert mask == 0 or len(components(inst.g, bits(mask))) == 1, (
+                assert mask == 0 or len(set_components(inst, mask)) == 1, (
                     engine.__name__, i, tuple_of(mask))
                 asked.append(mask)
                 return sol(mask)
@@ -190,6 +193,65 @@ def test_engines_ask_sol_only_about_one_component(variant):
             inst.sol = checked
             engine(inst)
     assert len(asked) >= 20
+
+
+def set_components(inst, mask):
+    """The components of a set, each a set of element ids, by a plain BFS:
+    over the graph for a vertex set, over arcs that share an endpoint for
+    an arc set."""
+    if inst.ground_kind == "v":
+        return components(inst.g, bits(mask))
+    edges = inst.g.edges
+    left = set(bits(mask))
+    out = []
+    while left:
+        comp = {min(left)}
+        todo = list(comp)
+        while todo:
+            ends = set(edges[todo.pop()])
+            for f in list(left - comp):
+                if ends & set(edges[f]):
+                    comp.add(f)
+                    todo.append(f)
+        out.append(comp)
+        left -= comp
+    return out
+
+
+# candidates repeat within one neighbors call on the first corpus runs here
+REPEATING_VARIANTS = ("bipartite-induced-connected", "dag-induced-connected",
+                      "pinterval-induced", "pinterval-induced-connected")
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_candidate_contract(variant, corpus, monkeypatch):
+    # the base cuts and deduplicates candidates by one rule: each candidate
+    # adds exactly its incoming element v to the solution, so the cut of a
+    # connected family starts at the one element outside the solution
+    repeats = 0
+    for run in corpus[variant][:8]:
+        inst = run.instance
+        full = (1 << inst.ground_size) - 1
+        for s in run.solutions:
+            smask = mask_of(s)
+            cut = set()
+            for v in bits(full & ~smask):
+                for cand in inst._candidates(smask, (v,)):
+                    assert cand & ~smask == 1 << v, (run.index, s, v, tuple_of(cand))
+                    if inst.connected:
+                        [ref] = [c for c in set_components(inst, cand) if v in c]
+                        cand = inst._component(cand, cand & ~smask)
+                        assert cand == mask_of(ref), (run.index, s, v)
+                    repeats += cand in cut
+                    cut.add(cand)
+            requested = []
+            comp_mask = inst.comp_mask
+            monkeypatch.setattr(inst, "comp_mask",
+                                lambda m: requested.append(m) or comp_mask(m))
+            inst.neighbors(s)
+            monkeypatch.undo()
+            assert sorted(requested) == sorted(cut), (run.index, s)
+    assert repeats or variant not in REPEATING_VARIANTS
 
 
 # -- the extension rule ----------------------------------------------------------
