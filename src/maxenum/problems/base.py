@@ -327,6 +327,7 @@ class PspaceProblem(GraphProblem):
         return list(dict.fromkeys(tuple_of(self.comp_lex_mask(c)) for c in cands))
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
+    _order_memo = None  # the solution orders of the children it has judged
 
     def comp_lex_mask(self, xmask: int) -> int:
         """Lexicographic completion of a solution mask: repeatedly add the

@@ -35,11 +35,12 @@ from .engine import Counters, Emitter, walk
 from .graphs import ContractViolation, mask_layers, mask_of
 from .problems.base import PspaceProblem, tuple_of
 
-LEX_MEMO_CAP = 1024  # the most completions a run keeps
+LEX_MEMO_CAP = 1024  # the most entries a run keeps in each of its memos
 
 
 class _LexMemo(dict):
-    """A run's completions, mask -> completed mask, cleared when full."""
+    """A run's memo keyed by a mask, cleared when full: its completions
+    (mask -> completed mask) or its children's orders (mask -> order)."""
     def __setitem__(self, xmask: int, done: int) -> None:
         if len(self) >= LEX_MEMO_CAP:
             self.clear()
@@ -116,11 +117,18 @@ def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
     ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
     judged pivot first: order[:i] must lie inside the parent, its completion,
     before it is completed and compared with the parent, and only then must
-    every longer prefix complete to the child.
+    every longer prefix complete to the child.  Inside an
+    ``enumerate_pspace`` run the child's order comes from the run's order
+    memo, since every parent that regenerates the child judges it.
     """
-    order = problem.canonical_order(child)
+    cmask, memo = mask_of(child), problem._order_memo
+    order = None if memo is None else memo.get(cmask)
+    if order is None:
+        order = problem.canonical_order(child)
+        if memo is not None:
+            memo[cmask] = order
     i = order.index(w)
-    cmask, core = mask_of(child), mask_of(order[:i])
+    core = mask_of(order[:i])
     if i == 0 or core & ~pmask or pmask == cmask:
         return False
     if problem.comp_lex_mask(core) != pmask:
@@ -169,6 +177,15 @@ def children(problem: PspaceProblem, parent, w: int,
     """Yield exactly the maximal solutions whose parent is ``parent`` and
     whose pivot is ``w``, each once.
 
+    A (candidate r, seed s) pair is regenerated only when s can be the
+    seed of such a child, which every child of the pair needs: s lies
+    below w, since the child holds w; s has no smaller neighbor in r, since
+    that neighbor lies in layer 1 of r's order from s, and so in every
+    prefix up to w != s; and s lies in the parent, since s is the first
+    element of the child's order and the prefix before w must lie inside
+    the parent (``has_parent``).  The last rule cuts only children that
+    every pair regenerating them, all of seed s, would see rejected.
+
     Each regenerated child is judged once, where its first (candidate,
     seed) pair regenerates it: whether it has this parent and pivot depends
     only on the child, and its seed fixes the seed of every pair that
@@ -180,13 +197,19 @@ def children(problem: PspaceProblem, parent, w: int,
     if counters is not None:
         counters.neighbors_calls += 1
     pmask = mask_of(ptuple)
+    und = problem.g.und_mask
     judged = set()
     for r in problem.neighbors_at(ptuple, w):
-        for s in r:
-            if s == w:
-                continue
+        rmask = mask_of(r)
+        seeds = rmask & pmask & ((1 << w) - 1)
+        while seeds:
+            low = seeds & -seeds
+            seeds ^= low
+            s = low.bit_length() - 1
+            if und[s] & rmask & (low - 1):
+                continue  # a smaller neighbor of s lies in every prefix
             cmask = _regenerate(problem, r, s, w)
-            if cmask & -cmask != 1 << s or cmask in judged:
+            if cmask & -cmask != low or cmask in judged:
                 continue  # the child's seed is not s, or it was judged
             judged.add(cmask)
             child = tuple_of(cmask)
@@ -204,8 +227,9 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     Each root of the parent forest is walked at depth 1 with no set of
     visited solution masks: each open DFS level holds only its
     candidate list and the child masks it has judged (see ``children``).
-    ``comp_lex_mask`` reads and fills the run's completion memo, which goes
-    when the run ends, however it ends; a memo open before it is restored.
+    ``comp_lex_mask`` reads and fills the run's completion memo and
+    ``has_parent`` its order memo; both go when the run ends, however it
+    ends, and memos open before it are restored.
     """
     emitter = Emitter(problem, emit, limit)
     counters = emitter.counters
@@ -216,7 +240,8 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
             if w not in xset:
                 yield from children(problem, x, w, counters)
 
-    outer, problem._lex_memo = problem._lex_memo, _LexMemo()
+    outer = problem._lex_memo, problem._order_memo
+    problem._lex_memo, problem._order_memo = _LexMemo(), _LexMemo()
     try:
         # an empty ground set has one solution, the empty set, as its only root
         for seed in [(u,) for u in range(problem.ground_size)] or [()]:
@@ -228,5 +253,5 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
             counters.roots_found += 1
             walk(root, child_stream, emitter, 1)
     finally:
-        problem._lex_memo = outer
+        problem._lex_memo, problem._order_memo = outer
     return emitter.finish()

@@ -459,6 +459,62 @@ def test_regenerate_matches_witness(variant, monkeypatch):
     assert outside or instances[0].connected, outside
 
 
+def regeneration_instances(variant):
+    """The instances ``test_regenerate_matches_witness`` draws: corpus
+    instances 0-39 and 40 sparse random graphs."""
+    rng = random.Random(f"regenerate:{variant}")
+    instances = [build_instance(variant, i) for i in range(40)]
+    instances += [make_instance(variant, graph=random_graph(
+        rng, rng.randint(4, 10), rng.choice([0.15, 0.25, 0.4]))) for _ in range(40)]
+    return instances
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_seed_cuts_are_exact(variant, monkeypatch):
+    # every (candidate, seed) pair that ``children`` drops before its layer
+    # walk would yield no child: a seed above the pivot, or one with a
+    # smaller neighbor in the candidate, regenerates nothing, and a seed
+    # outside the parent regenerates only children that ``has_parent``
+    # rejects; every other pair is regenerated
+    original_children, original_regenerate = pspace_mod.children, pspace_mod._regenerate
+    kept, regenerated = [], []
+    empty = rejected = 0
+
+    def regenerate(problem, r, s, w):
+        regenerated.append((r, s, w))
+        return original_regenerate(problem, r, s, w)
+
+    def checked(problem, parent, w, counters=None):
+        nonlocal empty, rejected
+        pmask, und = mask_of(parent), problem.g.und_mask
+        for r in problem.neighbors_at(parent, w) if w not in parent else ():
+            rmask = mask_of(r)
+            for s in r:
+                if s == w:
+                    continue  # the pivot is never the child's seed
+                if s > w or und[s] & rmask & ((1 << s) - 1):
+                    assert regenerate_witness(problem, r, s, w) == 0, (
+                        variant, problem.g.edges, r, s, w)
+                    empty += 1
+                elif not (pmask >> s) & 1:
+                    cmask = regenerate_witness(problem, r, s, w)
+                    if cmask & -cmask == 1 << s:
+                        assert not has_parent(problem, tuple_of(cmask), pmask, w), (
+                            variant, problem.g.edges, parent, r, s, w)
+                        rejected += 1
+                else:
+                    kept.append((r, s, w))
+        yield from original_children(problem, parent, w, counters)
+
+    monkeypatch.setattr(pspace_mod, "_regenerate", regenerate)
+    monkeypatch.setattr(pspace_mod, "children", checked)
+    for inst in regeneration_instances(variant):
+        enumerate_pspace(inst)
+    # the walk nests the children of a child inside its parent's stream
+    assert sorted(regenerated) == sorted(kept)
+    assert empty >= 3000 and rejected >= 150, (empty, rejected)
+
+
 @pytest.mark.parametrize("variant,graph_factory", [
     ("bipartite-induced-connected", lambda: cycle(5)),
     ("trees", lambda: path(4)),
@@ -556,7 +612,7 @@ def run_engine(engine, inst, **kwargs):
 def open_memos(engine, inst):
     """The run-scoped memos of the engine on inst, each None when closed."""
     if engine == "pspace":
-        return (inst._lex_memo,)
+        return inst._lex_memo, inst._order_memo
     return inst._comp_memo, inst._tuple_memo
 
 
@@ -643,24 +699,49 @@ def test_exp_neighbors_same_inside_a_run(variant):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_overflow_clears(variant, monkeypatch):
-    # a cap of 3 clears the memo over and over, and the output is that of
-    # the real cap
-    sizes = []
+    # a cap of 3 clears the completion memo and the order memo over and
+    # over, and the output is that of the real cap
+    sizes = {int: [], list: []}  # by the type of the value: completion, order
     setitem = pspace_mod._LexMemo.__setitem__
 
     def recorded(self, xmask, done):
         setitem(self, xmask, done)
-        sizes.append(len(self))
+        sizes[type(done)].append(len(self))
 
     monkeypatch.setattr(pspace_mod._LexMemo, "__setitem__", recorded)
     full = corpus_runs(variant)
-    assert max(sizes) > 3
-    sizes.clear()
+    assert all(max(seen) > 3 for seen in sizes.values())
+    for seen in sizes.values():
+        seen.clear()
     monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 3)
     capped = corpus_runs(variant)
-    assert max(sizes) == 3 and sizes.count(1) > 40  # cleared, not only fresh
+    for seen in sizes.values():
+        assert max(seen) == 3 and seen.count(1) > 40  # cleared, not only fresh
     assert without_comp_counts(capped) == without_comp_counts(full)
     assert comp_calls(capped) > comp_calls(full)
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_order_memo_matches_fresh_orders(variant, monkeypatch):
+    # every child order that ``has_parent`` takes from the run's order memo
+    # is the order ``canonical_order`` builds afresh for that child
+    taken = 0
+
+    class CheckedMemo(pspace_mod._LexMemo):
+        def get(self, cmask, default=None):
+            nonlocal taken
+            order = super().get(cmask, default)
+            if order is not None and self is inst._order_memo:
+                assert order == inst.canonical_order(tuple_of(cmask)), (
+                    variant, inst.g.edges, tuple_of(cmask))
+                taken += 1
+            return order
+
+    monkeypatch.setattr(pspace_mod, "_LexMemo", CheckedMemo)
+    for i in range(40):
+        inst = build_instance(variant, i)
+        enumerate_pspace(inst)
+    assert taken >= 500, taken
 
 
 @pytest.mark.parametrize("engine", ENGINES)
