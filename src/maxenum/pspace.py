@@ -13,18 +13,23 @@ n times the number of candidates.  The problem instance's predicate memo
 (``Problem._sol_cache``) still grows with the solutions visited: it is
 not yet bounded, so the run as a whole is not yet polynomial-space.
 
-Four things keep the regeneration cheap.  Different parents regenerate the
-same candidates and prefixes, so a run keeps the completions it has done
-in a memo, cleared at ``LEX_MEMO_CAP`` entries.  The lexicographic
-completion (``PspaceProblem.comp_lex_mask``) carries only its reach and
-its rejected elements across rounds, and builds order keys only in a round
-that must choose between two or more addable elements.  ``_regenerate``
-walks the order's BFS layers (``graphs.mask_layers``) only up to the
-pivot, and drops the seed as soon as a layer holds a smaller element.  The
-parent check (``has_parent``) judges the pivot first: the prefix before it
-must lie inside the parent and complete to it, and only then are the
-longer prefixes scanned; ``core_of`` and ``parent_of`` run the same scan
-down to the first element.
+Five things keep the regeneration cheap.  Different parents regenerate the
+same candidates and prefixes and judge the same children, so a run keeps
+the completions it has done and the solution orders of the children it
+has judged in two memos, each cleared at ``LEX_MEMO_CAP`` entries (an
+order holds at most n elements).  The lexicographic completion
+(``PspaceProblem.comp_lex_mask``) carries only its reach and its rejected
+elements across rounds, and builds order keys only in a round that must
+choose between two or more addable elements.  ``children`` drops a
+(candidate r, seed s) pair before any walk unless s lies below the pivot,
+has no smaller neighbor in r and lies in the parent: a pair that fails
+one of them yields no child (see ``children``).  ``_regenerate`` walks
+the order's BFS layers (``graphs.mask_layers``) only up to the pivot, and
+drops the seed as soon as a layer holds a smaller element.  The parent
+check (``has_parent``) judges the pivot first: the prefix before it must
+lie inside the parent and complete to it, and only then are the longer
+prefixes scanned; ``core_of`` and ``parent_of`` run the same scan down to
+the first element.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ LEX_MEMO_CAP = 1024  # the most entries a run keeps in each of its memos
 class _LexMemo(dict):
     """A run's memo keyed by a mask, cleared when full: its completions
     (mask -> completed mask) or its children's orders (mask -> order)."""
-    def __setitem__(self, xmask: int, done: int) -> None:
+    def __setitem__(self, xmask: int, done: int | list[int]) -> None:
         if len(self) >= LEX_MEMO_CAP:
             self.clear()
         super().__setitem__(xmask, done)
@@ -119,7 +124,8 @@ def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
     before it is completed and compared with the parent, and only then must
     every longer prefix complete to the child.  Inside an
     ``enumerate_pspace`` run the child's order comes from the run's order
-    memo, since every parent that regenerates the child judges it.
+    memo (at most ``LEX_MEMO_CAP`` orders), since every parent that
+    regenerates the child judges it.
     """
     cmask, memo = mask_of(child), problem._order_memo
     order = None if memo is None else memo.get(cmask)
@@ -177,14 +183,18 @@ def children(problem: PspaceProblem, parent, w: int,
     """Yield exactly the maximal solutions whose parent is ``parent`` and
     whose pivot is ``w``, each once.
 
-    A (candidate r, seed s) pair is regenerated only when s can be the
-    seed of such a child, which every child of the pair needs: s lies
-    below w, since the child holds w; s has no smaller neighbor in r, since
-    that neighbor lies in layer 1 of r's order from s, and so in every
-    prefix up to w != s; and s lies in the parent, since s is the first
-    element of the child's order and the prefix before w must lie inside
-    the parent (``has_parent``).  The last rule cuts only children that
-    every pair regenerating them, all of seed s, would see rejected.
+    A (candidate r, seed s) pair is regenerated only when s can seed such
+    a child:
+    - s lies below w, since the child holds w and its seed is its
+      smallest element;
+    - s has no smaller neighbor in r, since such a neighbor lies in layer
+      1 of r's order from s, and so in every prefix up to w (w != s);
+    - s lies in the parent, since s is the first element of the child's
+      order and ``has_parent`` rejects a child whose elements before w
+      leave the parent.
+    The first two skip pairs that regenerate nothing.  The third skips a
+    child at every pair that regenerates it, since all those pairs have
+    its seed s, so it cuts only children that would be rejected.
 
     Each regenerated child is judged once, where its first (candidate,
     seed) pair regenerates it: whether it has this parent and pivot depends
