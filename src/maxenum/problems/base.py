@@ -305,26 +305,28 @@ class PspaceProblem(GraphProblem):
     layers of ``mask_layers`` rooted at the seed (``bfs_order``, their
     canonical order).  Their candidate rule ``_candidates`` serves both
     engines: completed by ``comp_mask`` for ``neighbors`` and by the
-    lexicographic completion ``comp_lex_mask`` for ``neighbors_at``.
+    lexicographic completion ``comp_lex_mask`` for ``neighbor_masks_at``.
     """
 
     vertex_order = staticmethod(bfs_order)
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
-        """Canonical-reconstruction candidates for extender w (lex completion).
-
-        A connected family's candidates are cut to the component of w.  The
-        result holds no duplicates.  That only saves work: the parent-forest
-        traversal judges each regenerated child once, however many
-        candidates regenerate it.
-        """
+        """``neighbor_masks_at`` as tuples, with element ids checked; a
+        solution that holds w is its own only candidate."""
         smask = self._mask(solution)
-        if smask & self._mask((w,)):
-            return [tuple_of(smask)]
+        masks = [smask] if smask & self._mask((w,)) else self.neighbor_masks_at(smask, w)
+        return [tuple_of(m) for m in masks]
+
+    def neighbor_masks_at(self, smask: int, w: int) -> list[int]:
+        """Canonical-reconstruction candidates for an extender w outside the
+        solution mask ``smask``: the distinct lexicographic completions of
+        its candidates, cut to the component of w for a connected family
+        (a duplicate would only cost work: the parent-forest traversal
+        judges each regenerated child once)."""
         cands = self._candidates(smask, (w,))
         if self.connected:
             cands = (self._component(c, 1 << w) for c in cands)
-        return list(dict.fromkeys(tuple_of(self.comp_lex_mask(c)) for c in cands))
+        return list(dict.fromkeys(self.comp_lex_mask(c) for c in cands))
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
     _order_memo = None  # the solution orders of the children it has judged

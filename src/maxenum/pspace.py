@@ -6,12 +6,15 @@ solution order whose lexicographic completion differs from S), a parent
 (the completion of the core) and a pivot element right after the core.
 Children of a node are regenerated on demand, one pivot w at a time, and
 each regenerated child is judged once by the parent check instead of
-being looked up in a visited-solution dictionary.  An open DFS level holds
-its candidate list ``neighbors_at(parent, w)`` and the set of the child
-masks it has judged, at most one per (candidate, seed) pair, so at most
-n times the number of candidates.  The problem instance's predicate memo
-(``Problem._sol_cache``) still grows with the solutions visited: it is
-not yet bounded, so the run as a whole is not yet polynomial-space.
+being looked up in a visited-solution dictionary.  The walk runs on masks
+(``children``, ``has_parent`` and ``_regenerate`` take and give masks);
+a solution becomes a sorted tuple only at the sink and in the public
+wrappers ``comp_lex``, ``core_of``, ``is_root``, ``parent_of`` and
+``restr``.  Its DFS stack holds one open level per depth of the tree,
+each with its candidate masks ``neighbor_masks_at(parent, w)`` and at
+most n judged child masks per candidate, one per (candidate, seed) pair.
+The predicate memo (``Problem._sol_cache``) still grows with the
+solutions visited, so the run as a whole is not yet polynomial-space.
 
 Five things keep the regeneration cheap.  Different parents regenerate the
 same candidates and prefixes and judge the same children, so a run keeps
@@ -37,7 +40,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .engine import Counters, Emitter, walk
-from .graphs import ContractViolation, mask_layers, mask_of
+from .graphs import ContractViolation, bits, mask_layers, mask_of
 from .problems.base import PspaceProblem, tuple_of
 
 LEX_MEMO_CAP = 1024  # the most entries a run keeps in each of its memos
@@ -114,9 +117,9 @@ def parent_of(problem: PspaceProblem, solution) -> Optional[tuple[int, ...]]:
     return None if core is None else tuple_of(core[2])
 
 
-def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
-    """Whether ``child`` has the parent ``pmask`` and the pivot w, an
-    element of the child.
+def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
+    """Whether the child mask ``cmask`` has the parent mask ``pmask`` and the
+    pivot w, an element of the child.
 
     With i the position of w in the child's solution order, this is exactly
     ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
@@ -125,12 +128,12 @@ def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
     every longer prefix complete to the child.  Inside an
     ``enumerate_pspace`` run the child's order comes from the run's order
     memo (at most ``LEX_MEMO_CAP`` orders), since every parent that
-    regenerates the child judges it.
+    regenerates the child judges it, else from ``vertex_order``.
     """
-    cmask, memo = mask_of(child), problem._order_memo
+    memo = problem._order_memo
     order = None if memo is None else memo.get(cmask)
     if order is None:
-        order = problem.canonical_order(child)
+        order = problem.vertex_order(problem.g.und_mask, problem.g.out_mask, cmask)
         if memo is not None:
             memo[cmask] = order
     i = order.index(w)
@@ -142,18 +145,18 @@ def has_parent(problem: PspaceProblem, child, pmask: int, w: int) -> bool:
     return _core_scan(problem, order, cmask, i + 1) is None
 
 
-def _regenerate(problem: PspaceProblem, r, s: int, w: int) -> int:
-    """The completion of the elements of candidate r up to w in r's order
-    rooted at s, or 0 when that prefix holds an element below s: the seed
-    of the completion is at most the smallest element of the prefix, so the
-    completion could not be rooted at s.
+def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
+    """The completion of the elements of the candidate mask ``rmask`` up to
+    w in its order rooted at s, or 0 when that prefix holds an element below
+    s: the seed of the completion is at most the smallest element of the
+    prefix, so the completion could not be rooted at s.
 
-    The prefix is every layer of ``mask_layers(r, s)`` before w's plus the
-    members of w's layer up to w; the walk stops at the first layer that
+    The prefix is every layer of ``mask_layers(rmask, s)`` before w's plus
+    the members of w's layer up to w; the walk stops at the first layer that
     holds an element below s, wherever w lies.
     """
     prefix, below = 0, (1 << s) - 1
-    for _, _, layer, _ in mask_layers(problem.g.und_mask, mask_of(r), s):
+    for _, _, layer, _ in mask_layers(problem.g.und_mask, rmask, s):
         if (layer >> w) & 1:
             prefix |= layer & ((2 << w) - 1)
             break
@@ -173,15 +176,15 @@ def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
     w, s, smask = order[j], order[0], mask_of(order)
     for r in problem.neighbors_at(tuple_of(pmask), w):
         # the order on r is rooted at s, so r must hold s (it holds w)
-        if s in r and _regenerate(problem, r, s, w) == smask:
+        if s in r and _regenerate(problem, mask_of(r), s, w) == smask:
             return r
     raise ContractViolation("no candidate regenerates the solution")
 
 
-def children(problem: PspaceProblem, parent, w: int,
+def children(problem: PspaceProblem, pmask: int, w: int,
              counters: Optional[Counters] = None):
-    """Yield exactly the maximal solutions whose parent is ``parent`` and
-    whose pivot is ``w``, each once.
+    """Yield, as masks, exactly the maximal solutions whose parent is the
+    mask ``pmask`` and whose pivot is ``w``, each once.
 
     A (candidate r, seed s) pair is regenerated only when s can seed such
     a child:
@@ -201,16 +204,13 @@ def children(problem: PspaceProblem, parent, w: int,
     only on the child, and its seed fixes the seed of every pair that
     regenerates it, so a later pair would only repeat the verdict.
     """
-    ptuple = tuple(sorted(parent))
-    if w in ptuple:
+    if (pmask >> w) & 1:
         return
     if counters is not None:
         counters.neighbors_calls += 1
-    pmask = mask_of(ptuple)
     und = problem.g.und_mask
     judged = set()
-    for r in problem.neighbors_at(ptuple, w):
-        rmask = mask_of(r)
+    for rmask in problem.neighbor_masks_at(pmask, w):
         seeds = rmask & pmask & ((1 << w) - 1)
         while seeds:
             low = seeds & -seeds
@@ -218,48 +218,46 @@ def children(problem: PspaceProblem, parent, w: int,
             s = low.bit_length() - 1
             if und[s] & rmask & (low - 1):
                 continue  # a smaller neighbor of s lies in every prefix
-            cmask = _regenerate(problem, r, s, w)
+            cmask = _regenerate(problem, rmask, s, w)
             if cmask & -cmask != low or cmask in judged:
                 continue  # the child's seed is not s, or it was judged
             judged.add(cmask)
-            child = tuple_of(cmask)
-            if not has_parent(problem, child, pmask, w):
+            if not has_parent(problem, cmask, pmask, w):
                 continue
             if counters is not None:
                 counters.child_checks_passed += 1
-            yield child
+            yield cmask
 
 
 def enumerate_pspace(problem: PspaceProblem, emit=None,
                      limit: Optional[int] = None) -> Counters:
     """Emit every maximal solution once without a visited-solution dictionary.
 
-    Each root of the parent forest is walked at depth 1 with no set of
-    visited solution masks: each open DFS level holds only its
-    candidate list and the child masks it has judged (see ``children``).
+    Each root of the parent forest is walked at depth 1, on masks, with no
+    set of visited solution masks (see ``children``); ``emit`` receives
+    each solution as a sorted tuple, built only as it is emitted.
     ``comp_lex_mask`` reads and fills the run's completion memo and
     ``has_parent`` its order memo; both go when the run ends, however it
     ends, and memos open before it are restored.
     """
-    emitter = Emitter(problem, emit, limit)
+    sink = None if emit is None else lambda mask: emit(tuple_of(mask))
+    emitter = Emitter(problem, sink, limit)
     counters = emitter.counters
 
     def child_stream(x):
-        xset = set(x)
-        for w in range(problem.ground_size):
-            if w not in xset:
-                yield from children(problem, x, w, counters)
+        for w in bits(~x & ((1 << problem.ground_size) - 1)):
+            yield from children(problem, x, w, counters)
 
     outer = problem._lex_memo, problem._order_memo
     problem._lex_memo, problem._order_memo = _LexMemo(), _LexMemo()
     try:
         # an empty ground set has one solution, the empty set, as its only root
-        for seed in [(u,) for u in range(problem.ground_size)] or [()]:
+        for seed in [1 << u for u in range(problem.ground_size)] or [0]:
             if emitter.done:
                 break
-            root = comp_lex(problem, seed)
-            if root[:1] != seed:
-                continue  # a root is discovered from its own seed, root[0], only
+            root = problem.comp_lex_mask(seed)
+            if root & -root != seed:
+                continue  # a root is discovered from its own seed only
             counters.roots_found += 1
             walk(root, child_stream, emitter, 1)
     finally:

@@ -297,12 +297,12 @@ def test_bounded_parent_check_matches_core(variant, monkeypatch):
     verdicts = []
     original = pspace_mod.has_parent
 
-    def checked(problem, child, pmask, w):
-        verdict = original(problem, child, pmask, w)
-        cp = core_of(problem, child)
+    def checked(problem, cmask, pmask, w):
+        verdict = original(problem, cmask, pmask, w)
+        cp = core_of(problem, tuple_of(cmask))
         expected = (cp is not None and cp[1] == w
                     and comp_lex(problem, cp[0]) == tuple_of(pmask))
-        assert verdict == expected, (variant, child, tuple_of(pmask), w)
+        assert verdict == expected, (variant, tuple_of(cmask), tuple_of(pmask), w)
         verdicts.append(verdict)
         return verdict
 
@@ -317,8 +317,8 @@ def test_parent_check_pivot_first():
     # and the parent (0, 1, 2, 3); its core [1, 2, 3] is not inside
     # (0, 1, 2, 4), so that parent is rejected without a completion
     inst = c5_bip()
-    child = (1, 2, 3, 4)
-    assert inst.canonical_order(child) == [1, 2, 3, 4]
+    child = mask_of((1, 2, 3, 4))
+    assert inst.canonical_order((1, 2, 3, 4)) == [1, 2, 3, 4]
     before = inst.comp_calls
     assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 4)
     assert inst.comp_calls == before
@@ -329,7 +329,7 @@ def test_parent_check_pivot_first():
     # the root (0, 1, 2, 4), order [0, 1, 4, 2], is the completion of [0]
     # and holds it, but a solution is not its own parent
     assert inst.canonical_order((0, 1, 2, 4)) == [0, 1, 4, 2]
-    assert not has_parent(inst, (0, 1, 2, 4), mask_of((0, 1, 2, 4)), 1)
+    assert not has_parent(inst, mask_of((0, 1, 2, 4)), mask_of((0, 1, 2, 4)), 1)
 
 
 def test_children_of_unique_solution_empty():
@@ -339,7 +339,7 @@ def test_children_of_unique_solution_empty():
     only = (0, 1, 2, 3, 4)
     for w in range(5):
         if w not in only:
-            assert list(children(inst, only, w)) == []
+            assert list(children(inst, mask_of(only), w)) == []
 
 
 def test_children_cover_non_roots_once():
@@ -351,7 +351,7 @@ def test_children_cover_non_roots_once():
     for parent in sols:
         for w in range(5):
             if w not in parent:
-                produced.extend(children(inst, parent, w))
+                produced.extend(map(tuple_of, children(inst, mask_of(parent), w)))
     roots = [s for s in sols if is_root(inst, s)]
     assert sorted(produced) == sorted(set(sols) - set(roots))
     assert len(produced) == len(set(produced))  # each child exactly once
@@ -392,12 +392,11 @@ def children_witness(problem, parent, w):
             cmask = problem.comp_lex_mask(prefix)
             if cmask & -cmask != 1 << s:
                 continue
-            child = tuple_of(cmask)
-            if not has_parent(problem, child, pmask, w):
+            if not has_parent(problem, cmask, pmask, w):
                 continue
-            if restr_in(child, s, cands) != r:
+            if restr_in(tuple_of(cmask), s, cands) != r:
                 continue
-            yield child
+            yield cmask
 
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
@@ -411,7 +410,7 @@ def test_children_match_restr_witness(variant, corpus):
             for w in range(inst.ground_size):
                 if w in parent:
                     continue
-                got = list(children(inst, parent, w))
+                got = list(children(inst, mask_of(parent), w))
                 assert got == list(children_witness(inst, parent, w)), (
                     variant, run.index, parent, w)
                 pairs += 1
@@ -439,13 +438,13 @@ def test_regenerate_matches_witness(variant, monkeypatch):
     original = pspace_mod._regenerate
     calls = outside = 0
 
-    def checked(problem, r, s, w):
+    def checked(problem, rmask, s, w):
         nonlocal calls, outside
-        got = original(problem, r, s, w)
+        got = original(problem, rmask, s, w)
         calls += 1
-        outside += not (mask_cc(problem.g.und_mask, mask_of(r), s) >> w) & 1
-        assert got == regenerate_witness(problem, r, s, w), (
-            variant, problem.g.edges, r, s, w)
+        outside += not (mask_cc(problem.g.und_mask, rmask, s) >> w) & 1
+        assert got == regenerate_witness(problem, tuple_of(rmask), s, w), (
+            variant, problem.g.edges, tuple_of(rmask), s, w)
         return got
 
     monkeypatch.setattr(pspace_mod, "_regenerate", checked)
@@ -480,13 +479,13 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
     kept, regenerated = [], []
     empty = rejected = 0
 
-    def regenerate(problem, r, s, w):
-        regenerated.append((r, s, w))
-        return original_regenerate(problem, r, s, w)
+    def regenerate(problem, rmask, s, w):
+        regenerated.append((rmask, s, w))
+        return original_regenerate(problem, rmask, s, w)
 
-    def checked(problem, parent, w, counters=None):
+    def checked(problem, pmask, w, counters=None):
         nonlocal empty, rejected
-        pmask, und = mask_of(parent), problem.g.und_mask
+        parent, und = tuple_of(pmask), problem.g.und_mask
         for r in problem.neighbors_at(parent, w) if w not in parent else ():
             rmask = mask_of(r)
             for s in r:
@@ -499,12 +498,12 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
                 elif not (pmask >> s) & 1:
                     cmask = regenerate_witness(problem, r, s, w)
                     if cmask & -cmask == 1 << s:
-                        assert not has_parent(problem, tuple_of(cmask), pmask, w), (
+                        assert not has_parent(problem, cmask, pmask, w), (
                             variant, problem.g.edges, parent, r, s, w)
                         rejected += 1
                 else:
-                    kept.append((r, s, w))
-        yield from original_children(problem, parent, w, counters)
+                    kept.append((rmask, s, w))
+        yield from original_children(problem, pmask, w, counters)
 
     monkeypatch.setattr(pspace_mod, "_regenerate", regenerate)
     monkeypatch.setattr(pspace_mod, "children", checked)
@@ -581,6 +580,40 @@ def test_pspace_limit_prefix():
         enumerate_pspace(make_instance("trees", graph=g), emit=part.append,
                          limit=limit)
         assert part == full[:limit]
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_traversal_builds_tuples_only_at_emission(variant, monkeypatch):
+    # the walk passes masks: ``children``, which the engine calls through the
+    # module name, yields ints, and a run with a sink builds at most one
+    # tuple per emitted solution plus one per ground element
+    original_tuple_of, original_children = pspace_mod.tuple_of, pspace_mod.children
+
+    def counted(mask):
+        nonlocal built
+        built += 1
+        return original_tuple_of(mask)
+
+    def checked(problem, pmask, w, counters=None):
+        nonlocal yielded
+        assert type(pmask) is int, pmask
+        for cmask in original_children(problem, pmask, w, counters):
+            assert type(cmask) is int, cmask
+            yielded += 1
+            yield cmask
+
+    monkeypatch.setattr(pspace_mod, "tuple_of", counted)
+    monkeypatch.setattr(pspace_mod, "children", checked)
+    children_yielded = 0
+    for i in (1, 3, 8):
+        inst, got = build_instance(variant, i), []
+        built = yielded = 0
+        counters = enumerate_pspace(inst, emit=got.append)
+        assert got and all(type(sol) is tuple for sol in got)
+        assert yielded == len(got) - counters.roots_found, (i, yielded)
+        assert built <= counters.solutions_emitted + inst.ground_size, (i, built)
+        children_yielded += yielded
+    assert children_yielded > 0
 
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
