@@ -1,13 +1,15 @@
 """Command-line front end: load an instance, pick a problem and engine,
 stream solutions, report counters.
 
-Exit status: 0 on success, 1 on input or verification errors, 2 when the
-requested engine does not support the problem.
+Exit status: 0 on success, also when the reader quits early (``| head``),
+having read a prefix as with ``--limit``; 1 on input or verification
+errors, 2 when the requested engine does not support the problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -112,10 +114,18 @@ def main(argv=None) -> int:
             print(" ".join([prefix] + [str(e) for e in sol]))
 
     run = engine.enumerate_exp if args.mode == "exp" else pspace.enumerate_pspace
-    counters = run(problem, emit=emit, limit=args.limit)
-
-    if args.count_only:
-        print(count)
+    try:
+        counters = run(problem, emit=emit, limit=args.limit)
+        if args.count_only:
+            print(count)
+        sys.stdout.flush()
+    except (engine.PartialOutputError, BrokenPipeError) as exc:
+        if not isinstance(exc.__cause__ or exc, BrokenPipeError):
+            raise
+        # the reader has gone; on devnull the flush at exit cannot fail
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
 
     if args.stats:
         print(f"solutions={counters.solutions_emitted}", file=err)

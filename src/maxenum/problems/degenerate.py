@@ -1,8 +1,8 @@
 """Maximal k-degenerate subgraph plugins: induced and edge (exp engine only).
 
-Candidate generation tries, for each incoming element, every way of keeping
-at most k (induced) or k-1 (edge, per endpoint) of its neighbors; kept sets
-are enumerated in lexicographic order of their sorted member ids.
+Both predicates run one worklist k-core peel.  Candidates keep, for each
+incoming element, every set of at most k (induced) or k-1 (edge, per
+endpoint) of its neighbors, in lexicographic order of their sorted ids.
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ from .base import GraphProblem, tuple_of
 
 
 def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
-    """True iff repeatedly deleting vertices of degree <= k empties the set."""
-    left = mask
-    while left:
-        removed = 0
-        scan = left
-        while scan:
-            low = scan & -scan
-            if (adj[low.bit_length() - 1] & left).bit_count() <= k:
-                removed |= low
-            scan ^= low
-        if not removed:
-            return False
-        left &= ~removed
-    return True
+    """True iff deleting vertices of degree <= k, each as soon as a worklist
+    sees it, empties the set; the k-core is unique, so any order will do."""
+    left = scan = mask
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        a = adj[low.bit_length() - 1] & left
+        if a.bit_count() <= k:
+            left ^= low
+            scan |= a
+    return not left
 
 
 def _degeneracy_layout(und, out, mask: int) -> list[int]:

@@ -1,28 +1,36 @@
-"""Maximal induced tree and induced forest plugins (both engines)."""
+"""Maximal induced tree and induced forest plugins (both engines), whose
+predicates share one single-pass kernel, ``_is_forest``."""
 
 from __future__ import annotations
 
-from ..graphs import mask_components
 from .base import PspaceProblem
 
 
-def _edge_count(adj_masks, mask: int) -> int:
-    total = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        total += (adj_masks[low.bit_length() - 1] & mask).bit_count()
-        rest ^= low
-    return total // 2
+def _is_forest(adj, mask: int) -> bool:
+    """True iff G[mask] has no cycle: a layered BFS of each component meets
+    no edge inside a layer and reaches no vertex twice."""
+    left = mask
+    while left:
+        layer = left & -left
+        while layer:
+            left ^= layer
+            nxt, scan = 0, layer
+            while scan:
+                low = scan & -scan
+                nb = adj[low.bit_length() - 1]
+                a = nb & left
+                if nb & layer or a & nxt:
+                    return False
+                nxt |= a
+                scan ^= low
+            layer = nxt
+    return True
 
 
 class _AcyclicBase(PspaceProblem):
     def _solution_mask(self, mask: int) -> bool:
-        # a forest has one edge fewer than vertices in each component; the
-        # base has already made a tree's set one component, or empty
-        comps = (mask != 0 if self.connected
-                 else len(mask_components(self.g.und_mask, mask)))
-        return _edge_count(self.g.und_mask, mask) == mask.bit_count() - comps
+        # the base has already made a tree's set one component, or empty
+        return _is_forest(self.g.und_mask, mask)
 
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask

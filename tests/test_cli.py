@@ -171,6 +171,37 @@ def test_points_file_and_edge_prefix(tmp_path, capsys):
     assert len(out.splitlines()) == 3
 
 
+class ClosedAfter:
+    """A stdout whose reader goes away after ``writes`` writes."""
+
+    def __init__(self, writes, fd):
+        self.writes, self.fd = writes, fd
+
+    def write(self, text):
+        if not self.writes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes -= 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("extra,writes", [((), 2), (("--count-only",), 0)])
+def test_closed_output_pipe_exits_0_quietly(k4_file, tmp_path, capsys,
+                                            monkeypatch, extra, writes):
+    # the first line gets out, the next write breaks the pipe (--count-only
+    # breaks on its one line); the lines read are a prefix, as with --limit
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedAfter(writes, sink.fileno()))
+        code = main(["--problem", "forests", "--input", k4_file, *extra])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_module_entrypoint_runs():
     repo = Path(__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -1,16 +1,18 @@
 """Exact solution counts past the brute-force oracle's reach (ground sets of
-more than 16 elements), for the parent-forest traversal: closed forms on
-cycles and disjoint triangles, and a cross-engine identity on sparse random
-graphs."""
+more than 16 elements): closed forms on cycles and disjoint triangles, a
+cross-engine identity on sparse random graphs, and independent references
+for the k-degenerate families (a Bron–Kerbosch count of maximal independent
+sets, and Kirchhoff's matrix-tree theorem for maximal spanning forests)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.problems import PSPACE_VARIANTS
 
-from conftest import cycle
+from conftest import components, cycle
 
 
 def pspace_count(variant, g):
@@ -64,3 +66,69 @@ def test_forests_equal_one_degenerate_induced():
         enumerate_exp(make_instance("kdeg-induced", graph=g, k=1), emit=kdeg.append)
         assert sorted(forests) == sorted(kdeg), (n, m, g.edges)
         assert len(forests) == expected, (n, m)
+
+
+def count_maximal_independent_sets(g):
+    """Bron–Kerbosch with Tomita pivoting on the complement of g, whose
+    maximal cliques are the maximal independent sets of g; plain sets."""
+    other = [set(range(g.n)) - set(g.und_adj[u]) - {u} for u in range(g.n)]
+
+    def expand(p, x):
+        if not p:
+            return int(not x)
+        pivot = max(p | x, key=lambda u: len(p & other[u]))
+        total = 0
+        for v in sorted(p - other[pivot]):
+            total += expand(p & other[v], x & other[v])
+            p = p - {v}
+            x = x | {v}
+        return total
+
+    return expand(set(range(g.n)), set())
+
+
+def test_zero_degenerate_induced_matches_bron_kerbosch():
+    # an induced 0-degenerate subgraph has no edge: the maximal ones are
+    # the maximal independent sets
+    rng = random.Random(22)
+    for (n, m), expected in (((18, 30), 77), ((20, 40), 69), ((24, 40), 168)):
+        g = sparse_gnm(rng, n, m)
+        got = enumerate_exp(make_instance("kdeg-induced", graph=g, k=0))
+        assert got.solutions_emitted == count_maximal_independent_sets(g) == expected, (
+            n, m, g.edges)
+
+
+def count_maximal_spanning_forests(g):
+    """The product over components of the number of spanning trees, each a
+    reduced Laplacian determinant (Kirchhoff), by exact elimination."""
+    total = Fraction(1)
+    for comp in components(g, range(g.n)):
+        index = {u: i for i, u in enumerate(sorted(comp)[1:])}
+        size = len(index)
+        lap = [[Fraction(0)] * size for _ in range(size)]
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in index:
+                    lap[index[a]][index[a]] += 1
+                    if b in index:
+                        lap[index[a]][index[b]] -= 1
+        for col in range(size):
+            pivot = next(r for r in range(col, size) if lap[r][col])
+            lap[col], lap[pivot] = lap[pivot], lap[col]
+            total *= lap[col][col]
+            for r in range(col + 1, size):
+                f = lap[r][col] / lap[col][col]
+                for c in range(col, size):
+                    lap[r][c] -= f * lap[col][c]
+    return total
+
+
+def test_one_degenerate_edge_matches_matrix_tree():
+    # an edge set spanning a 1-degenerate subgraph is a forest, and a
+    # maximal one is a spanning tree of every component
+    rng = random.Random(23)
+    for (n, m), expected in (((10, 17), 3714), ((14, 19), 1657)):
+        g = sparse_gnm(rng, n, m)
+        got = enumerate_exp(make_instance("kdeg-edge", graph=g, k=1))
+        assert got.solutions_emitted == count_maximal_spanning_forests(g) == expected, (
+            n, m, g.edges)

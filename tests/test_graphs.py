@@ -11,7 +11,7 @@ from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
 from maxenum.problems.degenerate import _peel_ok_vertices
-from maxenum.problems.trees import _edge_count
+from maxenum.problems.trees import _is_forest
 
 from conftest import complete, components, cycle, path, random_graph, star, triangle
 
@@ -316,6 +316,13 @@ def naive_peel(g, s, k):
     return True
 
 
+def naive_forest(g, s):
+    """Whether G[s] is a forest: its edges number len(s) minus its
+    components."""
+    inside = sum(u in s and v in s for u, v in g.edges)
+    return inside == len(s) - len(components(g, s))
+
+
 def test_inline_bit_scans_match_set_references():
     rng = random.Random(17)
     for _ in range(120):
@@ -330,11 +337,38 @@ def test_inline_bit_scans_match_set_references():
             assert tuple_of(mask) == tuple(bits(mask)) == tuple(s)
             assert inst._adjacent_mask(mask) == mask_of(
                 w for u in s for w in g.und_adj[u])
-            assert _edge_count(g.und_mask, mask) == sum(
-                u in s and v in s for u, v in g.edges)
+            assert _is_forest(g.und_mask, mask) == naive_forest(g, s)
             for k in range(3):
                 assert _peel_ok_vertices(g.und_mask, mask, k) == naive_peel(g, s, k)
             assert bfs_order(g.und_mask, g.out_mask, mask) == set_bfs_order(g, s)
+
+
+def petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def test_forest_and_peel_kernels_match_set_references_on_every_mask():
+    # every vertex subset: a layered BFS that misses an edge inside a layer
+    # or a vertex reached twice, or a peel that stops scanning a vertex
+    # whose neighbor it deleted, answers wrong on some small subgraph
+    rng = random.Random(22)
+    graphs = [cycle(n) for n in range(3, 9)] + [
+        complete(4),
+        Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+        petersen(),
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]),
+    ] + [random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.35, 0.5]))
+         for _ in range(10)]
+    for g in graphs:
+        for mask in range(1 << g.n):
+            s = [u for u in range(g.n) if mask >> u & 1]
+            assert _is_forest(g.und_mask, mask) == naive_forest(g, s), (g.edges, s)
+            degeneracy = degeneracy_order(g, s)[1]
+            for k in range(4):
+                assert (_peel_ok_vertices(g.und_mask, mask, k)
+                        == naive_peel(g, s, k) == (degeneracy <= k)), (g.edges, s, k)
 
 
 def naive_acyclic(g, s):
