@@ -7,8 +7,8 @@ tree of first discoveries: a neighbor is a child of the solution whose
 ``neighbors`` call first reached it, and a set of visited solution masks
 decides which call that is.  An exp run also keeps, on the problem, the
 completions it has done and one tuple per completed mask, so no completion
-is computed twice; like the visited set, they grow with the solutions
-reached and go when the run ends.
+is computed twice; like the visited set and the run's predicate memo, they
+grow with the solutions reached and go when the run ends.
 """
 
 from __future__ import annotations
@@ -150,13 +150,13 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     the run with PartialOutputError.  ``limit`` stops the run after that
     many emissions (the emitted prefix is deterministic).
 
-    The run opens two memos on the problem: ``_comp_memo``, candidate mask
-    -> completed mask, read and filled by ``comp_mask``, and
-    ``_tuple_memo``, completed mask -> its tuple, from which ``neighbors``
-    reuses one tuple per solution reached.  Both are unbounded, as the
-    visited set is, and go when the run ends, however it ends; memos open
-    before it are restored.  ``comp_calls`` counts completions computed,
-    not memo hits.
+    The run opens its memos with ``Problem.run_memos``: the problem's
+    ``RUN_MEMOS`` (predicate memo, plugin caches), ``_comp_memo``, candidate
+    mask -> completed mask, read and filled by ``comp_mask``, and
+    ``_tuple_memo``, completed mask -> its tuple, which ``neighbors`` reuses.
+    All are unbounded, as the visited set is, and go when the run ends,
+    however it ends; memos open before it are restored.  ``comp_calls``
+    counts completions computed, not memo hits.
     """
     emitter = Emitter(problem, emit, limit)
     if emitter.done:
@@ -171,13 +171,9 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
             if seen.insert(cand):
                 yield cand
 
-    outer = problem._comp_memo, problem._tuple_memo
-    problem._comp_memo, problem._tuple_memo = {}, {}
-    try:
+    with problem.run_memos(_comp_memo={}, _tuple_memo={}):
         first = problem.first_solution()
         counters.dict_operations += 1
         seen.insert(first)
         walk(first, kids, emitter, 0)
-    finally:
-        problem._comp_memo, problem._tuple_memo = outer
     return emitter.finish()

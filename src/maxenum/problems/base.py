@@ -22,17 +22,20 @@ current solution through ``_extension_test``: a family-specific test
 where a plugin gives one, else the predicate.  ``addable`` and maximality
 always ask the predicate, so they check that test rather than share it.
 Solutions cross the API as sorted tuples of element ids; all hot paths
-run on bitmasks with per-instance memoization of the predicate.  While an
-engine runs, it also memoizes completions on the instance: ``comp_mask``
-reads and fills ``_comp_memo`` inside an ``enumerate_exp`` run, where
-``neighbors`` reuses one tuple per completed mask from ``_tuple_memo``, and
-``comp_lex_mask`` reads and fills ``_lex_memo`` inside an
-``enumerate_pspace`` run.  A completion taken from a memo is not counted
-in ``comp_calls``.
+run on bitmasks with a memoized predicate.  Every memo belongs to a run:
+``run_memos`` opens, on the instance, a fresh predicate memo, the plugin
+caches named in ``RUN_MEMOS`` and the engine's completion memos (for
+``enumerate_exp``, ``_comp_memo`` read by ``comp_mask`` and the tuples
+``neighbors`` reuses, ``_tuple_memo``; for ``enumerate_pspace``,
+``_lex_memo`` read by ``comp_lex_mask``), and restores the outer ones when
+the run ends; calls outside a run use the instance's own.  The predicate
+memo is unbounded, in a pspace run too.  A completion taken from a memo is
+not counted in ``comp_calls``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable
 
 from ..graphs import ContractViolation, Graph, bits, mask_layers, mask_of, spanned_masks
@@ -65,11 +68,14 @@ class Problem:
     variant: str = ""
     ground_kind: str = "v"  # "v": vertex ids, "e": edge ids
     connected = False  # solutions must be connected; completion grows by adjacency
+    # the memos each run opens afresh (``run_memos``); a plugin adds its caches
+    RUN_MEMOS = ("_sol_cache",)
 
     def __init__(self, ground_size: int):
         self.ground_size = ground_size
         self.comp_calls = 0
-        self._sol_cache: dict[int, bool] = {}
+        for name in self.RUN_MEMOS:
+            setattr(self, name, {})
 
     # -- membership ---------------------------------------------------
     def _solution_mask(self, mask: int) -> bool:
@@ -84,6 +90,21 @@ class Problem:
                    and self._solution_mask(mask))
             cache[mask] = hit
         return hit
+
+    @contextmanager
+    def run_memos(self, **engine_memos):
+        """Open one engine run's memos: a fresh dict for each of ``RUN_MEMOS``
+        and the engine's own, by attribute name; restore the outer ones when
+        the run ends, however it ends."""
+        opened = {name: {} for name in self.RUN_MEMOS} | engine_memos
+        outer = {name: getattr(self, name) for name in opened}
+        try:
+            for name, memo in opened.items():
+                setattr(self, name, memo)
+            yield
+        finally:
+            for name, memo in outer.items():
+                setattr(self, name, memo)
 
     def _mask(self, elems: Iterable[int]) -> int:
         """The bitmask of element ids given from outside, each checked to

@@ -147,11 +147,11 @@ def load_points(text: str) -> PointSetInstance:
 class Hulls(Problem):
     variant = "hulls"
     ground_kind = "v"
+    RUN_MEMOS = (*Problem.RUN_MEMOS, "_inside_cache")  # obstacles inside a hull
 
     def __init__(self, inst: PointSetInstance):
         super().__init__(len(inst.interest))
         self.inst = inst
-        self._inside_cache: dict[int, tuple[int, ...]] = {}
 
     def obstacles_inside(self, mask: int) -> tuple[int, ...]:
         """Indices of obstacles inside the closed hull of the masked points."""

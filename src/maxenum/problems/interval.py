@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import Graph, bits, chordal_cliques, mask_components, mask_of
+from ..graphs import bits, chordal_cliques, mask_components, mask_of
 from .base import GraphProblem, tuple_of
 
 
 class _ProperIntervalBase(GraphProblem):
-    def __init__(self, g: Graph):
-        super().__init__(g)
-        self._layout_cache: dict[int, Optional[tuple[int, ...]]] = {}
+    # component layouts, looked up by predicate and candidate rule alike
+    RUN_MEMOS = (*GraphProblem.RUN_MEMOS, "_layout_cache")
 
     # -- recognition -----------------------------------------------------
     def component_layout(self, cmask: int) -> Optional[tuple[int, ...]]:

@@ -13,8 +13,8 @@ wrappers ``comp_lex``, ``core_of``, ``is_root``, ``parent_of`` and
 ``restr``.  Its DFS stack holds one open level per depth of the tree,
 each with its candidate masks ``neighbor_masks_at(parent, w)`` and at
 most n judged child masks per candidate, one per (candidate, seed) pair.
-The predicate memo (``Problem._sol_cache``) still grows with the
-solutions visited, so the run as a whole is not yet polynomial-space.
+Every memo goes with its run, but the run's predicate memo is unbounded:
+it grows with the solutions visited, so a run is not yet polynomial-space.
 
 Five things keep the regeneration cheap.  Different parents regenerate the
 same candidates and prefixes and judge the same children, so a run keeps
@@ -237,8 +237,8 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     set of visited solution masks (see ``children``); ``emit`` receives
     each solution as a sorted tuple, built only as it is emitted.
     ``comp_lex_mask`` reads and fills the run's completion memo and
-    ``has_parent`` its order memo; both go when the run ends, however it
-    ends, and memos open before it are restored.
+    ``has_parent`` its order memo; ``Problem.run_memos`` opens them and the
+    ``RUN_MEMOS`` and restores the outer memos, however the run ends.
     """
     sink = None if emit is None else lambda mask: emit(tuple_of(mask))
     emitter = Emitter(problem, sink, limit)
@@ -248,9 +248,7 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
         for w in bits(~x & ((1 << problem.ground_size) - 1)):
             yield from children(problem, x, w, counters)
 
-    outer = problem._lex_memo, problem._order_memo
-    problem._lex_memo, problem._order_memo = _LexMemo(), _LexMemo()
-    try:
+    with problem.run_memos(_lex_memo=_LexMemo(), _order_memo=_LexMemo()):
         # an empty ground set has one solution, the empty set, as its only root
         for seed in [1 << u for u in range(problem.ground_size)] or [0]:
             if emitter.done:
@@ -260,6 +258,4 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
                 continue  # a root is discovered from its own seed only
             counters.roots_found += 1
             walk(root, child_stream, emitter, 1)
-    finally:
-        problem._lex_memo, problem._order_memo = outer
     return emitter.finish()

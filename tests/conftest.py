@@ -80,6 +80,15 @@ def random_graph(rng, n, p, directed=False, max_m=None):
     return Graph(n, edges, directed=directed)
 
 
+def sparse_gnm(rng, n, m):
+    """A graph with n vertices and m distinct edges, drawn one edge at a time."""
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
 def random_points(rng, j, h):
     seen = set()
     pts = []

@@ -1,6 +1,6 @@
 """Exact solution counts past the brute-force oracle's reach (ground sets of
-more than 16 elements): closed forms on cycles and disjoint triangles, a
-cross-engine identity on sparse random graphs, and independent references
+more than 16 elements): closed forms on cycles and on disjoint and chained
+triangles, a cross-engine identity on sparse random graphs, and independent references
 for the k-degenerate families (a Bron–Kerbosch count of maximal independent
 sets, and Kirchhoff's matrix-tree theorem for maximal spanning forests)."""
 
@@ -12,7 +12,7 @@ import pytest
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.problems import PSPACE_VARIANTS
 
-from conftest import components, cycle
+from conftest import components, cycle, sparse_gnm
 
 
 def pspace_count(variant, g):
@@ -24,6 +24,21 @@ def test_odd_cycle_gives_n(variant):
     # each maximal solution is C_17 less one vertex, a path: the whole
     # cycle is neither a forest nor, being odd, bipartite
     assert pspace_count(variant, cycle(17)) == 17
+
+
+# exp-only families with C_n less one vertex, a path, as their solutions,
+# with the k of the k-degenerate one
+PATH_FAMILIES = {"kdeg-induced": 1, "chordal-induced": None,
+                 "chordal-induced-connected": None, "pinterval-induced": None,
+                 "pinterval-induced-connected": None}
+
+
+@pytest.mark.parametrize("variant", PATH_FAMILIES)
+def test_odd_cycle_gives_n_exp(variant):
+    # a path is 1-degenerate, chordal and a proper interval graph; the whole
+    # cycle is none of them
+    inst = make_instance(variant, graph=cycle(17), k=PATH_FAMILIES[variant])
+    assert enumerate_exp(inst).solutions_emitted == 17
 
 
 @pytest.mark.parametrize("variant,expected", [
@@ -46,13 +61,21 @@ def test_disjoint_triangles_give_three_to_the_t(variant):
     assert pspace_count(variant, disjoint_triangles(6)) == 3 ** 6
 
 
-def sparse_gnm(rng, n, m):
-    """A graph with n vertices and m distinct edges, drawn one edge at a time."""
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+def chained_triangles(t):
+    """t triangles, each joined to the next by one edge."""
+    return Graph(3 * t, [(3 * i + a, 3 * i + b)
+                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+                 + [(3 * i + 2, 3 * i + 3) for i in range(t - 1)])
+
+
+@pytest.mark.parametrize("engine", ["exp", "pspace"])
+@pytest.mark.parametrize("variant", ["forests", "bipartite-induced"])
+def test_chained_triangles_give_three_to_the_t(variant, engine):
+    # the joining edges are bridges, so the triangles are the only cycles:
+    # a maximal solution drops one vertex of each triangle, independently
+    enumerate_fn = enumerate_pspace if engine == "pspace" else enumerate_exp
+    inst = make_instance(variant, graph=chained_triangles(6))
+    assert enumerate_fn(inst).solutions_emitted == 3 ** 6
 
 
 def test_forests_equal_one_degenerate_induced():

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,7 +14,7 @@ from maxenum.problems.base import Problem, tuple_of
 from maxenum.pspace import (children, comp_lex, core_of, has_parent, is_root,
                             parent_of, restr)
 
-from conftest import build_instance, complete, cycle, path, random_graph
+from conftest import build_instance, complete, cycle, path, random_graph, sparse_gnm
 
 
 def c5_bip():
@@ -631,7 +633,9 @@ def test_pspace_empty_graph(variant):
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
 # ``_lex_memo``, exp in ``_comp_memo`` with the tuples of the completed masks in
-# ``_tuple_memo``
+# ``_tuple_memo``; the memos a class names in ``RUN_MEMOS`` (the predicate memo,
+# pinterval's layouts, the hulls' obstacles inside) are opened afresh by every
+# run as well, while calls outside a run use the instance's own
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
@@ -651,6 +655,21 @@ def open_memos(engine, inst):
 
 def closed(engine, inst):
     return all(memo is None for memo in open_memos(engine, inst))
+
+
+def instance_memos(inst):
+    """Each dict inst holds as an attribute, by name, with a copy of its
+    entries: the memos of ``RUN_MEMOS``, and any the class failed to name."""
+    return {name: (memo, dict(memo)) for name, memo in vars(inst).items()
+            if isinstance(memo, dict)}
+
+
+def kept(inst, memos):
+    """Whether inst holds the dicts ``instance_memos`` gave, no other, with
+    the same entries."""
+    now = instance_memos(inst)
+    return now.keys() == memos.keys() and all(
+        now[name][0] is memo and memo == entries for name, (memo, entries) in memos.items())
 
 
 def corpus_runs(variant):
@@ -777,37 +796,73 @@ def test_order_memo_matches_fresh_orders(variant, monkeypatch):
     assert taken >= 500, taken
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_memo_closed_after_every_run(engine):
-    inst = build_instance("forests", 9)
+# (engine, variant, corpus index): both engines, and the exp families that
+# add a memo of their own to ``RUN_MEMOS``
+RUN_SCOPED = [pytest.param("exp", "forests", 9, id="exp"),
+              pytest.param("pspace", "forests", 9, id="pspace"),
+              pytest.param("exp", "pinterval-induced", 2, id="exp-pinterval-induced"),
+              pytest.param("exp", "hulls", 14, id="exp-hulls")]
+
+
+@pytest.mark.parametrize("engine,variant,i", RUN_SCOPED)
+def test_memo_closed_after_every_run(engine, variant, i):
+    inst = build_instance(variant, i)
     assert closed(engine, inst)
+    inst.first_solution()  # fills the instance's own memos, outside a run
+    own = instance_memos(inst)
+    assert all(own[name][1] for name in inst.RUN_MEMOS)
     sols, _ = run_engine(engine, inst)
-    assert len(sols) > 3 and closed(engine, inst)
+    assert len(sols) > 3 and closed(engine, inst) and kept(inst, own)
     assert run_engine(engine, inst, limit=2)[0] == sols[:2]
-    assert closed(engine, inst)
+    assert closed(engine, inst) and kept(inst, own)
 
     def failing(sol):
         raise OSError("sink closed")
 
     with pytest.raises(PartialOutputError):
         ENGINES[engine](inst, emit=failing)
-    assert closed(engine, inst)
+    assert closed(engine, inst) and kept(inst, own)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_memo_nested_run_restores_outer(engine):
-    inst = build_instance("trees", 1)
+@pytest.mark.parametrize("engine,variant,i", [
+    pytest.param("exp", "trees", 1, id="exp"), pytest.param("pspace", "trees", 1, id="pspace"),
+    *RUN_SCOPED[2:]])
+def test_memo_nested_run_restores_outer(engine, variant, i):
+    inst = build_instance(variant, i)
     seen = []
+    own = instance_memos(inst)
 
     def nested(sol):
-        outer = open_memos(engine, inst)
+        outer, memos = open_memos(engine, inst), instance_memos(inst)
+        assert not any(memos[name][0] is own[name][0] for name in inst.RUN_MEMOS)
         seen.append(run_engine(engine, inst)[0])
         restored = open_memos(engine, inst)
         assert all(a is b and b is not None for a, b in zip(restored, outer))
+        assert kept(inst, memos)
 
     sols, _ = run_engine(engine, inst)
     ENGINES[engine](inst, emit=nested, limit=2)
-    assert seen == [sols, sols] and closed(engine, inst)
+    assert seen == [sols, sols] and closed(engine, inst) and kept(inst, own)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_finished_runs_leave_no_memo_behind(engine):
+    # instances kept alive after their runs hold nothing a run memoized: the
+    # memory traced after eight runs is that after the first (a memo kept on
+    # the instance held 104 kB more by the eighth run in exp, 512 kB in pspace)
+    rng = random.Random(24)
+    insts = [make_instance("forests", graph=sparse_gnm(rng, 12, 15)) for _ in range(8)]
+    ENGINES[engine](insts[0])
+    gc.collect()
+    tracemalloc.start()  # traces what is allocated after the first run
+    try:
+        for inst in insts[1:]:
+            ENGINES[engine](inst)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown < 8192, grown
 
 
 @pytest.mark.parametrize("engine", ENGINES)
