@@ -1,20 +1,23 @@
 """Generic solution-graph traversal with a visited-solution dictionary.
 
 The engine knows nothing about graphs: a problem exposes a ground set, a
-``first_solution`` starter, and a ``neighbors`` function returning maximal
-solutions.  The traversal is ``walk``, the DFS both engines share, over the
-tree of first discoveries: a neighbor is a child of the solution whose
-``neighbors`` call first reached it, and a set of visited solution masks
-decides which call that is.  An exp run also keeps, on the problem, the
-completions it has done and one tuple per completed mask, so no completion
-is computed twice; like the visited set and the run's predicate memo, they
-grow with the solutions reached and go when the run ends.
+completion ``comp_mask`` and ``neighbor_masks``, which returns maximal
+solutions, all on bitmasks.  The traversal is ``walk``, the mask DFS both
+engines share, over the tree of first discoveries: a neighbor is a child
+of the solution whose ``neighbor_masks`` call first reached it, and a set
+of visited solution masks decides which call that is; only ``Emitter``
+builds tuples, for the sink.  An exp run also keeps, on the problem, the
+completions it has done, so none is computed twice; like the visited set
+and the run's predicate memo, they grow with the solutions reached and go
+when the run ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from .problems.base import tuple_of
 
 
 class PartialOutputError(RuntimeError):
@@ -41,10 +44,10 @@ class Counters:
 class Emitter:
     """Output bookkeeping shared by both engines.
 
-    Calling the emitter passes one solution to the sink, counts it and
-    records the completion calls since the previous output; ``done`` turns
-    true once ``limit`` solutions are out (at once for a limit <= 0).  A
-    failing sink aborts the run with PartialOutputError.
+    Calling the emitter with a solution mask passes its sorted tuple to the
+    sink, counts it and records the completion calls since the previous
+    output; ``done`` turns true once ``limit`` solutions are out (at once
+    for a limit <= 0).  A failing sink aborts the run with PartialOutputError.
     """
 
     def __init__(self, problem, emit: Optional[Callable], limit: Optional[int]):
@@ -56,7 +59,7 @@ class Emitter:
         self.last_mark: Optional[int] = None  # comp calls at the last output
         self.done = limit is not None and limit <= 0
 
-    def __call__(self, sol) -> None:
+    def __call__(self, mask: int) -> None:
         counters = self.counters
         now = self.problem.comp_calls
         if self.last_mark is not None:
@@ -64,7 +67,7 @@ class Emitter:
         self.last_mark = now
         if self.emit is not None:
             try:
-                self.emit(sol)
+                self.emit(tuple_of(mask))
             except Exception as exc:
                 raise PartialOutputError(counters.solutions_emitted, exc) from exc
         counters.solutions_emitted += 1
@@ -80,8 +83,8 @@ class Emitter:
 class SolutionDict:
     """The visited solutions of an exp run, kept as a set of bitmasks.
 
-    ``insert`` stores a solution given as its strictly ascending,
-    non-negative element ids and returns True iff it was not stored before;
+    ``insert`` stores a non-negative int solution mask, True iff it was not
+    stored before, and rejects any other key, a tuple too, with ValueError;
     ``len`` counts the stored solutions.  ``node_count`` is the same count
     under the name that the benchmark tracer (``perfbench/tracing.py``),
     which subclasses this class, reads in ``perfbench/worker.py``.
@@ -97,15 +100,10 @@ class SolutionDict:
     def node_count(self) -> int:
         return len(self._masks)
 
-    def insert(self, seq) -> bool:
-        """Insert an ascending id sequence; True iff it was not present before."""
-        mask, last = 0, -1
-        for e in seq:
-            if e <= last:
-                raise ValueError("solution keys must be strictly ascending "
-                                 "and non-negative")
-            mask |= 1 << e
-            last = e
+    def insert(self, mask: int) -> bool:
+        """Insert a solution mask; True iff it was not present before."""
+        if type(mask) is not int or mask < 0:
+            raise ValueError(f"a solution key must be a non-negative int mask: {mask!r}")
         masks = self._masks
         if mask in masks:
             return False
@@ -142,18 +140,17 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     """Traverse the solution graph of ``problem``, emitting every maximal
     solution exactly once.
 
-    ``neighbors`` is invoked exactly once per distinct solution; duplicate
-    and already-seen candidates are filtered through the set of visited
-    solution masks; ``dict_operations`` counts its inserts, the first
-    solution's included.
+    From the completion of the empty set, ``neighbor_masks`` is invoked
+    exactly once per distinct solution mask; duplicate and already-seen
+    candidates are filtered through the set of visited solution masks;
+    ``dict_operations`` counts its inserts, the first solution's included.
     ``emit`` receives each solution as a sorted tuple; a failing sink aborts
     the run with PartialOutputError.  ``limit`` stops the run after that
     many emissions (the emitted prefix is deterministic).
 
     The run opens its memos with ``Problem.run_memos``: the problem's
-    ``RUN_MEMOS`` (predicate memo, plugin caches), ``_comp_memo``, candidate
-    mask -> completed mask, read and filled by ``comp_mask``, and
-    ``_tuple_memo``, completed mask -> its tuple, which ``neighbors`` reuses.
+    ``RUN_MEMOS`` (predicate memo, plugin caches) and ``_comp_memo``,
+    candidate mask -> completed mask, read and filled by ``comp_mask``.
     All are unbounded, as the visited set is, and go when the run ends,
     however it ends; memos open before it are restored.  ``comp_calls``
     counts completions computed, not memo hits.
@@ -164,15 +161,15 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     counters = emitter.counters
     seen = SolutionDict()
 
-    def kids(sol):
+    def kids(smask):
         counters.neighbors_calls += 1
-        for cand in problem.neighbors(sol):
+        for cand in problem.neighbor_masks(smask):
             counters.dict_operations += 1
             if seen.insert(cand):
                 yield cand
 
-    with problem.run_memos(_comp_memo={}, _tuple_memo={}):
-        first = problem.first_solution()
+    with problem.run_memos(_comp_memo={}):
+        first = problem.comp_mask(0)
         counters.dict_operations += 1
         seen.insert(first)
         walk(first, kids, emitter, 0)

@@ -25,6 +25,17 @@ def mask_of(elems: Iterable[int]) -> int:
     return m
 
 
+def checked_mask(elems: Iterable[int], n: int, out_of_range: str) -> int:
+    """The mask of ids given from outside, each checked to lie in 0..n-1;
+    an id e that does not raises ValueError(out_of_range.format(e=e, n=n))."""
+    m = 0
+    for e in elems:
+        if not 0 <= e < n:
+            raise ValueError(out_of_range.format(e=e, n=n))
+        m |= 1 << e
+    return m
+
+
 def bits(mask: int):
     """Yield set bit positions of mask in ascending order: for cold paths,
     the API and tests, while hot kernels scan inline (see below)."""
@@ -158,12 +169,13 @@ def parse_edge_lines(rows, n: int, directed: bool,
 def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
     """Smallest-degree removal order of G[s] (ties to smallest id) and its
     degeneracy; see ``degeneracy_mask``."""
-    return degeneracy_mask(g.und_mask, mask_of(s))
+    return degeneracy_mask(g.und_mask,
+                           checked_mask(s, g.n, "vertex {e} out of range for n={n}"))
 
 
 def perfect_elimination_order(g: Graph, s: Iterable[int]) -> Optional[list[int]]:
     """PEO of G[s] if chordal (doubles as the chordality test), else None."""
-    return peo_mask(g.und_mask, mask_of(s))
+    return peo_mask(g.und_mask, checked_mask(s, g.n, "vertex {e} out of range for n={n}"))
 
 
 def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:

@@ -5,40 +5,43 @@ predicate over ground-element bitmasks (``_solution_mask``), a candidate
 rule (``_candidates``) and a vertex order of adjacency masks
 (``vertex_order``).  Driven by the class flags ``ground_kind``,
 ``directed`` and ``connected``, the rest lives here once: the input
-checks of graph families; the neighbor loops, which cut each candidate of
-a connected family to the component of the one element it adds to the
-solution and complete each distinct candidate of a ``neighbors`` call
-once; the connectivity rule, by which ``sol`` rejects a set of a
-connected family that is not one component (``_component``, grown
-through ``_adjacent_mask``, the same walk that cuts candidates); the
-extension rule ``_reach``, the elements that can extend a set (for a
-connected family, those adjacent to it), which completion, ``addable``
-and maximality all scan; and
-``canonical_order``, the vertex order of a vertex set or of the subgraph
-an edge set spans, by which the edges are then sorted.
+checks of graph families; one neighbor loop (``_neighbor_loop``), which
+cuts each candidate of a connected family to the component of the one
+element it adds to the solution and completes each distinct candidate
+once, by ``comp_mask`` for ``neighbor_masks`` and by ``comp_lex_mask``
+for ``neighbor_masks_at``; the connectivity rule, by which ``sol``
+rejects a set of a connected family that is not one component
+(``_component``, grown through ``_adjacent_mask``, the same walk that
+cuts candidates); the extension rule ``_reach``, the elements that can
+extend a set (for a connected family, those adjacent to it), which
+completion, ``addable`` and maximality all scan; and ``canonical_order``,
+the vertex order of a vertex set or of the subgraph an edge set spans, by
+which the edges are then sorted.
 A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
 where a plugin gives one, else the predicate.  ``addable`` and maximality
 always ask the predicate, so they check that test rather than share it.
-Solutions cross the API as sorted tuples of element ids; all hot paths
-run on bitmasks with a memoized predicate.  Every memo belongs to a run:
-``run_memos`` opens, on the instance, a fresh predicate memo, the plugin
-caches named in ``RUN_MEMOS`` and the engine's completion memos (for
-``enumerate_exp``, ``_comp_memo`` read by ``comp_mask`` and the tuples
-``neighbors`` reuses, ``_tuple_memo``; for ``enumerate_pspace``,
-``_lex_memo`` read by ``comp_lex_mask``), and restores the outer ones when
-the run ends; calls outside a run use the instance's own.  The predicate
-memo is unbounded, in a pspace run too.  A completion taken from a memo is
-not counted in ``comp_calls``.
+Both engines walk bitmasks with a memoized predicate; solutions cross the
+public API (``neighbors``, ``neighbors_at``, ``comp``,
+``first_solution``) as sorted tuples of element ids, checked on the way
+in.  Every memo belongs to a run: ``run_memos`` opens, on the instance, a
+fresh predicate memo, the plugin caches named in ``RUN_MEMOS`` and the
+engine's completion memos (for ``enumerate_exp``, ``_comp_memo`` read by
+``comp_mask``; for ``enumerate_pspace``, ``_lex_memo`` read by
+``comp_lex_mask``), and restores the outer ones when the run ends; calls
+outside a run use the instance's own.  The predicate memo is unbounded,
+in a pspace run too.  A completion taken from a memo is not counted in
+``comp_calls``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable
+from typing import Callable, Iterable
 
-from ..graphs import ContractViolation, Graph, bits, mask_layers, mask_of, spanned_masks
+from ..graphs import (ContractViolation, Graph, bits, checked_mask, mask_layers, mask_of,
+                      spanned_masks)
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -109,13 +112,8 @@ class Problem:
     def _mask(self, elems: Iterable[int]) -> int:
         """The bitmask of element ids given from outside, each checked to
         lie in the ground set."""
-        mask = 0
-        for e in elems:
-            if not 0 <= e < self.ground_size:
-                raise ValueError(
-                    f"element id {e} out of range for ground size {self.ground_size}")
-            mask |= 1 << e
-        return mask
+        return checked_mask(elems, self.ground_size,
+                            "element id {e} out of range for ground size {n}")
 
     def is_solution(self, elems: Iterable[int]) -> bool:
         return self.sol(self._mask(elems))
@@ -180,7 +178,6 @@ class Problem:
         return mask
 
     _comp_memo = None  # the completions of an enumerate_exp run in progress
-    _tuple_memo = None  # the tuples of its completed masks
 
     def comp_mask(self, mask: int) -> int:
         """The completion of a solution mask, counted in ``comp_calls``.
@@ -231,42 +228,43 @@ class Problem:
     def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
         """Uncompleted candidate masks for each incoming element outside the
         solution, in a fixed order.  Each candidate holds exactly one element
-        outside the solution, its incoming element; the neighbor loops cut
+        outside the solution, its incoming element; the neighbor loop cuts
         it to that element's component for a connected family, so a rule
         yields uncut candidates and may repeat one."""
         raise NotImplementedError
 
-    def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
-        """Maximal solutions adjacent to ``solution`` in the solution graph:
-        the completions of the candidates for every element outside it, in
-        ascending element order, each kept at its first occurrence.  Each
-        distinct candidate, cut for a connected family, is completed once.
-        Inside an ``enumerate_exp`` run, each completed mask keeps one tuple.
-        """
-        smask = self._mask(solution)
-        full = (1 << self.ground_size) - 1
-        tuples = self._tuple_memo
-        if tuples is None:
-            tuples = {}  # outside a run, the tuples of this call only
-        found: dict[int, tuple[int, ...]] = {}
+    def _neighbor_loop(self, smask: int, incoming: Iterable[int],
+                       complete: Callable[[int], int]) -> list[int]:
+        """The distinct completions, by ``complete``, of the candidates of
+        the solution mask ``smask`` for the incoming elements, in the order
+        of their first occurrence.  Each candidate is cut, for a connected
+        family, to the component of the one element it adds, and each
+        distinct cut candidate is completed once."""
+        found: dict[int, None] = {}
         asked = set()
-        for cand in self._candidates(smask, tuple_of(full & ~smask)):
+        for cand in self._candidates(smask, incoming):
             if self.connected:
                 cand = self._component(cand, cand & ~smask)
-            if cand in asked:
-                continue
-            asked.add(cand)
-            m = self.comp_mask(cand)
-            if m not in found:
-                t = tuples.get(m)
-                if t is None:
-                    t = tuples[m] = tuple_of(m)
-                found[m] = t
-        return list(found.values())
+            if cand not in asked:
+                asked.add(cand)
+                found[complete(cand)] = None
+        return list(found)
+
+    def neighbor_masks(self, smask: int) -> list[int]:
+        """Maximal solutions adjacent to the solution mask ``smask`` in the
+        solution graph, as masks: the completions by ``comp_mask`` of the
+        candidates for every element outside it, in ascending element order,
+        each kept at its first occurrence."""
+        full = (1 << self.ground_size) - 1
+        return self._neighbor_loop(smask, tuple_of(full & ~smask), self.comp_mask)
+
+    def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
+        """``neighbor_masks`` as sorted tuples, with element ids checked."""
+        return [tuple_of(m) for m in self.neighbor_masks(self._mask(solution))]
 
     # -- instrumentation / test surface ---------------------------------
     def comp_budget(self) -> int:
-        """Upper bound on the completions a single neighbors() invocation
+        """Upper bound on the completions a single ``neighbor_masks`` call
         requests; inside an exp run, those its memo answers are not counted
         in ``comp_calls``, so the counted ones stay within it too."""
         raise NotImplementedError
@@ -325,7 +323,7 @@ class PspaceProblem(GraphProblem):
     graph where every single vertex is a solution, ordered by the BFS
     layers of ``mask_layers`` rooted at the seed (``bfs_order``, their
     canonical order).  Their candidate rule ``_candidates`` serves both
-    engines: completed by ``comp_mask`` for ``neighbors`` and by the
+    engines: completed by ``comp_mask`` for ``neighbor_masks`` and by the
     lexicographic completion ``comp_lex_mask`` for ``neighbor_masks_at``.
     """
 
@@ -341,13 +339,8 @@ class PspaceProblem(GraphProblem):
     def neighbor_masks_at(self, smask: int, w: int) -> list[int]:
         """Canonical-reconstruction candidates for an extender w outside the
         solution mask ``smask``: the distinct lexicographic completions of
-        its candidates, cut to the component of w for a connected family
-        (a duplicate would only cost work: the parent-forest traversal
-        judges each regenerated child once)."""
-        cands = self._candidates(smask, (w,))
-        if self.connected:
-            cands = (self._component(c, 1 << w) for c in cands)
-        return list(dict.fromkeys(self.comp_lex_mask(c) for c in cands))
+        its candidates, through the loop ``neighbor_masks`` runs."""
+        return self._neighbor_loop(smask, (w,), self.comp_lex_mask)
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
     _order_memo = None  # the solution orders of the children it has judged

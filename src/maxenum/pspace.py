@@ -10,9 +10,12 @@ being looked up in a visited-solution dictionary.  The walk runs on masks
 (``children``, ``has_parent`` and ``_regenerate`` take and give masks);
 a solution becomes a sorted tuple only at the sink and in the public
 wrappers ``comp_lex``, ``core_of``, ``is_root``, ``parent_of`` and
-``restr``.  Its DFS stack holds one open level per depth of the tree,
-each with its candidate masks ``neighbor_masks_at(parent, w)`` and at
-most n judged child masks per candidate, one per (candidate, seed) pair.
+``restr``.  Its DFS stack holds one ``children`` generator per node on
+the path from the root, each with its candidate masks
+``neighbor_masks_at(parent, w)`` and at most n judged child masks per
+candidate, one per (candidate, seed) pair; on t triangles joined in a
+path (3^t solutions) it is t + 1 deep, as ``tests/test_exact_counts.py``
+checks for forests and bipartite-induced.
 Every memo goes with its run, but the run's predicate memo is unbounded:
 it grows with the solutions visited, so a run is not yet polynomial-space.
 
@@ -240,8 +243,7 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     ``has_parent`` its order memo; ``Problem.run_memos`` opens them and the
     ``RUN_MEMOS`` and restores the outer memos, however the run ends.
     """
-    sink = None if emit is None else lambda mask: emit(tuple_of(mask))
-    emitter = Emitter(problem, sink, limit)
+    emitter = Emitter(problem, emit, limit)
     counters = emitter.counters
 
     def child_stream(x):

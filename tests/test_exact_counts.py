@@ -1,14 +1,16 @@
 """Exact solution counts past the brute-force oracle's reach (ground sets of
 more than 16 elements): closed forms on cycles and on disjoint and chained
-triangles, a cross-engine identity on sparse random graphs, and independent references
-for the k-degenerate families (a Bron–Kerbosch count of maximal independent
-sets, and Kirchhoff's matrix-tree theorem for maximal spanning forests)."""
+triangles, with the pspace stack depth on the chained ones, a cross-engine
+identity on sparse random graphs, and independent references for the
+k-degenerate families (a Bron–Kerbosch count of maximal independent sets,
+and Kirchhoff's matrix-tree theorem for maximal spanning forests)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import maxenum.pspace as pspace_mod
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.problems import PSPACE_VARIANTS
 
@@ -76,6 +78,29 @@ def test_chained_triangles_give_three_to_the_t(variant, engine):
     enumerate_fn = enumerate_pspace if engine == "pspace" else enumerate_exp
     inst = make_instance(variant, graph=chained_triangles(6))
     assert enumerate_fn(inst).solutions_emitted == 3 ** 6
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+@pytest.mark.parametrize("variant", ["forests", "bipartite-induced"])
+def test_chained_triangles_pspace_stack_is_t_plus_one_deep(variant, t, monkeypatch):
+    # each open level of the pspace DFS holds one children generator, so the
+    # most generators open at once is the depth of its stack: it grows by one
+    # per triangle while the solution count triples
+    open_now = deepest = 0
+    children = pspace_mod.children
+
+    def counted(*args):
+        nonlocal open_now, deepest
+        open_now += 1
+        deepest = max(deepest, open_now)
+        try:
+            yield from children(*args)
+        finally:
+            open_now -= 1
+
+    monkeypatch.setattr(pspace_mod, "children", counted)
+    assert pspace_count(variant, chained_triangles(t)) == 3 ** t
+    assert deepest == t + 1
 
 
 def test_forests_equal_one_degenerate_induced():

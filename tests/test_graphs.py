@@ -195,6 +195,14 @@ def test_peo_path_tie_break():
     assert perfect_elimination_order(path(3), range(3)) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("helper", [degeneracy_order, perfect_elimination_order])
+@pytest.mark.parametrize("ids, bad", [([0, 5], 5), ([3], 3), ([-1], -1), ([1, -2], -2)])
+def test_exported_helpers_reject_vertex_ids_outside_the_graph(helper, ids, bad):
+    # ids come from the caller, so each one outside 0..n-1 is named with n
+    with pytest.raises(ValueError, match=rf"vertex {bad} out of range for n=3"):
+        helper(path(3), ids)
+
+
 def _chordal_brute(g, s):
     # every induced cycle of length >= 4 must have a chord: check all subsets
     s = sorted(s)

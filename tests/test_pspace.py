@@ -632,8 +632,8 @@ def test_pspace_empty_graph(variant):
 
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
-# ``_lex_memo``, exp in ``_comp_memo`` with the tuples of the completed masks in
-# ``_tuple_memo``; the memos a class names in ``RUN_MEMOS`` (the predicate memo,
+# ``_lex_memo`` with the orders of its judged children in ``_order_memo``, exp
+# in ``_comp_memo``; the memos a class names in ``RUN_MEMOS`` (the predicate memo,
 # pinterval's layouts, the hulls' obstacles inside) are opened afresh by every
 # run as well, while calls outside a run use the instance's own
 
@@ -650,7 +650,7 @@ def open_memos(engine, inst):
     """The run-scoped memos of the engine on inst, each None when closed."""
     if engine == "pspace":
         return inst._lex_memo, inst._order_memo
-    return inst._comp_memo, inst._tuple_memo
+    return (inst._comp_memo,)
 
 
 def closed(engine, inst):
@@ -733,16 +733,15 @@ def test_exp_memo_is_transparent(variant, corpus, monkeypatch):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_exp_neighbors_same_inside_a_run(variant):
-    # inside a run, neighbors reuses one tuple per completed mask, and its
-    # lists equal those it returns outside a run
+    # inside a run, neighbors is neighbor_masks as tuples, and its lists
+    # equal those it returns outside a run
     for i in range(3):
         inst = build_instance(variant, i)
         inside = {}
 
         def probe(sol):
             inside[sol] = inst.neighbors(sol)
-            again = inst.neighbors(sol)
-            assert all(a is b for a, b in zip(again, inside[sol], strict=True))
+            assert inside[sol] == [tuple_of(m) for m in inst.neighbor_masks(mask_of(sol))]
 
         enumerate_exp(inst, emit=probe)
         assert closed("exp", inst) and len(inside) > 0

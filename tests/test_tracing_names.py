@@ -45,8 +45,8 @@ def test_traced_dictionary_counts_inserts_and_stored_keys(monkeypatch):
     tracer = tracing.Tracer()
     traced = tracer._trie_class(maxenum.engine.SolutionDict)
     d = traced()
-    assert d.insert((0, 2)) is True
-    assert d.insert((0, 2)) is False
+    assert d.insert(0b101) is True
+    assert d.insert(0b101) is False
     assert tracer.calls["engine.trie"] == 2
     assert tracer.items["engine.trie"] == 1
     assert d.node_count == 1
