@@ -22,17 +22,19 @@ element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
 where a plugin gives one, else the predicate.  ``addable`` and maximality
 always ask the predicate, so they check that test rather than share it.
+Both completions, ``comp_mask`` and ``comp_lex_mask``, enter through one
+guarded, counted, memoized ``_complete``: a non-solution raises
+ContractViolation, and a completion taken from the run's memo is not
+counted in ``comp_calls``.
 Both engines walk bitmasks with a memoized predicate; solutions cross the
-public API (``neighbors``, ``neighbors_at``, ``comp``,
-``first_solution``) as sorted tuples of element ids, checked on the way
-in.  Every memo belongs to a run: ``run_memos`` opens, on the instance, a
-fresh predicate memo, the plugin caches named in ``RUN_MEMOS`` and the
-engine's completion memos (for ``enumerate_exp``, ``_comp_memo`` read by
-``comp_mask``; for ``enumerate_pspace``, ``_lex_memo`` read by
-``comp_lex_mask``), and restores the outer ones when the run ends; calls
-outside a run use the instance's own.  The predicate memo is unbounded,
-in a pspace run too.  A completion taken from a memo is not counted in
-``comp_calls``.
+public API (``neighbors``, ``neighbors_at``, ``comp``) as sorted tuples of
+element ids, checked on the way in.  Every memo belongs to a run:
+``run_memos`` opens, on the instance, a fresh predicate memo, the plugin
+caches named in ``RUN_MEMOS`` and the engine's completion memo
+(``_comp_memo`` for ``enumerate_exp``, ``_lex_memo`` for
+``enumerate_pspace``), and restores the outer ones when the run ends;
+calls outside a run use the instance's own.  The predicate memo is
+unbounded, in a pspace run too.
 """
 
 from __future__ import annotations
@@ -179,30 +181,28 @@ class Problem:
 
     _comp_memo = None  # the completions of an enumerate_exp run in progress
 
-    def comp_mask(self, mask: int) -> int:
-        """The completion of a solution mask, counted in ``comp_calls``.
-        Inside an ``enumerate_exp`` run, a completion the run has done comes
-        from its memo, uncounted, and a computed one is stored there; a
-        non-solution raises ValueError and is never stored.  Outside a run,
-        every call is computed and counted."""
-        memo = self._comp_memo
-        if memo is not None:
-            done = memo.get(mask)
-            if done is not None:
-                return done
-        if not self.sol(mask):
-            raise ValueError("completion requires a solution as input")
-        self.comp_calls += 1
-        done = self._comp_mask(mask)
-        if memo is not None:
-            memo[mask] = done
+    def _complete(self, mask: int, memo, loop: Callable[[int], int]) -> int:
+        """The completion ``loop(mask)`` of a solution mask, counted in
+        ``comp_calls``.  Inside a run, ``memo`` is the run's memo of this
+        completion: a done one comes from it, uncounted, a computed one is
+        stored.  A non-solution raises ContractViolation, uncounted and never
+        stored.  Outside a run (``memo`` None), every call is computed."""
+        done = None if memo is None else memo.get(mask)
+        if done is None:
+            if not self.sol(mask):
+                raise ContractViolation("completion requires a solution as input")
+            self.comp_calls += 1
+            done = loop(mask)
+            if memo is not None:
+                memo[mask] = done
         return done
+
+    def comp_mask(self, mask: int) -> int:
+        """``_comp_mask`` through ``_complete``, with an exp run's memo."""
+        return self._complete(mask, self._comp_memo, self._comp_mask)
 
     def comp(self, elems: Iterable[int]) -> tuple[int, ...]:
         return tuple_of(self.comp_mask(self._mask(elems)))
-
-    def first_solution(self) -> tuple[int, ...]:
-        return tuple_of(self.comp_mask(0))
 
     def _adjacent_mask(self, mask: int) -> int:
         """The elements adjacent to a set of a connected family: the graph
@@ -343,31 +343,26 @@ class PspaceProblem(GraphProblem):
         return self._neighbor_loop(smask, (w,), self.comp_lex_mask)
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
-    _order_memo = None  # the solution orders of the children it has judged
 
     def comp_lex_mask(self, xmask: int) -> int:
-        """Lexicographic completion of a solution mask: repeatedly add the
-        addable element of least order key, under the order rooted at the
-        current seed (the smallest element).  Inside an ``enumerate_pspace``
-        run, a completion the run has done comes from its memo, uncounted.
+        """``_comp_lex_mask`` through ``_complete``, with a pspace run's memo."""
+        return self._complete(xmask, self._lex_memo, self._comp_lex_mask)
 
-        A computed one carries only its reach and its rejected elements
-        across rounds: the reach is computed once and grown with each added
-        element (``_grow_reach``), an element is tested by
-        ``_extension_test`` where the family has one, else by ``sol``, and
-        one rejected stays rejected, since all four families are
-        hereditary, or hereditary once connected.  Only a round with two or
-        more addable elements reads the order: it adds the one of least
-        ``order_keys``, rooted at the seed.
+    def _comp_lex_mask(self, xmask: int) -> int:
+        """Grow the solution ``xmask`` to a maximal one lexicographically:
+        repeatedly add the addable element of least order key, under the
+        order rooted at the current seed (the smallest element).
+
+        Only its reach and its rejected elements carry across rounds: the
+        reach is computed once and grown with each added element
+        (``_grow_reach``), an element is tested by ``_extension_test`` where
+        the family has one, else by ``sol``, and one rejected stays
+        rejected, since all four families are hereditary, or hereditary once
+        connected.  Only a round with two or more addable elements reads the
+        order: it adds the one of least ``order_keys``, rooted at the seed.
         """
-        memo = self._lex_memo
-        if memo is not None and xmask in memo:
-            return memo[xmask]
-        if not self.sol(xmask):
-            raise ContractViolation("lexicographic completion needs a solution")
-        self.comp_calls += 1
         ok, sol = self._extension_test, self.sol
-        start, reach = xmask, self._reach(xmask)
+        reach = self._reach(xmask)
         rejected = 0
         while True:
             ext = []
@@ -381,8 +376,6 @@ class PspaceProblem(GraphProblem):
                 else:
                     rejected |= b
             if not ext:
-                if memo is not None:
-                    memo[start] = xmask
                 return xmask
             if not xmask:
                 raise ContractViolation("an empty set has no seed")

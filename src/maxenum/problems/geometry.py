@@ -76,6 +76,8 @@ class PointSetInstance:
     def __init__(self, interest: list[Point], obstacles: list[Point],
                  graph: Optional[Graph] = None):
         for x, y in list(interest) + list(obstacles):
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"coordinates must be integers: ({x!r},{y!r})")
             if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
                 raise ValueError(f"coordinate out of range: ({x},{y})")
         seen = set()

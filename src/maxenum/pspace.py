@@ -19,14 +19,13 @@ checks for forests and bipartite-induced.
 Every memo goes with its run, but the run's predicate memo is unbounded:
 it grows with the solutions visited, so a run is not yet polynomial-space.
 
-Five things keep the regeneration cheap.  Different parents regenerate the
-same candidates and prefixes and judge the same children, so a run keeps
-the completions it has done and the solution orders of the children it
-has judged in two memos, each cleared at ``LEX_MEMO_CAP`` entries (an
-order holds at most n elements).  The lexicographic completion
-(``PspaceProblem.comp_lex_mask``) carries only its reach and its rejected
-elements across rounds, and builds order keys only in a round that must
-choose between two or more addable elements.  ``children`` drops a
+Besides one completion memo, four things keep the regeneration cheap.
+Different parents regenerate the same candidates and prefixes, so a run
+keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries.
+The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
+only its reach and its rejected elements across rounds, and builds order
+keys only in a round that must choose between two or more addable
+elements.  ``children`` drops a
 (candidate r, seed s) pair before any walk unless s lies below the pivot,
 has no smaller neighbor in r and lies in the parent: a pair that fails
 one of them yields no child (see ``children``).  ``_regenerate`` walks
@@ -44,15 +43,15 @@ from typing import Iterable, Optional
 
 from .engine import Counters, Emitter, walk
 from .graphs import ContractViolation, bits, mask_layers, mask_of
+from .problems import PSPACE_VARIANTS
 from .problems.base import PspaceProblem, tuple_of
 
-LEX_MEMO_CAP = 1024  # the most entries a run keeps in each of its memos
+LEX_MEMO_CAP = 1024  # the most entries a run keeps in its completion memo
 
 
 class _LexMemo(dict):
-    """A run's memo keyed by a mask, cleared when full: its completions
-    (mask -> completed mask) or its children's orders (mask -> order)."""
-    def __setitem__(self, xmask: int, done: int | list[int]) -> None:
+    """A run's completion memo (mask -> completed mask), cleared when full."""
+    def __setitem__(self, xmask: int, done: int) -> None:
         if len(self) >= LEX_MEMO_CAP:
             self.clear()
         super().__setitem__(xmask, done)
@@ -128,17 +127,11 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
     judged pivot first: order[:i] must lie inside the parent, its completion,
     before it is completed and compared with the parent, and only then must
-    every longer prefix complete to the child.  Inside an
-    ``enumerate_pspace`` run the child's order comes from the run's order
-    memo (at most ``LEX_MEMO_CAP`` orders), since every parent that
-    regenerates the child judges it, else from ``vertex_order``.
+    every longer prefix complete to the child.  The verdict rests on the
+    child alone: its order is built afresh by ``vertex_order``, and nothing
+    is kept between calls.
     """
-    memo = problem._order_memo
-    order = None if memo is None else memo.get(cmask)
-    if order is None:
-        order = problem.vertex_order(problem.g.und_mask, problem.g.out_mask, cmask)
-        if memo is not None:
-            memo[cmask] = order
+    order = problem.vertex_order(problem.g.und_mask, problem.g.out_mask, cmask)
     i = order.index(w)
     core = mask_of(order[:i])
     if i == 0 or core & ~pmask or pmask == cmask:
@@ -239,10 +232,14 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     Each root of the parent forest is walked at depth 1, on masks, with no
     set of visited solution masks (see ``children``); ``emit`` receives
     each solution as a sorted tuple, built only as it is emitted.
-    ``comp_lex_mask`` reads and fills the run's completion memo and
-    ``has_parent`` its order memo; ``Problem.run_memos`` opens them and the
-    ``RUN_MEMOS`` and restores the outer memos, however the run ends.
+    ``comp_lex_mask`` reads and fills the run's completion memo;
+    ``Problem.run_memos`` opens it and the ``RUN_MEMOS`` and restores the
+    outer memos, however the run ends.  A family without a parent-forest
+    order raises ContractViolation before any memo is opened.
     """
+    if not isinstance(problem, PspaceProblem):
+        raise ContractViolation(f"{problem.variant} has no parent-forest order; "
+                                f"pspace runs {', '.join(PSPACE_VARIANTS)}")
     emitter = Emitter(problem, emit, limit)
     counters = emitter.counters
 
@@ -250,7 +247,7 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
         for w in bits(~x & ((1 << problem.ground_size) - 1)):
             yield from children(problem, x, w, counters)
 
-    with problem.run_memos(_lex_memo=_LexMemo(), _order_memo=_LexMemo()):
+    with problem.run_memos(_lex_memo=_LexMemo()):
         # an empty ground set has one solution, the empty set, as its only root
         for seed in [1 << u for u in range(problem.ground_size)] or [0]:
             if emitter.done:

@@ -259,6 +259,20 @@ def test_obstacle_at_a_corner_is_rejected():
         PointSetInstance([(0, 0), (4, 0), (0, 4)], [(4, 0)])
 
 
+@pytest.mark.parametrize("interest,obstacles,shown", [
+    ([(0.1, 0.2), (1.5, 0), (0, 1)], [(0.3, 0.3)], "(0.1,0.2)"),
+    ([(0, 0), (4, 0), (0, 4)], [(1, 1.0)], "(1,1.0)"),
+    ([("a", 0), (4, 0), (0, 4)], [(1, 1)], "('a',0)"),
+    ([(True, 0), (4, 0), (0, 4)], [(1, 1)], "(True,0)"),
+])
+def test_non_integer_coordinates_rejected(interest, obstacles, shown):
+    # orientation tests are exact only on ints: a float, a str or a bool
+    # coordinate is refused up front, naming its point
+    with pytest.raises(ValueError, match="coordinates must be integers") as err:
+        PointSetInstance(interest, obstacles)
+    assert shown in str(err.value)
+
+
 def test_zero_and_one_interest_points_oracle():
     assert _exp_matches_oracle([], [(1, 1)]) == [[()]] * 3
     assert _exp_matches_oracle([(0, 0)], [(1, 1)]) == [[(0,)]] * 3

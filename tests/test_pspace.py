@@ -632,10 +632,10 @@ def test_pspace_empty_graph(variant):
 
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
-# ``_lex_memo`` with the orders of its judged children in ``_order_memo``, exp
-# in ``_comp_memo``; the memos a class names in ``RUN_MEMOS`` (the predicate memo,
-# pinterval's layouts, the hulls' obstacles inside) are opened afresh by every
-# run as well, while calls outside a run use the instance's own
+# ``_lex_memo``, exp in ``_comp_memo``; the memos a class names in ``RUN_MEMOS``
+# (the predicate memo, pinterval's layouts, the hulls' obstacles inside) are
+# opened afresh by every run as well, while calls outside a run use the
+# instance's own
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
@@ -649,7 +649,7 @@ def run_engine(engine, inst, **kwargs):
 def open_memos(engine, inst):
     """The run-scoped memos of the engine on inst, each None when closed."""
     if engine == "pspace":
-        return inst._lex_memo, inst._order_memo
+        return (inst._lex_memo,)
     return (inst._comp_memo,)
 
 
@@ -689,8 +689,8 @@ def comp_calls(runs):
 class ForgetfulMemo(pspace_mod._LexMemo):
     """A completion memo that misses on every lookup."""
 
-    def __contains__(self, xmask):
-        return False
+    def get(self, xmask, default=None):
+        return default
 
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
@@ -750,49 +750,24 @@ def test_exp_neighbors_same_inside_a_run(variant):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_overflow_clears(variant, monkeypatch):
-    # a cap of 3 clears the completion memo and the order memo over and
-    # over, and the output is that of the real cap
-    sizes = {int: [], list: []}  # by the type of the value: completion, order
+    # a cap of 3 clears the completion memo over and over, and the output is
+    # that of the real cap
+    sizes = []
     setitem = pspace_mod._LexMemo.__setitem__
 
     def recorded(self, xmask, done):
         setitem(self, xmask, done)
-        sizes[type(done)].append(len(self))
+        sizes.append(len(self))
 
     monkeypatch.setattr(pspace_mod._LexMemo, "__setitem__", recorded)
     full = corpus_runs(variant)
-    assert all(max(seen) > 3 for seen in sizes.values())
-    for seen in sizes.values():
-        seen.clear()
+    assert max(sizes) > 3
+    sizes.clear()
     monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 3)
     capped = corpus_runs(variant)
-    for seen in sizes.values():
-        assert max(seen) == 3 and seen.count(1) > 40  # cleared, not only fresh
+    assert max(sizes) == 3 and sizes.count(1) > 40  # cleared, not only fresh
     assert without_comp_counts(capped) == without_comp_counts(full)
     assert comp_calls(capped) > comp_calls(full)
-
-
-@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
-def test_order_memo_matches_fresh_orders(variant, monkeypatch):
-    # every child order that ``has_parent`` takes from the run's order memo
-    # is the order ``canonical_order`` builds afresh for that child
-    taken = 0
-
-    class CheckedMemo(pspace_mod._LexMemo):
-        def get(self, cmask, default=None):
-            nonlocal taken
-            order = super().get(cmask, default)
-            if order is not None and self is inst._order_memo:
-                assert order == inst.canonical_order(tuple_of(cmask)), (
-                    variant, inst.g.edges, tuple_of(cmask))
-                taken += 1
-            return order
-
-    monkeypatch.setattr(pspace_mod, "_LexMemo", CheckedMemo)
-    for i in range(40):
-        inst = build_instance(variant, i)
-        enumerate_pspace(inst)
-    assert taken >= 500, taken
 
 
 # (engine, variant, corpus index): both engines, and the exp families that
@@ -807,7 +782,7 @@ RUN_SCOPED = [pytest.param("exp", "forests", 9, id="exp"),
 def test_memo_closed_after_every_run(engine, variant, i):
     inst = build_instance(variant, i)
     assert closed(engine, inst)
-    inst.first_solution()  # fills the instance's own memos, outside a run
+    inst.comp(())  # fills the instance's own memos, outside a run
     own = instance_memos(inst)
     assert all(own[name][1] for name in inst.RUN_MEMOS)
     sols, _ = run_engine(engine, inst)
@@ -873,30 +848,49 @@ def test_memo_runs_repeat_counters(engine):
     assert first == second and first[1].comp_calls > 0
 
 
-# per engine: its completion, the error it raises on a non-solution and the
-# completion of (0,) on c5_bip
-C5_COMPLETIONS = {"exp": (Problem.comp, ValueError, (0, 1, 2, 3)),
-                  "pspace": (comp_lex, ContractViolation, (0, 1, 2, 4))}
+# per engine: its completion and the completion of (0,) on c5_bip
+C5_COMPLETIONS = {"exp": (Problem.comp, (0, 1, 2, 3)),
+                  "pspace": (comp_lex, (0, 1, 2, 4))}
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_memo_never_holds_a_non_solution(engine):
+    # both completions share one guard: a non-solution raises
+    # ContractViolation, inside a run and outside, is never stored and is
+    # not counted in comp_calls
     inst = c5_bip()
     odd = (0, 1, 2, 3, 4)
-    completion, error, of_zero = C5_COMPLETIONS[engine]
+    completion, of_zero = C5_COMPLETIONS[engine]
+
+    def refused():
+        before = inst.comp_calls
+        with pytest.raises(ContractViolation):
+            completion(inst, odd)
+        assert inst.comp_calls == before
 
     def probe(sol):
-        with pytest.raises(error):
-            completion(inst, odd)
+        refused()
         assert mask_of(odd) not in open_memos(engine, inst)[0]
 
     ENGINES[engine](inst, emit=probe)
-    with pytest.raises(error):
-        completion(inst, odd)
+    refused()
     # outside a run, every completion is computed and counted
     before = inst.comp_calls
     assert completion(inst, (0,)) == completion(inst, (0,)) == of_zero
     assert inst.comp_calls == before + 2
+
+
+@pytest.mark.parametrize("variant", ["chordal-induced", "hulls"])
+def test_pspace_refuses_a_family_without_a_forest_order(variant):
+    # a family with no parent-forest order is refused at entry, by name,
+    # before a run opens a memo on the instance or computes a completion
+    inst = build_instance(variant, 0)
+    inst.comp(())  # fills the instance's own memos, outside a run
+    own, calls = instance_memos(inst), inst.comp_calls
+    with pytest.raises(ContractViolation, match=variant) as err:
+        enumerate_pspace(inst, emit=pytest.fail)
+    assert all(v in str(err.value) for v in PSPACE_VARIANTS)
+    assert kept(inst, own) and inst.comp_calls == calls
 
 
 # -- prefix-closed order properties ------------------------------------------------------------
