@@ -5,18 +5,19 @@ predicate over ground-element bitmasks (``_solution_mask``), a candidate
 rule (``_candidates``) and a vertex order of adjacency masks
 (``vertex_order``).  Driven by the class flags ``ground_kind``,
 ``directed`` and ``connected``, the rest lives here once: the input
-checks of graph families; one neighbor loop (``_neighbor_loop``), which
-cuts each candidate of a connected family to the component of the one
-element it adds to the solution and completes each distinct candidate
-once, by ``comp_mask`` for ``neighbor_masks`` and by ``comp_lex_mask``
-for ``neighbor_masks_at``; the connectivity rule, by which ``sol``
-rejects a set of a connected family that is not one component
-(``_component``, grown through ``_adjacent_mask``, the same walk that
-cuts candidates); the extension rule ``_reach``, the elements that can
-extend a set (for a connected family, those adjacent to it), which
-completion, ``addable`` and maximality all scan; and ``canonical_order``,
-the vertex order of a vertex set or of the subgraph an edge set spans, by
-which the edges are then sorted.
+checks of graph families and their element adjacency table ``adj_masks``
+(a vertex's graph neighbors, or the edges that share an endpoint with an
+edge); one connectivity walk, ``graphs.mask_cc`` over ``adj_masks``, by
+which the neighbor loop (``_neighbor_loop``) cuts each candidate of a
+connected family to the component of the one element it adds to the
+solution, and ``sol`` rejects a non-empty set of a connected family that
+is not the component of its lowest element; that loop completes each
+distinct candidate once, by ``comp_mask`` for ``neighbor_masks`` and by
+``comp_lex_mask`` for ``neighbor_masks_at``; the extension rule
+``_reach``, the elements that can extend a set (for a connected family,
+those adjacent to it), which completion, ``addable`` and maximality all
+scan; and ``canonical_order``, the vertex order of a vertex set or of the
+subgraph an edge set spans, by which the edges are then sorted.
 A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
@@ -42,8 +43,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from ..graphs import (ContractViolation, Graph, bits, checked_mask, mask_layers, mask_of,
-                      spanned_masks)
+from ..graphs import (ContractViolation, Graph, bits, checked_mask, mask_cc, mask_layers,
+                      mask_of, spanned_masks)
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -91,7 +92,8 @@ class Problem:
         hit = cache.get(mask)
         if hit is None:
             # a set of a connected family is one component, or no solution
-            hit = ((not self.connected or self._component(mask, mask & -mask) == mask)
+            hit = ((not self.connected or not mask
+                    or mask_cc(self.adj_masks, mask, (mask & -mask).bit_length() - 1) == mask)
                    and self._solution_mask(mask))
             cache[mask] = hit
         return hit
@@ -205,24 +207,15 @@ class Problem:
         return tuple_of(self.comp_mask(self._mask(elems)))
 
     def _adjacent_mask(self, mask: int) -> int:
-        """The elements adjacent to a set of a connected family: the graph
-        neighbors of its vertices."""
-        adj = self.g.und_mask
+        """The elements adjacent to a set of a connected family: the union of
+        its elements' rows of ``adj_masks``."""
+        adj = self.adj_masks
         m = 0
         while mask:
             low = mask & -mask
             m |= adj[low.bit_length() - 1]
             mask ^= low
         return m
-
-    def _component(self, mask: int, b: int) -> int:
-        """The elements of ``mask`` joined through ``_adjacent_mask`` to the
-        element bit b of it (0 gives 0)."""
-        comp = frontier = b
-        while frontier:
-            frontier = self._adjacent_mask(frontier) & mask & ~comp
-            comp |= frontier
-        return comp
 
     # -- neighboring ----------------------------------------------------
     def _candidates(self, smask: int, incoming: Iterable[int]) -> Iterable[int]:
@@ -244,7 +237,7 @@ class Problem:
         asked = set()
         for cand in self._candidates(smask, incoming):
             if self.connected:
-                cand = self._component(cand, cand & ~smask)
+                cand = mask_cc(self.adj_masks, cand, (cand & ~smask).bit_length() - 1)
             if cand not in asked:
                 asked.add(cand)
                 found[complete(cand)] = None
@@ -295,6 +288,11 @@ class GraphProblem(Problem):
             raise ValueError(f"{self.variant} expects {kind} graph")
         super().__init__(g.n if self.ground_kind == "v" else g.m)
         self.g = g
+        # each element's adjacent elements: graph neighbors, or the edges
+        # that share an endpoint (the edge itself among them)
+        at = g.edge_mask_at
+        self.adj_masks = (g.und_mask if self.ground_kind == "v"
+                          else tuple(at[u] | at[v] for u, v in g.edges))
 
     @staticmethod
     def vertex_order(und, out, mask: int) -> list[int]:

@@ -106,17 +106,6 @@ class DagEdgeConnected(GraphProblem):
         _, out, span = spanned_masks(self.g, emask)
         return _acyclic(out, span)
 
-    def _adjacent_mask(self, emask: int) -> int:
-        # arcs sharing an endpoint with the set
-        edges, at = self.g.edges, self.g.edge_mask_at
-        m = 0
-        while emask:
-            low = emask & -emask
-            u, v = edges[low.bit_length() - 1]
-            m |= at[u] | at[v]
-            emask ^= low
-        return m
-
     def _candidates(self, emask: int, incoming):
         edges = self.g.edges
         at = self.g.edge_mask_at

@@ -228,6 +228,7 @@ class HullsConnected(Hulls):
             raise ValueError(f"{self.variant} needs a graph on the points")
         super().__init__(inst)
         self.g = inst.graph
+        self.adj_masks = inst.graph.und_mask
 
     def prefix_overlap(self, elems, target) -> int:
         # closeness is the largest connected piece of the intersection

@@ -16,7 +16,7 @@ import re
 import pytest
 
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
-from maxenum.graphs import bits, mask_of
+from maxenum.graphs import bits, mask_cc, mask_of
 from maxenum.problems import ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, PSPACE_VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
@@ -240,7 +240,7 @@ def test_candidate_contract(variant, corpus, monkeypatch):
                     assert cand & ~smask == 1 << v, (run.index, s, v, tuple_of(cand))
                     if inst.connected:
                         [ref] = [c for c in set_components(inst, cand) if v in c]
-                        cand = inst._component(cand, cand & ~smask)
+                        cand = mask_cc(inst.adj_masks, cand, v)
                         assert cand == mask_of(ref), (run.index, s, v)
                     repeats += cand in cut
                     cut.add(cand)
