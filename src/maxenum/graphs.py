@@ -26,10 +26,13 @@ def mask_of(elems: Iterable[int]) -> int:
 
 
 def checked_mask(elems: Iterable[int], n: int, out_of_range: str) -> int:
-    """The mask of ids given from outside, each checked to lie in 0..n-1;
-    an id e that does not raises ValueError(out_of_range.format(e=e, n=n))."""
+    """The mask of ids given from outside, each checked to be an int (not a
+    bool) in 0..n-1; an int e outside raises
+    ValueError(out_of_range.format(e=e, n=n)), any other value ValueError."""
     m = 0
     for e in elems:
+        if type(e) is not int:
+            raise ValueError(f"ids must be integers: {e!r}")
         if not 0 <= e < n:
             raise ValueError(out_of_range.format(e=e, n=n))
         m |= 1 << e
@@ -55,6 +58,8 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], directed: bool = False):
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer: n={n!r}")
         if n < 0:
             raise ValueError(f"negative vertex count n={n}")
         self.n = n
@@ -62,6 +67,8 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         elist: list[tuple[int, int]] = []
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"vertex ids must be integers: ({u!r},{v!r})")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -204,7 +211,10 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # hereditary families.  ``bits`` serves cold paths, the API and tests.
 
 def mask_cc(adj_masks, mask: int, v: int) -> int:
-    """Component mask of v inside the vertex set given as a bitmask."""
+    """The component of element v inside the element set ``mask``, where
+    ``adj_masks[e]`` is the mask of the elements adjacent to e, of any kind:
+    a vertex's graph neighbors, or the edges sharing an endpoint with an
+    edge.  v is an element of ``mask``."""
     comp = 1 << v
     frontier = comp
     while frontier:

@@ -328,16 +328,18 @@ class PspaceProblem(GraphProblem):
     vertex_order = staticmethod(bfs_order)
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
-        """``neighbor_masks_at`` as tuples, with element ids checked; a
-        solution that holds w is its own only candidate."""
+        """``neighbor_masks_at`` as tuples, with element ids checked."""
         smask = self._mask(solution)
-        masks = [smask] if smask & self._mask((w,)) else self.neighbor_masks_at(smask, w)
-        return [tuple_of(m) for m in masks]
+        self._mask((w,))  # checks w
+        return [tuple_of(m) for m in self.neighbor_masks_at(smask, w)]
 
     def neighbor_masks_at(self, smask: int, w: int) -> list[int]:
-        """Canonical-reconstruction candidates for an extender w outside the
+        """Canonical-reconstruction candidates for an extender w of the
         solution mask ``smask``: the distinct lexicographic completions of
-        its candidates, through the loop ``neighbor_masks`` runs."""
+        its candidates, through the loop ``neighbor_masks`` runs.  A
+        solution that holds w is its own only candidate."""
+        if (smask >> w) & 1:
+            return [smask]
         return self._neighbor_loop(smask, (w,), self.comp_lex_mask)
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress

@@ -85,6 +85,24 @@ def test_graph_rejects_negative_vertex_count():
         Graph(-2, [])
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, [(True, 2)]), (3, [(0, False)]), (3, [(0.0, 2)]), (3, [(0, "2")]),
+    (3.0, []), ("3", []), (True, []),
+])
+def test_graph_rejects_ids_that_are_not_ints(n, edges):
+    # a bool passed the range checks and was stored as a vertex id; a float
+    # or a string died later with a bare TypeError
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        Graph(n, edges)
+
+
+@pytest.mark.parametrize("helper", [degeneracy_order, perfect_elimination_order])
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_exported_helpers_reject_vertex_ids_that_are_not_ints(helper, bad):
+    with pytest.raises(ValueError, match=f"ids must be integers: {bad!r}"):
+        helper(path(3), [0, bad])
+
+
 # -- connected components -----------------------------------------------------
 
 def test_cc_c4_opposite_corners():
@@ -397,6 +415,10 @@ def test_inline_bit_scans_of_edge_and_twin_kernels_match_set_references():
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.8]), directed=True)
         dag_edges = make_instance("dag-edge-connected", graph=g)
         twins = make_instance("pinterval-induced", graph=random_graph(rng, n, 0.6))
+        for e, arc in enumerate(g.edges):
+            # the arcs that share an endpoint with e, e itself among them
+            assert dag_edges.adj_masks[e] == mask_of(
+                f for f, other in enumerate(g.edges) if set(arc) & set(other))
         for _ in range(4):
             mask, emask = rng.getrandbits(n), rng.getrandbits(g.m)
             s, arcs = [u for u in range(n) if mask >> u & 1], [g.edges[e] for e in bits(emask)]

@@ -48,6 +48,20 @@ def test_out_of_range_element_ids_rejected(variant):
                 call((bad,))
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_element_ids_that_are_not_ints_rejected(variant):
+    # True once counted as element 1; a float or a string died with a bare
+    # TypeError
+    inst = build_instance(variant, 0)
+    calls = [inst.is_solution, inst.is_maximal_solution, inst.comp, inst.neighbors]
+    if not variant.startswith("hulls"):
+        calls.append(inst.canonical_order)
+    for bad in (True, 1.0, "1"):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"ids must be integers: {bad!r}$"):
+                call((bad,))
+
+
 def test_neighbors_of_a_missing_vertex_rejected():
     # 7 is no vertex of a 3-vertex path, yet neighbors once answered [(0, 1, 2)]
     with pytest.raises(ValueError, match="element id 7 out of range"):

@@ -84,6 +84,23 @@ def test_element_ids_checked():
         comp_lex(inst, (5,))
 
 
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_extender_inside_the_solution_is_its_own_candidate(variant):
+    # a w inside the solution adds nothing, so no candidate is completed;
+    # neighbor_masks_at once completed the empty set, which the connected
+    # families refused with "an empty set has no seed"
+    for i in range(4):
+        inst = build_instance(variant, i)
+        sols = []
+        enumerate_exp(inst, emit=sols.append)
+        for s in sols:
+            for w in s:
+                before = inst.comp_calls
+                assert inst.neighbor_masks_at(mask_of(s), w) == [mask_of(s)], (i, s, w)
+                assert inst.neighbors_at(s, w) == [s], (i, s, w)
+                assert inst.comp_calls == before, (i, s, w)
+
+
 def comp_lex_witness(problem, elems):
     """The lexicographic completion that starts each round from nothing:
     one predicate scan of the reach and one ``order_keys`` per added
