@@ -26,9 +26,9 @@ def mask_of(elems: Iterable[int]) -> int:
 
 
 def checked_mask(elems: Iterable[int], n: int, out_of_range: str) -> int:
-    """The mask of ids given from outside, each checked to be an int (not a
-    bool) in 0..n-1; an int e outside raises
-    ValueError(out_of_range.format(e=e, n=n)), any other value ValueError."""
+    """The mask of ids given from outside: an id whose type is not int (a
+    bool too) raises ValueError, and an int e outside 0..n-1 raises
+    ValueError(out_of_range.format(e=e, n=n))."""
     m = 0
     for e in elems:
         if type(e) is not int:
