@@ -72,8 +72,8 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"maxenum: cannot read {args.input}: {exc}", file=err)
         return 1
 

@@ -34,7 +34,9 @@ class Counters:
 
     solutions_emitted: int = 0
     neighbors_calls: int = 0
-    comp_calls: int = 0          # completions computed, not memo hits
+    # completions computed, not memo hits; a stopped seeded completion
+    # counts once, and finishing it later does not count again
+    comp_calls: int = 0
     dict_operations: int = 0     # visited-set inserts, exp traversal only
     max_comp_gap: int = 0        # most comp calls between consecutive emissions
     roots_found: int = 0         # parent-forest traversal only

@@ -26,7 +26,9 @@ always ask the predicate, so they check that test rather than share it.
 Both completions, ``comp_mask`` and ``comp_lex_mask``, enter through one
 guarded, counted, memoized ``_complete``: a non-solution raises
 ContractViolation, and a completion taken from the run's memo is not
-counted in ``comp_calls``.
+counted in ``comp_calls``.  The seeded form of ``comp_lex_mask`` stops at
+the first element it would add below its seed; the run's memo keeps the
+set it reached, and a later full request finishes from it, uncounted.
 Both engines walk bitmasks with a memoized predicate; solutions cross the
 public API (``neighbors``, ``neighbors_at``, ``comp``) as sorted tuples of
 element ids, checked on the way in.  Every memo belongs to a run:
@@ -187,8 +189,9 @@ class Problem:
         """The completion ``loop(mask)`` of a solution mask, counted in
         ``comp_calls``.  Inside a run, ``memo`` is the run's memo of this
         completion: a done one comes from it, uncounted, a computed one is
-        stored.  A non-solution raises ContractViolation, uncounted and never
-        stored.  Outside a run (``memo`` None), every call is computed."""
+        stored, also when the loop stopped early (``comp_lex_mask``).  A
+        non-solution raises ContractViolation, uncounted and never stored.
+        Outside a run (``memo`` None), every call is computed."""
         done = None if memo is None else memo.get(mask)
         if done is None:
             if not self.sol(mask):
@@ -344,14 +347,39 @@ class PspaceProblem(GraphProblem):
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
 
-    def comp_lex_mask(self, xmask: int) -> int:
-        """``_comp_lex_mask`` through ``_complete``, with a pspace run's memo."""
-        return self._complete(xmask, self._lex_memo, self._comp_lex_mask)
+    def comp_lex_mask(self, xmask: int, seeded: bool = False) -> int:
+        """``_comp_lex_mask`` through ``_complete``, with a pspace run's memo.
 
-    def _comp_lex_mask(self, xmask: int) -> int:
+        ``seeded`` asks only for a completion whose seed is still that of
+        ``xmask``; any other gives 0, and the loop stops at the first element
+        it would add below that seed.  The run's memo keeps a stopped
+        completion, counted once, as ``~reached``: a later seeded request
+        reads it as 0, and a later full one finishes it from ``reached``,
+        uncounted and unguarded, in place.  The greedy rule depends only on
+        the current set, so the finish gives what one full loop would.
+        """
+        memo = self._lex_memo
+        done = self._complete(xmask, memo,
+                              self._comp_lex_seeded if seeded else self._comp_lex_mask)
+        if done < 0:
+            if seeded:
+                return 0
+            done = self._comp_lex_mask(~done)
+            if memo is not None:
+                memo[xmask] = done
+        return 0 if seeded and done & -done != xmask & -xmask else done
+
+    def _comp_lex_seeded(self, xmask: int) -> int:
+        """``_comp_lex_mask`` stopped below the seed of ``xmask``."""
+        return self._comp_lex_mask(xmask, xmask & -xmask)
+
+    def _comp_lex_mask(self, xmask: int, stop: int = 0) -> int:
         """Grow the solution ``xmask`` to a maximal one lexicographically:
         repeatedly add the addable element of least order key, under the
-        order rooted at the current seed (the smallest element).
+        order rooted at the current seed (the smallest element).  An element
+        whose bit lies below ``stop`` ends the loop instead: it returns the
+        complement of the set it has reached with that element, whose seed
+        can no longer be ``stop``'s.
 
         Only its reach and its rejected elements carry across rounds: the
         reach is computed once and grown with each added element
@@ -384,8 +412,11 @@ class PspaceProblem(GraphProblem):
             else:
                 seed = (xmask & -xmask).bit_length() - 1
                 best = min(self.order_keys(xmask, seed, ext).values())[2]  # keys end with e
-            reach = self._grow_reach(reach, xmask, 1 << best)
-            xmask |= 1 << best
+            b = 1 << best
+            if b < stop:
+                return ~(xmask | b)
+            reach = self._grow_reach(reach, xmask, b)
+            xmask |= b
 
     def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
         """Sort keys for elements of X and X+ under the order rooted at v.

@@ -19,16 +19,20 @@ checks for forests and bipartite-induced.
 Every memo goes with its run, but the run's predicate memo is unbounded:
 it grows with the solutions visited, so a run is not yet polynomial-space.
 
-Besides one completion memo, four things keep the regeneration cheap.
+Besides one completion memo, five things keep the regeneration cheap.
 Different parents regenerate the same candidates and prefixes, so a run
 keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries.
 The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
 only its reach and its rejected elements across rounds, and builds order
 keys only in a round that must choose between two or more addable
-elements.  ``children`` drops a
+elements.  Root discovery and ``_regenerate`` discard a completion whose
+seed changed, so they ask for the seeded form, which stops at the first
+element it would add below its seed; the memo keeps the stopped set for
+a later full request to finish.  ``children`` drops a
 (candidate r, seed s) pair before any walk unless s lies below the pivot,
-has no smaller neighbor in r and lies in the parent: a pair that fails
-one of them yields no child (see ``children``).  ``_regenerate`` walks
+has no smaller neighbor in r, lies in the parent and lies in the pivot's
+component of r or is the smallest element of r: a pair that fails one of
+them yields no child (see ``children``).  ``_regenerate`` walks
 the order's BFS layers (``graphs.mask_layers``) only up to the pivot, and
 drops the seed as soon as a layer holds a smaller element.  The parent
 check (``has_parent``) judges the pivot first: the prefix before it must
@@ -42,7 +46,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .engine import Counters, Emitter, walk
-from .graphs import ContractViolation, bits, mask_layers, mask_of
+from .graphs import ContractViolation, bits, mask_cc, mask_layers, mask_of
 from .problems import PSPACE_VARIANTS
 from .problems.base import PspaceProblem, tuple_of
 
@@ -52,7 +56,8 @@ LEX_MEMO_CAP = 1024  # the most entries a run keeps in its completion memo
 class _LexMemo(dict):
     """A run's completion memo (mask -> completed mask), cleared when full."""
     def __setitem__(self, xmask: int, done: int) -> None:
-        if len(self) >= LEX_MEMO_CAP:
+        # finishing a stopped completion overwrites its entry in place
+        if len(self) >= LEX_MEMO_CAP and xmask not in self:
             self.clear()
         super().__setitem__(xmask, done)
 
@@ -143,9 +148,9 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
 
 def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
     """The completion of the elements of the candidate mask ``rmask`` up to
-    w in its order rooted at s, or 0 when that prefix holds an element below
-    s: the seed of the completion is at most the smallest element of the
-    prefix, so the completion could not be rooted at s.
+    w in its order rooted at s, or 0 when that completion is not rooted at
+    s: when the prefix holds an element below s, or the seeded completion
+    adds one.
 
     The prefix is every layer of ``mask_layers(rmask, s)`` before w's plus
     the members of w's layer up to w; the walk stops at the first layer that
@@ -159,7 +164,7 @@ def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
         if layer & below:
             return 0
         prefix |= layer
-    return 0 if prefix & below else problem.comp_lex_mask(prefix)
+    return 0 if prefix & below else problem.comp_lex_mask(prefix, seeded=True)
 
 
 def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
@@ -190,10 +195,14 @@ def children(problem: PspaceProblem, pmask: int, w: int,
       1 of r's order from s, and so in every prefix up to w (w != s);
     - s lies in the parent, since s is the first element of the child's
       order and ``has_parent`` rejects a child whose elements before w
-      leave the parent.
-    The first two skip pairs that regenerate nothing.  The third skips a
-    child at every pair that regenerates it, since all those pairs have
-    its seed s, so it cuts only children that would be rejected.
+      leave the parent;
+    - s lies in w's component of r or is the smallest element of r, since
+      ``mask_layers`` walks s's component first and then the others by
+      ascending smallest element, so a prefix up to a w outside s's
+      component holds the smallest element of r.
+    The first, second and fourth skip pairs that regenerate nothing.  The
+    third skips a child at every pair that regenerates it, since all those
+    pairs have its seed s, so it cuts only children that would be rejected.
 
     Each regenerated child is judged once, where its first (candidate,
     seed) pair regenerates it: whether it has this parent and pivot depends
@@ -208,6 +217,8 @@ def children(problem: PspaceProblem, pmask: int, w: int,
     judged = set()
     for rmask in problem.neighbor_masks_at(pmask, w):
         seeds = rmask & pmask & ((1 << w) - 1)
+        if not problem.connected:  # else the candidate is one component
+            seeds &= mask_cc(und, rmask, w) | (rmask & -rmask)
         while seeds:
             low = seeds & -seeds
             seeds ^= low
@@ -215,7 +226,7 @@ def children(problem: PspaceProblem, pmask: int, w: int,
             if und[s] & rmask & (low - 1):
                 continue  # a smaller neighbor of s lies in every prefix
             cmask = _regenerate(problem, rmask, s, w)
-            if cmask & -cmask != low or cmask in judged:
+            if not cmask or cmask in judged:
                 continue  # the child's seed is not s, or it was judged
             judged.add(cmask)
             if not has_parent(problem, cmask, pmask, w):
@@ -252,7 +263,7 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
         for seed in [1 << u for u in range(problem.ground_size)] or [0]:
             if emitter.done:
                 break
-            root = problem.comp_lex_mask(seed)
+            root = problem.comp_lex_mask(seed, seeded=True)
             if root & -root != seed:
                 continue  # a root is discovered from its own seed only
             counters.roots_found += 1

@@ -73,6 +73,14 @@ def test_missing_file_exits_1(capsys):
     assert code == 1
 
 
+def test_non_utf8_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe 3 2\n0 1\n")
+    code, out, err = run_cli(["--problem", "trees", "--input", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"maxenum: cannot read {bad}: ") and "Traceback" not in err
+
+
 def test_k_required_and_guarded(k4_file, capsys):
     code, _, err = run_cli(["--problem", "kdeg-induced", "--input", k4_file],
                            capsys)

@@ -437,15 +437,22 @@ def test_children_match_restr_witness(variant, corpus):
     assert pairs >= 700 and produced >= 150, (pairs, produced)
 
 
-def regenerate_witness(problem, r, s, w):
-    """``_regenerate`` from the order keys of every component of G[r]: the
-    elements of r keyed up to w, completed unless one of them is below s."""
+def witness_prefix(problem, r, s, w):
+    """The elements of r keyed up to w by the order keys of every component
+    of G[r], rooted at s."""
     keys = problem.order_keys(mask_of(r), s, r)
     kw = keys[w]
-    prefix = mask_of(x for x in r if keys[x] <= kw)
+    return mask_of(x for x in r if keys[x] <= kw)
+
+
+def regenerate_witness(problem, r, s, w):
+    """``_regenerate`` from ``witness_prefix``: its full completion when
+    neither the prefix nor the completion holds an element below s, else 0."""
+    prefix = witness_prefix(problem, r, s, w)
     if prefix & ((1 << s) - 1):
         return 0
-    return problem.comp_lex_mask(prefix)
+    cmask = problem.comp_lex_mask(prefix)
+    return cmask if cmask & -cmask == 1 << s else 0
 
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
@@ -453,17 +460,21 @@ def test_regenerate_matches_witness(variant, monkeypatch):
     # every (candidate, seed, pivot) that ``children`` regenerates from, on
     # corpus instances and on sparse random graphs, where the candidates of
     # the families that need not be connected often have several components
-    # and the pivot may lie outside the seed's component
+    # and the pivot may lie outside the seed's component; at least 300 per
+    # variant hold nothing below s but complete to a set that does, where
+    # the seeded completion stops early
     original = pspace_mod._regenerate
-    calls = outside = 0
+    calls = outside = reseeded = 0
 
     def checked(problem, rmask, s, w):
-        nonlocal calls, outside
+        nonlocal calls, outside, reseeded
         got = original(problem, rmask, s, w)
         calls += 1
         outside += not (mask_cc(problem.g.und_mask, rmask, s) >> w) & 1
-        assert got == regenerate_witness(problem, tuple_of(rmask), s, w), (
-            variant, problem.g.edges, tuple_of(rmask), s, w)
+        r = tuple_of(rmask)
+        assert got == regenerate_witness(problem, r, s, w), (
+            variant, problem.g.edges, r, s, w)
+        reseeded += not got and not witness_prefix(problem, r, s, w) & ((1 << s) - 1)
         return got
 
     monkeypatch.setattr(pspace_mod, "_regenerate", checked)
@@ -473,7 +484,7 @@ def test_regenerate_matches_witness(variant, monkeypatch):
         rng, rng.randint(4, 10), rng.choice([0.15, 0.25, 0.4]))) for _ in range(40)]
     for inst in instances:
         enumerate_pspace(inst)
-    assert calls >= 1000, calls
+    assert calls >= 1000 and reseeded >= 300, (calls, reseeded)
     assert outside or instances[0].connected, outside
 
 
@@ -491,19 +502,21 @@ def regeneration_instances(variant):
 def test_seed_cuts_are_exact(variant, monkeypatch):
     # every (candidate, seed) pair that ``children`` drops before its layer
     # walk would yield no child: a seed above the pivot, or one with a
-    # smaller neighbor in the candidate, regenerates nothing, and a seed
+    # smaller neighbor in the candidate, regenerates nothing, a seed
     # outside the parent regenerates only children that ``has_parent``
-    # rejects; every other pair is regenerated
+    # rejects, and a seed outside the pivot's component of the candidate,
+    # other than the candidate's smallest element, regenerates nothing;
+    # every other pair is regenerated
     original_children, original_regenerate = pspace_mod.children, pspace_mod._regenerate
     kept, regenerated = [], []
-    empty = rejected = 0
+    empty = rejected = foreign = 0
 
     def regenerate(problem, rmask, s, w):
         regenerated.append((rmask, s, w))
         return original_regenerate(problem, rmask, s, w)
 
     def checked(problem, pmask, w, counters=None):
-        nonlocal empty, rejected
+        nonlocal empty, rejected, foreign
         parent, und = tuple_of(pmask), problem.g.und_mask
         for r in problem.neighbors_at(parent, w) if w not in parent else ():
             rmask = mask_of(r)
@@ -520,17 +533,24 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
                         assert not has_parent(problem, cmask, pmask, w), (
                             variant, problem.g.edges, parent, r, s, w)
                         rejected += 1
+                elif s != r[0] and not (mask_cc(und, rmask, w) >> s) & 1:
+                    assert regenerate_witness(problem, r, s, w) == 0, (
+                        variant, problem.g.edges, r, s, w)
+                    foreign += 1
                 else:
                     kept.append((rmask, s, w))
         yield from original_children(problem, pmask, w, counters)
 
     monkeypatch.setattr(pspace_mod, "_regenerate", regenerate)
     monkeypatch.setattr(pspace_mod, "children", checked)
-    for inst in regeneration_instances(variant):
+    instances = regeneration_instances(variant)
+    for inst in instances:
         enumerate_pspace(inst)
     # the walk nests the children of a child inside its parent's stream
     assert sorted(regenerated) == sorted(kept)
     assert empty >= 3000 and rejected >= 150, (empty, rejected)
+    # a connected family's candidates are connected, so none has a foreign seed
+    assert foreign == 0 if instances[0].connected else foreign >= 100, foreign
 
 
 @pytest.mark.parametrize("variant,graph_factory", [
@@ -785,6 +805,34 @@ def test_memo_overflow_clears(variant, monkeypatch):
     assert max(sizes) == 3 and sizes.count(1) > 40  # cleared, not only fresh
     assert without_comp_counts(capped) == without_comp_counts(full)
     assert comp_calls(capped) > comp_calls(full)
+
+
+def test_seeded_completion_stops_and_finishes(monkeypatch):
+    # on the path 0-1-2 the completion of {1} first adds 0, below its seed:
+    # a seeded request stops there and gives 0, and the run's memo keeps the
+    # stopped completion, counted once; a repeated seeded request computes
+    # nothing, and a full request finishes it, uncounted, to the memo-free
+    # completion, in place, without clearing a memo at its cap
+    inst = make_instance("trees", graph=path(3))
+    full = inst.comp_lex_mask(0b010)
+    assert full == 0b111
+    monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 2)
+    memo = pspace_mod._LexMemo()
+    with inst.run_memos(_lex_memo=memo):
+        other = inst.comp_lex_mask(0b100)
+        loop, loops = inst._comp_lex_mask, []
+        monkeypatch.setattr(inst, "_comp_lex_mask", lambda *a: loops.append(a) or loop(*a))
+        calls = inst.comp_calls
+        assert inst.comp_lex_mask(0b010, seeded=True) == 0
+        assert inst.comp_calls == calls + 1 and len(loops) == 1
+        assert memo == {0b100: other, 0b010: ~0b011}
+        assert inst.comp_lex_mask(0b010, seeded=True) == 0
+        assert inst.comp_calls == calls + 1 and len(loops) == 1
+        assert inst.comp_lex_mask(0b010) == full
+        assert inst.comp_calls == calls + 1 and memo == {0b100: other, 0b010: full}
+        assert inst.comp_lex_mask(0b010, seeded=True) == 0  # its seed is 0
+        assert inst.comp_lex_mask(0b001, seeded=True) == full  # a miss at the cap
+        assert memo == {0b001: full}
 
 
 # (engine, variant, corpus index): both engines, and the exp families that
