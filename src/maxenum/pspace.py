@@ -19,7 +19,7 @@ checks for forests and bipartite-induced.
 Every memo goes with its run, but the run's predicate memo is unbounded:
 it grows with the solutions visited, so a run is not yet polynomial-space.
 
-Besides one completion memo, five things keep the regeneration cheap.
+Besides one completion memo, four things keep the regeneration cheap.
 Different parents regenerate the same candidates and prefixes, so a run
 keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries.
 The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
@@ -30,9 +30,8 @@ seed changed, so they ask for the seeded form, which stops at the first
 element it would add below its seed; the memo keeps the stopped set for
 a later full request to finish.  ``children`` drops a
 (candidate r, seed s) pair before any walk unless s lies below the pivot,
-has no smaller neighbor in r, lies in the parent and lies in the pivot's
-component of r or is the smallest element of r: a pair that fails one of
-them yields no child (see ``children``).  ``_regenerate`` walks
+has no smaller neighbor in r and lies in the parent: a pair that fails
+one of them yields no child (see ``children``).  ``_regenerate`` walks
 the order's BFS layers (``graphs.mask_layers``) only up to the pivot, and
 drops the seed as soon as a layer holds a smaller element.  The parent
 check (``has_parent``) judges the pivot first: the prefix before it must
@@ -46,7 +45,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .engine import Counters, Emitter, walk
-from .graphs import ContractViolation, bits, mask_cc, mask_layers, mask_of
+from .graphs import ContractViolation, bits, mask_layers, mask_of
 from .problems import PSPACE_VARIANTS
 from .problems.base import PspaceProblem, tuple_of
 
@@ -195,14 +194,10 @@ def children(problem: PspaceProblem, pmask: int, w: int,
       1 of r's order from s, and so in every prefix up to w (w != s);
     - s lies in the parent, since s is the first element of the child's
       order and ``has_parent`` rejects a child whose elements before w
-      leave the parent;
-    - s lies in w's component of r or is the smallest element of r, since
-      ``mask_layers`` walks s's component first and then the others by
-      ascending smallest element, so a prefix up to a w outside s's
-      component holds the smallest element of r.
-    The first, second and fourth skip pairs that regenerate nothing.  The
-    third skips a child at every pair that regenerates it, since all those
-    pairs have its seed s, so it cuts only children that would be rejected.
+      leave the parent.
+    The first two skip pairs that regenerate nothing.  The third skips a
+    child at every pair that regenerates it, since all those pairs have
+    its seed s, so it cuts only children that would be rejected.
 
     Each regenerated child is judged once, where its first (candidate,
     seed) pair regenerates it: whether it has this parent and pivot depends
@@ -217,8 +212,6 @@ def children(problem: PspaceProblem, pmask: int, w: int,
     judged = set()
     for rmask in problem.neighbor_masks_at(pmask, w):
         seeds = rmask & pmask & ((1 << w) - 1)
-        if not problem.connected:  # else the candidate is one component
-            seeds &= mask_cc(und, rmask, w) | (rmask & -rmask)
         while seeds:
             low = seeds & -seeds
             seeds ^= low
