@@ -50,9 +50,13 @@ class Emitter:
     sink, counts it and records the completion calls since the previous
     output; ``done`` turns true once ``limit`` solutions are out (at once
     for a limit <= 0).  A failing sink aborts the run with PartialOutputError.
+    A limit that is neither an int nor None (a bool, a float) raises
+    ValueError before the run opens any memo.
     """
 
     def __init__(self, problem, emit: Optional[Callable], limit: Optional[int]):
+        if limit is not None and type(limit) is not int:
+            raise ValueError(f"limit must be an integer or None: limit={limit!r}")
         self.problem = problem
         self.emit = emit
         self.limit = limit

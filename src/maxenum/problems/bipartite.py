@@ -7,10 +7,10 @@ smallest vertex is B0; this makes the representation unique.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from ..graphs import Graph, mask_layers, mask_of, spanned_masks
-from .base import GraphProblem, PspaceProblem, bfs_order, tuple_of
+from ..graphs import mask_layers, spanned_masks
+from .base import GraphProblem, PspaceProblem, bfs_order
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
@@ -24,14 +24,6 @@ def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
             return None
         sides[depth & 1] |= layer
     return sides[0], sides[1]
-
-
-def bipartition(g: Graph, elems: Iterable[int]) -> Optional[tuple[tuple, tuple]]:
-    """Normalized (B0, B1) of an induced bipartite vertex set, else None."""
-    sides = _two_color_masks(g.und_mask, mask_of(elems))
-    if sides is None:
-        return None
-    return tuple_of(sides[0]), tuple_of(sides[1])
 
 
 class _BipartiteInducedBase(PspaceProblem):

@@ -10,9 +10,8 @@ instead of re-running the elimination of the whole set.
 
 from __future__ import annotations
 
-from ..graphs import (bits, chordal_cliques, mask_is_clique, mask_of, peo_mask,
-                      spanned_masks)
-from .base import GraphProblem, tuple_of
+from ..graphs import bits, chordal_cliques, mask_is_clique, peo_mask, spanned_masks
+from .base import GraphProblem
 
 
 def _reversed_peo(und, out, mask: int) -> list[int]:
@@ -55,19 +54,6 @@ class _ChordalInducedBase(GraphProblem):
                 return False
             far &= ~comp
         return True
-
-    def cliques_at(self, solution, v: int) -> list[tuple[int, ...]]:
-        """Maximal cliques of G[solution + {v}] containing v.
-
-        These are the maximal cliques of the chordal graph induced by the
-        solution vertices adjacent to v, each extended by v itself.
-        """
-        smask = mask_of(solution)
-        if (smask >> v) & 1:
-            raise ValueError(f"vertex {v} already in the solution")
-        core = self.g.und_mask[v] & smask
-        return [tuple_of(q | (1 << v))
-                for q in chordal_cliques(self.g.und_mask, core) or [0]]
 
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask

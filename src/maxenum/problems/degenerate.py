@@ -43,6 +43,8 @@ class KDegenerateInduced(GraphProblem):
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g)
+        if type(k) is not int:
+            raise ValueError(f"k must be an integer: k={k!r}")
         if k < 0:
             raise ValueError("k must be non-negative")
         self.k = k
@@ -70,6 +72,8 @@ class KDegenerateEdge(GraphProblem):
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g)
+        if type(k) is not int:
+            raise ValueError(f"k must be an integer: k={k!r}")
         if k < 1:
             raise ValueError("the edge variant needs k >= 1")
         self.k = k

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..graphs import Graph, bits, mask_components, mask_of, parse_edge_lines
-from .base import Problem, tuple_of
+from .base import Problem
 
 COORD_LIMIT = 10 ** 6
 
@@ -199,10 +199,6 @@ class Hulls(Problem):
         rec(smask)
         return list(dict.fromkeys(out))
 
-    def shadows(self, solution, v: int) -> list[tuple[int, ...]]:
-        """The shadow pieces of a solution for v, as sorted tuples."""
-        return [tuple_of(m) for m in self._shadow_masks(mask_of(solution), v)]
-
     def _candidates(self, smask: int, incoming):
         for v in incoming:
             for piece in self._shadow_masks(smask, v):
@@ -226,6 +222,8 @@ class HullsConnected(Hulls):
     def __init__(self, inst: PointSetInstance):
         if inst.graph is None:
             raise ValueError(f"{self.variant} needs a graph on the points")
+        if inst.graph.directed:
+            raise ValueError(f"{self.variant} expects an undirected graph")
         super().__init__(inst)
         self.g = inst.graph
         self.adj_masks = inst.graph.und_mask

@@ -76,22 +76,6 @@ class _ProperIntervalBase(GraphProblem):
         comps = [mask] if self.connected else mask_components(self.g.und_mask, mask)
         return all(self.component_layout(c) is not None for c in comps)
 
-    def layouts(self, solution) -> list[tuple[int, ...]]:
-        """Unit-interval arrangement(s) of a solution.
-
-        Connected solutions have exactly two (the canonical one and its
-        reverse); a single vertex has one.  Disconnected solutions get the
-        concatenation of per-component canonical layouts.
-        """
-        smask = self._mask(solution)
-        if not self.sol(smask):
-            raise ValueError("not a solution of this variant")
-        lay = tuple(self.vertex_order(self.g.und_mask, self.g.out_mask, smask))
-        if len(mask_components(self.g.und_mask, smask)) > 1:
-            return [lay]
-        rev = lay[::-1]
-        return [lay] if rev == lay else [lay, rev]
-
     # -- realization and insertion ----------------------------------------
     def _realize(self, order) -> list[int]:
         """Exact integer start positions for a component arrangement, for

@@ -9,13 +9,12 @@ each regenerated child is judged once by the parent check instead of
 being looked up in a visited-solution dictionary.  The walk runs on masks
 (``children``, ``has_parent`` and ``_regenerate`` take and give masks);
 a solution becomes a sorted tuple only at the sink and in the public
-wrappers ``comp_lex``, ``core_of``, ``is_root``, ``parent_of`` and
-``restr``.  Its DFS stack holds one ``children`` generator per node on
-the path from the root, each with its candidate masks
-``neighbor_masks_at(parent, w)`` and at most n judged child masks per
-candidate, one per (candidate, seed) pair; on t triangles joined in a
-path (3^t solutions) it is t + 1 deep, as ``tests/test_exact_counts.py``
-checks for forests and bipartite-induced.
+wrappers ``comp_lex``, ``core_of`` and ``restr``.  Its DFS stack holds
+one ``children`` generator per node on the path from the root, each with
+its candidate masks ``neighbor_masks_at(parent, w)`` and at most n judged
+child masks per candidate, one per (candidate, seed) pair; on t triangles
+joined in a path (3^t solutions) it is t + 1 deep, as
+``tests/test_exact_counts.py`` checks for forests and bipartite-induced.
 Every memo goes with its run, but the run's predicate memo is unbounded:
 it grows with the solutions visited, so a run is not yet polynomial-space.
 
@@ -36,8 +35,8 @@ the order's BFS layers (``graphs.mask_layers``) only up to the pivot, and
 drops the seed as soon as a layer holds a smaller element.  The parent
 check (``has_parent``) judges the pivot first: the prefix before it must
 lie inside the parent and complete to it, and only then are the longer
-prefixes scanned; ``core_of`` and ``parent_of`` run the same scan down to
-the first element.
+prefixes scanned; ``core_of`` and ``restr`` run the same scan down to the
+first element.
 """
 
 from __future__ import annotations
@@ -108,21 +107,6 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
     return order[:j], order[j]
 
 
-def is_root(problem: PspaceProblem, solution) -> bool:
-    """Whether a maximal solution is a root: its seed alone completes to it
-    (on an empty ground set, the empty solution is the root).  Any other set
-    raises ContractViolation, as in ``core_of``."""
-    stuple = tuple(sorted(solution))
-    if not problem.is_maximal_solution(stuple):
-        raise ContractViolation(f"{stuple} is not a maximal solution")
-    return comp_lex(problem, stuple[:1]) == stuple
-
-
-def parent_of(problem: PspaceProblem, solution) -> Optional[tuple[int, ...]]:
-    core = _core(problem, solution)
-    return None if core is None else tuple_of(core[2])
-
-
 def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     """Whether the child mask ``cmask`` has the parent mask ``pmask`` and the
     pivot w, an element of the child.
@@ -167,17 +151,17 @@ def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
 
 
 def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
-    """First candidate of neighbors_at(parent, pivot) regenerating the
+    """First candidate of neighbor_masks_at(parent, pivot) regenerating the
     solution, the paper's rule for which candidate a child belongs to."""
     core = _core(problem, solution)
     if core is None:
         raise ContractViolation("roots have no generating candidate")
     order, j, pmask = core
     w, s, smask = order[j], order[0], mask_of(order)
-    for r in problem.neighbors_at(tuple_of(pmask), w):
+    for rmask in problem.neighbor_masks_at(pmask, w):
         # the order on r is rooted at s, so r must hold s (it holds w)
-        if s in r and _regenerate(problem, mask_of(r), s, w) == smask:
-            return r
+        if (rmask >> s) & 1 and _regenerate(problem, rmask, s, w) == smask:
+            return tuple_of(rmask)
     raise ContractViolation("no candidate regenerates the solution")
 
 

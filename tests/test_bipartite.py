@@ -1,7 +1,8 @@
 import random
 
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
-from maxenum.problems.bipartite import bipartition
+from maxenum.graphs import mask_of
+from maxenum.problems.bipartite import _two_color_masks
 
 from conftest import complete, components, cycle, random_graph, triangle
 
@@ -115,7 +116,8 @@ def test_walkthrough_canonical_orders_and_overlap():
 
 def test_walkthrough_two_sided_removal():
     inst = make_instance("bipartite-induced-connected", graph=walkthrough_graph())
-    assert bipartition(inst.g, S_WALK) == ((0, 4, 7), (1, 2, 3, 6))
+    assert _two_color_masks(inst.g.und_mask, mask_of(S_WALK)) == (
+        mask_of((0, 4, 7)), mask_of((1, 2, 3, 6)))
     smask = sum(1 << v for v in S_WALK)
     cands = []
     for got in inst._candidates(smask, (8,)):
@@ -177,11 +179,12 @@ def test_neighbors_are_maximal_solutions():
 def test_bipartition_component_normalization():
     # two components: {0,1} and {2,3}; smallest vertex of each goes left
     g = Graph(4, [(0, 1), (2, 3)])
-    assert bipartition(g, (0, 1, 2, 3)) == ((0, 2), (1, 3))
+    assert _two_color_masks(g.und_mask, mask_of((0, 1, 2, 3))) == (
+        mask_of((0, 2)), mask_of((1, 3)))
 
 
 def test_bipartition_rejects_odd_cycle():
-    assert bipartition(triangle(), (0, 1, 2)) is None
+    assert _two_color_masks(triangle().und_mask, mask_of((0, 1, 2))) is None
 
 
 def test_two_component_canonical_order_leader_first():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from maxenum import brute_force_maximal, enumerate_exp, make_instance
-from maxenum.graphs import Graph, bits, mask_components
+from maxenum.graphs import Graph, bits, mask_components, mask_of
+from maxenum.problems.base import tuple_of
 
 from conftest import complete, cycle, random_graph, triangle
 
@@ -16,16 +17,23 @@ def test_is_solution_examples():
     assert c4.is_solution((0, 1, 2))
 
 
+def kept_cliques(inst, solution, v):
+    """The clique around v that each candidate of the induced rule keeps:
+    the candidate's part of v's closed neighborhood."""
+    closed = inst.g.und_mask[v] | 1 << v
+    return [tuple_of(c & closed) for c in inst._candidates(mask_of(solution), (v,))]
+
+
 def test_cliques_at_examples():
     c4 = make_instance("chordal-induced", graph=cycle(4))
-    assert c4.cliques_at((0, 1, 2), 3) == [(0, 3), (2, 3)]
+    assert kept_cliques(c4, (0, 1, 2), 3) == [(0, 3), (2, 3)]
 
     k4 = make_instance("chordal-induced", graph=complete(4))
-    assert k4.cliques_at((0, 1, 2), 3) == [(0, 1, 2, 3)]
+    assert kept_cliques(k4, (0, 1, 2), 3) == [(0, 1, 2, 3)]
 
     g = Graph(4, [(0, 1), (1, 2)])
     inst = make_instance("chordal-induced", graph=g)
-    assert inst.cliques_at((0, 1, 2), 3) == [(3,)]
+    assert kept_cliques(inst, (0, 1, 2), 3) == [(3,)]
 
 
 def _brute_max_cliques(g, cand):
@@ -48,7 +56,7 @@ def test_cliques_at_are_maximal_cliques():
         for v in range(g.n):
             if v in s:
                 continue
-            got = inst.cliques_at(s, v)
+            got = kept_cliques(inst, s, v)
             expect = _brute_max_cliques(g, set(s) | {v})
             expect = sorted(c for c in expect if v in c)
             assert sorted(got) == expect

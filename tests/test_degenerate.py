@@ -109,3 +109,12 @@ def test_edge_variant_needs_positive_k():
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
         make_instance("kdeg-induced", graph=triangle(), k=-1)
+
+
+@pytest.mark.parametrize("variant", ["kdeg-induced", "kdeg-edge"])
+@pytest.mark.parametrize("k", [1.5, True, "1"])
+def test_k_must_be_an_int(variant, k):
+    # as with vertex ids, a bool or a float that compares like an int is
+    # refused, and a string gives ValueError rather than a TypeError
+    with pytest.raises(ValueError, match="k must be an integer"):
+        make_instance(variant, graph=triangle(), k=k)

@@ -1,7 +1,7 @@
 import pytest
 
 from maxenum import (PartialOutputError, SolutionDict, enumerate_exp,
-                     make_instance)
+                     enumerate_pspace, make_instance)
 
 from conftest import build_instance, cycle, triangle
 from maxenum.graphs import Graph
@@ -119,6 +119,20 @@ def test_limit_is_prefix_of_full_run():
                                  emit=part.append, limit=limit)
         assert part == full[:limit]
         assert counters.solutions_emitted == limit
+
+
+@pytest.mark.parametrize("engine", [enumerate_exp, enumerate_pspace])
+@pytest.mark.parametrize("limit", [True, 1.5, "1"])
+def test_limit_must_be_an_int_or_none(engine, limit, monkeypatch):
+    # True once stopped a run after one solution, and 1.5 was taken as a
+    # bound; the check comes before the run opens its memos
+    inst = build_instance("bipartite-induced", 1)
+    monkeypatch.setattr(type(inst), "run_memos",
+                        lambda *_, **__: pytest.fail("the run opened its memos"))
+    got = []
+    with pytest.raises(ValueError, match="limit must be an integer or None"):
+        engine(inst, emit=got.append, limit=limit)
+    assert got == [] and inst.comp_calls == 0
 
 
 def test_counters_track_dictionary():

@@ -6,6 +6,7 @@ import pytest
 
 from maxenum import (Graph, PointSetInstance, brute_force_maximal,
                      enumerate_exp, make_instance)
+from maxenum.graphs import mask_of
 from maxenum.problems.geometry import (PointFormatError, convex_hull, in_hull,
                                        load_points, on_segment, orient)
 
@@ -142,20 +143,20 @@ def test_square_with_center():
 def test_shadows_no_obstacle_inside():
     inst = make_instance("hulls", points=PointSetInstance(
         [(0, 0), (2, 0), (1, 3)], [(9, 9)]))
-    assert inst.shadows((0, 1), 2) == [(0, 1)]
+    assert inst._shadow_masks(mask_of((0, 1)), 2) == [mask_of((0, 1))]
 
 
 def test_shadows_split_by_centroid():
     inst = make_instance("hulls", points=tri_with_centroid())
-    assert sorted(inst.shadows((0, 1), 2)) == [(0,), (1,)]
+    assert sorted(inst._shadow_masks(mask_of((0, 1)), 2)) == [mask_of((0,)), mask_of((1,))]
 
 
 def test_shadows_online_point_discarded():
     # obstacle collinear with v and point 1: point 1 lands in neither shadow
     inst = make_instance("hulls", points=PointSetInstance(
         [(0, 0), (2, 2), (4, 0)], [(1, 1)]))
-    pieces = inst.shadows((1, 2), 0)
-    assert all(1 not in piece for piece in pieces)
+    pieces = inst._shadow_masks(mask_of((1, 2)), 0)
+    assert pieces and all(not (piece >> 1) & 1 for piece in pieces)
 
 
 # -- neighbors and oracle ----------------------------------------------------------------
@@ -317,3 +318,10 @@ def test_load_points_errors(text, fragment):
 def test_connected_variant_needs_graph():
     with pytest.raises(ValueError):
         make_instance("hulls-connected", points=tri_with_centroid())
+
+
+def test_connected_variant_refuses_directed_graph():
+    # the connected family walks undirected adjacency, as the graph families do
+    points = PointSetInstance([(0, 0), (2, 0)], [], Graph(2, [(0, 1)], directed=True))
+    with pytest.raises(ValueError, match="hulls-connected expects an undirected graph"):
+        make_instance("hulls-connected", points=points)

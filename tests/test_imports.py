@@ -1,11 +1,18 @@
 """No module of the package imports a name it does not use.  A name counts
 as used when the module reads it anywhere, or lists it in ``__all__`` to
-re-export it."""
+re-export it.  No function or class the package defines goes unreferenced
+by the package and the benchmark harness, apart from the documented
+contract that only callers outside them use."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "maxenum"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "maxenum"
+PERFBENCH = ROOT / "perfbench"
+# the contract the README documents and the tests call: the membership
+# test, the completion budget and the paper's proximity measure
+UNREFERENCED_CONTRACT = {"is_solution", "comp_budget", "prefix_overlap"}
 
 
 def unused_imports(path: Path) -> list[tuple[int, str]]:
@@ -40,3 +47,49 @@ def test_an_unused_import_is_found(tmp_path):
     module.write_text("from os import path, sep\nimport os.path as osp\n"
                       "import sys\n__all__ = ['sep']\nprint(sys.argv)\n")
     assert unused_imports(module) == [(1, "path"), (2, "osp")]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name the module reads or reads an attribute by, and every
+    identifier-like string it holds: ``__all__`` entries, and the names the
+    benchmark tracer rebinds with ``getattr`` and ``setattr``."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            refs.add(node.value)
+    return refs
+
+
+def unreferenced_definitions(defining: list[Path], referencing: list[Path]):
+    """(path, line, name) of each function or class defined in ``defining``
+    whose name no module of ``referencing`` mentions; dunders are exempt."""
+    refs = set().union(*map(referenced_names, referencing))
+    return [(path, node.lineno, node.name)
+            for path in defining
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in refs
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def test_no_unreferenced_definitions():
+    src = sorted(SRC.rglob("*.py"))
+    dead = [f"{path.relative_to(SRC)}:{line}: {name}"
+            for path, line, name in unreferenced_definitions(
+                src, src + sorted(PERFBENCH.rglob("*.py")))
+            if name not in UNREFERENCED_CONTRACT]
+    assert not dead, "definitions nothing references:\n" + "\n".join(dead)
+
+
+def test_an_unreferenced_definition_is_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("class A:\n    def __init__(self): pass\n    def m(self): pass\n"
+                      "def f(): pass\ndef g(): pass\ndef h(): pass\n"
+                      "__all__ = ['f']\nsetattr(A, 'm', g)\n")
+    assert [(line, name) for _, line, name in
+            unreferenced_definitions([module], [module])] == [(6, "h")]

@@ -59,10 +59,10 @@ def test_recognition_matches_brute_force():
 
 def test_layouts_examples():
     single = make_instance("pinterval-induced-connected", graph=Graph(1, []))
-    assert single.layouts((0,)) == [(0,)]
+    assert single.canonical_order((0,)) == [0]
 
     p3 = make_instance("pinterval-induced-connected", graph=path(3))
-    assert p3.layouts((0, 1, 2)) == [(0, 1, 2), (2, 1, 0)]
+    assert p3.canonical_order((0, 1, 2)) == [0, 1, 2]
 
 
 def test_layout_prefixes_are_connected_solutions():
@@ -73,7 +73,7 @@ def test_layout_prefixes_are_connected_solutions():
         sols = []
         enumerate_exp(inst, emit=sols.append)
         for s in sols:
-            lay = inst.layouts(s)[0]
+            lay = inst.canonical_order(s)
             for i in range(1, len(lay) + 1):
                 assert len(components(g, lay[:i])) == 1
                 assert inst.is_solution(lay[:i])
@@ -99,7 +99,7 @@ def test_realization_is_exact():
         sols = []
         enumerate_exp(inst, emit=sols.append)
         for s in sols[:3]:
-            lay = inst.layouts(s)[0]
+            lay = inst.canonical_order(s)
             starts = inst._realize(lay)
             unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):

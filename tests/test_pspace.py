@@ -11,8 +11,7 @@ from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
 from maxenum.problems.base import Problem, tuple_of
-from maxenum.pspace import (children, comp_lex, core_of, has_parent, is_root,
-                            parent_of, restr)
+from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
 from conftest import build_instance, complete, cycle, path, random_graph, sparse_gnm
 
@@ -267,15 +266,15 @@ def test_core_pi_parent_on_c5():
     inst = c5_bip()
     core, pi = core_of(inst, (1, 2, 3, 4))
     assert core == [1, 2, 3] and pi == 4
-    assert parent_of(inst, (1, 2, 3, 4)) == (0, 1, 2, 3)
+    assert comp_lex(inst, core) == (0, 1, 2, 3)  # the parent
     assert comp_lex(inst, core + [pi]) == (1, 2, 3, 4)
 
 
 def test_root_has_no_core():
     inst = c5_bip()
-    assert is_root(inst, (0, 1, 2, 4))
+    # a root is the completion of its seed alone, and has no parent
+    assert comp_lex(inst, (0,)) == (0, 1, 2, 4)
     assert core_of(inst, (0, 1, 2, 4)) is None
-    assert parent_of(inst, (0, 1, 2, 4)) is None
 
 
 def test_core_needs_a_maximal_solution():
@@ -284,7 +283,7 @@ def test_core_needs_a_maximal_solution():
     inst = make_instance("trees", graph=path(3))
     assert core_of(inst, (0, 1, 2)) is None
     for bad in ((0, 2), (0, 1), ()):
-        for primitive in (is_root, core_of, parent_of, pi_of, restr):
+        for primitive in (core_of, pi_of, restr):
             with pytest.raises(ContractViolation, match="not a maximal solution"):
                 primitive(inst, bad)
 
@@ -299,7 +298,7 @@ def test_defining_identity_everywhere():
         for s in sols:
             cp = core_of(inst, s)
             if cp is None:
-                assert is_root(inst, s)
+                assert comp_lex(inst, s[:1]) == s  # a root
             else:
                 core, pi = cp
                 assert comp_lex(inst, core + [pi]) == s
@@ -371,7 +370,7 @@ def test_children_cover_non_roots_once():
         for w in range(5):
             if w not in parent:
                 produced.extend(map(tuple_of, children(inst, mask_of(parent), w)))
-    roots = [s for s in sols if is_root(inst, s)]
+    roots = [s for s in sols if comp_lex(inst, s[:1]) == s]
     assert sorted(produced) == sorted(set(sols) - set(roots))
     assert len(produced) == len(set(produced))  # each child exactly once
 
@@ -556,10 +555,12 @@ def test_restr_regenerates(variant, graph_factory):
     enumerate_exp(make_instance(variant, graph=graph_factory()),
                   emit=sols.append)
     for s in sols:
-        if is_root(inst, s):
-            continue
+        cp = core_of(inst, s)
+        if cp is None:
+            continue  # a root
+        core, pi = cp
         r = restr(inst, s)
-        assert r in inst.neighbors_at(parent_of(inst, s), pi_of(inst, s))
+        assert r in inst.neighbors_at(comp_lex(inst, core), pi)
 
 
 # -- full traversal ------------------------------------------------------------------------
@@ -656,7 +657,7 @@ def test_pspace_empty_graph(variant):
     counters = enumerate_pspace(inst, emit=got.append)
     assert got == [()]
     assert counters.roots_found == 1
-    assert is_root(inst, ())
+    assert comp_lex(inst, ()) == ()
 
 
 # -- completion memos ---------------------------------------------------------------------------
