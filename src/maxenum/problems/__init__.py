@@ -47,6 +47,8 @@ PSPACE_VARIANTS = tuple(name for name, cls in GRAPH_VARIANTS.items()
 
 def make_instance(variant: str, *, graph: Graph = None,
                   points: PointSetInstance = None, k: int = None) -> Problem:
+    if k is not None and (variant in GRAPH_VARIANTS or variant in POINT_VARIANTS):
+        raise ValueError(f"{variant} takes no parameter k")
     if variant in GRAPH_VARIANTS:
         if graph is None:
             raise ValueError(f"{variant} needs a graph")

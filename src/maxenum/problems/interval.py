@@ -2,10 +2,12 @@
 
 A vertex set is a solution when every component admits a unit-interval
 arrangement: an ordering in which each vertex's earlier neighbors form a
-clique occupying a suffix of the order.  Candidate generation inserts the
-incoming vertex into an exact integer realization of that arrangement at
-the finitely many combinatorially distinct positions, then repairs the
-arrangement by deleting the vertices that contradict it.
+clique occupying a suffix of the order.  Recognition builds the
+lexicographically smallest such arrangement greedily, in polynomial time.
+Candidate generation inserts the incoming vertex into an exact integer
+realization of that arrangement at the finitely many combinatorially
+distinct positions, then repairs the arrangement by deleting the vertices
+that contradict it.
 """
 
 from __future__ import annotations
@@ -17,59 +19,39 @@ from .base import GraphProblem, tuple_of
 
 
 class _ProperIntervalBase(GraphProblem):
-    # component layouts, looked up by predicate and candidate rule alike
-    RUN_MEMOS = (*GraphProblem.RUN_MEMOS, "_layout_cache")
-
     # -- recognition -----------------------------------------------------
     def component_layout(self, cmask: int) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest unit-interval order of a connected
-        vertex set, or None when there is none.
+        vertex set, or None when there is none: each vertex's neighbors
+        among the earlier ones form a clique that ends the order so far.
 
-        Placement rule: each added vertex must see its neighbors among the
-        placed ones as a clique forming a suffix of the partial order.
+        The true-twin classes of a connected proper interval graph run in
+        one sequence, unique up to reversal (Roberts 1969; Deng, Hell &
+        Huang 1996), so from each start the fitting vertex with the most
+        placed neighbors, then the fewest in the set, then the smallest id
+        comes next in that order, if one starts there.
         """
-        hit = self._layout_cache.get(cmask, "miss")
-        if hit != "miss":
-            return hit
         und = self.g.und_mask
         verts = tuple_of(cmask)
-        order: list[int] = []
-        placed = 0
-
-        def fits(x: int) -> bool:
-            nb = und[x] & placed
-            if order and not nb:
-                return False
-            cnt = nb.bit_count()
-            suffix = order[len(order) - cnt:]
-            for w in suffix:
-                if not (nb >> w) & 1:
-                    return False
-            for i, u in enumerate(suffix):
-                for w in suffix[i + 1:]:
-                    if not (und[u] >> w) & 1:
-                        return False
-            return True
-
-        def search() -> bool:
-            nonlocal placed
+        for start in verts:
+            order, pre = [start], [0, 1 << start]  # pre[i]: mask of order[:i]
+            while len(order) < len(verts):
+                placed = pre[-1]
+                fit = []
+                for x in verts:
+                    nb = und[x] & placed
+                    cnt = nb.bit_count()
+                    # nb must be the last cnt placed, and those form a clique: else x,
+                    # seeing all but the last, outranked the last when it was placed
+                    if cnt and not (placed >> x) & 1 and nb == placed ^ pre[-cnt - 1]:
+                        fit.append((-cnt, (und[x] & cmask).bit_count(), x))
+                if not fit:
+                    break
+                order.append(min(fit)[2])
+                pre.append(placed | 1 << order[-1])
             if len(order) == len(verts):
-                return True
-            for x in verts:
-                b = 1 << x
-                if placed & b or not fits(x):
-                    continue
-                order.append(x)
-                placed |= b
-                if search():
-                    return True
-                order.pop()
-                placed &= ~b
-            return False
-
-        result = tuple(order) if search() else None
-        self._layout_cache[cmask] = result
-        return result
+                return tuple(order)
+        return None if verts else ()
 
     def _solution_mask(self, mask: int) -> bool:
         # the base has already made a connected variant's set one component
@@ -280,7 +262,7 @@ class _ProperIntervalBase(GraphProblem):
         return 40 * self.g.m * n * hosts + n
 
     def vertex_order(self, und, out, mask: int) -> list[int]:
-        """The cached layouts of the components, by smallest vertex; the
+        """The layouts of the components, by smallest vertex; the
         family has no edge twin, so ``und`` is always the graph's own."""
         order: list[int] = []
         for c in mask_components(und, mask):

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
+from maxenum.graphs import mask_components
+from maxenum.problems.base import tuple_of
 
-from conftest import components, cycle, path, random_graph, star
+from conftest import complete, components, cycle, path, random_graph, star
 
 
 def _brute_unit_order(g, cand):
@@ -77,6 +79,104 @@ def test_layout_prefixes_are_connected_solutions():
             for i in range(1, len(lay) + 1):
                 assert len(components(g, lay[:i])) == 1
                 assert inst.is_solution(lay[:i])
+
+
+# -- the backtracking search, kept as the witness of the greedy layout -----
+
+def layout_witness(inst, cmask):
+    """Lexicographically smallest unit-interval order of a connected vertex
+    set by depth-first search over placements, or None: factorial time when
+    no order exists, so only for small sets."""
+    und = inst.g.und_mask
+    verts = tuple_of(cmask)
+    order: list[int] = []
+    placed = 0
+
+    def fits(x):
+        nb = und[x] & placed
+        if order and not nb:
+            return False
+        suffix = order[len(order) - nb.bit_count():]
+        return (all((nb >> w) & 1 for w in suffix)
+                and all((und[u] >> w) & 1
+                        for u, w in itertools.combinations(suffix, 2)))
+
+    def search():
+        nonlocal placed
+        if len(order) == len(verts):
+            return True
+        for x in verts:
+            if (placed >> x) & 1 or not fits(x):
+                continue
+            order.append(x)
+            placed |= 1 << x
+            if search():
+                return True
+            order.pop()
+            placed &= ~(1 << x)
+        return False
+
+    return tuple(order) if search() else None
+
+
+def _assert_layouts_match(g, masks):
+    inst = make_instance("pinterval-induced", graph=g)
+    for mask in masks:
+        for c in mask_components(g.und_mask, mask):
+            assert inst.component_layout(c) == layout_witness(inst, c), (g.edges, c)
+
+
+def test_layout_of_empty_set():
+    inst = make_instance("pinterval-induced", graph=path(3))
+    assert inst.component_layout(0) == ()
+    assert layout_witness(inst, 0) == ()
+
+
+def test_layout_matches_witness_on_small_graphs():
+    # every labelled graph on at most 5 vertices; the disconnected ones are
+    # compared component by component
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for em in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if (em >> i) & 1])
+            _assert_layouts_match(g, [(1 << n) - 1])
+
+
+def test_layout_matches_witness_on_random_subsets():
+    rng = random.Random(89)
+    pairs = {n: list(itertools.combinations(range(n), 2)) for n in range(2, 11)}
+    for _ in range(1000):
+        n = rng.randint(2, 10)
+        m = rng.randint(n - 1, len(pairs[n]))
+        g = Graph(n, rng.sample(pairs[n], m))
+        _assert_layouts_match(g, [rng.randrange(1 << n) for _ in range(4)])
+
+
+def test_layout_matches_witness_on_unit_interval_graphs_with_twins():
+    # coarse starts put many intervals at one point, so true twins abound;
+    # one extra edge may or may not leave the graph proper interval
+    rng = random.Random(97)
+    for _ in range(120):
+        n = rng.randint(2, 12)
+        pos = sorted(rng.choice((0, 5, 10, 15, 20, 25)) for _ in range(n))
+        ids = list(range(n))
+        rng.shuffle(ids)
+        edges = {tuple(sorted((ids[i], ids[j])))
+                 for i, j in itertools.combinations(range(n), 2)
+                 if pos[j] - pos[i] < 10}
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph(n, sorted(edges))
+        _assert_layouts_match(g, [(1 << n) - 1, *(rng.randrange(1 << n)
+                                                 for _ in range(2))])
+
+
+def test_clique_with_claw_has_no_layout():
+    # K_9 on 0-8 with 8 also adjacent to 9, 10 and 11: a depth-first layout
+    # search tries the clique's orders before failing on the claw (142 s)
+    g = Graph(12, [*complete(9).edges, (8, 9), (8, 10), (8, 11)])
+    inst = make_instance("pinterval-induced", graph=g)
+    assert inst.component_layout((1 << 12) - 1) is None
+    assert not inst.is_solution(range(12))
 
 
 def test_unique_maximal_path():

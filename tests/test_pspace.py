@@ -663,9 +663,8 @@ def test_pspace_empty_graph(variant):
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
 # ``_lex_memo``, exp in ``_comp_memo``; the memos a class names in ``RUN_MEMOS``
-# (the predicate memo, pinterval's layouts, the hulls' obstacles inside) are
-# opened afresh by every run as well, while calls outside a run use the
-# instance's own
+# (the predicate memo, the hulls' obstacles inside) are opened afresh by every
+# run as well, while calls outside a run use the instance's own
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
@@ -828,8 +827,9 @@ def test_seeded_completion_stops_and_finishes(monkeypatch):
         assert memo == {0b001: full}
 
 
-# (engine, variant, corpus index): both engines, and the exp families that
-# add a memo of their own to ``RUN_MEMOS``
+# (engine, variant, corpus index): both engines, an exp family that keeps only
+# the shared predicate memo (pinterval) and one that adds a memo of its own to
+# ``RUN_MEMOS`` (hulls)
 RUN_SCOPED = [pytest.param("exp", "forests", 9, id="exp"),
               pytest.param("pspace", "forests", 9, id="pspace"),
               pytest.param("exp", "pinterval-induced", 2, id="exp-pinterval-induced"),
