@@ -17,8 +17,8 @@ from . import engine, pspace
 from .oracle import brute_force_maximal, check_cap
 from .problems import (ALL_VARIANTS, K_VARIANTS, POINT_VARIANTS,
                        PSPACE_VARIANTS, make_instance)
-from .problems.geometry import PointFormatError, load_points
-from .graphs import GraphFormatError, load_graph
+from .problems.geometry import load_points
+from .graphs import load_graph
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"maxenum: cannot read {args.input}: {exc}", file=err)
         return 1
@@ -97,17 +97,14 @@ def main(argv=None) -> int:
                 problem = make_instance(args.problem, graph=g)
         if args.oracle_check:
             check_cap(problem)  # before the run, which may print much
-    except (GraphFormatError, PointFormatError, ValueError) as exc:
+    except ValueError as exc:  # GraphFormatError and PointFormatError too
         print(f"maxenum: {exc}", file=err)
         return 1
 
-    prefix = "v" if problem.ground_kind == "v" else "e"
-    count = 0
+    prefix = problem.ground_kind
     collected = [] if args.oracle_check else None
 
     def emit(sol):
-        nonlocal count
-        count += 1
         if collected is not None:
             collected.append(sol)
         if not args.count_only:
@@ -117,7 +114,7 @@ def main(argv=None) -> int:
     try:
         counters = run(problem, emit=emit, limit=args.limit)
         if args.count_only:
-            print(count)
+            print(counters.solutions_emitted)
         sys.stdout.flush()
     except (engine.PartialOutputError, BrokenPipeError) as exc:
         if not isinstance(exc.__cause__ or exc, BrokenPipeError):

@@ -7,6 +7,7 @@ reduce to "smallest id first".
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 
@@ -106,44 +107,53 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def int_pair(fields, bad: Exception) -> tuple[int, int]:
+    """The two integers of a split line, each an optional sign and ASCII
+    digits; more or fewer fields, or any other field, raise ``bad``."""
+    if len(fields) == 2 and _INT.fullmatch(fields[0]) and _INT.fullmatch(fields[1]):
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise bad
+
+
+def read_counted(text: str, shape: str, marker: str, error: type):
+    """Read the header "a b [marker]" of a file given as ``shape`` "a b":
+    (its line number, a, b, whether the marker is present, the other rows
+    as (line number, stripped line)).  Blank lines and '#' comment lines
+    are dropped; a missing or malformed header, or a negative count,
+    raises ``error`` naming the line."""
+    rows = [(lineno, line) for lineno, line in
+            enumerate((raw.strip() for raw in text.splitlines()), start=1)
+            if line and not line.startswith("#")]
+    if not rows:
+        raise error(f"line 0: missing header line '{shape} [{marker}]'")
+    (hline, header), rows = rows[0], rows[1:]
+    fields = header.split()
+    marked = len(fields) == 3 and fields[2] == marker
+    a, b = int_pair(fields[:2] if marked else fields,
+                    error(f"line {hline}: bad header {header!r}"))
+    if a < 0 or b < 0:
+        raise error(f"line {hline}: negative count in header")
+    return hline, a, b, marked, rows
+
+
 def load_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m [directed]", then m lines "u v".
 
-    Comment lines start with '#'.  Duplicate edges are dropped (ids follow
-    first occurrence); malformed lines, out-of-range ids and self-loops
-    raise GraphFormatError naming the offending line number.
+    Blank lines and comment lines, which start with '#', are skipped, and
+    ids are ASCII decimal integers with an optional sign.  Duplicate edges
+    are dropped (ids follow first occurrence); malformed lines, out-of-range
+    ids and self-loops raise GraphFormatError naming the offending line.
     """
-    header = None
-    header_line = 0
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            header_line = lineno
-        else:
-            rows.append((lineno, line))
-    if header is None:
-        raise GraphFormatError("line 0: missing header line 'n m [directed]'")
-    parts = header.split()
-    directed = False
-    if len(parts) == 3 and parts[2] == "directed":
-        directed = True
-        parts = parts[:2]
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {header_line}: bad header {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"line {header_line}: bad header {header!r}") from None
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"line {header_line}: negative count in header")
+    hline, n, m, directed, rows = read_counted(text, "n m", "directed", GraphFormatError)
     if len(rows) != m:
         raise GraphFormatError(
-            f"line {header_line}: header declares {m} edges, found {len(rows)}")
-
+            f"line {hline}: header declares {m} edges, found {len(rows)}")
     return Graph(n, parse_edge_lines(rows, n, directed), directed=directed)
 
 
@@ -154,13 +164,7 @@ def parse_edge_lines(rows, n: int, directed: bool,
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, line in rows:
-        fields = line.split()
-        if len(fields) != 2:
-            raise error(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise error(f"line {lineno}: expected 'u v', got {line!r}") from None
+        u, v = int_pair(line.split(), error(f"line {lineno}: expected 'u v', got {line!r}"))
         if not (0 <= u < n and 0 <= v < n):
             raise error(f"line {lineno}: vertex id out of range in {line!r}")
         if u == v:

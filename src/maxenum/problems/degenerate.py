@@ -37,17 +37,21 @@ def _degeneracy_layout(und, out, mask: int) -> list[int]:
     return order
 
 
-class KDegenerateInduced(GraphProblem):
-    variant = "kdeg-induced"
+class _KDegenerate(GraphProblem):
     vertex_order = staticmethod(_degeneracy_layout)
+    min_k = 0
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g)
         if type(k) is not int:
             raise ValueError(f"k must be an integer: k={k!r}")
-        if k < 0:
-            raise ValueError("k must be non-negative")
+        if k < self.min_k:
+            raise ValueError(f"{self.variant} needs k >= {self.min_k}: k={k}")
         self.k = k
+
+
+class KDegenerateInduced(_KDegenerate):
+    variant = "kdeg-induced"
 
     def _solution_mask(self, mask: int) -> bool:
         return _peel_ok_vertices(self.g.und_mask, mask, self.k)
@@ -65,18 +69,10 @@ class KDegenerateInduced(GraphProblem):
         return n * sum(comb(n, i) for i in range(self.k + 1))
 
 
-class KDegenerateEdge(GraphProblem):
+class KDegenerateEdge(_KDegenerate):
     variant = "kdeg-edge"
     ground_kind = "e"
-    vertex_order = staticmethod(_degeneracy_layout)
-
-    def __init__(self, g: Graph, k: int):
-        super().__init__(g)
-        if type(k) is not int:
-            raise ValueError(f"k must be an integer: k={k!r}")
-        if k < 1:
-            raise ValueError("the edge variant needs k >= 1")
-        self.k = k
+    min_k = 1
 
     def _solution_mask(self, emask: int) -> bool:
         # the induced peel, run on the spanned subgraph

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import Graph, bits, mask_components, mask_of, parse_edge_lines
+from ..graphs import (Graph, bits, int_pair, mask_components, mask_of, parse_edge_lines,
+                      read_counted)
 from .base import Problem
 
 COORD_LIMIT = 10 ** 6
@@ -94,54 +95,23 @@ class PointSetInstance:
 
 def load_points(text: str) -> PointSetInstance:
     """Parse "j h [connected]", then j interest and h obstacle lines "x y",
-    then edge lines "u v" when the connected marker is present; as in
-    ``load_graph``, duplicate edge lines are dropped."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            rows.append((lineno, line))
-    if not rows:
-        raise PointFormatError("line 0: missing header line 'j h [connected]'")
-    hline, header = rows[0]
-    parts = header.split()
-    connected = False
-    if len(parts) == 3 and parts[2] == "connected":
-        connected = True
-        parts = parts[:2]
-    if len(parts) != 2:
-        raise PointFormatError(f"line {hline}: bad header {header!r}")
-    try:
-        j, h = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise PointFormatError(f"line {hline}: bad header {header!r}") from None
-    if j < 0 or h < 0:
-        raise PointFormatError(f"line {hline}: negative count in header")
-
-    body = rows[1:]
+    then edge lines "u v" when the connected marker is present.  As in
+    ``load_graph``, blank and '#' comment lines are skipped, numbers are
+    ASCII decimal integers with an optional sign, and duplicate edge lines
+    are dropped; errors raise PointFormatError naming the line."""
+    hline, j, h, connected, body = read_counted(text, "j h", "connected", PointFormatError)
     if len(body) < j + h:
         raise PointFormatError(f"line {hline}: expected {j + h} point lines")
-
-    def parse_point(lineno, line):
-        fields = line.split()
-        if len(fields) != 2:
-            raise PointFormatError(f"line {lineno}: expected 'x y', got {line!r}")
-        try:
-            return int(fields[0]), int(fields[1])
-        except ValueError:
-            raise PointFormatError(
-                f"line {lineno}: expected 'x y', got {line!r}") from None
-
-    interest = [parse_point(*row) for row in body[:j]]
-    obstacles = [parse_point(*row) for row in body[j:j + h]]
+    points = [int_pair(line.split(),
+                       PointFormatError(f"line {lineno}: expected 'x y', got {line!r}"))
+              for lineno, line in body[:j + h]]
     graph = None
     if connected:
         graph = Graph(j, parse_edge_lines(body[j + h:], j, False, PointFormatError))
     elif len(body) > j + h:
-        lineno = body[j + h][0]
-        raise PointFormatError(f"line {lineno}: unexpected trailing line")
+        raise PointFormatError(f"line {body[j + h][0]}: unexpected trailing line")
     try:
-        return PointSetInstance(interest, obstacles, graph)
+        return PointSetInstance(points[:j], points[j:], graph)
     except ValueError as exc:
         raise PointFormatError(str(exc)) from None
 

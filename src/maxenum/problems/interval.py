@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import bits, chordal_cliques, mask_components, mask_of
+from ..graphs import bits, chordal_cliques, mask_components
 from .base import GraphProblem, tuple_of
 
 
@@ -213,30 +213,31 @@ class _ProperIntervalBase(GraphProblem):
         und = self.g.und_mask
         for v in incoming:
             if self.connected:
-                if not smask:
-                    yield 1 << v
-                    continue
-                arrangements = []
-                for host in self._hosts(smask, v):
-                    for cmask in mask_components(und, host):
-                        arrangements.extend(self._reps(cmask, v))
-                for order in dict.fromkeys(arrangements):
-                    cmask = mask_of(order)
-                    starts = self._realize(order)
-                    for sv in self._insert_positions(starts):
-                        yield self._repair_connected(cmask, order, starts,
-                                                     v, sv)
+                # the first insertion position lies before every interval,
+                # and a component without a neighbor of v keeps none of them:
+                # both leave v alone once cut, so yield that once and arrange
+                # only the host components that touch v, each once
+                yield 1 << v
+                for cmask in dict.fromkeys(c for host in self._hosts(smask, v)
+                                           for c in mask_components(und, host) if c & und[v]):
+                    for order in self._reps(cmask, v):
+                        starts = self._realize(order)
+                        for sv in self._insert_positions(starts):
+                            yield self._repair_connected(cmask, order, starts, v, sv)
                 continue
             # the incoming vertex may start a new component: drop all its
             # neighbors and keep the rest of the solution untouched
             yield (smask & ~und[v]) | (1 << v)
             tried: set[tuple] = set()
+            arranged: dict[int, list] = {}  # _reps of each component, once per v
             for host in self._hosts(smask, v):
                 comps = mask_components(und, host)
                 for t_prev in bits(und[v] & host):
                     ci = next(c for c in comps if (c >> t_prev) & 1)
                     keep = host & ~ci & ~und[v]
-                    for order in self._reps(ci, v):
+                    if ci not in arranged:
+                        arranged[ci] = self._reps(ci, v)
+                    for order in arranged[ci]:
                         key = (order, keep, t_prev)
                         if key in tried:
                             continue

@@ -81,6 +81,21 @@ def test_non_utf8_file_exits_1(tmp_path, capsys):
     assert err.startswith(f"maxenum: cannot read {bad}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem,text", [
+    ("forests", "# K4 with a comment\n" + K4),
+    ("hulls", "3 1\n0 0\n6 0\n0 6\n2 2\n"),
+], ids=["graph", "points"])
+def test_byte_order_mark_is_accepted(tmp_path, capsys, problem, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    expected = run_cli(["--problem", problem, "--input", str(plain)], capsys)
+    code, out, err = run_cli(["--problem", problem, "--input", str(marked)], capsys)
+    assert expected[0] == code == 0 and err == ""
+    assert out.splitlines() == expected[1].splitlines() != []
+
+
 def test_k_required_and_guarded(k4_file, capsys):
     code, _, err = run_cli(["--problem", "kdeg-induced", "--input", k4_file],
                            capsys)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
 from maxenum.problems.degenerate import _peel_ok_vertices
+from maxenum.problems.geometry import PointFormatError, load_points
 from maxenum.problems.trees import _is_forest
 
 from conftest import complete, components, cycle, path, random_graph, star, triangle
@@ -78,6 +80,38 @@ def test_load_comments_and_duplicates():
 def test_load_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         load_graph(text)
+
+
+# fields that Python's int() reads but the formats do not: a digit
+# separator, a full-width zero and an Arabic-Indic three
+@pytest.mark.parametrize("field", ["1_2", "\uff10", "\u0663"])
+@pytest.mark.parametrize("load,error,text,fragment", [
+    (load_graph, GraphFormatError, "{} 1\n0 1", "line 1: bad header"),
+    (load_graph, GraphFormatError, "13 {}\n", "line 1: bad header"),
+    (load_graph, GraphFormatError, "13 1\n0 {}", "line 2: expected 'u v'"),
+    (load_points, PointFormatError, "{} 0\n0 0", "line 1: bad header"),
+    (load_points, PointFormatError, "1 0\n# a point\n{} 3", "line 3: expected 'x y'"),
+    (load_points, PointFormatError, "2 0 connected\n0 0\n1 1\n0 {}",
+     "line 4: expected 'u v'"),
+], ids=["graph-header-n", "graph-header-m", "graph-edge", "points-header",
+        "points-point", "points-edge"])
+def test_loaders_read_only_ascii_decimal_integers(load, error, text, fragment, field):
+    with pytest.raises(error, match=fragment):
+        load(text.format(field))
+
+
+def test_a_field_past_the_digit_limit_names_its_line():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    with pytest.raises(GraphFormatError, match="line 2: expected 'u v'"):
+        load_graph("3 1\n0 " + "1" * (limit + 1))
+
+
+def test_loaders_keep_signed_integers():
+    g = load_graph("+3 1\n0 +2")
+    assert (g.n, g.edges) == (3, ((0, 2),))
+    assert load_points("1 0\n+3 -4").interest == [(3, -4)]
 
 
 def test_graph_rejects_negative_vertex_count():

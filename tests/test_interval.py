@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
-from maxenum.graphs import mask_components
+from maxenum.graphs import bits, mask_cc, mask_components, mask_of
 from maxenum.problems.base import tuple_of
+from maxenum.problems.interval import _ProperIntervalBase
 
-from conftest import complete, components, cycle, path, random_graph, star
+from conftest import build_instance, complete, components, cycle, path, random_graph, star
 
 
 def _brute_unit_order(g, cand):
@@ -204,6 +205,41 @@ def test_realization_is_exact():
             unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):
                 assert (abs(su - sw) < unit) == (w in g.und_adj[u])
+
+
+@pytest.mark.parametrize("variant", ["pinterval-induced", "pinterval-induced-connected"])
+def test_insertion_lemma_and_touching_components(variant, monkeypatch):
+    # the first insertion position lies before every interval, so its
+    # connected repair keeps no neighbor of v; a host component without a
+    # neighbor of v keeps none at any position; so both cut to {v}, and the
+    # rule arranges only the components that touch v, each once per v
+    arranged = []
+    reps = _ProperIntervalBase._reps
+    monkeypatch.setattr(_ProperIntervalBase, "_reps",
+                        lambda self, c, v: arranged.append(c) or reps(self, c, v))
+    for i in range(12):
+        inst = build_instance(variant, i)
+        und = inst.g.und_mask
+        sols = []
+        enumerate_exp(inst, emit=sols.append)
+        for s in sols[:4]:
+            smask = mask_of(s)
+            for v in bits((1 << inst.g.n) - 1 & ~smask):
+                arranged.clear()
+                first = next(iter(inst._candidates(smask, (v,))))
+                assert first == ((1 << v) if inst.connected else (smask & ~und[v]) | 1 << v)
+                list(inst._candidates(smask, (v,)))
+                assert all(c & und[v] for c in arranged)
+                assert len(arranged) == len(set(arranged))
+                for c in {c for h in inst._hosts(smask, v) for c in mask_components(und, h)}:
+                    for order in reps(inst, c, v):
+                        starts = inst._realize(order)
+                        at = inst._insert_positions(starts)
+                        assert at[0] + (1 << len(order)) < starts[0]
+                        # a touching component: the first position alone
+                        for sv in at[:1] if c & und[v] else at:
+                            cand = inst._repair_connected(c, order, starts, v, sv)
+                            assert mask_cc(und, cand, v) == 1 << v
 
 
 # -- the rational realization, kept as the witness of the integer one ------
