@@ -29,6 +29,9 @@ ContractViolation, and a completion taken from the run's memo is not
 counted in ``comp_calls``.  The seeded form of ``comp_lex_mask`` stops at
 the first element it would add below its seed; the run's memo keeps the
 set it reached, and a later full request finishes from it, uncounted.
+A lexicographic round that must choose takes the least key from the
+layers of its seed's component (``_seed_pick``) and builds
+``order_keys`` only when that component touches no addable element.
 Both engines walk bitmasks with a memoized predicate; solutions cross the
 public API (``neighbors``, ``neighbors_at``, ``comp``) as sorted tuples of
 element ids, checked on the way in.  Every memo belongs to a run:
@@ -387,36 +390,62 @@ class PspaceProblem(GraphProblem):
         the family has one, else by ``sol``, and one rejected stays
         rejected, since all four families are hereditary, or hereditary once
         connected.  Only a round with two or more addable elements reads the
-        order: it adds the one of least ``order_keys``, rooted at the seed.
+        order: ``_seed_pick`` takes the least key from the layers of the
+        seed's own component, and only when that component touches none of
+        them does the round add the one of least ``order_keys``.
         """
         ok, sol = self._extension_test, self.sol
         reach = self._reach(xmask)
         rejected = 0
         while True:
-            ext = []
+            ext = 0
             scan = reach & ~rejected
             while scan:
                 b = scan & -scan
                 scan ^= b
-                e = b.bit_length() - 1
-                if sol(xmask | b) if ok is None else ok(xmask, e):
-                    ext.append(e)
+                if sol(xmask | b) if ok is None else ok(xmask, b.bit_length() - 1):
+                    ext |= b
                 else:
                     rejected |= b
             if not ext:
                 return xmask
             if not xmask:
                 raise ContractViolation("an empty set has no seed")
-            if len(ext) == 1:
-                best = ext[0]  # the order is not needed to choose
+            if not ext & (ext - 1):
+                b = ext  # the order is not needed to choose
             else:
-                seed = (xmask & -xmask).bit_length() - 1
-                best = min(self.order_keys(xmask, seed, ext).values())[2]  # keys end with e
-            b = 1 << best
+                b = self._seed_pick(xmask, ext)
+                if not b:
+                    seed = (xmask & -xmask).bit_length() - 1
+                    b = 1 << min(self.order_keys(xmask, seed, bits(ext)).values())[2]
             if b < stop:
                 return ~(xmask | b)
             reach = self._grow_reach(reach, xmask, b)
             xmask |= b
+
+    def _seed_pick(self, xmask: int, ext: int) -> int:
+        """The bit of the element of ``ext`` with the least ``order_keys``
+        key under the order rooted at the seed of ``xmask``, when the seed's
+        component of G[X] touches ``ext``; else 0.  The first layer of that
+        component whose neighbors hold an element of ``ext`` keys them
+        (0, depth + 1, e), below every other key, so its smallest one wins
+        and no later layer or other component is walked."""
+        und = self.g.und_mask
+        layer = xmask & -xmask
+        left = xmask ^ layer
+        while layer:
+            nbrs = 0
+            scan = layer
+            while scan:
+                low = scan & -scan
+                nbrs |= und[low.bit_length() - 1]
+                scan ^= low
+            hit = nbrs & ext
+            if hit:
+                return hit & -hit
+            layer = nbrs & left
+            left ^= layer
+        return 0
 
     def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
         """Sort keys for elements of X and X+ under the order rooted at v.

@@ -22,21 +22,25 @@ Besides one completion memo, four things keep the regeneration cheap.
 Different parents regenerate the same candidates and prefixes, so a run
 keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries.
 The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
-only its reach and its rejected elements across rounds, and builds order
-keys only in a round that must choose between two or more addable
-elements.  Root discovery and ``_regenerate`` discard a completion whose
-seed changed, so they ask for the seeded form, which stops at the first
-element it would add below its seed; the memo keeps the stopped set for
-a later full request to finish.  ``children`` drops a
-(candidate r, seed s) pair before any walk unless s lies below the pivot,
-has no smaller neighbor in r and lies in the parent: a pair that fails
-one of them yields no child (see ``children``).  ``_regenerate`` walks
-the order's BFS layers (``graphs.mask_layers``) only up to the pivot, and
-drops the seed as soon as a layer holds a smaller element.  The parent
-check (``has_parent``) judges the pivot first: the prefix before it must
-lie inside the parent and complete to it, and only then are the longer
-prefixes scanned; ``core_of`` and ``restr`` run the same scan down to the
-first element.
+only its reach and its rejected elements across rounds, and reads the
+order only in a round that must choose between two or more addable
+elements: it walks the layers of the seed's own component and stops at
+the first one that touches an addable element, and builds order keys
+only when none does.  Root discovery and ``_regenerate`` discard a
+completion whose seed changed, so they ask for the seeded form, which
+stops at the first element it would add below its seed; the memo keeps
+the stopped set for a later full request to finish.  ``children`` drops
+a (candidate r, seed s) pair before any walk unless s lies below the
+pivot, has no smaller neighbor in r, has a neighbor in r or is its
+smallest element, and lies in the parent: a pair that fails one of them
+yields no child (see ``children``).  ``_regenerate`` walks the order's
+BFS layers (``graphs.mask_layers``) only up to the pivot, and drops the
+seed as soon as a layer holds a smaller element.  The parent check
+(``has_parent``) judges the pivot first: it walks the child's layers up
+to the pivot and stops at the first that leaves the parent, the prefix
+before the pivot must complete to the parent, and only then is the
+child's whole order built and the longer prefixes scanned;
+``core_of`` and ``restr`` run the same scan down to the first element.
 """
 
 from __future__ import annotations
@@ -109,24 +113,35 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
 
 def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     """Whether the child mask ``cmask`` has the parent mask ``pmask`` and the
-    pivot w, an element of the child.
+    pivot w, an element of the child; a w outside it raises
+    ContractViolation.
 
     With i the position of w in the child's solution order, this is exactly
     ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
     judged pivot first: order[:i] must lie inside the parent, its completion,
     before it is completed and compared with the parent, and only then must
-    every longer prefix complete to the child.  The verdict rests on the
-    child alone: its order is built afresh by ``vertex_order``, and nothing
-    is kept between calls.
+    every longer prefix complete to the child.  order[:i] is read off the
+    child's layers (``graphs.mask_layers``) up to w's, and the walk stops at
+    the first layer that leaves the parent; the whole order is built, by
+    ``vertex_order``, only when order[:i] completes to the parent.  The
+    verdict rests on the child alone, and nothing is kept between calls.
     """
-    order = problem.vertex_order(problem.g.und_mask, problem.g.out_mask, cmask)
-    i = order.index(w)
-    core = mask_of(order[:i])
-    if i == 0 or core & ~pmask or pmask == cmask:
+    if not (cmask >> w) & 1:
+        raise ContractViolation(f"pivot {w} is not in the child")
+    if pmask == cmask:
         return False
-    if problem.comp_lex_mask(core) != pmask:
+    und, core = problem.g.und_mask, 0
+    for _, _, layer, _ in mask_layers(und, cmask, (cmask & -cmask).bit_length() - 1):
+        if (layer >> w) & 1:
+            core |= layer & ((1 << w) - 1)
+            break
+        if layer & ~pmask:
+            return False
+        core |= layer
+    if not core or core & ~pmask or problem.comp_lex_mask(core) != pmask:
         return False
-    return _core_scan(problem, order, cmask, i + 1) is None
+    order = problem.vertex_order(und, problem.g.out_mask, cmask)
+    return _core_scan(problem, order, cmask, core.bit_count() + 1) is None
 
 
 def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
@@ -176,10 +191,13 @@ def children(problem: PspaceProblem, pmask: int, w: int,
       smallest element;
     - s has no smaller neighbor in r, since such a neighbor lies in layer
       1 of r's order from s, and so in every prefix up to w (w != s);
+    - s has a neighbor in r or is its smallest element, since a lone s is
+      a component of its own, so the next layer is {min(r)}, which lies
+      below s and before w (min(r) < s < w);
     - s lies in the parent, since s is the first element of the child's
       order and ``has_parent`` rejects a child whose elements before w
       leave the parent.
-    The first two skip pairs that regenerate nothing.  The third skips a
+    The first three skip pairs that regenerate nothing.  The last skips a
     child at every pair that regenerates it, since all those pairs have
     its seed s, so it cuts only children that would be rejected.
 
@@ -200,8 +218,11 @@ def children(problem: PspaceProblem, pmask: int, w: int,
             low = seeds & -seeds
             seeds ^= low
             s = low.bit_length() - 1
-            if und[s] & rmask & (low - 1):
+            near = und[s] & rmask
+            if near & (low - 1):
                 continue  # a smaller neighbor of s lies in every prefix
+            if not near and low != rmask & -rmask:
+                continue  # s is alone in r, and min(r) leads the next layer
             cmask = _regenerate(problem, rmask, s, w)
             if not cmask or cmask in judged:
                 continue  # the child's seed is not s, or it was judged

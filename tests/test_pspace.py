@@ -10,7 +10,7 @@ from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
                      make_instance)
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
-from maxenum.problems.base import Problem, tuple_of
+from maxenum.problems.base import Problem, PspaceProblem, bfs_order, tuple_of
 from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
 from conftest import build_instance, complete, cycle, path, random_graph, sparse_gnm
@@ -260,6 +260,39 @@ def test_order_keys_match_witness(variant):
     assert several >= 100
 
 
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_seed_pick_matches_order_keys(variant, monkeypatch):
+    # every choosing round of the lexicographic completions of pspace runs,
+    # on corpus instances and sparse random graphs: where the seed's
+    # component touches an addable element, the pick is the element of
+    # least ``order_keys`` key; where it touches none, the round falls back
+    # to ``order_keys`` itself
+    original = PspaceProblem._seed_pick
+    picked = fallen = 0
+
+    def checked(self, xmask, ext):
+        nonlocal picked, fallen
+        b = original(self, xmask, ext)
+        seed = (xmask & -xmask).bit_length() - 1
+        if b:
+            best = min(self.order_keys(xmask, seed, bits(ext)).values())[2]
+            assert b == 1 << best, (variant, self.g.edges, tuple_of(xmask), tuple_of(ext))
+            picked += 1
+        else:
+            own = mask_cc(self.g.und_mask, xmask, seed)
+            assert not mask_of(x for u in bits(own) for x in self.g.und_adj[u]) & ext, (
+                variant, self.g.edges, tuple_of(xmask), tuple_of(ext))
+            fallen += 1
+        return b
+
+    monkeypatch.setattr(PspaceProblem, "_seed_pick", checked)
+    for inst in regeneration_instances(variant):
+        enumerate_pspace(inst)
+    assert picked >= 1000, picked
+    # a connected family's set is one component, which its reach touches
+    assert fallen == 0 if inst.connected else fallen >= 100, fallen
+
+
 # -- core / parent / pi ----------------------------------------------------------------
 
 def test_core_pi_parent_on_c5():
@@ -348,6 +381,31 @@ def test_parent_check_pivot_first():
     # and holds it, but a solution is not its own parent
     assert inst.canonical_order((0, 1, 2, 4)) == [0, 1, 4, 2]
     assert not has_parent(inst, mask_of((0, 1, 2, 4)), mask_of((0, 1, 2, 4)), 1)
+
+
+def test_parent_check_stops_before_the_pivot_layer(monkeypatch):
+    # on C5 the child (1, 2, 3, 4) has the layers {1}, {2}, {3}, {4}; for
+    # the parent (0, 1, 2, 4) and the pivot 4 the layer {3} already leaves
+    # the parent, so the check builds no order and completes nothing
+    inst = c5_bip()
+    built = []
+    monkeypatch.setattr(inst, "vertex_order",
+                        lambda *args: built.append(args) or bfs_order(*args))
+    child = mask_of((1, 2, 3, 4))
+    before = inst.comp_calls
+    assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 4)
+    assert built == [] and inst.comp_calls == before
+    # a prefix that completes to the parent builds the order once, for the
+    # longer prefixes
+    assert has_parent(inst, child, mask_of((0, 1, 2, 3)), 4)
+    assert len(built) == 1
+
+
+def test_parent_check_needs_the_pivot_in_the_child():
+    inst = c5_bip()
+    for w in (0, 5):  # outside the child, and outside the ground set
+        with pytest.raises(ContractViolation, match=f"pivot {w} is not in the child"):
+            has_parent(inst, mask_of((1, 2, 3, 4)), mask_of((0, 1, 2, 3)), w)
 
 
 def test_children_of_unique_solution_empty():
@@ -500,21 +558,21 @@ def regeneration_instances(variant):
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_seed_cuts_are_exact(variant, monkeypatch):
     # every (candidate, seed) pair that ``children`` drops before its layer
-    # walk would yield no child: a seed above the pivot, or one with a
-    # smaller neighbor in the candidate, puts an element below the seed in
-    # its prefix and so regenerates nothing, and a seed outside the parent
-    # regenerates only children that ``has_parent`` rejects; every other
-    # pair is regenerated
+    # walk would yield no child: a seed above the pivot, one with a smaller
+    # neighbor in the candidate, or one with no neighbor in it that is not
+    # its smallest element, puts an element below the seed in its prefix and
+    # so regenerates nothing, and a seed outside the parent regenerates only
+    # children that ``has_parent`` rejects; every other pair is regenerated
     original_children, original_regenerate = pspace_mod.children, pspace_mod._regenerate
     kept, regenerated = [], []
-    empty = rejected = 0
+    empty = rejected = alone = 0
 
     def regenerate(problem, rmask, s, w):
         regenerated.append((rmask, s, w))
         return original_regenerate(problem, rmask, s, w)
 
     def checked(problem, pmask, w, counters=None):
-        nonlocal empty, rejected
+        nonlocal empty, rejected, alone
         parent, und = tuple_of(pmask), problem.g.und_mask
         for r in problem.neighbors_at(parent, w) if w not in parent else ():
             rmask = mask_of(r)
@@ -531,6 +589,10 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
                         assert not has_parent(problem, cmask, pmask, w), (
                             variant, problem.g.edges, parent, r, s, w)
                         rejected += 1
+                elif not und[s] & rmask and s != r[0]:
+                    assert witness_prefix(problem, r, s, w) & ((1 << s) - 1), (
+                        variant, problem.g.edges, r, s, w)
+                    alone += 1
                 else:
                     kept.append((rmask, s, w))
         yield from original_children(problem, pmask, w, counters)
@@ -542,6 +604,8 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
     # the walk nests the children of a child inside its parent's stream
     assert sorted(regenerated) == sorted(kept)
     assert empty >= 3000 and rejected >= 150, (empty, rejected)
+    # a connected candidate holds w beside s, so s always has a neighbor there
+    assert alone == 0 if inst.connected else alone >= 50, alone
 
 
 @pytest.mark.parametrize("variant,graph_factory", [
