@@ -167,12 +167,21 @@ class Problem:
         untested element of its reach, through ``_extension_test`` or else
         ``sol``, until none is left.  The reach grows with each addition,
         so a connected family may next test a smaller id; otherwise this is
-        one ascending pass."""
+        one ascending pass.
+
+        Each addition is the least addable element of the reach of the set
+        it makes, so the rest of the loop depends on that set alone.  Inside
+        an exp run the loop therefore looks each set it reaches up in the
+        run's completion memo and stops at a hit with that completion; when
+        it ends, every set it reached maps to the result, the last included.
+        """
         # a rejected element stays rejected: every family using this loop is
         # hereditary, or hereditary once connected, so it fails for every
         # larger set too
         ok = self._extension_test
         sol = self.sol
+        memo = self._comp_memo
+        reached = []
         reach = left = self._reach(mask)
         rejected = 0
         while left:
@@ -180,10 +189,18 @@ class Problem:
             if sol(mask | b) if ok is None else ok(mask, b.bit_length() - 1):
                 reach = self._grow_reach(reach, mask, b)
                 mask |= b
+                if memo is not None:
+                    done = memo.get(mask)
+                    if done is not None:
+                        mask = done
+                        break
+                    reached.append(mask)
                 left = reach & ~rejected
             else:
                 rejected |= b
                 left ^= b
+        for m in reached:
+            memo[m] = mask
         return mask
 
     _comp_memo = None  # the completions of an enumerate_exp run in progress
