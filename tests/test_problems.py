@@ -333,7 +333,66 @@ def comp_witness(inst, mask):
             return mask
 
 
-EXTENSION_TESTED = [v for v in GRAPH_VARIANTS
+SHARED_LOOP = [v for v in ALL_VARIANTS
+               if type(build_instance(v, 0))._comp_mask is Problem._comp_mask]
+
+
+def test_only_chordal_edge_completes_by_its_own_loop():
+    assert sorted(set(ALL_VARIANTS) - set(SHARED_LOOP)) == ["chordal-edge"]
+
+
+@pytest.mark.parametrize("variant", SHARED_LOOP)
+def test_exp_memo_holds_only_completions(variant, corpus, monkeypatch):
+    # the shared loop stores every set it reaches, not only its input: each
+    # entry an exp run leaves must be the completion of its key, and some
+    # must be sets that no comp_mask call asked for
+    unasked = 0
+    for run in corpus[variant][:20]:
+        inst = run.instance
+        memo, requested = {}, set()
+        comp_mask = inst.comp_mask
+        monkeypatch.setattr(inst, "comp_mask",
+                            lambda m: requested.add(m) or comp_mask(m))
+        with inst.run_memos(_comp_memo=memo):
+            for s in run.solutions:
+                inst.neighbor_masks(mask_of(s))
+        monkeypatch.undo()
+        for key, done in memo.items():
+            assert done == comp_witness(inst, key), (run.index, tuple_of(key))
+        unasked += len(memo.keys() - requested)
+    assert unasked > 0
+
+
+def test_exp_completion_stops_at_a_completed_set():
+    # on the path 0-1-2-3 the completion of {0} passes {0,1} and {0,1,2};
+    # that of {1} adds 0 first, reaches {0,1} and takes its stored result
+    class Writes(dict):
+        def __setitem__(self, key, value):
+            self.log.append(key)
+            super().__setitem__(key, value)
+
+    inst = make_instance("trees", graph=path(4))
+    memo = Writes()
+    memo.log = []
+    with inst.run_memos(_comp_memo=memo):
+        before = inst.comp_calls
+        assert inst.comp_mask(0b0001) == 0b1111
+        assert inst.comp_calls == before + 1
+        assert memo == dict.fromkeys((0b0001, 0b0011, 0b0111, 0b1111), 0b1111)
+        assert inst.comp_mask(0b0011) == 0b1111
+        assert inst.comp_calls == before + 1
+        memo.log.clear()
+        assert inst.comp_mask(0b0010) == 0b1111
+        assert inst.comp_calls == before + 2
+        assert memo.log == [0b0010]
+    assert inst._comp_memo is None
+    before = inst.comp_calls
+    for _ in range(2):
+        assert inst.comp_mask(0b0001) == 0b1111
+    assert inst.comp_calls == before + 2
+
+
+EXTENSION_TESTED =[v for v in GRAPH_VARIANTS
                     if build_instance(v, 0)._extension_test is not None]
 
 
