@@ -7,9 +7,10 @@ engines share, over the tree of first discoveries: a neighbor is a child
 of the solution whose ``neighbor_masks`` call first reached it, and a set
 of visited solution masks decides which call that is; only ``Emitter``
 builds tuples, for the sink.  An exp run also keeps, on the problem, the
-completions it has done, so none is computed twice; like the visited set
-and the run's predicate memo, they grow with the solutions reached and go
-when the run ends.
+completions it has done, under each set a completion reached on its way,
+so none is computed twice and a completion stops where it reaches a set
+already completed; like the visited set and the run's predicate memo,
+they grow with the solutions reached and go when the run ends.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ class Counters:
 
     solutions_emitted: int = 0
     neighbors_calls: int = 0
-    # completions computed, not memo hits; a stopped seeded completion
-    # counts once, and finishing it later does not count again
+    # completions computed, not memo hits; an exp completion that stops at
+    # a set the run has completed counts once, as does a stopped seeded
+    # completion, and finishing it later does not count again
     comp_calls: int = 0
     dict_operations: int = 0     # visited-set inserts, exp traversal only
     max_comp_gap: int = 0        # most comp calls between consecutive emissions
@@ -156,7 +158,9 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
 
     The run opens its memos with ``Problem.run_memos``: the problem's
     ``RUN_MEMOS`` (predicate memo, plugin caches) and ``_comp_memo``,
-    candidate mask -> completed mask, read and filled by ``comp_mask``.
+    solution mask -> completed mask, read and filled by ``comp_mask``: its
+    keys are the candidates completed and, for the shared completion loop,
+    every set a completion reached after an addition.
     All are unbounded, as the visited set is, and go when the run ends,
     however it ends; memos open before it are restored.  ``comp_calls``
     counts completions computed, not memo hits.

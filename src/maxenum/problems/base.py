@@ -26,9 +26,13 @@ always ask the predicate, so they check that test rather than share it.
 Both completions, ``comp_mask`` and ``comp_lex_mask``, enter through one
 guarded, counted, memoized ``_complete``: a non-solution raises
 ContractViolation, and a completion taken from the run's memo is not
-counted in ``comp_calls``.  The seeded form of ``comp_lex_mask`` stops at
-the first element it would add below its seed; the run's memo keeps the
-set it reached, and a later full request finishes from it, uncounted.
+counted in ``comp_calls``.  The shared loop of ``comp_mask`` also reads the
+exp run's memo at each set it reaches, stops at a set the run has
+completed, and stores each set it reached under the result, so a later
+request for one of them is a memo hit.  The seeded form of
+``comp_lex_mask`` stops at the first element it would add below its seed;
+the run's memo keeps the set it reached, and a later full request
+finishes from it, uncounted.
 A lexicographic round that must choose takes the least key from the
 layers of its seed's component (``_seed_pick``) and builds
 ``order_keys`` only when that component touches no addable element.
@@ -211,7 +215,10 @@ class Problem:
         completion: a done one comes from it, uncounted, a computed one is
         stored, also when the loop stopped early (``comp_lex_mask``).  A
         non-solution raises ContractViolation, uncounted and never stored.
-        Outside a run (``memo`` None), every call is computed."""
+        Outside a run (``memo`` None), every call is computed.  The input
+        check runs on every computed input; the sets the loop itself stores
+        (``_comp_mask``) are reached from a checked one by additions that
+        keep a solution."""
         done = None if memo is None else memo.get(mask)
         if done is None:
             if not self.sol(mask):

@@ -92,7 +92,12 @@ class ChordalEdge(GraphProblem):
         # the one family where a rejection is not final: an edge rejected
         # now can become addable after another edge supplies its chord, so
         # rescan from the smallest id after each addition, until a full pass
-        # adds nothing
+        # adds nothing.  The shared loop's rejected set would be wrong here,
+        # so this loop keeps its own; an exp run's memo gets only its input
+        # (through ``_complete``), not the sets it passes.
+        # Each addition is the least addable edge of the current set, so
+        # those sets would complete to the same result too; storing them is
+        # untried and unmeasured
         while True:
             for e in bits(self._reach(emask)):
                 b = 1 << e
