@@ -173,11 +173,12 @@ class Problem:
         so a connected family may next test a smaller id; otherwise this is
         one ascending pass.
 
-        Each addition is the least addable element of the reach of the set
-        it makes, so the rest of the loop depends on that set alone.  Inside
-        an exp run the loop therefore looks each set it reaches up in the
-        run's completion memo and stops at a hit with that completion; when
-        it ends, every set it reached maps to the result, the last included.
+        Each addition is the least element of the current set's reach that
+        keeps it a solution, so the rest of the loop depends on the set
+        reached alone.  Inside an exp run the loop therefore looks each set
+        it reaches up in the run's completion memo and stops at a hit with
+        that completion; when it ends, every set it reached maps to the
+        result, the last included.
         """
         # a rejected element stays rejected: every family using this loop is
         # hereditary, or hereditary once connected, so it fails for every

@@ -93,10 +93,10 @@ class ChordalEdge(GraphProblem):
         # now can become addable after another edge supplies its chord, so
         # rescan from the smallest id after each addition, until a full pass
         # adds nothing.  The shared loop's rejected set would be wrong here,
-        # so this loop keeps its own; an exp run's memo gets only its input
-        # (through ``_complete``), not the sets it passes.
-        # Each addition is the least addable edge of the current set, so
-        # those sets would complete to the same result too; storing them is
+        # so this loop keeps its own, and an exp run's memo gets only its
+        # input (through ``_complete``), not the sets it passes.  Each
+        # addition is the least addable edge of the current set, so those
+        # sets would complete to the same result too; storing them is
         # untried and unmeasured
         while True:
             for e in bits(self._reach(emask)):

@@ -7,8 +7,10 @@ candidate adds exactly its incoming element to the solution, where a
 connected family's candidates are cut as a plain BFS cuts them, and one
 neighbors call completes each candidate once; every
 variant's extension rule finds exactly the addable elements and completes
-as a loop over the predicate does, and a family's extension test agrees
-with the predicate, which maximality asks instead of that test."""
+as a loop over the predicate does, every set the shared loop stores in an
+exp run's completion memo maps to its own completion, and a family's
+extension test agrees with the predicate, which maximality asks instead of
+that test."""
 
 import random
 import re
@@ -293,7 +295,6 @@ def test_addable_matches_single_element_scan(variant, corpus):
     rng = random.Random(f"addable:{variant}")
     for run in corpus[variant][:20]:
         inst = run.instance
-        shared_loop = type(inst)._comp_mask is Problem._comp_mask
         masks = [0]
         for s in run.solutions:
             smask = mask_of(s)
@@ -304,7 +305,7 @@ def test_addable_matches_single_element_scan(variant, corpus):
                     if not (mask >> e) & 1 and inst.sol(mask | 1 << e)]
             assert inst.addable(mask) == scan, (run.index, tuple_of(mask))
             assert inst.is_maximal_solution(tuple_of(mask)) == (not scan)
-            if shared_loop:
+            if variant in SHARED_LOOP:
                 assert inst._comp_mask(mask) == comp_witness(inst, mask), \
                     (run.index, tuple_of(mask))
 
@@ -392,7 +393,7 @@ def test_exp_completion_stops_at_a_completed_set():
     assert inst.comp_calls == before + 2
 
 
-EXTENSION_TESTED =[v for v in GRAPH_VARIANTS
+EXTENSION_TESTED = [v for v in GRAPH_VARIANTS
                     if build_instance(v, 0)._extension_test is not None]
 
 
