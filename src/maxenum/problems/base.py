@@ -26,13 +26,13 @@ always ask the predicate, so they check that test rather than share it.
 Both completions, ``comp_mask`` and ``comp_lex_mask``, enter through one
 guarded, counted, memoized ``_complete``: a non-solution raises
 ContractViolation, and a completion taken from the run's memo is not
-counted in ``comp_calls``.  The shared loop of ``comp_mask`` also reads the
-exp run's memo at each set it reaches, stops at a set the run has
-completed, and stores each set it reached under the result, so a later
-request for one of them is a memo hit.  The seeded form of
-``comp_lex_mask`` stops at the first element it would add below its seed;
-the run's memo keeps the set it reached, and a later full request
-finishes from it, uncounted.
+counted in ``comp_calls``.  Both loops, the shared one of ``comp_mask``
+and that of ``comp_lex_mask``, also read their run's memo at each set they
+reach, stop at a set the run has completed, and store each set they
+reached under the result, so a later request for one of them is a memo
+hit.  The seeded form of ``comp_lex_mask`` stops at the first element it
+would add below its seed; the run's memo keeps the set it reached under
+each set it passed, and a later full request finishes from it, uncounted.
 A lexicographic round that must choose takes the least key from the
 layers of its seed's component (``_seed_pick``) and builds
 ``order_keys`` only when that component touches no addable element.
@@ -218,8 +218,8 @@ class Problem:
         non-solution raises ContractViolation, uncounted and never stored.
         Outside a run (``memo`` None), every call is computed.  The input
         check runs on every computed input; the sets the loop itself stores
-        (``_comp_mask``) are reached from a checked one by additions that
-        keep a solution."""
+        (``_comp_mask``, ``_comp_lex_mask``) are reached from a checked one
+        by additions that keep a solution."""
         done = None if memo is None else memo.get(mask)
         if done is None:
             if not self.sol(mask):
@@ -381,10 +381,11 @@ class PspaceProblem(GraphProblem):
         ``seeded`` asks only for a completion whose seed is still that of
         ``xmask``; any other gives 0, and the loop stops at the first element
         it would add below that seed.  The run's memo keeps a stopped
-        completion, counted once, as ``~reached``: a later seeded request
-        reads it as 0, and a later full one finishes it from ``reached``,
-        uncounted and unguarded, in place.  The greedy rule depends only on
-        the current set, so the finish gives what one full loop would.
+        completion, counted once, as ``~reached`` under its input and each
+        set it passed: a later seeded request for one reads it as 0, and a
+        later full one finishes it from ``reached``, uncounted and
+        unguarded, in place.  The greedy rule depends only on the current
+        set, so the finish gives what one full loop would.
         """
         memo = self._lex_memo
         done = self._complete(xmask, memo,
@@ -418,8 +419,20 @@ class PspaceProblem(GraphProblem):
         order: ``_seed_pick`` takes the least key from the layers of the
         seed's own component, and only when that component touches none of
         them does the round add the one of least ``order_keys``.
+
+        Each addition depends on the current set alone, so two loops that
+        reach one set end at one set.  Inside a pspace run the loop looks
+        each set it reaches up in the run's memo and, when it ends, stores
+        its result under every one of them.  A completion found there ends
+        the loop.  So does a stopped marker ``~reached`` in a seeded loop:
+        it was stored under a set of the same seed, whose greedy path adds
+        an element below that seed.  A full loop goes on from ``reached``
+        instead, with its rejected elements, since that set holds the one
+        it hit.
         """
         ok, sol = self._extension_test, self.sol
+        memo = self._lex_memo
+        reached = []
         reach = self._reach(xmask)
         rejected = 0
         while True:
@@ -433,7 +446,7 @@ class PspaceProblem(GraphProblem):
                 else:
                     rejected |= b
             if not ext:
-                return xmask
+                break
             if not xmask:
                 raise ContractViolation("an empty set has no seed")
             if not ext & (ext - 1):
@@ -444,9 +457,24 @@ class PspaceProblem(GraphProblem):
                     seed = (xmask & -xmask).bit_length() - 1
                     b = 1 << min(self.order_keys(xmask, seed, bits(ext)).values())[2]
             if b < stop:
-                return ~(xmask | b)
+                xmask = ~(xmask | b)
+                break
             reach = self._grow_reach(reach, xmask, b)
             xmask |= b
+            if memo is not None:
+                done = memo.get(xmask)
+                reached.append(xmask)
+                if done is None:
+                    continue
+                if done >= 0 or stop:
+                    xmask = done
+                    break
+                # a full loop finishes a stopped one from the set it reached
+                xmask = ~done
+                reach = self._reach(xmask)
+        for m in reached:
+            memo[m] = xmask
+        return xmask
 
     def _seed_pick(self, xmask: int, ext: int) -> int:
         """The bit of the element of ``ext`` with the least ``order_keys``
