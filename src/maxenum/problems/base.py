@@ -463,15 +463,14 @@ class PspaceProblem(GraphProblem):
             xmask |= b
             if memo is not None:
                 done = memo.get(xmask)
-                reached.append(xmask)
-                if done is None:
-                    continue
-                if done >= 0 or stop:
+                if done is not None and (done >= 0 or stop):
                     xmask = done
                     break
-                # a full loop finishes a stopped one from the set it reached
-                xmask = ~done
-                reach = self._reach(xmask)
+                reached.append(xmask)
+                if done is not None:
+                    # a full loop finishes a stopped one from the set it reached
+                    xmask = ~done
+                    reach = self._reach(xmask)
         for m in reached:
             memo[m] = xmask
         return xmask
