@@ -25,7 +25,7 @@ from maxenum.problems import (ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, POINT_VA
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
 from conftest import build_instance, components, path, random_graph
-from test_pspace import comp_lex_witness
+from test_pspace import Writes, comp_lex_witness
 
 
 @pytest.mark.parametrize("variant", sorted(GRAPH_VARIANTS | K_VARIANTS))
@@ -367,14 +367,8 @@ def test_exp_memo_holds_only_completions(variant, corpus, monkeypatch):
 def test_exp_completion_stops_at_a_completed_set():
     # on the path 0-1-2-3 the completion of {0} passes {0,1} and {0,1,2};
     # that of {1} adds 0 first, reaches {0,1} and takes its stored result
-    class Writes(dict):
-        def __setitem__(self, key, value):
-            self.log.append(key)
-            super().__setitem__(key, value)
-
     inst = make_instance("trees", graph=path(4))
     memo = Writes()
-    memo.log = []
     with inst.run_memos(_comp_memo=memo):
         before = inst.comp_calls
         assert inst.comp_mask(0b0001) == 0b1111

@@ -864,31 +864,120 @@ def test_memo_overflow_clears(variant, monkeypatch):
 
 
 def test_seeded_completion_stops_and_finishes(monkeypatch):
-    # on the path 0-1-2 the completion of {1} first adds 0, below its seed:
+    # on the path 1-2-0 the completion of {1} adds 2, then 0, below its seed:
     # a seeded request stops there and gives 0, and the run's memo keeps the
-    # stopped completion, counted once; a repeated seeded request computes
-    # nothing, and a full request finishes it, uncounted, to the memo-free
-    # completion, in place, without clearing a memo at its cap
-    inst = make_instance("trees", graph=path(3))
+    # stopped completion, counted once, under {1} and under {1,2}, which it
+    # passed; a repeated seeded request, for either, computes nothing, and a
+    # full request finishes it, uncounted, to the memo-free completion, in
+    # place, without clearing a memo at its cap
+    inst = make_instance("trees", graph=Graph(3, [(0, 2), (1, 2)]))
     full = inst.comp_lex_mask(0b010)
     assert full == 0b111
     monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 2)
     memo = pspace_mod._LexMemo()
     with inst.run_memos(_lex_memo=memo):
-        other = inst.comp_lex_mask(0b100)
         loop, loops = inst._comp_lex_mask, []
         monkeypatch.setattr(inst, "_comp_lex_mask", lambda *a: loops.append(a) or loop(*a))
         calls = inst.comp_calls
         assert inst.comp_lex_mask(0b010, seeded=True) == 0
         assert inst.comp_calls == calls + 1 and len(loops) == 1
-        assert memo == {0b100: other, 0b010: ~0b011}
+        assert memo == {0b010: ~0b111, 0b110: ~0b111}
         assert inst.comp_lex_mask(0b010, seeded=True) == 0
+        assert inst.comp_lex_mask(0b110, seeded=True) == 0
         assert inst.comp_calls == calls + 1 and len(loops) == 1
-        assert inst.comp_lex_mask(0b010) == full
-        assert inst.comp_calls == calls + 1 and memo == {0b100: other, 0b010: full}
+        assert inst.comp_lex_mask(0b110) == inst.comp_lex_mask(0b010) == full
+        assert inst.comp_calls == calls + 1 and memo == {0b010: full, 0b110: full}
         assert inst.comp_lex_mask(0b010, seeded=True) == 0  # its seed is 0
         assert inst.comp_lex_mask(0b001, seeded=True) == full  # a miss at the cap
+        assert inst.comp_calls == calls + 2
         assert memo == {0b001: full}
+
+
+class Writes(dict):
+    """A completion memo that logs the key of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, value):
+        self.log.append(key)
+        super().__setitem__(key, value)
+
+
+def test_lex_completion_stops_at_a_completed_set(monkeypatch):
+    # on the path 0-1-2-3 the completion of {0} passes {0,1}, {0,1,2} and
+    # {0,1,2,3}; that of {1} adds 0 first, reaches {0,1} and stops there
+    # with its stored result, testing nothing more.  A seeded request for
+    # {1,2} stops at once, adding 0; the full completion of {2} adds 1,
+    # reaches {1,2}, goes on from the set that stopped request reached and
+    # stops again at {0,1,2,3}, stored by the first completion
+    inst = make_instance("trees", graph=path(4))
+    memo, tested = Writes(), []
+    ok = inst._extension_test
+    monkeypatch.setattr(inst, "_extension_test", lambda x, e: tested.append((x, e)) or ok(x, e))
+    with inst.run_memos(_lex_memo=memo):
+        before = inst.comp_calls
+        assert inst.comp_lex_mask(0b0001) == 0b1111
+        assert inst.comp_calls == before + 1
+        assert memo == dict.fromkeys((0b0001, 0b0011, 0b0111, 0b1111), 0b1111)
+        assert inst.comp_lex_mask(0b0011) == 0b1111
+        assert inst.comp_calls == before + 1
+        memo.log.clear()
+        tested.clear()
+        assert inst.comp_lex_mask(0b0010) == 0b1111
+        assert inst.comp_calls == before + 2
+        assert memo.log == [0b0010] and tested == [(0b0010, 0), (0b0010, 2)]
+        memo.log.clear()
+        assert inst.comp_lex_mask(0b0110, seeded=True) == 0
+        assert memo.log == [0b0110] and memo[0b0110] == ~0b0111
+        memo.log.clear()
+        tested.clear()
+        assert inst.comp_lex_mask(0b0100) == 0b1111
+        assert inst.comp_calls == before + 4
+        assert memo.log == [0b0110, 0b0100] and memo[0b0110] == 0b1111
+        assert tested == [(0b0100, 1), (0b0100, 3), (0b0111, 3)]
+    assert inst._lex_memo is None
+    before = inst.comp_calls
+    for _ in range(2):
+        assert inst.comp_lex_mask(0b0001) == 0b1111
+    assert inst.comp_calls == before + 2
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_lex_memo_holds_only_completions(variant, corpus, monkeypatch):
+    # the loop stores every set it reaches, not only its input: after the
+    # requests of a walk (root discovery and every children call), each
+    # completion the memo holds is that of its key, each stopped marker
+    # holds its key, an element below the key's seed and the key's
+    # completion, and some entries, markers among them, are sets no
+    # comp_lex_mask call asked for
+    unasked = markers = 0
+    for run in corpus[variant][:20]:
+        inst = build_instance(variant, run.index)
+        n = inst.ground_size
+        memo, requested = pspace_mod._LexMemo(), set()
+        comp_lex_mask = inst.comp_lex_mask
+        monkeypatch.setattr(inst, "comp_lex_mask",
+                            lambda m, seeded=False: requested.add(m) or comp_lex_mask(m, seeded))
+        with inst.run_memos(_lex_memo=memo):
+            for u in range(n):
+                inst.comp_lex_mask(1 << u, seeded=True)
+            for s in run.solutions:
+                smask = mask_of(s)
+                for w in bits(~smask & ((1 << n) - 1)):
+                    list(children(inst, smask, w))
+        monkeypatch.undo()
+        for key, done in memo.items():
+            full = comp_lex_witness(inst, tuple_of(key))
+            if done < 0:
+                markers += key not in requested
+                reached = ~done
+                assert reached & key == key and reached & -reached < key & -key
+                done = mask_of(comp_lex_witness(inst, tuple_of(reached)))
+            assert done == mask_of(full), (run.index, tuple_of(key))
+        unasked += len(memo.keys() - requested)
+    assert unasked > 0 and markers > 0
 
 
 # (engine, variant, corpus index): both engines, an exp family that keeps only
