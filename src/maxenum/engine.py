@@ -35,9 +35,9 @@ class Counters:
 
     solutions_emitted: int = 0
     neighbors_calls: int = 0
-    # completions computed, not memo hits; an exp completion that stops at
-    # a set the run has completed counts once, as does a stopped seeded
-    # completion, and finishing it later does not count again
+    # completions computed, not memo hits; a completion, of either engine,
+    # that stops at a set the run has completed counts once, as does a
+    # stopped seeded completion, and finishing it later does not count again
     comp_calls: int = 0
     dict_operations: int = 0     # visited-set inserts, exp traversal only
     max_comp_gap: int = 0        # most comp calls between consecutive emissions

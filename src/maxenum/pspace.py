@@ -20,7 +20,9 @@ it grows with the solutions visited, so a run is not yet polynomial-space.
 
 Besides one completion memo, four things keep the regeneration cheap.
 Different parents regenerate the same candidates and prefixes, so a run
-keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries.
+keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries,
+under every set each one reached; a completion stops at a set the run
+has already completed.
 The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
 only its reach and its rejected elements across rounds, and reads the
 order only in a round that must choose between two or more addable
@@ -29,13 +31,14 @@ the first one that touches an addable element, and builds order keys
 only when none does.  Root discovery and ``_regenerate`` discard a
 completion whose seed changed, so they ask for the seeded form, which
 stops at the first element it would add below its seed; the memo keeps
-the stopped set for a later full request to finish.  ``children`` drops
-a (candidate r, seed s) pair before any walk unless s lies below the
-pivot, has no smaller neighbor in r, has a neighbor in r or is its
-smallest element, and lies in the parent: a pair that fails one of them
-yields no child (see ``children``).  ``_regenerate`` walks the order's
-BFS layers (``graphs.mask_layers``) only up to the pivot, and drops the
-seed as soon as a layer holds a smaller element.  The parent check
+the stopped set, under each set it passed, for a later full request to
+finish.  ``children`` drops a (candidate r, seed s) pair before any walk
+unless s lies below the pivot, has no smaller neighbor in r, has a
+neighbor in r or is its smallest element, and lies in the parent: a pair
+that fails one of them yields no child (see ``children``).
+``_regenerate`` walks the order's BFS layers (``graphs.mask_layers``)
+only up to the pivot, and drops the seed as soon as a layer holds a
+smaller element.  The parent check
 (``has_parent``) judges the pivot first: it walks the child's layers up
 to the pivot and stops at the first that leaves the parent, the prefix
 before the pivot must complete to the parent, and only then is the
@@ -56,7 +59,9 @@ LEX_MEMO_CAP = 1024  # the most entries a run keeps in its completion memo
 
 
 class _LexMemo(dict):
-    """A run's completion memo (mask -> completed mask), cleared when full."""
+    """A run's completion memo, cleared when full: each set a completion
+    reached maps to its completed mask, or to ``~reached`` where a seeded
+    one stopped at ``reached``."""
     def __setitem__(self, xmask: int, done: int) -> None:
         # finishing a stopped completion overwrites its entry in place
         if len(self) >= LEX_MEMO_CAP and xmask not in self:
