@@ -3,20 +3,24 @@
 The engine knows nothing about graphs: a problem exposes a ground set, a
 completion ``comp_mask`` and ``neighbor_masks``, which returns maximal
 solutions, all on bitmasks.  The traversal is ``walk``, the mask DFS both
-engines share, over the tree of first discoveries: a neighbor is a child
-of the solution whose ``neighbor_masks`` call first reached it, and a set
-of visited solution masks decides which call that is; only ``Emitter``
-builds tuples, for the sink.  An exp run also keeps, on the problem, the
-completions it has done, under each set a completion reached on its way,
-so none is computed twice and a completion stops where it reaches a set
-already completed; like the visited set and the run's predicate memo,
-they grow with the solutions reached and go when the run ends.
+engines share, which yields solution masks; an exp run walks the tree of
+first discoveries: a neighbor is a child of the solution whose
+``neighbor_masks`` call first reached it, and a set of visited solution
+masks decides which call that is.  Each engine's run is a generator of
+solution masks, and one consumer, ``drain``, hands them to the sink as
+sorted tuples, counts them and stops the run at its limit.  An exp run
+also keeps, on the problem, the completions it has done, under each set a
+completion reached on its way, so none is computed twice and a completion
+stops where it reaches a set already completed; like the visited set and
+the run's predicate memo, they grow with the solutions reached and go
+when the run ends.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .problems.base import tuple_of
 
@@ -43,49 +47,6 @@ class Counters:
     max_comp_gap: int = 0        # most comp calls between consecutive emissions
     roots_found: int = 0         # parent-forest traversal only
     child_checks_passed: int = 0  # parent-forest traversal only
-
-
-class Emitter:
-    """Output bookkeeping shared by both engines.
-
-    Calling the emitter with a solution mask passes its sorted tuple to the
-    sink, counts it and records the completion calls since the previous
-    output; ``done`` turns true once ``limit`` solutions are out (at once
-    for a limit <= 0).  A failing sink aborts the run with PartialOutputError.
-    A limit that is neither an int nor None (a bool, a float) raises
-    ValueError before the run opens any memo.
-    """
-
-    def __init__(self, problem, emit: Optional[Callable], limit: Optional[int]):
-        if limit is not None and type(limit) is not int:
-            raise ValueError(f"limit must be an integer or None: limit={limit!r}")
-        self.problem = problem
-        self.emit = emit
-        self.limit = limit
-        self.counters = Counters()
-        self.comp_base = problem.comp_calls
-        self.last_mark: Optional[int] = None  # comp calls at the last output
-        self.done = limit is not None and limit <= 0
-
-    def __call__(self, mask: int) -> None:
-        counters = self.counters
-        now = self.problem.comp_calls
-        if self.last_mark is not None:
-            counters.max_comp_gap = max(counters.max_comp_gap, now - self.last_mark)
-        self.last_mark = now
-        if self.emit is not None:
-            try:
-                self.emit(tuple_of(mask))
-            except Exception as exc:
-                raise PartialOutputError(counters.solutions_emitted, exc) from exc
-        counters.solutions_emitted += 1
-        if self.limit is not None and counters.solutions_emitted >= self.limit:
-            self.done = True
-
-    def finish(self) -> Counters:
-        """The run's counters, with its completion calls filled in."""
-        self.counters.comp_calls = self.problem.comp_calls - self.comp_base
-        return self.counters
 
 
 class SolutionDict:
@@ -119,42 +80,73 @@ class SolutionDict:
         return True
 
 
-def walk(root, kids: Callable, emitter: Emitter, depth: int) -> None:
-    """Emit the tree below ``root``, root included, by an iterative DFS.
+def walk(root, kids: Callable, depth: int) -> Iterator[int]:
+    """Yield the tree below ``root``, root included, by an iterative DFS.
 
     ``kids(node)`` is an iterator over a node's children, consumed one child
-    per step.  A node is output in pre-order at even depth and in post-order
-    at odd depth, the root sitting at ``depth``, so consecutive outputs are
-    a bounded number of steps apart.  The walk stops once the emitter is done.
+    per step.  A node is yielded in pre-order at even depth and in
+    post-order at odd depth, the root sitting at ``depth``, so consecutive
+    outputs are a bounded number of steps apart.
     """
     if depth % 2 == 0:
-        emitter(root)
+        yield root
     stack = [(root, depth, kids(root))]
-    while stack and not emitter.done:
+    while stack:
         node, d, it = stack[-1]
         child = next(it, None)
         if child is not None:
             stack.append((child, d + 1, kids(child)))
             if d % 2 == 1:
-                emitter(child)
+                yield child
         else:
             stack.pop()
             if d % 2 == 1:
-                emitter(node)
+                yield node
 
 
-def enumerate_exp(problem, emit: Optional[Callable] = None,
-                  limit: Optional[int] = None) -> Counters:
-    """Traverse the solution graph of ``problem``, emitting every maximal
-    solution exactly once.
+def drain(problem, run: Callable, emit: Optional[Callable],
+          limit: Optional[int]) -> Counters:
+    """Emit the solution masks of ``run(problem, counters)`` and return the
+    run's counters, with its completion calls filled in.
+
+    ``emit`` receives each solution as a sorted tuple; a failing sink aborts
+    the run with PartialOutputError.  ``limit`` stops the run after that
+    many emissions (the emitted prefix is deterministic), and a limit <= 0
+    starts no run.  A limit that is neither an int nor None (a bool, a
+    float) raises ValueError before the run starts.  The run is closed
+    however it ends, so the memos it opened are restored.
+    """
+    if limit is not None and type(limit) is not int:
+        raise ValueError(f"limit must be an integer or None: limit={limit!r}")
+    counters = Counters()
+    if limit is not None and limit <= 0:
+        return counters
+    base = last = problem.comp_calls
+    with closing(run(problem, counters)) as masks:
+        for mask in masks:
+            now = problem.comp_calls
+            if counters.solutions_emitted:
+                counters.max_comp_gap = max(counters.max_comp_gap, now - last)
+            last = now
+            if emit is not None:
+                try:
+                    emit(tuple_of(mask))
+                except Exception as exc:
+                    raise PartialOutputError(counters.solutions_emitted, exc) from exc
+            counters.solutions_emitted += 1
+            if counters.solutions_emitted == limit:
+                break
+    counters.comp_calls = problem.comp_calls - base
+    return counters
+
+
+def _exp_masks(problem, counters: Counters) -> Iterator[int]:
+    """Yield each maximal solution mask of ``problem`` exactly once.
 
     From the completion of the empty set, ``neighbor_masks`` is invoked
     exactly once per distinct solution mask; duplicate and already-seen
     candidates are filtered through the set of visited solution masks;
     ``dict_operations`` counts its inserts, the first solution's included.
-    ``emit`` receives each solution as a sorted tuple; a failing sink aborts
-    the run with PartialOutputError.  ``limit`` stops the run after that
-    many emissions (the emitted prefix is deterministic).
 
     The run opens its memos with ``Problem.run_memos``: the problem's
     ``RUN_MEMOS`` (predicate memo, plugin caches) and ``_comp_memo``,
@@ -165,10 +157,6 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
     however it ends; memos open before it are restored.  ``comp_calls``
     counts completions computed, not memo hits.
     """
-    emitter = Emitter(problem, emit, limit)
-    if emitter.done:
-        return emitter.counters
-    counters = emitter.counters
     seen = SolutionDict()
 
     def kids(smask):
@@ -182,5 +170,11 @@ def enumerate_exp(problem, emit: Optional[Callable] = None,
         first = problem.comp_mask(0)
         counters.dict_operations += 1
         seen.insert(first)
-        walk(first, kids, emitter, 0)
-    return emitter.finish()
+        yield from walk(first, kids, 0)
+
+
+def enumerate_exp(problem, emit: Optional[Callable] = None,
+                  limit: Optional[int] = None) -> Counters:
+    """Traverse the solution graph of ``problem``, emitting every maximal
+    solution exactly once (see ``_exp_masks``; ``drain`` emits)."""
+    return drain(problem, _exp_masks, emit, limit)

@@ -7,8 +7,9 @@ solution order whose lexicographic completion differs from S), a parent
 Children of a node are regenerated on demand, one pivot w at a time, and
 each regenerated child is judged once by the parent check instead of
 being looked up in a visited-solution dictionary.  The walk runs on masks
-(``children``, ``has_parent`` and ``_regenerate`` take and give masks);
-a solution becomes a sorted tuple only at the sink and in the public
+(``children``, ``has_parent`` and ``_regenerate`` take and give masks)
+and yields them to ``engine.drain``, the consumer both engines share; a
+solution becomes a sorted tuple only at the sink and in the public
 wrappers ``comp_lex``, ``core_of`` and ``restr``.  Its DFS stack holds
 one ``children`` generator per node on the path from the root, each with
 its candidate masks ``neighbor_masks_at(parent, w)`` and at most n judged
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .engine import Counters, Emitter, walk
+from .engine import Counters, drain, walk
 from .graphs import ContractViolation, bits, mask_layers, mask_of
 from .problems import PSPACE_VARIANTS
 from .problems.base import PspaceProblem, tuple_of
@@ -239,24 +240,12 @@ def children(problem: PspaceProblem, pmask: int, w: int,
             yield cmask
 
 
-def enumerate_pspace(problem: PspaceProblem, emit=None,
-                     limit: Optional[int] = None) -> Counters:
-    """Emit every maximal solution once without a visited-solution dictionary.
-
-    Each root of the parent forest is walked at depth 1, on masks, with no
-    set of visited solution masks (see ``children``); ``emit`` receives
-    each solution as a sorted tuple, built only as it is emitted.
-    ``comp_lex_mask`` reads and fills the run's completion memo;
-    ``Problem.run_memos`` opens it and the ``RUN_MEMOS`` and restores the
-    outer memos, however the run ends.  A family without a parent-forest
-    order raises ContractViolation before any memo is opened.
-    """
-    if not isinstance(problem, PspaceProblem):
-        raise ContractViolation(f"{problem.variant} has no parent-forest order; "
-                                f"pspace runs {', '.join(PSPACE_VARIANTS)}")
-    emitter = Emitter(problem, emit, limit)
-    counters = emitter.counters
-
+def _pspace_masks(problem: PspaceProblem, counters: Counters):
+    """Yield each maximal solution mask of ``problem`` once: each root of
+    the parent forest is walked at depth 1, with no set of visited solution
+    masks (see ``children``).  ``comp_lex_mask`` reads and fills the run's
+    completion memo; ``Problem.run_memos`` opens it and the ``RUN_MEMOS``
+    and restores the outer memos, however the run ends."""
     def child_stream(x):
         for w in bits(~x & ((1 << problem.ground_size) - 1)):
             yield from children(problem, x, w, counters)
@@ -264,11 +253,20 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     with problem.run_memos(_lex_memo=_LexMemo()):
         # an empty ground set has one solution, the empty set, as its only root
         for seed in [1 << u for u in range(problem.ground_size)] or [0]:
-            if emitter.done:
-                break
             root = problem.comp_lex_mask(seed, seeded=True)
             if root & -root != seed:
                 continue  # a root is discovered from its own seed only
             counters.roots_found += 1
-            walk(root, child_stream, emitter, 1)
-    return emitter.finish()
+            yield from walk(root, child_stream, 1)
+
+
+def enumerate_pspace(problem: PspaceProblem, emit=None,
+                     limit: Optional[int] = None) -> Counters:
+    """Emit every maximal solution once without a visited-solution
+    dictionary (see ``_pspace_masks``; ``engine.drain`` emits).  A family
+    without a parent-forest order raises ContractViolation before the run
+    starts."""
+    if not isinstance(problem, PspaceProblem):
+        raise ContractViolation(f"{problem.variant} has no parent-forest order; "
+                                f"pspace runs {', '.join(PSPACE_VARIANTS)}")
+    return drain(problem, _pspace_masks, emit, limit)

@@ -36,6 +36,11 @@ def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def disjoint_triangles(t):
+    return Graph(3 * t, [(3 * i + a, 3 * i + b)
+                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))])
+
+
 def directed_triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
 

@@ -213,7 +213,8 @@ class ClosedAfter:
         return self.fd
 
 
-@pytest.mark.parametrize("extra,writes", [((), 2), (("--count-only",), 0)])
+@pytest.mark.parametrize("extra,writes", [((), 2), (("--count-only",), 0),
+                                          (("--mode", "pspace"), 2)])
 def test_closed_output_pipe_exits_0_quietly(k4_file, tmp_path, capsys,
                                             monkeypatch, extra, writes):
     # the first line gets out, the next write breaks the pipe (--count-only

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from maxenum import (PartialOutputError, SolutionDict, enumerate_exp,
                      enumerate_pspace, make_instance)
 
-from conftest import build_instance, cycle, triangle
+from conftest import build_instance, cycle, disjoint_triangles, triangle
 from maxenum.graphs import Graph
 
 
@@ -133,6 +135,44 @@ def test_limit_must_be_an_int_or_none(engine, limit, monkeypatch):
     with pytest.raises(ValueError, match="limit must be an integer or None"):
         engine(inst, emit=got.append, limit=limit)
     assert got == [] and inst.comp_calls == 0
+
+
+@pytest.mark.parametrize("engine", [enumerate_exp, enumerate_pspace])
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_starts_no_run(engine, limit, monkeypatch):
+    # a run that may emit nothing opens no memo and completes nothing
+    inst = build_instance("bipartite-induced", 1)
+    monkeypatch.setattr(type(inst), "run_memos",
+                        lambda *_, **__: pytest.fail("the run opened its memos"))
+    got = []
+    counters = engine(inst, emit=got.append, limit=limit)
+    assert got == [] and inst.comp_calls == 0
+    assert all(value == 0 for value in dataclasses.asdict(counters).values())
+
+
+@pytest.mark.parametrize("engine", [enumerate_exp, enumerate_pspace])
+def test_run_stops_at_its_last_output(engine):
+    # no completion runs after the output that reaches the limit, nor after
+    # the output whose sink call fails
+    inst = make_instance("forests", graph=disjoint_triangles(4))
+    marks = []
+    counters = engine(inst, emit=lambda sol: marks.append(inst.comp_calls), limit=5)
+    assert len(marks) == 5
+    assert counters.comp_calls == inst.comp_calls == marks[4]
+
+    inst = make_instance("forests", graph=disjoint_triangles(4))
+    marks = []
+    broken = OSError("pipe closed")
+
+    def sink(sol):
+        marks.append(inst.comp_calls)
+        if len(marks) == 3:
+            raise broken
+
+    with pytest.raises(PartialOutputError) as info:
+        engine(inst, emit=sink)
+    assert info.value.emitted == 2 and info.value.__cause__ is broken
+    assert len(marks) == 3 and inst.comp_calls == marks[2]
 
 
 def test_counters_track_dictionary():

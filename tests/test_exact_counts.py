@@ -14,7 +14,7 @@ import maxenum.pspace as pspace_mod
 from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
 from maxenum.problems import PSPACE_VARIANTS
 
-from conftest import components, cycle, sparse_gnm
+from conftest import components, cycle, disjoint_triangles, sparse_gnm
 
 
 def pspace_count(variant, g):
@@ -50,11 +50,6 @@ def test_odd_cycle_gives_n_exp(variant):
 def test_even_cycle(variant, expected):
     # C_18 is itself bipartite, but a forest or tree still drops one vertex
     assert pspace_count(variant, cycle(18)) == expected
-
-
-def disjoint_triangles(t):
-    return Graph(3 * t, [(3 * i + a, 3 * i + b)
-                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))])
 
 
 @pytest.mark.parametrize("variant", ["forests", "bipartite-induced"])
