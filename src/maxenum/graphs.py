@@ -232,6 +232,30 @@ def mask_cc(adj_masks, mask: int, v: int) -> int:
     return comp
 
 
+def mask_apart(adj_masks, mask: int, nb: int, even_ok: bool = False) -> bool:
+    """Whether no two elements of ``nb``, a subset of ``mask``, lie in one
+    component of the masked set; with ``even_ok``, whether each two that do
+    lie an even number of BFS layers apart.  Each walk starts at the lowest
+    element of ``nb`` still open, ends at the first layer that fails, and
+    drops its component from ``nb``; one element left ends the test."""
+    while nb & (nb - 1):
+        comp = layer = nb & -nb
+        odd = True
+        while layer:
+            grow = 0
+            while layer:
+                low = layer & -layer
+                grow |= adj_masks[low.bit_length() - 1]
+                layer ^= low
+            layer = grow & mask & ~comp
+            if layer & nb and (odd or not even_ok):
+                return False
+            comp |= layer
+            odd = not odd
+        nb &= ~comp
+    return True
+
+
 def mask_components(adj_masks, mask: int) -> list[int]:
     out = []
     left = mask

@@ -43,8 +43,9 @@ element ids, checked on the way in.  Every memo belongs to a run:
 caches named in ``RUN_MEMOS`` and the engine's completion memo
 (``_comp_memo`` for ``enumerate_exp``, ``_lex_memo`` for
 ``enumerate_pspace``), and restores the outer ones when the run ends;
-calls outside a run use the instance's own.  The predicate memo is
-unbounded, in a pspace run too.
+calls outside a run use the instance's own.  An exp run's predicate memo
+is unbounded; a pspace run opens its own under the completion memo's cap
+(``pspace._LexMemo``).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import mask_layers, spanned_masks
+from ..graphs import mask_apart, mask_layers, spanned_masks
 from .base import GraphProblem, PspaceProblem, bfs_order
 
 
@@ -29,6 +29,14 @@ def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
 class _BipartiteInducedBase(PspaceProblem):
     def _solution_mask(self, mask: int) -> bool:
         return _two_color_masks(self.g.und_mask, mask) is not None
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # a vertex keeps the set bipartite exactly when its neighbors in each
+        # component lie on one side, an even number of layers apart; an odd
+        # number would close an odd cycle through it
+        und = self.g.und_mask
+        nb = und[e] & x
+        return not nb & (nb - 1) or mask_apart(und, x, nb, even_ok=True)
 
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask

@@ -3,6 +3,7 @@ predicates share one single-pass kernel, ``_is_forest``."""
 
 from __future__ import annotations
 
+from ..graphs import mask_apart
 from .base import PspaceProblem
 
 
@@ -63,3 +64,10 @@ class Trees(_AcyclicBase):
 class Forests(_AcyclicBase):
     variant = "forests"
     connected = False
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # a vertex keeps a forest one exactly when no two of its neighbors
+        # in it share a component, which a path between them would close
+        und = self.g.und_mask
+        nb = und[e] & x
+        return not nb & (nb - 1) or mask_apart(und, x, nb)

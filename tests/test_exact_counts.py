@@ -1,11 +1,14 @@
 """Exact solution counts past the brute-force oracle's reach (ground sets of
 more than 16 elements): closed forms on cycles and on disjoint and chained
-triangles, with the pspace stack depth on the chained ones, a cross-engine
-identity on sparse random graphs, and independent references for the
-k-degenerate families (a Bron–Kerbosch count of maximal independent sets,
-and Kirchhoff's matrix-tree theorem for maximal spanning forests)."""
+triangles, with the pspace stack depth and traced peak on the chained
+ones, a cross-engine identity on sparse random graphs, and independent
+references for the k-degenerate families (a Bron–Kerbosch count of maximal
+independent sets, and Kirchhoff's matrix-tree theorem for maximal spanning
+forests)."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -96,6 +99,24 @@ def test_chained_triangles_pspace_stack_is_t_plus_one_deep(variant, t, monkeypat
     monkeypatch.setattr(pspace_mod, "children", counted)
     assert pspace_count(variant, chained_triangles(t)) == 3 ** t
     assert deepest == t + 1
+
+
+def test_chained_triangles_pspace_peak_stays_flat():
+    # a pspace run holds its stack, one level per triangle, and two memos
+    # cleared at a fixed cap, so its traced peak barely grows while the
+    # solution count triples; an unbounded predicate memo grew it 3.5x from
+    # t = 5 to t = 6, and 2.5x once completion asked no predicate
+    peaks = []
+    for t in (5, 6):
+        inst = make_instance("forests", graph=chained_triangles(t))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert enumerate_pspace(inst).solutions_emitted == 3 ** t
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_forests_equal_one_degenerate_induced():

@@ -8,12 +8,14 @@ connected family's candidates are cut as a plain BFS cuts them, and one
 neighbors call completes each candidate once; every
 variant's extension rule finds exactly the addable elements and completes
 as a loop over the predicate does, every set the shared loop stores in an
-exp run's completion memo maps to its own completion, and a family's
+exp run's completion memo maps to its own completion, a family's
 extension test agrees with the predicate, which maximality asks instead of
-that test."""
+that test, and a run of trees, forests or the bipartite families evaluates
+the predicate only to check each completion's input."""
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -24,8 +26,8 @@ from maxenum.problems import (ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, POINT_VA
                               PSPACE_VARIANTS)
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
-from conftest import build_instance, components, path, random_graph
-from test_pspace import Writes, comp_lex_witness
+from conftest import CORPUS_SIZE, build_instance, components, path, random_graph
+from test_pspace import Writes, comp_lex_witness, run_engine
 
 
 @pytest.mark.parametrize("variant", sorted(GRAPH_VARIANTS | K_VARIANTS))
@@ -408,28 +410,74 @@ def random_growths(inst, rng, walks):
 
 
 def test_extension_tests_exist():
-    assert EXTENSION_TESTED == ["chordal-induced", "chordal-induced-connected",
-                                "trees"]
+    assert EXTENSION_TESTED == ["bipartite-induced", "bipartite-induced-connected",
+                                "chordal-induced", "chordal-induced-connected",
+                                "trees", "forests"]
+
+
+# the least number of checked pairs (x, e), by verdict, in which e has two or
+# more neighbors in one component of G[x]: the component of e's lowest
+# neighbor ("first") or only a later one ("later").  A connected family's x
+# is one component, and a forest never takes a vertex with two neighbors in
+# one of its trees, so those keys are absent
+WALKED = {
+    "bipartite-induced": {(True, "first"): 300, (False, "first"): 1400,
+                          (True, "later"): 25, (False, "later"): 120},
+    "bipartite-induced-connected": {(True, "first"): 300, (False, "first"): 2000},
+    "chordal-induced": {(True, "first"): 1000, (False, "first"): 1200,
+                        (True, "later"): 60, (False, "later"): 35},
+    "chordal-induced-connected": {(True, "first"): 1000, (False, "first"): 1200},
+    "trees": {(False, "first"): 1800},
+    "forests": {(False, "first"): 1600, (False, "later"): 130},
+}
 
 
 @pytest.mark.parametrize("variant", EXTENSION_TESTED)
 def test_extension_test_matches_predicate(variant):
+    # the counts in WALKED make the random pairs reach past the test's
+    # one-neighbor exit, into its walks over the components of G[x]
     rng = random.Random(f"extension:{variant}")
     checked = 0
+    walked = Counter()
     for _ in range(150):
         n = rng.randint(1, 18)
         g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5]))
         inst = make_instance(variant, graph=g)
         ok = inst._extension_test
         for x in random_growths(inst, rng, 4):
+            comps = components(g, bits(x))
             for e in bits(inst._reach(x)):
-                assert ok(x, e) == inst.sol(x | 1 << e), (g.edges, tuple_of(x), e)
+                verdict = inst.sol(x | 1 << e)
+                assert ok(x, e) == verdict, (g.edges, tuple_of(x), e)
                 checked += 1
+                nb = set(g.und_adj[e])
+                shared = [len(c & nb) > 1 for c in comps if c & nb]
+                if any(shared):
+                    walked[verdict, "first" if shared[0] else "later"] += 1
             assert inst._comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
             if x and isinstance(inst, PspaceProblem):
                 assert (tuple_of(inst.comp_lex_mask(x))
                         == comp_lex_witness(inst, tuple_of(x))), (g.edges, tuple_of(x))
     assert checked > 12000
+    assert walked.keys() <= WALKED[variant].keys()
+    assert all(walked[key] >= least for key, least in WALKED[variant].items()), walked
+
+
+@pytest.mark.parametrize("engine", ["exp", "pspace"])
+@pytest.mark.parametrize("variant", ["trees", "forests", "bipartite-induced",
+                                     "bipartite-induced-connected"])
+def test_completion_asks_no_predicate(engine, variant, monkeypatch):
+    # a completion step asks the family's extension test, never the
+    # predicate, so a run evaluates the predicate exactly once per completion
+    # it computes: the input check of that completion.  trees, whose test
+    # is the oldest, is the control for the other three
+    for i in range(CORPUS_SIZE):
+        inst = build_instance(variant, i)
+        evals = []
+        predicate = inst._solution_mask
+        monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
+        _, counters = run_engine(engine, inst)
+        assert len(evals) == counters.comp_calls > 0, (i, inst.g.edges)
 
 
 def test_maximality_ignores_extension_test():

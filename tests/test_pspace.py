@@ -780,7 +780,8 @@ def comp_calls(runs):
 
 
 class ForgetfulMemo(pspace_mod._LexMemo):
-    """A completion memo that misses on every lookup."""
+    """A run memo that misses on every lookup: as ``_LexMemo`` it serves a
+    pspace run as both its completion memo and its predicate memo."""
 
     def get(self, xmask, default=None):
         return default
@@ -788,9 +789,10 @@ class ForgetfulMemo(pspace_mod._LexMemo):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_is_transparent(variant, monkeypatch):
-    # the memo changes which completions are computed, never their results:
-    # a run that misses on every lookup emits the same solutions in the same
-    # order with the same counters, apart from the completion counts
+    # the memos change which completions are computed, never their results:
+    # a run whose completion and predicate memos miss on every lookup emits
+    # the same solutions in the same order with the same counters, apart
+    # from the completion counts
     remembered = corpus_runs(variant)
     monkeypatch.setattr(pspace_mod, "_LexMemo", ForgetfulMemo)
     forgotten = corpus_runs(variant)
@@ -843,8 +845,8 @@ def test_exp_neighbors_same_inside_a_run(variant):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_overflow_clears(variant, monkeypatch):
-    # a cap of 3 clears the completion memo over and over, and the output is
-    # that of the real cap
+    # a cap of 3 clears the run's two memos, completion and predicate, over
+    # and over (sizes records both), and the output is that of the real cap
     sizes = []
     setitem = pspace_mod._LexMemo.__setitem__
 
