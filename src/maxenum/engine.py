@@ -12,8 +12,8 @@ sorted tuples, counts them and stops the run at its limit.  An exp run
 also keeps, on the problem, the completions it has done, under each set a
 completion reached on its way, so none is computed twice and a completion
 stops where it reaches a set already completed; like the visited set and
-the run's predicate memo, they grow with the solutions reached and go
-when the run ends.
+the run's predicate memo, if any, they grow with the solutions reached
+and go when the run ends.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     ``dict_operations`` counts its inserts, the first solution's included.
 
     The run opens its memos with ``Problem.run_memos``: the problem's
-    ``RUN_MEMOS`` (predicate memo, plugin caches) and ``_comp_memo``,
+    ``RUN_MEMOS`` (predicate memo, if any, plugin caches) and ``_comp_memo``,
     solution mask -> completed mask, read and filled by ``comp_mask``: its
     keys are the candidates completed and, for the shared completion loop,
     every set a completion reached after an addition.

@@ -2,8 +2,10 @@
 
 Deliberately uses only the plugin's membership predicate, never its
 completion or neighboring functions, so it stays independent of the code
-it checks.  Masks are visited by descending popcount; a mask below an
-already-collected maximal solution is skipped without a predicate call.
+it checks.  It asks each subset at most once, so it asks the plain
+predicate, ``_sol_eval``, and leaves no verdict in a memo.  Masks are
+visited by descending popcount; a mask below an already-collected maximal
+solution is skipped without a predicate call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,6 @@ def brute_force_maximal(problem, cap: int = 16) -> list[tuple[int, ...]]:
     for mask in order:
         if any(mask & ~m == 0 for m in maximal):
             continue
-        if problem.sol(mask):
+        if problem._sol_eval(mask):
             maximal.append(mask)
     return sorted(tuple_of(m) for m in maximal)

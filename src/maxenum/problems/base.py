@@ -36,16 +36,16 @@ each set it passed, and a later full request finishes from it, uncounted.
 A lexicographic round that must choose takes the least key from the
 layers of its seed's component (``_seed_pick``) and builds
 ``order_keys`` only when that component touches no addable element.
-Both engines walk bitmasks with a memoized predicate; solutions cross the
-public API (``neighbors``, ``neighbors_at``, ``comp``) as sorted tuples of
-element ids, checked on the way in.  Every memo belongs to a run:
-``run_memos`` opens, on the instance, a fresh predicate memo, the plugin
-caches named in ``RUN_MEMOS`` and the engine's completion memo
-(``_comp_memo`` for ``enumerate_exp``, ``_lex_memo`` for
-``enumerate_pspace``), and restores the outer ones when the run ends;
-calls outside a run use the instance's own.  An exp run's predicate memo
-is unbounded; a pspace run opens its own under the completion memo's cap
-(``pspace._LexMemo``).
+Both engines walk bitmasks; solutions cross the public API (``neighbors``,
+``neighbors_at``, ``comp``) as sorted tuples of element ids, checked on
+the way in.  ``sol`` asks the predicate, ``_sol_eval``, through a memo,
+except in a family with an extension test, whose completions ask it only
+to check their inputs.  Every memo belongs to a run: ``run_memos`` opens,
+on the instance, a fresh dict for each of ``RUN_MEMOS`` (that predicate
+memo, plugin caches) and the engine's completion memo (``_comp_memo`` for
+``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``), and restores
+the outer ones when the run ends; calls outside a run use the instance's
+own.  Of them all, only pspace's completion memo is capped (``_LexMemo``).
 """
 
 from __future__ import annotations
@@ -97,15 +97,19 @@ class Problem:
     def _solution_mask(self, mask: int) -> bool:
         raise NotImplementedError
 
+    def _sol_eval(self, mask: int) -> bool:
+        """The membership predicate itself, with no memo."""
+        # a set of a connected family is one component, or no solution
+        return ((not self.connected or not mask
+                 or mask_cc(self.adj_masks, mask, (mask & -mask).bit_length() - 1) == mask)
+                and self._solution_mask(mask))
+
     def sol(self, mask: int) -> bool:
+        """``_sol_eval`` through the predicate memo of the run or instance."""
         cache = self._sol_cache
         hit = cache.get(mask)
         if hit is None:
-            # a set of a connected family is one component, or no solution
-            hit = ((not self.connected or not mask
-                    or mask_cc(self.adj_masks, mask, (mask & -mask).bit_length() - 1) == mask)
-                   and self._solution_mask(mask))
-            cache[mask] = hit
+            hit = cache[mask] = self._sol_eval(mask)
         return hit
 
     @contextmanager
@@ -355,9 +359,13 @@ class PspaceProblem(GraphProblem):
     canonical order).  Their candidate rule ``_candidates`` serves both
     engines: completed by ``comp_mask`` for ``neighbor_masks`` and by the
     lexicographic completion ``comp_lex_mask`` for ``neighbor_masks_at``.
+    Each family must define ``_extension_test``, which both completions
+    ask, so ``sol`` is the plain predicate, with no memo in a run or out.
     """
 
     vertex_order = staticmethod(bfs_order)
+    RUN_MEMOS = ()
+    sol = Problem._sol_eval
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
         """``neighbor_masks_at`` as tuples, with element ids checked."""
@@ -413,13 +421,13 @@ class PspaceProblem(GraphProblem):
 
         Only its reach and its rejected elements carry across rounds: the
         reach is computed once and grown with each added element
-        (``_grow_reach``), an element is tested by ``_extension_test`` where
-        the family has one, else by ``sol``, and one rejected stays
-        rejected, since all four families are hereditary, or hereditary once
-        connected.  Only a round with two or more addable elements reads the
-        order: ``_seed_pick`` takes the least key from the layers of the
-        seed's own component, and only when that component touches none of
-        them does the round add the one of least ``order_keys``.
+        (``_grow_reach``), an element is tested by the family's
+        ``_extension_test`` alone, and one rejected stays rejected, since
+        all four families are hereditary, or hereditary once connected.
+        Only a round with two or more addable elements reads the order:
+        ``_seed_pick`` takes the least key from the layers of the seed's
+        own component, and only when that component touches none of them
+        does the round add the one of least ``order_keys``.
 
         Each addition depends on the current set alone, so two loops that
         reach one set end at one set.  Inside a pspace run the loop looks
@@ -431,7 +439,7 @@ class PspaceProblem(GraphProblem):
         instead, with its rejected elements, since that set holds the one
         it hit.
         """
-        ok, sol = self._extension_test, self.sol
+        ok = self._extension_test
         memo = self._lex_memo
         reached = []
         reach = self._reach(xmask)
@@ -442,7 +450,7 @@ class PspaceProblem(GraphProblem):
             while scan:
                 b = scan & -scan
                 scan ^= b
-                if sol(xmask | b) if ok is None else ok(xmask, b.bit_length() - 1):
+                if ok(xmask, b.bit_length() - 1):
                     ext |= b
                 else:
                     rejected |= b

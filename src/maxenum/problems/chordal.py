@@ -25,6 +25,9 @@ def _reversed_peo(und, out, mask: int) -> list[int]:
 
 class _ChordalInducedBase(GraphProblem):
     vertex_order = staticmethod(_reversed_peo)
+    # completion asks ``_extension_test``, so a predicate memo never answers
+    RUN_MEMOS = ()
+    sol = GraphProblem._sol_eval
 
     def _solution_mask(self, mask: int) -> bool:
         return peo_mask(self.g.und_mask, mask) is not None

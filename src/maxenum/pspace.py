@@ -16,11 +16,11 @@ its candidate masks ``neighbor_masks_at(parent, w)`` and at most n judged
 child masks per candidate, one per (candidate, seed) pair; on t triangles
 joined in a path (3^t solutions) it is t + 1 deep, as
 ``tests/test_exact_counts.py`` checks for forests and bipartite-induced.
-Every memo goes with its run, and both of a run's memos, its predicate
-memo and its completion memo, are cleared at ``LEX_MEMO_CAP`` entries: a
-run holds its stack and at most that many memo entries of each kind, so
-its memory no longer grows with the solutions visited, only with the
-depth of the parent forest; that test file also bounds the ``tracemalloc``
+Every memo goes with its run, and a run keeps one, its completion memo,
+cleared at ``LEX_MEMO_CAP`` entries (the families keep no predicate
+memo): a run holds its stack and at most that many memo entries, so its
+memory no longer grows with the solutions visited, only with the depth
+of the parent forest; that test file also bounds the ``tracemalloc``
 peak of a forests run on chained triangles from t = 5 to t = 6.
 
 Besides one completion memo, four things keep the regeneration cheap.
@@ -60,14 +60,13 @@ from .graphs import ContractViolation, bits, mask_layers, mask_of
 from .problems import PSPACE_VARIANTS
 from .problems.base import PspaceProblem, tuple_of
 
-LEX_MEMO_CAP = 1024  # the most entries a run keeps in each of its two memos
+LEX_MEMO_CAP = 1024  # the most entries a run keeps in its completion memo
 
 
 class _LexMemo(dict):
-    """A run's memo, cleared when full.  In the completion memo each set a
-    completion reached maps to its completed mask, or to ``~reached`` where
-    a seeded one stopped at ``reached``; the run's predicate memo, opened
-    as one too, maps a set to its ``sol`` verdict."""
+    """A run's completion memo, cleared when full: each set a completion
+    reached maps to its completed mask, or to ``~reached`` where a seeded
+    one stopped at ``reached``."""
     def __setitem__(self, xmask: int, done: int) -> None:
         # finishing a stopped completion overwrites its entry in place
         if len(self) >= LEX_MEMO_CAP and xmask not in self:
@@ -249,14 +248,13 @@ def _pspace_masks(problem: PspaceProblem, counters: Counters):
     """Yield each maximal solution mask of ``problem`` once: each root of
     the parent forest is walked at depth 1, with no set of visited solution
     masks (see ``children``).  ``comp_lex_mask`` reads and fills the run's
-    completion memo; ``Problem.run_memos`` opens it and the ``RUN_MEMOS``,
-    with the predicate memo under the same cap, and restores the outer
-    memos, however the run ends."""
+    completion memo, its only memo; ``Problem.run_memos`` opens it and
+    restores the outer one, however the run ends."""
     def child_stream(x):
         for w in bits(~x & ((1 << problem.ground_size) - 1)):
             yield from children(problem, x, w, counters)
 
-    with problem.run_memos(_lex_memo=_LexMemo(), _sol_cache=_LexMemo()):
+    with problem.run_memos(_lex_memo=_LexMemo()):
         # an empty ground set has one solution, the empty set, as its only root
         for seed in [1 << u for u in range(problem.ground_size)] or [0]:
             root = problem.comp_lex_mask(seed, seeded=True)

@@ -102,7 +102,7 @@ def test_chained_triangles_pspace_stack_is_t_plus_one_deep(variant, t, monkeypat
 
 
 def test_chained_triangles_pspace_peak_stays_flat():
-    # a pspace run holds its stack, one level per triangle, and two memos
+    # a pspace run holds its stack, one level per triangle, and one memo
     # cleared at a fixed cap, so its traced peak barely grows while the
     # solution count triples; an unbounded predicate memo grew it 3.5x from
     # t = 5 to t = 6, and 2.5x once completion asked no predicate

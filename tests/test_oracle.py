@@ -4,8 +4,12 @@ import pytest
 
 from maxenum import (Graph, OracleCapError, brute_force_maximal,
                      make_instance)
+from maxenum.problems import ALL_VARIANTS
 
-from conftest import directed_triangle, random_graph, triangle
+from conftest import build_instance, directed_triangle, random_graph, triangle
+
+# the families that keep a predicate memo: those with no extension test
+MEMOIZED = [v for v in ALL_VARIANTS if "_sol_cache" in build_instance(v, 0).RUN_MEMOS]
 
 
 def test_triangle_bipartite():
@@ -53,3 +57,15 @@ def test_cap_refusal():
     with pytest.raises(OracleCapError, match="17"):
         brute_force_maximal(inst)
     assert brute_force_maximal(inst, cap=17) == [tuple(range(17))]
+
+
+@pytest.mark.parametrize("variant", MEMOIZED)
+def test_sweep_leaves_the_predicate_memo_as_found(variant):
+    # a sweep asks each subset at most once, so it asks the plain predicate
+    # and leaves no verdict in the instance's memo
+    inst = build_instance(variant, 1)
+    inst.sol(0)
+    memo = inst._sol_cache
+    entries = dict(memo)
+    assert brute_force_maximal(inst)
+    assert inst._sol_cache is memo and memo == entries

@@ -10,8 +10,8 @@ variant's extension rule finds exactly the addable elements and completes
 as a loop over the predicate does, every set the shared loop stores in an
 exp run's completion memo maps to its own completion, a family's
 extension test agrees with the predicate, which maximality asks instead of
-that test, and a run of trees, forests or the bipartite families evaluates
-the predicate only to check each completion's input."""
+that test, and a run of a family with an extension test evaluates the
+predicate only to check each completion's input, with no predicate memo."""
 
 import random
 import re
@@ -413,6 +413,8 @@ def test_extension_tests_exist():
     assert EXTENSION_TESTED == ["bipartite-induced", "bipartite-induced-connected",
                                 "chordal-induced", "chordal-induced-connected",
                                 "trees", "forests"]
+    # the lexicographic completion asks the test alone
+    assert set(PSPACE_VARIANTS) <= set(EXTENSION_TESTED)
 
 
 # the least number of checked pairs (x, e), by verdict, in which e has two or
@@ -463,14 +465,17 @@ def test_extension_test_matches_predicate(variant):
     assert all(walked[key] >= least for key, least in WALKED[variant].items()), walked
 
 
-@pytest.mark.parametrize("engine", ["exp", "pspace"])
-@pytest.mark.parametrize("variant", ["trees", "forests", "bipartite-induced",
-                                     "bipartite-induced-connected"])
+def engine_params(variants):
+    """(variant, engine) pairs: exp for each variant, pspace where it runs."""
+    return [(v, e) for v in variants for e in ("exp", "pspace")
+            if e == "exp" or v in PSPACE_VARIANTS]
+
+
+@pytest.mark.parametrize("variant,engine", engine_params(EXTENSION_TESTED))
 def test_completion_asks_no_predicate(engine, variant, monkeypatch):
     # a completion step asks the family's extension test, never the
     # predicate, so a run evaluates the predicate exactly once per completion
-    # it computes: the input check of that completion.  trees, whose test
-    # is the oldest, is the control for the other three
+    # it computes: the input check of that completion
     for i in range(CORPUS_SIZE):
         inst = build_instance(variant, i)
         evals = []
@@ -478,6 +483,40 @@ def test_completion_asks_no_predicate(engine, variant, monkeypatch):
         monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
         _, counters = run_engine(engine, inst)
         assert len(evals) == counters.comp_calls > 0, (i, inst.g.edges)
+
+
+@pytest.mark.parametrize("variant,engine", engine_params([*EXTENSION_TESTED, "kdeg-induced"]))
+def test_predicate_memo_only_without_extension_test(variant, engine, monkeypatch):
+    # a family with an extension test has no predicate memo: two asks for
+    # one mask evaluate the predicate twice, inside a run (probed from the
+    # sink) and outside one; kdeg-induced keeps its memo, which answers the
+    # second ask in both places
+    inst = build_instance(variant, 9)
+    evals = []
+    predicate = inst._solution_mask
+    monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
+
+    def evals_per_ask(sol):
+        counts = []
+        for _ in range(2):
+            before = len(evals)
+            assert inst.sol(mask_of(sol))
+            counts.append(len(evals) - before)
+        return counts
+
+    sols, inside = [], []
+
+    def probe(sol):
+        sols.append(sol)
+        inside.append(evals_per_ask(sol))
+
+    (enumerate_pspace if engine == "pspace" else enumerate_exp)(inst, emit=probe)
+    outside = [evals_per_ask(sol) for sol in sols]
+    assert len(sols) > 1
+    if variant in EXTENSION_TESTED:
+        assert inside == outside == [[1, 1]] * len(sols)
+    else:
+        assert all(first <= 1 and second == 0 for first, second in inside + outside)
 
 
 def test_maximality_ignores_extension_test():

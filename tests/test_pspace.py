@@ -727,8 +727,9 @@ def test_pspace_empty_graph(variant):
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
 # ``_lex_memo``, exp in ``_comp_memo``; the memos a class names in ``RUN_MEMOS``
-# (the predicate memo, the hulls' obstacles inside) are opened afresh by every
-# run as well, while calls outside a run use the instance's own
+# (the predicate memo of a family with no extension test, the hulls' obstacles
+# inside) are opened afresh by every run as well, while calls outside a run use
+# the instance's own
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
@@ -781,7 +782,7 @@ def comp_calls(runs):
 
 class ForgetfulMemo(pspace_mod._LexMemo):
     """A run memo that misses on every lookup: as ``_LexMemo`` it serves a
-    pspace run as both its completion memo and its predicate memo."""
+    pspace run as its completion memo, the only memo the run opens."""
 
     def get(self, xmask, default=None):
         return default
@@ -789,8 +790,8 @@ class ForgetfulMemo(pspace_mod._LexMemo):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_is_transparent(variant, monkeypatch):
-    # the memos change which completions are computed, never their results:
-    # a run whose completion and predicate memos miss on every lookup emits
+    # the memo changes which completions are computed, never their results:
+    # a run whose completion memo misses on every lookup emits
     # the same solutions in the same order with the same counters, apart
     # from the completion counts
     remembered = corpus_runs(variant)
@@ -845,8 +846,8 @@ def test_exp_neighbors_same_inside_a_run(variant):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_memo_overflow_clears(variant, monkeypatch):
-    # a cap of 3 clears the run's two memos, completion and predicate, over
-    # and over (sizes records both), and the output is that of the real cap
+    # a cap of 3 clears the run's completion memo, its only memo, over and
+    # over, and the output is that of the real cap
     sizes = []
     setitem = pspace_mod._LexMemo.__setitem__
 
@@ -982,9 +983,9 @@ def test_lex_memo_holds_only_completions(variant, corpus, monkeypatch):
     assert unasked > 0 and markers > 0
 
 
-# (engine, variant, corpus index): both engines, an exp family that keeps only
-# the shared predicate memo (pinterval) and one that adds a memo of its own to
-# ``RUN_MEMOS`` (hulls)
+# (engine, variant, corpus index): both engines on forests, which keeps no
+# predicate memo, an exp family that keeps only the shared predicate memo
+# (pinterval) and one that adds a memo of its own to ``RUN_MEMOS`` (hulls)
 RUN_SCOPED = [pytest.param("exp", "forests", 9, id="exp"),
               pytest.param("pspace", "forests", 9, id="pspace"),
               pytest.param("exp", "pinterval-induced", 2, id="exp-pinterval-induced"),
