@@ -213,6 +213,11 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # a generator made for each small frontier, layer or set cost the chordal
 # predicates 10-15%, and the exp engine about a sixth of its time on the
 # hereditary families.  ``bits`` serves cold paths, the API and tests.
+# The BFS-layer walks of the pspace hot path (``base.bfs_order``,
+# ``pspace._regenerate``, ``pspace.has_parent`` and
+# ``bipartite._two_color_masks``) likewise walk layers inline in the order
+# of ``mask_layers``, not through it: resuming it once per layer took 17%
+# of a ``pspace-forest`` benchmark run under cProfile.
 
 def mask_cc(adj_masks, mask: int, v: int) -> int:
     """The component of element v inside the element set ``mask``, where
@@ -290,7 +295,9 @@ def mask_layers(adj_masks, mask: int, v: int):
     component first, walked from v, at slot 0, then every other one from its
     leader, its smallest vertex, by ascending leader, at slot leader + 1.
     ``nbrs`` is the union of the layer's adjacency rows, not cut to the
-    mask.  v must lie in a non-empty mask."""
+    mask.  v must lie in a non-empty mask.  Its only engine caller is the
+    cold fallback ``PspaceProblem.order_keys``; the hot walks inline this
+    order (see above)."""
     left, slot, leader = mask, 0, v
     while left:
         layer, depth = 1 << leader, 0

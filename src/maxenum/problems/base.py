@@ -68,15 +68,21 @@ def tuple_of(mask: int) -> tuple[int, ...]:
 
 
 def bfs_order(und, out, mask: int) -> list[int]:
-    """The parent-forest solution order of the masked vertex set: the
-    layers of ``mask_layers`` from its smallest vertex, each ascending."""
-    seed = (mask & -mask).bit_length() - 1
-    order = []
-    for _, _, layer, _ in mask_layers(und, mask, seed):
+    """The parent-forest solution order of the masked vertex set: each
+    component's BFS layers from its smallest vertex, each layer ascending,
+    the components by ascending smallest vertex (``graphs.mask_layers``'
+    order, walked inline)."""
+    order, left, layer = [], mask, mask & -mask
+    while layer:
+        left ^= layer
+        nbrs = 0
         while layer:
             low = layer & -layer
-            order.append(low.bit_length() - 1)
+            u = low.bit_length() - 1
+            order.append(u)
+            nbrs |= und[u]
             layer ^= low
+        layer = nbrs & left or left & -left
     return order
 
 
@@ -355,10 +361,10 @@ class PspaceProblem(GraphProblem):
 
     The four families supported here are vertex problems on an undirected
     graph where every single vertex is a solution, ordered by the BFS
-    layers of ``mask_layers`` rooted at the seed (``bfs_order``, their
-    canonical order).  Their candidate rule ``_candidates`` serves both
-    engines: completed by ``comp_mask`` for ``neighbor_masks`` and by the
-    lexicographic completion ``comp_lex_mask`` for ``neighbor_masks_at``.
+    layers rooted at the seed (``bfs_order``, their canonical order).
+    Their candidate rule ``_candidates`` serves both engines: completed by
+    ``comp_mask`` for ``neighbor_masks`` and by the lexicographic
+    completion ``comp_lex_mask`` for ``neighbor_masks_at``.
     Each family must define ``_extension_test``, which both completions
     ask, so ``sol`` is the plain predicate, with no memo in a run or out.
     """

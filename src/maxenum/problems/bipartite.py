@@ -9,20 +9,31 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import mask_apart, mask_layers, spanned_masks
+from ..graphs import mask_apart, spanned_masks
 from .base import GraphProblem, PspaceProblem, bfs_order
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
-    """(B0, B1) side masks of the induced subgraph, the even and the odd
-    layers of ``mask_layers`` from its smallest vertex, or None when an edge
-    joins two vertices of one layer, which closes an odd cycle."""
-    sides = [0, 0]
-    for _, depth, layer, nbrs in mask_layers(adj_masks, mask,
-                                             (mask & -mask).bit_length() - 1):
+    """(B0, B1) side masks of the induced subgraph: the even and the odd BFS
+    layers of each component, walked inline from its smallest vertex in
+    ``graphs.mask_layers``' order, or None when an edge joins two vertices
+    of one layer, which closes an odd cycle."""
+    sides, odd = [0, 0], 0
+    left, layer = mask, mask & -mask
+    while layer:
+        left ^= layer
+        nbrs = 0
+        scan = layer
+        while scan:
+            low = scan & -scan
+            nbrs |= adj_masks[low.bit_length() - 1]
+            scan ^= low
         if nbrs & layer:
             return None
-        sides[depth & 1] |= layer
+        sides[odd] |= layer
+        layer, odd = nbrs & left, odd ^ 1
+        if not layer:  # the next component's depth starts at 0 at its leader
+            layer, odd = left & -left, 0
     return sides[0], sides[1]
 
 

@@ -41,9 +41,9 @@ finish.  ``children`` drops a (candidate r, seed s) pair before any walk
 unless s lies below the pivot, has no smaller neighbor in r, has a
 neighbor in r or is its smallest element, and lies in the parent: a pair
 that fails one of them yields no child (see ``children``).
-``_regenerate`` walks the order's BFS layers (``graphs.mask_layers``)
-only up to the pivot, and drops the seed as soon as a layer holds a
-smaller element.  The parent check
+``_regenerate`` walks the order's BFS layers only up to the pivot, inline
+in the order of ``graphs.mask_layers``, and drops the seed as soon as a
+layer holds a smaller element.  The parent check
 (``has_parent``) judges the pivot first: it walks the child's layers up
 to the pivot and stops at the first that leaves the parent, the prefix
 before the pivot must complete to the parent, and only then is the
@@ -56,7 +56,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .engine import Counters, drain, walk
-from .graphs import ContractViolation, bits, mask_layers, mask_of
+from .graphs import ContractViolation, bits, mask_of
 from .problems import PSPACE_VARIANTS
 from .problems.base import PspaceProblem, tuple_of
 
@@ -131,23 +131,30 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     judged pivot first: order[:i] must lie inside the parent, its completion,
     before it is completed and compared with the parent, and only then must
     every longer prefix complete to the child.  order[:i] is read off the
-    child's layers (``graphs.mask_layers``) up to w's, and the walk stops at
-    the first layer that leaves the parent; the whole order is built, by
-    ``vertex_order``, only when order[:i] completes to the parent.  The
-    verdict rests on the child alone, and nothing is kept between calls.
+    child's BFS layers up to w's, walked inline in the order of
+    ``graphs.mask_layers``, and the walk stops at the first layer that
+    leaves the parent; the whole order is built, by ``vertex_order``, only
+    when order[:i] completes to the parent.  The verdict rests on the child
+    alone, and nothing is kept between calls.
     """
     if not (cmask >> w) & 1:
         raise ContractViolation(f"pivot {w} is not in the child")
     if pmask == cmask:
         return False
-    und, core = problem.g.und_mask, 0
-    for _, _, layer, _ in mask_layers(und, cmask, (cmask & -cmask).bit_length() - 1):
-        if (layer >> w) & 1:
-            core |= layer & ((1 << w) - 1)
-            break
+    und, wbit = problem.g.und_mask, 1 << w
+    core, left, layer = 0, cmask, cmask & -cmask
+    while not layer & wbit:
         if layer & ~pmask:
             return False
         core |= layer
+        left ^= layer
+        nbrs = 0
+        while layer:
+            low = layer & -layer
+            nbrs |= und[low.bit_length() - 1]
+            layer ^= low
+        layer = nbrs & left or left & -left
+    core |= layer & (wbit - 1)
     if not core or core & ~pmask or problem.comp_lex_mask(core) != pmask:
         return False
     order = problem.vertex_order(und, problem.g.out_mask, cmask)
@@ -158,20 +165,30 @@ def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
     """The completion of the elements of the candidate mask ``rmask`` up to
     w in its order rooted at s, or 0 when that completion is not rooted at
     s: when the prefix holds an element below s, or the seeded completion
-    adds one.
+    adds one.  A w outside ``rmask`` raises ContractViolation.
 
-    The prefix is every layer of ``mask_layers(rmask, s)`` before w's plus
-    the members of w's layer up to w; the walk stops at the first layer that
-    holds an element below s, wherever w lies.
+    The prefix is every BFS layer of r from s before w's plus the members
+    of w's layer up to w, walked inline in the order of
+    ``graphs.mask_layers``: when a component runs out, the smallest element
+    left leads the next.  The walk stops at the first layer that holds an
+    element below s, wherever w lies.
     """
-    prefix, below = 0, (1 << s) - 1
-    for _, _, layer, _ in mask_layers(problem.g.und_mask, rmask, s):
-        if (layer >> w) & 1:
-            prefix |= layer & ((2 << w) - 1)
-            break
+    und, below, wbit = problem.g.und_mask, (1 << s) - 1, 1 << w
+    prefix, left, layer = 0, rmask, 1 << s
+    while not layer & wbit:
         if layer & below:
             return 0
         prefix |= layer
+        left ^= layer
+        nbrs = 0
+        while layer:
+            low = layer & -layer
+            nbrs |= und[low.bit_length() - 1]
+            layer ^= low
+        layer = nbrs & left or left & -left
+        if not layer:
+            raise ContractViolation(f"pivot {w} is not in the candidate")
+    prefix |= layer & ((wbit << 1) - 1)
     return 0 if prefix & below else problem.comp_lex_mask(prefix, seeded=True)
 
 

@@ -349,6 +349,43 @@ def test_two_color_masks_by_layers():
     assert _two_color_masks(g.und_mask, 0) == (0, 0)
 
 
+def two_color_witness(g, x):
+    """(B0, B1) of G[x] from ``layers_witness``: the even and the odd layers
+    of each component walked from its smallest vertex, or None when an edge
+    joins two vertices of one layer."""
+    sides = [0, 0]
+    for _, depth, layer in layers_witness(g, x, min(x)) if x else []:
+        if any(w in layer for u in layer for w in g.und_adj[u]):
+            return None
+        sides[depth % 2] |= mask_of(layer)
+    return tuple(sides)
+
+
+def test_two_color_masks_match_set_bfs():
+    # each component's depth starts again at 0 at its leader, so a component
+    # after one whose last layer is even must not continue its parity
+    rng = random.Random(37)
+    cases = {"empty mask": 0, "isolated vertex": 0, "three components": 0,
+             "edge inside a layer": 0, "component after an even last layer": 0}
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.3, 0.6]))
+        keep = rng.choice([0.05, 0.4, 0.8])
+        x = [u for u in range(n) if rng.random() < keep]
+        got = _two_color_masks(g.und_mask, mask_of(x))
+        assert got == two_color_witness(g, x), (g.edges, x)
+        layers = layers_witness(g, x, min(x)) if x else []
+        slots = [slot for slot, _, _ in layers]
+        cases["empty mask"] += not x
+        cases["isolated vertex"] += any(not set(g.und_adj[u]) & set(x) for u in x)
+        cases["three components"] += len(set(slots)) >= 3
+        cases["edge inside a layer"] += got is None
+        cases["component after an even last layer"] += got is not None and any(
+            a != b and depth % 2 == 0
+            for a, b, (_, depth, _) in zip(slots, slots[1:], layers))
+    assert min(cases.values()) >= 30, cases
+
+
 # -- the inline bit scans of the hot kernels ---------------------------------------
 
 def set_bfs_order(g, s):

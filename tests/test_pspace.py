@@ -408,6 +408,22 @@ def test_parent_check_needs_the_pivot_in_the_child():
             has_parent(inst, mask_of((1, 2, 3, 4)), mask_of((0, 1, 2, 3)), w)
 
 
+def test_regenerate_needs_the_pivot_in_the_candidate():
+    # a pivot outside r lies in no layer of r, so the walk runs out of r:
+    # it raises instead of completing the whole of r, both inside one
+    # component and after hopping to the next one's leader
+    inst = make_instance("bipartite-induced", graph=cycle(5))
+    for r, s, w in (((1, 2, 3), 1, 4), ((1, 2, 3), 1, 5), ((0, 2), 0, 3)):
+        before = inst.comp_calls
+        with pytest.raises(ContractViolation, match=f"pivot {w} is not in the candidate"):
+            pspace_mod._regenerate(inst, mask_of(r), s, w)
+        assert inst.comp_calls == before
+    # with the pivot in r the walks complete their prefixes, in one
+    # component and across two
+    for r in ((0, 1, 2), (0, 2)):
+        assert pspace_mod._regenerate(inst, mask_of(r), 0, 2) == mask_of((0, 1, 2, 4))
+
+
 def test_children_of_unique_solution_empty():
     # complete bipartite graph: the whole vertex set is the only solution
     g = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
