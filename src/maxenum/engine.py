@@ -149,7 +149,7 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     ``dict_operations`` counts its inserts, the first solution's included.
 
     The run opens its memos with ``Problem.run_memos``: the problem's
-    ``RUN_MEMOS`` (predicate memo, if any, plugin caches) and ``_comp_memo``,
+    ``RUN_MEMOS`` (its predicate memo, if it keeps one) and ``_comp_memo``,
     solution mask -> completed mask, read and filled by ``comp_mask``: its
     keys are the candidates completed and, for the shared completion loop,
     every set a completion reached after an addition.

@@ -42,7 +42,7 @@ the way in.  ``sol`` asks the predicate, ``_sol_eval``, through a memo,
 except in a family with an extension test, whose completions ask it only
 to check their inputs.  Every memo belongs to a run: ``run_memos`` opens,
 on the instance, a fresh dict for each of ``RUN_MEMOS`` (that predicate
-memo, plugin caches) and the engine's completion memo (``_comp_memo`` for
+memo, or none) and the engine's completion memo (``_comp_memo`` for
 ``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``), and restores
 the outer ones when the run ends; calls outside a run use the instance's
 own.  Of them all, only pspace's completion memo is capped (``_LexMemo``).
@@ -90,7 +90,8 @@ class Problem:
     variant: str = ""
     ground_kind: str = "v"  # "v": vertex ids, "e": edge ids
     connected = False  # solutions must be connected; completion grows by adjacency
-    # the memos each run opens afresh (``run_memos``); a plugin adds its caches
+    # the memos each run opens afresh (``run_memos``); a family with an
+    # extension test names none
     RUN_MEMOS = ("_sol_cache",)
 
     def __init__(self, ground_size: int):

@@ -4,15 +4,19 @@ Solutions are subsets of the interest points whose closed convex hull
 contains no obstacle (boundary counts as containment); the connected
 variant additionally carries a graph on the interest points and demands
 connectivity.  All predicates are exact integer arithmetic, never
-floating point: each candidate set's hull is built once by Andrew's
-monotone chain, and every obstacle is tested against its edges.
+floating point, and no hull is ever built: an instance computes, on first
+use, a table (``Hulls.walls``) of a few interest-point masks per obstacle,
+from the half-planes through it, and an obstacle lies inside a set's
+closed hull exactly when the set's mask meets each of its masks.  Nothing
+is memoized per set beyond the shared predicate memo.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
-from ..graphs import (Graph, bits, int_pair, mask_components, mask_of, parse_edge_lines,
+from ..graphs import (Graph, int_pair, mask_components, mask_of, parse_edge_lines,
                       read_counted)
 from .base import Problem
 
@@ -23,52 +27,6 @@ Point = tuple[int, int]
 
 class PointFormatError(ValueError):
     """Raised for malformed point-set input; message names the line."""
-
-
-def orient(a: Point, b: Point, c: Point) -> int:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    if orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def convex_hull(pts) -> list[Point]:
-    """The closed convex hull of pts by Andrew's monotone chain: its
-    corners counter-clockwise from the least point, collinear and repeated
-    points dropped.  Fewer than three points or an all-collinear set give
-    the distinct points, or a segment's two ends, in ascending order."""
-    pts = sorted(set(pts))
-    if len(pts) < 3:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) > 1 and orient(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) > 1 and orient(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def in_hull(p: Point, hull: list[Point]) -> bool:
-    """Closed containment of p in a hull from ``convex_hull``: the boundary
-    counts as inside, and an empty hull holds nothing."""
-    if len(hull) < 3:
-        # a point is the segment from itself to itself
-        return bool(hull) and on_segment(p, hull[0], hull[-1])
-    a = hull[-1]
-    for b in hull:
-        if orient(a, b, p) < 0:
-            return False
-        a = b
-    return True
 
 
 class PointSetInstance:
@@ -119,24 +77,58 @@ def load_points(text: str) -> PointSetInstance:
 class Hulls(Problem):
     variant = "hulls"
     ground_kind = "v"
-    RUN_MEMOS = (*Problem.RUN_MEMOS, "_inside_cache")  # obstacles inside a hull
 
     def __init__(self, inst: PointSetInstance):
         super().__init__(len(inst.interest))
         self.inst = inst
 
-    def obstacles_inside(self, mask: int) -> tuple[int, ...]:
-        """Indices of obstacles inside the closed hull of the masked points."""
-        hit = self._inside_cache.get(mask)
-        if hit is None:
-            hull = convex_hull([self.inst.interest[i] for i in bits(mask)])
-            hit = tuple(i for i, p in enumerate(self.inst.obstacles)
-                        if in_hull(p, hull))
-            self._inside_cache[mask] = hit
-        return hit
+    @cached_property
+    def walls(self) -> tuple[tuple[int, ...], ...]:
+        """For each obstacle o, the minimal complements (as interest-point
+        masks) of the sets L(o, p), p an interest point, where L(o, p) holds
+        each q with cross(p - o, q - o) > 0, or = 0 with q on the open ray
+        from o through p.  Built on first use, not with the instance.
+
+        Each L(o, p) is convex and misses o, so o lies outside the hull of
+        any set inside one.  Conversely, if o lies outside the hull of a
+        non-empty Z, a line through o has Z strictly on one side; turned
+        about o until it meets a point p of Z, it leaves Z inside L(o, p).
+        So o lies inside the closed hull of a mask exactly when the mask
+        meets every complement.  The empty set's hull holds nothing, and
+        the empty mask alone misses ``full``, which every other complement
+        lies inside: it is the table's one mask only when there are no
+        interest points.
+        """
+        pts = self.inst.interest
+        full = (1 << len(pts)) - 1
+        table = []
+        for ox, oy in self.inst.obstacles:
+            vecs = [(x - ox, y - oy) for x, y in pts]
+            comps = {full}
+            for px, py in vecs:
+                side = 0
+                for i, (qx, qy) in enumerate(vecs):
+                    cross = px * qy - py * qx
+                    if cross > 0 or cross == 0 and px * qx + py * qy > 0:
+                        side |= 1 << i
+                comps.add(full ^ side)
+            table.append(tuple(sorted(c for c in comps
+                                      if not any(d != c and d & c == d for d in comps))))
+        return tuple(table)
+
+    def _first_inside(self, mask: int) -> Optional[int]:
+        """The smallest index of an obstacle inside the closed hull of the
+        masked points, or None."""
+        for i, comps in enumerate(self.walls):
+            for c in comps:
+                if not mask & c:
+                    break
+            else:
+                return i
+        return None
 
     def _solution_mask(self, mask: int) -> bool:
-        return not self.obstacles_inside(mask)
+        return self._first_inside(mask) is None
 
     def _shadow_masks(self, smask: int, v: int) -> list[int]:
         """Obstacle-free split pieces of the masked solution as seen when
@@ -147,22 +139,27 @@ class Hulls(Problem):
         discarded; both sides recurse until obstacle-free.
         """
         vb = 1 << v
-        pv = self.inst.interest[v]
+        pts = self.inst.interest
+        vx, vy = pts[v]
         out: list[int] = []
 
         def rec(part: int):
-            inside = self.obstacles_inside(part | vb)
-            if not inside:
+            i = self._first_inside(part | vb)
+            if i is None:
                 out.append(part)
                 return
-            ob = self.inst.obstacles[inside[0]]
+            ox, oy = self.inst.obstacles[i]
+            dx, dy = ox - vx, oy - vy
             above = below = 0
-            for w in bits(part):
-                o = orient(pv, ob, self.inst.interest[w])
-                if o > 0:
-                    above |= 1 << w
-                elif o < 0:
-                    below |= 1 << w
+            while part:
+                low = part & -part
+                x, y = pts[low.bit_length() - 1]
+                side = dx * (y - vy) - dy * (x - vx)
+                if side > 0:
+                    above |= low
+                elif side < 0:
+                    below |= low
+                part ^= low
             rec(above)
             rec(below)
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -6,16 +7,65 @@ import pytest
 
 from maxenum import (Graph, PointSetInstance, brute_force_maximal,
                      enumerate_exp, make_instance)
-from maxenum.graphs import mask_of
-from maxenum.problems.geometry import (PointFormatError, convex_hull, in_hull,
-                                       load_points, on_segment, orient)
+from maxenum.graphs import bits, mask_of
+from maxenum.problems.geometry import PointFormatError, load_points
+
+from conftest import CORPUS_SIZE, POINT_VARIANTS, build_instance
 
 
 def tri_with_centroid():
     return PointSetInstance([(0, 0), (6, 0), (0, 6)], [(2, 2)])
 
 
-# -- predicates ------------------------------------------------------------------
+# -- reference geometry ------------------------------------------------------------
+# independent of the plugin, which builds no hull: the wall kernel of
+# ``Hulls`` is checked against these below
+
+def orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def on_segment(p, a, b):
+    if orient(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def convex_hull(pts):
+    """The closed convex hull of pts by Andrew's monotone chain: its
+    corners counter-clockwise from the least point, collinear and repeated
+    points dropped.  Fewer than three points or an all-collinear set give
+    the distinct points, or a segment's two ends, in ascending order."""
+    pts = sorted(set(pts))
+    if len(pts) < 3:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) > 1 and orient(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) > 1 and orient(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def in_hull(p, hull):
+    """Closed containment of p in a hull from ``convex_hull``: the boundary
+    counts as inside, and an empty hull holds nothing."""
+    if len(hull) < 3:
+        # a point is the segment from itself to itself
+        return bool(hull) and on_segment(p, hull[0], hull[-1])
+    a = hull[-1]
+    for b in hull:
+        if orient(a, b, p) < 0:
+            return False
+        a = b
+    return True
+
 
 def test_orient_signs():
     assert orient((0, 0), (1, 0), (0, 1)) > 0
@@ -112,6 +162,130 @@ def test_hull_containment_matches_triangle_witness():
             assert in_hull(q, hull) == point_in_hull(q, pts), (pts, q)
         queries += len(probe)
     assert queries >= 100_000
+
+
+# -- the wall kernel --------------------------------------------------------------
+# ``Hulls`` decides containment from its table of half-plane masks alone; on
+# every subset of every case here it must agree with the monotone-chain hull
+# and with the triangle witness, obstacle by obstacle
+
+KINDS = ("collinear set", "obstacle on a hull edge",
+         "collinear, same side", "collinear, opposite sides")
+
+
+def _lattice_sets(rng, count):
+    """Point sets drawn from a 5 x 5 lattice, where collinear triples and
+    obstacles on segments are common: 3-7 interest points, 1-4 obstacles."""
+    lattice = [(x, y) for x in range(5) for y in range(5)]
+    for _ in range(count):
+        j, h = rng.randint(3, 7), rng.randint(1, 4)
+        pts = rng.sample(lattice, j + h)
+        yield PointSetInstance(pts[:j], pts[j:])
+
+
+def _kernel_cases():
+    """The corpus hull instances' point sets, then small-lattice sets."""
+    for variant in POINT_VARIANTS:
+        for i in range(CORPUS_SIZE):
+            yield build_instance(variant, i).inst
+    yield from _lattice_sets(random.Random(211), 150)
+
+
+def _kinds(z, hull, o):
+    """The degenerate kinds the obstacle o shows against the point set z."""
+    edges = list(zip(hull, hull[1:] + hull[:1])) if len(hull) > 2 else [hull]
+    pairs = list(combinations(z, 2))
+    if len(hull) > 1 and any(on_segment(o, a, b) for a, b in edges):
+        yield "obstacle on a hull edge"
+    if any(orient(a, b, o) == 0 and not on_segment(o, a, b) for a, b in pairs):
+        yield "collinear, same side"
+    if any(on_segment(o, a, b) for a, b in pairs):
+        yield "collinear, opposite sides"
+
+
+def test_wall_kernel_matches_reference_hulls():
+    seen = Counter()
+    for points in _kernel_cases():
+        interest, obstacles = points.interest, points.obstacles
+        inst = make_instance("hulls", points=points)
+        alone = [make_instance("hulls", points=PointSetInstance(interest, [o]))
+                 for o in obstacles]
+        for mask in range(1 << len(interest)):
+            z = [interest[i] for i in bits(mask)]
+            hull = convex_hull(z)
+            seen["collinear set"] += len(z) > 2 and len(hull) == 2
+            inside = []
+            for i, o in enumerate(obstacles):
+                chain = in_hull(o, hull)
+                assert chain == point_in_hull(o, z), (z, o)
+                assert alone[i]._first_inside(mask) == (0 if chain else None), (z, o)
+                if chain:
+                    inside.append(i)
+                seen.update(_kinds(z, hull, o))
+            assert inst._first_inside(mask) == (inside[0] if inside else None), (z, obstacles)
+            assert inst._solution_mask(mask) == (not inside)
+    assert all(seen[kind] >= 30 for kind in KINDS), seen
+
+
+def orient_split_shadows(points, smask, v):
+    """``Hulls._shadow_masks`` as it was when it built a hull per set: the
+    smallest-index obstacle inside the monotone-chain hull of the piece and
+    v splits the piece by the sign of ``orient(v, obstacle, w)``."""
+    interest, pv = points.interest, points.interest[v]
+    out = []
+
+    def rec(part):
+        hull = convex_hull([interest[i] for i in bits(part | 1 << v)])
+        inside = [o for o in points.obstacles if in_hull(o, hull)]
+        if not inside:
+            out.append(part)
+            return
+        above = below = 0
+        for w in bits(part):
+            side = orient(pv, inside[0], interest[w])
+            if side > 0:
+                above |= 1 << w
+            elif side < 0:
+                below |= 1 << w
+        rec(above)
+        rec(below)
+
+    rec(smask)
+    return list(dict.fromkeys(out))
+
+
+def test_shadow_masks_match_orient_split():
+    # every piece, in order, for every set and every point outside it
+    calls = 0
+    for points in _kernel_cases():
+        inst = make_instance("hulls", points=points)
+        full = (1 << len(points.interest)) - 1
+        for v in range(len(points.interest)):
+            for smask in range(full + 1):
+                if not smask >> v & 1:
+                    assert (inst._shadow_masks(smask, v)
+                            == orient_split_shadows(points, smask, v)), (points.interest, smask, v)
+                    calls += 1
+    assert calls > 50_000
+
+
+def test_wall_table_is_built_on_first_use():
+    # constructing either family builds no table; the first predicate call
+    # builds it once, as tuples of masks, and runs leave it in place
+    plain = make_instance("hulls", points=tri_with_centroid())
+    connected = build_instance("hulls-connected", 7)  # three obstacles
+    for inst in (plain, connected):
+        assert "walls" not in vars(inst)
+        inst.comp(())
+        table = vars(inst)["walls"]
+        assert type(table) is tuple and len(table) == len(inst.inst.obstacles)
+        assert all(type(comps) is tuple and comps and all(type(c) is int for c in comps)
+                   for comps in table)
+        enumerate_exp(inst)
+        assert vars(inst)["walls"] is table
+    # the centroid's walls are the triangle's corners, one each: only a set
+    # that holds all three has it inside
+    assert plain.walls == ((1, 2, 4),)
 
 
 # -- membership -------------------------------------------------------------------

@@ -743,9 +743,8 @@ def test_pspace_empty_graph(variant):
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
 # ``_lex_memo``, exp in ``_comp_memo``; the memos a class names in ``RUN_MEMOS``
-# (the predicate memo of a family with no extension test, the hulls' obstacles
-# inside) are opened afresh by every run as well, while calls outside a run use
-# the instance's own
+# (the predicate memo of a family with no extension test) are opened afresh by
+# every run as well, while calls outside a run use the instance's own
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
@@ -1000,8 +999,9 @@ def test_lex_memo_holds_only_completions(variant, corpus, monkeypatch):
 
 
 # (engine, variant, corpus index): both engines on forests, which keeps no
-# predicate memo, an exp family that keeps only the shared predicate memo
-# (pinterval) and one that adds a memo of its own to ``RUN_MEMOS`` (hulls)
+# predicate memo, and two exp families that keep only the shared predicate
+# memo: pinterval, and hulls, whose table of half-plane masks is instance data
+# built on first use, not a run memo
 RUN_SCOPED = [pytest.param("exp", "forests", 9, id="exp"),
               pytest.param("pspace", "forests", 9, id="pspace"),
               pytest.param("exp", "pinterval-induced", 2, id="exp-pinterval-induced"),
