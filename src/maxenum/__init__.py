@@ -7,8 +7,7 @@ prefix-closed.
 """
 
 from .engine import Counters, PartialOutputError, SolutionDict, enumerate_exp
-from .graphs import (ContractViolation, Graph, GraphFormatError, degeneracy_order,
-                     load_graph, perfect_elimination_order)
+from .graphs import ContractViolation, Graph, GraphFormatError, load_graph
 from .oracle import OracleCapError, brute_force_maximal
 from .problems import (ALL_VARIANTS, PSPACE_VARIANTS, make_instance)
 from .problems.geometry import PointSetInstance, load_points
@@ -18,9 +17,8 @@ __all__ = [
     "ALL_VARIANTS", "ContractViolation", "Counters", "Graph",
     "GraphFormatError", "OracleCapError", "PSPACE_VARIANTS",
     "PartialOutputError", "PointSetInstance", "SolutionDict",
-    "brute_force_maximal", "degeneracy_order", "enumerate_exp",
-    "enumerate_pspace", "load_graph", "load_points", "make_instance",
-    "perfect_elimination_order",
+    "brute_force_maximal", "enumerate_exp", "enumerate_pspace",
+    "load_graph", "load_points", "make_instance",
 ]
 
 __version__ = "0.1.0"

@@ -177,18 +177,6 @@ def parse_edge_lines(rows, n: int, directed: bool,
     return edges
 
 
-def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
-    """Smallest-degree removal order of G[s] (ties to smallest id) and its
-    degeneracy; see ``degeneracy_mask``."""
-    return degeneracy_mask(g.und_mask,
-                           checked_mask(s, g.n, "vertex {e} out of range for n={n}"))
-
-
-def perfect_elimination_order(g: Graph, s: Iterable[int]) -> Optional[list[int]]:
-    """PEO of G[s] if chordal (doubles as the chordality test), else None."""
-    return peo_mask(g.und_mask, checked_mask(s, g.n, "vertex {e} out of range for n={n}"))
-
-
 def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
     """Undirected and out-neighbor masks of the subgraph an edge set spans,
     on g's vertex ids, and the mask of the vertices it spans."""
@@ -218,6 +206,8 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # ``bipartite._two_color_masks``) likewise walk layers inline in the order
 # of ``mask_layers``, not through it: resuming it once per layer took 17%
 # of a ``pspace-forest`` benchmark run under cProfile.
+# Orders that only the tests read, such as the degeneracy order, live with
+# the proximity witnesses in ``tests/proximity.py``, not here.
 
 def mask_cc(adj_masks, mask: int, v: int) -> int:
     """The component of element v inside the element set ``mask``, where
@@ -314,22 +304,6 @@ def mask_layers(adj_masks, mask: int, v: int):
             depth += 1
         leader = (left & -left).bit_length() - 1
         slot = leader + 1
-
-
-def degeneracy_mask(adj_masks, mask: int) -> tuple[list[int], int]:
-    """Smallest-degree removal order of the masked vertex set (ties to
-    smallest id), and the maximum degree seen at removal time, which is its
-    degeneracy."""
-    order = []
-    degeneracy = 0
-    left = mask
-    while left:
-        # min keeps the first of equal degrees, and bits ascend
-        u = min(bits(left), key=lambda x: (adj_masks[x] & left).bit_count())
-        degeneracy = max(degeneracy, (adj_masks[u] & left).bit_count())
-        order.append(u)
-        left ^= 1 << u
-    return order, degeneracy
 
 
 def mask_is_clique(adj_masks, mask: int) -> bool:

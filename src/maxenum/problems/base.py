@@ -1,9 +1,12 @@
 """Problem contract shared by every maximal-subgraph plugin.
 
 A plugin states only what is specific to its family: a membership
-predicate over ground-element bitmasks (``_solution_mask``), a candidate
-rule (``_candidates``) and a vertex order of adjacency masks
-(``vertex_order``).  Driven by the class flags ``ground_kind``,
+predicate over ground-element bitmasks (``_solution_mask``) and a candidate
+rule (``_candidates``); the four parent-forest families also state their
+solution order (``PspaceProblem.vertex_order``), which the pspace engine
+reads.  The other families' canonical orders, which define proximity in
+the paper but which no engine reads, are test witnesses
+(``tests/proximity.py``).  Driven by the class flags ``ground_kind``,
 ``directed`` and ``connected``, the rest lives here once: the input
 checks of graph families and their element adjacency table ``adj_masks``
 (a vertex's graph neighbors, or the edges that share an endpoint with an
@@ -16,9 +19,7 @@ distinct candidate once, by ``comp_mask`` for ``neighbor_masks`` and by
 ``comp_lex_mask`` for ``neighbor_masks_at``; the extension rule
 ``_reach``, the elements that can extend a set (for a connected family,
 those adjacent to it), which completion, ``addable`` and maximality all
-scan; and ``canonical_order``, the vertex order of a vertex set or of the
-subgraph an edge set spans, by which the edges are then sorted.
-A completion computes the reach once and grows it with each added
+scan.  A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
 where a plugin gives one, else the predicate.  ``addable`` and maximality
@@ -38,9 +39,10 @@ layers of its seed's component (``_seed_pick``) and builds
 ``order_keys`` only when that component touches no addable element.
 Both engines walk bitmasks; solutions cross the public API (``neighbors``,
 ``neighbors_at``, ``comp``) as sorted tuples of element ids, checked on
-the way in.  ``sol`` asks the predicate, ``_sol_eval``, through a memo,
-except in a family with an extension test, whose completions ask it only
-to check their inputs.  Every memo belongs to a run: ``run_memos`` opens,
+the way in, and ``neighbors`` and ``neighbors_at`` refuse a set that is
+not a maximal solution.  ``sol`` asks the predicate, ``_sol_eval``,
+through a memo, except in a family with an extension test, whose
+completions ask it only to check their inputs.  Every memo belongs to a run: ``run_memos`` opens,
 on the instance, a fresh dict for each of ``RUN_MEMOS`` (that predicate
 memo, or none) and the engine's completion memo (``_comp_memo`` for
 ``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``), and restores
@@ -54,7 +56,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable
 
 from ..graphs import (ContractViolation, Graph, bits, checked_mask, mask_cc, mask_layers,
-                      mask_of, spanned_masks)
+                      mask_of)
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -148,6 +150,15 @@ class Problem:
         # accessible, so a larger solution implies an addable element
         mask = self._mask(elems)
         return self.sol(mask) and not self.addable(mask)
+
+    def _maximal_mask(self, elems: Iterable[int]) -> int:
+        """The mask of ids given from outside, checked as ``_mask`` checks
+        them; a set that is not a maximal solution raises
+        ContractViolation."""
+        mask = self._mask(elems)
+        if not (self.sol(mask) and not self.addable(mask)):
+            raise ContractViolation(f"{tuple_of(mask)} is not a maximal solution")
+        return mask
 
     # -- extension and completion --------------------------------------
     def _reach(self, mask: int) -> int:
@@ -295,8 +306,9 @@ class Problem:
         return self._neighbor_loop(smask, tuple_of(full & ~smask), self.comp_mask)
 
     def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
-        """``neighbor_masks`` as sorted tuples, with element ids checked."""
-        return [tuple_of(m) for m in self.neighbor_masks(self._mask(solution))]
+        """``neighbor_masks`` of a maximal solution as sorted tuples, with
+        element ids checked; any other set raises ContractViolation."""
+        return [tuple_of(m) for m in self.neighbor_masks(self._maximal_mask(solution))]
 
     # -- instrumentation / test surface ---------------------------------
     def comp_budget(self) -> int:
@@ -304,19 +316,6 @@ class Problem:
         requests; inside an exp run, those its memo answers are not counted
         in ``comp_calls``, so the counted ones stay within it too."""
         raise NotImplementedError
-
-    def canonical_order(self, solution: Iterable[int]) -> list[int]:
-        raise NotImplementedError
-
-    def prefix_overlap(self, elems: Iterable[int], target: Iterable[int]) -> int:
-        """Length of the longest prefix of target's canonical order inside elems."""
-        have = set(elems)
-        k = 0
-        for e in self.canonical_order(target):
-            if e not in have:
-                break
-            k += 1
-        return k
 
 
 class GraphProblem(Problem):
@@ -337,32 +336,14 @@ class GraphProblem(Problem):
         self.adj_masks = (g.und_mask if self.ground_kind == "v"
                           else tuple(at[u] | at[v] for u, v in g.edges))
 
-    @staticmethod
-    def vertex_order(und, out, mask: int) -> list[int]:
-        """The family's canonical order of a masked vertex set, given the
-        undirected and out-neighbor masks of the graph it lies in."""
-        raise NotImplementedError
-
-    def canonical_order(self, solution) -> list[int]:
-        """The family's vertex order of a vertex solution.  An edge solution
-        is sorted by the later, then the earlier, position of each edge's
-        endpoints in that order of the subgraph the edges span."""
-        mask = self._mask(solution)
-        g = self.g
-        if self.ground_kind == "v":
-            return self.vertex_order(g.und_mask, g.out_mask, mask)
-        und, out, span = spanned_masks(g, mask)
-        pos = {u: i for i, u in enumerate(self.vertex_order(und, out, span))}
-        return sorted(bits(mask), key=lambda e: sorted((pos[u] for u in g.edges[e]),
-                                                       reverse=True))
-
 
 class PspaceProblem(GraphProblem):
     """Contract addition for the dictionary-free parent-forest traversal.
 
     The four families supported here are vertex problems on an undirected
     graph where every single vertex is a solution, ordered by the BFS
-    layers rooted at the seed (``bfs_order``, their canonical order).
+    layers rooted at the seed (``vertex_order``, their canonical order,
+    which ``pspace`` reads for the core, the parent check and ``restr``).
     Their candidate rule ``_candidates`` serves both engines: completed by
     ``comp_mask`` for ``neighbor_masks`` and by the lexicographic
     completion ``comp_lex_mask`` for ``neighbor_masks_at``.
@@ -375,9 +356,10 @@ class PspaceProblem(GraphProblem):
     sol = Problem._sol_eval
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
-        """``neighbor_masks_at`` as tuples, with element ids checked."""
-        smask = self._mask(solution)
+        """``neighbor_masks_at`` of a maximal solution as tuples, with element
+        ids checked; any other set raises ContractViolation."""
         self._mask((w,))  # checks w
+        smask = self._maximal_mask(solution)
         return [tuple_of(m) for m in self.neighbor_masks_at(smask, w)]
 
     def neighbor_masks_at(self, smask: int, w: int) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..graphs import mask_apart, spanned_masks
-from .base import GraphProblem, PspaceProblem, bfs_order
+from .base import GraphProblem, PspaceProblem
 
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
@@ -77,7 +77,6 @@ class BipartiteEdge(GraphProblem):
 
     variant = "bipartite-edge"
     ground_kind = "e"
-    vertex_order = staticmethod(bfs_order)
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)

@@ -14,17 +14,7 @@ from ..graphs import bits, chordal_cliques, mask_is_clique, peo_mask, spanned_ma
 from .base import GraphProblem
 
 
-def _reversed_peo(und, out, mask: int) -> list[int]:
-    """Reversed perfect elimination order of the masked vertex set, the
-    chordal canonical order; raises ValueError when it is not chordal."""
-    peo = peo_mask(und, mask)
-    if peo is None:
-        raise ValueError("not a chordal vertex set")
-    return peo[::-1]
-
-
 class _ChordalInducedBase(GraphProblem):
-    vertex_order = staticmethod(_reversed_peo)
     # completion asks ``_extension_test``, so a predicate memo never answers
     RUN_MEMOS = ()
     sol = GraphProblem._sol_eval
@@ -85,7 +75,6 @@ class ChordalEdge(GraphProblem):
 
     variant = "chordal-edge"
     ground_kind = "e"
-    vertex_order = staticmethod(_reversed_peo)
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)

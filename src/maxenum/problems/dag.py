@@ -3,7 +3,9 @@
 Solutions are vertex sets (induced variant) or arc sets (edge variant)
 that are acyclic and connected in the underlying undirected sense.
 Candidates make the incoming element a source or a sink by dropping the
-appropriate side of its neighborhood.
+appropriate side of its neighborhood.  The families' canonical order, the
+least layered order, is a test witness (``tests/proximity.py``): its
+search is exponential in the set size, and no engine reads it.
 """
 
 from __future__ import annotations
@@ -29,59 +31,10 @@ def _acyclic(out, mask: int) -> bool:
     return True
 
 
-def _layer_order(und, out, mask: int) -> list[int]:
-    """Lexicographically smallest order of the masked vertex set with
-    connected prefixes in which every vertex has an empty backward out- or
-    in-neighborhood, given undirected and out-neighbor masks.
-
-    The feasibility memo is keyed by placed subsets, so time and space are
-    bounded only by 2^|mask|.  It is used only by the ``canonical_order``
-    of both dag families, which neither engine calls.
-    """
-    verts = list(bits(mask))
-    inc = [0] * len(out)  # in-neighbor masks, inside the set
-    for u in verts:
-        for v in bits(out[u] & mask):
-            inc[v] |= 1 << u
-
-    def feasible(placed: int, v: int) -> bool:
-        if placed and not und[v] & placed:
-            return False
-        return not (out[v] & placed and inc[v] & placed)
-
-    memo: dict[int, bool] = {}
-
-    def completable(placed: int) -> bool:
-        if placed == mask:
-            return True
-        hit = memo.get(placed)
-        if hit is not None:
-            return hit
-        ok = any(feasible(placed, v) and completable(placed | (1 << v))
-                 for v in verts if not (placed >> v) & 1)
-        memo[placed] = ok
-        return ok
-
-    order: list[int] = []
-    placed = 0
-    while placed != mask:
-        for v in verts:
-            if (placed >> v) & 1:
-                continue
-            if feasible(placed, v) and completable(placed | (1 << v)):
-                order.append(v)
-                placed |= 1 << v
-                break
-        else:
-            raise ValueError("no valid vertex order exists")
-    return order
-
-
 class DagInducedConnected(GraphProblem):
     variant = "dag-induced-connected"
     directed = True
     connected = True
-    vertex_order = staticmethod(_layer_order)
 
     def _solution_mask(self, mask: int) -> bool:
         return _acyclic(self.g.out_mask, mask)
@@ -100,7 +53,6 @@ class DagEdgeConnected(GraphProblem):
     ground_kind = "e"
     directed = True
     connected = True
-    vertex_order = staticmethod(_layer_order)
 
     def _solution_mask(self, emask: int) -> bool:
         _, out, span = spanned_masks(self.g, emask)

@@ -3,6 +3,8 @@
 Both predicates run one worklist k-core peel.  Candidates keep, for each
 incoming element, every set of at most k (induced) or k-1 (edge, per
 endpoint) of its neighbors, in lexicographic order of their sorted ids.
+The families' canonical order, the reversed degeneracy order of each
+component, is a test witness (``tests/proximity.py``).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from ..graphs import Graph, degeneracy_mask, mask_components, mask_of, spanned_masks
+from ..graphs import Graph, mask_of, spanned_masks
 from .base import GraphProblem, tuple_of
 
 
@@ -28,17 +30,7 @@ def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
     return not left
 
 
-def _degeneracy_layout(und, out, mask: int) -> list[int]:
-    """Components of the masked vertex set by smallest vertex, each in
-    reversed smallest-degree removal order."""
-    order: list[int] = []
-    for comp in mask_components(und, mask):
-        order.extend(reversed(degeneracy_mask(und, comp)[0]))
-    return order
-
-
 class _KDegenerate(GraphProblem):
-    vertex_order = staticmethod(_degeneracy_layout)
     min_k = 0
 
     def __init__(self, g: Graph, k: int):

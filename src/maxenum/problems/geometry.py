@@ -16,8 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional
 
-from ..graphs import (Graph, int_pair, mask_components, mask_of, parse_edge_lines,
-                      read_counted)
+from ..graphs import Graph, int_pair, parse_edge_lines, read_counted
 from .base import Problem
 
 COORD_LIMIT = 10 ** 6
@@ -174,13 +173,6 @@ class Hulls(Problem):
     def comp_budget(self) -> int:
         return self.ground_size * (len(self.inst.obstacles) + 1)
 
-    # these plugins rank closeness by raw intersection, not order prefixes
-    def prefix_overlap(self, elems, target) -> int:
-        return len(set(elems) & set(target))
-
-    def canonical_order(self, solution):
-        raise NotImplementedError("hull solutions carry no canonical order")
-
 
 class HullsConnected(Hulls):
     variant = "hulls-connected"
@@ -194,11 +186,3 @@ class HullsConnected(Hulls):
         super().__init__(inst)
         self.g = inst.graph
         self.adj_masks = inst.graph.und_mask
-
-    def prefix_overlap(self, elems, target) -> int:
-        # closeness is the largest connected piece of the intersection
-        inter = mask_of(set(elems) & set(target))
-        if not inter:
-            return 0
-        return max(c.bit_count()
-                   for c in mask_components(self.g.und_mask, inter))

@@ -262,17 +262,6 @@ class _ProperIntervalBase(GraphProblem):
             return 20 * n * n * hosts + n
         return 40 * self.g.m * n * hosts + n
 
-    def vertex_order(self, und, out, mask: int) -> list[int]:
-        """The layouts of the components, by smallest vertex; the
-        family has no edge twin, so ``und`` is always the graph's own."""
-        order: list[int] = []
-        for c in mask_components(und, mask):
-            lay = self.component_layout(c)
-            if lay is None:
-                raise ValueError("not a proper interval vertex set")
-            order.extend(lay)
-        return order
-
 
 class ProperIntervalInduced(_ProperIntervalBase):
     variant = "pinterval-induced"

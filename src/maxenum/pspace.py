@@ -99,11 +99,10 @@ def _core_scan(problem: PspaceProblem, order: list[int], smask: int,
 def _core(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int, int]]:
     """(solution order, core length, parent mask) of a maximal solution, or
     None for roots.  Any other set has no core: ContractViolation."""
-    stuple = tuple(sorted(solution))
-    if not problem.is_maximal_solution(stuple):
-        raise ContractViolation(f"{stuple} is not a maximal solution")
-    order = problem.canonical_order(stuple)
-    hit = _core_scan(problem, order, mask_of(stuple), 1)
+    smask = problem._maximal_mask(solution)
+    g = problem.g
+    order = problem.vertex_order(g.und_mask, g.out_mask, smask)
+    hit = _core_scan(problem, order, smask, 1)
     return None if hit is None else (order, *hit)
 
 

@@ -45,6 +45,13 @@ def directed_triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
 
 
+def exp_solutions(inst) -> list:
+    """The solutions the exp engine emits for inst, in emission order."""
+    sols = []
+    enumerate_exp(inst, emit=sols.append)
+    return sols
+
+
 def components(g, s):
     """Connected components of G[s] (arcs taken as undirected), each a set,
     ordered by smallest vertex: a plain BFS over ``und_adj``, independent of

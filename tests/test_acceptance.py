@@ -11,11 +11,13 @@ which is what the alternating-output discipline guarantees).
 
 import random
 
-from maxenum import enumerate_exp, make_instance
+from maxenum import make_instance
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
 from maxenum.pspace import comp_lex, core_of
 
-from conftest import CORPUS_SIZE, complete, cycle, directed_triangle, triangle
+from conftest import (CORPUS_SIZE, complete, cycle, directed_triangle, exp_solutions,
+                      triangle)
+from proximity import prefix_overlap
 
 
 def report(criterion, ok, detail=""):
@@ -42,8 +44,7 @@ def test_criterion_1_oracle_equivalence(corpus):
 def test_criterion_2_named_counts():
     def count(variant, graph, k=None, sizes=None):
         inst = make_instance(variant, graph=graph, k=k)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         if sizes is not None:
             assert all(len(s) == sizes for s in sols)
         return len(sols)
@@ -73,8 +74,8 @@ def test_criterion_3_closeness_monotonicity(corpus):
         while pairs < 100 and pool:
             run = pool[pairs % len(pool)]
             s, t = rng.sample(run.solutions, 2)
-            base = run.instance.prefix_overlap(s, t)
-            better = any(run.instance.prefix_overlap(c, t) > base
+            base = prefix_overlap(run.instance, s, t)
+            better = any(prefix_overlap(run.instance, c, t) > base
                          for c in run.instance.neighbors(s))
             if not better:
                 failures += 1

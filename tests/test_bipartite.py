@@ -1,10 +1,11 @@
 import random
 
-from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
+from maxenum import Graph, brute_force_maximal, make_instance
 from maxenum.graphs import mask_of
 from maxenum.problems.bipartite import _two_color_masks
 
-from conftest import complete, components, cycle, random_graph, triangle
+from conftest import complete, components, cycle, exp_solutions, random_graph, triangle
+from proximity import canonical_order, prefix_overlap
 
 
 def walkthrough_graph():
@@ -108,10 +109,10 @@ def test_comp_k4_from_empty():
 
 def test_walkthrough_canonical_orders_and_overlap():
     inst = make_instance("bipartite-induced-connected", graph=walkthrough_graph())
-    assert inst.canonical_order(S_WALK) == [0, 1, 2, 4, 7, 3, 6]
-    assert inst.canonical_order(T_WALK) == [0, 1, 4, 8, 7]
-    assert inst.prefix_overlap(S_WALK, T_WALK) == 3  # prefix {0,1,4}
-    assert inst.prefix_overlap(T_WALK, S_WALK) == 2  # asymmetric
+    assert canonical_order(inst, S_WALK) == [0, 1, 2, 4, 7, 3, 6]
+    assert canonical_order(inst, T_WALK) == [0, 1, 4, 8, 7]
+    assert prefix_overlap(inst, S_WALK, T_WALK) == 3  # prefix {0,1,4}
+    assert prefix_overlap(inst, T_WALK, S_WALK) == 2  # asymmetric
 
 
 def test_walkthrough_two_sided_removal():
@@ -139,8 +140,7 @@ def test_c5_neighbors_at_extender():
 
 def test_k4_edge_variant_counts():
     inst = make_instance("bipartite-edge", graph=complete(4))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     # one maximal cut per bipartition of the four vertices
     assert len(sols) == 7
     assert sorted(sols) == brute_force_maximal(inst)
@@ -153,8 +153,7 @@ def test_edge_solutions_span_and_connect():
         if g.m == 0 or len(components(g, range(g.n))) != 1:
             continue
         inst = make_instance("bipartite-edge", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             touched = {x for e in s for x in g.edges[e]}
             assert touched == set(range(g.n))
@@ -167,8 +166,7 @@ def test_neighbors_are_maximal_solutions():
                     "bipartite-edge"):
         g = random_graph(rng, 6, 0.5)
         inst = make_instance(variant, graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols[:4]:
             for cand in inst.neighbors(s):
                 assert inst.is_maximal_solution(cand)
@@ -190,22 +188,20 @@ def test_bipartition_rejects_odd_cycle():
 def test_two_component_canonical_order_leader_first():
     g = Graph(4, [(0, 1), (2, 3)])
     inst = make_instance("bipartite-induced", graph=g)
-    assert inst.canonical_order((0, 1, 2, 3)) == [0, 1, 2, 3]
+    assert canonical_order(inst, (0, 1, 2, 3)) == [0, 1, 2, 3]
 
 
 def test_isolated_vertices_absorbed_induced():
     g = Graph(4, [(0, 1), (0, 2)])  # vertex 3 isolated
     inst = make_instance("bipartite-induced", graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert all(3 in s for s in sols)
     assert sorted(sols) == brute_force_maximal(inst)
 
 
 def test_edge_variant_edgeless_graph_empty_solution():
     inst = make_instance("bipartite-edge", graph=Graph(3, []))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sols == [()]
     assert brute_force_maximal(inst) == [()]
 
@@ -213,7 +209,6 @@ def test_edge_variant_edgeless_graph_empty_solution():
 def test_isolated_vertex_own_solution_connected():
     g = Graph(4, [(0, 1), (0, 2)])
     inst = make_instance("bipartite-induced-connected", graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert (3,) in sols
     assert sorted(sols) == brute_force_maximal(inst)

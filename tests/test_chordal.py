@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from maxenum import brute_force_maximal, enumerate_exp, make_instance
+from maxenum import brute_force_maximal, make_instance
 from maxenum.graphs import Graph, bits, mask_components, mask_of
 from maxenum.problems.base import tuple_of
 
-from conftest import complete, cycle, random_graph, triangle
+from conftest import complete, cycle, exp_solutions, random_graph, triangle
+from proximity import canonical_order
 
 
 def test_is_solution_examples():
@@ -71,16 +72,14 @@ def test_neighbors_c4_replay():
 
 def test_k4_single_solution():
     inst = make_instance("chordal-induced", graph=complete(4))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sols == [(0, 1, 2, 3)]
     assert set(inst.neighbors((0, 1, 2, 3))) <= {(0, 1, 2, 3)}
 
 
 def test_c5_paths_and_counts():
     inst = make_instance("chordal-induced", graph=cycle(5))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sorted(sols) == brute_force_maximal(inst)
     assert all(len(s) == 4 for s in sols)
 
@@ -108,10 +107,9 @@ def test_reverse_elimination_clique_property():
         g = random_graph(rng, 6, 0.5)
         for variant in ("chordal-induced", "chordal-induced-connected"):
             inst = make_instance(variant, graph=g)
-            sols = []
-            enumerate_exp(inst, emit=sols.append)
+            sols = exp_solutions(inst)
             for s in sols:
-                order = inst.canonical_order(s)
+                order = canonical_order(inst, s)
                 for i, v in enumerate(order):
                     before = [u for u in order[:i] if u in g.und_adj[v]]
                     assert all(b in g.und_adj[a]
@@ -123,8 +121,7 @@ def test_connected_variant_oracle():
     for _ in range(8):
         g = random_graph(rng, 6, 0.4)
         inst = make_instance("chordal-induced-connected", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         assert sorted(sols) == brute_force_maximal(inst)
 
 
@@ -133,8 +130,7 @@ def test_edge_variant_oracle():
     for _ in range(8):
         g = random_graph(rng, 5, 0.7, max_m=9)
         inst = make_instance("chordal-edge", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         assert sorted(sols) == brute_force_maximal(inst)
 
 

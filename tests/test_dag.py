@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
+from maxenum import Graph, brute_force_maximal, make_instance
 from maxenum.graphs import bits, mask_cc, mask_of, spanned_masks
 
-from conftest import build_instance, components, directed_triangle, random_graph, triangle
+from conftest import (build_instance, components, directed_triangle, exp_solutions,
+                      random_graph, triangle)
+from proximity import canonical_order
 
 
 def directed_path():
@@ -35,23 +37,20 @@ def test_neighbors_directed_triangle():
 
 def test_already_acyclic_single_solution():
     inst = make_instance("dag-induced-connected", graph=directed_path())
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sols == [(0, 1, 2)]
     assert set(inst.neighbors((0, 1, 2))) <= {(0, 1, 2)}
 
 
 def test_directed_triangle_counts():
     inst = make_instance("dag-induced-connected", graph=directed_triangle())
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sorted(sols) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_edge_variant_directed_triangle():
     inst = make_instance("dag-edge-connected", graph=directed_triangle())
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     # arcs: 0:0->1, 1:1->2, 2:2->0; the three 2-arc sets are the solutions
     assert sorted(sols) == [(0, 1), (0, 2), (1, 2)]
     nb = inst.neighbors((0, 1))
@@ -146,11 +145,10 @@ def test_canonical_order_is_layered():
     for _ in range(20):
         g = random_graph(rng, rng.randint(4, 7), 0.5, directed=True)
         inst = make_instance("dag-induced-connected", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             out, inc, und = _restricted(g, set(s))
-            order = inst.canonical_order(s)
+            order = canonical_order(inst, s)
             assert sorted(order) == list(s)
             assert order_is_layered(out, inc, und, order)
 
@@ -160,8 +158,7 @@ def test_block_order_witness():
     for _ in range(20):
         g = random_graph(rng, rng.randint(4, 7), 0.5, directed=True)
         inst = make_instance("dag-induced-connected", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             out, inc, und = _restricted(g, set(s))
             witness = block_order(out, inc, sorted(s))
@@ -174,8 +171,7 @@ def test_solutions_connected_underlying():
     for variant in ("dag-induced-connected", "dag-edge-connected"):
         g = random_graph(rng, 6, 0.5, directed=True, max_m=12)
         inst = make_instance(variant, graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             if variant.endswith("edge-connected"):
                 verts = {x for e in s for x in g.edges[e]}
@@ -188,9 +184,9 @@ def test_solutions_connected_underlying():
 def test_edge_order_key_by_later_endpoint():
     inst = make_instance("dag-edge-connected", graph=directed_path())
     # arcs 0:0->1 and 1:1->2; vertex order 0,1,2 puts arc 0 first
-    assert inst.canonical_order((0, 1)) == [0, 1]
+    assert canonical_order(inst, (0, 1)) == [0, 1]
     t = make_instance("dag-edge-connected", graph=directed_triangle())
-    assert t.canonical_order((0, 1)) == [0, 1]
+    assert canonical_order(t, (0, 1)) == [0, 1]
 
 
 def test_oracle_equality_random():
@@ -200,8 +196,7 @@ def test_oracle_equality_random():
             g = random_graph(rng, rng.randint(4, 6), 0.6, directed=True,
                              max_m=12)
             inst = make_instance(variant, graph=g)
-            sols = []
-            enumerate_exp(inst, emit=sols.append)
+            sols = exp_solutions(inst)
             assert sorted(sols) == brute_force_maximal(inst)
 
 

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from maxenum import brute_force_maximal, enumerate_exp, make_instance
-from maxenum.graphs import Graph, degeneracy_order
+from maxenum import brute_force_maximal, make_instance
+from maxenum.graphs import Graph
 
-from conftest import complete, path, random_graph, triangle
+from conftest import complete, exp_solutions, path, random_graph, triangle
+from proximity import degeneracy_order
 
 
 def test_is_solution_examples():
@@ -66,8 +67,7 @@ def test_k0_equals_mis_oracle():
     for _ in range(10):
         g = random_graph(rng, rng.randint(4, 7), 0.5)
         inst = make_instance("kdeg-induced", graph=g, k=0)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         # independent maximal-independent-set oracle: brute force subsets
         mis = []
         for mask in range(1 << g.n):
@@ -85,10 +85,7 @@ def test_k1_matches_forests_plugin():
         g = random_graph(rng, rng.randint(4, 7), 0.5)
         a = make_instance("kdeg-induced", graph=g, k=1)
         b = make_instance("forests", graph=g)
-        s1, s2 = [], []
-        enumerate_exp(a, emit=s1.append)
-        enumerate_exp(b, emit=s2.append)
-        assert sorted(s1) == sorted(s2)
+        assert sorted(exp_solutions(a)) == sorted(exp_solutions(b))
 
 
 def test_edge_variant_oracle():
@@ -96,8 +93,7 @@ def test_edge_variant_oracle():
     for k in (1, 2):
         g = random_graph(rng, 5, 0.7, max_m=9)
         inst = make_instance("kdeg-edge", graph=g, k=k)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         assert sorted(sols) == brute_force_maximal(inst)
 
 

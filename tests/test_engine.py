@@ -5,7 +5,7 @@ import pytest
 from maxenum import (PartialOutputError, SolutionDict, enumerate_exp,
                      enumerate_pspace, make_instance)
 
-from conftest import build_instance, cycle, disjoint_triangles, triangle
+from conftest import build_instance, cycle, disjoint_triangles, exp_solutions, triangle
 from maxenum.graphs import Graph
 
 
@@ -71,15 +71,13 @@ def test_dict_insert_true_iff_new_and_len_counts_distinct():
 
 def test_triangle_bipartite_solutions():
     inst = make_instance("bipartite-induced", graph=triangle())
-    got = []
-    enumerate_exp(inst, emit=got.append)
+    got = exp_solutions(inst)
     assert sorted(got) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_single_vertex_forest():
     inst = make_instance("forests", graph=Graph(1, []))
-    got = []
-    enumerate_exp(inst, emit=got.append)
+    got = exp_solutions(inst)
     assert got == [(0,)]
 
 
@@ -113,8 +111,7 @@ def test_sink_failure_aborts():
 
 def test_limit_is_prefix_of_full_run():
     inst = build_instance("bipartite-induced", 1)
-    full = []
-    enumerate_exp(inst, emit=full.append)
+    full = exp_solutions(inst)
     for limit in (0, 1, 2, len(full)):
         part = []
         counters = enumerate_exp(build_instance("bipartite-induced", 1),

@@ -10,7 +10,8 @@ from maxenum import (Graph, PointSetInstance, brute_force_maximal,
 from maxenum.graphs import bits, mask_of
 from maxenum.problems.geometry import PointFormatError, load_points
 
-from conftest import CORPUS_SIZE, POINT_VARIANTS, build_instance
+from conftest import CORPUS_SIZE, POINT_VARIANTS, build_instance, exp_solutions
+from proximity import prefix_overlap
 
 
 def tri_with_centroid():
@@ -305,8 +306,7 @@ def test_is_solution_examples():
 def test_square_with_center():
     square = PointSetInstance([(0, 0), (2, 0), (2, 2), (0, 2)], [(1, 1)])
     inst = make_instance("hulls", points=square)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     # the four side pairs; both diagonals pass through the obstacle
     assert sorted(sols) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert sorted(sols) == brute_force_maximal(inst)
@@ -338,8 +338,7 @@ def test_shadows_online_point_discarded():
 def test_no_obstacle_single_solution():
     inst = make_instance("hulls", points=PointSetInstance(
         [(0, 0), (3, 1), (1, 4), (5, 5)], []))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sols == [(0, 1, 2, 3)]
 
 
@@ -360,8 +359,7 @@ def test_oracle_equality_random_plain_and_connected():
         interest, obstacles = _random_points(rng, j, h)
         inst = make_instance("hulls",
                              points=PointSetInstance(interest, obstacles))
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         assert sorted(sols) == brute_force_maximal(inst)
 
         edges = [(u, v) for u in range(j) for v in range(u + 1, j)
@@ -369,8 +367,7 @@ def test_oracle_equality_random_plain_and_connected():
         g = Graph(j, edges)
         inst2 = make_instance("hulls-connected",
                               points=PointSetInstance(interest, obstacles, g))
-        sols2 = []
-        enumerate_exp(inst2, emit=sols2.append)
+        sols2 = exp_solutions(inst2)
         assert sorted(sols2) == brute_force_maximal(inst2)
 
 
@@ -380,14 +377,13 @@ def test_intersection_grows_along_some_neighbor():
         interest, obstacles = _random_points(rng, 6, 2)
         inst = make_instance("hulls",
                              points=PointSetInstance(interest, obstacles))
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             for t in sols:
                 if s == t:
                     continue
-                base = inst.prefix_overlap(s, t)
-                assert any(inst.prefix_overlap(c, t) > base
+                base = prefix_overlap(inst, s, t)
+                assert any(prefix_overlap(inst, c, t) > base
                            for c in inst.neighbors(s))
 
 
@@ -404,8 +400,7 @@ def _exp_matches_oracle(interest, obstacles):
         variant = "hulls" if g is None else "hulls-connected"
         inst = make_instance(variant,
                              points=PointSetInstance(interest, obstacles, g))
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         assert sorted(sols) == brute_force_maximal(inst), (variant, g)
         out.append(sorted(sols))
     return out

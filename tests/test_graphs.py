@@ -4,10 +4,8 @@ import sys
 import pytest
 
 from maxenum import make_instance
-from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits,
-                            degeneracy_order, load_graph, mask_cc,
-                            mask_dists, mask_layers, mask_of,
-                            perfect_elimination_order, spanned_masks)
+from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, load_graph,
+                            mask_cc, mask_dists, mask_layers, mask_of, spanned_masks)
 from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
@@ -16,6 +14,7 @@ from maxenum.problems.geometry import PointFormatError, load_points
 from maxenum.problems.trees import _is_forest
 
 from conftest import complete, components, cycle, path, random_graph, star, triangle
+from proximity import degeneracy_order, perfect_elimination_order
 
 
 def connected_component(g, s, v):

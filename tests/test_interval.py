@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from maxenum import Graph, brute_force_maximal, enumerate_exp, make_instance
+from maxenum import Graph, brute_force_maximal, make_instance
 from maxenum.graphs import bits, mask_cc, mask_components, mask_of
 from maxenum.problems.base import tuple_of
 from maxenum.problems.interval import _ProperIntervalBase
 
-from conftest import build_instance, complete, components, cycle, path, random_graph, star
+from conftest import (build_instance, complete, components, cycle, exp_solutions, path,
+                      random_graph, star)
+from proximity import canonical_order
 
 
 def _brute_unit_order(g, cand):
@@ -62,10 +64,10 @@ def test_recognition_matches_brute_force():
 
 def test_layouts_examples():
     single = make_instance("pinterval-induced-connected", graph=Graph(1, []))
-    assert single.canonical_order((0,)) == [0]
+    assert canonical_order(single, (0,)) == [0]
 
     p3 = make_instance("pinterval-induced-connected", graph=path(3))
-    assert p3.canonical_order((0, 1, 2)) == [0, 1, 2]
+    assert canonical_order(p3, (0, 1, 2)) == [0, 1, 2]
 
 
 def test_layout_prefixes_are_connected_solutions():
@@ -73,10 +75,9 @@ def test_layout_prefixes_are_connected_solutions():
     for _ in range(15):
         g = random_graph(rng, 7, 0.5)
         inst = make_instance("pinterval-induced-connected", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
-            lay = inst.canonical_order(s)
+            lay = canonical_order(inst, s)
             for i in range(1, len(lay) + 1):
                 assert len(components(g, lay[:i])) == 1
                 assert inst.is_solution(lay[:i])
@@ -187,8 +188,7 @@ def test_unique_maximal_path():
 
 def test_claw_oracle():
     inst = make_instance("pinterval-induced", graph=star(3))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sorted(sols) == brute_force_maximal(inst)
 
 
@@ -197,10 +197,9 @@ def test_realization_is_exact():
     for _ in range(15):
         g = random_graph(rng, 7, 0.5)
         inst = make_instance("pinterval-induced-connected", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols[:3]:
-            lay = inst.canonical_order(s)
+            lay = canonical_order(inst, s)
             starts = inst._realize(lay)
             unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):
@@ -220,8 +219,7 @@ def test_insertion_lemma_and_touching_components(variant, monkeypatch):
     for i in range(12):
         inst = build_instance(variant, i)
         und = inst.g.und_mask
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols[:4]:
             smask = mask_of(s)
             for v in bits((1 << inst.g.n) - 1 & ~smask):
@@ -341,8 +339,7 @@ REGRESSIONS = [
 @pytest.mark.parametrize("variant,g", REGRESSIONS)
 def test_reachability_regressions(variant, g):
     inst = make_instance(variant, graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sorted(sols) == brute_force_maximal(inst)
 
 
@@ -352,6 +349,5 @@ def test_oracle_equality_random():
         for _ in range(8):
             g = random_graph(rng, rng.randint(4, 7), 0.5)
             inst = make_instance(variant, graph=g)
-            sols = []
-            enumerate_exp(inst, emit=sols.append)
+            sols = exp_solutions(inst)
             assert sorted(sols) == brute_force_maximal(inst)

@@ -19,14 +19,17 @@ from collections import Counter
 
 import pytest
 
+import maxenum
 from maxenum import (Graph, PointSetInstance, enumerate_exp, enumerate_pspace,
                      make_instance)
-from maxenum.graphs import bits, mask_cc, mask_of
+from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
 from maxenum.problems import (ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, POINT_VARIANTS,
                               PSPACE_VARIANTS)
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 
-from conftest import CORPUS_SIZE, build_instance, components, path, random_graph
+from conftest import (CORPUS_SIZE, build_instance, components, exp_solutions, path,
+                      random_graph)
+from proximity import canonical_order
 from test_pspace import Writes, comp_lex_witness, run_engine
 
 
@@ -58,7 +61,7 @@ def test_out_of_range_element_ids_rejected(variant):
     n = inst.ground_size
     calls = [inst.is_solution, inst.is_maximal_solution, inst.comp, inst.neighbors]
     if not variant.startswith("hulls"):
-        calls.append(inst.canonical_order)  # hull solutions carry no order
+        calls.append(lambda s: canonical_order(inst, s))  # hull solutions carry no order
     for bad in (n, n + 5, -1):
         for call in calls:
             with pytest.raises(ValueError, match=rf"element id {bad} out of range "
@@ -73,11 +76,39 @@ def test_element_ids_that_are_not_ints_rejected(variant):
     inst = build_instance(variant, 0)
     calls = [inst.is_solution, inst.is_maximal_solution, inst.comp, inst.neighbors]
     if not variant.startswith("hulls"):
-        calls.append(inst.canonical_order)
+        calls.append(lambda s: canonical_order(inst, s))
     for bad in (True, 1.0, "1"):
         for call in calls:
             with pytest.raises(ValueError, match=f"ids must be integers: {bad!r}$"):
                 call((bad,))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_neighbors_refuse_a_set_that_is_not_a_maximal_solution(variant):
+    # they once answered for any set: trees on the 4-cycle gave three sets
+    # for (0, 2), and none for the cycle (0, 1, 2, 3) itself; a set one
+    # element short of a maximal solution is none, nor the whole ground set
+    refused = 0
+    for i in range(3):
+        inst = build_instance(variant, i)
+        sols = exp_solutions(inst)
+        for s in {m[:-1] for m in sols if m} | ({tuple(range(inst.ground_size))} - set(sols)):
+            with pytest.raises(ContractViolation, match=re.escape(f"{s} is not a maximal")):
+                inst.neighbors(s)
+            if variant in PSPACE_VARIANTS:
+                with pytest.raises(ContractViolation, match=re.escape(f"{s} is not a maximal")):
+                    inst.neighbors_at(s, 0)
+            refused += 1
+    assert refused >= 3
+
+
+def test_only_the_pspace_families_state_an_order():
+    # the other families' canonical orders and the proximity measure are
+    # test witnesses (tests/proximity.py), as are the two order helpers
+    for cls in (GRAPH_VARIANTS | K_VARIANTS | POINT_VARIANTS).values():
+        assert not hasattr(cls, "canonical_order") and not hasattr(cls, "prefix_overlap")
+        assert hasattr(cls, "vertex_order") == issubclass(cls, PspaceProblem), cls
+    assert not {"degeneracy_order", "perfect_elimination_order"} & set(maxenum.__all__)
 
 
 def test_neighbors_of_a_missing_vertex_rejected():
@@ -143,9 +174,8 @@ EDGE_CANONICAL_ORDERS = [
                          ids=[case[0] for case in EDGE_CANONICAL_ORDERS])
 def test_edge_canonical_orders(variant, graph, k, orders):
     inst = make_instance(variant, graph=graph(), k=k)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
-    assert {s: inst.canonical_order(s) for s in sols} == orders
+    sols = exp_solutions(inst)
+    assert {s: canonical_order(inst, s) for s in sols} == orders
 
 
 # -- the connectivity rule -------------------------------------------------------

@@ -13,7 +13,9 @@ from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, bfs_order, tuple_of
 from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
-from conftest import build_instance, complete, cycle, path, random_graph, sparse_gnm
+from conftest import (build_instance, complete, cycle, exp_solutions, path, random_graph,
+                      sparse_gnm)
+from proximity import canonical_order
 
 
 def c5_bip():
@@ -31,12 +33,12 @@ def pi_of(problem, solution):
 
 def test_seed_smallest_id():
     inst = make_instance("forests", graph=Graph(10, [(3, 5)]))
-    assert inst.canonical_order((9, 5, 3)) == [3, 5, 9]
+    assert canonical_order(inst, (9, 5, 3)) == [3, 5, 9]
 
 
 def test_seed_singleton():
     inst = make_instance("trees", graph=Graph(1, []))
-    assert inst.canonical_order((0,)) == [0]
+    assert canonical_order(inst, (0,)) == [0]
     assert comp_lex(inst, (0,)) == (0,)
 
 
@@ -90,8 +92,7 @@ def test_extender_inside_the_solution_is_its_own_candidate(variant):
     # families refused with "an empty set has no seed"
     for i in range(4):
         inst = build_instance(variant, i)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             for w in s:
                 before = inst.comp_calls
@@ -159,23 +160,23 @@ def test_comp_lex_matches_witness(variant):
 
 def test_solution_order_c4():
     inst = make_instance("bipartite-induced-connected", graph=cycle(4))
-    assert inst.canonical_order((0, 1, 2, 3)) == [0, 1, 3, 2]
+    assert canonical_order(inst, (0, 1, 2, 3)) == [0, 1, 3, 2]
 
 
 def test_solution_order_singleton():
     inst = make_instance("forests", graph=Graph(6, [(0, 5)]))
-    assert inst.canonical_order((5,)) == [5]
+    assert canonical_order(inst, (5,)) == [5]
 
 
 def test_solution_order_two_isolated():
     inst = make_instance("forests", graph=Graph(2, []))
-    assert inst.canonical_order((0, 1)) == [0, 1]
+    assert canonical_order(inst, (0, 1)) == [0, 1]
 
 
 def test_solution_order_reads_ids_as_a_set():
     # a repeated id names one element, as in ``comp``
     inst = make_instance("forests", graph=path(4))
-    assert inst.canonical_order((1, 1, 0)) == [0, 1]
+    assert canonical_order(inst, (1, 1, 0)) == [0, 1]
 
 
 def test_order_keys_component_leaders():
@@ -326,8 +327,7 @@ def test_defining_identity_everywhere():
                           (6, 0.6, "bipartite-induced")):
         g = random_graph(random.Random(f"core:{variant}"), n, p)
         inst = make_instance(variant, graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
             cp = core_of(inst, s)
             if cp is None:
@@ -369,7 +369,7 @@ def test_parent_check_pivot_first():
     # (0, 1, 2, 4), so that parent is rejected without a completion
     inst = c5_bip()
     child = mask_of((1, 2, 3, 4))
-    assert inst.canonical_order((1, 2, 3, 4)) == [1, 2, 3, 4]
+    assert canonical_order(inst, (1, 2, 3, 4)) == [1, 2, 3, 4]
     before = inst.comp_calls
     assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 4)
     assert inst.comp_calls == before
@@ -379,7 +379,7 @@ def test_parent_check_pivot_first():
     assert not has_parent(inst, child, mask_of((0, 1, 2, 4)), 2)
     # the root (0, 1, 2, 4), order [0, 1, 4, 2], is the completion of [0]
     # and holds it, but a solution is not its own parent
-    assert inst.canonical_order((0, 1, 2, 4)) == [0, 1, 4, 2]
+    assert canonical_order(inst, (0, 1, 2, 4)) == [0, 1, 4, 2]
     assert not has_parent(inst, mask_of((0, 1, 2, 4)), mask_of((0, 1, 2, 4)), 1)
 
 
@@ -650,10 +650,9 @@ def test_pspace_matches_exp_on_samples():
              ("trees", complete(4)), ("forests", complete(4))]
     for variant, g in cases:
         a, b = make_instance(variant, graph=g), make_instance(variant, graph=g)
-        s1, s2 = [], []
-        enumerate_exp(a, emit=s1.append)
+        s2 = []
         counters = enumerate_pspace(b, emit=s2.append)
-        assert sorted(s1) == sorted(s2)
+        assert sorted(exp_solutions(a)) == sorted(s2)
         assert counters.dict_operations == 0
 
 
@@ -1127,12 +1126,11 @@ def test_pspace_refuses_a_family_without_a_forest_order(variant):
 
 def _random_solutions(variant, g, rng, want):
     inst = make_instance(variant, graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     out = []
     for s in sols:
         out.append(s)
-        order = inst.canonical_order(s)
+        order = canonical_order(inst, s)
         if len(order) > 1:
             cut = rng.randint(1, len(order) - 1)
             out.append(tuple(sorted(order[:cut])))

@@ -1,9 +1,9 @@
 import random
 
-from maxenum import (Graph, brute_force_maximal, enumerate_exp,
-                     enumerate_pspace, make_instance)
+from maxenum import Graph, brute_force_maximal, enumerate_pspace, make_instance
 
-from conftest import complete, cycle, path, random_graph, star, triangle
+from conftest import complete, cycle, exp_solutions, path, random_graph, star, triangle
+from proximity import canonical_order
 
 
 def test_is_solution_examples():
@@ -27,8 +27,7 @@ def test_neighbors_c4():
 
 def test_star_single_tree():
     inst = make_instance("trees", graph=star(3))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sols == [(0, 1, 2, 3)]
     assert set(inst.neighbors((0, 1, 2, 3))) <= {(0, 1, 2, 3)}
 
@@ -36,12 +35,10 @@ def test_star_single_tree():
 def test_counts_k4_and_c4():
     for variant in ("trees", "forests"):
         inst = make_instance(variant, graph=complete(4))
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         assert len(sols) == 6
     inst = make_instance("forests", graph=cycle(4))
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert len(sols) == 4
 
 
@@ -50,28 +47,26 @@ def test_single_preceding_neighbor_in_canonical_order():
     for _ in range(15):
         g = random_graph(rng, rng.randint(4, 8), 0.5)
         inst = make_instance("trees", graph=g)
-        sols = []
-        enumerate_exp(inst, emit=sols.append)
+        sols = exp_solutions(inst)
         for s in sols:
-            order = inst.canonical_order(s)
+            order = canonical_order(inst, s)
             for i, v in enumerate(order[1:], start=1):
                 assert sum(1 for u in order[:i] if u in g.und_adj[v]) == 1
 
 
 def test_canonical_order_examples():
     p3 = make_instance("trees", graph=path(3))
-    assert p3.canonical_order((0, 1, 2)) == [0, 1, 2]
+    assert canonical_order(p3, (0, 1, 2)) == [0, 1, 2]
     c4 = make_instance("trees", graph=cycle(4))
-    assert c4.canonical_order((0, 1, 3)) == [0, 1, 3]
+    assert canonical_order(c4, (0, 1, 3)) == [0, 1, 3]
     two_comp = make_instance("forests", graph=Graph(4, [(0, 1), (2, 3)]))
-    assert two_comp.canonical_order((0, 1, 2, 3)) == [0, 1, 2, 3]
+    assert canonical_order(two_comp, (0, 1, 2, 3)) == [0, 1, 2, 3]
 
 
 def test_forest_absorbs_isolated_vertices():
     g = Graph(5, [(0, 1), (1, 2), (0, 2)])  # 3,4 isolated
     inst = make_instance("forests", graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert all({3, 4} <= set(s) for s in sols)
     assert sorted(sols) == brute_force_maximal(inst)
 
@@ -79,8 +74,7 @@ def test_forest_absorbs_isolated_vertices():
 def test_isolated_vertices_are_own_trees():
     g = Graph(5, [(0, 1), (1, 2), (0, 2)])
     inst = make_instance("trees", graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert (3,) in sols and (4,) in sols
     assert sorted(sols) == brute_force_maximal(inst)
 
@@ -88,8 +82,7 @@ def test_isolated_vertices_are_own_trees():
 def test_disconnected_graph_reaches_all_components():
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6)])
     inst = make_instance("trees", graph=g)
-    sols = []
-    enumerate_exp(inst, emit=sols.append)
+    sols = exp_solutions(inst)
     assert sorted(sols) == brute_force_maximal(inst)
 
 
@@ -98,8 +91,7 @@ def test_both_engines_agree():
     for variant in ("trees", "forests"):
         for _ in range(8):
             g = random_graph(rng, rng.randint(4, 7), 0.45)
-            s1, s2 = [], []
-            enumerate_exp(make_instance(variant, graph=g), emit=s1.append)
+            s1, s2 = exp_solutions(make_instance(variant, graph=g)), []
             enumerate_pspace(make_instance(variant, graph=g), emit=s2.append)
             assert sorted(s1) == sorted(s2) == brute_force_maximal(
                 make_instance(variant, graph=g))
