@@ -37,10 +37,14 @@ only when none does.  Root discovery and ``_regenerate`` discard a
 completion whose seed changed, so they ask for the seeded form, which
 stops at the first element it would add below its seed; the memo keeps
 the stopped set, under each set it passed, for a later full request to
-finish.  ``children`` drops a (candidate r, seed s) pair before any walk
-unless s lies below the pivot, has no smaller neighbor in r, has a
-neighbor in r or is its smallest element, and lies in the parent: a pair
-that fails one of them yields no child (see ``children``).
+finish.  ``children`` drops a whole (parent, pivot) pair before it builds any
+candidate when the parent holds nothing below the pivot, or, for a
+connected family, nothing next to it; it drops a (candidate r, seed s)
+pair before any walk unless s lies below the pivot, has no smaller
+neighbor in r, has a neighbor in r or is its smallest element, and lies
+in the parent: a pair that fails one of them yields no child (see
+``children``).  Root discovery skips a seed with a smaller neighbor,
+whose seeded completion never keeps it (see ``_pspace_masks``).
 ``_regenerate`` walks the order's BFS layers only up to the pivot, inline
 in the order of ``graphs.mask_layers``, and drops the seed as soon as a
 layer holds a smaller element.  The parent check
@@ -74,11 +78,20 @@ class _LexMemo(dict):
         super().__setitem__(xmask, done)
 
 
+def _require_forest_order(problem) -> None:
+    """Refuse, with ContractViolation naming the pspace variants, a family
+    without a parent-forest order; every public entry point asks first."""
+    if not isinstance(problem, PspaceProblem):
+        raise ContractViolation(f"{problem.variant} has no parent-forest order; "
+                                f"pspace runs {', '.join(PSPACE_VARIANTS)}")
+
+
 def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
     """Lexicographic completion: repeatedly add the order-minimal addable
     element, under the order rooted at the current seed.  Element ids are
     checked against the ground set; the traversal itself completes masks
     with ``PspaceProblem.comp_lex_mask``."""
+    _require_forest_order(problem)
     return tuple_of(problem.comp_lex_mask(problem._mask(elems)))
 
 
@@ -98,7 +111,9 @@ def _core_scan(problem: PspaceProblem, order: list[int], smask: int,
 
 def _core(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int, int]]:
     """(solution order, core length, parent mask) of a maximal solution, or
-    None for roots.  Any other set has no core: ContractViolation."""
+    None for roots.  Any other set has no core, and a family outside pspace
+    no order: ContractViolation (this serves ``core_of`` and ``restr``)."""
+    _require_forest_order(problem)
     smask = problem._maximal_mask(solution)
     g = problem.g
     order = problem.vertex_order(g.und_mask, g.out_mask, smask)
@@ -136,6 +151,7 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     when order[:i] completes to the parent.  The verdict rests on the child
     alone, and nothing is kept between calls.
     """
+    _require_forest_order(problem)
     if not (cmask >> w) & 1:
         raise ContractViolation(f"pivot {w} is not in the child")
     if pmask == cmask:
@@ -211,6 +227,17 @@ def children(problem: PspaceProblem, pmask: int, w: int,
     """Yield, as masks, exactly the maximal solutions whose parent is the
     mask ``pmask`` and whose pivot is ``w``, each once.
 
+    ``has_parent`` accepts a child only when the elements before w in its
+    order, a non-empty prefix, lie inside the parent.  So the whole pair
+    (parent, w) yields nothing, and no candidate is built, when
+    - the parent holds nothing below w: the child's seed, its smallest
+      element, comes first in its order, so lies in the parent, and lies
+      below w, which follows it;
+    - the family is connected and w has no neighbor in the parent: a
+      connected child's order is one BFS from its seed, so w, which is not
+      the seed, has a neighbor in the layer before its own, and that layer
+      comes before w, so lies in the parent.
+
     A (candidate r, seed s) pair is regenerated only when s can seed such
     a child:
     - s lies below w, since the child holds w and its seed is its
@@ -232,11 +259,16 @@ def children(problem: PspaceProblem, pmask: int, w: int,
     only on the child, and its seed fixes the seed of every pair that
     regenerates it, so a later pair would only repeat the verdict.
     """
+    _require_forest_order(problem)
     if (pmask >> w) & 1:
         return
     if counters is not None:
         counters.neighbors_calls += 1
     und = problem.g.und_mask
+    if not pmask & ((1 << w) - 1):
+        return  # no seed below w lies in the parent
+    if problem.connected and not und[w] & pmask:
+        return  # w has no neighbor in the parent
     judged = set()
     for rmask in problem.neighbor_masks_at(pmask, w):
         seeds = rmask & pmask & ((1 << w) - 1)
@@ -265,14 +297,26 @@ def _pspace_masks(problem: PspaceProblem, counters: Counters):
     the parent forest is walked at depth 1, with no set of visited solution
     masks (see ``children``).  ``comp_lex_mask`` reads and fills the run's
     completion memo, its only memo; ``Problem.run_memos`` opens it and
-    restores the outer one, however the run ends."""
+    restores the outer one, however the run ends.
+
+    A root is the completion of {u} that keeps the seed u, and no u with a
+    smaller neighbor gives one.  Let v be u's smallest neighbor, below u.
+    In all four families every two-element set of adjacent elements is a
+    solution, so v is addable to {u}.  The first round of the seeded
+    completion of {u} picks v: as the only addable element, or else as the
+    smallest addable neighbor of u, which ``_seed_pick`` takes from the
+    layer {u}.  v lies below u, so the seeded completion stops there, and
+    such a u is skipped uncompleted."""
     def child_stream(x):
         for w in bits(~x & ((1 << problem.ground_size) - 1)):
             yield from children(problem, x, w, counters)
 
+    und = problem.g.und_mask
+    # u = 0 is never skipped, so only an empty ground set has no seed; its one
+    # solution, the empty set, is its only root
+    seeds = [1 << u for u in range(problem.ground_size) if not und[u] & ((1 << u) - 1)]
     with problem.run_memos(_lex_memo=_LexMemo()):
-        # an empty ground set has one solution, the empty set, as its only root
-        for seed in [1 << u for u in range(problem.ground_size)] or [0]:
+        for seed in seeds or [0]:
             root = problem.comp_lex_mask(seed, seeded=True)
             if root & -root != seed:
                 continue  # a root is discovered from its own seed only
@@ -286,7 +330,5 @@ def enumerate_pspace(problem: PspaceProblem, emit=None,
     dictionary (see ``_pspace_masks``; ``engine.drain`` emits).  A family
     without a parent-forest order raises ContractViolation before the run
     starts."""
-    if not isinstance(problem, PspaceProblem):
-        raise ContractViolation(f"{problem.variant} has no parent-forest order; "
-                                f"pspace runs {', '.join(PSPACE_VARIANTS)}")
+    _require_forest_order(problem)
     return drain(problem, _pspace_masks, emit, limit)

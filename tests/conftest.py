@@ -41,6 +41,13 @@ def disjoint_triangles(t):
                          for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))])
 
 
+def chained_triangles(t):
+    """t triangles, each joined to the next by one edge."""
+    return Graph(3 * t, [(3 * i + a, 3 * i + b)
+                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+                 + [(3 * i + 2, 3 * i + 3) for i in range(t - 1)])
+
+
 def directed_triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 import pytest
 
 import maxenum.pspace as pspace_mod
-from maxenum import Graph, enumerate_exp, enumerate_pspace, make_instance
+from maxenum import enumerate_exp, enumerate_pspace, make_instance
 from maxenum.problems import PSPACE_VARIANTS
 
-from conftest import components, cycle, disjoint_triangles, sparse_gnm
+from conftest import chained_triangles, components, cycle, disjoint_triangles, sparse_gnm
 
 
 def pspace_count(variant, g):
@@ -59,13 +59,6 @@ def test_even_cycle(variant, expected):
 def test_disjoint_triangles_give_three_to_the_t(variant):
     # a maximal solution drops one vertex of each triangle, independently
     assert pspace_count(variant, disjoint_triangles(6)) == 3 ** 6
-
-
-def chained_triangles(t):
-    """t triangles, each joined to the next by one edge."""
-    return Graph(3 * t, [(3 * i + a, 3 * i + b)
-                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
-                 + [(3 * i + 2, 3 * i + 3) for i in range(t - 1)])
 
 
 @pytest.mark.parametrize("engine", ["exp", "pspace"])

@@ -13,8 +13,8 @@ from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, bfs_order, tuple_of
 from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
-from conftest import (build_instance, complete, cycle, exp_solutions, path, random_graph,
-                      sparse_gnm)
+from conftest import (CORPUS_SIZE, build_instance, chained_triangles, complete, cycle,
+                      disjoint_triangles, exp_solutions, path, random_graph, sparse_gnm)
 from proximity import canonical_order
 
 
@@ -289,6 +289,11 @@ def test_seed_pick_matches_order_keys(variant, monkeypatch):
     monkeypatch.setattr(PspaceProblem, "_seed_pick", checked)
     for inst in regeneration_instances(variant):
         enumerate_pspace(inst)
+        # root discovery completes only the seeds with no smaller neighbor,
+        # so every seeded singleton completion is swept too, outside a run,
+        # where no memo answers a round
+        for u in range(inst.ground_size):
+            inst.comp_lex_mask(1 << u, seeded=True)
     assert picked >= 1000, picked
     # a connected family's set is one component, which its reach touches
     assert fallen == 0 if inst.connected else fallen >= 100, fallen
@@ -573,23 +578,33 @@ def regeneration_instances(variant):
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_seed_cuts_are_exact(variant, monkeypatch):
-    # every (candidate, seed) pair that ``children`` drops before its layer
-    # walk would yield no child: a seed above the pivot, one with a smaller
-    # neighbor in the candidate, or one with no neighbor in it that is not
-    # its smallest element, puts an element below the seed in its prefix and
-    # so regenerates nothing, and a seed outside the parent regenerates only
-    # children that ``has_parent`` rejects; every other pair is regenerated
+    # every (parent, pivot) pair that ``children`` drops before it builds a
+    # candidate yields no child by the restr rule: the parent holds nothing
+    # below the pivot, or the family is connected and the pivot has no
+    # neighbor in the parent; every (candidate, seed) pair that it drops
+    # before its layer walk would yield no child: a seed above the pivot,
+    # one with a smaller neighbor in the candidate, or one with no neighbor
+    # in it that is not its smallest element, puts an element below the
+    # seed in its prefix and so regenerates nothing, and a seed outside the
+    # parent regenerates only children that ``has_parent`` rejects; every
+    # other pair is regenerated
     original_children, original_regenerate = pspace_mod.children, pspace_mod._regenerate
     kept, regenerated = [], []
-    empty = rejected = alone = 0
+    dropped = empty = rejected = alone = 0
 
     def regenerate(problem, rmask, s, w):
         regenerated.append((rmask, s, w))
         return original_regenerate(problem, rmask, s, w)
 
     def checked(problem, pmask, w, counters=None):
-        nonlocal empty, rejected, alone
+        nonlocal dropped, empty, rejected, alone
         parent, und = tuple_of(pmask), problem.g.und_mask
+        cut = not pmask & ((1 << w) - 1) or problem.connected and not und[w] & pmask
+        if cut and w not in parent:
+            assert not any(children_witness(problem, parent, w)), (
+                variant, problem.g.edges, parent, w)
+            dropped += 1
+        # a dropped pair's candidates are still swept for the seed cuts
         for r in problem.neighbors_at(parent, w) if w not in parent else ():
             rmask = mask_of(r)
             for s in r:
@@ -609,7 +624,7 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
                     assert witness_prefix(problem, r, s, w) & ((1 << s) - 1), (
                         variant, problem.g.edges, r, s, w)
                     alone += 1
-                else:
+                elif not cut:
                     kept.append((rmask, s, w))
         yield from original_children(problem, pmask, w, counters)
 
@@ -619,9 +634,50 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
         enumerate_pspace(inst)
     # the walk nests the children of a child inside its parent's stream
     assert sorted(regenerated) == sorted(kept)
-    assert empty >= 3000 and rejected >= 150, (empty, rejected)
+    assert dropped >= 150 and empty >= 3000 and rejected >= 150, (dropped, empty, rejected)
     # a connected candidate holds w beside s, so s always has a neighbor there
     assert alone == 0 if inst.connected else alone >= 50, alone
+
+
+def root_cut_instances(variant):
+    """``regeneration_instances`` and 4 and 6 chained and disjoint triangles."""
+    return regeneration_instances(variant) + [
+        make_instance(variant, graph=triangles(t))
+        for triangles in (chained_triangles, disjoint_triangles) for t in (4, 6)]
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_root_seed_cut_is_exact(variant):
+    # root discovery skips a seed u with a smaller neighbor uncompleted:
+    # the seeded completion of {u} gives 0 and the full one a set with
+    # another seed, so u seeds no root
+    skipped = 0
+    for inst in root_cut_instances(variant):
+        und = inst.g.und_mask
+        for u in range(inst.ground_size):
+            if und[u] & ((1 << u) - 1):
+                done = inst.comp_lex_mask(1 << u)
+                assert done & -done != 1 << u, (variant, inst.g.edges, u)
+                assert inst.comp_lex_mask(1 << u, seeded=True) == 0, (variant, inst.g.edges, u)
+                skipped += 1
+    assert skipped >= 300, skipped
+
+
+@pytest.mark.parametrize("variant", PSPACE_VARIANTS)
+def test_every_edge_is_a_solution(variant):
+    # the root seed cut rests on this: in every pspace family the two ends
+    # of an edge form a solution, so the extension test adds either end to
+    # the other alone
+    instances = root_cut_instances(variant)
+    instances += [build_instance(variant, i) for i in range(40, CORPUS_SIZE)]
+    edges = 0
+    for inst in instances:
+        for u, v in inst.g.edges:
+            assert inst.sol(1 << u | 1 << v), (variant, inst.g.edges, u, v)
+            assert inst._extension_test(1 << u, v) and inst._extension_test(1 << v, u), (
+                variant, inst.g.edges, u, v)
+            edges += 1
+    assert edges >= 1000, edges
 
 
 @pytest.mark.parametrize("variant,graph_factory", [
@@ -1120,6 +1176,26 @@ def test_pspace_refuses_a_family_without_a_forest_order(variant):
         enumerate_pspace(inst, emit=pytest.fail)
     assert all(v in str(err.value) for v in PSPACE_VARIANTS)
     assert kept(inst, own) and inst.comp_calls == calls
+
+
+def test_every_entry_point_refuses_a_family_without_a_forest_order():
+    # every public pspace entry point refuses a family outside pspace by
+    # name, as the engine does, before it reads an order or completes; the
+    # parent check used to answer this child (0 leaves the parent) unasked
+    inst = make_instance("chordal-induced", graph=cycle(4))
+    entry_points = {
+        "comp_lex": lambda: comp_lex(inst, (0,)),
+        "core_of": lambda: core_of(inst, (0, 1, 2)),
+        "restr": lambda: restr(inst, (0, 1, 2)),
+        "has_parent": lambda: has_parent(inst, mask_of((0, 1, 2)), mask_of((1, 2, 3)), 2),
+        "children": lambda: list(children(inst, mask_of((0, 1, 3)), 2)),
+        "enumerate_pspace": lambda: enumerate_pspace(inst),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(ContractViolation, match="chordal-induced") as err:
+            call()
+        assert all(v in str(err.value) for v in PSPACE_VARIANTS), name
+    assert inst.comp_calls == 0
 
 
 # -- prefix-closed order properties ------------------------------------------------------------
