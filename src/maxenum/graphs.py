@@ -201,11 +201,11 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # a generator made for each small frontier, layer or set cost the chordal
 # predicates 10-15%, and the exp engine about a sixth of its time on the
 # hereditary families.  ``bits`` serves cold paths, the API and tests.
-# The BFS-layer walks of the pspace hot path (``base.bfs_order``,
-# ``pspace._regenerate``, ``pspace.has_parent`` and
-# ``bipartite._two_color_masks``) likewise walk layers inline in the order
-# of ``mask_layers``, not through it: resuming it once per layer took 17%
-# of a ``pspace-forest`` benchmark run under cProfile.
+# The BFS-layer walks of the pspace hot path (``base.bfs_order``, which
+# defines their order, ``PspaceProblem._lex_pick``, ``pspace._regenerate``,
+# ``pspace.has_parent`` and ``bipartite._two_color_masks``) likewise walk
+# layers inline: resuming a layer generator once per layer took 17% of a
+# ``pspace-forest`` benchmark run under cProfile.
 # Orders that only the tests read, such as the degeneracy order, live with
 # the proximity witnesses in ``tests/proximity.py``, not here.
 
@@ -278,32 +278,6 @@ def mask_dists(adj_masks, mask: int, src: int) -> dict[int, int]:
         for u in bits(frontier):
             dist[u] = d
     return dist
-
-
-def mask_layers(adj_masks, mask: int, v: int):
-    """(slot, depth, layer, nbrs) for each BFS layer of the masked set: v's
-    component first, walked from v, at slot 0, then every other one from its
-    leader, its smallest vertex, by ascending leader, at slot leader + 1.
-    ``nbrs`` is the union of the layer's adjacency rows, not cut to the
-    mask.  v must lie in a non-empty mask.  Its only engine caller is the
-    cold fallback ``PspaceProblem.order_keys``; the hot walks inline this
-    order (see above)."""
-    left, slot, leader = mask, 0, v
-    while left:
-        layer, depth = 1 << leader, 0
-        while layer:
-            left ^= layer
-            nbrs = 0
-            scan = layer
-            while scan:
-                low = scan & -scan
-                nbrs |= adj_masks[low.bit_length() - 1]
-                scan ^= low
-            yield slot, depth, layer, nbrs
-            layer = nbrs & left
-            depth += 1
-        leader = (left & -left).bit_length() - 1
-        slot = leader + 1
 
 
 def mask_is_clique(adj_masks, mask: int) -> bool:

@@ -34,9 +34,10 @@ reached under the result, so a later request for one of them is a memo
 hit.  The seeded form of ``comp_lex_mask`` stops at the first element it
 would add below its seed; the run's memo keeps the set it reached under
 each set it passed, and a later full request finishes from it, uncounted.
-A lexicographic round that must choose takes the least key from the
-layers of its seed's component (``_seed_pick``) and builds
-``order_keys`` only when that component touches no addable element.
+A lexicographic round that must choose takes the least element in the
+order rooted at its seed by one walk of the layers of G[X]
+(``_lex_pick``), which stops before any component whose leader lies
+above the smallest addable element.
 Both engines walk bitmasks; solutions cross the public API (``neighbors``,
 ``neighbors_at``, ``comp``) as sorted tuples of element ids, checked on
 the way in, and ``neighbors`` and ``neighbors_at`` refuse a set that is
@@ -55,8 +56,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from ..graphs import (ContractViolation, Graph, bits, checked_mask, mask_cc, mask_layers,
-                      mask_of)
+from ..graphs import ContractViolation, Graph, bits, checked_mask, mask_cc
 
 
 def tuple_of(mask: int) -> tuple[int, ...]:
@@ -72,8 +72,10 @@ def tuple_of(mask: int) -> tuple[int, ...]:
 def bfs_order(und, out, mask: int) -> list[int]:
     """The parent-forest solution order of the masked vertex set: each
     component's BFS layers from its smallest vertex, each layer ascending,
-    the components by ascending smallest vertex (``graphs.mask_layers``'
-    order, walked inline)."""
+    the components by ascending smallest vertex.  This is the one
+    definition of the order; the other layer walks (``_lex_pick``,
+    ``pspace._regenerate``, ``pspace.has_parent`` and
+    ``bipartite._two_color_masks``) follow it inline."""
     order, left, layer = [], mask, mask & -mask
     while layer:
         left ^= layer
@@ -414,9 +416,8 @@ class PspaceProblem(GraphProblem):
         ``_extension_test`` alone, and one rejected stays rejected, since
         all four families are hereditary, or hereditary once connected.
         Only a round with two or more addable elements reads the order:
-        ``_seed_pick`` takes the least key from the layers of the seed's
-        own component, and only when that component touches none of them
-        does the round add the one of least ``order_keys``.
+        it adds the one that ``_lex_pick`` walks to, the least in the order
+        rooted at the current seed.
 
         Each addition depends on the current set alone, so two loops that
         reach one set end at one set.  Inside a pspace run the loop looks
@@ -450,10 +451,7 @@ class PspaceProblem(GraphProblem):
             if not ext & (ext - 1):
                 b = ext  # the order is not needed to choose
             else:
-                b = self._seed_pick(xmask, ext)
-                if not b:
-                    seed = (xmask & -xmask).bit_length() - 1
-                    b = 1 << min(self.order_keys(xmask, seed, bits(ext)).values())[2]
+                b = self._lex_pick(xmask, ext)
             if b < stop:
                 xmask = ~(xmask | b)
                 break
@@ -473,63 +471,35 @@ class PspaceProblem(GraphProblem):
             memo[m] = xmask
         return xmask
 
-    def _seed_pick(self, xmask: int, ext: int) -> int:
-        """The bit of the element of ``ext`` with the least ``order_keys``
-        key under the order rooted at the seed of ``xmask``, when the seed's
-        component of G[X] touches ``ext``; else 0.  The first layer of that
-        component whose neighbors hold an element of ``ext`` keys them
-        (0, depth + 1, e), below every other key, so its smallest one wins
-        and no later layer or other component is walked."""
+    def _lex_pick(self, xmask: int, ext: int) -> int:
+        """The bit of the element of ``ext`` least in the order rooted at the
+        seed of ``xmask``.  An element e outside X that the layer at depth d
+        of a component of G[X] touches first joins it: its key is (0, d + 1,
+        e) in the seed's component, (L + 1, d + 1, e) in one of leader L < e;
+        an element that joins none leads a component of its own, (e + 1, 0,
+        e).  So the smallest element m of ``ext`` has a key of at most
+        (m + 1, 0, m), and only a component of leader below m can beat it.
+        The walk takes the components in ``bfs_order``'s order, the seed's
+        first, whose keys beat every other, then the others by ascending
+        leader while the leader lies below m.  The first layer whose
+        neighbors hold an element of ``ext`` gives the least key, to its
+        smallest such element; when none does, m wins."""
         und = self.g.und_mask
-        layer = xmask & -xmask
-        left = xmask ^ layer
+        m = ext & -ext
+        left, layer = xmask, xmask & -xmask
         while layer:
+            left ^= layer
             nbrs = 0
-            scan = layer
-            while scan:
-                low = scan & -scan
+            while layer:
+                low = layer & -layer
                 nbrs |= und[low.bit_length() - 1]
-                scan ^= low
+                layer ^= low
             hit = nbrs & ext
             if hit:
                 return hit & -hit
             layer = nbrs & left
-            left ^= layer
-        return 0
-
-    def order_keys(self, xmask: int, v: int, elems: Iterable[int]) -> dict[int, tuple]:
-        """Sort keys for elements of X and X+ under the order rooted at v.
-
-        One pass over ``mask_layers`` reads them off.  The components of
-        G[X] take slot 0 for v's own and leader + 1 for any other, whose
-        leader is its smallest vertex, so the root component sorts first.
-        An element of X is keyed (slot, BFS depth from the leader, id).  An
-        extension e is keyed at the first layer whose neighbors hold it:
-        (slot, depth + 1, e) when that slot is at most e; otherwise, as when
-        it touches no layer, it leads a component of its own, (e + 1, 0, e).
-        """
-        if not (xmask >> v) & 1:
-            raise ValueError(f"order root {v} is not in the set")
-        keys = {}
-        todo = mask_of(elems)
-        for slot, depth, layer, nbrs in mask_layers(self.g.und_mask, xmask, v):
-            own, touched = layer & todo, nbrs & todo & ~xmask
-            todo ^= own | touched
-            while own:
-                low = own & -own
-                e = low.bit_length() - 1
-                keys[e] = (slot, depth, e)
-                own ^= low
-            while touched:
-                low = touched & -touched
-                e = low.bit_length() - 1
-                keys[e] = (slot, depth + 1, e) if slot <= e else (e + 1, 0, e)
-                touched ^= low
-            if not todo:
-                break
-        while todo:
-            low = todo & -todo
-            e = low.bit_length() - 1
-            keys[e] = (e + 1, 0, e)
-            todo ^= low
-        return keys
+            if not layer:
+                layer = left & -left  # the next component's leader
+                if layer > m:
+                    break
+        return m

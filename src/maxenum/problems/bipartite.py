@@ -15,9 +15,9 @@ from .base import GraphProblem, PspaceProblem
 
 def _two_color_masks(adj_masks, mask: int) -> Optional[tuple[int, int]]:
     """(B0, B1) side masks of the induced subgraph: the even and the odd BFS
-    layers of each component, walked inline from its smallest vertex in
-    ``graphs.mask_layers``' order, or None when an edge joins two vertices
-    of one layer, which closes an odd cycle."""
+    layers of each component, walked inline from its smallest vertex in the
+    order ``base.bfs_order`` defines, or None when an edge joins two
+    vertices of one layer, which closes an odd cycle."""
     sides, odd = [0, 0], 0
     left, layer = mask, mask & -mask
     while layer:

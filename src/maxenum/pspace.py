@@ -31,9 +31,11 @@ has already completed.
 The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
 only its reach and its rejected elements across rounds, and reads the
 order only in a round that must choose between two or more addable
-elements: it walks the layers of the seed's own component and stops at
-the first one that touches an addable element, and builds order keys
-only when none does.  Root discovery and ``_regenerate`` discard a
+elements: one walk of the layers of G[X], the seed's component first
+(``PspaceProblem._lex_pick``), adds the smallest addable element that
+the first touching layer reaches, and it walks no component whose
+leader lies above the smallest addable element, which wins when no
+walked layer touches one.  Root discovery and ``_regenerate`` discard a
 completion whose seed changed, so they ask for the seeded form, which
 stops at the first element it would add below its seed; the memo keeps
 the stopped set, under each set it passed, for a later full request to
@@ -46,7 +48,7 @@ in the parent: a pair that fails one of them yields no child (see
 ``children``).  Root discovery skips a seed with a smaller neighbor,
 whose seeded completion never keeps it (see ``_pspace_masks``).
 ``_regenerate`` walks the order's BFS layers only up to the pivot, inline
-in the order of ``graphs.mask_layers``, and drops the seed as soon as a
+in the order ``base.bfs_order`` defines, and drops the seed as soon as a
 layer holds a smaller element.  The parent check
 (``has_parent``) judges the pivot first: it walks the child's layers up
 to the pivot and stops at the first that leaves the parent, the prefix
@@ -145,8 +147,8 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     judged pivot first: order[:i] must lie inside the parent, its completion,
     before it is completed and compared with the parent, and only then must
     every longer prefix complete to the child.  order[:i] is read off the
-    child's BFS layers up to w's, walked inline in the order of
-    ``graphs.mask_layers``, and the walk stops at the first layer that
+    child's BFS layers up to w's, walked inline in the order
+    ``base.bfs_order`` defines, and the walk stops at the first layer that
     leaves the parent; the whole order is built, by ``vertex_order``, only
     when order[:i] completes to the parent.  The verdict rests on the child
     alone, and nothing is kept between calls.
@@ -183,8 +185,8 @@ def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
     adds one.  A w outside ``rmask`` raises ContractViolation.
 
     The prefix is every BFS layer of r from s before w's plus the members
-    of w's layer up to w, walked inline in the order of
-    ``graphs.mask_layers``: when a component runs out, the smallest element
+    of w's layer up to w, walked inline in the order ``base.bfs_order``
+    defines: when a component runs out, the smallest element
     left leads the next.  The walk stops at the first layer that holds an
     element below s, wherever w lies.
     """
@@ -304,7 +306,7 @@ def _pspace_masks(problem: PspaceProblem, counters: Counters):
     In all four families every two-element set of adjacent elements is a
     solution, so v is addable to {u}.  The first round of the seeded
     completion of {u} picks v: as the only addable element, or else as the
-    smallest addable neighbor of u, which ``_seed_pick`` takes from the
+    smallest addable neighbor of u, which ``_lex_pick`` takes from the
     layer {u}.  v lies below u, so the seeded completion stops there, and
     such a u is skipped uncompleted."""
     def child_stream(x):

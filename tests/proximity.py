@@ -4,7 +4,10 @@ and the closeness measure ``prefix_overlap`` built on it.  The package
 realises the orders only through each family's candidate rule, and the
 pspace engine alone reads one, the ``vertex_order`` of its four families;
 the other twelve live here, each a function ``(und, out, mask)`` of the
-undirected and out-neighbor masks of a graph and a vertex mask in it."""
+undirected and out-neighbor masks of a graph and a vertex mask in it.
+The pspace families' order keys live here too, ``order_keys`` over the
+layer generator ``mask_layers``: the reference that the lexicographic
+completion's one walk (``PspaceProblem._lex_pick``) is checked against."""
 
 from __future__ import annotations
 
@@ -133,3 +136,54 @@ def degeneracy_order(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
 def perfect_elimination_order(g: Graph, s: Iterable[int]) -> Optional[list[int]]:
     """PEO of G[s] if chordal (doubles as the chordality test), else None."""
     return peo_mask(g.und_mask, checked_mask(s, g.n, "vertex {e} out of range for n={n}"))
+
+
+def mask_layers(adj_masks, mask: int, v: int):
+    """(slot, depth, layer, nbrs) for each BFS layer of the masked set: v's
+    component first, walked from v, at slot 0, then every other one from its
+    leader, its smallest vertex, by ascending leader, at slot leader + 1.
+    ``nbrs`` is the union of the layer's adjacency rows, not cut to the
+    mask.  v must lie in a non-empty mask."""
+    left, slot, leader = mask, 0, v
+    while left:
+        layer, depth = 1 << leader, 0
+        while layer:
+            left ^= layer
+            nbrs = 0
+            for u in bits(layer):
+                nbrs |= adj_masks[u]
+            yield slot, depth, layer, nbrs
+            layer = nbrs & left
+            depth += 1
+        leader = (left & -left).bit_length() - 1
+        slot = leader + 1
+
+
+def order_keys(problem: PspaceProblem, xmask: int, v: int,
+               elems: Iterable[int]) -> dict[int, tuple]:
+    """Sort keys for elements of X and X+ under the order rooted at v.
+
+    One pass over ``mask_layers`` reads them off.  The components of G[X]
+    take slot 0 for v's own and leader + 1 for any other, whose leader is
+    its smallest vertex, so the root component sorts first.  An element of
+    X is keyed (slot, BFS depth from the leader, id).  An extension e is
+    keyed at the first layer whose neighbors hold it: (slot, depth + 1, e)
+    when that slot is at most e; otherwise, as when it touches no layer, it
+    leads a component of its own, (e + 1, 0, e).
+    """
+    if not (xmask >> v) & 1:
+        raise ValueError(f"order root {v} is not in the set")
+    keys = {}
+    todo = mask_of(elems)
+    for slot, depth, layer, nbrs in mask_layers(problem.g.und_mask, xmask, v):
+        own, touched = layer & todo, nbrs & todo & ~xmask
+        todo ^= own | touched
+        for e in bits(own):
+            keys[e] = (slot, depth, e)
+        for e in bits(touched):
+            keys[e] = (slot, depth + 1, e) if slot <= e else (e + 1, 0, e)
+        if not todo:
+            break
+    for e in bits(todo):
+        keys[e] = (e + 1, 0, e)
+    return keys

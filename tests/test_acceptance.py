@@ -17,7 +17,7 @@ from maxenum.pspace import comp_lex, core_of
 
 from conftest import (CORPUS_SIZE, complete, cycle, directed_triangle, exp_solutions,
                       triangle)
-from proximity import prefix_overlap
+from proximity import order_keys, prefix_overlap
 
 
 def report(criterion, ok, detail=""):
@@ -183,12 +183,12 @@ def test_criterion_8_prefix_closed_orders(corpus):
             i += 1
             # a maximal solution, or a random prefix of its solution order
             v = min(sol)  # the seed
-            keys = inst.order_keys(sum(1 << e for e in sol), v, sol)
+            keys = order_keys(inst, sum(1 << e for e in sol), v, sol)
             full_order = sorted(sol, key=keys.__getitem__)
             cut = rng.randint(1, len(full_order))
             x = full_order[:cut]
             xmask = sum(1 << e for e in x)
-            keys = inst.order_keys(xmask, v, x)
+            keys = order_keys(inst, xmask, v, x)
             order = sorted(x, key=keys.__getitem__)
             if order[0] != v:
                 bad.append((variant, sol, "first"))
@@ -196,12 +196,12 @@ def test_criterion_8_prefix_closed_orders(corpus):
                 if not inst.is_solution(order[:j]):
                     bad.append((variant, sol, "prefix"))
                     break
-            full_keys = inst.order_keys(xmask, v, x)
+            full_keys = order_keys(inst, xmask, v, x)
             for j in range(len(order) - 1):
                 pmask = sum(1 << e for e in order[:j + 1])
                 ext = inst.addable(pmask)
                 inside = [e for e in ext if e in x]
-                pkeys = inst.order_keys(pmask, v, ext)
+                pkeys = order_keys(inst, pmask, v, ext)
                 if min(inside, key=pkeys.__getitem__) != order[j + 1]:
                     bad.append((variant, sol, "greedy"))
                     break

@@ -5,7 +5,7 @@ import pytest
 
 from maxenum import make_instance
 from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, load_graph,
-                            mask_cc, mask_dists, mask_layers, mask_of, spanned_masks)
+                            mask_cc, mask_dists, mask_of, spanned_masks)
 from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
@@ -14,7 +14,7 @@ from maxenum.problems.geometry import PointFormatError, load_points
 from maxenum.problems.trees import _is_forest
 
 from conftest import complete, components, cycle, path, random_graph, star, triangle
-from proximity import degeneracy_order, perfect_elimination_order
+from proximity import degeneracy_order, mask_layers, order_keys, perfect_elimination_order
 
 
 def connected_component(g, s, v):
@@ -328,7 +328,7 @@ def test_mask_layers_match_set_bfs():
         for _, _, layer, nbrs in got:
             assert nbrs == mask_of(w for u in bits(layer) for w in g.und_adj[u])
         # the flattened layers are the solution order of the pspace families
-        keys = make_instance("forests", graph=g).order_keys(mask_of(x), v, x)
+        keys = order_keys(make_instance("forests", graph=g), mask_of(x), v, x)
         assert [u for _, _, layer, _ in got for u in bits(layer)] == sorted(
             x, key=keys.__getitem__)
         cases["v not smallest"] += v != min(x)

@@ -15,7 +15,7 @@ from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
 from conftest import (CORPUS_SIZE, build_instance, chained_triangles, complete, cycle,
                       disjoint_triangles, exp_solutions, path, random_graph, sparse_gnm)
-from proximity import canonical_order
+from proximity import canonical_order, order_keys
 
 
 def c5_bip():
@@ -117,7 +117,7 @@ def comp_lex_witness(problem, elems):
         if not xmask:
             raise ContractViolation("an empty set has no seed")
         v = (xmask & -xmask).bit_length() - 1  # the seed: smallest element
-        keys = problem.order_keys(xmask, v, ext)
+        keys = order_keys(problem, xmask, v, ext)
         best = min(ext, key=keys.__getitem__)
         xmask |= 1 << best
 
@@ -186,10 +186,10 @@ def test_order_keys_component_leaders():
                    (10, 1), (10, 9), (11, 4), (11, 8)])
     inst = make_instance("forests", graph=g)
     xmask = sum(1 << u for u in (1, 2, 4, 6, 8, 9))
-    assert inst.order_keys(xmask, 4, (1, 2, 4, 6, 8, 9)) == {
+    assert order_keys(inst, xmask, 4, (1, 2, 4, 6, 8, 9)) == {
         1: (2, 0, 1), 2: (2, 1, 2), 4: (0, 0, 4), 6: (0, 1, 6),
         8: (9, 0, 8), 9: (9, 1, 9)}
-    assert inst.order_keys(xmask, 4, (7, 11, 3, 0, 5, 10)) == {
+    assert order_keys(inst, xmask, 4, (7, 11, 3, 0, 5, 10)) == {
         7: (0, 2, 7),    # touches the root component
         11: (0, 1, 11),  # touches the root component and {8, 9}
         3: (2, 2, 3),    # touches only {1, 2}, whose leader is smaller
@@ -199,14 +199,34 @@ def test_order_keys_component_leaders():
     }
 
 
+def test_lex_pick_outcomes():
+    # G[X] has three components: the seed's {2, 3}, {5, 6} (leader 5) and
+    # {9, 10} (leader 9); the layer {2} touches 12, the layer {3} touches 8,
+    # {6} touches 11 and {10} touches 4, while 0, 1 and 7 touch nothing
+    g = Graph(13, [(2, 3), (5, 6), (9, 10), (2, 12), (3, 8), (6, 11), (10, 4)])
+    inst = make_instance("forests", graph=g)
+    xmask = mask_of((2, 3, 5, 6, 9, 10))
+    cases = {
+        (8, 12): 12,  # the seed's component wins at its first touching layer
+        (0, 8): 8,    # and still wins when m = 0 lies below the seed
+        (7, 11): 11,  # {5, 6}, of leader 5 < m = 7, wins over m
+        (1, 4): 1,    # only {9, 10} touches, and its leader lies above m
+        (4, 11): 4,   # {5, 6} and {9, 10} touch, both leaders above m
+    }
+    for ext, want in cases.items():
+        assert inst._lex_pick(xmask, mask_of(ext)) == 1 << want, ext
+        keys = order_keys(inst, xmask, 2, ext)
+        assert min(ext, key=keys.__getitem__) == want, (ext, keys)
+
+
 def test_order_keys_connected():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (3, 5)])
     inst = make_instance("trees", graph=g)
     xmask = sum(1 << u for u in (0, 1, 2, 4))
-    assert inst.order_keys(xmask, 0, (0, 1, 2, 4, 3, 5)) == {
+    assert order_keys(inst, xmask, 0, (0, 1, 2, 4, 3, 5)) == {
         0: (0, 0, 0), 1: (0, 1, 1), 2: (0, 2, 2), 4: (0, 1, 4),
         3: (0, 3, 3), 5: (0, 2, 5)}
-    assert inst.order_keys(xmask, 2, (0, 1, 2, 4, 3, 5)) == {
+    assert order_keys(inst, xmask, 2, (0, 1, 2, 4, 3, 5)) == {
         0: (0, 2, 0), 1: (0, 1, 1), 2: (0, 0, 2), 4: (0, 3, 4),
         3: (0, 1, 3), 5: (0, 4, 5)}
 
@@ -256,37 +276,32 @@ def test_order_keys_match_witness(variant):
         x = [u for u in range(n) if rng.random() < rng.choice([0.3, 0.6, 0.9])] or [0]
         v = rng.choice(x)
         want = order_keys_witness(g, x, v)
-        assert inst.order_keys(mask_of(x), v, range(n)) == want, (n, g.edges, x, v)
+        assert order_keys(inst, mask_of(x), v, range(n)) == want, (n, g.edges, x, v)
         several += len({want[u][0] for u in x}) > 1  # slots of G[X]'s components
     assert several >= 100
 
 
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
-def test_seed_pick_matches_order_keys(variant, monkeypatch):
+def test_lex_pick_matches_order_keys(variant, monkeypatch):
     # every choosing round of the lexicographic completions of pspace runs,
-    # on corpus instances and sparse random graphs: where the seed's
-    # component touches an addable element, the pick is the element of
-    # least ``order_keys`` key; where it touches none, the round falls back
-    # to ``order_keys`` itself
-    original = PspaceProblem._seed_pick
-    picked = fallen = 0
+    # on corpus instances and sparse random graphs, adds the element of
+    # least ``order_keys`` key; ``beyond`` counts the rounds where the seed's
+    # component touches no addable element, which the walk settles past it
+    original = PspaceProblem._lex_pick
+    picked = beyond = 0
 
     def checked(self, xmask, ext):
-        nonlocal picked, fallen
+        nonlocal picked, beyond
         b = original(self, xmask, ext)
         seed = (xmask & -xmask).bit_length() - 1
-        if b:
-            best = min(self.order_keys(xmask, seed, bits(ext)).values())[2]
-            assert b == 1 << best, (variant, self.g.edges, tuple_of(xmask), tuple_of(ext))
-            picked += 1
-        else:
-            own = mask_cc(self.g.und_mask, xmask, seed)
-            assert not mask_of(x for u in bits(own) for x in self.g.und_adj[u]) & ext, (
-                variant, self.g.edges, tuple_of(xmask), tuple_of(ext))
-            fallen += 1
+        best = min(order_keys(self, xmask, seed, bits(ext)).values())[2]
+        assert b == 1 << best, (variant, self.g.edges, tuple_of(xmask), tuple_of(ext))
+        picked += 1
+        own = mask_cc(self.g.und_mask, xmask, seed)
+        beyond += not mask_of(x for u in bits(own) for x in self.g.und_adj[u]) & ext
         return b
 
-    monkeypatch.setattr(PspaceProblem, "_seed_pick", checked)
+    monkeypatch.setattr(PspaceProblem, "_lex_pick", checked)
     for inst in regeneration_instances(variant):
         enumerate_pspace(inst)
         # root discovery completes only the seeds with no smaller neighbor,
@@ -296,7 +311,7 @@ def test_seed_pick_matches_order_keys(variant, monkeypatch):
             inst.comp_lex_mask(1 << u, seeded=True)
     assert picked >= 1000, picked
     # a connected family's set is one component, which its reach touches
-    assert fallen == 0 if inst.connected else fallen >= 100, fallen
+    assert beyond == 0 if inst.connected else beyond >= 100, beyond
 
 
 # -- core / parent / pi ----------------------------------------------------------------
@@ -459,7 +474,7 @@ def children_witness(problem, parent, w):
     the child is yielded from a (candidate, seed) pair only when the first
     candidate regenerating it, scanned again, is that candidate."""
     def prefix_upto(rtuple, s):
-        keys = problem.order_keys(mask_of(rtuple), s, rtuple)
+        keys = order_keys(problem, mask_of(rtuple), s, rtuple)
         kw = keys[w]
         return mask_of(x for x in rtuple if keys[x] <= kw)
 
@@ -518,7 +533,7 @@ def test_children_match_restr_witness(variant, corpus):
 def witness_prefix(problem, r, s, w):
     """The elements of r keyed up to w by the order keys of every component
     of G[r], rooted at s."""
-    keys = problem.order_keys(mask_of(r), s, r)
+    keys = order_keys(problem, mask_of(r), s, r)
     kw = keys[w]
     return mask_of(x for x in r if keys[x] <= kw)
 
@@ -1228,7 +1243,7 @@ def test_prefix_closed_order_properties(variant):
                 continue
             v = min(x)  # the seed
             xmask = sum(1 << e for e in x)
-            keys = inst.order_keys(xmask, v, x)
+            keys = order_keys(inst, xmask, v, x)
             order = sorted(x, key=keys.__getitem__)
             assert order[0] == v  # (first)
             for i in range(1, len(order) + 1):
@@ -1236,7 +1251,7 @@ def test_prefix_closed_order_properties(variant):
             for i in range(len(order) - 1):  # (greedy)
                 pmask = sum(1 << e for e in order[:i + 1])
                 ext = [e for e in inst.addable(pmask) if e in x]
-                pkeys = inst.order_keys(pmask, v, ext)
+                pkeys = order_keys(inst, pmask, v, ext)
                 assert min(ext, key=pkeys.__getitem__) == order[i + 1]
             checked += 1
     assert checked >= 30
