@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from maxenum import PartialOutputError
 from maxenum.cli import main
 
 TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
@@ -160,6 +161,14 @@ def test_pspace_oracle_check_empty_graph(tmp_path, capsys):
     assert out.splitlines() == ["v"]
 
 
+def test_oracle_mismatch_exits_1(triangle_file, capsys, monkeypatch):
+    monkeypatch.setattr("maxenum.cli.brute_force_maximal", lambda problem: [])
+    code, out, err = run_cli(["--problem", "forests", "--input", triangle_file,
+                              "--oracle-check", "--count-only"], capsys)
+    assert code == 1 and out.strip() == "3"
+    assert "oracle mismatch: engine found 3 solutions, sweep found 0" in err
+
+
 def test_oracle_check_with_limit_exits_before_run(k4_file, capsys):
     code, out, err = run_cli(["--problem", "trees", "--input", k4_file,
                               "--limit", "2", "--oracle-check"], capsys)
@@ -224,6 +233,23 @@ def test_closed_output_pipe_exits_0_quietly(k4_file, tmp_path, capsys,
         code = main(["--problem", "forests", "--input", k4_file, *extra])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+class FullDisk:
+    """A stdout whose every write fails with an error other than a closed pipe."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_sink_failure_other_than_a_closed_pipe_propagates(k4_file, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    with pytest.raises(PartialOutputError) as info:
+        main(["--problem", "forests", "--input", k4_file])
+    assert info.value.emitted == 0 and type(info.value.__cause__) is OSError
 
 
 def test_module_entrypoint_runs():

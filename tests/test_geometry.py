@@ -303,6 +303,11 @@ def test_is_solution_examples():
     assert not inst2.is_solution({0, 1})
 
 
+def test_point_graph_of_the_wrong_order_rejected():
+    with pytest.raises(ValueError, match="graph order must match the interest point count"):
+        PointSetInstance([(0, 0), (6, 0), (0, 6)], [(2, 2)], Graph(2, [(0, 1)]))
+
+
 def test_square_with_center():
     square = PointSetInstance([(0, 0), (2, 0), (2, 2), (0, 2)], [(1, 1)])
     inst = make_instance("hulls", points=square)

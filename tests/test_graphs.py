@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from maxenum import make_instance
-from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, load_graph,
-                            mask_cc, mask_dists, mask_of, spanned_masks)
+from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, chordal_cliques,
+                            load_graph, mask_cc, mask_dists, mask_of, spanned_masks)
 from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
@@ -79,6 +79,18 @@ def test_load_comments_and_duplicates():
 def test_load_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         load_graph(text)
+
+
+@pytest.mark.parametrize("n,edges,fragment", [
+    (3, [(0, 3)], r"edge \(0,3\) out of range for n=3"),
+    (2, [(1, 1)], "self-loop at vertex 1"),
+    (2, [(0, 1), (1, 0)], r"duplicate edge \(1,0\)"),
+])
+def test_graph_rejects_bad_edges(n, edges, fragment):
+    # the loader names a bad line and drops repeats; a Graph built directly
+    # checks the edges it is given
+    with pytest.raises(ValueError, match=fragment):
+        Graph(n, edges)
 
 
 # fields that Python's int() reads but the formats do not: a digit
@@ -240,6 +252,11 @@ def test_peo_triangle():
 
 def test_peo_c4_absent():
     assert perfect_elimination_order(cycle(4), range(4)) is None
+
+
+def test_chordal_cliques_refuse_c4():
+    with pytest.raises(ValueError, match="adjacency is not chordal"):
+        chordal_cliques(cycle(4).und_mask, 0b1111)
 
 
 def test_peo_path_tie_break():

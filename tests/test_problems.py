@@ -55,6 +55,18 @@ def test_stray_k_rejected(variant):
         make_instance(variant, k=1, **given)
 
 
+@pytest.mark.parametrize("variant,given,message", [
+    ("trees", {}, "trees needs a graph"),
+    ("kdeg-edge", {"k": 1}, "kdeg-edge needs a graph"),
+    ("kdeg-induced", {"graph": path(3)}, "kdeg-induced needs the parameter k"),
+    ("hulls-connected", {"graph": path(3)}, "hulls-connected needs a point-set instance"),
+    ("cliques", {"graph": path(3)}, "unknown problem variant 'cliques'"),
+])
+def test_make_instance_refuses_what_a_family_is_not_built_from(variant, given, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_instance(variant, **given)
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_out_of_range_element_ids_rejected(variant):
     inst = build_instance(variant, 0)

@@ -450,8 +450,8 @@ def test_children_of_unique_solution_empty():
     inst = make_instance("bipartite-induced-connected", graph=g)
     only = (0, 1, 2, 3, 4)
     for w in range(5):
-        if w not in only:
-            assert list(children(inst, mask_of(only), w)) == []
+        # a pivot lies outside its parent, so one inside yields nothing
+        assert list(children(inst, mask_of(only), w)) == []
 
 
 def test_children_cover_non_roots_once():
@@ -462,8 +462,9 @@ def test_children_cover_non_roots_once():
     produced = []
     for parent in sols:
         for w in range(5):
-            if w not in parent:
-                produced.extend(map(tuple_of, children(inst, mask_of(parent), w)))
+            kids = list(map(tuple_of, children(inst, mask_of(parent), w)))
+            assert not (kids and w in parent), (parent, w)  # a pivot lies outside its parent
+            produced.extend(kids)
     roots = [s for s in sols if comp_lex(inst, s[:1]) == s]
     assert sorted(produced) == sorted(set(sols) - set(roots))
     assert len(produced) == len(set(produced))  # each child exactly once
@@ -708,7 +709,9 @@ def test_restr_regenerates(variant, graph_factory):
     for s in sols:
         cp = core_of(inst, s)
         if cp is None:
-            continue  # a root
+            with pytest.raises(ContractViolation, match="roots have no generating candidate"):
+                restr(inst, s)
+            continue
         core, pi = cp
         r = restr(inst, s)
         assert r in inst.neighbors_at(comp_lex(inst, core), pi)
