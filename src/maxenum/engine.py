@@ -149,10 +149,10 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     ``dict_operations`` counts its inserts, the first solution's included.
 
     The run opens its memos with ``Problem.run_memos``: the problem's
-    ``RUN_MEMOS`` (its predicate memo, if it keeps one) and ``_comp_memo``,
-    solution mask -> completed mask, read and filled by ``comp_mask``: its
-    keys are the candidates completed and, for the shared completion loop,
-    every set a completion reached after an addition.
+    predicate memo, if it keeps one, and ``_comp_memo``, solution mask ->
+    completed mask, read and filled by ``comp_mask``: its keys are the
+    candidates completed and, for the shared completion loop, every set a
+    completion reached after an addition.
     All are unbounded, as the visited set is, and go when the run ends,
     however it ends; memos open before it are restored.  ``comp_calls``
     counts completions computed, not memo hits.

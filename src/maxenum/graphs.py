@@ -202,8 +202,8 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # predicates 10-15%, and the exp engine about a sixth of its time on the
 # hereditary families.  ``bits`` serves cold paths, the API and tests.
 # The BFS-layer walks of the pspace hot path (``base.bfs_order``, which
-# defines their order, ``PspaceProblem._lex_pick``, ``pspace._regenerate``,
-# ``pspace.has_parent`` and ``bipartite._two_color_masks``) likewise walk
+# defines their order, ``PspaceProblem._lex_pick``, ``pspace._prefix`` and
+# ``bipartite._two_color_masks``) likewise walk
 # layers inline: resuming a layer generator once per layer took 17% of a
 # ``pspace-forest`` benchmark run under cProfile.
 # Orders that only the tests read, such as the degeneracy order, live with

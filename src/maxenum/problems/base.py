@@ -1,16 +1,16 @@
 """Problem contract shared by every maximal-subgraph plugin.
 
 A plugin states only what is specific to its family: a membership
-predicate over ground-element bitmasks (``_solution_mask``) and a candidate
-rule (``_candidates``); the four parent-forest families also state their
-solution order (``PspaceProblem.vertex_order``), which the pspace engine
-reads.  The other families' canonical orders, which define proximity in
-the paper but which no engine reads, are test witnesses
-(``tests/proximity.py``).  Driven by the class flags ``ground_kind``,
-``directed`` and ``connected``, the rest lives here once: the input
-checks of graph families and their element adjacency table ``adj_masks``
-(a vertex's graph neighbors, or the edges that share an endpoint with an
-edge); one connectivity walk, ``graphs.mask_cc`` over ``adj_masks``, by
+predicate over ground-element bitmasks (``_solution_mask``), a candidate
+rule (``_candidates``) and, where it has one, an extension test
+(``_extension_test``).  The four parent-forest families share one
+solution order, ``bfs_order``, which the pspace engine reads.  The other
+families' canonical orders, which define proximity in the paper but which
+no engine reads, are test witnesses (``tests/proximity.py``).  Driven
+by the class flags ``ground_kind``, ``directed`` and ``connected``, the
+rest lives here once: the input checks of graph families and their
+element adjacency table ``adj_masks`` (a vertex's graph neighbors, or the
+edges that share an endpoint with an edge); one connectivity walk, ``graphs.mask_cc`` over ``adj_masks``, by
 which the neighbor loop (``_neighbor_loop``) cuts each candidate of a
 connected family to the component of the one element it adds to the
 solution, and ``sol`` rejects a non-empty set of a connected family that
@@ -42,13 +42,15 @@ Both engines walk bitmasks; solutions cross the public API (``neighbors``,
 ``neighbors_at``, ``comp``) as sorted tuples of element ids, checked on
 the way in, and ``neighbors`` and ``neighbors_at`` refuse a set that is
 not a maximal solution.  ``sol`` asks the predicate, ``_sol_eval``,
-through a memo, except in a family with an extension test, whose
-completions ask it only to check their inputs.  Every memo belongs to a run: ``run_memos`` opens,
-on the instance, a fresh dict for each of ``RUN_MEMOS`` (that predicate
-memo, or none) and the engine's completion memo (``_comp_memo`` for
-``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``), and restores
-the outer ones when the run ends; calls outside a run use the instance's
-own.  Of them all, only pspace's completion memo is capped (``_LexMemo``).
+through a memo, ``_sol_cache``, except in a family with an extension test,
+whose completions ask it only to check their inputs: ``Problem.__init__``
+gives such a family no memo, and its ``sol`` is the plain predicate.
+Every memo belongs to a run: ``run_memos`` opens, on the instance, a
+fresh dict for the predicate memo, where the instance keeps one, and for
+the engine's completion memo (``_comp_memo`` for ``enumerate_exp``,
+``_lex_memo`` for ``enumerate_pspace``), and restores the outer ones when
+the run ends; calls outside a run use the instance's own.  Of them all,
+only pspace's completion memo is capped (``_LexMemo``).
 """
 
 from __future__ import annotations
@@ -69,13 +71,13 @@ def tuple_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bfs_order(und, out, mask: int) -> list[int]:
+def bfs_order(und, mask: int) -> list[int]:
     """The parent-forest solution order of the masked vertex set: each
     component's BFS layers from its smallest vertex, each layer ascending,
     the components by ascending smallest vertex.  This is the one
     definition of the order; the other layer walks (``_lex_pick``,
-    ``pspace._regenerate``, ``pspace.has_parent`` and
-    ``bipartite._two_color_masks``) follow it inline."""
+    ``pspace._prefix`` and ``bipartite._two_color_masks``) follow it
+    inline."""
     order, left, layer = [], mask, mask & -mask
     while layer:
         left ^= layer
@@ -94,15 +96,16 @@ class Problem:
     variant: str = ""
     ground_kind: str = "v"  # "v": vertex ids, "e": edge ids
     connected = False  # solutions must be connected; completion grows by adjacency
-    # the memos each run opens afresh (``run_memos``); a family with an
-    # extension test names none
-    RUN_MEMOS = ("_sol_cache",)
 
     def __init__(self, ground_size: int):
         self.ground_size = ground_size
         self.comp_calls = 0
-        for name in self.RUN_MEMOS:
-            setattr(self, name, {})
+        # a family with an extension test asks the predicate only to check a
+        # completion's input, so it keeps no predicate memo
+        if self._extension_test is None:
+            self._sol_cache = {}
+        else:
+            self.sol = self._sol_eval
 
     # -- membership ---------------------------------------------------
     def _solution_mask(self, mask: int) -> bool:
@@ -116,7 +119,8 @@ class Problem:
                 and self._solution_mask(mask))
 
     def sol(self, mask: int) -> bool:
-        """``_sol_eval`` through the predicate memo of the run or instance."""
+        """``_sol_eval`` through the predicate memo of the run or instance;
+        a family with an extension test asks ``_sol_eval`` itself."""
         cache = self._sol_cache
         hit = cache.get(mask)
         if hit is None:
@@ -125,10 +129,12 @@ class Problem:
 
     @contextmanager
     def run_memos(self, **engine_memos):
-        """Open one engine run's memos: a fresh dict for each of ``RUN_MEMOS``
-        and the engine's own, by attribute name; restore the outer ones when
-        the run ends, however it ends."""
-        opened = {name: {} for name in self.RUN_MEMOS} | engine_memos
+        """Open one engine run's memos: a fresh predicate memo, where the
+        instance keeps one, and the engine's own, by attribute name; restore
+        the outer ones when the run ends, however it ends."""
+        opened = engine_memos
+        if hasattr(self, "_sol_cache"):
+            opened["_sol_cache"] = {}
         outer = {name: getattr(self, name) for name in opened}
         try:
             for name, memo in opened.items():
@@ -344,18 +350,14 @@ class PspaceProblem(GraphProblem):
 
     The four families supported here are vertex problems on an undirected
     graph where every single vertex is a solution, ordered by the BFS
-    layers rooted at the seed (``vertex_order``, their canonical order,
+    layers rooted at the seed (``bfs_order``, their canonical order,
     which ``pspace`` reads for the core, the parent check and ``restr``).
     Their candidate rule ``_candidates`` serves both engines: completed by
     ``comp_mask`` for ``neighbor_masks`` and by the lexicographic
     completion ``comp_lex_mask`` for ``neighbor_masks_at``.
     Each family must define ``_extension_test``, which both completions
-    ask, so ``sol`` is the plain predicate, with no memo in a run or out.
+    ask, so it keeps no predicate memo, in a run or out.
     """
-
-    vertex_order = staticmethod(bfs_order)
-    RUN_MEMOS = ()
-    sol = Problem._sol_eval
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
         """``neighbor_masks_at`` of a maximal solution as tuples, with element

@@ -15,10 +15,6 @@ from .base import GraphProblem
 
 
 class _ChordalInducedBase(GraphProblem):
-    # completion asks ``_extension_test``, so a predicate memo never answers
-    RUN_MEMOS = ()
-    sol = GraphProblem._sol_eval
-
     def _solution_mask(self, mask: int) -> bool:
         return peo_mask(self.g.und_mask, mask) is not None
 

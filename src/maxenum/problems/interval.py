@@ -161,8 +161,6 @@ class _ProperIntervalBase(GraphProblem):
             hosts.append(smask & ~(1 << z))
         for a in bits(core):
             for b in bits(smask & ~und[v]):
-                if b == a:
-                    continue
                 diff = (und[a] ^ und[b]) & smask & ~(1 << a) & ~(1 << b)
                 if diff:
                     hosts.append(smask & ~diff)

@@ -47,13 +47,13 @@ neighbor in r, has a neighbor in r or is its smallest element, and lies
 in the parent: a pair that fails one of them yields no child (see
 ``children``).  Root discovery skips a seed with a smaller neighbor,
 whose seeded completion never keeps it (see ``_pspace_masks``).
-``_regenerate`` walks the order's BFS layers only up to the pivot, inline
-in the order ``base.bfs_order`` defines, and drops the seed as soon as a
-layer holds a smaller element.  The parent check
-(``has_parent``) judges the pivot first: it walks the child's layers up
-to the pivot and stops at the first that leaves the parent, the prefix
-before the pivot must complete to the parent, and only then is the
-child's whole order built and the longer prefixes scanned;
+One walk, ``_prefix``, reads the elements before the pivot off a set's
+BFS layers, inline in the order ``base.bfs_order`` defines, and stops at
+the first layer that meets a forbidden mask: ``_regenerate`` forbids the
+elements below its seed, the parent check (``has_parent``) those outside
+the parent.  So the parent check judges the pivot first: the prefix
+before the pivot must lie in the parent and complete to it, and only
+then is the child's whole order built and the longer prefixes scanned;
 ``core_of`` and ``restr`` run the same scan down to the first element.
 """
 
@@ -64,7 +64,7 @@ from typing import Iterable, Optional
 from .engine import Counters, drain, walk
 from .graphs import ContractViolation, bits, mask_of
 from .problems import PSPACE_VARIANTS
-from .problems.base import PspaceProblem, tuple_of
+from .problems.base import PspaceProblem, bfs_order, tuple_of
 
 LEX_MEMO_CAP = 1024  # the most entries a run keeps in its completion memo
 
@@ -117,8 +117,7 @@ def _core(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int, in
     no order: ContractViolation (this serves ``core_of`` and ``restr``)."""
     _require_forest_order(problem)
     smask = problem._maximal_mask(solution)
-    g = problem.g
-    order = problem.vertex_order(g.und_mask, g.out_mask, smask)
+    order = bfs_order(problem.g.und_mask, smask)
     hit = _core_scan(problem, order, smask, 1)
     return None if hit is None else (order, *hit)
 
@@ -147,9 +146,8 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     judged pivot first: order[:i] must lie inside the parent, its completion,
     before it is completed and compared with the parent, and only then must
     every longer prefix complete to the child.  order[:i] is read off the
-    child's BFS layers up to w's, walked inline in the order
-    ``base.bfs_order`` defines, and the walk stops at the first layer that
-    leaves the parent; the whole order is built, by ``vertex_order``, only
+    child's layers by ``_prefix``, which stops at the first layer that
+    leaves the parent; the whole order is built, by ``bfs_order``, only
     when order[:i] completes to the parent.  The verdict rests on the child
     alone, and nothing is kept between calls.
     """
@@ -158,43 +156,25 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
         raise ContractViolation(f"pivot {w} is not in the child")
     if pmask == cmask:
         return False
-    und, wbit = problem.g.und_mask, 1 << w
-    core, left, layer = 0, cmask, cmask & -cmask
-    while not layer & wbit:
-        if layer & ~pmask:
-            return False
-        core |= layer
-        left ^= layer
-        nbrs = 0
-        while layer:
-            low = layer & -layer
-            nbrs |= und[low.bit_length() - 1]
-            layer ^= low
-        layer = nbrs & left or left & -left
-    core |= layer & (wbit - 1)
-    if not core or core & ~pmask or problem.comp_lex_mask(core) != pmask:
+    und = problem.g.und_mask
+    core = _prefix(und, cmask, cmask & -cmask, w, ~pmask)
+    if core <= 0 or problem.comp_lex_mask(core) != pmask:  # -1: leaves the parent
         return False
-    order = problem.vertex_order(und, problem.g.out_mask, cmask)
-    return _core_scan(problem, order, cmask, core.bit_count() + 1) is None
+    return _core_scan(problem, bfs_order(und, cmask), cmask, core.bit_count() + 1) is None
 
 
-def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
-    """The completion of the elements of the candidate mask ``rmask`` up to
-    w in its order rooted at s, or 0 when that completion is not rooted at
-    s: when the prefix holds an element below s, or the seeded completion
-    adds one.  A w outside ``rmask`` raises ContractViolation.
-
-    The prefix is every BFS layer of r from s before w's plus the members
-    of w's layer up to w, walked inline in the order ``base.bfs_order``
-    defines: when a component runs out, the smallest element
-    left leads the next.  The walk stops at the first layer that holds an
-    element below s, wherever w lies.
-    """
-    und, below, wbit = problem.g.und_mask, (1 << s) - 1, 1 << w
-    prefix, left, layer = 0, rmask, 1 << s
+def _prefix(und, xmask: int, first: int, w: int, forbidden: int) -> int:
+    """The elements before w, an element of the set ``xmask``, in its order
+    from the bit ``first``: every BFS layer before w's plus the members of
+    w's layer below w, walked inline in the order ``base.bfs_order``
+    defines (when a component runs out, the smallest element left leads the
+    next); -1 as soon as a layer meets the mask ``forbidden``, wherever w
+    lies."""
+    wbit = 1 << w
+    prefix, left, layer = 0, xmask, first
     while not layer & wbit:
-        if layer & below:
-            return 0
+        if layer & forbidden:
+            return -1
         prefix |= layer
         left ^= layer
         nbrs = 0
@@ -203,10 +183,21 @@ def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
             nbrs |= und[low.bit_length() - 1]
             layer ^= low
         layer = nbrs & left or left & -left
-        if not layer:
-            raise ContractViolation(f"pivot {w} is not in the candidate")
-    prefix |= layer & ((wbit << 1) - 1)
-    return 0 if prefix & below else problem.comp_lex_mask(prefix, seeded=True)
+    layer &= wbit - 1
+    return -1 if layer & forbidden else prefix | layer
+
+
+def _regenerate(problem: PspaceProblem, rmask: int, s: int, w: int) -> int:
+    """The completion of the elements of the candidate mask ``rmask`` up to
+    w in its order rooted at s, or 0 when that completion is not rooted at
+    s: when the prefix holds an element below s (``_prefix`` stops at the
+    first layer that does), or the seeded completion adds one.  s lies in
+    ``rmask`` and below w; a w outside ``rmask`` raises ContractViolation.
+    """
+    if not (rmask >> w) & 1:
+        raise ContractViolation(f"pivot {w} is not in the candidate")
+    prefix = _prefix(problem.g.und_mask, rmask, 1 << s, w, (1 << s) - 1)
+    return 0 if prefix < 0 else problem.comp_lex_mask(prefix | 1 << w, seeded=True)
 
 
 def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
@@ -224,8 +215,7 @@ def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
     raise ContractViolation("no candidate regenerates the solution")
 
 
-def children(problem: PspaceProblem, pmask: int, w: int,
-             counters: Optional[Counters] = None):
+def children(problem: PspaceProblem, pmask: int, w: int):
     """Yield, as masks, exactly the maximal solutions whose parent is the
     mask ``pmask`` and whose pivot is ``w``, each once.
 
@@ -264,8 +254,6 @@ def children(problem: PspaceProblem, pmask: int, w: int,
     _require_forest_order(problem)
     if (pmask >> w) & 1:
         return
-    if counters is not None:
-        counters.neighbors_calls += 1
     und = problem.g.und_mask
     if not pmask & ((1 << w) - 1):
         return  # no seed below w lies in the parent
@@ -287,11 +275,8 @@ def children(problem: PspaceProblem, pmask: int, w: int,
             if not cmask or cmask in judged:
                 continue  # the child's seed is not s, or it was judged
             judged.add(cmask)
-            if not has_parent(problem, cmask, pmask, w):
-                continue
-            if counters is not None:
-                counters.child_checks_passed += 1
-            yield cmask
+            if has_parent(problem, cmask, pmask, w):
+                yield cmask
 
 
 def _pspace_masks(problem: PspaceProblem, counters: Counters):
@@ -308,10 +293,17 @@ def _pspace_masks(problem: PspaceProblem, counters: Counters):
     completion of {u} picks v: as the only addable element, or else as the
     smallest addable neighbor of u, which ``_lex_pick`` takes from the
     layer {u}.  v lies below u, so the seeded completion stops there, and
-    such a u is skipped uncompleted."""
+    such a u is skipped uncompleted.
+
+    The walk's stream counts, as exp's counts its own, one
+    ``neighbors_calls`` for each pivot it asks ``children`` about and one
+    ``child_checks_passed`` for each child yielded."""
     def child_stream(x):
         for w in bits(~x & ((1 << problem.ground_size) - 1)):
-            yield from children(problem, x, w, counters)
+            counters.neighbors_calls += 1
+            for cmask in children(problem, x, w):
+                counters.child_checks_passed += 1
+                yield cmask
 
     und = problem.g.und_mask
     # u = 0 is never skipped, so only an empty ground set has no seed; its one

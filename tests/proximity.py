@@ -2,9 +2,10 @@
 paper defines proximity and proves the solution graph strongly connected,
 and the closeness measure ``prefix_overlap`` built on it.  The package
 realises the orders only through each family's candidate rule, and the
-pspace engine alone reads one, the ``vertex_order`` of its four families;
-the other twelve live here, each a function ``(und, out, mask)`` of the
-undirected and out-neighbor masks of a graph and a vertex mask in it.
+pspace engine alone reads one, ``base.bfs_order``, the order of its four
+families; the other twelve live here, each a function ``(und, out, mask)``
+of the undirected and out-neighbor masks of a graph and a vertex mask in
+it.
 The pspace families' order keys live here too, ``order_keys`` over the
 layer generator ``mask_layers``: the reference that the lexicographic
 completion's one walk (``PspaceProblem._lex_pick``) is checked against."""
@@ -84,15 +85,16 @@ def by_components(layout):
 
 def vertex_order(problem):
     """The canonical vertex order of a graph family, which an edge family
-    shares with its vertex twin: the pspace families' own, else the BFS
-    layers, the reversed perfect elimination order, the least layered
-    order, or per component the unit-interval or reversed degeneracy one."""
-    if isinstance(problem, PspaceProblem):
-        return problem.vertex_order
+    shares with its vertex twin: the BFS layers of ``bfs_order`` for the
+    pspace families and bipartite-edge, else the reversed perfect
+    elimination order, the least layered order, or per component the
+    unit-interval or reversed degeneracy one."""
     family = problem.variant.split("-")[0]
+    if isinstance(problem, PspaceProblem) or family == "bipartite":
+        return lambda und, out, mask: bfs_order(und, mask)
     if family == "pinterval":
         return by_components(lambda und, c: problem.component_layout(c))
-    return {"bipartite": bfs_order, "chordal": reversed_peo, "dag": layer_order,
+    return {"chordal": reversed_peo, "dag": layer_order,
             "kdeg": by_components(lambda und, c: degeneracy_mask(und, c)[0][::-1])}[family]
 
 

@@ -453,7 +453,7 @@ def test_inline_bit_scans_match_set_references():
             assert _is_forest(g.und_mask, mask) == naive_forest(g, s)
             for k in range(3):
                 assert _peel_ok_vertices(g.und_mask, mask, k) == naive_peel(g, s, k)
-            assert bfs_order(g.und_mask, g.out_mask, mask) == set_bfs_order(g, s)
+            assert bfs_order(g.und_mask, mask) == set_bfs_order(g, s)
 
 
 def petersen():

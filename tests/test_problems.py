@@ -114,12 +114,13 @@ def test_neighbors_refuse_a_set_that_is_not_a_maximal_solution(variant):
     assert refused >= 3
 
 
-def test_only_the_pspace_families_state_an_order():
-    # the other families' canonical orders and the proximity measure are
-    # test witnesses (tests/proximity.py), as are the two order helpers
+def test_no_family_states_an_order():
+    # pspace reads its families' one order, ``base.bfs_order``, directly; the
+    # other families' canonical orders and the proximity measure are test
+    # witnesses (tests/proximity.py), as are the two order helpers
     for cls in (GRAPH_VARIANTS | K_VARIANTS | POINT_VARIANTS).values():
         assert not hasattr(cls, "canonical_order") and not hasattr(cls, "prefix_overlap")
-        assert hasattr(cls, "vertex_order") == issubclass(cls, PspaceProblem), cls
+        assert not hasattr(cls, "vertex_order"), cls
     assert not {"degeneracy_order", "perfect_elimination_order"} & set(maxenum.__all__)
 
 

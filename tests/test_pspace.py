@@ -409,7 +409,7 @@ def test_parent_check_stops_before_the_pivot_layer(monkeypatch):
     # the parent, so the check builds no order and completes nothing
     inst = c5_bip()
     built = []
-    monkeypatch.setattr(inst, "vertex_order",
+    monkeypatch.setattr(pspace_mod, "bfs_order",
                         lambda *args: built.append(args) or bfs_order(*args))
     child = mask_of((1, 2, 3, 4))
     before = inst.comp_calls
@@ -429,9 +429,9 @@ def test_parent_check_needs_the_pivot_in_the_child():
 
 
 def test_regenerate_needs_the_pivot_in_the_candidate():
-    # a pivot outside r lies in no layer of r, so the walk runs out of r:
-    # it raises instead of completing the whole of r, both inside one
-    # component and after hopping to the next one's leader
+    # a pivot outside r lies in no layer of r, so the walk would run out
+    # of r: it raises before the walk instead of completing the whole of r,
+    # both inside one component and after hopping to the next one's leader
     inst = make_instance("bipartite-induced", graph=cycle(5))
     for r, s, w in (((1, 2, 3), 1, 4), ((1, 2, 3), 1, 5), ((0, 2), 0, 3)):
         before = inst.comp_calls
@@ -612,7 +612,7 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
         regenerated.append((rmask, s, w))
         return original_regenerate(problem, rmask, s, w)
 
-    def checked(problem, pmask, w, counters=None):
+    def checked(problem, pmask, w):
         nonlocal dropped, empty, rejected, alone
         parent, und = tuple_of(pmask), problem.g.und_mask
         cut = not pmask & ((1 << w) - 1) or problem.connected and not und[w] & pmask
@@ -642,7 +642,7 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
                     alone += 1
                 elif not cut:
                     kept.append((rmask, s, w))
-        yield from original_children(problem, pmask, w, counters)
+        yield from original_children(problem, pmask, w)
 
     monkeypatch.setattr(pspace_mod, "_regenerate", regenerate)
     monkeypatch.setattr(pspace_mod, "children", checked)
@@ -779,10 +779,10 @@ def test_traversal_builds_tuples_only_at_emission(variant, monkeypatch):
         built += 1
         return original_tuple_of(mask)
 
-    def checked(problem, pmask, w, counters=None):
+    def checked(problem, pmask, w):
         nonlocal yielded
         assert type(pmask) is int, pmask
-        for cmask in original_children(problem, pmask, w, counters):
+        for cmask in original_children(problem, pmask, w):
             assert type(cmask) is int, cmask
             yielded += 1
             yield cmask
@@ -815,9 +815,9 @@ def test_pspace_empty_graph(variant):
 
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
-# ``_lex_memo``, exp in ``_comp_memo``; the memos a class names in ``RUN_MEMOS``
-# (the predicate memo of a family with no extension test) are opened afresh by
-# every run as well, while calls outside a run use the instance's own
+# ``_lex_memo``, exp in ``_comp_memo``; the predicate memo ``_sol_cache``, which
+# only a family with no extension test keeps, is opened afresh by every run as
+# well, while calls outside a run use the instance's own
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
@@ -841,7 +841,7 @@ def closed(engine, inst):
 
 def instance_memos(inst):
     """Each dict inst holds as an attribute, by name, with a copy of its
-    entries: the memos of ``RUN_MEMOS``, and any the class failed to name."""
+    entries: its predicate memo, if it keeps one, and any other."""
     return {name: (memo, dict(memo)) for name, memo in vars(inst).items()
             if isinstance(memo, dict)}
 
@@ -1087,7 +1087,7 @@ def test_memo_closed_after_every_run(engine, variant, i):
     assert closed(engine, inst)
     inst.comp(())  # fills the instance's own memos, outside a run
     own = instance_memos(inst)
-    assert all(own[name][1] for name in inst.RUN_MEMOS)
+    assert all(entries for _, entries in own.values())
     sols, _ = run_engine(engine, inst)
     assert len(sols) > 3 and closed(engine, inst) and kept(inst, own)
     assert run_engine(engine, inst, limit=2)[0] == sols[:2]
@@ -1111,7 +1111,7 @@ def test_memo_nested_run_restores_outer(engine, variant, i):
 
     def nested(sol):
         outer, memos = open_memos(engine, inst), instance_memos(inst)
-        assert not any(memos[name][0] is own[name][0] for name in inst.RUN_MEMOS)
+        assert not any(memos[name][0] is memo for name, (memo, _) in own.items())
         seen.append(run_engine(engine, inst)[0])
         restored = open_memos(engine, inst)
         assert all(a is b and b is not None for a, b in zip(restored, outer))
