@@ -79,22 +79,16 @@ def main(argv=None) -> int:
 
     try:
         if args.problem in POINT_VARIANTS:
-            points = load_points(text)
-            problem = make_instance(args.problem, points=points)
+            problem = make_instance(args.problem, points=load_points(text))
         else:
             g = load_graph(text)
-            if args.problem in K_VARIANTS:
-                if args.k is None:
-                    print("maxenum: --k is required for this problem",
-                          file=err)
-                    return 1
-                if args.k > 3 and not args.allow_large_k:
-                    print("maxenum: k > 3 makes candidate counts explode; "
-                          "pass --allow-large-k to proceed", file=err)
-                    return 1
-                problem = make_instance(args.problem, graph=g, k=args.k)
-            else:
-                problem = make_instance(args.problem, graph=g)
+            # a --k outside the kdeg problems was refused above; make_instance
+            # refuses a kdeg problem without one
+            if args.k is not None and args.k > 3 and not args.allow_large_k:
+                print("maxenum: k > 3 makes candidate counts explode; "
+                      "pass --allow-large-k to proceed", file=err)
+                return 1
+            problem = make_instance(args.problem, graph=g, k=args.k)
         if args.oracle_check:
             check_cap(problem)  # before the run, which may print much
     except ValueError as exc:  # GraphFormatError and PointFormatError too

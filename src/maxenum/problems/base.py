@@ -25,13 +25,16 @@ current solution through ``_extension_test``: a family-specific test
 where a plugin gives one, else the predicate.  ``addable`` and maximality
 always ask the predicate, so they check that test rather than share it.
 Both completions, ``comp_mask`` and ``comp_lex_mask``, enter through one
-guarded, counted, memoized ``_complete``: a non-solution raises
-ContractViolation, and a completion taken from the run's memo is not
-counted in ``comp_calls``.  Both loops, the shared one of ``comp_mask``
-and that of ``comp_lex_mask``, also read their run's memo at each set they
-reach, stop at a set the run has completed, and store each set they
-reached under the result, so a later request for one of them is a memo
-hit.  The seeded form of ``comp_lex_mask`` stops at the first element it
+counted, memoized ``_complete``, and a completion taken from the run's
+memo is not counted in ``comp_calls``.  They take a solution mask on
+trust, as ``neighbor_masks`` does: the engines and ``pspace`` pass sets
+grown from checked ones.  The public tuple entries, ``comp`` and
+``pspace.comp_lex``, check their input first (``_solution_input``): a
+non-solution raises ContractViolation, uncounted and never stored.  Both
+loops, the shared one of ``comp_mask`` and that of ``comp_lex_mask``,
+also read their run's memo at each set they reach, stop at a set the run
+has completed, and store each set they reached under the result, so a
+later request for one of them is a memo hit.  The seeded form of ``comp_lex_mask`` stops at the first element it
 would add below its seed; the run's memo keeps the set it reached under
 each set it passed, and a later full request finishes from it, uncounted.
 A lexicographic round that must choose takes the least element in the
@@ -43,8 +46,8 @@ Both engines walk bitmasks; solutions cross the public API (``neighbors``,
 the way in, and ``neighbors`` and ``neighbors_at`` refuse a set that is
 not a maximal solution.  ``sol`` asks the predicate, ``_sol_eval``,
 through a memo, ``_sol_cache``, except in a family with an extension test,
-whose completions ask it only to check their inputs: ``Problem.__init__``
-gives such a family no memo, and its ``sol`` is the plain predicate.
+whose completions never ask it: ``Problem.__init__`` gives such a family
+no memo, and its ``sol`` is the plain predicate.
 Every memo belongs to a run: ``run_memos`` opens, on the instance, a
 fresh dict for the predicate memo, where the instance keeps one, and for
 the engine's completion memo (``_comp_memo`` for ``enumerate_exp``,
@@ -100,8 +103,8 @@ class Problem:
     def __init__(self, ground_size: int):
         self.ground_size = ground_size
         self.comp_calls = 0
-        # a family with an extension test asks the predicate only to check a
-        # completion's input, so it keeps no predicate memo
+        # a family with an extension test asks the predicate in no
+        # completion, so it keeps no predicate memo
         if self._extension_test is None:
             self._sol_cache = {}
         else:
@@ -166,6 +169,15 @@ class Problem:
         mask = self._mask(elems)
         if not (self.sol(mask) and not self.addable(mask)):
             raise ContractViolation(f"{tuple_of(mask)} is not a maximal solution")
+        return mask
+
+    def _solution_input(self, elems: Iterable[int]) -> int:
+        """The mask of ids given from outside to a completion, checked as
+        ``_mask`` checks them; a set that is not a solution raises
+        ContractViolation."""
+        mask = self._mask(elems)
+        if not self.sol(mask):
+            raise ContractViolation("completion requires a solution as input")
         return mask
 
     # -- extension and completion --------------------------------------
@@ -245,16 +257,14 @@ class Problem:
         """The completion ``loop(mask)`` of a solution mask, counted in
         ``comp_calls``.  Inside a run, ``memo`` is the run's memo of this
         completion: a done one comes from it, uncounted, a computed one is
-        stored, also when the loop stopped early (``comp_lex_mask``).  A
-        non-solution raises ContractViolation, uncounted and never stored.
-        Outside a run (``memo`` None), every call is computed.  The input
-        check runs on every computed input; the sets the loop itself stores
-        (``_comp_mask``, ``_comp_lex_mask``) are reached from a checked one
-        by additions that keep a solution."""
+        stored, also when the loop stopped early (``comp_lex_mask``).
+        Outside a run (``memo`` None), every call is computed.  The mask is
+        taken on trust: an engine passes a root seed, a cut candidate, a
+        prefix of a candidate's or a solution's order, or a set a completion
+        reached, and a public entry checks its input (``_solution_input``)
+        first."""
         done = None if memo is None else memo.get(mask)
         if done is None:
-            if not self.sol(mask):
-                raise ContractViolation("completion requires a solution as input")
             self.comp_calls += 1
             done = loop(mask)
             if memo is not None:
@@ -266,7 +276,7 @@ class Problem:
         return self._complete(mask, self._comp_memo, self._comp_mask)
 
     def comp(self, elems: Iterable[int]) -> tuple[int, ...]:
-        return tuple_of(self.comp_mask(self._mask(elems)))
+        return tuple_of(self.comp_mask(self._solution_input(elems)))
 
     def _adjacent_mask(self, mask: int) -> int:
         """The elements adjacent to a set of a connected family: the union of
@@ -356,7 +366,8 @@ class PspaceProblem(GraphProblem):
     ``comp_mask`` for ``neighbor_masks`` and by the lexicographic
     completion ``comp_lex_mask`` for ``neighbor_masks_at``.
     Each family must define ``_extension_test``, which both completions
-    ask, so it keeps no predicate memo, in a run or out.
+    ask instead of the predicate, so it keeps no predicate memo, in a run
+    or out, and a run asks the predicate nothing.
     """
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
@@ -385,9 +396,9 @@ class PspaceProblem(GraphProblem):
         it would add below that seed.  The run's memo keeps a stopped
         completion, counted once, as ``~reached`` under its input and each
         set it passed: a later seeded request for one reads it as 0, and a
-        later full one finishes it from ``reached``, uncounted and
-        unguarded, in place.  The greedy rule depends only on the current
-        set, so the finish gives what one full loop would.
+        later full one finishes it from ``reached``, uncounted, in place.
+        The greedy rule depends only on the current set, so the finish gives
+        what one full loop would.
         """
         memo = self._lex_memo
         done = self._complete(xmask, memo,

@@ -91,10 +91,11 @@ def _require_forest_order(problem) -> None:
 def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
     """Lexicographic completion: repeatedly add the order-minimal addable
     element, under the order rooted at the current seed.  Element ids are
-    checked against the ground set; the traversal itself completes masks
-    with ``PspaceProblem.comp_lex_mask``."""
+    checked against the ground set, and a set that is not a solution raises
+    ContractViolation; the traversal itself completes masks with
+    ``PspaceProblem.comp_lex_mask``, which takes them on trust."""
     _require_forest_order(problem)
-    return tuple_of(problem.comp_lex_mask(problem._mask(elems)))
+    return tuple_of(problem.comp_lex_mask(problem._solution_input(elems)))
 
 
 def _core_scan(problem: PspaceProblem, order: list[int], smask: int,

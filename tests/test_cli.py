@@ -100,13 +100,23 @@ def test_byte_order_mark_is_accepted(tmp_path, capsys, problem, text):
 def test_k_required_and_guarded(k4_file, capsys):
     code, _, err = run_cli(["--problem", "kdeg-induced", "--input", k4_file],
                            capsys)
-    assert code == 1 and "--k" in err
+    assert code == 1 and "needs the parameter k" in err
     code, _, err = run_cli(["--problem", "kdeg-induced", "--input", k4_file,
                             "--k", "4"], capsys)
     assert code == 1 and "allow-large-k" in err
     code, _, _ = run_cli(["--problem", "kdeg-induced", "--input", k4_file,
                           "--k", "4", "--allow-large-k"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("problem", ["kdeg-induced", "kdeg-edge"])
+@pytest.mark.parametrize("extra", [[], ["--allow-large-k"]])
+def test_kdeg_without_k_refused_by_make_instance(k4_file, capsys, problem, extra):
+    # the CLI states no refusal of its own for a missing --k: make_instance's
+    # reaches the user through the CLI's ValueError report, before any run
+    code, out, err = run_cli(["--problem", problem, "--input", k4_file] + extra,
+                             capsys)
+    assert (code, out, err) == (1, "", f"maxenum: {problem} needs the parameter k\n")
 
 
 @pytest.mark.parametrize("extra", [["--k", "7"], ["--allow-large-k"]])

@@ -10,8 +10,9 @@ variant's extension rule finds exactly the addable elements and completes
 as a loop over the predicate does, every set the shared loop stores in an
 exp run's completion memo maps to its own completion, a family's
 extension test agrees with the predicate, which maximality asks instead of
-that test, and a run of a family with an extension test evaluates the
-predicate only to check each completion's input, with no predicate memo."""
+that test, and a run of a family with an extension test evaluates no
+predicate and keeps no predicate memo; every set an engine completes is a
+solution, since a completion takes its input on trust."""
 
 import random
 import re
@@ -250,22 +251,26 @@ CONNECTED_VARIANTS = ("trees", "bipartite-induced-connected",
 def test_engines_ask_sol_only_about_one_component(variant):
     # the precondition for skipping the connectivity walk of ``sol`` on
     # engine paths: the base's neighbor loops cut every candidate and
-    # completions grow within ``_reach``, so every set an engine asks about
-    # is one component, or empty at the start of the first completion
+    # completions grow within ``_reach``, so every set an engine asks the
+    # predicate about or passes to a completion is one component, or empty
+    # at the start of the first completion; a family with an extension test
+    # asks the predicate nothing in a run, so only its completion inputs
+    # are seen here
     engines = [enumerate_exp] + [enumerate_pspace] * (variant in PSPACE_VARIANTS)
     asked = []
     for engine in engines:
         for i in range(6):
             inst = build_instance(variant, i)
-            sol = inst.sol
+            sol, complete = inst.sol, inst._complete
 
-            def checked(mask):
+            def one_component(mask):
                 assert mask == 0 or len(set_components(inst, mask)) == 1, (
                     engine.__name__, i, tuple_of(mask))
                 asked.append(mask)
-                return sol(mask)
 
-            inst.sol = checked
+            inst.sol = lambda mask: one_component(mask) or sol(mask)
+            inst._complete = (lambda mask, memo, loop:
+                              one_component(mask) or complete(mask, memo, loop))
             engine(inst)
     assert len(asked) >= 20
 
@@ -517,15 +522,37 @@ def engine_params(variants):
 @pytest.mark.parametrize("variant,engine", engine_params(EXTENSION_TESTED))
 def test_completion_asks_no_predicate(engine, variant, monkeypatch):
     # a completion step asks the family's extension test, never the
-    # predicate, so a run evaluates the predicate exactly once per completion
-    # it computes: the input check of that completion
+    # predicate, and a completion takes its input on trust, so a run
+    # computes completions without evaluating the predicate once
     for i in range(CORPUS_SIZE):
         inst = build_instance(variant, i)
         evals = []
         predicate = inst._solution_mask
         monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
         _, counters = run_engine(engine, inst)
-        assert len(evals) == counters.comp_calls > 0, (i, inst.g.edges)
+        assert evals == [] and counters.comp_calls > 0, (i, inst.g.edges)
+
+
+@pytest.mark.parametrize("variant,engine", engine_params(ALL_VARIANTS))
+def test_engines_complete_only_solutions(variant, engine):
+    # a completion takes its mask on trust, so what an engine passes it
+    # must be a solution by the predicate itself: an exp run's empty set
+    # and cut candidates, a pspace run's root seeds, cut candidates and the
+    # prefixes that _regenerate, has_parent and _core_scan complete
+    inputs = []
+    for i in range(CORPUS_SIZE):
+        inst = build_instance(variant, i)
+        complete = inst._complete
+
+        def checked(mask, memo, loop):
+            assert inst._sol_eval(mask), (i, tuple_of(mask))
+            inputs.append(mask)
+            return complete(mask, memo, loop)
+
+        inst._complete = checked
+        run_engine(engine, inst)
+    # 408 on chordal-edge, the fewest, and 82,861 on kdeg-edge
+    assert len(inputs) >= 3 * CORPUS_SIZE
 
 
 @pytest.mark.parametrize("variant,engine", engine_params([*EXTENSION_TESTED, "kdeg-induced"]))

@@ -1158,9 +1158,9 @@ C5_COMPLETIONS = {"exp": (Problem.comp, (0, 1, 2, 3)),
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_memo_never_holds_a_non_solution(engine):
-    # both completions share one guard: a non-solution raises
-    # ContractViolation, inside a run and outside, is never stored and is
-    # not counted in comp_calls
+    # both public completions check their input, as the mask entries they
+    # call do not: a non-solution raises ContractViolation, inside a run
+    # and outside, is never stored and is not counted in comp_calls
     inst = c5_bip()
     odd = (0, 1, 2, 3, 4)
     completion, of_zero = C5_COMPLETIONS[engine]
