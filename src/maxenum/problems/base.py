@@ -7,36 +7,41 @@ rule (``_candidates``) and, where it has one, an extension test
 solution order, ``bfs_order``, which the pspace engine reads.  The other
 families' canonical orders, which define proximity in the paper but which
 no engine reads, are test witnesses (``tests/proximity.py``).  Driven
-by the class flags ``ground_kind``, ``directed`` and ``connected``, the
-rest lives here once: the input checks of graph families and their
-element adjacency table ``adj_masks`` (a vertex's graph neighbors, or the
-edges that share an endpoint with an edge); one connectivity walk, ``graphs.mask_cc`` over ``adj_masks``, by
-which the neighbor loop (``_neighbor_loop``) cuts each candidate of a
-connected family to the component of the one element it adds to the
-solution, and ``sol`` rejects a non-empty set of a connected family that
-is not the component of its lowest element; that loop completes each
-distinct candidate once, by ``comp_mask`` for ``neighbor_masks`` and by
+by the class flags ``ground_kind``, ``directed``, ``connected`` and
+``hereditary``, the rest lives here once: the input checks of graph
+families and their element adjacency table ``adj_masks`` (a vertex's graph
+neighbors, or the edges that share an endpoint with an edge); one
+connectivity walk, ``graphs.mask_cc`` over ``adj_masks``, by which the
+neighbor loop (``_neighbor_loop``) cuts each candidate of a connected
+family to the component of the one element it adds to the solution, and
+``sol`` rejects a non-empty set of a connected family that is not the
+component of its lowest element; that loop completes each distinct
+candidate once, by ``comp_mask`` for ``neighbor_masks`` and by
 ``comp_lex_mask`` for ``neighbor_masks_at``; the extension rule
 ``_reach``, the elements that can extend a set (for a connected family,
 those adjacent to it), which completion, ``addable`` and maximality all
 scan.  A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
-where a plugin gives one, else the predicate.  ``addable`` and maximality
-always ask the predicate, so they check that test rather than share it.
-Both completions, ``comp_mask`` and ``comp_lex_mask``, enter through one
-counted, memoized ``_complete``, and a completion taken from the run's
-memo is not counted in ``comp_calls``.  They take a solution mask on
-trust, as ``neighbor_masks`` does: the engines and ``pspace`` pass sets
-grown from checked ones.  The public tuple entries, ``comp`` and
+where a plugin gives one, else the predicate.  An element it rejects
+stays rejected in a ``hereditary`` family; chordal-edge, where a later
+edge can supply a rejected edge's chord, is not one, and its completion
+rescans from the smallest id after each addition.  ``addable`` and
+maximality always ask the predicate, so they check that test rather than
+share it.
+Each engine completes by one loop, ``comp_mask`` for exp and
+``comp_lex_mask`` for pspace, and each loop keeps its run's memo rule:
+it looks its input up, and a completion found there is not counted in
+``comp_calls``; a computed one is counted once, stops at the first set
+it reaches that the run has completed, and is stored under every set it
+reached and then under its input.  Both take a solution mask on trust,
+as ``neighbor_masks`` does: the engines and ``pspace`` pass sets grown
+from checked ones.  The public tuple entries, ``comp`` and
 ``pspace.comp_lex``, check their input first (``_solution_input``): a
-non-solution raises ContractViolation, uncounted and never stored.  Both
-loops, the shared one of ``comp_mask`` and that of ``comp_lex_mask``,
-also read their run's memo at each set they reach, stop at a set the run
-has completed, and store each set they reached under the result, so a
-later request for one of them is a memo hit.  The seeded form of ``comp_lex_mask`` stops at the first element it
-would add below its seed; the run's memo keeps the set it reached under
-each set it passed, and a later full request finishes from it, uncounted.
+non-solution raises ContractViolation, uncounted and never stored.  The
+seeded form of ``comp_lex_mask`` stops at the first element it would add
+below its seed; the run's memo keeps the set it reached under each set
+it passed, and a later full request finishes from it, uncounted.
 A lexicographic round that must choose takes the least element in the
 order rooted at its seed by one walk of the layers of G[X]
 (``_lex_pick``), which stops before any component whose leader lies
@@ -99,6 +104,7 @@ class Problem:
     variant: str = ""
     ground_kind: str = "v"  # "v": vertex ids, "e": edge ids
     connected = False  # solutions must be connected; completion grows by adjacency
+    hereditary = True  # an element rejected at a solution stays rejected as it grows
 
     def __init__(self, ground_size: int):
         self.ground_size = ground_size
@@ -209,27 +215,33 @@ class Problem:
         maximality checks stay independent of the test completion uses."""
         return [e for e in bits(self._reach(mask)) if self.sol(mask | 1 << e)]
 
-    def _comp_mask(self, mask: int) -> int:
+    _comp_memo = None  # the completions of an enumerate_exp run in progress
+
+    def comp_mask(self, mask: int) -> int:
         """Grow the solution ``mask`` to a maximal one: test the least
         untested element of its reach, through ``_extension_test`` or else
         ``sol``, until none is left.  The reach grows with each addition,
-        so a connected family may next test a smaller id; otherwise this is
-        one ascending pass.
+        so a connected family may next test a smaller id; a family that is
+        not ``hereditary`` also forgets its rejections after each addition.
 
         Each addition is the least element of the current set's reach that
         keeps it a solution, so the rest of the loop depends on the set
-        reached alone.  Inside an exp run the loop therefore looks each set
-        it reaches up in the run's completion memo and stops at a hit with
-        that completion; when it ends, every set it reached maps to the
-        result, the last included.
+        reached alone.  Inside an exp run the loop therefore returns a
+        completion of ``mask`` found in the run's memo, uncounted; a
+        computed one, counted in ``comp_calls``, stops at the first set it
+        reaches that the memo holds, and is stored under every set it
+        reached, the last included, and then under ``mask``.
         """
-        # a rejected element stays rejected: every family using this loop is
-        # hereditary, or hereditary once connected, so it fails for every
-        # larger set too
+        memo = self._comp_memo
+        if memo is not None:
+            done = memo.get(mask)
+            if done is not None:
+                return done
+        self.comp_calls += 1
         ok = self._extension_test
         sol = self.sol
-        memo = self._comp_memo
-        reached = []
+        hereditary = self.hereditary
+        start, reached = mask, []
         reach = left = self._reach(mask)
         rejected = 0
         while left:
@@ -243,37 +255,17 @@ class Problem:
                         mask = done
                         break
                     reached.append(mask)
+                if not hereditary:
+                    rejected = 0  # a rejected element may extend the larger set
                 left = reach & ~rejected
             else:
                 rejected |= b
                 left ^= b
-        for m in reached:
-            memo[m] = mask
+        if memo is not None:
+            for m in reached:
+                memo[m] = mask
+            memo[start] = mask
         return mask
-
-    _comp_memo = None  # the completions of an enumerate_exp run in progress
-
-    def _complete(self, mask: int, memo, loop: Callable[[int], int]) -> int:
-        """The completion ``loop(mask)`` of a solution mask, counted in
-        ``comp_calls``.  Inside a run, ``memo`` is the run's memo of this
-        completion: a done one comes from it, uncounted, a computed one is
-        stored, also when the loop stopped early (``comp_lex_mask``).
-        Outside a run (``memo`` None), every call is computed.  The mask is
-        taken on trust: an engine passes a root seed, a cut candidate, a
-        prefix of a candidate's or a solution's order, or a set a completion
-        reached, and a public entry checks its input (``_solution_input``)
-        first."""
-        done = None if memo is None else memo.get(mask)
-        if done is None:
-            self.comp_calls += 1
-            done = loop(mask)
-            if memo is not None:
-                memo[mask] = done
-        return done
-
-    def comp_mask(self, mask: int) -> int:
-        """``_comp_mask`` through ``_complete``, with an exp run's memo."""
-        return self._complete(mask, self._comp_memo, self._comp_mask)
 
     def comp(self, elems: Iterable[int]) -> tuple[int, ...]:
         return tuple_of(self.comp_mask(self._solution_input(elems)))
@@ -389,39 +381,13 @@ class PspaceProblem(GraphProblem):
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
 
     def comp_lex_mask(self, xmask: int, seeded: bool = False) -> int:
-        """``_comp_lex_mask`` through ``_complete``, with a pspace run's memo.
-
-        ``seeded`` asks only for a completion whose seed is still that of
-        ``xmask``; any other gives 0, and the loop stops at the first element
-        it would add below that seed.  The run's memo keeps a stopped
-        completion, counted once, as ``~reached`` under its input and each
-        set it passed: a later seeded request for one reads it as 0, and a
-        later full one finishes it from ``reached``, uncounted, in place.
-        The greedy rule depends only on the current set, so the finish gives
-        what one full loop would.
-        """
-        memo = self._lex_memo
-        done = self._complete(xmask, memo,
-                              self._comp_lex_seeded if seeded else self._comp_lex_mask)
-        if done < 0:
-            if seeded:
-                return 0
-            done = self._comp_lex_mask(~done)
-            if memo is not None:
-                memo[xmask] = done
-        return 0 if seeded and done & -done != xmask & -xmask else done
-
-    def _comp_lex_seeded(self, xmask: int) -> int:
-        """``_comp_lex_mask`` stopped below the seed of ``xmask``."""
-        return self._comp_lex_mask(xmask, xmask & -xmask)
-
-    def _comp_lex_mask(self, xmask: int, stop: int = 0) -> int:
         """Grow the solution ``xmask`` to a maximal one lexicographically:
         repeatedly add the addable element of least order key, under the
-        order rooted at the current seed (the smallest element).  An element
-        whose bit lies below ``stop`` ends the loop instead: it returns the
-        complement of the set it has reached with that element, whose seed
-        can no longer be ``stop``'s.
+        order rooted at the current seed (the smallest element).
+        ``seeded`` asks only for a completion whose seed is still that of
+        ``xmask``; any other gives 0, and the loop stops at the first
+        element it would add below that seed, with the stopped marker
+        ``~reached``, where ``reached`` holds that element.
 
         Only its reach and its rejected elements carry across rounds: the
         reach is computed once and grown with each added element
@@ -433,18 +399,28 @@ class PspaceProblem(GraphProblem):
         rooted at the current seed.
 
         Each addition depends on the current set alone, so two loops that
-        reach one set end at one set.  Inside a pspace run the loop looks
-        each set it reaches up in the run's memo and, when it ends, stores
-        its result under every one of them.  A completion found there ends
-        the loop.  So does a stopped marker ``~reached`` in a seeded loop:
-        it was stored under a set of the same seed, whose greedy path adds
-        an element below that seed.  A full loop goes on from ``reached``
-        instead, with its rejected elements, since that set holds the one
-        it hit.
+        reach one set end at one set.  Inside a pspace run the loop reads
+        the run's memo at its input and at each set it reaches, and ends at
+        a completion found there, or, when seeded, at a marker: it was
+        stored under a set of the same seed, whose greedy path adds an
+        element below that seed.  A full loop goes on from a marker's
+        ``reached``, which holds the set it hit.  Only a request whose input
+        the memo lacks is counted in ``comp_calls``; the result is stored
+        under every set the loop reached and then under its input.
         """
         ok = self._extension_test
         memo = self._lex_memo
-        reached = []
+        seed = xmask & -xmask
+        stop = seed if seeded else 0
+        start, reached = xmask, []
+        done = None if memo is None else memo.get(xmask)
+        if done is None:
+            self.comp_calls += 1
+        elif done >= 0 or seeded:
+            # a marker ~reached has no bit of reached, so not the seed either
+            return 0 if seeded and done & -done != seed else done
+        else:
+            xmask = ~done  # a full request finishes a stopped one
         reach = self._reach(xmask)
         rejected = 0
         while True:
@@ -480,9 +456,11 @@ class PspaceProblem(GraphProblem):
                     # a full loop finishes a stopped one from the set it reached
                     xmask = ~done
                     reach = self._reach(xmask)
-        for m in reached:
-            memo[m] = xmask
-        return xmask
+        if memo is not None:
+            for m in reached:
+                memo[m] = xmask
+            memo[start] = xmask
+        return 0 if seeded and xmask & -xmask != seed else xmask
 
     def _lex_pick(self, xmask: int, ext: int) -> int:
         """The bit of the element of ``ext`` least in the order rooted at the

@@ -71,29 +71,11 @@ class ChordalEdge(GraphProblem):
 
     variant = "chordal-edge"
     ground_kind = "e"
+    hereditary = False  # a later edge can supply a rejected edge's chord
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)
         return peo_mask(und, span) is not None
-
-    def _comp_mask(self, emask: int) -> int:
-        # the one family where a rejection is not final: an edge rejected
-        # now can become addable after another edge supplies its chord, so
-        # rescan from the smallest id after each addition, until a full pass
-        # adds nothing.  The shared loop's rejected set would be wrong here,
-        # so this loop keeps its own, and an exp run's memo gets only its
-        # input (through ``_complete``), not the sets it passes.  Each
-        # addition is the least addable edge of the current set, so those
-        # sets would complete to the same result too; storing them is
-        # untried and unmeasured
-        while True:
-            for e in bits(self._reach(emask)):
-                b = 1 << e
-                if self.sol(emask | b):
-                    emask |= b
-                    break
-            else:
-                return emask
 
     def _candidates(self, emask: int, incoming):
         und, _, span = spanned_masks(self.g, emask)

@@ -28,7 +28,7 @@ Different parents regenerate the same candidates and prefixes, so a run
 keeps the completions it has done, cleared at ``LEX_MEMO_CAP`` entries,
 under every set each one reached; a completion stops at a set the run
 has already completed.
-The lexicographic completion (``PspaceProblem._comp_lex_mask``) carries
+The lexicographic completion (``PspaceProblem.comp_lex_mask``) carries
 only its reach and its rejected elements across rounds, and reads the
 order only in a round that must choose between two or more addable
 elements: one walk of the layers of G[X], the seed's component first

@@ -958,7 +958,7 @@ def test_seeded_completion_stops_and_finishes(monkeypatch):
     # on the path 1-2-0 the completion of {1} adds 2, then 0, below its seed:
     # a seeded request stops there and gives 0, and the run's memo keeps the
     # stopped completion, counted once, under {1} and under {1,2}, which it
-    # passed; a repeated seeded request, for either, computes nothing, and a
+    # passed; a repeated seeded request, for either, tests nothing, and a
     # full request finishes it, uncounted, to the memo-free completion, in
     # place, without clearing a memo at its cap
     inst = make_instance("trees", graph=Graph(3, [(0, 2), (1, 2)]))
@@ -967,15 +967,15 @@ def test_seeded_completion_stops_and_finishes(monkeypatch):
     monkeypatch.setattr(pspace_mod, "LEX_MEMO_CAP", 2)
     memo = pspace_mod._LexMemo()
     with inst.run_memos(_lex_memo=memo):
-        loop, loops = inst._comp_lex_mask, []
-        monkeypatch.setattr(inst, "_comp_lex_mask", lambda *a: loops.append(a) or loop(*a))
+        ok, tested = inst._extension_test, []
+        monkeypatch.setattr(inst, "_extension_test", lambda x, e: tested.append((x, e)) or ok(x, e))
         calls = inst.comp_calls
         assert inst.comp_lex_mask(0b010, seeded=True) == 0
-        assert inst.comp_calls == calls + 1 and len(loops) == 1
+        assert inst.comp_calls == calls + 1 and tested == [(0b010, 2), (0b110, 0)]
         assert memo == {0b010: ~0b111, 0b110: ~0b111}
         assert inst.comp_lex_mask(0b010, seeded=True) == 0
         assert inst.comp_lex_mask(0b110, seeded=True) == 0
-        assert inst.comp_calls == calls + 1 and len(loops) == 1
+        assert inst.comp_calls == calls + 1 and len(tested) == 2
         assert inst.comp_lex_mask(0b110) == inst.comp_lex_mask(0b010) == full
         assert inst.comp_calls == calls + 1 and memo == {0b010: full, 0b110: full}
         assert inst.comp_lex_mask(0b010, seeded=True) == 0  # its seed is 0
