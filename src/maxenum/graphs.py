@@ -206,6 +206,11 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # ``bipartite._two_color_masks``) likewise walk
 # layers inline: resuming a layer generator once per layer took 17% of a
 # ``pspace-forest`` benchmark run under cProfile.
+# ``span_depth``, the kernel of three edge families' extension tests, walks
+# the graph an edge set spans straight from per-edge tables, inline too,
+# and only in one endpoint's component: rebuilding the whole spanned graph
+# with ``spanned_masks`` at each completion step was what the predicate
+# cost them.
 # Orders that only the tests read, such as the degeneracy order, live with
 # the proximity witnesses in ``tests/proximity.py``, not here.
 
@@ -249,6 +254,38 @@ def mask_apart(adj_masks, mask: int, nb: int, even_ok: bool = False) -> bool:
             odd = not odd
         nb &= ~comp
     return True
+
+
+def span_depth(at, ends, x: int, src: int, dst: int, avoid: int = 0) -> int:
+    """The BFS depth at which vertex ``dst`` is first reached from vertex
+    ``src`` in the graph that the edge set ``x`` spans, or -1 when it is
+    never reached.  From a vertex w the walk follows the edges
+    ``at[w] & x`` to the vertices of ``ends[edge]``: both endpoints of an
+    undirected edge, or the head of an arc when ``at`` holds out-arcs.  It
+    never enters a vertex of ``avoid``, and ``src`` differs from ``dst``."""
+    seen = (1 << src) | avoid
+    target = 1 << dst
+    layer = 1 << src
+    depth = 0
+    while layer:
+        depth += 1
+        es = 0
+        while layer:
+            low = layer & -layer
+            es |= at[low.bit_length() - 1]
+            layer ^= low
+        es &= x
+        x ^= es  # each edge is walked once
+        grow = 0
+        while es:
+            eb = es & -es
+            grow |= ends[eb.bit_length() - 1]
+            es ^= eb
+        layer = grow & ~seen
+        if layer & target:
+            return depth
+        seen |= layer
+    return -1
 
 
 def mask_components(adj_masks, mask: int) -> list[int]:

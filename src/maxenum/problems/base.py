@@ -23,12 +23,15 @@ those adjacent to it), which completion, ``addable`` and maximality all
 scan.  A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``: a family-specific test
-where a plugin gives one, else the predicate.  An element it rejects
-stays rejected in a ``hereditary`` family; chordal-edge, where a later
-edge can supply a rejected edge's chord, is not one, and its completion
-rescans from the smallest id after each addition.  ``addable`` and
-maximality always ask the predicate, so they check that test rather than
-share it.
+where a plugin gives one, else the predicate.  Nine families give one;
+three of them, bipartite-edge, chordal-edge and dag-edge-connected, walk
+the graph the set spans from one endpoint of the added edge
+(``graphs.span_depth``), over per-edge tables their constructors build.
+An element the test rejects stays rejected in a ``hereditary`` family;
+chordal-edge, where a later edge can supply a rejected edge's chord, is
+not one, and its completion rescans from the smallest id after each
+addition.  ``addable`` and maximality always ask the predicate, so they
+check that test rather than share it.
 Each engine completes by one loop, ``comp_mask`` for exp and
 ``comp_lex_mask`` for pspace, and each loop keeps its run's memo rule:
 it looks its input up, and a completion found there is not counted in

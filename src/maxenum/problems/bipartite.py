@@ -2,14 +2,19 @@
 
 A bipartite subgraph is represented by the pair of sides (B0, B1), with
 the convention that within each connected component the side holding the
-smallest vertex is B0; this makes the representation unique.
+smallest vertex is B0; this makes the representation unique.  Completion
+of every variant asks a test local to the added element
+(``_extension_test``): the induced variants compare the layers of the
+added vertex's neighbors, the edge variant the parity of the shortest
+path between the added edge's endpoints (``graphs.span_depth``), instead
+of two-colouring the whole set.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import mask_apart, spanned_masks
+from ..graphs import mask_apart, span_depth, spanned_masks
 from .base import GraphProblem, PspaceProblem
 
 
@@ -77,6 +82,18 @@ class BipartiteEdge(GraphProblem):
 
     variant = "bipartite-edge"
     ground_kind = "e"
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.ends = tuple((1 << u) | (1 << v) for u, v in g.edges)  # both endpoints
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # in the bipartite graph H that x spans every u-v path has the
+        # parity of the shortest; uv closes an odd cycle exactly when that
+        # path is even, and none when u does not reach v
+        u, v = self.g.edges[e]
+        depth = span_depth(self.g.edge_mask_at, self.ends, x, u, v)
+        return depth < 0 or depth & 1 == 1
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)

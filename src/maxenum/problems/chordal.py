@@ -3,14 +3,19 @@
 Candidates keep one maximal clique around the incoming element and drop
 the rest of its neighborhood, which preserves chordality: the incoming
 element becomes simplicial and the remainder is a subgraph of the old
-solution with a vertex's edges deleted.  Completion of the induced
-variants asks a test local to the added vertex (``_extension_test``)
-instead of re-running the elimination of the whole set.
+solution with a vertex's edges deleted.  Completion asks a test local
+to the added element (``_extension_test``) instead of re-running the
+elimination of the whole set: for the induced variants one flood per
+component the added vertex does not see, for the edge variant one walk
+between the added edge's endpoints around their common neighbors
+(``graphs.span_depth``; Ibarra, "Fully dynamic algorithms for chordal
+graphs and split graphs", ACM Trans. Algorithms, 2008).
 """
 
 from __future__ import annotations
 
-from ..graphs import bits, chordal_cliques, mask_is_clique, peo_mask, spanned_masks
+from ..graphs import (bits, chordal_cliques, mask_is_clique, peo_mask, span_depth,
+                      spanned_masks)
 from .base import GraphProblem
 
 
@@ -72,6 +77,32 @@ class ChordalEdge(GraphProblem):
     variant = "chordal-edge"
     ground_kind = "e"
     hereditary = False  # a later edge can supply a rejected edge's chord
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.ends = tuple((1 << u) | (1 << v) for u, v in g.edges)  # both endpoints
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # H, the graph x spans, is chordal, so a chordless cycle of H + uv
+        # runs through uv and an induced u-v path of H with 3 or more
+        # edges, which holds no vertex of C, the common neighbors of u and
+        # v: one inside it would be adjacent to both ends.  Conversely a
+        # shortest u-v path of H - C is induced, and has 3 or more edges,
+        # as uv is no edge of H and C is gone.  A vertex H does not span
+        # closes no cycle
+        at, ends = self.g.edge_mask_at, self.ends
+        u, v = self.g.edges[e]
+        common = -1
+        for w in (u, v):
+            es, nw = at[w] & x, 0
+            if not es:
+                return True
+            while es:
+                eb = es & -es
+                nw |= ends[eb.bit_length() - 1]
+                es ^= eb
+            common &= nw  # nw holds w, which the other's lacks: uv is no edge of H
+        return span_depth(at, ends, x, u, v, avoid=common) < 0
 
     def _solution_mask(self, emask: int) -> bool:
         und, _, span = spanned_masks(self.g, emask)

@@ -3,14 +3,17 @@
 Solutions are vertex sets (induced variant) or arc sets (edge variant)
 that are acyclic and connected in the underlying undirected sense.
 Candidates make the incoming element a source or a sink by dropping the
-appropriate side of its neighborhood.  The families' canonical order, the
-least layered order, is a test witness (``tests/proximity.py``): its
-search is exponential in the set size, and no engine reads it.
+appropriate side of its neighborhood.  Completion of the edge variant
+asks a test local to the added arc (``_extension_test``): whether its
+head reaches its tail along the arcs of the set (``graphs.span_depth``),
+instead of peeling the whole spanned digraph.  The families' canonical
+order, the least layered order, is a test witness (``tests/proximity.py``):
+its search is exponential in the set size, and no engine reads it.
 """
 
 from __future__ import annotations
 
-from ..graphs import bits, spanned_masks
+from ..graphs import bits, span_depth, spanned_masks
 from .base import GraphProblem
 
 
@@ -53,6 +56,19 @@ class DagEdgeConnected(GraphProblem):
     ground_kind = "e"
     directed = True
     connected = True
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.out_arcs = [0] * g.n  # each vertex's out-arcs
+        for a, (u, _) in enumerate(g.edges):
+            self.out_arcs[u] |= 1 << a
+        self.heads = tuple(1 << v for _, v in g.edges)  # each arc's head
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # the arc uv closes a directed cycle exactly when v already reaches
+        # u along the arcs of x; an element of the reach keeps x connected
+        u, v = self.g.edges[e]
+        return span_depth(self.out_arcs, self.heads, x, v, u) < 0
 
     def _solution_mask(self, emask: int) -> bool:
         _, out, span = spanned_masks(self.g, emask)

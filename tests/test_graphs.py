@@ -1,11 +1,13 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from maxenum import make_instance
 from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, chordal_cliques,
-                            load_graph, mask_cc, mask_dists, mask_of, spanned_masks)
+                            load_graph, mask_cc, mask_dists, mask_of, span_depth,
+                            spanned_masks)
 from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
@@ -308,6 +310,67 @@ def test_spanned_masks_digraph():
     assert out == [0b0010, 0, 0, 0b0010]
     assert span == 0b1011
     assert spanned_masks(g, 0) == ([0] * 4, [0] * 4, 0)
+
+
+def span_tables(g):
+    """The tables ``span_depth`` walks: each vertex's edges and both ends of
+    each edge, or, on a digraph, each vertex's out-arcs and each arc's head."""
+    if g.directed:
+        return ([mask_of(a for a, (t, _) in enumerate(g.edges) if t == w) for w in range(g.n)],
+                [1 << h for _, h in g.edges])
+    return g.edge_mask_at, [(1 << u) | (1 << v) for u, v in g.edges]
+
+
+def span_depth_witness(g, emask, src, dst, avoid):
+    """The depth of dst in a plain BFS from src over the neighbor masks of
+    ``spanned_masks`` (the out-neighbor ones on a digraph) that enters no
+    vertex of ``avoid``, or -1."""
+    und, out, _ = spanned_masks(g, emask)
+    adj = out if g.directed else und
+    seen, layer, depth = {src}, {src}, 0
+    while layer:
+        depth += 1
+        layer = {w for u in layer for w in bits(adj[u])
+                 if w not in seen and not (avoid >> w) & 1}
+        if dst in layer:
+            return depth
+        seen |= layer
+    return -1
+
+
+def test_span_depth_examples():
+    # the 4-cycle 0-1-2-3-0 and the arcs 0->1->2
+    c4 = cycle(4)
+    at, ends = span_tables(c4)
+    everything = (1 << c4.m) - 1
+    assert span_depth(at, ends, everything, 0, 2) == 2
+    assert span_depth(at, ends, everything, 0, 2, avoid=0b0010) == 2
+    assert span_depth(at, ends, everything, 0, 2, avoid=0b1010) == -1
+    assert span_depth(at, ends, 0, 0, 1) == -1
+    arcs = Graph(3, [(0, 1), (1, 2)], directed=True)
+    at, ends = span_tables(arcs)
+    assert span_depth(at, ends, 0b11, 0, 2) == 2
+    assert span_depth(at, ends, 0b11, 2, 0) == -1
+
+
+def test_span_depth_matches_bfs_over_spanned_masks():
+    rng = random.Random(45)
+    cases = Counter()
+    for _ in range(500):
+        n = rng.randint(2, 10)
+        directed = rng.random() < 0.5
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]), directed=directed)
+        at, ends = span_tables(g)
+        for _ in range(5):
+            emask = rng.getrandbits(g.m) | rng.getrandbits(g.m)
+            src, dst = rng.sample(range(n), 2)
+            for avoid in (0, mask_of(w for w in range(n) if w != src and rng.random() < 0.25)):
+                got = span_depth(at, ends, emask, src, dst, avoid)
+                assert got == span_depth_witness(g, emask, src, dst, avoid), (
+                    g.edges, emask, src, dst, avoid)
+                cases[directed, avoid > 0, min(got, 2)] += 1
+    # every (digraph, avoid, depth -1, 1 or 2+) case, 69 times or more
+    assert len(cases) == 12 and min(cases.values()) >= 45, cases
 
 
 # -- BFS layers ----------------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 import maxenum
 from maxenum import (Graph, PointSetInstance, enumerate_exp, enumerate_pspace,
                      make_instance)
-from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
+from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of, spanned_masks
 from maxenum.problems import (ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, POINT_VARIANTS,
                               PSPACE_VARIANTS)
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
@@ -31,6 +31,7 @@ from maxenum.problems.base import Problem, PspaceProblem, tuple_of
 from conftest import (CORPUS_SIZE, build_instance, components, exp_solutions, path,
                       random_graph)
 from proximity import canonical_order
+from test_graphs import naive_acyclic
 from test_pspace import Writes, comp_lex_witness, run_engine
 
 
@@ -499,6 +500,8 @@ def test_exp_completion_stops_at_a_completed_set():
 
 EXTENSION_TESTED = [v for v in GRAPH_VARIANTS
                     if build_instance(v, 0)._extension_test is not None]
+VERTEX_TESTED = [v for v in EXTENSION_TESTED if build_instance(v, 0).ground_kind == "v"]
+EDGE_TESTED = [v for v in EXTENSION_TESTED if v not in VERTEX_TESTED]
 
 
 def random_growths(inst, rng, walks):
@@ -519,8 +522,9 @@ def random_growths(inst, rng, walks):
 
 def test_extension_tests_exist():
     assert EXTENSION_TESTED == ["bipartite-induced", "bipartite-induced-connected",
-                                "chordal-induced", "chordal-induced-connected",
-                                "trees", "forests"]
+                                "bipartite-edge", "chordal-induced",
+                                "chordal-induced-connected", "chordal-edge",
+                                "dag-edge-connected", "trees", "forests"]
     # the lexicographic completion asks the test alone
     assert set(PSPACE_VARIANTS) <= set(EXTENSION_TESTED)
 
@@ -542,7 +546,7 @@ WALKED = {
 }
 
 
-@pytest.mark.parametrize("variant", EXTENSION_TESTED)
+@pytest.mark.parametrize("variant", VERTEX_TESTED)
 def test_extension_test_matches_predicate(variant):
     # the counts in WALKED make the random pairs reach past the test's
     # one-neighbor exit, into its walks over the components of G[x]
@@ -571,6 +575,41 @@ def test_extension_test_matches_predicate(variant):
     assert checked > 12000
     assert walked.keys() <= WALKED[variant].keys()
     assert all(walked[key] >= least for key, least in WALKED[variant].items()), walked
+
+
+# the least number of checked pairs (x, e), by verdict and by whether x spans
+# both endpoints of e; a hook accepts an edge with an endpoint x does not
+# span before it walks, so only the pairs keyed True reach its walk.  The
+# sweep made about 1.45 times each floor
+SPANNED = {
+    "bipartite-edge": {(True, False): 8000, (True, True): 1600, (False, True): 2000},
+    "chordal-edge": {(True, False): 7000, (True, True): 1800, (False, True): 900},
+    "dag-edge-connected": {(True, False): 13000, (True, True): 4500, (False, True): 2200},
+}
+
+
+@pytest.mark.parametrize("variant", EDGE_TESTED)
+def test_edge_extension_test_matches_predicate(variant):
+    # random undirected graphs, or random digraphs with a directed cycle for
+    # the dag family, whose only solution would otherwise often be all arcs
+    rng = random.Random(f"edge-extension:{variant}")
+    directed = variant.startswith("dag-")
+    checked = Counter()
+    for _ in range(120):
+        g = Graph(0, [])
+        while not g.m or directed and naive_acyclic(g, range(g.n)):
+            g = random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5, 0.7]), directed)
+        inst = make_instance(variant, graph=g)
+        for x in random_growths(inst, rng, 4):
+            span = spanned_masks(g, x)[2]
+            for e in bits(inst._reach(x)):
+                verdict = inst.sol(x | 1 << e)
+                assert inst._extension_test(x, e) == verdict, (g.edges, tuple_of(x), e)
+                u, v = g.edges[e]
+                checked[verdict, (span >> u) & (span >> v) & 1 == 1] += 1
+            assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
+    assert checked.keys() <= SPANNED[variant].keys()
+    assert all(checked[key] >= least for key, least in SPANNED[variant].items()), checked
 
 
 def engine_params(variants):
@@ -614,12 +653,14 @@ def test_engines_complete_only_solutions(variant, engine):
 
 
 @pytest.mark.parametrize("variant,engine", engine_params([*EXTENSION_TESTED, "kdeg-induced"]))
-def test_predicate_memo_only_without_extension_test(variant, engine, monkeypatch):
+def test_predicate_memo_only_without_extension_test(variant, engine, corpus, monkeypatch):
     # a family with an extension test has no predicate memo: two asks for
     # one mask evaluate the predicate twice, inside a run (probed from the
     # sink) and outside one; kdeg-induced keeps its memo, which answers the
-    # second ask in both places
-    inst = build_instance(variant, 9)
+    # second ask in both places.  The instance is the family's first in the
+    # corpus with two or more solutions
+    index = next(run.index for run in corpus[variant] if len(run.solutions) > 1)
+    inst = build_instance(variant, index)
     evals = []
     predicate = inst._solution_mask
     monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
