@@ -11,9 +11,8 @@ solution masks, and one consumer, ``drain``, hands them to the sink as
 sorted tuples, counts them and stops the run at its limit.  An exp run
 also keeps, on the problem, the completions it has done, under each set a
 completion reached on its way, so none is computed twice and a completion
-stops where it reaches a set already completed; like the visited set and
-the run's predicate memo, if any, they grow with the solutions reached
-and go when the run ends.
+stops where it reaches a set already completed; like the visited set,
+they grow with the solutions reached and go when the run ends.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def drain(problem, run: Callable, emit: Optional[Callable],
     many emissions (the emitted prefix is deterministic), and a limit <= 0
     starts no run.  A limit that is neither an int nor None (a bool, a
     float) raises ValueError before the run starts.  The run is closed
-    however it ends, so the memos it opened are restored.
+    however it ends, so the memo it opened is restored.
     """
     if limit is not None and type(limit) is not int:
         raise ValueError(f"limit must be an integer or None: limit={limit!r}")
@@ -148,14 +147,12 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     candidates are filtered through the set of visited solution masks;
     ``dict_operations`` counts its inserts, the first solution's included.
 
-    The run opens its memos with ``Problem.run_memos``: the problem's
-    predicate memo, if it keeps one, and ``_comp_memo``, solution mask ->
-    completed mask, read and filled by ``comp_mask``: its keys are the
-    candidates completed and, for the shared completion loop, every set a
-    completion reached after an addition.
-    All are unbounded, as the visited set is, and go when the run ends,
-    however it ends; memos open before it are restored.  ``comp_calls``
-    counts completions computed, not memo hits.
+    The run opens its one memo with ``Problem.run_memos``: ``_comp_memo``,
+    solution mask -> completed mask, read and filled by ``comp_mask``: its
+    keys are the candidates completed and every set a completion reached
+    after an addition.  It is unbounded, as the visited set is, and goes
+    when the run ends, however it ends; a memo open before it is restored.
+    ``comp_calls`` counts completions computed, not memo hits.
     """
     seen = SolutionDict()
 

@@ -2,8 +2,7 @@
 
 Deliberately uses only the plugin's membership predicate, never its
 completion or neighboring functions, so it stays independent of the code
-it checks.  It asks each subset at most once, so it asks the plain
-predicate, ``_sol_eval``, and leaves no verdict in a memo.  Masks are
+it checks; it asks each subset at most once.  Masks are
 visited by descending popcount; a mask below an already-collected maximal
 solution is skipped without a predicate call.
 """
@@ -34,6 +33,6 @@ def brute_force_maximal(problem, cap: int = 16) -> list[tuple[int, ...]]:
     for mask in order:
         if any(mask & ~m == 0 for m in maximal):
             continue
-        if problem._sol_eval(mask):
+        if problem.sol(mask):
             maximal.append(mask)
     return sorted(tuple_of(m) for m in maximal)

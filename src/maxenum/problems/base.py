@@ -2,11 +2,12 @@
 
 A plugin states only what is specific to its family: a membership
 predicate over ground-element bitmasks (``_solution_mask``), a candidate
-rule (``_candidates``) and, where it has one, an extension test
-(``_extension_test``).  The four parent-forest families share one
-solution order, ``bfs_order``, which the pspace engine reads.  The other
-families' canonical orders, which define proximity in the paper but which
-no engine reads, are test witnesses (``tests/proximity.py``).  Driven
+rule (``_candidates``) and, where it has one cheaper than the default,
+an extension test (``_extension_test``).  The four parent-forest
+families share one solution order, ``bfs_order``, which the pspace
+engine reads.  The other families' canonical orders, which define
+proximity in the paper but which no engine reads, are test witnesses
+(``tests/proximity.py``).  Driven
 by the class flags ``ground_kind``, ``directed``, ``connected`` and
 ``hereditary``, the rest lives here once: the input checks of graph
 families and their element adjacency table ``adj_masks`` (a vertex's graph
@@ -22,8 +23,10 @@ candidate once, by ``comp_mask`` for ``neighbor_masks`` and by
 those adjacent to it), which completion, ``addable`` and maximality all
 scan.  A completion computes the reach once and grows it with each added
 element (``_grow_reach``), and it asks whether an element extends the
-current solution through ``_extension_test``: a family-specific test
-where a plugin gives one, else the predicate.  Nine families give one;
+current solution through ``_extension_test``, which every family has: by
+default the family's predicate on the grown set, without the
+connectivity walk, since an element of the reach keeps a connected
+family's set one component.  Thirteen families give a cheaper test;
 three of them, bipartite-edge, chordal-edge and dag-edge-connected, walk
 the graph the set spans from one endpoint of the added edge
 (``graphs.span_depth``), over per-edge tables their constructors build.
@@ -52,16 +55,13 @@ above the smallest addable element.
 Both engines walk bitmasks; solutions cross the public API (``neighbors``,
 ``neighbors_at``, ``comp``) as sorted tuples of element ids, checked on
 the way in, and ``neighbors`` and ``neighbors_at`` refuse a set that is
-not a maximal solution.  ``sol`` asks the predicate, ``_sol_eval``,
-through a memo, ``_sol_cache``, except in a family with an extension test,
-whose completions never ask it: ``Problem.__init__`` gives such a family
-no memo, and its ``sol`` is the plain predicate.
-Every memo belongs to a run: ``run_memos`` opens, on the instance, a
-fresh dict for the predicate memo, where the instance keeps one, and for
-the engine's completion memo (``_comp_memo`` for ``enumerate_exp``,
-``_lex_memo`` for ``enumerate_pspace``), and restores the outer ones when
-the run ends; calls outside a run use the instance's own.  Of them all,
-only pspace's completion memo is capped (``_LexMemo``).
+not a maximal solution.  ``sol`` is the plain predicate, with no memo: a
+run never asks it, and nothing keeps its verdicts.
+A run's one memo is its engine's completion memo: ``run_memos`` opens,
+on the instance, a fresh one (``_comp_memo`` for ``enumerate_exp``,
+``_lex_memo`` for ``enumerate_pspace``) and restores the outer one when
+the run ends; calls outside a run keep none.  Only pspace's is capped
+(``_LexMemo``).
 """
 
 from __future__ import annotations
@@ -112,44 +112,25 @@ class Problem:
     def __init__(self, ground_size: int):
         self.ground_size = ground_size
         self.comp_calls = 0
-        # a family with an extension test asks the predicate in no
-        # completion, so it keeps no predicate memo
-        if self._extension_test is None:
-            self._sol_cache = {}
-        else:
-            self.sol = self._sol_eval
 
     # -- membership ---------------------------------------------------
     def _solution_mask(self, mask: int) -> bool:
         raise NotImplementedError
 
-    def _sol_eval(self, mask: int) -> bool:
-        """The membership predicate itself, with no memo."""
+    def sol(self, mask: int) -> bool:
+        """The membership predicate."""
         # a set of a connected family is one component, or no solution
         return ((not self.connected or not mask
                  or mask_cc(self.adj_masks, mask, (mask & -mask).bit_length() - 1) == mask)
                 and self._solution_mask(mask))
 
-    def sol(self, mask: int) -> bool:
-        """``_sol_eval`` through the predicate memo of the run or instance;
-        a family with an extension test asks ``_sol_eval`` itself."""
-        cache = self._sol_cache
-        hit = cache.get(mask)
-        if hit is None:
-            hit = cache[mask] = self._sol_eval(mask)
-        return hit
-
     @contextmanager
     def run_memos(self, **engine_memos):
-        """Open one engine run's memos: a fresh predicate memo, where the
-        instance keeps one, and the engine's own, by attribute name; restore
-        the outer ones when the run ends, however it ends."""
-        opened = engine_memos
-        if hasattr(self, "_sol_cache"):
-            opened["_sol_cache"] = {}
-        outer = {name: getattr(self, name) for name in opened}
+        """Open one engine run's completion memo, by attribute name, and
+        restore the outer one when the run ends, however it ends."""
+        outer = {name: getattr(self, name) for name in engine_memos}
         try:
-            for name, memo in opened.items():
+            for name, memo in engine_memos.items():
                 setattr(self, name, memo)
             yield
         finally:
@@ -207,10 +188,12 @@ class Problem:
             reach = reach | self._adjacent_mask(b) if mask else self._adjacent_mask(b)
         return reach & ~(mask | b)
 
-    # a family may define ``_extension_test(x, e)``, equal to
-    # ``sol(x | 1 << e)`` for a solution x and an element e of ``_reach(x)``
-    # but cheaper; where it is None, completion asks ``sol``
-    _extension_test = None
+    def _extension_test(self, x: int, e: int) -> bool:
+        """Whether ``x | 1 << e`` is a solution, for a solution x and an
+        element e of ``_reach(x)``: the family's predicate alone, since such
+        an e keeps a connected family's set one component.  A family may
+        override it with a cheaper test that gives the same verdicts."""
+        return self._solution_mask(x | 1 << e)
 
     def addable(self, mask: int) -> list[int]:
         """The elements whose single addition keeps ``mask`` a solution,
@@ -222,10 +205,10 @@ class Problem:
 
     def comp_mask(self, mask: int) -> int:
         """Grow the solution ``mask`` to a maximal one: test the least
-        untested element of its reach, through ``_extension_test`` or else
-        ``sol``, until none is left.  The reach grows with each addition,
-        so a connected family may next test a smaller id; a family that is
-        not ``hereditary`` also forgets its rejections after each addition.
+        untested element of its reach by ``_extension_test`` until none is
+        left.  The reach grows with each addition, so a connected family
+        may next test a smaller id; a family that is not ``hereditary``
+        also forgets its rejections after each addition.
 
         Each addition is the least element of the current set's reach that
         keeps it a solution, so the rest of the loop depends on the set
@@ -242,14 +225,13 @@ class Problem:
                 return done
         self.comp_calls += 1
         ok = self._extension_test
-        sol = self.sol
         hereditary = self.hereditary
         start, reached = mask, []
         reach = left = self._reach(mask)
         rejected = 0
         while left:
             b = left & -left
-            if sol(mask | b) if ok is None else ok(mask, b.bit_length() - 1):
+            if ok(mask, b.bit_length() - 1):
                 reach = self._grow_reach(reach, mask, b)
                 mask |= b
                 if memo is not None:
@@ -294,12 +276,14 @@ class Problem:
         raise NotImplementedError
 
     def _neighbor_loop(self, smask: int, incoming: Iterable[int],
-                       complete: Callable[[int], int]) -> list[int]:
+                       complete: Callable[[int], int]) -> tuple[int, ...]:
         """The distinct completions, by ``complete``, of the candidates of
         the solution mask ``smask`` for the incoming elements, in the order
-        of their first occurrence.  Each candidate is cut, for a connected
-        family, to the component of the one element it adds, and each
-        distinct cut candidate is completed once."""
+        of their first occurrence, as a tuple: an exp run holds one for each
+        open level of its walk, and a tuple takes one allocation to a list's
+        two.  Each candidate is cut, for a connected family, to the component
+        of the one element it adds, and each distinct cut candidate is
+        completed once."""
         found: dict[int, None] = {}
         asked = set()
         for cand in self._candidates(smask, incoming):
@@ -308,9 +292,9 @@ class Problem:
             if cand not in asked:
                 asked.add(cand)
                 found[complete(cand)] = None
-        return list(found)
+        return tuple(found)
 
-    def neighbor_masks(self, smask: int) -> list[int]:
+    def neighbor_masks(self, smask: int) -> tuple[int, ...]:
         """Maximal solutions adjacent to the solution mask ``smask`` in the
         solution graph, as masks: the completions by ``comp_mask`` of the
         candidates for every element outside it, in ascending element order,
@@ -360,9 +344,8 @@ class PspaceProblem(GraphProblem):
     Their candidate rule ``_candidates`` serves both engines: completed by
     ``comp_mask`` for ``neighbor_masks`` and by the lexicographic
     completion ``comp_lex_mask`` for ``neighbor_masks_at``.
-    Each family must define ``_extension_test``, which both completions
-    ask instead of the predicate, so it keeps no predicate memo, in a run
-    or out, and a run asks the predicate nothing.
+    Each family gives its own ``_extension_test``, which both completions
+    ask, so a run asks the predicate nothing.
     """
 
     def neighbors_at(self, solution: Iterable[int], w: int) -> list[tuple[int, ...]]:
@@ -372,13 +355,13 @@ class PspaceProblem(GraphProblem):
         smask = self._maximal_mask(solution)
         return [tuple_of(m) for m in self.neighbor_masks_at(smask, w)]
 
-    def neighbor_masks_at(self, smask: int, w: int) -> list[int]:
+    def neighbor_masks_at(self, smask: int, w: int) -> tuple[int, ...]:
         """Canonical-reconstruction candidates for an extender w of the
         solution mask ``smask``: the distinct lexicographic completions of
         its candidates, through the loop ``neighbor_masks`` runs.  A
         solution that holds w is its own only candidate."""
         if (smask >> w) & 1:
-            return [smask]
+            return (smask,)
         return self._neighbor_loop(smask, (w,), self.comp_lex_mask)
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress

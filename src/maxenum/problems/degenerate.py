@@ -1,6 +1,10 @@
 """Maximal k-degenerate subgraph plugins: induced and edge (exp engine only).
 
-Both predicates run one worklist k-core peel.  Candidates keep, for each
+Both predicates run one worklist k-core peel (Batagelj & Zaversnik
+2003).  Completion asks a test that peels only until the added element
+goes (``_extension_test``): a solution x has no (k+1)-core, so any
+(k+1)-core of x + e holds e, as a new core holds the inserted element in
+core maintenance (Li, Yu & Mao 2014).  Candidates keep, for each
 incoming element, every set of at most k (induced) or k-1 (edge, per
 endpoint) of its neighbors, in lexicographic order of their sorted ids.
 The families' canonical order, the reversed degeneracy order of each
@@ -16,9 +20,11 @@ from ..graphs import Graph, mask_of, spanned_masks
 from .base import GraphProblem, tuple_of
 
 
-def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
+def _peel_ok_vertices(adj, mask: int, k: int, until: int = -1) -> bool:
     """True iff deleting vertices of degree <= k, each as soon as a worklist
-    sees it, empties the set; the k-core is unique, so any order will do."""
+    sees it, deletes every vertex of ``until`` in the set, all of them by
+    default; the peel stops when the last of them goes.  What is left at
+    the end is the (k+1)-core, which is unique, so any order will do."""
     left = scan = mask
     while scan:
         low = scan & -scan
@@ -26,8 +32,10 @@ def _peel_ok_vertices(adj, mask: int, k: int) -> bool:
         a = adj[low.bit_length() - 1] & left
         if a.bit_count() <= k:
             left ^= low
+            if not left & until:
+                return True
             scan |= a
-    return not left
+    return not left & until
 
 
 class _KDegenerate(GraphProblem):
@@ -47,6 +55,14 @@ class KDegenerateInduced(_KDegenerate):
 
     def _solution_mask(self, mask: int) -> bool:
         return _peel_ok_vertices(self.g.und_mask, mask, self.k)
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # x has no (k+1)-core, so x + e has one exactly when e survives the
+        # peel: e with at most k neighbors in x goes first
+        und = self.g.und_mask
+        if (und[e] & x).bit_count() <= self.k:
+            return True
+        return _peel_ok_vertices(und, x | 1 << e, self.k, 1 << e)
 
     def _candidates(self, smask: int, incoming):
         for v in incoming:
@@ -70,6 +86,30 @@ class KDegenerateEdge(_KDegenerate):
         # the induced peel, run on the spanned subgraph
         und, _, span = spanned_masks(self.g, emask)
         return _peel_ok_vertices(und, span, self.k)
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # the induced test's argument on the spanned subgraph: x + e has a
+        # (k+1)-core exactly when e survives the peel, each peeled vertex
+        # dropping its edges; an endpoint with fewer than k edges in x goes
+        # first, and e with it
+        at, k = self.g.edge_mask_at, self.k
+        u, v = self.g.edges[e]
+        if (at[u] & x).bit_count() < k or (at[v] & x).bit_count() < k:
+            return True
+        und = self.g.und_mask
+        left = x | 1 << e
+        scan = (1 << self.g.n) - 1
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            w = low.bit_length() - 1
+            a = at[w] & left
+            if a and a.bit_count() <= k:
+                if (a >> e) & 1:
+                    return True
+                left ^= a
+                scan |= und[w]
+        return False
 
     def _candidates(self, emask: int, incoming):
         for e in incoming:

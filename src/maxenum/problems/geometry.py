@@ -8,7 +8,8 @@ floating point, and no hull is ever built: an instance computes, on first
 use, a table (``Hulls.walls``) of a few interest-point masks per obstacle,
 from the half-planes through it, and an obstacle lies inside a set's
 closed hull exactly when the set's mask meets each of its masks.  Nothing
-is memoized per set beyond the shared predicate memo.
+is memoized per set: completion asks the predicate on each grown set
+through the default ``_extension_test``.
 """
 
 from __future__ import annotations

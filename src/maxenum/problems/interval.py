@@ -7,14 +7,15 @@ lexicographically smallest such arrangement greedily, in polynomial time.
 Candidate generation inserts the incoming vertex into an exact integer
 realization of that arrangement at the finitely many combinatorially
 distinct positions, then repairs the arrangement by deleting the vertices
-that contradict it.
+that contradict it.  Completion lays out only the component that the
+added vertex joins (``_extension_test``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs import bits, chordal_cliques, mask_components
+from ..graphs import bits, chordal_cliques, mask_cc, mask_components
 from .base import GraphProblem, tuple_of
 
 
@@ -57,6 +58,10 @@ class _ProperIntervalBase(GraphProblem):
         # the base has already made a connected variant's set one component
         comps = [mask] if self.connected else mask_components(self.g.und_mask, mask)
         return all(self.component_layout(c) is not None for c in comps)
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # the other components of x + e are components of the solution x
+        return self.component_layout(mask_cc(self.g.und_mask, x | 1 << e, e)) is not None
 
     # -- realization and insertion ----------------------------------------
     def _realize(self, order) -> list[int]:

@@ -4,12 +4,10 @@ import pytest
 
 from maxenum import (Graph, OracleCapError, brute_force_maximal,
                      make_instance)
+from maxenum.graphs import mask_of
 from maxenum.problems import ALL_VARIANTS
 
 from conftest import build_instance, directed_triangle, random_graph, triangle
-
-# the families that keep a predicate memo: those with no extension test
-MEMOIZED = [v for v in ALL_VARIANTS if hasattr(build_instance(v, 0), "_sol_cache")]
 
 
 def test_triangle_bipartite():
@@ -59,13 +57,19 @@ def test_cap_refusal():
     assert brute_force_maximal(inst, cap=17) == [tuple(range(17))]
 
 
-@pytest.mark.parametrize("variant", MEMOIZED)
-def test_sweep_leaves_the_predicate_memo_as_found(variant):
-    # a sweep asks each subset at most once, so it asks the plain predicate
-    # and leaves no verdict in the instance's memo
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_sweep_leaves_the_predicate_memo_as_found(variant, monkeypatch):
+    # no family keeps a predicate memo, so a sweep leaves no verdict behind:
+    # it evaluates the predicate at most once per subset, and two asks for
+    # a maximal solution after it evaluate it twice more
     inst = build_instance(variant, 1)
-    inst.sol(0)
-    memo = inst._sol_cache
-    entries = dict(memo)
-    assert brute_force_maximal(inst)
-    assert inst._sol_cache is memo and memo == entries
+    evals = []
+    predicate = inst._solution_mask
+    monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
+    maximal = brute_force_maximal(inst)
+    assert maximal and len(evals) == len(set(evals))
+    for s in maximal:
+        before = len(evals)
+        assert inst.sol(mask_of(s)) and inst.sol(mask_of(s))
+        assert len(evals) == before + 2, s
+    assert not hasattr(inst, "_sol_cache")

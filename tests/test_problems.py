@@ -10,9 +10,10 @@ variant's extension rule finds exactly the addable elements and completes
 as a loop over the predicate does, every set the shared loop stores in an
 exp run's completion memo maps to its own completion, a family's
 extension test agrees with the predicate, which maximality asks instead of
-that test, and a run of a family with an extension test evaluates no
-predicate and keeps no predicate memo; every set an engine completes is a
-solution, since a completion takes its input on trust."""
+that test; a run asks ``sol`` nothing, a family with an extension test
+of its own evaluates no predicate in it, and no family keeps a predicate
+memo; every set an engine completes is a solution, since a completion
+takes its input on trust."""
 
 import random
 import re
@@ -251,18 +252,17 @@ CONNECTED_VARIANTS = ("trees", "bipartite-induced-connected",
 @pytest.mark.parametrize("variant", CONNECTED_VARIANTS)
 def test_engines_ask_sol_only_about_one_component(variant):
     # the precondition for skipping the connectivity walk of ``sol`` on
-    # engine paths: the base's neighbor loops cut every candidate and
-    # completions grow within ``_reach``, so every set an engine asks the
-    # predicate about or passes to a completion is one component, or empty
-    # at the start of the first completion; a family with an extension test
-    # asks the predicate nothing in a run, so only its completion requests
-    # are seen here
+    # engine paths, which the default ``_extension_test`` relies on: the
+    # base's neighbor loops cut every candidate and completions grow within
+    # ``_reach``, so every set an engine asks the predicate about, passes to
+    # a completion or has an extension test judge as ``x | 1 << e`` is one
+    # component, or empty at the start of the first completion
     engines = [enumerate_exp] + [enumerate_pspace] * (variant in PSPACE_VARIANTS)
     asked = []
     for engine in engines:
         for i in range(6):
             inst = build_instance(variant, i)
-            sol = inst.sol
+            sol, ok = inst.sol, inst._extension_test
 
             def one_component(mask):
                 assert mask == 0 or len(set_components(inst, mask)) == 1, (
@@ -270,6 +270,7 @@ def test_engines_ask_sol_only_about_one_component(variant):
                 asked.append(mask)
 
             inst.sol = lambda mask: one_component(mask) or sol(mask)
+            inst._extension_test = lambda x, e: one_component(x | 1 << e) or ok(x, e)
             observe_completions(inst, one_component)
             engine(inst)
     assert len(asked) >= 20
@@ -498,10 +499,14 @@ def test_exp_completion_stops_at_a_completed_set():
     assert inst.comp_calls == before + 2
 
 
-EXTENSION_TESTED = [v for v in GRAPH_VARIANTS
-                    if build_instance(v, 0)._extension_test is not None]
-VERTEX_TESTED = [v for v in EXTENSION_TESTED if build_instance(v, 0).ground_kind == "v"]
-EDGE_TESTED = [v for v in EXTENSION_TESTED if v not in VERTEX_TESTED]
+# the families that give an extension test of their own; the others take the
+# default, their predicate on the grown set
+EXTENSION_TESTED = [v for v in ALL_VARIANTS
+                    if type(build_instance(v, 0))._extension_test
+                    is not Problem._extension_test]
+GRAPH_FAMILIES = sorted(GRAPH_VARIANTS | K_VARIANTS)
+VERTEX_FAMILIES = [v for v in GRAPH_FAMILIES if build_instance(v, 0).ground_kind == "v"]
+EDGE_FAMILIES = [v for v in GRAPH_FAMILIES if v not in VERTEX_FAMILIES]
 
 
 def random_growths(inst, rng, walks):
@@ -521,19 +526,30 @@ def random_growths(inst, rng, walks):
 
 
 def test_extension_tests_exist():
-    assert EXTENSION_TESTED == ["bipartite-induced", "bipartite-induced-connected",
-                                "bipartite-edge", "chordal-induced",
-                                "chordal-induced-connected", "chordal-edge",
-                                "dag-edge-connected", "trees", "forests"]
+    assert EXTENSION_TESTED == ["bipartite-edge", "bipartite-induced",
+                                "bipartite-induced-connected", "chordal-edge",
+                                "chordal-induced", "chordal-induced-connected",
+                                "dag-edge-connected", "forests", "kdeg-edge",
+                                "kdeg-induced", "pinterval-induced",
+                                "pinterval-induced-connected", "trees"]
+    # the sweeps below cover every family, the three defaults included
+    assert sorted(VERTEX_FAMILIES + EDGE_FAMILIES + sorted(POINT_VARIANTS)) == ALL_VARIANTS
     # the lexicographic completion asks the test alone
     assert set(PSPACE_VARIANTS) <= set(EXTENSION_TESTED)
+    # one predicate, with no memo
+    assert not hasattr(Problem, "_sol_eval")
+    assert not any(hasattr(build_instance(v, 0), "_sol_cache") for v in ALL_VARIANTS)
 
 
-# the least number of checked pairs (x, e), by verdict, in which e has two or
-# more neighbors in one component of G[x]: the component of e's lowest
-# neighbor ("first") or only a later one ("later").  A connected family's x
-# is one component, and a forest never takes a vertex with two neighbors in
-# one of its trees, so those keys are absent
+# the least number of checked pairs (x, e), by verdict and by how far the
+# test must look.  For kdeg-induced the key is the k of the instance, and a
+# pair counts when e has more than k neighbors in x, so the test peels.  For
+# every other family a pair counts when e has two or more neighbors in one
+# component of G[x]: the component of e's lowest neighbor ("first") or only
+# a later one ("later").  A connected family's x is one component, and a
+# forest never takes a vertex with two neighbors in one of its trees, so
+# those keys are absent.  The sweep made about 1.45 times each floor of the
+# families added with the default test and the kdeg and pinterval tests
 WALKED = {
     "bipartite-induced": {(True, "first"): 300, (False, "first"): 1400,
                           (True, "later"): 25, (False, "later"): 120},
@@ -541,29 +557,42 @@ WALKED = {
     "chordal-induced": {(True, "first"): 1000, (False, "first"): 1200,
                         (True, "later"): 60, (False, "later"): 35},
     "chordal-induced-connected": {(True, "first"): 1000, (False, "first"): 1200},
+    "dag-induced-connected": {(True, "first"): 2400, (False, "first"): 2000},
+    "kdeg-induced": {(True, 1): 320, (False, 1): 870, (True, 2): 320, (False, 2): 270,
+                     (True, 3): 245, (False, 3): 35},
+    "pinterval-induced": {(True, "first"): 950, (False, "first"): 1300,
+                          (True, "later"): 60, (False, "later"): 80},
+    "pinterval-induced-connected": {(True, "first"): 1380, (False, "first"): 1900},
     "trees": {(False, "first"): 1800},
     "forests": {(False, "first"): 1600, (False, "later"): 130},
 }
 
 
-@pytest.mark.parametrize("variant", VERTEX_TESTED)
+@pytest.mark.parametrize("variant", VERTEX_FAMILIES)
 def test_extension_test_matches_predicate(variant):
     # the counts in WALKED make the random pairs reach past the test's
-    # one-neighbor exit, into its walks over the components of G[x]
+    # first exit, into its walks over the components of G[x] or its peel;
+    # the kdeg-induced instances take k = 1, 2 and 3 in turn
     rng = random.Random(f"extension:{variant}")
+    directed = variant.startswith("dag-")
     checked = 0
     walked = Counter()
-    for _ in range(150):
+    for i in range(150):
         n = rng.randint(1, 18)
-        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5]))
-        inst = make_instance(variant, graph=g)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5]), directed)
+        k = 1 + i % 3 if variant in K_VARIANTS else None
+        inst = make_instance(variant, graph=g, k=k)
         ok = inst._extension_test
         for x in random_growths(inst, rng, 4):
             comps = components(g, bits(x))
             for e in bits(inst._reach(x)):
                 verdict = inst.sol(x | 1 << e)
-                assert ok(x, e) == verdict, (g.edges, tuple_of(x), e)
+                assert ok(x, e) == verdict, (g.edges, k, tuple_of(x), e)
                 checked += 1
+                if k is not None:
+                    if (g.und_mask[e] & x).bit_count() > k:
+                        walked[verdict, k] += 1
+                    continue
                 nb = set(g.und_adj[e])
                 shared = [len(c & nb) > 1 for c in comps if c & nb]
                 if any(shared):
@@ -579,37 +608,97 @@ def test_extension_test_matches_predicate(variant):
 
 # the least number of checked pairs (x, e), by verdict and by whether x spans
 # both endpoints of e; a hook accepts an edge with an endpoint x does not
-# span before it walks, so only the pairs keyed True reach its walk.  The
+# span before it walks, so only the pairs keyed True reach its walk.  For
+# kdeg-edge the key is the k of the instance instead, and a pair counts when
+# both endpoints of e have k or more edges in x, so the test peels.  The
 # sweep made about 1.45 times each floor
 SPANNED = {
     "bipartite-edge": {(True, False): 8000, (True, True): 1600, (False, True): 2000},
     "chordal-edge": {(True, False): 7000, (True, True): 1800, (False, True): 900},
     "dag-edge-connected": {(True, False): 13000, (True, True): 4500, (False, True): 2200},
+    "kdeg-edge": {(True, 1): 160, (False, 1): 250, (True, 2): 280, (False, 2): 130,
+                  (True, 3): 145, (False, 3): 25},
 }
 
 
-@pytest.mark.parametrize("variant", EDGE_TESTED)
+@pytest.mark.parametrize("variant", EDGE_FAMILIES)
 def test_edge_extension_test_matches_predicate(variant):
     # random undirected graphs, or random digraphs with a directed cycle for
-    # the dag family, whose only solution would otherwise often be all arcs
+    # the dag family, whose only solution would otherwise often be all arcs;
+    # the kdeg-edge instances take k = 1, 2 and 3 in turn
     rng = random.Random(f"edge-extension:{variant}")
     directed = variant.startswith("dag-")
     checked = Counter()
-    for _ in range(120):
+    for i in range(120):
         g = Graph(0, [])
         while not g.m or directed and naive_acyclic(g, range(g.n)):
             g = random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5, 0.7]), directed)
-        inst = make_instance(variant, graph=g)
+        k = 1 + i % 3 if variant in K_VARIANTS else None
+        inst = make_instance(variant, graph=g, k=k)
+        at = g.edge_mask_at
         for x in random_growths(inst, rng, 4):
             span = spanned_masks(g, x)[2]
             for e in bits(inst._reach(x)):
                 verdict = inst.sol(x | 1 << e)
-                assert inst._extension_test(x, e) == verdict, (g.edges, tuple_of(x), e)
+                assert inst._extension_test(x, e) == verdict, (g.edges, k, tuple_of(x), e)
                 u, v = g.edges[e]
-                checked[verdict, (span >> u) & (span >> v) & 1 == 1] += 1
+                if k is None:
+                    checked[verdict, (span >> u) & (span >> v) & 1 == 1] += 1
+                elif min((at[u] & x).bit_count(), (at[v] & x).bit_count()) >= k:
+                    checked[verdict, k] += 1
             assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
     assert checked.keys() <= SPANNED[variant].keys()
     assert all(checked[key] >= least for key, least in SPANNED[variant].items()), checked
+
+
+def on_segment(a, b, o):
+    """Whether the point o lies on the closed segment from a to b."""
+    cross = (b[0] - a[0]) * (o[1] - a[1]) - (b[1] - a[1]) * (o[0] - a[0])
+    return cross == 0 and min(a[0], b[0]) <= o[0] <= max(a[0], b[0]) \
+        and min(a[1], b[1]) <= o[1] <= max(a[1], b[1])
+
+
+# the least number of checked pairs (x, e), by verdict and by whether an
+# obstacle lies on the segment from e to a point of x, on the boundary of
+# the closed hull of x + e, where it counts as inside.  The sweep made about
+# 1.45 times each floor
+HULLED = {
+    "hulls": {(True, False): 6000, (False, False): 440, (False, True): 1100},
+    "hulls-connected": {(True, False): 4800, (False, False): 290, (False, True): 790},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(POINT_VARIANTS))
+def test_hull_extension_test_matches_predicate(variant):
+    # interest points at even coordinates of a small grid, so that many
+    # triples are collinear and the midpoint of two is a lattice point; half
+    # the obstacles sit on such a midpoint, on the segment between the two
+    rng = random.Random(f"hull-extension:{variant}")
+    grid = [(2 * a, 2 * b) for a in range(5) for b in range(5)]
+    checked = Counter()
+    for _ in range(150):
+        interest = rng.sample(grid, rng.randint(3, 9))
+        obstacles = set()
+        for _ in range(rng.randint(1, 3)):
+            (ax, ay), (bx, by) = rng.sample(interest, 2)
+            obstacles.add(((ax + bx) // 2, (ay + by) // 2) if rng.random() < 0.5
+                          else (rng.randint(0, 8), rng.randint(0, 8)))
+        obstacles = sorted(obstacles - set(interest))
+        graph = (random_graph(rng, len(interest), 0.55)
+                 if variant == "hulls-connected" else None)
+        inst = make_instance(variant, points=PointSetInstance(interest, obstacles, graph))
+        for x in random_growths(inst, rng, 4):
+            for e in bits(inst._reach(x)):
+                verdict = inst.sol(x | 1 << e)
+                assert inst._extension_test(x, e) == verdict, (interest, obstacles,
+                                                               tuple_of(x), e)
+                edge = any(on_segment(interest[e], interest[p], o)
+                           for p in bits(x) for o in obstacles)
+                checked[verdict, edge] += 1
+            assert inst.comp_mask(x) == comp_witness(inst, x), (interest, obstacles,
+                                                                 tuple_of(x))
+    assert checked.keys() <= HULLED[variant].keys()
+    assert all(checked[key] >= least for key, least in HULLED[variant].items()), checked
 
 
 def engine_params(variants):
@@ -618,18 +707,21 @@ def engine_params(variants):
             if e == "exp" or v in PSPACE_VARIANTS]
 
 
-@pytest.mark.parametrize("variant,engine", engine_params(EXTENSION_TESTED))
+@pytest.mark.parametrize("variant,engine", engine_params(ALL_VARIANTS))
 def test_completion_asks_no_predicate(engine, variant, monkeypatch):
-    # a completion step asks the family's extension test, never the
-    # predicate, and a completion takes its input on trust, so a run
-    # computes completions without evaluating the predicate once
+    # a completion step asks the family's extension test, never ``sol``,
+    # and a completion takes its input on trust, so a run never asks
+    # ``sol``; a family with a test of its own evaluates no predicate at
+    # all, and one with the default test evaluates it only through that
     for i in range(CORPUS_SIZE):
         inst = build_instance(variant, i)
-        evals = []
+        asked, evals = [], []
         predicate = inst._solution_mask
+        monkeypatch.setattr(inst, "sol", asked.append)
         monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
         _, counters = run_engine(engine, inst)
-        assert evals == [] and counters.comp_calls > 0, (i, inst.g.edges)
+        assert asked == [] and counters.comp_calls > 0, (i, asked[:1])
+        assert (evals == []) == (variant in EXTENSION_TESTED), i
 
 
 @pytest.mark.parametrize("variant,engine", engine_params(ALL_VARIANTS))
@@ -643,7 +735,7 @@ def test_engines_complete_only_solutions(variant, engine):
         inst = build_instance(variant, i)
 
         def checked(mask):
-            assert inst._sol_eval(mask), (i, tuple_of(mask))
+            assert inst.sol(mask), (i, tuple_of(mask))
             inputs.append(mask)
 
         observe_completions(inst, checked)
@@ -652,13 +744,12 @@ def test_engines_complete_only_solutions(variant, engine):
     assert len(inputs) >= 3 * CORPUS_SIZE
 
 
-@pytest.mark.parametrize("variant,engine", engine_params([*EXTENSION_TESTED, "kdeg-induced"]))
+@pytest.mark.parametrize("variant,engine", engine_params(ALL_VARIANTS))
 def test_predicate_memo_only_without_extension_test(variant, engine, corpus, monkeypatch):
-    # a family with an extension test has no predicate memo: two asks for
-    # one mask evaluate the predicate twice, inside a run (probed from the
-    # sink) and outside one; kdeg-induced keeps its memo, which answers the
-    # second ask in both places.  The instance is the family's first in the
-    # corpus with two or more solutions
+    # no family keeps a predicate memo: two asks for one mask evaluate the
+    # predicate twice, inside a run (probed from the sink) and outside one.
+    # The instance is the family's first in the corpus with two or more
+    # solutions
     index = next(run.index for run in corpus[variant] if len(run.solutions) > 1)
     inst = build_instance(variant, index)
     evals = []
@@ -682,10 +773,8 @@ def test_predicate_memo_only_without_extension_test(variant, engine, corpus, mon
     (enumerate_pspace if engine == "pspace" else enumerate_exp)(inst, emit=probe)
     outside = [evals_per_ask(sol) for sol in sols]
     assert len(sols) > 1
-    if variant in EXTENSION_TESTED:
-        assert inside == outside == [[1, 1]] * len(sols)
-    else:
-        assert all(first <= 1 and second == 0 for first, second in inside + outside)
+    assert inside == outside == [[1, 1]] * len(sols)
+    assert not hasattr(inst, "_sol_cache")
 
 
 def test_maximality_ignores_extension_test():

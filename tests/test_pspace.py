@@ -96,7 +96,7 @@ def test_extender_inside_the_solution_is_its_own_candidate(variant):
         for s in sols:
             for w in s:
                 before = inst.comp_calls
-                assert inst.neighbor_masks_at(mask_of(s), w) == [mask_of(s)], (i, s, w)
+                assert inst.neighbor_masks_at(mask_of(s), w) == (mask_of(s),), (i, s, w)
                 assert inst.neighbors_at(s, w) == [s], (i, s, w)
                 assert inst.comp_calls == before, (i, s, w)
 
@@ -815,9 +815,8 @@ def test_pspace_empty_graph(variant):
 
 # -- completion memos ---------------------------------------------------------------------------
 # each engine keeps the completions of a run on the problem instance: pspace in
-# ``_lex_memo``, exp in ``_comp_memo``; the predicate memo ``_sol_cache``, which
-# only a family with no extension test keeps, is opened afresh by every run as
-# well, while calls outside a run use the instance's own
+# ``_lex_memo``, exp in ``_comp_memo``, its one memo; no family keeps a
+# predicate memo, and calls outside a run keep no completion memo either
 
 ENGINES = {"exp": enumerate_exp, "pspace": enumerate_pspace}
 
