@@ -113,7 +113,7 @@ def drain(problem, run: Callable, emit: Optional[Callable],
     many emissions (the emitted prefix is deterministic), and a limit <= 0
     starts no run.  A limit that is neither an int nor None (a bool, a
     float) raises ValueError before the run starts.  The run is closed
-    however it ends, so the memo it opened is restored.
+    however it ends, so the memos it opened are restored.
     """
     if limit is not None and type(limit) is not int:
         raise ValueError(f"limit must be an integer or None: limit={limit!r}")
@@ -147,12 +147,13 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     candidates are filtered through the set of visited solution masks;
     ``dict_operations`` counts its inserts, the first solution's included.
 
-    The run opens its one memo with ``Problem.run_memos``: ``_comp_memo``,
-    solution mask -> completed mask, read and filled by ``comp_mask``: its
-    keys are the candidates completed and every set a completion reached
-    after an addition.  It is unbounded, as the visited set is, and goes
-    when the run ends, however it ends; a memo open before it is restored.
-    ``comp_calls`` counts completions computed, not memo hits.
+    The run opens its completion memo with ``Problem.run_memos``:
+    ``_comp_memo``, solution mask -> completed mask, read and filled by
+    ``comp_mask``: its keys are the candidates completed and every set a
+    completion reached after an addition.  It is unbounded, as the visited
+    set is, and goes when the run ends, however it ends; a memo open before
+    it is restored.  The kdeg families open their capped certificate memo
+    there too.  ``comp_calls`` counts completions computed, not memo hits.
     """
     seen = SolutionDict()
 

@@ -57,11 +57,13 @@ Both engines walk bitmasks; solutions cross the public API (``neighbors``,
 the way in, and ``neighbors`` and ``neighbors_at`` refuse a set that is
 not a maximal solution.  ``sol`` is the plain predicate, with no memo: a
 run never asks it, and nothing keeps its verdicts.
-A run's one memo is its engine's completion memo: ``run_memos`` opens,
-on the instance, a fresh one (``_comp_memo`` for ``enumerate_exp``,
-``_lex_memo`` for ``enumerate_pspace``) and restores the outer one when
-the run ends; calls outside a run keep none.  Only pspace's is capped
-(``_LexMemo``).
+A run's memos are opened by ``run_memos``, on the instance, and the
+outer ones restored when the run ends; calls outside a run keep none.
+Every run has its engine's completion memo (``_comp_memo`` for
+``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``, capped by
+``_LexMemo``).  The kdeg families also open a capped memo of (k+1)-core
+certificates (``_cores``, in ``degenerate``), which rejects an element
+unpeeled and changes no verdict.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ class Problem:
 
     @contextmanager
     def run_memos(self, **engine_memos):
-        """Open one engine run's completion memo, by attribute name, and
-        restore the outer one when the run ends, however it ends."""
+        """Open one engine run's memos, by attribute name, and restore the
+        outer ones when the run ends, however it ends."""
         outer = {name: getattr(self, name) for name in engine_memos}
         try:
             for name, memo in engine_memos.items():

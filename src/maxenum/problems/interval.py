@@ -219,14 +219,20 @@ class _ProperIntervalBase(GraphProblem):
                 # the first insertion position lies before every interval,
                 # and a component without a neighbor of v keeps none of them:
                 # both leave v alone once cut, so yield that once and arrange
-                # only the host components that touch v, each once
+                # only the host components that touch v, each once; a repeated
+                # candidate cuts to a set the base has already asked, so each
+                # is yielded once
                 yield 1 << v
+                uncut = {1 << v}
                 for cmask in dict.fromkeys(c for host in self._hosts(smask, v)
                                            for c in mask_components(und, host) if c & und[v]):
                     for order in self._reps(cmask, v):
                         starts = self._realize(order)
                         for sv in self._insert_positions(starts):
-                            yield self._repair_connected(cmask, order, starts, v, sv)
+                            cand = self._repair_connected(cmask, order, starts, v, sv)
+                            if cand not in uncut:
+                                uncut.add(cand)
+                                yield cand
                 continue
             # the incoming vertex may start a new component: drop all its
             # neighbors and keep the rest of the solution untouched

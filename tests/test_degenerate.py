@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from maxenum import brute_force_maximal, make_instance
+from maxenum import PartialOutputError, brute_force_maximal, enumerate_exp, make_instance
 from maxenum.graphs import Graph
+from maxenum.problems.base import Problem
+from maxenum.problems.degenerate import CORE_CAP
 
-from conftest import complete, exp_solutions, path, random_graph, triangle
+from conftest import complete, exp_solutions, path, random_graph, sparse_gnm, triangle
 from proximity import degeneracy_order
 
 
@@ -114,3 +116,45 @@ def test_k_must_be_an_int(variant, k):
     # refused, and a string gives ValueError rather than a TypeError
     with pytest.raises(ValueError, match="k must be an integer"):
         make_instance(variant, graph=triangle(), k=k)
+
+
+# instances on which some element's certificate list reaches the cap
+CAPPED = [("kdeg-induced", 18, 33, 1), ("kdeg-induced", 18, 40, 2),
+          ("kdeg-edge", 8, 14, 1), ("kdeg-edge", 7, 15, 2)]
+
+
+@pytest.mark.parametrize("variant, n, m, k", CAPPED)
+def test_certificates_live_for_one_capped_run(variant, n, m, k, monkeypatch):
+    # _cores is None outside a run, however the run ends; inside it no
+    # element keeps more than CORE_CAP certificates, so a run keeps at most
+    # CORE_CAP masks per ground element; a run without them lists the same
+    # solutions in the same order with the same completions
+    inst = make_instance(variant, graph=sparse_gnm(random.Random("cores"), n, m), k=k)
+    assert inst._cores is None
+    held, sols = [], []
+    counters = enumerate_exp(inst, emit=lambda s: held.append(inst._cores) or sols.append(s))
+    assert inst._cores is None
+    lengths = [len(certs) for certs in held[-1].values()]
+    assert all(cores is held[0] for cores in held)
+    assert max(lengths) == CORE_CAP and sum(lengths) <= CORE_CAP * inst.ground_size
+
+    assert enumerate_exp(inst, limit=2).solutions_emitted == 2
+    assert inst._cores is None
+
+    def fail(sol):
+        raise OSError("sink closed")
+
+    with pytest.raises(PartialOutputError):
+        enumerate_exp(inst, emit=fail)
+    assert inst._cores is None
+
+    with inst.run_memos(_comp_memo={}):
+        outer = inst._cores
+        enumerate_exp(inst, limit=1)
+        assert inst._cores is outer
+    assert inst._cores is None
+
+    plain = make_instance(variant, graph=inst.g, k=k)
+    monkeypatch.setattr(type(plain), "run_memos", Problem.run_memos)
+    assert exp_solutions(plain) == sols
+    assert plain.comp_calls == counters.comp_calls

@@ -11,7 +11,7 @@ from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, ch
 from maxenum.problems.base import bfs_order, tuple_of
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
-from maxenum.problems.degenerate import _peel_ok_vertices
+from maxenum.problems.degenerate import _peel_core
 from maxenum.problems.geometry import PointFormatError, load_points
 from maxenum.problems.trees import _is_forest
 
@@ -480,16 +480,16 @@ def set_bfs_order(g, s):
     return order
 
 
-def naive_peel(g, s, k):
-    """Whether deleting vertices of degree <= k in G[s], one at a time,
-    empties s."""
+def naive_core(g, s, k):
+    """What is left of s after deleting vertices of degree <= k in G[s], one
+    at a time: the (k+1)-core, empty iff G[s] is k-degenerate."""
     left = set(s)
     while left:
         low = [u for u in left if len(set(g.und_adj[u]) & left) <= k]
         if not low:
-            return False
+            break
         left.remove(low[0])
-    return True
+    return left
 
 
 def naive_forest(g, s):
@@ -515,7 +515,12 @@ def test_inline_bit_scans_match_set_references():
                 w for u in s for w in g.und_adj[u])
             assert _is_forest(g.und_mask, mask) == naive_forest(g, s)
             for k in range(3):
-                assert _peel_ok_vertices(g.und_mask, mask, k) == naive_peel(g, s, k)
+                core = mask_of(naive_core(g, s, k))
+                assert _peel_core(g.und_mask, mask, k) == core
+                # a peel that stops when v goes gives the whole core or 0
+                for v in s:
+                    assert _peel_core(g.und_mask, mask, k, 1 << v) == (
+                        core if (core >> v) & 1 else 0), (g.edges, s, k, v)
             assert bfs_order(g.und_mask, mask) == set_bfs_order(g, s)
 
 
@@ -543,8 +548,9 @@ def test_forest_and_peel_kernels_match_set_references_on_every_mask():
             assert _is_forest(g.und_mask, mask) == naive_forest(g, s), (g.edges, s)
             degeneracy = degeneracy_order(g, s)[1]
             for k in range(4):
-                assert (_peel_ok_vertices(g.und_mask, mask, k)
-                        == naive_peel(g, s, k) == (degeneracy <= k)), (g.edges, s, k)
+                core = _peel_core(g.und_mask, mask, k)
+                assert core == mask_of(naive_core(g, s, k)), (g.edges, s, k)
+                assert (not core) == (degeneracy <= k), (g.edges, s, k)
 
 
 def naive_acyclic(g, s):

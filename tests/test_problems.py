@@ -22,12 +22,13 @@ from collections import Counter
 import pytest
 
 import maxenum
-from maxenum import (Graph, PointSetInstance, enumerate_exp, enumerate_pspace,
-                     make_instance)
+from maxenum import (Graph, PointSetInstance, brute_force_maximal, enumerate_exp,
+                     enumerate_pspace, make_instance)
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of, spanned_masks
 from maxenum.problems import (ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, POINT_VARIANTS,
                               PSPACE_VARIANTS)
 from maxenum.problems.base import Problem, PspaceProblem, tuple_of
+from maxenum.problems.degenerate import CORE_CAP
 
 from conftest import (CORPUS_SIZE, build_instance, components, exp_solutions, path,
                       random_graph)
@@ -541,6 +542,77 @@ def test_extension_tests_exist():
     assert not any(hasattr(build_instance(v, 0), "_sol_cache") for v in ALL_VARIANTS)
 
 
+def certified_test(inst, x, e):
+    """The extension test of a kdeg instance at (x, e) inside a run, and
+    whether a certificate the run kept gave its verdict.  A test that
+    peels and rejects keeps one new certificate W for e, and only then: W
+    lies inside x, misses e, and W + e is no solution, so neither is any
+    superset of it with e; no element's list grows past the cap."""
+    cores = inst._cores
+    before = set(cores.get(e, ()))
+    verdict = type(inst)._extension_test(inst, x, e)
+    after = cores.get(e, [])
+    new = set(after) - before
+    assert len(after) <= CORE_CAP
+    if new:
+        (w,) = new
+        assert not verdict and not w & ~x and not (w >> e) & 1, (tuple_of(x), e, tuple_of(w))
+        assert not inst.sol(w | 1 << e), (tuple_of(x), e, tuple_of(w))
+    return verdict, not verdict and not new
+
+
+def certified_hits(inst, pairs):
+    """Ask a kdeg instance's test at the sweep's pairs (x, e, verdict) again,
+    inside a run, checked by ``certified_test``: the verdicts must be those
+    given outside it.  The number a kept certificate gave."""
+    hits = 0
+    with inst.run_memos(_comp_memo={}):
+        for x, e, verdict in pairs:
+            got, hit = certified_test(inst, x, e)
+            assert got == verdict, (inst.g.edges, inst.k, tuple_of(x), e)
+            hits += hit
+    assert inst._cores is None
+    return hits
+
+
+# the least number of rejections a kept certificate gave in exp runs over
+# the corpus graphs, by variant and k; the runs made about 1.45 times each
+# floor
+CERTIFIED = {("kdeg-induced", 1): 380, ("kdeg-induced", 2): 145, ("kdeg-induced", 3): 49,
+             ("kdeg-edge", 1): 23700, ("kdeg-edge", 2): 5650}
+
+
+@pytest.mark.parametrize("variant, k", sorted(CERTIFIED))
+def test_kdeg_certificates_are_exact(variant, k, corpus, monkeypatch):
+    # every test a run asks is checked by certified_test and gives the
+    # predicate's verdict, so the run lists the oracle's solutions
+    hits = 0
+    for run in corpus[variant]:
+        inst = make_instance(variant, graph=run.instance.g, k=k)
+        verdicts = Counter()
+
+        def spy(x, e):
+            verdict, hit = certified_test(inst, x, e)
+            assert verdict == inst.sol(x | 1 << e), (run.index, tuple_of(x), e)
+            verdicts[hit] += 1
+            return verdict
+
+        monkeypatch.setattr(inst, "_extension_test", spy)
+        sols = exp_solutions(inst)
+        monkeypatch.undo()
+        assert inst._cores is None
+        assert sorted(sols) == brute_force_maximal(inst), run.index
+        hits += verdicts[True]
+    assert hits >= CERTIFIED[variant, k], hits
+
+
+# the least number of rejections a kept certificate gave when the kdeg sweeps
+# below ask their pairs again inside a run, by k; the sweeps made about 1.45
+# times each floor
+SWEEP_CERTIFIED = {"kdeg-induced": {1: 650, 2: 178, 3: 16},
+                   "kdeg-edge": {1: 133, 2: 65, 3: 11}}
+
+
 # the least number of checked pairs (x, e), by verdict and by how far the
 # test must look.  For kdeg-induced the key is the k of the instance, and a
 # pair counts when e has more than k neighbors in x, so the test peels.  For
@@ -576,13 +648,14 @@ def test_extension_test_matches_predicate(variant):
     rng = random.Random(f"extension:{variant}")
     directed = variant.startswith("dag-")
     checked = 0
-    walked = Counter()
+    walked, certified = Counter(), Counter()
     for i in range(150):
         n = rng.randint(1, 18)
         g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5]), directed)
         k = 1 + i % 3 if variant in K_VARIANTS else None
         inst = make_instance(variant, graph=g, k=k)
         ok = inst._extension_test
+        pairs = []
         for x in random_growths(inst, rng, 4):
             comps = components(g, bits(x))
             for e in bits(inst._reach(x)):
@@ -590,6 +663,7 @@ def test_extension_test_matches_predicate(variant):
                 assert ok(x, e) == verdict, (g.edges, k, tuple_of(x), e)
                 checked += 1
                 if k is not None:
+                    pairs.append((x, e, verdict))
                     if (g.und_mask[e] & x).bit_count() > k:
                         walked[verdict, k] += 1
                     continue
@@ -601,9 +675,13 @@ def test_extension_test_matches_predicate(variant):
             if x and isinstance(inst, PspaceProblem):
                 assert (tuple_of(inst.comp_lex_mask(x))
                         == comp_lex_witness(inst, tuple_of(x))), (g.edges, tuple_of(x))
+        if k is not None:
+            certified[k] += certified_hits(inst, pairs)
     assert checked > 12000
     assert walked.keys() <= WALKED[variant].keys()
     assert all(walked[key] >= least for key, least in WALKED[variant].items()), walked
+    least = SWEEP_CERTIFIED.get(variant, {})
+    assert all(certified[k] >= n for k, n in least.items()), certified
 
 
 # the least number of checked pairs (x, e), by verdict and by whether x spans
@@ -628,7 +706,7 @@ def test_edge_extension_test_matches_predicate(variant):
     # the kdeg-edge instances take k = 1, 2 and 3 in turn
     rng = random.Random(f"edge-extension:{variant}")
     directed = variant.startswith("dag-")
-    checked = Counter()
+    checked, certified = Counter(), Counter()
     for i in range(120):
         g = Graph(0, [])
         while not g.m or directed and naive_acyclic(g, range(g.n)):
@@ -636,6 +714,7 @@ def test_edge_extension_test_matches_predicate(variant):
         k = 1 + i % 3 if variant in K_VARIANTS else None
         inst = make_instance(variant, graph=g, k=k)
         at = g.edge_mask_at
+        pairs = []
         for x in random_growths(inst, rng, 4):
             span = spanned_masks(g, x)[2]
             for e in bits(inst._reach(x)):
@@ -644,11 +723,17 @@ def test_edge_extension_test_matches_predicate(variant):
                 u, v = g.edges[e]
                 if k is None:
                     checked[verdict, (span >> u) & (span >> v) & 1 == 1] += 1
-                elif min((at[u] & x).bit_count(), (at[v] & x).bit_count()) >= k:
-                    checked[verdict, k] += 1
+                else:
+                    pairs.append((x, e, verdict))
+                    if min((at[u] & x).bit_count(), (at[v] & x).bit_count()) >= k:
+                        checked[verdict, k] += 1
             assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
+        if k is not None:
+            certified[k] += certified_hits(inst, pairs)
     assert checked.keys() <= SPANNED[variant].keys()
     assert all(checked[key] >= least for key, least in SPANNED[variant].items()), checked
+    least = SWEEP_CERTIFIED.get(variant, {})
+    assert all(certified[k] >= n for k, n in least.items()), certified
 
 
 def on_segment(a, b, o):

@@ -74,7 +74,8 @@ def test_readme_dotted_name_resolves(name):
 
 def test_a_removed_name_does_not_resolve():
     for name in ("maxenum.degeneracy_order", "PspaceProblem.order_keys",
-                 "Hulls.obstacles_inside", "graphs.mask_layers", "Problem._sol_eval"):
+                 "Hulls.obstacles_inside", "graphs.mask_layers", "Problem._sol_eval",
+                 "degenerate._peel_ok_vertices"):
         with pytest.raises(AttributeError):
             resolve(name)
     assert resolve("Graph.und_mask") == Graph(2, [(0, 1)]).und_mask
