@@ -1,4 +1,4 @@
-"""Immutable adjacency-list graphs and the shared combinatorial primitives.
+"""Immutable bitmask graphs and the shared combinatorial primitives.
 
 Everything downstream (problem plugins, engines, oracle) works on dense
 0-based vertex ids and stable 0-based edge ids, so all tie-breaking rules
@@ -50,11 +50,15 @@ def bits(mask: int):
 
 
 class Graph:
-    """Simple graph with sorted neighbor lists and stable edge ids.
+    """Simple graph with stable edge ids, represented by bitmasks.
 
-    Undirected graphs store each edge in both endpoint lists.  Directed
-    graphs keep separate out- and in-neighbor lists; ``und_adj`` always
-    holds the underlying undirected adjacency used for reachability.
+    ``und_mask[u]`` holds u's neighbors in the underlying undirected graph,
+    used for reachability, and ``out_mask[u]`` and ``in_mask[u]`` its out-
+    and in-neighbors along each edge (u, v) as stored, on an undirected
+    graph too.  ``edge_mask_at[u]`` holds the edges at u, ``out_arcs[u]``
+    and ``in_arcs[u]`` those stored leaving and entering u, and
+    ``end_masks[e]`` the two endpoint bits of edge e.  The sorted neighbor
+    lists ``und_adj``, ``out_adj`` and ``in_adj`` are read off the masks.
     Instances are immutable after construction and safe to share.
     """
 
@@ -65,7 +69,8 @@ class Graph:
             raise ValueError(f"negative vertex count n={n}")
         self.n = n
         self.directed = directed
-        seen: set[tuple[int, int]] = set()
+        und, out, inc = [0] * n, [0] * n, [0] * n
+        edge_at, out_arcs, in_arcs = [0] * n, [0] * n, [0] * n
         elist: list[tuple[int, int]] = []
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
@@ -74,33 +79,31 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if directed else (min(u, v), max(u, v))
-            if key in seen:
+            ub, vb = 1 << u, 1 << v
+            if (out[u] if directed else und[u]) & vb:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
+            eb = 1 << len(elist)
             elist.append((u, v))
+            und[u] |= vb
+            und[v] |= ub
+            out[u] |= vb
+            inc[v] |= ub
+            edge_at[u] |= eb
+            edge_at[v] |= eb
+            out_arcs[u] |= eb
+            in_arcs[v] |= eb
         self.edges: tuple[tuple[int, int], ...] = tuple(elist)
         self.m = len(elist)
-
-        out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        und: list[set[int]] = [set() for _ in range(n)]
-        edge_at: list[list[int]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(elist):
-            out[u].append(v)
-            inc[v].append(u)
-            und[u].add(v)
-            und[v].add(u)
-            edge_at[u].append(i)
-            edge_at[v].append(i)
-        self.out_adj = tuple(tuple(sorted(a)) for a in out)
-        self.in_adj = tuple(tuple(sorted(a)) for a in inc)
-        self.und_adj = tuple(tuple(sorted(a)) for a in und)
-        # bitmask mirrors of the adjacency, used by the hot predicates
-        self.und_mask = tuple(mask_of(a) for a in self.und_adj)
-        self.out_mask = tuple(mask_of(a) for a in self.out_adj)
-        self.in_mask = tuple(mask_of(a) for a in self.in_adj)
-        self.edge_mask_at = tuple(mask_of(e) for e in edge_at)
+        self.und_mask = tuple(und)
+        self.out_mask = tuple(out)
+        self.in_mask = tuple(inc)
+        self.edge_mask_at = tuple(edge_at)
+        self.end_masks = tuple((1 << u) | (1 << v) for u, v in elist)
+        self.out_arcs = tuple(out_arcs)
+        self.in_arcs = tuple(in_arcs)
+        self.und_adj = tuple(tuple(bits(a)) for a in und)
+        self.out_adj = tuple(tuple(bits(a)) for a in out)
+        self.in_adj = tuple(tuple(bits(a)) for a in inc)
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -207,10 +210,10 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # layers inline: resuming a layer generator once per layer took 17% of a
 # ``pspace-forest`` benchmark run under cProfile.
 # ``span_depth``, the kernel of three edge families' extension tests, walks
-# the graph an edge set spans straight from per-edge tables, inline too,
-# and only in one endpoint's component: rebuilding the whole spanned graph
-# with ``spanned_masks`` at each completion step was what the predicate
-# cost them.
+# the graph an edge set spans straight from the graph's edge tables, inline
+# too, and only in one endpoint's component: rebuilding the whole spanned
+# graph with ``spanned_masks`` at each completion step was what the
+# predicate cost them.
 # Orders that only the tests read, such as the degeneracy order, live with
 # the proximity witnesses in ``tests/proximity.py``, not here.
 
@@ -260,9 +263,11 @@ def span_depth(at, ends, x: int, src: int, dst: int, avoid: int = 0) -> int:
     """The BFS depth at which vertex ``dst`` is first reached from vertex
     ``src`` in the graph that the edge set ``x`` spans, or -1 when it is
     never reached.  From a vertex w the walk follows the edges
-    ``at[w] & x`` to the vertices of ``ends[edge]``: both endpoints of an
-    undirected edge, or the head of an arc when ``at`` holds out-arcs.  It
-    never enters a vertex of ``avoid``, and ``src`` differs from ``dst``."""
+    ``at[w] & x`` to the vertices of ``ends[edge]``, both endpoints of the
+    edge (``Graph.end_masks``); when ``at`` holds out-arcs
+    (``Graph.out_arcs``) the tail is w, already walked, so only the head is
+    new.  It never enters a vertex of ``avoid``, and ``src`` differs from
+    ``dst``."""
     seen = (1 << src) | avoid
     target = 1 << dst
     layer = 1 << src

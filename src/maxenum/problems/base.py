@@ -29,7 +29,7 @@ connectivity walk, since an element of the reach keeps a connected
 family's set one component.  Thirteen families give a cheaper test;
 three of them, bipartite-edge, chordal-edge and dag-edge-connected, walk
 the graph the set spans from one endpoint of the added edge
-(``graphs.span_depth``), over per-edge tables their constructors build.
+(``graphs.span_depth``), over the edge tables the ``Graph`` holds.
 An element the test rejects stays rejected in a ``hereditary`` family;
 chordal-edge, where a later edge can supply a rejected edge's chord, is
 not one, and its completion rescans from the smallest id after each

@@ -83,16 +83,12 @@ class BipartiteEdge(GraphProblem):
     variant = "bipartite-edge"
     ground_kind = "e"
 
-    def __init__(self, g):
-        super().__init__(g)
-        self.ends = tuple((1 << u) | (1 << v) for u, v in g.edges)  # both endpoints
-
     def _extension_test(self, x: int, e: int) -> bool:
         # in the bipartite graph H that x spans every u-v path has the
         # parity of the shortest; uv closes an odd cycle exactly when that
         # path is even, and none when u does not reach v
         u, v = self.g.edges[e]
-        depth = span_depth(self.g.edge_mask_at, self.ends, x, u, v)
+        depth = span_depth(self.g.edge_mask_at, self.g.end_masks, x, u, v)
         return depth < 0 or depth & 1 == 1
 
     def _solution_mask(self, emask: int) -> bool:

@@ -78,10 +78,6 @@ class ChordalEdge(GraphProblem):
     ground_kind = "e"
     hereditary = False  # a later edge can supply a rejected edge's chord
 
-    def __init__(self, g):
-        super().__init__(g)
-        self.ends = tuple((1 << u) | (1 << v) for u, v in g.edges)  # both endpoints
-
     def _extension_test(self, x: int, e: int) -> bool:
         # H, the graph x spans, is chordal, so a chordless cycle of H + uv
         # runs through uv and an induced u-v path of H with 3 or more
@@ -90,7 +86,7 @@ class ChordalEdge(GraphProblem):
         # shortest u-v path of H - C is induced, and has 3 or more edges,
         # as uv is no edge of H and C is gone.  A vertex H does not span
         # closes no cycle
-        at, ends = self.g.edge_mask_at, self.ends
+        at, ends = self.g.edge_mask_at, self.g.end_masks
         u, v = self.g.edges[e]
         common = -1
         for w in (u, v):
@@ -120,9 +116,7 @@ class ChordalEdge(GraphProblem):
                 for q in [c for c in cliques if (c >> w) & 1] or [1 << w]:
                     keep = 0
                     for e2 in bits(self.g.edge_mask_at[other] & emask):
-                        x, y = self.g.edges[e2]
-                        mate = y if x == other else x
-                        if (q >> mate) & 1:
+                        if self.g.end_masks[e2] & q & ~(1 << other):
                             keep |= 1 << e2
                     yield (emask & ~self.g.edge_mask_at[other]) | keep | (1 << e)
 

@@ -13,7 +13,7 @@ its search is exponential in the set size, and no engine reads it.
 
 from __future__ import annotations
 
-from ..graphs import bits, span_depth, spanned_masks
+from ..graphs import span_depth, spanned_masks
 from .base import GraphProblem
 
 
@@ -57,35 +57,23 @@ class DagEdgeConnected(GraphProblem):
     directed = True
     connected = True
 
-    def __init__(self, g):
-        super().__init__(g)
-        self.out_arcs = [0] * g.n  # each vertex's out-arcs
-        for a, (u, _) in enumerate(g.edges):
-            self.out_arcs[u] |= 1 << a
-        self.heads = tuple(1 << v for _, v in g.edges)  # each arc's head
-
     def _extension_test(self, x: int, e: int) -> bool:
         # the arc uv closes a directed cycle exactly when v already reaches
         # u along the arcs of x; an element of the reach keeps x connected
         u, v = self.g.edges[e]
-        return span_depth(self.out_arcs, self.heads, x, v, u) < 0
+        return span_depth(self.g.out_arcs, self.g.end_masks, x, v, u) < 0
 
     def _solution_mask(self, emask: int) -> bool:
         _, out, span = spanned_masks(self.g, emask)
         return _acyclic(out, span)
 
     def _candidates(self, emask: int, incoming):
-        edges = self.g.edges
-        at = self.g.edge_mask_at
+        g = self.g
         for e in incoming:
-            tail, head = edges[e]
+            tail, head = g.edges[e]
             # drop the tail's in-arcs (tail becomes a source) or the
             # head's out-arcs (head becomes a sink)
-            tail_in = sum(1 << x for x in bits(emask & at[tail])
-                          if edges[x][1] == tail)
-            head_out = sum(1 << x for x in bits(emask & at[head])
-                           if edges[x][0] == head)
-            for drop in (tail_in, head_out):
+            for drop in (g.in_arcs[tail], g.out_arcs[head]):
                 yield (emask & ~drop) | (1 << e)
 
     def comp_budget(self) -> int:

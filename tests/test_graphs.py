@@ -373,6 +373,85 @@ def test_span_depth_matches_bfs_over_spanned_masks():
     assert len(cases) == 12 and min(cases.values()) >= 45, cases
 
 
+# -- the graph's tables ---------------------------------------------------------
+
+def shuffled_graph(rng, n, p, directed):
+    """A graph whose edges come in random order and direction: each ordered
+    pair is drawn with probability p, and on an undirected graph one of a
+    pair and its reverse is kept."""
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    rng.shuffle(edges)
+    if not directed:
+        edges = list({frozenset(e): e for e in edges}.values())
+    return Graph(n, edges, directed=directed)
+
+
+def table_graphs(rng, count):
+    """Seeded graphs of both kinds: with no vertex, with no edge, and random."""
+    graphs = [Graph(n, [], directed=d) for n in (0, 1, 5) for d in (False, True)]
+    for _ in range(count):
+        graphs.append(shuffled_graph(rng, rng.randint(2, 9), rng.choice([0.15, 0.4, 0.8]),
+                                     rng.random() < 0.5))
+    return graphs
+
+
+def test_graph_tables_match_sets_of_edges():
+    rng = random.Random(48)
+    antiparallel = backward = 0
+    for g in table_graphs(rng, 300):
+        n = g.n
+        out, inc, und = ([set() for _ in range(n)] for _ in range(3))
+        at, leaving, entering = ([set() for _ in range(n)] for _ in range(3))
+        for e, (u, v) in enumerate(g.edges):
+            out[u].add(v)
+            inc[v].add(u)
+            und[u].add(v)
+            und[v].add(u)
+            at[u].add(e)
+            at[v].add(e)
+            leaving[u].add(e)
+            entering[v].add(e)
+            antiparallel += (v, u) in g.edges
+            backward += u > v and not g.directed
+        assert g.end_masks == tuple(mask_of({u, v}) for u, v in g.edges)
+        assert [set(bits(m)) for m in g.out_arcs] == leaving
+        assert [set(bits(m)) for m in g.in_arcs] == entering
+        assert [set(bits(m)) for m in g.edge_mask_at] == at
+        for masks, adj, sets in ((g.und_mask, g.und_adj, und), (g.out_mask, g.out_adj, out),
+                                 (g.in_mask, g.in_adj, inc)):
+            assert type(masks) is tuple and type(adj) is tuple and len(adj) == n
+            assert [set(bits(m)) for m in masks] == sets
+            assert adj == tuple(tuple(sorted(a)) for a in sets)
+    # an undirected graph keeps an edge as given, a digraph both arcs of a
+    # pair, and a repeated arc is refused
+    assert antiparallel > 0 and backward > 0
+    with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
+        Graph(2, [(0, 1), (1, 0), (0, 1)], directed=True)
+
+
+def test_span_depth_over_graph_arcs_matches_arc_heads():
+    # on a digraph the walk may take each arc's two endpoint bits, as the
+    # arc's tail is already walked; the reference walks each arc's head
+    rng = random.Random(49)
+    digraphs = [Graph(2, [], directed=True)]
+    while len(digraphs) < 30:
+        g = shuffled_graph(rng, rng.randint(3, 6), rng.choice([0.2, 0.3]), True)
+        if g.m <= 8:
+            digraphs.append(g)
+    depths = Counter()
+    for g in digraphs:
+        at, heads = span_tables(g)
+        for x in range(1 << g.m):
+            for src in range(g.n):
+                for dst in range(g.n):
+                    if src != dst:
+                        got = span_depth(g.out_arcs, g.end_masks, x, src, dst)
+                        assert got == span_depth(at, heads, x, src, dst), (g.edges, x, src, dst)
+                        depths[min(got, 3)] += 1
+    # every depth -1, 1, 2 and 3+, 498 times or more
+    assert min(depths[d] for d in (-1, 1, 2, 3)) >= 400, depths
+
+
 # -- BFS layers ----------------------------------------------------------------
 
 def layers_witness(g, x, v):
