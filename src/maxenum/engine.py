@@ -21,7 +21,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .problems.base import tuple_of
+from .graphs import bits
 
 
 class PartialOutputError(RuntimeError):
@@ -129,7 +129,7 @@ def drain(problem, run: Callable, emit: Optional[Callable],
             last = now
             if emit is not None:
                 try:
-                    emit(tuple_of(mask))
+                    emit(bits(mask))
                 except Exception as exc:
                     raise PartialOutputError(counters.solutions_emitted, exc) from exc
             counters.solutions_emitted += 1

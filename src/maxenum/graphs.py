@@ -40,13 +40,16 @@ def checked_mask(elems: Iterable[int], n: int, out_of_range: str) -> int:
     return m
 
 
-def bits(mask: int):
-    """Yield set bit positions of mask in ascending order: for cold paths,
-    the API and tests, while hot kernels scan inline (see below)."""
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, ascending, as a tuple built at its
+    exact length: the one way to list a mask's ids, for cold paths, the
+    API and tests, while hot kernels scan inline (see below)."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 class Graph:
@@ -57,8 +60,8 @@ class Graph:
     and in-neighbors along each edge (u, v) as stored, on an undirected
     graph too.  ``edge_mask_at[u]`` holds the edges at u, ``out_arcs[u]``
     and ``in_arcs[u]`` those stored leaving and entering u, and
-    ``end_masks[e]`` the two endpoint bits of edge e.  The sorted neighbor
-    lists ``und_adj``, ``out_adj`` and ``in_adj`` are read off the masks.
+    ``end_masks[e]`` the two endpoint bits of edge e.  A vertex's
+    neighbors are listed, where needed, as ``bits(und_mask[u])``.
     Instances are immutable after construction and safe to share.
     """
 
@@ -101,9 +104,6 @@ class Graph:
         self.end_masks = tuple((1 << u) | (1 << v) for u, v in elist)
         self.out_arcs = tuple(out_arcs)
         self.in_arcs = tuple(in_arcs)
-        self.und_adj = tuple(tuple(bits(a)) for a in und)
-        self.out_adj = tuple(tuple(bits(a)) for a in out)
-        self.in_adj = tuple(tuple(bits(a)) for a in inc)
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -201,9 +201,10 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # Bitmask helpers used by the hot paths of the problem plugins.
 # Code that runs on every predicate evaluation, completion step or BFS layer
 # scans set bits inline (``while m: low = m & -m``), not through ``bits``:
-# a generator made for each small frontier, layer or set cost the chordal
-# predicates 10-15%, and the exp engine about a sixth of its time on the
-# hereditary families.  ``bits`` serves cold paths, the API and tests.
+# a call that lists the ids of each small frontier, layer or set cost the
+# chordal predicates 10-15%, and the exp engine about a sixth of its time
+# on the hereditary families.  ``bits`` serves cold paths, the API, the
+# engines' emission and tests.
 # The BFS-layer walks of the pspace hot path (``base.bfs_order``, which
 # defines their order, ``PspaceProblem._lex_pick``, ``pspace._prefix`` and
 # ``bipartite._two_color_masks``) likewise walk

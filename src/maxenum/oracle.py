@@ -9,7 +9,7 @@ solution is skipped without a predicate call.
 
 from __future__ import annotations
 
-from .problems.base import tuple_of
+from .graphs import bits
 
 
 class OracleCapError(ValueError):
@@ -35,4 +35,4 @@ def brute_force_maximal(problem, cap: int = 16) -> list[tuple[int, ...]]:
             continue
         if problem.sol(mask):
             maximal.append(mask)
-    return sorted(tuple_of(m) for m in maximal)
+    return sorted(bits(m) for m in maximal)

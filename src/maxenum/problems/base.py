@@ -74,16 +74,6 @@ from typing import Callable, Iterable
 from ..graphs import ContractViolation, Graph, bits, checked_mask, mask_cc
 
 
-def tuple_of(mask: int) -> tuple[int, ...]:
-    """The set bits of mask, ascending, as a tuple built at its exact length."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def bfs_order(und, mask: int) -> list[int]:
     """The parent-forest solution order of the masked vertex set: each
     component's BFS layers from its smallest vertex, each layer ascending,
@@ -160,7 +150,7 @@ class Problem:
         ContractViolation."""
         mask = self._mask(elems)
         if not (self.sol(mask) and not self.addable(mask)):
-            raise ContractViolation(f"{tuple_of(mask)} is not a maximal solution")
+            raise ContractViolation(f"{bits(mask)} is not a maximal solution")
         return mask
 
     def _solution_input(self, elems: Iterable[int]) -> int:
@@ -255,7 +245,7 @@ class Problem:
         return mask
 
     def comp(self, elems: Iterable[int]) -> tuple[int, ...]:
-        return tuple_of(self.comp_mask(self._solution_input(elems)))
+        return bits(self.comp_mask(self._solution_input(elems)))
 
     def _adjacent_mask(self, mask: int) -> int:
         """The elements adjacent to a set of a connected family: the union of
@@ -302,12 +292,12 @@ class Problem:
         candidates for every element outside it, in ascending element order,
         each kept at its first occurrence."""
         full = (1 << self.ground_size) - 1
-        return self._neighbor_loop(smask, tuple_of(full & ~smask), self.comp_mask)
+        return self._neighbor_loop(smask, bits(full & ~smask), self.comp_mask)
 
     def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
         """``neighbor_masks`` of a maximal solution as sorted tuples, with
         element ids checked; any other set raises ContractViolation."""
-        return [tuple_of(m) for m in self.neighbor_masks(self._maximal_mask(solution))]
+        return [bits(m) for m in self.neighbor_masks(self._maximal_mask(solution))]
 
     # -- instrumentation / test surface ---------------------------------
     def comp_budget(self) -> int:
@@ -355,7 +345,7 @@ class PspaceProblem(GraphProblem):
         ids checked; any other set raises ContractViolation."""
         self._mask((w,))  # checks w
         smask = self._maximal_mask(solution)
-        return [tuple_of(m) for m in self.neighbor_masks_at(smask, w)]
+        return [bits(m) for m in self.neighbor_masks_at(smask, w)]
 
     def neighbor_masks_at(self, smask: int, w: int) -> tuple[int, ...]:
         """Canonical-reconstruction candidates for an extender w of the

@@ -28,8 +28,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from ..graphs import Graph, mask_of, spanned_masks
-from .base import GraphProblem, tuple_of
+from ..graphs import Graph, bits, mask_of, spanned_masks
+from .base import GraphProblem
 
 # certificates kept per element in a run: a miss scans them all, and with
 # no cap lists grew to 147 on G(22, 50) at k = 2, whose runs then took 1.2
@@ -120,7 +120,7 @@ class KDegenerateInduced(_KDegenerate):
 
     def _candidates(self, smask: int, incoming):
         for v in incoming:
-            nb = tuple_of(self.g.und_mask[v] & smask)
+            nb = bits(self.g.und_mask[v] & smask)
             base = (smask & ~mask_of(nb)) | (1 << v)
             for size in range(min(self.k, len(nb)) + 1):
                 for kept in combinations(nb, size):
@@ -171,7 +171,7 @@ class KDegenerateEdge(_KDegenerate):
     def _candidates(self, emask: int, incoming):
         for e in incoming:
             for w in self.g.edges[e]:
-                inc = tuple_of(self.g.edge_mask_at[w] & emask)
+                inc = bits(self.g.edge_mask_at[w] & emask)
                 base = (emask & ~self.g.edge_mask_at[w]) | (1 << e)
                 for size in range(min(self.k - 1, len(inc)) + 1):
                     for kept in combinations(inc, size):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..graphs import bits, chordal_cliques, mask_cc, mask_components
-from .base import GraphProblem, tuple_of
+from .base import GraphProblem
 
 
 class _ProperIntervalBase(GraphProblem):
@@ -33,7 +33,7 @@ class _ProperIntervalBase(GraphProblem):
         comes next in that order, if one starts there.
         """
         und = self.g.und_mask
-        verts = tuple_of(cmask)
+        verts = bits(cmask)
         for start in verts:
             order, pre = [start], [0, 1 << start]  # pre[i]: mask of order[:i]
             while len(order) < len(verts):

@@ -64,7 +64,7 @@ from typing import Iterable, Optional
 from .engine import Counters, drain, walk
 from .graphs import ContractViolation, bits, mask_of
 from .problems import PSPACE_VARIANTS
-from .problems.base import PspaceProblem, bfs_order, tuple_of
+from .problems.base import PspaceProblem, bfs_order
 
 LEX_MEMO_CAP = 1024  # the most entries a run keeps in its completion memo
 
@@ -95,7 +95,7 @@ def comp_lex(problem: PspaceProblem, elems: Iterable[int]) -> tuple[int, ...]:
     ContractViolation; the traversal itself completes masks with
     ``PspaceProblem.comp_lex_mask``, which takes them on trust."""
     _require_forest_order(problem)
-    return tuple_of(problem.comp_lex_mask(problem._solution_input(elems)))
+    return bits(problem.comp_lex_mask(problem._solution_input(elems)))
 
 
 def _core_scan(problem: PspaceProblem, order: list[int], smask: int,
@@ -139,8 +139,8 @@ def core_of(problem: PspaceProblem, solution) -> Optional[tuple[list[int], int]]
 
 def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     """Whether the child mask ``cmask`` has the parent mask ``pmask`` and the
-    pivot w, an element of the child; a w outside it raises
-    ContractViolation.
+    pivot w, an element of the child; a w outside it, or not an int id,
+    raises ContractViolation.
 
     With i the position of w in the child's solution order, this is exactly
     ``core_of(child) == (order[:i], w) and comp_lex(order[:i]) == parent``,
@@ -153,6 +153,8 @@ def has_parent(problem: PspaceProblem, cmask: int, pmask: int, w: int) -> bool:
     alone, and nothing is kept between calls.
     """
     _require_forest_order(problem)
+    if type(w) is not int or w < 0:
+        raise ContractViolation(f"pivot {w!r} is not an element id")
     if not (cmask >> w) & 1:
         raise ContractViolation(f"pivot {w} is not in the child")
     if pmask == cmask:
@@ -212,13 +214,14 @@ def restr(problem: PspaceProblem, solution) -> tuple[int, ...]:
     for rmask in problem.neighbor_masks_at(pmask, w):
         # the order on r is rooted at s, so r must hold s (it holds w)
         if (rmask >> s) & 1 and _regenerate(problem, rmask, s, w) == smask:
-            return tuple_of(rmask)
+            return bits(rmask)
     raise ContractViolation("no candidate regenerates the solution")
 
 
 def children(problem: PspaceProblem, pmask: int, w: int):
     """Yield, as masks, exactly the maximal solutions whose parent is the
-    mask ``pmask`` and whose pivot is ``w``, each once.
+    mask ``pmask`` and whose pivot is ``w``, each once; a w that is not an
+    int in 0..n-1 raises ContractViolation before any candidate is built.
 
     ``has_parent`` accepts a child only when the elements before w in its
     order, a non-empty prefix, lie inside the parent.  So the whole pair
@@ -253,6 +256,9 @@ def children(problem: PspaceProblem, pmask: int, w: int):
     regenerates it, so a later pair would only repeat the verdict.
     """
     _require_forest_order(problem)
+    n = problem.ground_size
+    if type(w) is not int or not 0 <= w < n:
+        raise ContractViolation(f"pivot {w!r} is not an element id in 0..{n - 1}")
     if (pmask >> w) & 1:
         return
     und = problem.g.und_mask

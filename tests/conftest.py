@@ -61,15 +61,20 @@ def exp_solutions(inst) -> list:
 
 def components(g, s):
     """Connected components of G[s] (arcs taken as undirected), each a set,
-    ordered by smallest vertex: a plain BFS over ``und_adj``, independent of
-    the bitmask helpers the package uses."""
+    ordered by smallest vertex: a plain BFS over neighbor sets read from
+    ``g.edges``, independent of the bitmask tables and helpers the package
+    uses."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     left = set(s)
     out = []
     while left:
         comp = {min(left)}
         todo = list(comp)
         while todo:
-            for w in g.und_adj[todo.pop()]:
+            for w in nbrs[todo.pop()]:
                 if w in left and w not in comp:
                     comp.add(w)
                     todo.append(w)

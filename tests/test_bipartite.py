@@ -1,7 +1,7 @@
 import random
 
 from maxenum import Graph, brute_force_maximal, make_instance
-from maxenum.graphs import mask_of
+from maxenum.graphs import bits, mask_of
 from maxenum.problems.bipartite import _two_color_masks
 
 from conftest import complete, components, cycle, exp_solutions, random_graph, triangle
@@ -37,7 +37,7 @@ def _two_colorable(g, cand):
         stack = [s]
         while stack:
             u = stack.pop()
-            for w in g.und_adj[u]:
+            for w in bits(g.und_mask[u]):
                 if w not in cand:
                     continue
                 if w not in color:

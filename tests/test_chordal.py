@@ -5,7 +5,6 @@ import pytest
 
 from maxenum import brute_force_maximal, make_instance
 from maxenum.graphs import Graph, bits, mask_components, mask_of
-from maxenum.problems.base import tuple_of
 
 from conftest import complete, cycle, exp_solutions, random_graph, triangle
 from proximity import canonical_order
@@ -22,7 +21,7 @@ def kept_cliques(inst, solution, v):
     """The clique around v that each candidate of the induced rule keeps:
     the candidate's part of v's closed neighborhood."""
     closed = inst.g.und_mask[v] | 1 << v
-    return [tuple_of(c & closed) for c in inst._candidates(mask_of(solution), (v,))]
+    return [bits(c & closed) for c in inst._candidates(mask_of(solution), (v,))]
 
 
 def test_cliques_at_examples():
@@ -42,7 +41,7 @@ def _brute_max_cliques(g, cand):
     cand = sorted(cand)
     for size in range(len(cand), 0, -1):
         for sub in itertools.combinations(cand, size):
-            if all(v in g.und_adj[u] for u, v in itertools.combinations(sub, 2)):
+            if all(v in bits(g.und_mask[u]) for u, v in itertools.combinations(sub, 2)):
                 if not any(set(sub) < set(c) for c in out):
                     out.append(sub)
     return sorted(out)
@@ -61,7 +60,7 @@ def test_cliques_at_are_maximal_cliques():
             expect = _brute_max_cliques(g, set(s) | {v})
             expect = sorted(c for c in expect if v in c)
             assert sorted(got) == expect
-            assert len(got) <= len([u for u in g.und_adj[v] if u in s]) + 1
+            assert len(got) <= len([u for u in bits(g.und_mask[v]) if u in s]) + 1
 
 
 def test_neighbors_c4_replay():
@@ -111,8 +110,8 @@ def test_reverse_elimination_clique_property():
             for s in sols:
                 order = canonical_order(inst, s)
                 for i, v in enumerate(order):
-                    before = [u for u in order[:i] if u in g.und_adj[v]]
-                    assert all(b in g.und_adj[a]
+                    before = [u for u in order[:i] if u in bits(g.und_mask[v])]
+                    assert all(b in bits(g.und_mask[a])
                                for a, b in itertools.combinations(before, 2))
 
 

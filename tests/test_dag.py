@@ -134,9 +134,9 @@ def order_is_layered(out_nbrs, in_nbrs, und_nbrs, order) -> bool:
 
 
 def _restricted(g, sset):
-    out = {v: [u for u in g.out_adj[v] if u in sset] for v in sset}
-    inc = {v: [u for u in g.in_adj[v] if u in sset] for v in sset}
-    und = {v: [u for u in g.und_adj[v] if u in sset] for v in sset}
+    out = {v: [u for u in bits(g.out_mask[v]) if u in sset] for v in sset}
+    inc = {v: [u for u in bits(g.in_mask[v]) if u in sset] for v in sset}
+    und = {v: [u for u in bits(g.und_mask[v]) if u in sset] for v in sset}
     return out, inc, und
 
 

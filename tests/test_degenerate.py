@@ -3,7 +3,7 @@ import random
 import pytest
 
 from maxenum import PartialOutputError, brute_force_maximal, enumerate_exp, make_instance
-from maxenum.graphs import Graph
+from maxenum.graphs import Graph, bits
 from maxenum.problems.base import Problem
 from maxenum.problems.degenerate import CORE_CAP
 
@@ -39,7 +39,7 @@ def test_comp_identity_and_greedy():
 def _greedy_mis(g):
     taken = []
     for v in range(g.n):
-        if all(w not in g.und_adj[v] for w in taken):
+        if all(w not in bits(g.und_mask[v]) for w in taken):
             taken.append(v)
     return tuple(taken)
 
@@ -74,8 +74,8 @@ def test_k0_equals_mis_oracle():
         mis = []
         for mask in range(1 << g.n):
             cand = [v for v in range(g.n) if (mask >> v) & 1]
-            indep = all(w not in g.und_adj[u] for u in cand for w in cand)
-            if indep and all(any(w in g.und_adj[u] for w in cand)
+            indep = all(w not in bits(g.und_mask[u]) for u in cand for w in cand)
+            if indep and all(any(w in bits(g.und_mask[u]) for w in cand)
                              for u in range(g.n) if u not in cand):
                 mis.append(tuple(cand))
         assert sorted(sols) == sorted(mis)

@@ -15,6 +15,7 @@ import pytest
 
 import maxenum.pspace as pspace_mod
 from maxenum import enumerate_exp, enumerate_pspace, make_instance
+from maxenum.graphs import bits
 from maxenum.problems import PSPACE_VARIANTS
 
 from conftest import chained_triangles, components, cycle, disjoint_triangles, sparse_gnm
@@ -128,7 +129,7 @@ def test_forests_equal_one_degenerate_induced():
 def count_maximal_independent_sets(g):
     """Bron–Kerbosch with Tomita pivoting on the complement of g, whose
     maximal cliques are the maximal independent sets of g; plain sets."""
-    other = [set(range(g.n)) - set(g.und_adj[u]) - {u} for u in range(g.n)]
+    other = [set(range(g.n)) - set(bits(g.und_mask[u])) - {u} for u in range(g.n)]
 
     def expand(p, x):
         if not p:

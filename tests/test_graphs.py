@@ -8,7 +8,7 @@ from maxenum import make_instance
 from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, chordal_cliques,
                             load_graph, mask_cc, mask_dists, mask_of, span_depth,
                             spanned_masks)
-from maxenum.problems.base import bfs_order, tuple_of
+from maxenum.problems.base import bfs_order
 from maxenum.problems.bipartite import _two_color_masks
 from maxenum.problems.dag import _acyclic
 from maxenum.problems.degenerate import _peel_core
@@ -47,7 +47,7 @@ def test_load_triangle():
     g = load_graph("3 3\n0 1\n1 2\n0 2")
     assert g.n == 3 and g.m == 3 and not g.directed
     assert g.edges == ((0, 1), (1, 2), (0, 2))
-    assert g.und_adj[0] == (1, 2)
+    assert bits(g.und_mask[0]) == (1, 2)
 
 
 def test_load_edgeless():
@@ -59,8 +59,8 @@ def test_load_edgeless():
 def test_load_directed_path():
     g = load_graph("3 2 directed\n0 1\n1 2")
     assert g.directed
-    assert g.out_adj[0] == (1,) and g.in_adj[1] == (0,)
-    assert g.out_adj[2] == () and g.und_adj[1] == (0, 2)
+    assert bits(g.out_mask[0]) == (1,) and bits(g.in_mask[1]) == (0,)
+    assert bits(g.out_mask[2]) == () and bits(g.und_mask[1]) == (0, 2)
 
 
 def test_load_comments_and_duplicates():
@@ -279,7 +279,7 @@ def _chordal_brute(g, s):
     for size in range(4, len(s) + 1):
         import itertools
         for sub in itertools.combinations(s, size):
-            deg = {u: [w for w in g.und_adj[u] if w in sub] for u in sub}
+            deg = {u: [w for w in bits(g.und_mask[u]) if w in sub] for u in sub}
             if any(len(d) != 2 for d in deg.values()):
                 continue
             if len(connected_component(g, sub, sub[0])) == len(sub):
@@ -417,11 +417,11 @@ def test_graph_tables_match_sets_of_edges():
         assert [set(bits(m)) for m in g.out_arcs] == leaving
         assert [set(bits(m)) for m in g.in_arcs] == entering
         assert [set(bits(m)) for m in g.edge_mask_at] == at
-        for masks, adj, sets in ((g.und_mask, g.und_adj, und), (g.out_mask, g.out_adj, out),
-                                 (g.in_mask, g.in_adj, inc)):
-            assert type(masks) is tuple and type(adj) is tuple and len(adj) == n
+        for masks, sets in ((g.und_mask, und), (g.out_mask, out), (g.in_mask, inc)):
+            assert type(masks) is tuple and len(masks) == n
             assert [set(bits(m)) for m in masks] == sets
-            assert adj == tuple(tuple(sorted(a)) for a in sets)
+        # neighbors are listed off the masks: no graph keeps list views
+        assert not any(hasattr(g, name) for name in ("und_adj", "out_adj", "in_adj"))
     # an undirected graph keeps an edge as given, a digraph both arcs of a
     # pair, and a repeated arc is refused
     assert antiparallel > 0 and backward > 0
@@ -456,7 +456,7 @@ def test_span_depth_over_graph_arcs_matches_arc_heads():
 
 def layers_witness(g, x, v):
     """(slot, depth, sorted layer) of each BFS layer of G[x], from sets and a
-    plain BFS over ``g.und_adj``: v's component first at slot 0, then every
+    plain BFS over ``bits(g.und_mask[u])``: v's component first at slot 0, then every
     other one from its smallest vertex at slot leader + 1."""
     x, seen, out = set(x), set(), []
     for leader in [v] + sorted(x):
@@ -467,7 +467,7 @@ def layers_witness(g, x, v):
         seen.add(leader)
         while layer:
             out.append((slot, depth, sorted(layer)))
-            layer = {w for u in layer for w in g.und_adj[u] if w in x and w not in seen}
+            layer = {w for u in layer for w in bits(g.und_mask[u]) if w in x and w not in seen}
             seen |= layer
             depth += 1
     return out
@@ -485,13 +485,13 @@ def test_mask_layers_match_set_bfs():
         want = layers_witness(g, x, v)
         assert [(slot, depth, list(bits(layer))) for slot, depth, layer, _ in got] == want
         for _, _, layer, nbrs in got:
-            assert nbrs == mask_of(w for u in bits(layer) for w in g.und_adj[u])
+            assert nbrs == mask_of(w for u in bits(layer) for w in bits(g.und_mask[u]))
         # the flattened layers are the solution order of the pspace families
         keys = order_keys(make_instance("forests", graph=g), mask_of(x), v, x)
         assert [u for _, _, layer, _ in got for u in bits(layer)] == sorted(
             x, key=keys.__getitem__)
         cases["v not smallest"] += v != min(x)
-        cases["isolated vertex"] += any(not set(g.und_adj[u]) & set(x) for u in x)
+        cases["isolated vertex"] += any(not set(bits(g.und_mask[u])) & set(x) for u in x)
         cases["three components"] += len({slot for slot, _, _ in want}) >= 3
     assert min(cases.values()) >= 30, cases
 
@@ -513,7 +513,7 @@ def two_color_witness(g, x):
     joins two vertices of one layer."""
     sides = [0, 0]
     for _, depth, layer in layers_witness(g, x, min(x)) if x else []:
-        if any(w in layer for u in layer for w in g.und_adj[u]):
+        if any(w in layer for u in layer for w in bits(g.und_mask[u])):
             return None
         sides[depth % 2] |= mask_of(layer)
     return tuple(sides)
@@ -535,7 +535,7 @@ def test_two_color_masks_match_set_bfs():
         layers = layers_witness(g, x, min(x)) if x else []
         slots = [slot for slot, _, _ in layers]
         cases["empty mask"] += not x
-        cases["isolated vertex"] += any(not set(g.und_adj[u]) & set(x) for u in x)
+        cases["isolated vertex"] += any(not set(bits(g.und_mask[u])) & set(x) for u in x)
         cases["three components"] += len(set(slots)) >= 3
         cases["edge inside a layer"] += got is None
         cases["component after an even last layer"] += got is not None and any(
@@ -555,7 +555,7 @@ def set_bfs_order(g, s):
         while layer:
             order += sorted(layer)
             left -= layer
-            layer = {w for u in layer for w in g.und_adj[u] if w in left}
+            layer = {w for u in layer for w in bits(g.und_mask[u]) if w in left}
     return order
 
 
@@ -564,7 +564,7 @@ def naive_core(g, s, k):
     at a time: the (k+1)-core, empty iff G[s] is k-degenerate."""
     left = set(s)
     while left:
-        low = [u for u in left if len(set(g.und_adj[u]) & left) <= k]
+        low = [u for u in left if len(set(bits(g.und_mask[u])) & left) <= k]
         if not low:
             break
         left.remove(low[0])
@@ -578,6 +578,19 @@ def naive_forest(g, s):
     return inside == len(s) - len(components(g, s))
 
 
+def test_bits_lists_ids_ascending_as_a_tuple():
+    # against a set-based reference: the empty mask, single bits, seeded
+    # masks, and ints of a thousand bits and more
+    rng = random.Random(23)
+    masks = [0, 1, 1 << 63, 1 << 1000, (1 << 1200) - 1]
+    masks += [1 << rng.randrange(2000) for _ in range(20)]
+    masks += [rng.getrandbits(rng.choice([8, 64, 1000, 1500])) for _ in range(60)]
+    for mask in masks:
+        ids = {i for i in range(mask.bit_length()) if mask >> i & 1}
+        got = bits(mask)
+        assert type(got) is tuple and got == tuple(sorted(ids)), mask
+
+
 def test_inline_bit_scans_match_set_references():
     rng = random.Random(17)
     for _ in range(120):
@@ -589,9 +602,9 @@ def test_inline_bit_scans_match_set_references():
             rng.getrandbits(n) & (rng.getrandbits(n) if i % 2 else full) for i in range(6)]
         for mask in masks:
             s = [u for u in range(n) if mask >> u & 1]
-            assert tuple_of(mask) == tuple(bits(mask)) == tuple(s)
+            assert bits(mask) == tuple(s)
             assert inst._adjacent_mask(mask) == mask_of(
-                w for u in s for w in g.und_adj[u])
+                w for u in s for w in bits(g.und_mask[u]))
             assert _is_forest(g.und_mask, mask) == naive_forest(g, s)
             for k in range(3):
                 core = mask_of(naive_core(g, s, k))
@@ -636,7 +649,7 @@ def naive_acyclic(g, s):
     """Whether G[s] has no directed cycle: sinks can be deleted until s is empty."""
     left = set(s)
     while left:
-        sinks = {u for u in left if not set(g.out_adj[u]) & left}
+        sinks = {u for u in left if not set(bits(g.out_mask[u])) & left}
         if not sinks:
             return False
         left -= sinks
@@ -666,6 +679,6 @@ def test_inline_bit_scans_of_edge_and_twin_kernels_match_set_references():
                 mask_of(ends))
             assert dag_edges._adjacent_mask(emask) == mask_of(
                 e for e, arc in enumerate(g.edges) if ends & set(arc))
-            closed = {u: {u, *twins.g.und_adj[u]} & set(s) for u in s}
+            closed = {u: {u, *bits(twins.g.und_mask[u])} & set(s) for u in s}
             assert twins._twin_classes(mask) == {
                 u: mask_of(w for w in s if closed[w] == closed[u]) for u in s}

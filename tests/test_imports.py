@@ -101,3 +101,31 @@ def test_an_unreferenced_definition_is_found(tmp_path):
                       "__all__ = ['f', 'k']\nsetattr(A, 'm', g)\nf()\n")
     assert [(line, name) for _, line, name in
             unreferenced_definitions([module], [module])] == [(6, "h"), (7, "k")]
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The absolute name of each module the package module at ``path``
+    imports from, relative imports resolved against its package."""
+    package = ["maxenum", *path.relative_to(SRC).parent.parts]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            names.add(".".join(base + ([node.module] if node.module else [])))
+    return names
+
+
+def test_layers_import_downward():
+    # the engines and the oracle work on masks and list ids with graphs.bits,
+    # so none of them reaches into the problem layer; graphs is the bottom
+    for name in ("engine.py", "oracle.py", "graphs.py"):
+        problems = [m for m in imported_modules(SRC / name)
+                    if m == "maxenum.problems" or m.startswith("maxenum.problems.")]
+        assert not problems, (name, problems)
+    assert not [m for m in imported_modules(SRC / "graphs.py")
+                if m.split(".")[0] == "maxenum"]
+    # relative imports resolve, so an empty answer cannot pass the checks above
+    assert "maxenum.problems.base" in imported_modules(SRC / "pspace.py")
+    assert "maxenum.graphs" in imported_modules(SRC / "problems" / "base.py")

@@ -6,7 +6,6 @@ import pytest
 
 from maxenum import Graph, brute_force_maximal, make_instance
 from maxenum.graphs import bits, mask_cc, mask_components, mask_of
-from maxenum.problems.base import tuple_of
 from maxenum.problems.interval import _ProperIntervalBase
 
 from conftest import (build_instance, complete, components, cycle, exp_solutions, path,
@@ -26,14 +25,14 @@ def _brute_unit_order(g, cand):
         for perm in itertools.permutations(comp):
             good = True
             for i, v in enumerate(perm):
-                before = [u for u in perm[:i] if u in g.und_adj[v]]
+                before = [u for u in perm[:i] if u in bits(g.und_mask[v])]
                 if i and not before:
                     good = False
                     break
                 if before != list(perm[i - len(before):i]):
                     good = False
                     break
-                if any(b not in g.und_adj[a]
+                if any(b not in bits(g.und_mask[a])
                        for a, b in itertools.combinations(before, 2)):
                     good = False
                     break
@@ -90,7 +89,7 @@ def layout_witness(inst, cmask):
     set by depth-first search over placements, or None: factorial time when
     no order exists, so only for small sets."""
     und = inst.g.und_mask
-    verts = tuple_of(cmask)
+    verts = bits(cmask)
     order: list[int] = []
     placed = 0
 
@@ -203,7 +202,7 @@ def test_realization_is_exact():
             starts = inst._realize(lay)
             unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):
-                assert (abs(su - sw) < unit) == (w in g.und_adj[u])
+                assert (abs(su - sw) < unit) == (w in bits(g.und_mask[u]))
 
 
 @pytest.mark.parametrize("variant", ["pinterval-induced", "pinterval-induced-connected"])

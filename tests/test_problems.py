@@ -27,7 +27,7 @@ from maxenum import (Graph, PointSetInstance, brute_force_maximal, enumerate_exp
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of, spanned_masks
 from maxenum.problems import (ALL_VARIANTS, GRAPH_VARIANTS, K_VARIANTS, POINT_VARIANTS,
                               PSPACE_VARIANTS)
-from maxenum.problems.base import Problem, PspaceProblem, tuple_of
+from maxenum.problems.base import Problem, PspaceProblem
 from maxenum.problems.degenerate import CORE_CAP
 
 from conftest import (CORPUS_SIZE, build_instance, components, exp_solutions, path,
@@ -225,7 +225,7 @@ def test_connected_solutions_are_twin_solutions_in_one_component(variant, twin):
             plain = make_instance(twin, graph=inst.g)
         for mask in random_masks(rng, inst.ground_size, 40):
             one = len(components(inst.g, bits(mask))) <= 1
-            assert inst.sol(mask) == (plain.sol(mask) and one), (i, tuple_of(mask))
+            assert inst.sol(mask) == (plain.sol(mask) and one), (i, bits(mask))
             split += plain.sol(mask) and not one
     assert split  # the rule decided some masks
 
@@ -240,7 +240,7 @@ def test_dag_set_of_two_components_rejected(variant):
             verts = ({u for e in bits(mask) for u in inst.g.edges[e]}
                      if inst.ground_kind == "e" else bits(mask))
             if len(components(inst.g, verts)) > 1:
-                assert not inst.sol(mask), (i, tuple_of(mask))
+                assert not inst.sol(mask), (i, bits(mask))
                 split += 1
     assert split
 
@@ -267,7 +267,7 @@ def test_engines_ask_sol_only_about_one_component(variant):
 
             def one_component(mask):
                 assert mask == 0 or len(set_components(inst, mask)) == 1, (
-                    engine.__name__, i, tuple_of(mask))
+                    engine.__name__, i, bits(mask))
                 asked.append(mask)
 
             inst.sol = lambda mask: one_component(mask) or sol(mask)
@@ -330,7 +330,7 @@ def test_candidate_contract(variant, corpus, monkeypatch):
             cut = set()
             for v in bits(full & ~smask):
                 for cand in inst._candidates(smask, (v,)):
-                    assert cand & ~smask == 1 << v, (run.index, s, v, tuple_of(cand))
+                    assert cand & ~smask == 1 << v, (run.index, s, v, bits(cand))
                     if inst.connected:
                         [ref] = [c for c in set_components(inst, cand) if v in c]
                         cand = mask_cc(inst.adj_masks, cand, v)
@@ -366,11 +366,11 @@ def test_addable_matches_single_element_scan(variant, corpus):
         for mask in masks:
             scan = [e for e in range(inst.ground_size)
                     if not (mask >> e) & 1 and inst.sol(mask | 1 << e)]
-            assert inst.addable(mask) == scan, (run.index, tuple_of(mask))
-            assert inst.is_maximal_solution(tuple_of(mask)) == (not scan)
+            assert inst.addable(mask) == scan, (run.index, bits(mask))
+            assert inst.is_maximal_solution(bits(mask)) == (not scan)
             if variant in SHARED_LOOP:
                 assert inst.comp_mask(mask) == comp_witness(inst, mask), \
-                    (run.index, tuple_of(mask))
+                    (run.index, bits(mask))
 
 
 def test_connected_completion_rescans_after_each_addition():
@@ -472,7 +472,7 @@ def test_exp_memo_holds_only_completions(variant, corpus, monkeypatch):
                 inst.neighbor_masks(mask_of(s))
         monkeypatch.undo()
         for key, done in memo.items():
-            assert done == comp_witness(inst, key), (run.index, tuple_of(key))
+            assert done == comp_witness(inst, key), (run.index, bits(key))
         unasked += len(memo.keys() - requested)
     assert unasked > 0
 
@@ -556,8 +556,8 @@ def certified_test(inst, x, e):
     assert len(after) <= CORE_CAP
     if new:
         (w,) = new
-        assert not verdict and not w & ~x and not (w >> e) & 1, (tuple_of(x), e, tuple_of(w))
-        assert not inst.sol(w | 1 << e), (tuple_of(x), e, tuple_of(w))
+        assert not verdict and not w & ~x and not (w >> e) & 1, (bits(x), e, bits(w))
+        assert not inst.sol(w | 1 << e), (bits(x), e, bits(w))
     return verdict, not verdict and not new
 
 
@@ -569,7 +569,7 @@ def certified_hits(inst, pairs):
     with inst.run_memos(_comp_memo={}):
         for x, e, verdict in pairs:
             got, hit = certified_test(inst, x, e)
-            assert got == verdict, (inst.g.edges, inst.k, tuple_of(x), e)
+            assert got == verdict, (inst.g.edges, inst.k, bits(x), e)
             hits += hit
     assert inst._cores is None
     return hits
@@ -593,7 +593,7 @@ def test_kdeg_certificates_are_exact(variant, k, corpus, monkeypatch):
 
         def spy(x, e):
             verdict, hit = certified_test(inst, x, e)
-            assert verdict == inst.sol(x | 1 << e), (run.index, tuple_of(x), e)
+            assert verdict == inst.sol(x | 1 << e), (run.index, bits(x), e)
             verdicts[hit] += 1
             return verdict
 
@@ -660,21 +660,21 @@ def test_extension_test_matches_predicate(variant):
             comps = components(g, bits(x))
             for e in bits(inst._reach(x)):
                 verdict = inst.sol(x | 1 << e)
-                assert ok(x, e) == verdict, (g.edges, k, tuple_of(x), e)
+                assert ok(x, e) == verdict, (g.edges, k, bits(x), e)
                 checked += 1
                 if k is not None:
                     pairs.append((x, e, verdict))
                     if (g.und_mask[e] & x).bit_count() > k:
                         walked[verdict, k] += 1
                     continue
-                nb = set(g.und_adj[e])
+                nb = set(bits(g.und_mask[e]))
                 shared = [len(c & nb) > 1 for c in comps if c & nb]
                 if any(shared):
                     walked[verdict, "first" if shared[0] else "later"] += 1
-            assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
+            assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, bits(x))
             if x and isinstance(inst, PspaceProblem):
-                assert (tuple_of(inst.comp_lex_mask(x))
-                        == comp_lex_witness(inst, tuple_of(x))), (g.edges, tuple_of(x))
+                assert (bits(inst.comp_lex_mask(x))
+                        == comp_lex_witness(inst, bits(x))), (g.edges, bits(x))
         if k is not None:
             certified[k] += certified_hits(inst, pairs)
     assert checked > 12000
@@ -719,7 +719,7 @@ def test_edge_extension_test_matches_predicate(variant):
             span = spanned_masks(g, x)[2]
             for e in bits(inst._reach(x)):
                 verdict = inst.sol(x | 1 << e)
-                assert inst._extension_test(x, e) == verdict, (g.edges, k, tuple_of(x), e)
+                assert inst._extension_test(x, e) == verdict, (g.edges, k, bits(x), e)
                 u, v = g.edges[e]
                 if k is None:
                     checked[verdict, (span >> u) & (span >> v) & 1 == 1] += 1
@@ -727,7 +727,7 @@ def test_edge_extension_test_matches_predicate(variant):
                     pairs.append((x, e, verdict))
                     if min((at[u] & x).bit_count(), (at[v] & x).bit_count()) >= k:
                         checked[verdict, k] += 1
-            assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, tuple_of(x))
+            assert inst.comp_mask(x) == comp_witness(inst, x), (g.edges, bits(x))
         if k is not None:
             certified[k] += certified_hits(inst, pairs)
     assert checked.keys() <= SPANNED[variant].keys()
@@ -776,12 +776,12 @@ def test_hull_extension_test_matches_predicate(variant):
             for e in bits(inst._reach(x)):
                 verdict = inst.sol(x | 1 << e)
                 assert inst._extension_test(x, e) == verdict, (interest, obstacles,
-                                                               tuple_of(x), e)
+                                                               bits(x), e)
                 edge = any(on_segment(interest[e], interest[p], o)
                            for p in bits(x) for o in obstacles)
                 checked[verdict, edge] += 1
             assert inst.comp_mask(x) == comp_witness(inst, x), (interest, obstacles,
-                                                                 tuple_of(x))
+                                                                 bits(x))
     assert checked.keys() <= HULLED[variant].keys()
     assert all(checked[key] >= least for key, least in HULLED[variant].items()), checked
 
@@ -820,7 +820,7 @@ def test_engines_complete_only_solutions(variant, engine):
         inst = build_instance(variant, i)
 
         def checked(mask):
-            assert inst.sol(mask), (i, tuple_of(mask))
+            assert inst.sol(mask), (i, bits(mask))
             inputs.append(mask)
 
         observe_completions(inst, checked)

@@ -10,7 +10,7 @@ from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
                      make_instance)
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
-from maxenum.problems.base import Problem, PspaceProblem, bfs_order, tuple_of
+from maxenum.problems.base import Problem, PspaceProblem, bfs_order
 from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
 from conftest import (CORPUS_SIZE, build_instance, chained_triangles, complete, cycle,
@@ -113,7 +113,7 @@ def comp_lex_witness(problem, elems):
     while True:
         ext = [e for e in bits(problem._reach(xmask)) if problem.sol(xmask | 1 << e)]
         if not ext:
-            return tuple_of(xmask)
+            return bits(xmask)
         if not xmask:
             raise ContractViolation("an empty set has no seed")
         v = (xmask & -xmask).bit_length() - 1  # the seed: smallest element
@@ -234,7 +234,7 @@ def test_order_keys_connected():
 def order_keys_witness(g, x, v):
     """The order keys of every vertex under the order rooted at v, by the
     rule in the ``order_keys`` docstring, from sets and a plain BFS over
-    ``g.und_adj``: the components of G[X] take slot 0 for v's own and
+    ``bits(g.und_mask[u])``: the components of G[X] take slot 0 for v's own and
     leader + 1 for any other, and an outside vertex joins the touched
     component of least slot when that slot is at most its id."""
     x = set(x)
@@ -246,13 +246,13 @@ def order_keys_witness(g, x, v):
         queue = [leader]
         for u in queue:
             slot[u] = 0 if leader == v else leader + 1
-            for w in g.und_adj[u]:
+            for w in bits(g.und_mask[u]):
                 if w in x and w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
     keys = {}
     for e in range(g.n):
-        touched = [u for u in g.und_adj[e] if u in x]
+        touched = [u for u in bits(g.und_mask[e]) if u in x]
         least = min((slot[u] for u in touched), default=e + 1)
         if e in x:
             keys[e] = (slot[e], dist[e], e)
@@ -295,10 +295,10 @@ def test_lex_pick_matches_order_keys(variant, monkeypatch):
         b = original(self, xmask, ext)
         seed = (xmask & -xmask).bit_length() - 1
         best = min(order_keys(self, xmask, seed, bits(ext)).values())[2]
-        assert b == 1 << best, (variant, self.g.edges, tuple_of(xmask), tuple_of(ext))
+        assert b == 1 << best, (variant, self.g.edges, bits(xmask), bits(ext))
         picked += 1
         own = mask_cc(self.g.und_mask, xmask, seed)
-        beyond += not mask_of(x for u in bits(own) for x in self.g.und_adj[u]) & ext
+        beyond += not mask_of(x for u in bits(own) for x in bits(self.g.und_mask[u])) & ext
         return b
 
     monkeypatch.setattr(PspaceProblem, "_lex_pick", checked)
@@ -370,10 +370,10 @@ def test_bounded_parent_check_matches_core(variant, monkeypatch):
 
     def checked(problem, cmask, pmask, w):
         verdict = original(problem, cmask, pmask, w)
-        cp = core_of(problem, tuple_of(cmask))
+        cp = core_of(problem, bits(cmask))
         expected = (cp is not None and cp[1] == w
-                    and comp_lex(problem, cp[0]) == tuple_of(pmask))
-        assert verdict == expected, (variant, tuple_of(cmask), tuple_of(pmask), w)
+                    and comp_lex(problem, cp[0]) == bits(pmask))
+        assert verdict == expected, (variant, bits(cmask), bits(pmask), w)
         verdicts.append(verdict)
         return verdict
 
@@ -428,6 +428,26 @@ def test_parent_check_needs_the_pivot_in_the_child():
             has_parent(inst, mask_of((1, 2, 3, 4)), mask_of((0, 1, 2, 3)), w)
 
 
+@pytest.mark.parametrize("w", [3, -1, True])
+def test_pivot_must_be_an_element_id(w):
+    # forests on the path 0-1-2, ground set 0..2: ``children`` refuses a
+    # pivot that is not an int in 0..2 before it builds any candidate, and
+    # ``has_parent`` one that is not an int id before it reads the child;
+    # a pivot past the ground set lies outside every child
+    inst = make_instance("forests", graph=path(3))
+
+    def no_candidates(pmask, pivot):
+        raise AssertionError("a candidate was asked for")
+
+    inst.neighbor_masks_at = no_candidates
+    with pytest.raises(ContractViolation, match=fr"pivot {w!r} is not an element id in 0\.\.2"):
+        list(children(inst, 0b111, w))
+    refusal = "is not in the child" if w == 3 else "is not an element id"
+    with pytest.raises(ContractViolation, match=f"pivot {w!r} {refusal}"):
+        has_parent(inst, 0b111, 0b011, w)
+    assert inst.comp_calls == 0
+
+
 def test_regenerate_needs_the_pivot_in_the_candidate():
     # a pivot outside r lies in no layer of r, so the walk would run out
     # of r: it raises before the walk instead of completing the whole of r,
@@ -462,7 +482,7 @@ def test_children_cover_non_roots_once():
     produced = []
     for parent in sols:
         for w in range(5):
-            kids = list(map(tuple_of, children(inst, mask_of(parent), w)))
+            kids = list(map(bits, children(inst, mask_of(parent), w)))
             assert not (kids and w in parent), (parent, w)  # a pivot lies outside its parent
             produced.extend(kids)
     roots = [s for s in sols if comp_lex(inst, s[:1]) == s]
@@ -507,7 +527,7 @@ def children_witness(problem, parent, w):
                 continue
             if not has_parent(problem, cmask, pmask, w):
                 continue
-            if restr_in(tuple_of(cmask), s, cands) != r:
+            if restr_in(bits(cmask), s, cands) != r:
                 continue
             yield cmask
 
@@ -565,7 +585,7 @@ def test_regenerate_matches_witness(variant, monkeypatch):
         got = original(problem, rmask, s, w)
         calls += 1
         outside += not (mask_cc(problem.g.und_mask, rmask, s) >> w) & 1
-        r = tuple_of(rmask)
+        r = bits(rmask)
         assert got == regenerate_witness(problem, r, s, w), (
             variant, problem.g.edges, r, s, w)
         reseeded += not got and not witness_prefix(problem, r, s, w) & ((1 << s) - 1)
@@ -614,7 +634,7 @@ def test_seed_cuts_are_exact(variant, monkeypatch):
 
     def checked(problem, pmask, w):
         nonlocal dropped, empty, rejected, alone
-        parent, und = tuple_of(pmask), problem.g.und_mask
+        parent, und = bits(pmask), problem.g.und_mask
         cut = not pmask & ((1 << w) - 1) or problem.connected and not und[w] & pmask
         if cut and w not in parent:
             assert not any(children_witness(problem, parent, w)), (
@@ -772,12 +792,12 @@ def test_traversal_builds_tuples_only_at_emission(variant, monkeypatch):
     # the walk passes masks: ``children``, which the engine calls through the
     # module name, yields ints, and a run with a sink builds at most one
     # tuple per emitted solution plus one per ground element
-    original_tuple_of, original_children = pspace_mod.tuple_of, pspace_mod.children
+    original_bits, original_children = pspace_mod.bits, pspace_mod.children
 
     def counted(mask):
         nonlocal built
         built += 1
-        return original_tuple_of(mask)
+        return original_bits(mask)
 
     def checked(problem, pmask, w):
         nonlocal yielded
@@ -787,7 +807,7 @@ def test_traversal_builds_tuples_only_at_emission(variant, monkeypatch):
             yielded += 1
             yield cmask
 
-    monkeypatch.setattr(pspace_mod, "tuple_of", counted)
+    monkeypatch.setattr(pspace_mod, "bits", counted)
     monkeypatch.setattr(pspace_mod, "children", checked)
     children_yielded = 0
     for i in (1, 3, 8):
@@ -924,7 +944,7 @@ def test_exp_neighbors_same_inside_a_run(variant):
 
         def probe(sol):
             inside[sol] = inst.neighbors(sol)
-            assert inside[sol] == [tuple_of(m) for m in inst.neighbor_masks(mask_of(sol))]
+            assert inside[sol] == [bits(m) for m in inst.neighbor_masks(mask_of(sol))]
 
         enumerate_exp(inst, emit=probe)
         assert closed("exp", inst) and len(inside) > 0
@@ -1059,13 +1079,13 @@ def test_lex_memo_holds_only_completions(variant, corpus, monkeypatch):
                     list(children(inst, smask, w))
         monkeypatch.undo()
         for key, done in memo.items():
-            full = comp_lex_witness(inst, tuple_of(key))
+            full = comp_lex_witness(inst, bits(key))
             if done < 0:
                 markers += key not in requested
                 reached = ~done
                 assert reached & key == key and reached & -reached < key & -key
-                done = mask_of(comp_lex_witness(inst, tuple_of(reached)))
-            assert done == mask_of(full), (run.index, tuple_of(key))
+                done = mask_of(comp_lex_witness(inst, bits(reached)))
+            assert done == mask_of(full), (run.index, bits(key))
         unasked += len(memo.keys() - requested)
     assert unasked > 0 and markers > 0
 

@@ -1,6 +1,7 @@
 import random
 
 from maxenum import Graph, brute_force_maximal, enumerate_pspace, make_instance
+from maxenum.graphs import bits
 
 from conftest import complete, cycle, exp_solutions, path, random_graph, star, triangle
 from proximity import canonical_order
@@ -51,7 +52,7 @@ def test_single_preceding_neighbor_in_canonical_order():
         for s in sols:
             order = canonical_order(inst, s)
             for i, v in enumerate(order[1:], start=1):
-                assert sum(1 for u in order[:i] if u in g.und_adj[v]) == 1
+                assert sum(1 for u in order[:i] if u in bits(g.und_mask[v])) == 1
 
 
 def test_canonical_order_examples():
