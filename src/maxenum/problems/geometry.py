@@ -79,6 +79,9 @@ class Hulls(Problem):
     ground_kind = "v"
 
     def __init__(self, inst: PointSetInstance):
+        if inst.graph is not None and not self.connected:
+            raise ValueError(f"{self.variant} takes no graph on the points; "
+                             "use hulls-connected")
         super().__init__(len(inst.interest))
         self.inst = inst
 

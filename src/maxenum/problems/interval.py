@@ -5,14 +5,17 @@ arrangement: an ordering in which each vertex's earlier neighbors form a
 clique occupying a suffix of the order.  Recognition builds the
 lexicographically smallest such arrangement greedily, in polynomial time.
 Candidate generation inserts the incoming vertex into an exact integer
-realization of that arrangement at the finitely many combinatorially
-distinct positions, then repairs the arrangement by deleting the vertices
-that contradict it.  Completion lays out only the component that the
-added vertex joins (``_extension_test``).
+realization of an arrangement (``_reps``: the canonical one, its reverse,
+and both with each run of true twins, one closed neighborhood, reordered)
+at the finitely many combinatorially distinct positions, then deletes the
+vertices that contradict it by one rule for both variants (``_repair``).
+Completion lays out only the component that the added vertex joins
+(``_extension_test``).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional
 
 from ..graphs import bits, chordal_cliques, mask_cc, mask_components
@@ -105,44 +108,26 @@ class _ProperIntervalBase(GraphProblem):
             out.extend((s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1))
         return out
 
-    # -- repairs -----------------------------------------------------------
-    def _repair_connected(self, smask: int, order, starts, v: int, sv) -> int:
-        """Drop the vertices contradicting v's inserted interval: everything
-        after v, neighbors that miss it, and overlapping non-neighbors."""
-        nmask = self.g.und_mask[v]
+    # -- repair ------------------------------------------------------------
+    def _repair(self, cmask: int, order, starts, v: int, sv, pinned=None) -> int:
+        """Drop the vertices of ``cmask`` contradicting v's interval at sv:
+        those whose overlap with it disagrees with their adjacency to v,
+        and the later intervals.  With an earlier interval ``pinned``, the
+        order positions strictly between it and v go too, and of the later
+        intervals only those touching v or ``pinned``."""
+        und = self.g.und_mask
+        nmask = und[v]
         unit = 1 << len(order)
+        if pinned is None:
+            stp, later = sv, -1  # nothing lies between; every later interval goes
+        else:
+            stp, later = starts[order.index(pinned)], nmask | und[pinned]
         removed = 0
         for w, sw in zip(order, starts):
-            after = sw > sv
-            overlap = abs(sv - sw) < unit
-            is_nb = (nmask >> w) & 1
-            if after or (is_nb and not overlap) or (overlap and not is_nb):
+            if (stp < sw < sv or (sw > sv and (later >> w) & 1)
+                    or (abs(sv - sw) < unit) != bool((nmask >> w) & 1)):
                 removed |= 1 << w
-        return (smask & ~removed) | (1 << v)
-
-    def _repair_induced(self, cimask: int, order, starts, v: int, sv,
-                        t_prev: int) -> int:
-        """Component repair when a previous interval t_prev is pinned: drop
-        the order positions between t_prev and v, later intervals touching
-        v or t_prev, and v's overlap contradictions."""
-        nmask = self.g.und_mask[v]
-        pmask = self.g.und_mask[t_prev]
-        stp = starts[order.index(t_prev)]
-        unit = 1 << len(order)
-        removed = 0
-        for w, sw in zip(order, starts):
-            b = 1 << w
-            overlap = abs(sv - sw) < unit
-            is_nb = (nmask >> w) & 1
-            if stp < sw < sv:
-                removed |= b
-            elif sw > sv and ((nmask >> w) & 1 or (pmask >> w) & 1):
-                removed |= b
-            elif is_nb and not overlap:
-                removed |= b
-            elif overlap and not is_nb:
-                removed |= b
-        return (cimask & ~removed) | (1 << v)
+        return (cmask & ~removed) | (1 << v)
 
     # -- neighboring ---------------------------------------------------------
     def _hosts(self, smask: int, v: int) -> list[int]:
@@ -171,46 +156,22 @@ class _ProperIntervalBase(GraphProblem):
                     hosts.append(smask & ~diff)
         return list(dict.fromkeys(hosts))
 
-    def _twin_classes(self, cmask: int) -> dict[int, int]:
-        """Map each vertex of the component to its true-twin class mask."""
-        # true twins are the vertices of one closed neighborhood in the component
-        und = self.g.und_mask
-        closed, classes = {}, {}
-        left = cmask
-        while left:
-            low = left & -left
-            u = low.bit_length() - 1
-            c = closed[u] = (und[u] & cmask) | low
-            classes[c] = classes.get(c, 0) | low
-            left ^= low
-        return {u: classes[c] for u, c in closed.items()}
-
     def _reps(self, cmask: int, v: int):
         """Arrangements of a host component worth trying for extender v:
-        the canonical one, its reverse, and both with every run of mutually
-        interchangeable vertices reordered to put v's non-neighbors first."""
+        the canonical one, its reverse, and both with every run of true
+        twins (one closed neighborhood in the component, so interchangeable
+        in any arrangement) reordered to put v's non-neighbors first."""
+        und = self.g.und_mask
+        nmask = und[v]
         lay = self.component_layout(cmask)
-        rev = tuple(reversed(lay))
-        out = [lay, rev]
-        classes = self._twin_classes(cmask)
-        nmask = self.g.und_mask[v]
+        rev = lay[::-1]
 
         def split(order):
-            res = []
-            i = 0
-            while i < len(order):
-                cls = classes[order[i]]
-                j = i
-                while j < len(order) and classes[order[j]] == cls:
-                    j += 1
-                run = order[i:j]
-                res.extend(sorted(run, key=lambda u: ((nmask >> u) & 1, u)))
-                i = j
-            return tuple(res)
+            runs = groupby(order, key=lambda u: (und[u] & cmask) | 1 << u)
+            return tuple([u for _, run in runs
+                          for u in sorted(run, key=lambda u: ((nmask >> u) & 1, u))])
 
-        out.append(split(lay))
-        out.append(split(rev))
-        return list(dict.fromkeys(out))
+        return list(dict.fromkeys((lay, rev, split(lay), split(rev))))
 
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask
@@ -229,7 +190,7 @@ class _ProperIntervalBase(GraphProblem):
                     for order in self._reps(cmask, v):
                         starts = self._realize(order)
                         for sv in self._insert_positions(starts):
-                            cand = self._repair_connected(cmask, order, starts, v, sv)
+                            cand = self._repair(cmask, order, starts, v, sv)
                             if cand not in uncut:
                                 uncut.add(cand)
                                 yield cand
@@ -257,8 +218,7 @@ class _ProperIntervalBase(GraphProblem):
                         for sv in self._insert_positions(starts):
                             if sv <= stp or sv - stp >= unit:
                                 continue  # pinned interval precedes and overlaps v
-                            yield keep | self._repair_induced(ci, order, starts, v,
-                                                              sv, t_prev)
+                            yield keep | self._repair(ci, order, starts, v, sv, t_prev)
 
     def comp_budget(self) -> int:
         # hosts per extender: the solution, the clique prunings, the single

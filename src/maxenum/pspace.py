@@ -306,9 +306,12 @@ def _pspace_masks(problem: PspaceProblem, counters: Counters):
     ``neighbors_calls`` for each pivot it asks ``children`` about and one
     ``child_checks_passed`` for each child yielded."""
     def child_stream(x):
-        for w in bits(~x & ((1 << problem.ground_size) - 1)):
+        rest = ~x & ((1 << problem.ground_size) - 1)  # the pivots, ascending
+        while rest:
+            low = rest & -rest
+            rest ^= low
             counters.neighbors_calls += 1
-            for cmask in children(problem, x, w):
+            for cmask in children(problem, x, low.bit_length() - 1):
                 counters.child_checks_passed += 1
                 yield cmask
 

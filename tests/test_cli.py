@@ -127,6 +127,17 @@ def test_k_options_rejected_outside_kdeg(k4_file, capsys, extra):
     assert "apply only to: kdeg-induced, kdeg-edge" in err
 
 
+def test_plain_hulls_refuses_a_point_graph(tmp_path, capsys):
+    # the connected marker brings a graph, which only hulls-connected reads
+    p = tmp_path / "pts.txt"
+    p.write_text("3 1 connected\n0 0\n6 0\n0 6\n2 2\n0 1\n1 2\n")
+    code, out, err = run_cli(["--problem", "hulls", "--input", str(p)], capsys)
+    assert code == 1 and out == ""
+    assert "use hulls-connected" in err
+    code, out, _ = run_cli(["--problem", "hulls-connected", "--input", str(p)], capsys)
+    assert code == 0 and out
+
+
 def test_directed_mismatch_exits_1(tmp_path, capsys):
     p = tmp_path / "d.txt"
     p.write_text("3 2 directed\n0 1\n1 2\n")

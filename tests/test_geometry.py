@@ -185,10 +185,12 @@ def _lattice_sets(rng, count):
 
 
 def _kernel_cases():
-    """The corpus hull instances' point sets, then small-lattice sets."""
+    """The corpus hull instances' point sets, without the connected
+    variant's graph, which plain hulls refuses, then small-lattice sets."""
     for variant in POINT_VARIANTS:
         for i in range(CORPUS_SIZE):
-            yield build_instance(variant, i).inst
+            points = build_instance(variant, i).inst
+            yield PointSetInstance(points.interest, points.obstacles)
     yield from _lattice_sets(random.Random(211), 150)
 
 
@@ -492,6 +494,14 @@ def test_load_points_errors(text, fragment):
 def test_connected_variant_needs_graph():
     with pytest.raises(ValueError):
         make_instance("hulls-connected", points=tri_with_centroid())
+
+
+def test_plain_variant_refuses_a_graph():
+    # a graph on the points is the connected variant's input, never ignored
+    points = PointSetInstance([(0, 0), (2, 0)], [], Graph(2, [(0, 1)]))
+    with pytest.raises(ValueError, match="use hulls-connected"):
+        make_instance("hulls", points=points)
+    assert make_instance("hulls-connected", points=points).g is points.graph
 
 
 def test_connected_variant_refuses_directed_graph():

@@ -656,8 +656,24 @@ def naive_acyclic(g, s):
     return True
 
 
+def naive_twin_runs(order, closed, nmask):
+    """The order with each maximal run of equal closed neighborhoods sorted
+    by (adjacent to the vertex of ``nmask``, id)."""
+    def key(w):
+        return w in bits(nmask), w
+
+    out, run = [], []
+    for u in order:
+        if run and closed[u] != closed[run[0]]:
+            out += sorted(run, key=key)
+            run = []
+        run.append(u)
+    return tuple(out + sorted(run, key=key))
+
+
 def test_inline_bit_scans_of_edge_and_twin_kernels_match_set_references():
     rng = random.Random(18)
+    reordered = 0
     for _ in range(60):
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.8]), directed=True)
@@ -680,5 +696,13 @@ def test_inline_bit_scans_of_edge_and_twin_kernels_match_set_references():
             assert dag_edges._adjacent_mask(emask) == mask_of(
                 e for e, arc in enumerate(g.edges) if ends & set(arc))
             closed = {u: {u, *bits(twins.g.und_mask[u])} & set(s) for u in s}
-            assert twins._twin_classes(mask) == {
-                u: mask_of(w for w in s if closed[w] == closed[u]) for u in s}
+            v = rng.randrange(n)
+            for c in map(mask_of, components(twins.g, s)):
+                lay = twins.component_layout(c)
+                if lay is not None:
+                    rev = lay[::-1]
+                    runs = [naive_twin_runs(o, closed, twins.g.und_mask[v]) for o in (lay, rev)]
+                    expected = list(dict.fromkeys((lay, rev, *runs)))
+                    assert twins._reps(c, v) == expected, (s, c, v)
+                    reordered += len(expected) > 2
+    assert reordered

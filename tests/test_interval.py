@@ -235,8 +235,74 @@ def test_insertion_lemma_and_touching_components(variant, monkeypatch):
                         assert at[0] + (1 << len(order)) < starts[0]
                         # a touching component: the first position alone
                         for sv in at[:1] if c & und[v] else at:
-                            cand = inst._repair_connected(c, order, starts, v, sv)
+                            cand = inst._repair(c, order, starts, v, sv)
                             assert mask_cc(und, cand, v) == 1 << v
+
+
+# -- the two repairs that one rule replaced, kept as its witnesses ----------
+
+def repair_connected(inst, smask, order, starts, v, sv):
+    """Drop the vertices contradicting v's inserted interval: everything
+    after v, neighbors that miss it, and overlapping non-neighbors."""
+    nmask = inst.g.und_mask[v]
+    unit = 1 << len(order)
+    removed = 0
+    for w, sw in zip(order, starts):
+        after = sw > sv
+        overlap = abs(sv - sw) < unit
+        is_nb = (nmask >> w) & 1
+        if after or (is_nb and not overlap) or (overlap and not is_nb):
+            removed |= 1 << w
+    return (smask & ~removed) | (1 << v)
+
+
+def repair_induced(inst, cimask, order, starts, v, sv, t_prev):
+    """Component repair when a previous interval t_prev is pinned: drop
+    the order positions between t_prev and v, later intervals touching
+    v or t_prev, and v's overlap contradictions."""
+    nmask = inst.g.und_mask[v]
+    pmask = inst.g.und_mask[t_prev]
+    stp = starts[order.index(t_prev)]
+    unit = 1 << len(order)
+    removed = 0
+    for w, sw in zip(order, starts):
+        b = 1 << w
+        overlap = abs(sv - sw) < unit
+        is_nb = (nmask >> w) & 1
+        if stp < sw < sv:
+            removed |= b
+        elif sw > sv and ((nmask >> w) & 1 or (pmask >> w) & 1):
+            removed |= b
+        elif is_nb and not overlap:
+            removed |= b
+        elif overlap and not is_nb:
+            removed |= b
+    return (cimask & ~removed) | (1 << v)
+
+
+@pytest.mark.parametrize("variant", ["pinterval-induced", "pinterval-induced-connected"])
+def test_one_repair_matches_both_witnesses(variant):
+    # every host component, arrangement and insertion position the rule
+    # tries, unpinned and pinned at each neighbor of v in the component; a
+    # pin is checked at every position, not only where the rule uses it
+    pinned = 0
+    for i in range(12):
+        inst = build_instance(variant, i)
+        und = inst.g.und_mask
+        for s in exp_solutions(inst)[:4]:
+            smask = mask_of(s)
+            for v in bits((1 << inst.g.n) - 1 & ~smask):
+                for c in {c for h in inst._hosts(smask, v) for c in mask_components(und, h)}:
+                    for order in inst._reps(c, v):
+                        starts = inst._realize(order)
+                        for sv in inst._insert_positions(starts):
+                            assert (inst._repair(c, order, starts, v, sv)
+                                    == repair_connected(inst, c, order, starts, v, sv))
+                            for t in bits(und[v] & c):
+                                pinned += 1
+                                assert (inst._repair(c, order, starts, v, sv, t)
+                                        == repair_induced(inst, c, order, starts, v, sv, t))
+    assert pinned > 10_000
 
 
 # -- the rational realization, kept as the witness of the integer one ------

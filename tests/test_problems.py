@@ -219,8 +219,9 @@ def test_connected_solutions_are_twin_solutions_in_one_component(variant, twin):
     split = 0
     for i in range(20):
         inst = build_instance(variant, i)
-        if twin == "hulls":
-            plain = make_instance(twin, points=inst.inst)
+        if twin == "hulls":  # the same points without the graph, which hulls refuses
+            plain = make_instance(twin, points=PointSetInstance(inst.inst.interest,
+                                                                inst.inst.obstacles))
         else:
             plain = make_instance(twin, graph=inst.g)
         for mask in random_masks(rng, inst.ground_size, 40):

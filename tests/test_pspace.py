@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import maxenum.engine as engine_mod
 import maxenum.pspace as pspace_mod
 from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
                      make_instance)
@@ -790,14 +791,18 @@ def test_pspace_limit_prefix():
 @pytest.mark.parametrize("variant", PSPACE_VARIANTS)
 def test_traversal_builds_tuples_only_at_emission(variant, monkeypatch):
     # the walk passes masks: ``children``, which the engine calls through the
-    # module name, yields ints, and a run with a sink builds at most one
-    # tuple per emitted solution plus one per ground element
-    original_bits, original_children = pspace_mod.bits, pspace_mod.children
+    # module name, yields ints, the walk scans its pivots without listing
+    # them, and a run with a sink builds one tuple per emitted solution, the
+    # engine's emission
+    original_children = pspace_mod.children
 
-    def counted(mask):
-        nonlocal built
-        built += 1
-        return original_bits(mask)
+    def counting(module):
+        original = module.bits
+
+        def counted(mask):
+            built[module.__name__] += 1
+            return original(mask)
+        return counted
 
     def checked(problem, pmask, w):
         nonlocal yielded
@@ -807,16 +812,19 @@ def test_traversal_builds_tuples_only_at_emission(variant, monkeypatch):
             yielded += 1
             yield cmask
 
-    monkeypatch.setattr(pspace_mod, "bits", counted)
+    for module in (pspace_mod, engine_mod):
+        monkeypatch.setattr(module, "bits", counting(module))
     monkeypatch.setattr(pspace_mod, "children", checked)
     children_yielded = 0
     for i in (1, 3, 8):
         inst, got = build_instance(variant, i), []
-        built = yielded = 0
+        built = {"maxenum.pspace": 0, "maxenum.engine": 0}
+        yielded = 0
         counters = enumerate_pspace(inst, emit=got.append)
         assert got and all(type(sol) is tuple for sol in got)
         assert yielded == len(got) - counters.roots_found, (i, yielded)
-        assert built <= counters.solutions_emitted + inst.ground_size, (i, built)
+        assert built == {"maxenum.pspace": 0,
+                         "maxenum.engine": counters.solutions_emitted}, (i, built)
         children_yielded += yielded
     assert children_yielded > 0
 

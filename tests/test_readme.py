@@ -77,7 +77,10 @@ def test_a_removed_name_does_not_resolve():
                  "Hulls.obstacles_inside", "graphs.mask_layers", "Problem._sol_eval",
                  "degenerate._peel_ok_vertices", "BipartiteEdge.ends", "ChordalEdge.ends",
                  "DagEdgeConnected.heads", "DagEdgeConnected.out_arcs", "Graph.und_adj",
-                 "Graph.out_adj", "Graph.in_adj", "base.tuple_of"):
+                 "Graph.out_adj", "Graph.in_adj", "base.tuple_of",
+                 "ProperIntervalInduced._repair_connected",
+                 "ProperIntervalInduced._repair_induced",
+                 "ProperIntervalInduced._twin_classes"):
         with pytest.raises(AttributeError):
             resolve(name)
     assert resolve("Graph.und_mask") == Graph(2, [(0, 1)]).und_mask
