@@ -63,7 +63,10 @@ Every run has its engine's completion memo (``_comp_memo`` for
 ``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``, capped by
 ``_LexMemo``).  The kdeg families also open a capped memo of (k+1)-core
 certificates (``_cores``, in ``degenerate``), which rejects an element
-unpeeled and changes no verdict.
+unpeeled and changes no verdict, and the pinterval families a memo of
+component layouts by mask (``_layouts``, in ``interval``), which their
+extension test and candidate rule read instead of laying a component out
+again.
 """
 
 from __future__ import annotations

@@ -4,17 +4,26 @@ A vertex set is a solution when every component admits a unit-interval
 arrangement: an ordering in which each vertex's earlier neighbors form a
 clique occupying a suffix of the order.  Recognition builds the
 lexicographically smallest such arrangement greedily, in polynomial time.
+Inside a run (``run_memos``) each component's layout, or None, is kept by
+its mask (``_layouts``), and both the extension test and the candidate
+rule read it, so a run lays out each component once; outside a run none
+is kept.  Completion lays out only the component that the added vertex
+joins (``_extension_test``).
 Candidate generation inserts the incoming vertex into an exact integer
 realization of an arrangement (``_reps``: the canonical one, its reverse,
 and both with each run of true twins, one closed neighborhood, reordered)
 at the finitely many combinatorially distinct positions, then deletes the
 vertices that contradict it by one rule for both variants (``_repair``).
-Completion lays out only the component that the added vertex joins
-(``_extension_test``).
+Each arrangement is realized once per ``neighbor_masks`` call, into a
+table (``_table``) of its prefix masks and of the distinct signatures of
+its positions: the masks of the intervals a new one there overlaps,
+follows and precedes.  A repair is then three mask operations, and a
+position whose signature repeats is not repaired again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 from typing import Optional
 
@@ -23,6 +32,13 @@ from .base import GraphProblem
 
 
 class _ProperIntervalBase(GraphProblem):
+    _layouts = None  # component layouts of an enumerate run in progress, by mask
+
+    def run_memos(self, **engine_memos):
+        """The engine's run memos, and the run's component layouts
+        (``_layouts``)."""
+        return super().run_memos(_layouts={}, **engine_memos)
+
     # -- recognition -----------------------------------------------------
     def component_layout(self, cmask: int) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest unit-interval order of a connected
@@ -57,6 +73,16 @@ class _ProperIntervalBase(GraphProblem):
                 return tuple(order)
         return None if verts else ()
 
+    def _layout(self, cmask: int) -> Optional[tuple[int, ...]]:
+        """``component_layout(cmask)``, kept by its mask inside a run."""
+        memo = self._layouts
+        if memo is None:
+            return self.component_layout(cmask)
+        lay = memo.get(cmask, False)
+        if lay is False:
+            lay = memo[cmask] = self.component_layout(cmask)
+        return lay
+
     def _solution_mask(self, mask: int) -> bool:
         # the base has already made a connected variant's set one component
         comps = [mask] if self.connected else mask_components(self.g.und_mask, mask)
@@ -64,12 +90,13 @@ class _ProperIntervalBase(GraphProblem):
 
     def _extension_test(self, x: int, e: int) -> bool:
         # the other components of x + e are components of the solution x
-        return self.component_layout(mask_cc(self.g.und_mask, x | 1 << e, e)) is not None
+        return self._layout(mask_cc(self.g.und_mask, x | 1 << e, e)) is not None
 
     # -- realization and insertion ----------------------------------------
     def _realize(self, order) -> list[int]:
         """Exact integer start positions for a component arrangement, for
-        intervals of length ``1 << len(order)``.
+        intervals of length ``1 << len(order)``; ``_table`` calls it once
+        per arrangement and ``neighbor_masks`` call.
 
         Starts strictly increase and overlap holds exactly for graph edges
         (|difference| < the length); midpoint choices leave slack around
@@ -96,38 +123,45 @@ class _ProperIntervalBase(GraphProblem):
             placed |= 1 << x
         return starts
 
-    def _insert_positions(self, starts) -> list[int]:
-        """Candidate start positions of a new interval: for every existing
-        interval, just before/after its start is reached by the new right
-        end, exactly aligned, and just before/after its end is passed by the
-        new left end.  Starts and boundaries are even, so an offset of 1
-        lands strictly between two of them."""
-        unit = 1 << len(starts)
-        out = []
+    def _table(self, order) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+        """The insertion table of an arrangement: the mask of each vertex
+        and those before it in the order, and the distinct signatures
+        (overlapped, later, earlier) of the start positions of a new
+        interval, in order of first occurrence: the masks of the intervals
+        it overlaps, that start after it and that start before it.  The
+        positions are, for every existing interval, just before/after its
+        start is reached by the new right end, exactly aligned, and just
+        before/after its end is passed by the new left end; starts and
+        boundaries are even, so an offset of 1 lands strictly between two
+        of them.  The starts strictly increase, so each mask is the
+        difference of two prefix masks of the order, found by bisection."""
+        starts = self._realize(order)
+        unit = 1 << len(order)
+        pre = [0]  # pre[i]: mask of order[:i]
+        for u in order:
+            pre.append(pre[-1] | 1 << u)
+        full = pre[-1]
+        sigs: dict[tuple[int, int, int], None] = {}
         for s in starts:
-            out.extend((s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1))
-        return out
+            for sv in (s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1):
+                sigs[(pre[bisect_left(starts, sv + unit)] ^ pre[bisect_right(starts, sv - unit)],
+                      full ^ pre[bisect_right(starts, sv)],
+                      pre[bisect_left(starts, sv)])] = None
+        return dict(zip(order, pre[1:])), list(sigs)
 
     # -- repair ------------------------------------------------------------
-    def _repair(self, cmask: int, order, starts, v: int, sv, pinned=None) -> int:
-        """Drop the vertices of ``cmask`` contradicting v's interval at sv:
-        those whose overlap with it disagrees with their adjacency to v,
-        and the later intervals.  With an earlier interval ``pinned``, the
-        order positions strictly between it and v go too, and of the later
-        intervals only those touching v or ``pinned``."""
-        und = self.g.und_mask
-        nmask = und[v]
-        unit = 1 << len(order)
-        if pinned is None:
-            stp, later = sv, -1  # nothing lies between; every later interval goes
-        else:
-            stp, later = starts[order.index(pinned)], nmask | und[pinned]
-        removed = 0
-        for w, sw in zip(order, starts):
-            if (stp < sw < sv or (sw > sv and (later >> w) & 1)
-                    or (abs(sv - sw) < unit) != bool((nmask >> w) & 1)):
-                removed |= 1 << w
-        return (cmask & ~removed) | (1 << v)
+    def _repair(self, cmask: int, v: int, sig, upto: int = -1, touch: int = -1) -> int:
+        """Insert v into ``cmask`` at a position of signature ``sig`` from
+        ``_table`` and drop the vertices contradicting its interval: those
+        whose overlap with it disagrees with their adjacency to v, the
+        earlier intervals outside ``upto`` and the later ones in ``touch``.
+        Unpinned, both are everything: nothing lies between, and every
+        later interval goes.  Pinned at an earlier interval t, ``upto`` is
+        t's entry of the table, so the order positions strictly between t
+        and v go, and ``touch`` holds the neighbors of v and of t."""
+        over, later, earlier = sig
+        removed = (over ^ self.g.und_mask[v] & cmask) | (earlier & ~upto) | (later & touch)
+        return cmask & ~removed | 1 << v
 
     # -- neighboring ---------------------------------------------------------
     def _hosts(self, smask: int, v: int) -> list[int]:
@@ -163,7 +197,7 @@ class _ProperIntervalBase(GraphProblem):
         in any arrangement) reordered to put v's non-neighbors first."""
         und = self.g.und_mask
         nmask = und[v]
-        lay = self.component_layout(cmask)
+        lay = self._layout(cmask)
         rev = lay[::-1]
 
         def split(order):
@@ -175,6 +209,14 @@ class _ProperIntervalBase(GraphProblem):
 
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask
+        tables: dict[tuple, tuple] = {}  # _table of each arrangement, once per call
+
+        def table(order):
+            got = tables.get(order)
+            if got is None:
+                got = tables[order] = self._table(order)
+            return got
+
         for v in incoming:
             if self.connected:
                 # the first insertion position lies before every interval,
@@ -188,9 +230,8 @@ class _ProperIntervalBase(GraphProblem):
                 for cmask in dict.fromkeys(c for host in self._hosts(smask, v)
                                            for c in mask_components(und, host) if c & und[v]):
                     for order in self._reps(cmask, v):
-                        starts = self._realize(order)
-                        for sv in self._insert_positions(starts):
-                            cand = self._repair(cmask, order, starts, v, sv)
+                        for sig in table(order)[1]:
+                            cand = self._repair(cmask, v, sig)
                             if cand not in uncut:
                                 uncut.add(cand)
                                 yield cand
@@ -212,13 +253,12 @@ class _ProperIntervalBase(GraphProblem):
                         if key in tried:
                             continue
                         tried.add(key)
-                        starts = self._realize(order)
-                        stp = starts[order.index(t_prev)]
-                        unit = 1 << len(order)
-                        for sv in self._insert_positions(starts):
-                            if sv <= stp or sv - stp >= unit:
-                                continue  # pinned interval precedes and overlaps v
-                            yield keep | self._repair(ci, order, starts, v, sv, t_prev)
+                        upto, sigs = table(order)
+                        upto, touch = upto[t_prev], und[v] | und[t_prev]
+                        for sig in sigs:
+                            # the pinned interval precedes and overlaps v
+                            if (sig[0] & sig[2]) >> t_prev & 1:
+                                yield keep | self._repair(ci, v, sig, upto, touch)
 
     def comp_budget(self) -> int:
         # hosts per extender: the solution, the clique prunings, the single

@@ -6,7 +6,7 @@ import pytest
 
 from maxenum import make_instance
 from maxenum.graphs import (ContractViolation, Graph, GraphFormatError, bits, chordal_cliques,
-                            load_graph, mask_cc, mask_dists, mask_of, span_depth,
+                            load_graph, mask_cc, mask_dists, mask_of, peo_mask, span_depth,
                             spanned_masks)
 from maxenum.problems.base import bfs_order
 from maxenum.problems.bipartite import _two_color_masks
@@ -259,6 +259,42 @@ def test_peo_c4_absent():
 def test_chordal_cliques_refuse_c4():
     with pytest.raises(ValueError, match="adjacency is not chordal"):
         chordal_cliques(cycle(4).und_mask, 0b1111)
+
+
+def all_earlier_cliques(adj_masks, mask):
+    """The maximal cliques of a chordal masked set as ``chordal_cliques``
+    found them before it kept only what it had kept: each elimination-order
+    clique, its first vertex and that vertex's later neighbors, unless it
+    lies inside any earlier one."""
+    cliques, later = [], mask
+    for u in peo_mask(adj_masks, mask):
+        later &= ~(1 << u)
+        cliques.append((1 << u) | (adj_masks[u] & later))
+    return [c for i, c in enumerate(cliques) if all(c & ~d for d in cliques[:i])]
+
+
+def test_chordal_cliques_match_the_all_earlier_filter():
+    # a clique inside an earlier clique that was dropped lies inside an
+    # earlier kept one, so testing only the kept cliques drops the same
+    # ones; the empty set, single vertices, cliques, paths and seeded
+    # random chordal sets give the same list in the same order
+    inputs = [(path(3).und_mask, 0), *((path(4).und_mask, 1 << v) for v in range(4)),
+              *((complete(n).und_mask, (1 << n) - 1) for n in range(1, 7)),
+              *((path(n).und_mask, (1 << n) - 1) for n in range(1, 9))]
+    rng = random.Random(61)
+    chordal = 0
+    while chordal < 300:
+        g = random_graph(rng, rng.randint(2, 10), rng.choice([0.3, 0.5, 0.7]))
+        mask = rng.getrandbits(g.n)
+        if peo_mask(g.und_mask, mask) is not None:
+            chordal += 1
+            inputs.append((g.und_mask, mask))
+    several = 0
+    for und, mask in inputs:
+        got = chordal_cliques(und, mask)
+        assert got == all_earlier_cliques(und, mask), (und, mask)
+        several += len(got) > 2
+    assert several > 50
 
 
 def test_peo_path_tie_break():

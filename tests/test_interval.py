@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from maxenum import Graph, brute_force_maximal, make_instance
+from maxenum import Graph, PartialOutputError, brute_force_maximal, enumerate_exp, make_instance
 from maxenum.graphs import bits, mask_cc, mask_components, mask_of
+from maxenum.problems.base import Problem
 from maxenum.problems.interval import _ProperIntervalBase
 
 from conftest import (build_instance, complete, components, cycle, exp_solutions, path,
@@ -180,6 +181,49 @@ def test_clique_with_claw_has_no_layout():
     assert not inst.is_solution(range(12))
 
 
+@pytest.mark.parametrize("variant", ["pinterval-induced", "pinterval-induced-connected"])
+def test_layouts_live_for_one_run(variant, monkeypatch):
+    # _layouts is None outside a run, however the run ends; inside it each
+    # component's layout, or None, is kept by its mask, and the run reads
+    # it instead of laying the component out again; a run without it lists
+    # the same solutions in the same order with the same completions
+    laid = []
+    layout = _ProperIntervalBase.component_layout
+    monkeypatch.setattr(_ProperIntervalBase, "component_layout",
+                        lambda self, c: laid.append(c) or layout(self, c))
+    inst = make_instance(variant, graph=random_graph(random.Random("layouts"), 8, 0.5))
+    assert inst._layouts is None
+    held, sols = [], []
+    counters = enumerate_exp(inst, emit=lambda s: held.append(inst._layouts) or sols.append(s))
+    assert inst._layouts is None
+    assert all(memo is held[0] for memo in held) and len(sols) > 1
+    assert held[-1] and all(lay == layout(inst, c) for c, lay in held[-1].items())
+    assert len(laid) == len(set(laid)) == len(held[-1])
+
+    assert enumerate_exp(inst, limit=2).solutions_emitted == 2
+    assert inst._layouts is None
+
+    def fail(sol):
+        raise OSError("sink closed")
+
+    with pytest.raises(PartialOutputError):
+        enumerate_exp(inst, emit=fail)
+    assert inst._layouts is None
+
+    with inst.run_memos(_comp_memo={}):
+        outer = inst._layouts
+        enumerate_exp(inst, limit=1)
+        assert inst._layouts is outer
+    assert inst._layouts is None
+
+    plain = make_instance(variant, graph=inst.g)
+    monkeypatch.setattr(type(plain), "run_memos", Problem.run_memos)
+    laid.clear()
+    assert exp_solutions(plain) == sols
+    assert plain.comp_calls == counters.comp_calls
+    assert len(laid) > len(set(laid))
+
+
 def test_unique_maximal_path():
     inst = make_instance("pinterval-induced", graph=path(4))
     assert set(inst.neighbors((0, 1, 2, 3))) <= {(0, 1, 2, 3)}
@@ -203,6 +247,34 @@ def test_realization_is_exact():
             unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):
                 assert (abs(su - sw) < unit) == (w in bits(g.und_mask[u]))
+
+
+# -- the positions the insertion table covers, listed one by one -----------
+
+def insert_positions(starts):
+    """Start positions of a new interval: for every existing interval, just
+    before/after its start is reached by the new right end, exactly
+    aligned, and just before/after its end is passed by the new left end."""
+    unit = 1 << len(starts)
+    return [p for s in starts
+            for p in (s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1)]
+
+
+def table_positions(inst, order):
+    """The realization of an arrangement and each of its insertion
+    positions with its signature (overlapped, later, earlier), read off
+    the starts; the insertion table must list those signatures once each,
+    in order of first occurrence, and hold each vertex's prefix mask."""
+    starts = inst._realize(order)
+    unit = 1 << len(order)
+    at = [(sv, (mask_of(w for w, sw in zip(order, starts) if abs(sv - sw) < unit),
+                mask_of(w for w, sw in zip(order, starts) if sw > sv),
+                mask_of(w for w, sw in zip(order, starts) if sw < sv)))
+          for sv in insert_positions(starts)]
+    upto, sigs = inst._table(order)
+    assert sigs == list(dict.fromkeys(sig for _, sig in at))
+    assert upto == {u: mask_of(order[:i + 1]) for i, u in enumerate(order)}
+    return starts, upto, at
 
 
 @pytest.mark.parametrize("variant", ["pinterval-induced", "pinterval-induced-connected"])
@@ -230,12 +302,11 @@ def test_insertion_lemma_and_touching_components(variant, monkeypatch):
                 assert len(arranged) == len(set(arranged))
                 for c in {c for h in inst._hosts(smask, v) for c in mask_components(und, h)}:
                     for order in reps(inst, c, v):
-                        starts = inst._realize(order)
-                        at = inst._insert_positions(starts)
-                        assert at[0] + (1 << len(order)) < starts[0]
+                        starts, _, at = table_positions(inst, order)
+                        assert at[0][0] + (1 << len(order)) < starts[0]
                         # a touching component: the first position alone
-                        for sv in at[:1] if c & und[v] else at:
-                            cand = inst._repair(c, order, starts, v, sv)
+                        for sv, sig in at[:1] if c & und[v] else at:
+                            cand = inst._repair(c, v, sig)
                             assert mask_cc(und, cand, v) == 1 << v
 
 
@@ -280,11 +351,51 @@ def repair_induced(inst, cimask, order, starts, v, sv, t_prev):
     return (cimask & ~removed) | (1 << v)
 
 
+def witness_candidates(inst, smask, v):
+    """The candidate rule over every insertion position, repaired by the
+    witnesses: the rule ``_candidates`` ran before the insertion table,
+    with each of its candidates, repeats included."""
+    und = inst.g.und_mask
+    out = []
+    if inst.connected:
+        out.append(1 << v)
+        for c in dict.fromkeys(c for h in inst._hosts(smask, v)
+                               for c in mask_components(und, h) if c & und[v]):
+            for order in inst._reps(c, v):
+                starts = inst._realize(order)
+                for sv in insert_positions(starts):
+                    cand = repair_connected(inst, c, order, starts, v, sv)
+                    if cand not in out:
+                        out.append(cand)
+        return out
+    out.append((smask & ~und[v]) | (1 << v))
+    tried = set()
+    for host in inst._hosts(smask, v):
+        comps = mask_components(und, host)
+        for t in bits(und[v] & host):
+            ci = next(c for c in comps if (c >> t) & 1)
+            keep = host & ~ci & ~und[v]
+            for order in inst._reps(ci, v):
+                if (order, keep, t) in tried:
+                    continue
+                tried.add((order, keep, t))
+                starts = inst._realize(order)
+                stp, unit = starts[order.index(t)], 1 << len(order)
+                for sv in insert_positions(starts):
+                    if stp < sv < stp + unit:
+                        out.append(keep | repair_induced(inst, ci, order, starts, v, sv, t))
+    return out
+
+
 @pytest.mark.parametrize("variant", ["pinterval-induced", "pinterval-induced-connected"])
 def test_one_repair_matches_both_witnesses(variant):
     # every host component, arrangement and insertion position the rule
-    # tries, unpinned and pinned at each neighbor of v in the component; a
-    # pin is checked at every position, not only where the rule uses it
+    # tries, through the insertion table, a position whose signature
+    # repeats included: unpinned and pinned at each neighbor of v in the
+    # component, as the rule passes them; a pin is checked at every
+    # position, not only where the rule uses it.  The rule yields the
+    # witnesses' candidates in their order, less repeats, so every
+    # neighbor_masks call completes the same candidates in the same order
     pinned = 0
     for i in range(12):
         inst = build_instance(variant, i)
@@ -294,14 +405,17 @@ def test_one_repair_matches_both_witnesses(variant):
             for v in bits((1 << inst.g.n) - 1 & ~smask):
                 for c in {c for h in inst._hosts(smask, v) for c in mask_components(und, h)}:
                     for order in inst._reps(c, v):
-                        starts = inst._realize(order)
-                        for sv in inst._insert_positions(starts):
-                            assert (inst._repair(c, order, starts, v, sv)
+                        starts, upto, at = table_positions(inst, order)
+                        for sv, sig in at:
+                            assert (inst._repair(c, v, sig)
                                     == repair_connected(inst, c, order, starts, v, sv))
                             for t in bits(und[v] & c):
                                 pinned += 1
-                                assert (inst._repair(c, order, starts, v, sv, t)
+                                assert (inst._repair(c, v, sig, upto[t], und[v] | und[t])
                                         == repair_induced(inst, c, order, starts, v, sv, t))
+                cands = list(inst._candidates(smask, (v,)))
+                assert (list(dict.fromkeys(cands))
+                        == list(dict.fromkeys(witness_candidates(inst, smask, v))))
     assert pinned > 10_000
 
 
@@ -370,7 +484,7 @@ def test_integer_realization_matches_fractions():
         eps = _fraction_epsilon(exact)
         fracs = [q for f in exact
                  for q in (f - 1 - eps, f - 1 + eps, f, f + 1 - eps, f + 1 + eps)]
-        ints = inst._insert_positions(starts)
+        ints = insert_positions(starts)
         assert len(ints) == len(fracs)
         for p, q in zip(ints, fracs):
             for s, f in zip(starts, exact):

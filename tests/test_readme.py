@@ -80,7 +80,8 @@ def test_a_removed_name_does_not_resolve():
                  "Graph.out_adj", "Graph.in_adj", "base.tuple_of",
                  "ProperIntervalInduced._repair_connected",
                  "ProperIntervalInduced._repair_induced",
-                 "ProperIntervalInduced._twin_classes"):
+                 "ProperIntervalInduced._twin_classes",
+                 "ProperIntervalInduced._insert_positions"):
         with pytest.raises(AttributeError):
             resolve(name)
     assert resolve("Graph.und_mask") == Graph(2, [(0, 1)]).und_mask
