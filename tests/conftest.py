@@ -13,6 +13,8 @@ from maxenum import (Graph, PointSetInstance, brute_force_maximal,
                      enumerate_exp, enumerate_pspace)
 from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS, make_instance
 
+from past_oracle import chained_triangles, disjoint_triangles  # noqa: F401  (shared builders)
+
 
 # -- named instances ---------------------------------------------------------
 
@@ -34,18 +36,6 @@ def complete(n):
 
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def disjoint_triangles(t):
-    return Graph(3 * t, [(3 * i + a, 3 * i + b)
-                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))])
-
-
-def chained_triangles(t):
-    """t triangles, each joined to the next by one edge."""
-    return Graph(3 * t, [(3 * i + a, 3 * i + b)
-                         for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
-                 + [(3 * i + 2, 3 * i + 3) for i in range(t - 1)])
 
 
 def directed_triangle():

@@ -10,7 +10,7 @@ import maxenum.pspace as pspace_mod
 from maxenum import (Graph, PartialOutputError, enumerate_exp, enumerate_pspace,
                      make_instance)
 from maxenum.graphs import ContractViolation, bits, mask_cc, mask_of
-from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS
+from maxenum.problems import ALL_VARIANTS, PSPACE_VARIANTS, VARIANTS
 from maxenum.problems.base import Problem, PspaceProblem, bfs_order
 from maxenum.pspace import children, comp_lex, core_of, has_parent, restr
 
@@ -1285,3 +1285,69 @@ def test_prefix_closed_order_properties(variant):
                 assert min(ext, key=pkeys.__getitem__) == order[i + 1]
             checked += 1
     assert checked >= 30
+
+
+# -- eligibility witnesses ------------------------------------------------------------------
+# pspace runs the four PSPACE_VARIANTS only.  Another vertex family mixed into
+# PspaceProblem orders its solutions by the same BFS layers, but restr needs more
+# than the order: some candidate of neighbor_masks_at(parent, pivot) must hold the
+# child's prefix and its pivot.  The witnesses below are children whose parent
+# check passes while no candidate holds them, so the walk never reaches them.
+
+def pspace_mix(variant, g, k=None):
+    """The family mixed into PspaceProblem, so that enumerate_pspace runs it."""
+    cls = VARIANTS[variant]
+    mixed = type(f"{cls.__name__}Pspace", (cls, PspaceProblem), {})
+    return mixed(g) if k is None else mixed(g, k)
+
+
+def pspace_misses(problem) -> list:
+    """The solutions exp lists and the pspace walk does not; the walk lists
+    nothing else, and nothing twice."""
+    walked = []
+    enumerate_pspace(problem, emit=walked.append)
+    listed = exp_solutions(problem)
+    assert len(set(walked)) == len(walked) and set(walked) <= set(listed)
+    return sorted(set(listed) - set(walked))
+
+
+def assert_unreachable(problem, child, core, pivot, candidates):
+    """child has the core and pivot, and its parent check passes, but no
+    candidate of the parent at the pivot holds it."""
+    assert core_of(problem, child) == (core, pivot)
+    parent = mask_of(comp_lex(problem, core))
+    assert has_parent(problem, mask_of(child), parent, pivot)
+    assert [bits(m) for m in problem.neighbor_masks_at(parent, pivot)] == candidates
+    with pytest.raises(ContractViolation, match="no candidate regenerates"):
+        restr(problem, child)
+
+
+def wheel_w4():
+    """Hub 0 and the rim 1-2-4-3."""
+    return Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize("variant, k", [
+    ("chordal-induced", None), ("chordal-induced-connected", None),
+    ("pinterval-induced", None), ("pinterval-induced-connected", None), ("kdeg-induced", 2)])
+def test_pspace_misses_a_wheel_solution(variant, k):
+    problem = pspace_mix(variant, wheel_w4(), k)
+    assert pspace_misses(problem) == [(0, 2, 3, 4)]
+    # the chordal rule keeps one maximal clique of N(4) in the parent, {0, 2} or {0, 3}
+    candidates = [(0, 1, 2, 4), (0, 1, 3, 4)] + ([(1, 2, 3, 4)] if k else [])
+    assert_unreachable(problem, (0, 2, 3, 4), [0, 2, 3], 4, candidates)
+
+
+def test_pspace_misses_a_3_degenerate_solution():
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+                  (2, 3), (2, 4), (3, 5), (4, 5)])
+    problem = pspace_mix("kdeg-induced", g, 3)
+    assert pspace_misses(problem) == [(0, 1, 3, 4, 5)]
+    assert_unreachable(problem, (0, 1, 3, 4, 5), [0, 1, 3, 4], 5,
+                       [(0, 1, 2, 3, 5), (0, 1, 2, 4, 5), (0, 2, 3, 4, 5), (1, 2, 3, 4, 5)])
+
+
+def test_pspace_lists_the_1_degenerate_solutions_exp_lists():
+    for i in range(CORPUS_SIZE):
+        problem = pspace_mix("kdeg-induced", build_instance("kdeg-induced", i).g, 1)
+        assert pspace_misses(problem) == [], i
