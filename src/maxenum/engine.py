@@ -152,8 +152,9 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     ``comp_mask``: its keys are the candidates completed and every set a
     completion reached after an addition.  It is unbounded, as the visited
     set is, and goes when the run ends, however it ends; a memo open before
-    it is restored.  The kdeg families open their capped certificate memo
-    there too.  ``comp_calls`` counts completions computed, not memo hits.
+    it is restored.  The families that name run memos in ``family_memos``
+    open them there too.  ``comp_calls`` counts completions computed, not
+    memo hits.
     """
     seen = SolutionDict()
 

@@ -215,12 +215,14 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # too, and only in one endpoint's component: rebuilding the whole spanned
 # graph with ``spanned_masks`` at each completion step was what the
 # predicate cost them.
-# ``chordal_cliques``, which the induced chordal and pinterval candidate
-# rules call once per incoming vertex, answers a set of at most one vertex
-# without an elimination order and tests each elimination-order clique only
-# against the cliques it has kept, in a plain loop: a generator inside
-# ``all()`` over every earlier clique cost the induced chordal cells of
-# ``plugin-mix-exp`` (parts 0-2, seed 1) about a tenth of their CPU.
+# ``chordal_cliques`` answers a set of at most one vertex without an
+# elimination order and tests each elimination-order clique only against
+# the cliques it has kept, in a plain loop: a generator inside ``all()``
+# over every earlier clique cost the induced chordal cells of
+# ``plugin-mix-exp`` (parts 0-2, seed 1) about a tenth of their CPU.  The
+# induced chordal candidate rule calls it once per neighborhood mask in a
+# run (``_cliques``), and the pinterval host rule and the chordal-edge
+# rule once per incoming vertex and per call.
 # Orders that only the tests read, such as the degeneracy order, live with
 # the proximity witnesses in ``tests/proximity.py``, not here.
 

@@ -61,12 +61,12 @@ A run's memos are opened by ``run_memos``, on the instance, and the
 outer ones restored when the run ends; calls outside a run keep none.
 Every run has its engine's completion memo (``_comp_memo`` for
 ``enumerate_exp``, ``_lex_memo`` for ``enumerate_pspace``, capped by
-``_LexMemo``).  The kdeg families also open a capped memo of (k+1)-core
-certificates (``_cores``, in ``degenerate``), which rejects an element
-unpeeled and changes no verdict, and the pinterval families a memo of
-component layouts by mask (``_layouts``, in ``interval``), which their
-extension test and candidate rule read instead of laying a component out
-again.
+``_LexMemo``).  A family names its own in ``family_memos``, each a fresh
+dict in a run, and none changes a verdict, a candidate or its order:
+``_cores`` and ``_kept`` in ``degenerate``, ``_cliques`` in ``chordal``,
+and ``_layouts``, ``_shapes`` and ``_arrangements`` in ``interval``, whose
+docstrings give each memo's key and bound.  What a family builds from a
+key alone it gets through ``run_kept``, once per key in a run.
 """
 
 from __future__ import annotations
@@ -75,6 +75,21 @@ from contextlib import contextmanager
 from typing import Callable, Iterable
 
 from ..graphs import ContractViolation, Graph, bits, checked_mask, mask_cc
+
+
+_MISSING = object()
+
+
+def run_kept(memo, key, build, *args):
+    """``build(*args)``, which depends on ``key`` alone, kept under ``key``
+    in the run memo ``memo``: built once per key inside a run, and every
+    time outside one (``memo`` None)."""
+    if memo is None:
+        return build(*args)
+    got = memo.get(key, _MISSING)
+    if got is _MISSING:
+        got = memo[key] = build(*args)
+    return got
 
 
 def bfs_order(und, mask: int) -> list[int]:
@@ -119,13 +134,20 @@ class Problem:
                  or mask_cc(self.adj_masks, mask, (mask & -mask).bit_length() - 1) == mask)
                 and self._solution_mask(mask))
 
+    # the family's run memos, by attribute name: each is None on the class
+    # and a fresh dict inside a run
+    family_memos: tuple[str, ...] = ()
+
     @contextmanager
     def run_memos(self, **engine_memos):
-        """Open one engine run's memos, by attribute name, and restore the
-        outer ones when the run ends, however it ends."""
-        outer = {name: getattr(self, name) for name in engine_memos}
+        """Open one engine run's memos and the family's (``family_memos``),
+        by attribute name, and restore the outer ones when the run ends,
+        however it ends."""
+        memos = {name: {} for name in self.family_memos}
+        memos.update(engine_memos)
+        outer = {name: getattr(self, name) for name in memos}
         try:
-            for name, memo in engine_memos.items():
+            for name, memo in memos.items():
                 setattr(self, name, memo)
             yield
         finally:

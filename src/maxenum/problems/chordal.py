@@ -3,11 +3,15 @@
 Candidates keep one maximal clique around the incoming element and drop
 the rest of its neighborhood, which preserves chordality: the incoming
 element becomes simplicial and the remainder is a subgraph of the old
-solution with a vertex's edges deleted.  Completion asks a test local
-to the added element (``_extension_test``) instead of re-running the
-elimination of the whole set: for the induced variants one flood per
-component the added vertex does not see, for the edge variant one walk
-between the added edge's endpoints around their common neighbors
+solution with a vertex's edges deleted.  The induced variants' cliques
+depend on the neighborhood N(v) & S alone, so a run keeps each clique list
+by that mask (``_cliques``): one entry per distinct neighborhood the run
+meets, of at most as many cliques as the neighborhood has vertices, as in
+any chordal graph.  Completion asks a test local to the added element
+(``_extension_test``) instead of re-running the elimination of the whole
+set: for the induced variants one flood per component the added vertex
+does not see, for the edge variant one walk between the added edge's
+endpoints around their common neighbors
 (``graphs.span_depth``; Ibarra, "Fully dynamic algorithms for chordal
 graphs and split graphs", ACM Trans. Algorithms, 2008).
 """
@@ -16,10 +20,13 @@ from __future__ import annotations
 
 from ..graphs import (bits, chordal_cliques, mask_is_clique, peo_mask, span_depth,
                       spanned_masks)
-from .base import GraphProblem
+from .base import GraphProblem, run_kept
 
 
 class _ChordalInducedBase(GraphProblem):
+    family_memos = ("_cliques",)
+    _cliques = None  # the candidates' clique lists in a run, by neighborhood mask
+
     def _solution_mask(self, mask: int) -> bool:
         return peo_mask(self.g.und_mask, mask) is not None
 
@@ -50,10 +57,10 @@ class _ChordalInducedBase(GraphProblem):
         return True
 
     def _candidates(self, smask: int, incoming):
-        und = self.g.und_mask
+        und, memo = self.g.und_mask, self._cliques
         for v in incoming:
             nb = und[v] & smask
-            for q in chordal_cliques(und, nb) or [0]:
+            for q in run_kept(memo, nb, chordal_cliques, und, nb) or [0]:
                 yield (smask & ~(nb & ~q)) | (1 << v)
 
     def comp_budget(self) -> int:

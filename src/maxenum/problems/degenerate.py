@@ -9,18 +9,20 @@ new core holds the inserted element in core maintenance (Li, Yu & Mao
 edge set of the (k+1)-core of the graph x + e spans, and W = C - e is a
 certificate: each vertex of C has at least k+1 neighbors (edges) in C,
 so for any set Y holding W, Y + e holds C and is not k-degenerate.
-Inside a run (``run_memos``) the test keeps these by element
+Inside a run (``family_memos``) the test keeps these by element
 (``_cores``) and rejects e unpeeled where a kept W for e lies inside x.
 Each element keeps at most ``CORE_CAP``, most recently hit or found
 first, so a run keeps at most ``CORE_CAP`` times the ground size masks;
-outside a run none is kept and the test always peels.  On the
-kdeg-induced cell of ``hereditary-exp`` (k = 1, part 0, seed 1) runs
-peel 39,109 times instead of 115,746, with the same 47,247 completions.
+outside a run none is kept and the test always peels.
 Candidates keep, for each incoming element, every set of at most k
-(induced) or k-1 (edge, per endpoint) of its neighbors, in lexicographic
-order of their sorted ids.  The families' canonical order, the reversed
-degeneracy order of each component, is a test witness
-(``tests/proximity.py``).
+(induced) or k-1 (edge, per endpoint) of its neighbors in the solution,
+in lexicographic order of their sorted ids (``_subsets``).  Those sets
+depend on the neighborhood mask alone, so a run keeps them by it
+(``_kept``): one entry per distinct neighborhood the run meets, each a
+subset of one element's neighbors (of one endpoint's edges), holding at
+most the sum of C(d, i) for i up to k (k-1) masks at degree d.  The
+families' canonical order, the reversed degeneracy order of each
+component, is a test witness (``tests/proximity.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import combinations
 from math import comb
 
 from ..graphs import Graph, bits, mask_of, spanned_masks
-from .base import GraphProblem
+from .base import GraphProblem, run_kept
 
 # certificates kept per element in a run: a miss scans them all, and with
 # no cap lists grew to 147 on G(22, 50) at k = 2, whose runs then took 1.2
@@ -57,9 +59,19 @@ def _peel_core(adj, mask: int, k: int, until: int = -1) -> int:
     return left if left & until else 0
 
 
+def _subsets(mask: int, most: int) -> list[int]:
+    """Every subset of at most ``most`` elements of ``mask``, as masks, in
+    lexicographic order of their sorted ids."""
+    ids = bits(mask)
+    return [mask_of(kept) for size in range(min(most, len(ids)) + 1)
+            for kept in combinations(ids, size)]
+
+
 class _KDegenerate(GraphProblem):
     min_k = 0
+    family_memos = ("_cores", "_kept")
     _cores = None  # certificates of an enumerate run in progress, by element
+    _kept = None  # the candidates' kept subsets in a run, by neighborhood mask
 
     def __init__(self, g: Graph, k: int):
         super().__init__(g)
@@ -68,10 +80,6 @@ class _KDegenerate(GraphProblem):
         if k < self.min_k:
             raise ValueError(f"{self.variant} needs k >= {self.min_k}: k={k}")
         self.k = k
-
-    def run_memos(self, **engine_memos):
-        """The engine's run memos, and the run's certificates (``_cores``)."""
-        return super().run_memos(_cores={}, **engine_memos)
 
     def _certified(self, x: int, e: int) -> bool:
         """Whether the run keeps a certificate for e that lies inside x; a
@@ -119,12 +127,12 @@ class KDegenerateInduced(_KDegenerate):
         return self._certify(e, _peel_core(und, x | 1 << e, self.k, 1 << e))
 
     def _candidates(self, smask: int, incoming):
+        und, memo, k = self.g.und_mask, self._kept, self.k
         for v in incoming:
-            nb = bits(self.g.und_mask[v] & smask)
-            base = (smask & ~mask_of(nb)) | (1 << v)
-            for size in range(min(self.k, len(nb)) + 1):
-                for kept in combinations(nb, size):
-                    yield base | mask_of(kept)
+            nb = und[v] & smask
+            base = (smask & ~nb) | (1 << v)
+            for kept in run_kept(memo, nb, _subsets, nb, k):
+                yield base | kept
 
     def comp_budget(self) -> int:
         n = self.ground_size
@@ -169,13 +177,13 @@ class KDegenerateEdge(_KDegenerate):
         return self._certify(e, left)
 
     def _candidates(self, emask: int, incoming):
+        at, memo, k = self.g.edge_mask_at, self._kept, self.k
         for e in incoming:
             for w in self.g.edges[e]:
-                inc = bits(self.g.edge_mask_at[w] & emask)
-                base = (emask & ~self.g.edge_mask_at[w]) | (1 << e)
-                for size in range(min(self.k - 1, len(inc)) + 1):
-                    for kept in combinations(inc, size):
-                        yield base | mask_of(kept)
+                inc = at[w] & emask
+                base = (emask & ~inc) | (1 << e)
+                for kept in run_kept(memo, inc, _subsets, inc, k - 1):
+                    yield base | kept
 
     def comp_budget(self) -> int:
         m = self.ground_size

@@ -4,21 +4,30 @@ A vertex set is a solution when every component admits a unit-interval
 arrangement: an ordering in which each vertex's earlier neighbors form a
 clique occupying a suffix of the order.  Recognition builds the
 lexicographically smallest such arrangement greedily, in polynomial time.
-Inside a run (``run_memos``) each component's layout, or None, is kept by
-its mask (``_layouts``), and both the extension test and the candidate
-rule read it, so a run lays out each component once; outside a run none
-is kept.  Completion lays out only the component that the added vertex
-joins (``_extension_test``).
+Completion lays out only the component that the added vertex joins
+(``_extension_test``).
 Candidate generation inserts the incoming vertex into an exact integer
 realization of an arrangement (``_reps``: the canonical one, its reverse,
 and both with each run of true twins, one closed neighborhood, reordered)
 at the finitely many combinatorially distinct positions, then deletes the
 vertices that contradict it by one rule for both variants (``_repair``).
-Each arrangement is realized once per ``neighbor_masks`` call, into a
-table (``_table``) of its prefix masks and of the distinct signatures of
-its positions: the masks of the intervals a new one there overlaps,
-follows and precedes.  A repair is then three mask operations, and a
-position whose signature repeats is not repaired again.
+Each arrangement gets a table (``_table``) once per ``neighbor_masks``
+call: its prefix masks and the distinct signatures of its positions, the
+masks of the intervals a new one there overlaps, follows and precedes.
+The realization reads only the arrangement's shape, the number of earlier
+neighbors of each vertex, so the signatures are found once per shape, as
+indices into the order (``_signatures``), and read off the prefix masks.
+A repair is then three mask operations, and a position whose signature
+repeats is not repaired again.
+Inside a run (``family_memos``) three memos keep what depends on a key
+alone, one entry per distinct key the run meets, and outside a run none
+is kept: each component's layout, or None, by its mask (``_layouts``),
+which the extension test and the candidate rule read; the index
+signatures by shape (``_shapes``), where a shape of L vertices starts at
+0 and then steps up by at most one (each vertex's earlier neighbors end
+the order), so L vertices have at most the Catalan number C(L-1) shapes;
+and the at most four arrangements ``_reps`` gives, by the component and
+v's neighbors in it (``_arrangements``).  None is capped.
 """
 
 from __future__ import annotations
@@ -28,16 +37,14 @@ from itertools import groupby
 from typing import Optional
 
 from ..graphs import bits, chordal_cliques, mask_cc, mask_components
-from .base import GraphProblem
+from .base import GraphProblem, run_kept
 
 
 class _ProperIntervalBase(GraphProblem):
+    family_memos = ("_layouts", "_shapes", "_arrangements")
     _layouts = None  # component layouts of an enumerate run in progress, by mask
-
-    def run_memos(self, **engine_memos):
-        """The engine's run memos, and the run's component layouts
-        (``_layouts``)."""
-        return super().run_memos(_layouts={}, **engine_memos)
+    _shapes = None  # insertion signatures of a run, by arrangement shape
+    _arrangements = None  # _reps of a run, by component and v's neighbors in it
 
     # -- recognition -----------------------------------------------------
     def component_layout(self, cmask: int) -> Optional[tuple[int, ...]]:
@@ -75,13 +82,7 @@ class _ProperIntervalBase(GraphProblem):
 
     def _layout(self, cmask: int) -> Optional[tuple[int, ...]]:
         """``component_layout(cmask)``, kept by its mask inside a run."""
-        memo = self._layouts
-        if memo is None:
-            return self.component_layout(cmask)
-        lay = memo.get(cmask, False)
-        if lay is False:
-            lay = memo[cmask] = self.component_layout(cmask)
-        return lay
+        return run_kept(self._layouts, cmask, self.component_layout, cmask)
 
     def _solution_mask(self, mask: int) -> bool:
         # the base has already made a connected variant's set one component
@@ -93,61 +94,68 @@ class _ProperIntervalBase(GraphProblem):
         return self._layout(mask_cc(self.g.und_mask, x | 1 << e, e)) is not None
 
     # -- realization and insertion ----------------------------------------
-    def _realize(self, order) -> list[int]:
-        """Exact integer start positions for a component arrangement, for
-        intervals of length ``1 << len(order)``; ``_table`` calls it once
-        per arrangement and ``neighbor_masks`` call.
+    @staticmethod
+    def _realize(shape) -> list[int]:
+        """Exact integer start positions for an arrangement of this shape,
+        the number of earlier neighbors of each vertex of the order, for
+        intervals of length ``1 << len(shape)``.
 
         Starts strictly increase and overlap holds exactly for graph edges
         (|difference| < the length); midpoint choices leave slack around
         every non-forced boundary.  The t-th start is a multiple of
-        2^(len(order) - t), so every start and every boundary is even.
+        2^(len(shape) - t), so every start and every boundary is even.
         """
-        und = self.g.und_mask
-        unit = 1 << len(order)
-        starts: list[int] = []
-        placed = 0
-        for t, x in enumerate(order):
-            if t == 0:
-                starts.append(0)
-                placed |= 1 << x
-                continue
-            cnt = (und[x] & placed).bit_count()
-            a = t - cnt
+        unit = 1 << len(shape)
+        starts = [0] if shape else []
+        for t in range(1, len(shape)):
+            a = t - shape[t]
             base = starts[t - 1]
             if a > 0:
                 base = max(base, starts[a - 1] + unit)
             hi = starts[a] + unit
-            # exact: base and hi are multiples of 2^(len(order) - t + 1)
+            # exact: base and hi are multiples of 2^(len(shape) - t + 1)
             starts.append((base + hi) // 2)
-            placed |= 1 << x
         return starts
+
+    def _signatures(self, shape) -> list[tuple[int, int, int, int]]:
+        """The distinct signatures of the start positions of a new interval
+        in an arrangement of this shape, in order of first occurrence, as
+        order indices (a, b, c, d): it overlaps the intervals ``order[b:a]``,
+        and ``order[c:]`` start after it and ``order[:d]`` before it.  The
+        masks differ where the indices do, since an overlap is empty only
+        with a = b = c = d.  The positions are, for every existing interval,
+        just before/after its start is reached by the new right end, exactly
+        aligned, and just before/after its end is passed by the new left
+        end; starts and boundaries are even, so an offset of 1 lands
+        strictly between two of them.  The starts strictly increase, so each
+        index is found by bisection."""
+        starts = self._realize(shape)
+        unit = 1 << len(shape)
+        sigs: dict[tuple[int, int, int, int], None] = {}
+        for s in starts:
+            for sv in (s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1):
+                sigs[(bisect_left(starts, sv + unit), bisect_right(starts, sv - unit),
+                      bisect_right(starts, sv), bisect_left(starts, sv))] = None
+        return list(sigs)
 
     def _table(self, order) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
         """The insertion table of an arrangement: the mask of each vertex
         and those before it in the order, and the distinct signatures
         (overlapped, later, earlier) of the start positions of a new
         interval, in order of first occurrence: the masks of the intervals
-        it overlaps, that start after it and that start before it.  The
-        positions are, for every existing interval, just before/after its
-        start is reached by the new right end, exactly aligned, and just
-        before/after its end is passed by the new left end; starts and
-        boundaries are even, so an offset of 1 lands strictly between two
-        of them.  The starts strictly increase, so each mask is the
-        difference of two prefix masks of the order, found by bisection."""
-        starts = self._realize(order)
-        unit = 1 << len(order)
-        pre = [0]  # pre[i]: mask of order[:i]
+        it overlaps, that start after it and that start before it, read off
+        the prefix masks of the order at the indices ``_signatures`` gives
+        for the arrangement's shape, kept by shape inside a run."""
+        und = self.g.und_mask
+        shape, pre = [], [0]  # pre[i]: mask of order[:i]
         for u in order:
+            shape.append((und[u] & pre[-1]).bit_count())
             pre.append(pre[-1] | 1 << u)
+        shape = tuple(shape)
         full = pre[-1]
-        sigs: dict[tuple[int, int, int], None] = {}
-        for s in starts:
-            for sv in (s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1):
-                sigs[(pre[bisect_left(starts, sv + unit)] ^ pre[bisect_right(starts, sv - unit)],
-                      full ^ pre[bisect_right(starts, sv)],
-                      pre[bisect_left(starts, sv)])] = None
-        return dict(zip(order, pre[1:])), list(sigs)
+        return dict(zip(order, pre[1:])), [
+            (pre[a] ^ pre[b], full ^ pre[c], pre[d])
+            for a, b, c, d in run_kept(self._shapes, shape, self._signatures, shape)]
 
     # -- repair ------------------------------------------------------------
     def _repair(self, cmask: int, v: int, sig, upto: int = -1, touch: int = -1) -> int:
@@ -191,19 +199,26 @@ class _ProperIntervalBase(GraphProblem):
         return list(dict.fromkeys(hosts))
 
     def _reps(self, cmask: int, v: int):
-        """Arrangements of a host component worth trying for extender v:
-        the canonical one, its reverse, and both with every run of true
-        twins (one closed neighborhood in the component, so interchangeable
-        in any arrangement) reordered to put v's non-neighbors first."""
+        """Arrangements of a host component worth trying for extender v
+        (``_arrange``), kept by the component and v's neighbors in it
+        inside a run."""
+        nb = self.g.und_mask[v] & cmask
+        return run_kept(self._arrangements, (cmask, nb), self._arrange, cmask, nb)
+
+    def _arrange(self, cmask: int, nb: int):
+        """The canonical arrangement of a host component, its reverse, and
+        both with every run of true twins (one closed neighborhood in the
+        component, so interchangeable in any arrangement) reordered to put
+        the non-neighbors of the extender, whose neighbors there are
+        ``nb``, first."""
         und = self.g.und_mask
-        nmask = und[v]
         lay = self._layout(cmask)
         rev = lay[::-1]
 
         def split(order):
             runs = groupby(order, key=lambda u: (und[u] & cmask) | 1 << u)
             return tuple([u for _, run in runs
-                          for u in sorted(run, key=lambda u: ((nmask >> u) & 1, u))])
+                          for u in sorted(run, key=lambda u: ((nb >> u) & 1, u))])
 
         return list(dict.fromkeys((lay, rev, split(lay), split(rev))))
 

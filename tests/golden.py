@@ -11,7 +11,9 @@ order or any counter fails there.
 
 Regenerate the file with ``python tests/golden.py``; it prints ``diff`` of
 the old record against the new one before it overwrites the file, so a moved
-order digest or counter shows up at regeneration time.
+order digest or counter shows up at regeneration time.  With ``--check`` it
+prints the same diff, leaves the file as it is, and exits 1 when any entry
+changed.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def diff(expected: dict, actual: dict) -> list[str]:
     return out
 
 
-def main() -> int:
+def corpus_record() -> dict:
+    """The record of the corpus runs as the package makes them now."""
     sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
     from conftest import CORPUS_SIZE, build_instance
     from maxenum import enumerate_exp, enumerate_pspace
@@ -79,13 +82,27 @@ def main() -> int:
             out.append((sols, counters))
         return out
 
-    record = build_record({v: run(enumerate_exp, v) for v in ALL_VARIANTS},
-                          {v: run(enumerate_pspace, v) for v in PSPACE_VARIANTS})
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    return build_record({v: run(enumerate_exp, v) for v in ALL_VARIANTS},
+                        {v: run(enumerate_pspace, v) for v in PSPACE_VARIANTS})
+
+
+def main(argv=None, path: Path = GOLDEN, record: dict | None = None) -> int:
+    """Print the diff of the record at ``path`` against ``record`` (the
+    corpus runs, by default); then write the new record there, or, with
+    ``--check``, write nothing and return 1 when any entry changed."""
+    args = sys.argv[1:] if argv is None else argv
+    if args not in ([], ["--check"]):
+        print("usage: python tests/golden.py [--check]", file=sys.stderr)
+        return 2
+    if record is None:
+        record = corpus_record()
+    old = json.loads(path.read_text()) if path.exists() else {}
     changes = diff(old, record)
     print("\n".join(changes) if changes else "no entry changed")
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(record)} entries to {GOLDEN}")
+    if args:
+        return 1 if changes else 0
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(record)} entries to {path}")
     return 0
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from maxenum import PartialOutputError, brute_force_maximal, enumerate_exp, make_instance
 from maxenum.graphs import Graph, bits
-from maxenum.problems.base import Problem
 from maxenum.problems.degenerate import CORE_CAP
 
 from conftest import complete, exp_solutions, path, random_graph, sparse_gnm, triangle
@@ -155,6 +154,6 @@ def test_certificates_live_for_one_capped_run(variant, n, m, k, monkeypatch):
     assert inst._cores is None
 
     plain = make_instance(variant, graph=inst.g, k=k)
-    monkeypatch.setattr(type(plain), "run_memos", Problem.run_memos)
+    monkeypatch.setattr(type(plain), "family_memos", ())
     assert exp_solutions(plain) == sols
     assert plain.comp_calls == counters.comp_calls

@@ -1,12 +1,12 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 
 from maxenum import Graph, PartialOutputError, brute_force_maximal, enumerate_exp, make_instance
 from maxenum.graphs import bits, mask_cc, mask_components, mask_of
-from maxenum.problems.base import Problem
 from maxenum.problems.interval import _ProperIntervalBase
 
 from conftest import (build_instance, complete, components, cycle, exp_solutions, path,
@@ -217,7 +217,7 @@ def test_layouts_live_for_one_run(variant, monkeypatch):
     assert inst._layouts is None
 
     plain = make_instance(variant, graph=inst.g)
-    monkeypatch.setattr(type(plain), "run_memos", Problem.run_memos)
+    monkeypatch.setattr(type(plain), "family_memos", ())
     laid.clear()
     assert exp_solutions(plain) == sols
     assert plain.comp_calls == counters.comp_calls
@@ -235,6 +235,13 @@ def test_claw_oracle():
     assert sorted(sols) == brute_force_maximal(inst)
 
 
+def shape_of(inst, order) -> tuple[int, ...]:
+    """The shape of an arrangement: the number of earlier neighbors of each
+    vertex of the order, which is all its realization reads."""
+    und = inst.g.und_mask
+    return tuple((und[x] & mask_of(order[:t])).bit_count() for t, x in enumerate(order))
+
+
 def test_realization_is_exact():
     rng = random.Random(79)
     for _ in range(15):
@@ -243,7 +250,7 @@ def test_realization_is_exact():
         sols = exp_solutions(inst)
         for s in sols[:3]:
             lay = canonical_order(inst, s)
-            starts = inst._realize(lay)
+            starts = inst._realize(shape_of(inst, lay))
             unit = 1 << len(lay)
             for (u, su), (w, sw) in itertools.combinations(zip(lay, starts), 2):
                 assert (abs(su - sw) < unit) == (w in bits(g.und_mask[u]))
@@ -265,7 +272,7 @@ def table_positions(inst, order):
     positions with its signature (overlapped, later, earlier), read off
     the starts; the insertion table must list those signatures once each,
     in order of first occurrence, and hold each vertex's prefix mask."""
-    starts = inst._realize(order)
+    starts = inst._realize(shape_of(inst, order))
     unit = 1 << len(order)
     at = [(sv, (mask_of(w for w, sw in zip(order, starts) if abs(sv - sw) < unit),
                 mask_of(w for w, sw in zip(order, starts) if sw > sv),
@@ -362,7 +369,7 @@ def witness_candidates(inst, smask, v):
         for c in dict.fromkeys(c for h in inst._hosts(smask, v)
                                for c in mask_components(und, h) if c & und[v]):
             for order in inst._reps(c, v):
-                starts = inst._realize(order)
+                starts = inst._realize(shape_of(inst, order))
                 for sv in insert_positions(starts):
                     cand = repair_connected(inst, c, order, starts, v, sv)
                     if cand not in out:
@@ -379,7 +386,7 @@ def witness_candidates(inst, smask, v):
                 if (order, keep, t) in tried:
                     continue
                 tried.add((order, keep, t))
-                starts = inst._realize(order)
+                starts = inst._realize(shape_of(inst, order))
                 stp, unit = starts[order.index(t)], 1 << len(order)
                 for sv in insert_positions(starts):
                     if stp < sv < stp + unit:
@@ -478,7 +485,7 @@ def test_integer_realization_matches_fractions():
         g, order = _random_arrangement(rng, 1 + trial % 9)
         inst = make_instance("pinterval-induced-connected", graph=g)
         unit = 1 << len(order)
-        starts = inst._realize(order)
+        starts = inst._realize(shape_of(inst, order))
         exact = _fraction_realize(inst, order)
         assert starts == [s * unit for s in exact]
         eps = _fraction_epsilon(exact)
@@ -490,6 +497,60 @@ def test_integer_realization_matches_fractions():
             for s, f in zip(starts, exact):
                 for c, d in ((s - unit, f - 1), (s, f), (s + unit, f + 1)):
                     assert _sign(p - c) == _sign(q - d)
+
+
+# -- the insertion table keyed by arrangement, kept as the witness of the --
+# -- one kept by shape -------------------------------------------------------
+
+def order_table(inst, order):
+    """The insertion table as the candidate rule built it for each
+    arrangement before it kept signatures by shape: the arrangement realized
+    (here by the rational witness, scaled), and each distinct signature read
+    as masks off its prefix masks by bisection."""
+    unit = 1 << len(order)
+    starts = [int(f * unit) for f in _fraction_realize(inst, order)]
+    pre = [0]
+    for u in order:
+        pre.append(pre[-1] | 1 << u)
+    full = pre[-1]
+    sigs = {}
+    for s in starts:
+        for sv in (s - unit - 1, s - unit + 1, s, s + unit - 1, s + unit + 1):
+            sigs[(pre[bisect_left(starts, sv + unit)] ^ pre[bisect_right(starts, sv - unit)],
+                  full ^ pre[bisect_right(starts, sv)],
+                  pre[bisect_left(starts, sv)])] = None
+    return dict(zip(order, pre[1:])), list(sigs)
+
+
+def test_table_by_shape_matches_table_by_arrangement():
+    # arrangements of random unit-interval graphs with true twins (equal
+    # starts) and their reps for every extender; inside a run the index
+    # signatures are kept by shape, so arrangements of one shape share them
+    rng = random.Random(53)
+    tables = shapes = twinned = 0
+    for trial in range(120):
+        n = 1 + trial % 10
+        pos = [0]
+        for _ in range(n - 1):
+            pos.append(pos[-1] + rng.choice([0, 0, *range(1, 10)]))
+        ids = list(range(n))
+        rng.shuffle(ids)
+        g = Graph(n, [(ids[i], ids[j]) for i, j in itertools.combinations(range(n), 2)
+                      if pos[j] - pos[i] < 10])
+        inst = make_instance("pinterval-induced", graph=g)
+        closed = [inst.g.und_mask[u] | 1 << u for u in range(n)]
+        twinned += len(set(closed)) < n
+        with inst.run_memos(_comp_memo={}):
+            full = (1 << n) - 1
+            orders = {tuple(ids): None}
+            for v in range(n):
+                orders.update(dict.fromkeys(inst._reps(full, v)))
+            for order in orders:
+                assert inst._table(order) == order_table(inst, order)
+                tables += 1
+            assert len(inst._shapes) <= len(orders)
+            shapes += len(inst._shapes)
+    assert shapes < tables and twinned > 50
 
 
 # regression: these instances once lost a solution because the host
