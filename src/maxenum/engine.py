@@ -148,13 +148,15 @@ def _exp_masks(problem, counters: Counters) -> Iterator[int]:
     ``dict_operations`` counts its inserts, the first solution's included.
 
     The run opens its completion memo with ``Problem.run_memos``:
-    ``_comp_memo``, solution mask -> completed mask, read and filled by
+    ``_comp_memo``, solution mask -> completed mask, filled by
     ``comp_mask``: its keys are the candidates completed and every set a
-    completion reached after an addition.  It is unbounded, as the visited
-    set is, and goes when the run ends, however it ends; a memo open before
-    it is restored.  The families that name run memos in ``family_memos``
-    open them there too.  ``comp_calls`` counts completions computed, not
-    memo hits.
+    completion reached after an addition.  The neighbor loop of
+    ``neighbor_masks`` reads it first and calls ``comp_mask`` only for a
+    candidate it lacks, so each ``comp_mask`` call of a run computes a
+    completion.  It is unbounded, as the visited set is, and goes when the
+    run ends, however it ends; a memo open before it is restored.  The
+    families that name run memos in ``family_memos`` open them there too.
+    ``comp_calls`` counts completions computed, not memo hits.
     """
     seen = SolutionDict()
 

@@ -16,13 +16,16 @@ connectivity walk, ``graphs.mask_cc`` over ``adj_masks``, by which the
 neighbor loop (``_neighbor_loop``) cuts each candidate of a connected
 family to the component of the one element it adds to the solution, and
 ``sol`` rejects a non-empty set of a connected family that is not the
-component of its lowest element; that loop completes each distinct
-candidate once, by ``comp_mask`` for ``neighbor_masks`` and by
+component of its lowest element; that loop keeps one map from each cut
+candidate to its completion, the exp run's memo for ``neighbor_masks`` in
+a run and a fresh one per call otherwise, and completes only a candidate
+the map lacks, by ``comp_mask`` for ``neighbor_masks`` and by
 ``comp_lex_mask`` for ``neighbor_masks_at``; the extension rule
 ``_reach``, the elements that can extend a set (for a connected family,
 those adjacent to it), which completion, ``addable`` and maximality all
-scan.  A completion computes the reach once and grows it with each added
-element (``_grow_reach``), and it asks whether an element extends the
+scan.  A completion computes the reach once and, for a connected family
+or one that is not ``hereditary``, grows it with each added element
+(``_grow_reach``), and it asks whether an element extends the
 current solution through ``_extension_test``, which every family has: by
 default the family's predicate on the grown set, without the
 connectivity walk, since an element of the reach keeps a connected
@@ -30,7 +33,8 @@ family's set one component.  Thirteen families give a cheaper test;
 three of them, bipartite-edge, chordal-edge and dag-edge-connected, walk
 the graph the set spans from one endpoint of the added edge
 (``graphs.span_depth``), over the edge tables the ``Graph`` holds.
-An element the test rejects stays rejected in a ``hereditary`` family;
+An element the test rejects stays rejected in a ``hereditary`` family,
+so one that is not ``connected`` completes in one ascending pass;
 chordal-edge, where a later edge can supply a rejected edge's chord, is
 not one, and its completion rescans from the smallest id after each
 addition.  ``addable`` and maximality always ask the predicate, so they
@@ -225,15 +229,21 @@ class Problem:
         untested element of its reach by ``_extension_test`` until none is
         left.  The reach grows with each addition, so a connected family
         may next test a smaller id; a family that is not ``hereditary``
-        also forgets its rejections after each addition.
+        also forgets its rejections after each addition.  A hereditary
+        family that is not connected tests each element outside ``mask``
+        once, in one ascending pass:
+        its reach is every other element, and once b is added every
+        element below b has been tested.
 
         Each addition is the least element of the current set's reach that
         keeps it a solution, so the rest of the loop depends on the set
         reached alone.  Inside an exp run the loop therefore returns a
-        completion of ``mask`` found in the run's memo, uncounted; a
-        computed one, counted in ``comp_calls``, stops at the first set it
-        reaches that the memo holds, and is stored under every set it
-        reached, the last included, and then under ``mask``.
+        completion of ``mask`` found in the run's memo, uncounted, though
+        the neighbor loop looks its candidates up there first and calls
+        this only for one the memo lacks; a computed one, counted in
+        ``comp_calls``, stops at the first set it reaches that the memo
+        holds, and is stored under every set it reached, the last included,
+        and then under ``mask``.
         """
         memo = self._comp_memo
         if memo is not None:
@@ -243,26 +253,27 @@ class Problem:
         self.comp_calls += 1
         ok = self._extension_test
         hereditary = self.hereditary
+        regrow = self.connected or not hereditary  # else one ascending pass
         start, reached = mask, []
         reach = left = self._reach(mask)
         rejected = 0
         while left:
             b = left & -left
-            if ok(mask, b.bit_length() - 1):
-                reach = self._grow_reach(reach, mask, b)
-                mask |= b
-                if memo is not None:
-                    done = memo.get(mask)
-                    if done is not None:
-                        mask = done
-                        break
-                    reached.append(mask)
-                if not hereditary:
-                    rejected = 0  # a rejected element may extend the larger set
-                left = reach & ~rejected
-            else:
+            left ^= b
+            if not ok(mask, b.bit_length() - 1):
                 rejected |= b
-                left ^= b
+                continue
+            if regrow:
+                reach = self._grow_reach(reach, mask, b)
+                # a rejected element may extend the larger set, unless hereditary
+                left = reach & ~rejected if hereditary else reach
+            mask |= b
+            if memo is not None:
+                done = memo.get(mask)
+                if done is not None:
+                    mask = done
+                    break
+                reached.append(mask)
         if memo is not None:
             for m in reached:
                 memo[m] = mask
@@ -293,22 +304,32 @@ class Problem:
         raise NotImplementedError
 
     def _neighbor_loop(self, smask: int, incoming: Iterable[int],
-                       complete: Callable[[int], int]) -> tuple[int, ...]:
+                       complete: Callable[[int], int],
+                       known: dict[int, int] | None) -> tuple[int, ...]:
         """The distinct completions, by ``complete``, of the candidates of
         the solution mask ``smask`` for the incoming elements, in the order
         of their first occurrence, as a tuple: an exp run holds one for each
         open level of its walk, and a tuple takes one allocation to a list's
         two.  Each candidate is cut, for a connected family, to the component
-        of the one element it adds, and each distinct cut candidate is
-        completed once."""
+        of the one element it adds, and looked up by ``get`` in ``known``,
+        a map from sets to their completions: the exp run's memo, which
+        ``complete`` fills, or, when ``known`` is None, a fresh one for the
+        call, which the loop fills.  Only a cut candidate that ``known``
+        lacks is completed, so each distinct one is completed at most once
+        per call."""
         found: dict[int, None] = {}
-        asked = set()
+        own = known is None
+        if own:
+            known = {}
         for cand in self._candidates(smask, incoming):
             if self.connected:
                 cand = mask_cc(self.adj_masks, cand, (cand & ~smask).bit_length() - 1)
-            if cand not in asked:
-                asked.add(cand)
-                found[complete(cand)] = None
+            done = known.get(cand)
+            if done is None:
+                done = complete(cand)
+                if own:
+                    known[cand] = done
+            found[done] = None
         return tuple(found)
 
     def neighbor_masks(self, smask: int) -> tuple[int, ...]:
@@ -317,7 +338,8 @@ class Problem:
         candidates for every element outside it, in ascending element order,
         each kept at its first occurrence."""
         full = (1 << self.ground_size) - 1
-        return self._neighbor_loop(smask, bits(full & ~smask), self.comp_mask)
+        return self._neighbor_loop(smask, bits(full & ~smask), self.comp_mask,
+                                   self._comp_memo)
 
     def neighbors(self, solution: Iterable[int]) -> list[tuple[int, ...]]:
         """``neighbor_masks`` of a maximal solution as sorted tuples, with
@@ -379,7 +401,8 @@ class PspaceProblem(GraphProblem):
         solution that holds w is its own only candidate."""
         if (smask >> w) & 1:
             return (smask,)
-        return self._neighbor_loop(smask, (w,), self.comp_lex_mask)
+        # the run's lexicographic memo also holds stopped markers
+        return self._neighbor_loop(smask, (w,), self.comp_lex_mask, None)
 
     _lex_memo = None  # the completions of an enumerate_pspace run in progress
 

@@ -238,8 +238,8 @@ class _ProperIntervalBase(GraphProblem):
                 # and a component without a neighbor of v keeps none of them:
                 # both leave v alone once cut, so yield that once and arrange
                 # only the host components that touch v, each once; a repeated
-                # candidate cuts to a set the base has already asked, so each
-                # is yielded once
+                # candidate cuts to a set whose completion the base has already
+                # looked up or computed, so each is yielded once
                 yield 1 << v
                 uncut = {1 << v}
                 for cmask in dict.fromkeys(c for host in self._hosts(smask, v)

@@ -5,7 +5,10 @@ variant keeps its canonical orders; a connected family's solutions are
 exactly its plain twin's solutions that form one component; every
 candidate adds exactly its incoming element to the solution, where a
 connected family's candidates are cut as a plain BFS cuts them, and one
-neighbors call completes each candidate once; every
+neighbors call completes each distinct cut candidate once, inside an exp
+run only those the run's memo lacks, so every comp_mask call of a run is
+a counted completion; an unconnected hereditary family completes in one
+ascending pass; every
 variant's extension rule finds exactly the addable elements and completes
 as a loop over the predicate does, every set the shared loop stores in an
 exp run's completion memo maps to its own completion, a family's
@@ -278,11 +281,34 @@ def test_engines_ask_sol_only_about_one_component(variant):
     assert len(asked) >= 20
 
 
+class SeenMemo(dict):
+    """An exp run's completion memo that calls ``see(key)`` on every key
+    looked up by ``get``."""
+
+    def __init__(self, see, *args):
+        super().__init__(*args)
+        self.see = see
+
+    def get(self, key, default=None):
+        self.see(key)
+        return super().get(key, default)
+
+
 def observe_completions(inst, see):
     """Call ``see(mask)`` before every completion request made through the
-    instance: ``comp_mask`` and, in a pspace family, ``comp_lex_mask``."""
+    instance: ``comp_mask``, every lookup in an exp run's completion memo,
+    where the neighbor loop answers the candidates the memo holds, and, in
+    a pspace family, ``comp_lex_mask``."""
     comp_mask = inst.comp_mask
     inst.comp_mask = lambda mask: see(mask) or comp_mask(mask)
+    run_memos = inst.run_memos
+
+    def seen_run_memos(**memos):
+        if "_comp_memo" in memos:
+            memos["_comp_memo"] = SeenMemo(see, memos["_comp_memo"])
+        return run_memos(**memos)
+
+    inst.run_memos = seen_run_memos
     if isinstance(inst, PspaceProblem):
         comp_lex_mask = inst.comp_lex_mask
         inst.comp_lex_mask = (lambda mask, seeded=False:
@@ -321,7 +347,10 @@ REPEATING_VARIANTS = ("bipartite-induced-connected", "dag-induced-connected",
 def test_candidate_contract(variant, corpus, monkeypatch):
     # the base cuts and deduplicates candidates by one rule: each candidate
     # adds exactly its incoming element v to the solution, so the cut of a
-    # connected family starts at the one element outside the solution
+    # connected family starts at the one element outside the solution; a
+    # neighbors call outside a run keeps its own map of completions, so it
+    # makes one comp_mask call per distinct cut candidate, also where a
+    # rule repeats one
     repeats = 0
     for run in corpus[variant][:8]:
         inst = run.instance
@@ -499,6 +528,91 @@ def test_exp_completion_stops_at_a_completed_set():
     for _ in range(2):
         assert inst.comp_mask(0b0001) == 0b1111
     assert inst.comp_calls == before + 2
+
+
+def cut_candidates(inst, smask):
+    """The distinct candidates of the solution mask ``smask`` for every
+    element outside it, each cut to the component of its incoming element
+    in a connected family."""
+    full = (1 << inst.ground_size) - 1
+    cut = set()
+    for v in bits(full & ~smask):
+        for cand in inst._candidates(smask, (v,)):
+            cut.add(mask_cc(inst.adj_masks, cand, v) if inst.connected else cand)
+    return cut
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_neighbor_loop_completes_only_what_the_run_memo_lacks(variant, corpus, monkeypatch):
+    # inside an exp run the neighbor loop answers a cut candidate the memo
+    # holds without calling comp_mask, and returns what it returns outside
+    # a run: first with the memo the calls for the earlier solutions
+    # filled, then with the memo of the whole pass, which holds them all
+    held = requested = 0
+    for run in corpus[variant][:10]:
+        inst = run.instance
+        masks = [mask_of(s) for s in run.solutions]
+        outside = [inst.neighbor_masks(m) for m in masks]
+        comp_mask, asked = inst.comp_mask, []
+        monkeypatch.setattr(inst, "comp_mask", lambda m: asked.append(m) or comp_mask(m))
+        memo = {}
+        with inst.run_memos(_comp_memo=memo):
+            for smask, want in zip(masks, outside):
+                cut = cut_candidates(inst, smask)
+                hits = cut & memo.keys()
+                asked.clear()
+                assert inst.neighbor_masks(smask) == want, (run.index, bits(smask))
+                assert len(set(asked)) == len(asked), (run.index, bits(smask))
+                assert set(asked) <= cut - hits, (run.index, bits(smask))
+                held += len(hits)
+                requested += len(asked)
+            asked.clear()
+            assert [inst.neighbor_masks(m) for m in masks] == outside
+            assert asked == [], run.index
+        monkeypatch.undo()
+    assert held > 0 and requested > 0
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_exp_run_calls_comp_mask_once_per_counted_completion(variant):
+    # the neighbor loop reads the run's memo itself, so every comp_mask call
+    # of an exp run computes a completion, and comp_calls counts each once
+    for i in range(CORPUS_SIZE):
+        inst = build_instance(variant, i)
+        comp_mask, calls = inst.comp_mask, []
+        inst.comp_mask = lambda m: calls.append(m) or comp_mask(m)
+        counters = enumerate_exp(inst)
+        assert len(calls) == counters.comp_calls > 0, i
+        assert len(set(calls)) == len(calls), i
+
+
+ONE_PASS = [v for v in ALL_VARIANTS
+            if build_instance(v, 0).hereditary and not build_instance(v, 0).connected]
+
+
+@pytest.mark.parametrize("variant", ONE_PASS)
+def test_unconnected_hereditary_completion_is_one_ascending_pass(variant, corpus, monkeypatch):
+    # the reach of such a family's set is every element outside it, and an
+    # element it rejects stays rejected, so once b is added every element
+    # below b has been tested: completion tests each element outside its
+    # input once, in ascending order, from the empty set, every solution
+    # and one random sub-solution of each, outside a run
+    rng = random.Random(f"one pass:{variant}")
+    for run in corpus[variant][:20]:
+        inst = run.instance
+        full = (1 << inst.ground_size) - 1
+        ok, tested = inst._extension_test, []
+        monkeypatch.setattr(inst, "_extension_test", lambda x, e: tested.append(e) or ok(x, e))
+        masks = [0]
+        for s in run.solutions:
+            sub = mask_of(e for e in s if rng.random() < 0.5)
+            masks += [mask_of(s), sub] if inst.sol(sub) else [mask_of(s)]
+        for mask in masks:
+            tested.clear()
+            done = inst.comp_mask(mask)
+            assert tuple(tested) == bits(full & ~mask), (run.index, bits(mask))
+            assert done == comp_witness(inst, mask), (run.index, bits(mask))
+        monkeypatch.undo()
 
 
 # the families that give an extension test of their own; the others take the
@@ -814,8 +928,10 @@ def test_completion_asks_no_predicate(engine, variant, monkeypatch):
 def test_engines_complete_only_solutions(variant, engine):
     # a completion takes its mask on trust, so what an engine passes it
     # must be a solution by the predicate itself: an exp run's empty set
-    # and cut candidates, a pspace run's root seeds, cut candidates and the
-    # prefixes that _regenerate, has_parent and _core_scan complete
+    # and cut candidates, those its memo answers included, a pspace run's
+    # root seeds, cut candidates and the prefixes that _regenerate,
+    # has_parent and _core_scan complete; the observer also sees every set
+    # an exp completion reaches and looks up
     inputs = []
     for i in range(CORPUS_SIZE):
         inst = build_instance(variant, i)
@@ -826,7 +942,7 @@ def test_engines_complete_only_solutions(variant, engine):
 
         observe_completions(inst, checked)
         run_engine(engine, inst)
-    # 408 on chordal-edge, the fewest, and 82,861 on kdeg-edge
+    # 1,547 on chordal-edge, the fewest, and 136,184 on kdeg-edge
     assert len(inputs) >= 3 * CORPUS_SIZE
 
 
