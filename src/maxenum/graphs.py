@@ -220,9 +220,10 @@ def spanned_masks(g: Graph, emask: int) -> tuple[list[int], list[int], int]:
 # the cliques it has kept, in a plain loop: a generator inside ``all()``
 # over every earlier clique cost the induced chordal cells of
 # ``plugin-mix-exp`` (parts 0-2, seed 1) about a tenth of their CPU.  The
-# induced chordal candidate rule calls it once per neighborhood mask in a
-# run (``_cliques``), and the pinterval host rule and the chordal-edge
-# rule once per incoming vertex and per call.
+# induced chordal candidate rule and the pinterval host rule call it once
+# per neighborhood mask in a run (each family's ``_cliques``), and the
+# chordal-edge rule once per call, on the graph the solution's edges span,
+# which differs with each solution.
 # Orders that only the tests read, such as the degeneracy order, live with
 # the proximity witnesses in ``tests/proximity.py``, not here.
 

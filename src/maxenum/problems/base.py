@@ -2,8 +2,8 @@
 
 A plugin states only what is specific to its family: a membership
 predicate over ground-element bitmasks (``_solution_mask``), a candidate
-rule (``_candidates``) and, where it has one cheaper than the default,
-an extension test (``_extension_test``).  The four parent-forest
+rule (``_candidates``) and an extension test local to the added element
+(``_extension_test``).  The four parent-forest
 families share one solution order, ``bfs_order``, which the pspace
 engine reads.  The other families' canonical orders, which define
 proximity in the paper but which no engine reads, are test witnesses
@@ -26,13 +26,16 @@ those adjacent to it), which completion, ``addable`` and maximality all
 scan.  A completion computes the reach once and, for a connected family
 or one that is not ``hereditary``, grows it with each added element
 (``_grow_reach``), and it asks whether an element extends the
-current solution through ``_extension_test``, which every family has: by
-default the family's predicate on the grown set, without the
-connectivity walk, since an element of the reach keeps a connected
-family's set one component.  Thirteen families give a cheaper test;
-three of them, bipartite-edge, chordal-edge and dag-edge-connected, walk
-the graph the set spans from one endpoint of the added edge
-(``graphs.span_depth``), over the edge tables the ``Graph`` holds.
+current solution through ``_extension_test``, which each of the sixteen
+families gives, with its predicate's verdicts and without re-deciding the
+grown set: an element of the reach keeps a connected family's set one
+component, so no test walks connectivity.  Three of them,
+bipartite-edge, chordal-edge and dag-edge-connected, walk the graph the
+set spans from one endpoint of the added edge (``graphs.span_depth``),
+over the edge tables the ``Graph`` holds; dag-induced-connected walks
+forward from the added vertex (``graphs.mask_cc`` over the out-arcs), and
+the hulls read, for the added point, the obstacle walls it does not lie
+in.
 An element the test rejects stays rejected in a ``hereditary`` family,
 so one that is not ``connected`` completes in one ascending pass;
 chordal-edge, where a later edge can supply a rejected edge's chord, is
@@ -68,7 +71,8 @@ Every run has its engine's completion memo (``_comp_memo`` for
 ``_LexMemo``).  A family names its own in ``family_memos``, each a fresh
 dict in a run, and none changes a verdict, a candidate or its order:
 ``_cores`` and ``_kept`` in ``degenerate``, ``_cliques`` in ``chordal``,
-and ``_layouts``, ``_shapes`` and ``_arrangements`` in ``interval``, whose
+``_walls_at`` in ``geometry``, and ``_layouts``, ``_shapes``,
+``_arrangements``, ``_tables`` and ``_cliques`` in ``interval``, whose
 docstrings give each memo's key and bound.  What a family builds from a
 key alone it gets through ``run_kept``, once per key in a run.
 """
@@ -211,10 +215,10 @@ class Problem:
 
     def _extension_test(self, x: int, e: int) -> bool:
         """Whether ``x | 1 << e`` is a solution, for a solution x and an
-        element e of ``_reach(x)``: the family's predicate alone, since such
-        an e keeps a connected family's set one component.  A family may
-        override it with a cheaper test that gives the same verdicts."""
-        return self._solution_mask(x | 1 << e)
+        element e of ``_reach(x)``, which keeps a connected family's set one
+        component: the family's predicate's verdict, found by a test local
+        to e rather than by deciding the grown set anew."""
+        raise NotImplementedError
 
     def addable(self, mask: int) -> list[int]:
         """The elements whose single addition keeps ``mask`` a solution,

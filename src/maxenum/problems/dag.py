@@ -3,17 +3,24 @@
 Solutions are vertex sets (induced variant) or arc sets (edge variant)
 that are acyclic and connected in the underlying undirected sense.
 Candidates make the incoming element a source or a sink by dropping the
-appropriate side of its neighborhood.  Completion of the edge variant
-asks a test local to the added arc (``_extension_test``): whether its
-head reaches its tail along the arcs of the set (``graphs.span_depth``),
-instead of peeling the whole spanned digraph.  The families' canonical
+appropriate side of its neighborhood.  Completion asks a test local to the
+added element (``_extension_test``) instead of peeling the whole set: a
+solution is acyclic, so a cycle of the grown set runs through the added
+element, and it closes exactly when the element reaches itself (Bender,
+Fineman, Gilbert & Tarjan, "A new approach to incremental cycle detection
+and related problems", ACM Trans. Algorithms, 2016).  The induced variant
+walks forward from the added vertex along the arcs inside the set
+(``graphs.mask_cc`` over ``Graph.out_mask``) and rejects when it meets a
+vertex with an arc into it; the edge variant asks whether the added arc's
+head reaches its tail along the arcs of the set (``graphs.span_depth``).
+The families' canonical
 order, the least layered order, is a test witness (``tests/proximity.py``):
 its search is exponential in the set size, and no engine reads it.
 """
 
 from __future__ import annotations
 
-from ..graphs import span_depth, spanned_masks
+from ..graphs import mask_cc, span_depth, spanned_masks
 from .base import GraphProblem
 
 
@@ -38,6 +45,12 @@ class DagInducedConnected(GraphProblem):
     variant = "dag-induced-connected"
     directed = True
     connected = True
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # the vertices e reaches along arcs inside x + e, e among them; one
+        # with an arc into e closes a cycle, a 2-cycle e -> a -> e included
+        g = self.g
+        return not mask_cc(g.out_mask, x | 1 << e, e) & g.in_mask[e]
 
     def _solution_mask(self, mask: int) -> bool:
         return _acyclic(self.g.out_mask, mask)

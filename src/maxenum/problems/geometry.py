@@ -7,9 +7,17 @@ connectivity.  All predicates are exact integer arithmetic, never
 floating point, and no hull is ever built: an instance computes, on first
 use, a table (``Hulls.walls``) of a few interest-point masks per obstacle,
 from the half-planes through it, and an obstacle lies inside a set's
-closed hull exactly when the set's mask meets each of its masks.  Nothing
-is memoized per set: completion asks the predicate on each grown set
-through the default ``_extension_test``.
+closed hull exactly when the set's mask meets each of its masks.
+Completion asks a test local to the added point e (``_extension_test``):
+a grown set x + e meets every mask that holds e, so an obstacle lies
+inside its hull exactly when x meets each of the obstacle's masks that
+lack e.  Inside a run (``family_memos``) one memo keeps, by e, the
+obstacles some set can hold with e, each with only those masks
+(``_walls_at``): one entry per interest point, of at most one per
+obstacle.  An obstacle with the empty mask lies outside every hull and
+has none.  The candidate rule's splits (``_shadow_masks``) read the same
+entries, and outside a run each is built where it is asked.  Nothing is
+memoized per set.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from functools import cached_property
 from typing import Optional
 
 from ..graphs import Graph, int_pair, parse_edge_lines, read_counted
-from .base import Problem
+from .base import Problem, run_kept
 
 COORD_LIMIT = 10 ** 6
 
@@ -77,6 +85,8 @@ def load_points(text: str) -> PointSetInstance:
 class Hulls(Problem):
     variant = "hulls"
     ground_kind = "v"
+    family_memos = ("_walls_at",)
+    _walls_at = None  # each point's obstacles and walls in a run, by point
 
     def __init__(self, inst: PointSetInstance):
         if inst.graph is not None and not self.connected:
@@ -101,22 +111,37 @@ class Hulls(Problem):
         the empty mask alone misses ``full``, which every other complement
         lies inside: it is the table's one mask only when there are no
         interest points.
+
+        One cross product serves each pair of points, since swapping them
+        flips its sign, and each point lies on its own ray.  A complement is
+        kept unless one kept before it lies inside it: taken by ascending
+        size, any that does is kept or has a kept one inside it.
         """
         pts = self.inst.interest
         full = (1 << len(pts)) - 1
         table = []
         for ox, oy in self.inst.obstacles:
             vecs = [(x - ox, y - oy) for x, y in pts]
-            comps = {full}
-            for px, py in vecs:
-                side = 0
-                for i, (qx, qy) in enumerate(vecs):
+            sides = [1 << i for i in range(len(pts))]
+            for i, (px, py) in enumerate(vecs):
+                for j in range(i + 1, len(vecs)):
+                    qx, qy = vecs[j]
                     cross = px * qy - py * qx
-                    if cross > 0 or cross == 0 and px * qx + py * qy > 0:
-                        side |= 1 << i
-                comps.add(full ^ side)
-            table.append(tuple(sorted(c for c in comps
-                                      if not any(d != c and d & c == d for d in comps))))
+                    if cross > 0:
+                        sides[i] |= 1 << j
+                    elif cross < 0:
+                        sides[j] |= 1 << i
+                    elif px * qx + py * qy > 0:
+                        sides[i] |= 1 << j
+                        sides[j] |= 1 << i
+            kept = []
+            for c in sorted({full} | {full ^ side for side in sides}, key=int.bit_count):
+                for d in kept:
+                    if d & c == d:
+                        break
+                else:
+                    kept.append(c)
+            table.append(tuple(sorted(kept)))
         return tuple(table)
 
     def _first_inside(self, mask: int) -> Optional[int]:
@@ -130,6 +155,34 @@ class Hulls(Problem):
                 return i
         return None
 
+    def _walls_lacking(self, e: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The obstacles, by ascending index i, that lie inside the closed
+        hull of some set holding point e, each as (i, its ``walls`` masks
+        that lack e): those a set x + e must meet through x.  An obstacle
+        whose walls are the empty mask lies inside no hull."""
+        bit = 1 << e
+        return tuple((i, tuple(c for c in comps if not c & bit))
+                     for i, comps in enumerate(self.walls) if comps != (0,))
+
+    def _first_inside_with(self, x: int, e: int) -> Optional[int]:
+        """``_first_inside(x | 1 << e)``, read from e's entry of
+        ``_walls_at``."""
+        memo = self._walls_at
+        walls = None if memo is None else memo.get(e)
+        if walls is None:  # a hit, the common case, costs no call
+            walls = run_kept(memo, e, self._walls_lacking, e)
+        for i, comps in walls:
+            for c in comps:
+                if not x & c:
+                    break
+            else:
+                return i
+        return None
+
+    def _extension_test(self, x: int, e: int) -> bool:
+        # an element of the connected variant's reach keeps x connected
+        return self._first_inside_with(x, e) is None
+
     def _solution_mask(self, mask: int) -> bool:
         return self._first_inside(mask) is None
 
@@ -137,17 +190,17 @@ class Hulls(Problem):
         """Obstacle-free split pieces of the masked solution as seen when
         adding v.
 
-        The smallest-index obstacle inside the current hull splits the piece
-        by the line through v and the obstacle; points on the line are
-        discarded; both sides recurse until obstacle-free.
+        The smallest-index obstacle inside the current hull (of the piece
+        and v, ``_first_inside_with``) splits the piece by the line through v
+        and the obstacle; points on the line are discarded; both sides
+        recurse until obstacle-free.
         """
-        vb = 1 << v
         pts = self.inst.interest
         vx, vy = pts[v]
         out: list[int] = []
 
         def rec(part: int):
-            i = self._first_inside(part | vb)
+            i = self._first_inside_with(part, v)
             if i is None:
                 out.append(part)
                 return

@@ -11,23 +11,29 @@ realization of an arrangement (``_reps``: the canonical one, its reverse,
 and both with each run of true twins, one closed neighborhood, reordered)
 at the finitely many combinatorially distinct positions, then deletes the
 vertices that contradict it by one rule for both variants (``_repair``).
-Each arrangement gets a table (``_table``) once per ``neighbor_masks``
-call: its prefix masks and the distinct signatures of its positions, the
-masks of the intervals a new one there overlaps, follows and precedes.
-The realization reads only the arrangement's shape, the number of earlier
-neighbors of each vertex, so the signatures are found once per shape, as
-indices into the order (``_signatures``), and read off the prefix masks.
-A repair is then three mask operations, and a position whose signature
-repeats is not repaired again.
-Inside a run (``family_memos``) three memos keep what depends on a key
+Each arrangement gets a table (``_table``): its prefix masks and the
+distinct signatures of its positions, the masks of the intervals a new one
+there overlaps, follows and precedes.  The realization reads only the
+arrangement's shape, the number of earlier neighbors of each vertex, so
+the signatures are found once per shape, as indices into the order
+(``_signatures``), and read off the prefix masks.  A repair is then three
+mask operations, and a position whose signature repeats is not repaired
+again; each incoming vertex yields each repaired candidate once.
+Inside a run (``family_memos``) five memos keep what depends on a key
 alone, one entry per distinct key the run meets, and outside a run none
 is kept: each component's layout, or None, by its mask (``_layouts``),
 which the extension test and the candidate rule read; the index
 signatures by shape (``_shapes``), where a shape of L vertices starts at
 0 and then steps up by at most one (each vertex's earlier neighbors end
 the order), so L vertices have at most the Catalan number C(L-1) shapes;
-and the at most four arrangements ``_reps`` gives, by the component and
-v's neighbors in it (``_arrangements``).  None is capped.
+the at most four arrangements ``_reps`` gives, by the component and v's
+neighbors in it (``_arrangements``); the table of each such arrangement,
+by its order (``_tables``), so at most four entries for each entry of
+``_arrangements``; and the maximal cliques of the neighbors N(v) & S of
+an incoming vertex v in the solution S, which ``_hosts`` cuts v's
+neighbors down to, by that mask (``_cliques``), so at most one entry per
+subset of a vertex's neighborhood, each of at most as many cliques as the
+mask has vertices.  None is capped.
 """
 
 from __future__ import annotations
@@ -41,10 +47,12 @@ from .base import GraphProblem, run_kept
 
 
 class _ProperIntervalBase(GraphProblem):
-    family_memos = ("_layouts", "_shapes", "_arrangements")
+    family_memos = ("_layouts", "_shapes", "_arrangements", "_tables", "_cliques")
     _layouts = None  # component layouts of an enumerate run in progress, by mask
     _shapes = None  # insertion signatures of a run, by arrangement shape
     _arrangements = None  # _reps of a run, by component and v's neighbors in it
+    _tables = None  # insertion tables of a run, by arrangement order
+    _cliques = None  # the host rule's clique lists in a run, by neighborhood mask
 
     # -- recognition -----------------------------------------------------
     def component_layout(self, cmask: int) -> Optional[tuple[int, ...]]:
@@ -139,6 +147,10 @@ class _ProperIntervalBase(GraphProblem):
         return list(sigs)
 
     def _table(self, order) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+        """``_insertions(order)``, kept by the order inside a run."""
+        return run_kept(self._tables, order, self._insertions, order)
+
+    def _insertions(self, order) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
         """The insertion table of an arrangement: the mask of each vertex
         and those before it in the order, and the distinct signatures
         (overlapped, later, earlier) of the start positions of a new
@@ -187,7 +199,7 @@ class _ProperIntervalBase(GraphProblem):
         und = self.g.und_mask
         hosts = [smask]
         core = und[v] & smask
-        for q in chordal_cliques(und, core):
+        for q in run_kept(self._cliques, core, chordal_cliques, und, core):
             hosts.append(smask & ~(core & ~q))
         for z in bits(smask):
             hosts.append(smask & ~(1 << z))
@@ -224,14 +236,7 @@ class _ProperIntervalBase(GraphProblem):
 
     def _candidates(self, smask: int, incoming):
         und = self.g.und_mask
-        tables: dict[tuple, tuple] = {}  # _table of each arrangement, once per call
-
-        def table(order):
-            got = tables.get(order)
-            if got is None:
-                got = tables[order] = self._table(order)
-            return got
-
+        table = self._table
         for v in incoming:
             if self.connected:
                 # the first insertion position lies before every interval,
@@ -252,8 +257,11 @@ class _ProperIntervalBase(GraphProblem):
                                 yield cand
                 continue
             # the incoming vertex may start a new component: drop all its
-            # neighbors and keep the rest of the solution untouched
-            yield (smask & ~und[v]) | (1 << v)
+            # neighbors and keep the rest of the solution untouched; as
+            # above, each candidate is yielded once
+            alone = (smask & ~und[v]) | (1 << v)
+            yield alone
+            uncut = {alone}
             tried: set[tuple] = set()
             arranged: dict[int, list] = {}  # _reps of each component, once per v
             for host in self._hosts(smask, v):
@@ -273,7 +281,10 @@ class _ProperIntervalBase(GraphProblem):
                         for sig in sigs:
                             # the pinned interval precedes and overlaps v
                             if (sig[0] & sig[2]) >> t_prev & 1:
-                                yield keep | self._repair(ci, v, sig, upto, touch)
+                                cand = keep | self._repair(ci, v, sig, upto, touch)
+                                if cand not in uncut:
+                                    uncut.add(cand)
+                                    yield cand
 
     def comp_budget(self) -> int:
         # hosts per extender: the solution, the clique prunings, the single

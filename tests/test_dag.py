@@ -48,6 +48,45 @@ def test_directed_triangle_counts():
     assert sorted(sols) == [(0, 1), (0, 2), (1, 2)]
 
 
+# -- dag-induced-connected's extension test on named instances -------------------
+# a solution is acyclic, so the test rejects e exactly when a cycle of x + e
+# runs through e: a vertex e points to reaches, inside x, one pointing to e
+
+def test_extension_test_rejects_a_two_cycle_through_e():
+    # 0 -> 1 -> 0, and 1 -> 2: e = 0 closes the 2-cycle through 1
+    inst = make_instance("dag-induced-connected",
+                         graph=Graph(3, [(0, 1), (1, 0), (1, 2)], directed=True))
+    assert not inst._extension_test(mask_of((1, 2)), 0)
+    assert inst._extension_test(mask_of((1,)), 2) and inst._extension_test(mask_of((2,)), 1)
+    assert not inst.sol(mask_of((0, 1, 2)))
+
+
+def test_extension_test_rejects_a_three_cycle_through_e():
+    # e = 3 -> 0 -> 1 -> 2 -> 3; the arc 0 -> 2 gives x a second path
+    inst = make_instance("dag-induced-connected",
+                         graph=Graph(4, [(3, 0), (0, 1), (1, 2), (2, 3), (0, 2)],
+                                     directed=True))
+    x = mask_of((0, 1, 2))
+    assert inst.sol(x)
+    assert not inst._extension_test(x, 3)
+    # without the vertex that closes the path back to e, e is accepted
+    assert inst._extension_test(mask_of((0, 1)), 3) and inst._extension_test(mask_of((1, 2)), 3)
+
+
+def test_extension_test_accepts_arcs_that_only_leave_e():
+    # e = 0 points to every vertex of x, and x holds a path between them
+    inst = make_instance("dag-induced-connected",
+                         graph=Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)],
+                                     directed=True))
+    x = mask_of((1, 2, 3))
+    assert inst._extension_test(x, 0) and inst.sol(x | 1)
+    # reversing one arc into e closes a cycle through the path
+    back = make_instance("dag-induced-connected",
+                         graph=Graph(4, [(0, 1), (0, 2), (3, 0), (1, 2), (2, 3)],
+                                     directed=True))
+    assert not back._extension_test(x, 0) and not back.sol(x | 1)
+
+
 def test_edge_variant_directed_triangle():
     inst = make_instance("dag-edge-connected", graph=directed_triangle())
     sols = exp_solutions(inst)

@@ -7,11 +7,19 @@ from collections import defaultdict
 
 import pytest
 
-from maxenum import PartialOutputError, enumerate_exp, make_instance
-from maxenum.problems import chordal, degenerate
+from maxenum import PartialOutputError, PointSetInstance, enumerate_exp, make_instance
+from maxenum.problems import chordal, degenerate, interval
+from maxenum.problems.geometry import Hulls
 from maxenum.problems.interval import _ProperIntervalBase
 
-from conftest import random_graph, sparse_gnm
+from conftest import random_graph, random_points, sparse_gnm
+
+
+def hull_instance(variant, rng):
+    interest, obstacles = random_points(rng, 8, 4)
+    graph = random_graph(rng, 8, 0.55) if variant == "hulls-connected" else None
+    return make_instance(variant, points=PointSetInstance(interest, obstacles, graph))
+
 
 FAMILY_INSTANCES = {
     "kdeg-induced": lambda rng: make_instance("kdeg-induced", graph=sparse_gnm(rng, 12, 22), k=1),
@@ -24,16 +32,22 @@ FAMILY_INSTANCES = {
                                                    graph=random_graph(rng, 8, 0.5)),
     "pinterval-induced-connected": lambda rng: make_instance("pinterval-induced-connected",
                                                              graph=random_graph(rng, 8, 0.5)),
+    "hulls": lambda rng: hull_instance("hulls", rng),
+    "hulls-connected": lambda rng: hull_instance("hulls-connected", rng),
 }
 
 # what each family builds from a key, as (owner, name, the key of its arguments)
 SUBSETS = (degenerate, "_subsets", lambda mask, most: mask)
 CLIQUES = (chordal, "chordal_cliques", lambda und, mask: mask)
 INTERVAL = ((_ProperIntervalBase, "_signatures", lambda self, shape: shape),
-            (_ProperIntervalBase, "_arrange", lambda self, cmask, nb: (cmask, nb)))
+            (_ProperIntervalBase, "_arrange", lambda self, cmask, nb: (cmask, nb)),
+            (_ProperIntervalBase, "_insertions", lambda self, order: order),
+            (interval, "chordal_cliques", lambda und, mask: mask))
+WALLS = (Hulls, "_walls_lacking", lambda self, e: e)
 BUILDS = {"kdeg-induced": (SUBSETS,), "kdeg-edge": (SUBSETS,),
           "chordal-induced": (CLIQUES,), "chordal-induced-connected": (CLIQUES,),
-          "pinterval-induced": INTERVAL, "pinterval-induced-connected": INTERVAL}
+          "pinterval-induced": INTERVAL, "pinterval-induced-connected": INTERVAL,
+          "hulls": (WALLS,), "hulls-connected": (WALLS,)}
 
 
 def instance(variant):
@@ -85,9 +99,9 @@ def test_family_memos_live_for_one_run(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", sorted(FAMILY_INSTANCES))
 def test_family_builds_once_per_key_in_a_run(variant, monkeypatch):
-    # clique lists, kept subsets, shape signatures and arrangements are each
-    # built once per distinct key in a run; a run without the memos builds
-    # them again
+    # clique lists, kept subsets, shape signatures, arrangements, insertion
+    # tables and each point's walls are each built once per distinct key in
+    # a run; a run without the memos builds them again
     built = defaultdict(list)
     for owner, name, key in BUILDS[variant]:
         build = getattr(owner, name)

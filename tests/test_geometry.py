@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from contextlib import nullcontext
 from itertools import combinations
 from math import gcd
 
@@ -289,6 +290,102 @@ def test_wall_table_is_built_on_first_use():
     # the centroid's walls are the triangle's corners, one each: only a set
     # that holds all three has it inside
     assert plain.walls == ((1, 2, 4),)
+
+
+def reference_walls(points):
+    """``Hulls.walls`` as it was built before each cross product served a
+    pair of points: every (p, q) cross product, and a complement kept unless
+    any other complement lies inside it."""
+    pts = points.interest
+    full = (1 << len(pts)) - 1
+    table = []
+    for ox, oy in points.obstacles:
+        vecs = [(x - ox, y - oy) for x, y in pts]
+        comps = {full}
+        for px, py in vecs:
+            side = 0
+            for i, (qx, qy) in enumerate(vecs):
+                cross = px * qy - py * qx
+                if cross > 0 or cross == 0 and px * qx + py * qy > 0:
+                    side |= 1 << i
+            comps.add(full ^ side)
+        table.append(tuple(sorted(c for c in comps
+                                  if not any(d != c and d & c == d for d in comps))))
+    return tuple(table)
+
+
+# one case of each degenerate kind the wall table must get right
+DEGENERATE_WALLS = {
+    # the interest points on one line through both obstacles, the first
+    # between two of them, the second beyond every one
+    "collinear with an obstacle": PointSetInstance([(0, 0), (2, 0), (4, 0), (1, 3)],
+                                                   [(1, 0), (6, 0)]),
+    "on one ray": PointSetInstance([(1, 1), (2, 2), (4, 4), (3, 0)], [(0, 0)]),
+    "on opposite rays": PointSetInstance([(-1, -1), (2, 2), (3, 3), (1, -2)], [(0, 0)]),
+    "outside every hull": PointSetInstance([(0, 0), (2, 0), (0, 2), (2, 2)], [(5, 1)]),
+    "no interest points": PointSetInstance([], [(0, 0), (1, 1)]),
+}
+
+
+def test_wall_table_matches_reference_builder():
+    # one cross product per pair and the filter against kept complements
+    # give the reference's table, mask for mask, on the kernel cases and the
+    # degenerate ones
+    cases = list(_kernel_cases()) + list(DEGENERATE_WALLS.values())
+    for points in cases:
+        assert make_instance("hulls", points=points).walls == reference_walls(points), (
+            points.interest, points.obstacles)
+    # an obstacle outside every hull has the empty mask alone, which no set
+    # meets, so no point's entry holds it
+    outside = make_instance("hulls", points=DEGENERATE_WALLS["outside every hull"])
+    assert outside.walls == ((0,),)
+    assert all(outside._walls_lacking(e) == () for e in range(4))
+    assert make_instance("hulls", points=DEGENERATE_WALLS["no interest points"]).walls == (
+        (0,), (0,))
+    assert sum(walls == (0,) for p in cases for walls in reference_walls(p)) >= 100
+    # the obstacle between two collinear points lies in their hull; the one
+    # beyond them, or behind points on one ray, in no hull of them
+    on_line = make_instance("hulls", points=DEGENERATE_WALLS["collinear with an obstacle"])
+    assert on_line._first_inside(mask_of((0, 2))) == 0
+    assert on_line._first_inside(mask_of((1, 2))) is None
+    ray = make_instance("hulls", points=DEGENERATE_WALLS["on one ray"])
+    assert ray._first_inside(mask_of((0, 1, 2))) is None
+    opposite = make_instance("hulls", points=DEGENERATE_WALLS["on opposite rays"])
+    assert opposite._first_inside(mask_of((0, 2))) == 0
+    assert opposite._first_inside(mask_of((1, 2, 3))) is None
+
+
+# the least number of extension tests asked at a solution and a point of its
+# reach, by verdict, over the corpus instances' every subset; the sweep made
+# about 1.45 times each floor
+ASKED = {"hulls": {True: 18000, False: 1700},
+         "hulls-connected": {True: 10000, False: 1300}}
+
+
+@pytest.mark.parametrize("variant", sorted(POINT_VARIANTS))
+def test_point_walls_give_first_inside(variant):
+    # a set x + e meets every wall that holds e, so the obstacles it holds
+    # are those whose walls lacking e all meet x: e's entry gives
+    # _first_inside(x | 1 << e) for every x without e, and the extension test
+    # its verdict at every solution x and e in its reach, outside a run,
+    # where the entry is built at each ask, and inside one, where it is kept
+    asked = Counter()
+    for i in range(CORPUS_SIZE):
+        inst = build_instance(variant, i)
+        full = (1 << inst.ground_size) - 1
+        pairs = [(x, e) for x in range(full + 1) for e in bits(full & ~x)]
+        for run in (nullcontext, inst.run_memos):
+            with run():
+                for x, e in pairs:
+                    first = inst._first_inside(x | 1 << e)
+                    assert inst._first_inside_with(x, e) == first, (i, bits(x), e)
+                    if inst.sol(x) and (inst._reach(x) >> e) & 1:
+                        assert inst._extension_test(x, e) == (first is None), (i, bits(x), e)
+                        asked[first is None] += 1
+                kept = inst._walls_at
+                assert (kept is None) == (run is nullcontext)
+                assert kept is None or sorted(kept) == sorted({e for _, e in pairs})
+    assert all(asked[verdict] >= least for verdict, least in ASKED[variant].items()), asked
 
 
 # -- membership -------------------------------------------------------------------

@@ -401,7 +401,7 @@ def test_one_repair_matches_both_witnesses(variant):
     # repeats included: unpinned and pinned at each neighbor of v in the
     # component, as the rule passes them; a pin is checked at every
     # position, not only where the rule uses it.  The rule yields the
-    # witnesses' candidates in their order, less repeats, so every
+    # witnesses' candidates in their order, each once, so every
     # neighbor_masks call completes the same candidates in the same order
     pinned = 0
     for i in range(12):
@@ -421,8 +421,7 @@ def test_one_repair_matches_both_witnesses(variant):
                                 assert (inst._repair(c, v, sig, upto[t], und[v] | und[t])
                                         == repair_induced(inst, c, order, starts, v, sv, t))
                 cands = list(inst._candidates(smask, (v,)))
-                assert (list(dict.fromkeys(cands))
-                        == list(dict.fromkeys(witness_candidates(inst, smask, v))))
+                assert cands == list(dict.fromkeys(witness_candidates(inst, smask, v)))
     assert pinned > 10_000
 
 

@@ -257,7 +257,7 @@ CONNECTED_VARIANTS = ("trees", "bipartite-induced-connected",
 @pytest.mark.parametrize("variant", CONNECTED_VARIANTS)
 def test_engines_ask_sol_only_about_one_component(variant):
     # the precondition for skipping the connectivity walk of ``sol`` on
-    # engine paths, which the default ``_extension_test`` relies on: the
+    # engine paths, which every ``_extension_test`` relies on: the
     # base's neighbor loops cut every candidate and completions grow within
     # ``_reach``, so every set an engine asks the predicate about, passes to
     # a completion or has an extension test judge as ``x | 1 << e`` is one
@@ -338,9 +338,13 @@ def set_components(inst, mask):
     return out
 
 
-# candidates repeat within one neighbors call on the first corpus runs here
+# candidates repeat within one neighbors call on the first corpus runs here;
+# the pinterval rules yield each candidate once per incoming vertex, so the
+# connected one repeats only once cut, and the induced one, which is not cut,
+# repeats none
 REPEATING_VARIANTS = ("bipartite-induced-connected", "dag-induced-connected",
-                      "pinterval-induced", "pinterval-induced-connected")
+                      "pinterval-induced-connected")
+UNREPEATED_VARIANTS = ("pinterval-induced",)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -375,6 +379,7 @@ def test_candidate_contract(variant, corpus, monkeypatch):
             monkeypatch.undo()
             assert sorted(requested) == sorted(cut), (run.index, s)
     assert repeats or variant not in REPEATING_VARIANTS
+    assert not repeats or variant not in UNREPEATED_VARIANTS
 
 
 # -- the extension rule ----------------------------------------------------------
@@ -615,8 +620,8 @@ def test_unconnected_hereditary_completion_is_one_ascending_pass(variant, corpus
         monkeypatch.undo()
 
 
-# the families that give an extension test of their own; the others take the
-# default, their predicate on the grown set
+# the families that give an extension test of their own: every one, since the
+# base has none to fall back on
 EXTENSION_TESTED = [v for v in ALL_VARIANTS
                     if type(build_instance(v, 0))._extension_test
                     is not Problem._extension_test]
@@ -642,16 +647,13 @@ def random_growths(inst, rng, walks):
 
 
 def test_extension_tests_exist():
-    assert EXTENSION_TESTED == ["bipartite-edge", "bipartite-induced",
-                                "bipartite-induced-connected", "chordal-edge",
-                                "chordal-induced", "chordal-induced-connected",
-                                "dag-edge-connected", "forests", "kdeg-edge",
-                                "kdeg-induced", "pinterval-induced",
-                                "pinterval-induced-connected", "trees"]
-    # the sweeps below cover every family, the three defaults included
+    # every family completes by a test local to the added element; one that
+    # fell back on re-deciding the grown set would meet the base's refusal
+    assert EXTENSION_TESTED == ALL_VARIANTS
+    with pytest.raises(NotImplementedError):
+        Problem(1)._extension_test(0, 0)
+    # the sweeps below cover every family
     assert sorted(VERTEX_FAMILIES + EDGE_FAMILIES + sorted(POINT_VARIANTS)) == ALL_VARIANTS
-    # the lexicographic completion asks the test alone
-    assert set(PSPACE_VARIANTS) <= set(EXTENSION_TESTED)
     # one predicate, with no memo
     assert not hasattr(Problem, "_sol_eval")
     assert not any(hasattr(build_instance(v, 0), "_sol_cache") for v in ALL_VARIANTS)
@@ -736,7 +738,7 @@ SWEEP_CERTIFIED = {"kdeg-induced": {1: 650, 2: 178, 3: 16},
 # a later one ("later").  A connected family's x is one component, and a
 # forest never takes a vertex with two neighbors in one of its trees, so
 # those keys are absent.  The sweep made about 1.45 times each floor of the
-# families added with the default test and the kdeg and pinterval tests
+# kdeg, pinterval and dag-induced-connected families
 WALKED = {
     "bipartite-induced": {(True, "first"): 300, (False, "first"): 1400,
                           (True, "later"): 25, (False, "later"): 120},
@@ -911,8 +913,8 @@ def engine_params(variants):
 def test_completion_asks_no_predicate(engine, variant, monkeypatch):
     # a completion step asks the family's extension test, never ``sol``,
     # and a completion takes its input on trust, so a run never asks
-    # ``sol``; a family with a test of its own evaluates no predicate at
-    # all, and one with the default test evaluates it only through that
+    # ``sol``; every family's test is local to the added element, so no
+    # run evaluates the predicate at all
     for i in range(CORPUS_SIZE):
         inst = build_instance(variant, i)
         asked, evals = [], []
@@ -921,7 +923,7 @@ def test_completion_asks_no_predicate(engine, variant, monkeypatch):
         monkeypatch.setattr(inst, "_solution_mask", lambda m: evals.append(m) or predicate(m))
         _, counters = run_engine(engine, inst)
         assert asked == [] and counters.comp_calls > 0, (i, asked[:1])
-        assert (evals == []) == (variant in EXTENSION_TESTED), i
+        assert evals == [], (i, bits(evals[0]))
 
 
 @pytest.mark.parametrize("variant,engine", engine_params(ALL_VARIANTS))
